@@ -1,20 +1,16 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Section 5) and, with "micro", runs Bechamel
-   micro-benchmarks of the simulator's hot paths.
+   evaluation (Section 5).  How fast the simulator itself runs is
+   measured separately, by perf/xcperf (see perf/README.md).
 
    Usage:
      dune exec bench/main.exe                         # all paper experiments
      dune exec bench/main.exe -- --jobs 4             # same, 4 worker domains
      dune exec bench/main.exe table1 fig4             # a subset
      dune exec bench/main.exe smoke                   # tiny-duration sweep
-     dune exec bench/main.exe micro                   # Bechamel suite
 
    Experiments are independent deterministic simulations, so with
    --jobs N (or XC_JOBS=N) they fan out over N domains via
    Xc_sim.Parallel; output is byte-identical to the sequential run.
-   Every run also writes BENCH_sim.json with wall-clock, event count
-   and events/sec per experiment, for tracking simulator performance
-   across commits.
 
    --trace[=FILE] additionally records an Xc_trace event trace of
    every experiment (one track per experiment, Chrome trace-event JSON
@@ -50,7 +46,7 @@ module Sdriver = Xc_suite.Driver
    (lib/suite): each grid builder below interprets its registry
    suite's specs into cells, byte-identical to the pre-refactor
    hand-coded drivers (pinned by the bench/golden differential
-   rules), and the artifact embeds each experiment's resolved spec. *)
+   rules). *)
 let reg_suite name =
   match Registry.find_bench name with
   | Some s -> s
@@ -85,15 +81,17 @@ let print_table t = print_string (T.render t)
 let section title =
   printf "\n%s\n%s\n\n" title (String.make (String.length title) '#')
 
-(* An experiment is either one unsplittable thunk or a set of
-   independent cells (shards) plus a printer over their index-ordered
-   results.  Cells are the unit the work-stealing pool schedules, so
-   the big sweeps (fig3, macro-extra, latency) no longer serialize the
-   whole bench behind one worker; the printer runs in the deterministic
-   merge phase, so output is byte-identical at any --jobs. *)
+(* An experiment is a set of independent cells (shards) plus a printer
+   over their index-ordered results.  Cells are the unit the
+   work-stealing pool schedules, so the big sweeps (fig3, macro-extra,
+   latency) do not serialize the whole bench behind one worker; the
+   printer runs in the deterministic merge phase, so output is
+   byte-identical at any --jobs.  An unsplittable experiment is one
+   cell that prints as it runs. *)
 type body =
-  | Whole of (unit -> unit)
   | Cells : { shards : (unit -> 'b) array; print : 'b array -> unit } -> body
+
+let whole f = Cells { shards = [| f |]; print = ignore }
 
 (* ------------------------------------------------------------------ *)
 (* Table 1                                                             *)
@@ -965,107 +963,6 @@ let csv () =
   write "fig9" t
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the simulator itself                   *)
-
-let micro () =
-  let open Bechamel in
-  let open Toolkit in
-  let heap_bench =
-    Test.make ~name:"heap push/pop x1000"
-      (Staged.stage (fun () ->
-           let h = Xc_sim.Heap.create () in
-           for i = 0 to 999 do
-             Xc_sim.Heap.push h (float_of_int ((i * 7919) mod 1000)) i
-           done;
-           while not (Xc_sim.Heap.is_empty h) do
-             ignore (Xc_sim.Heap.pop h)
-           done))
-  in
-  let prng_bench =
-    Test.make ~name:"prng 10k samples"
-      (Staged.stage (fun () ->
-           let rng = Xc_sim.Prng.create 1 in
-           for _ = 1 to 10_000 do
-             ignore (Xc_sim.Prng.float rng 1.0)
-           done))
-  in
-  let abom_bench =
-    Test.make ~name:"abom patch one binary"
-      (Staged.stage (fun () ->
-           let prog =
-             Xc_isa.Builder.build
-               [
-                 (Xc_isa.Builder.Glibc_small, 0);
-                 (Xc_isa.Builder.Glibc_wide, 1);
-                 (Xc_isa.Builder.Go_stack, 39);
-               ]
-           in
-           let patcher = Xc_abom.Patcher.create (Xc_abom.Entry_table.create ()) in
-           List.iter
-             (fun (s : Xc_isa.Builder.site) ->
-               ignore
-                 (Xc_abom.Patcher.patch_site patcher prog.image
-                    ~syscall_off:s.syscall_off))
-             prog.sites))
-  in
-  let machine_bench =
-    Test.make ~name:"machine run 3-syscall program"
-      (Staged.stage (fun () ->
-           let prog =
-             Xc_isa.Builder.build
-               [
-                 (Xc_isa.Builder.Glibc_small, 0);
-                 (Xc_isa.Builder.Glibc_small, 1);
-                 (Xc_isa.Builder.Glibc_small, 3);
-               ]
-           in
-           let m = Xc_isa.Machine.create prog.image ~entry:prog.entry in
-           ignore (Xc_isa.Machine.run m)))
-  in
-  let closed_loop_bench =
-    Test.make ~name:"closed-loop 10ms simulated"
-      (Staged.stage (fun () ->
-           let server =
-             {
-               Xc_platforms.Closed_loop.units = 4;
-               service_ns = (fun _ -> 20_000.);
-               overhead_ns = 0.;
-             }
-           in
-           ignore
-             (Xc_platforms.Closed_loop.run
-                {
-                  Xc_platforms.Closed_loop.default_config with
-                  duration_ns = 1e7;
-                  warmup_ns = 1e6;
-                }
-                server)))
-  in
-  let tests =
-    Test.make_grouped ~name:"simulator"
-      [ heap_bench; prng_bench; abom_bench; machine_bench; closed_loop_bench ]
-  in
-  let benchmark () =
-    let instances = Instance.[ monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-    Benchmark.all cfg instances tests
-  in
-  let analyze results =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    Analyze.all ols Instance.monotonic_clock results
-  in
-  section "Bechamel: simulator hot paths";
-  let results = analyze (benchmark ()) in
-  Hashtbl.iter
-    (fun name ols ->
-      match Bechamel.Analyze.OLS.estimates ols with
-      | Some [ est ] -> printf "%-40s %12.1f ns/run\n" name est
-      | _ -> printf "%-40s (no estimate)\n" name)
-    results
-
-(* ------------------------------------------------------------------ *)
 (* Extension: request hedging and pluggable LB policies                *)
 
 (* One cell per point across three grids: the PS cloning simulator vs
@@ -1549,8 +1446,8 @@ let cluster_scale = make_cluster_scale (reg_suite "cluster-scale")
 (* ------------------------------------------------------------------ *)
 (* Causal what-if profiler (extension): per causal-point spec, predict
    the virtual speedup from the traced baseline's attribution and
-   validate it against an actually re-priced rerun.  One [Whole] body
-   on purpose: the baselines flip the process-wide trace flag
+   validate it against an actually re-priced rerun.  One cell on
+   purpose: the baselines flip the process-wide trace flag
    ([Causal.with_tracing]), so they must not run concurrently with
    cells that assume the flag is stable — and the whole grid is cheap
    (100 ms windows at 1-5 connections). *)
@@ -1610,7 +1507,7 @@ let make_causal (suite : Suite.t) =
     in
     c
   in
-  Whole
+  whole
     (fun () ->
       section
         "Causal what-if profiler: virtual speedups, predicted vs rerun \
@@ -1655,28 +1552,28 @@ let causal = make_causal (reg_suite "causal")
 
 let all_experiments =
   [
-    ("table1", Whole table1);
+    ("table1", whole table1);
     ("fig3", fig3);
-    ("fig4", Whole fig4);
-    ("fig5", Whole fig5);
-    ("fig6", Whole fig6);
-    ("fig8", Whole fig8);
-    ("fig9", Whole fig9);
-    ("boot", Whole boot);
-    ("ablation", Whole ablation);
-    ("fig8sim", Whole fig8sim);
-    ("security", Whole security);
-    ("migration", Whole migration);
-    ("clone", Whole clone);
+    ("fig4", whole fig4);
+    ("fig5", whole fig5);
+    ("fig6", whole fig6);
+    ("fig8", whole fig8);
+    ("fig9", whole fig9);
+    ("boot", whole boot);
+    ("ablation", whole ablation);
+    ("fig8sim", whole fig8sim);
+    ("security", whole security);
+    ("migration", whole migration);
+    ("clone", whole clone);
     ("latency", latency);
-    ("coldstart", Whole coldstart);
+    ("coldstart", whole coldstart);
     ("macro-extra", macro_extra);
-    ("build-bench", Whole build_bench);
-    ("density", Whole density);
+    ("build-bench", whole build_bench);
+    ("density", whole density);
     ("hedging", hedging);
     ("cluster-scale", cluster_scale);
     ("causal", causal);
-    ("csv", Whole csv);
+    ("csv", whole csv);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1783,10 +1680,10 @@ let smoke_experiments =
     (fun n -> (n, List.assoc n all_experiments))
     Registry.smoke_cheap
   @ [
-      ("table1-smoke", Whole table1_smoke);
+      ("table1-smoke", whole table1_smoke);
       ("macro-smoke", macro_smoke);
-      ("latency-smoke", Whole latency_smoke);
-      ("fig8sim-smoke", Whole fig8sim_smoke);
+      ("latency-smoke", whole latency_smoke);
+      ("fig8sim-smoke", whole fig8sim_smoke);
       ("cluster-smoke", cluster_smoke);
     ]
 
@@ -1814,124 +1711,63 @@ let () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* The parallel experiment runner and the machine-readable artifact.   *)
+(* The parallel experiment runner.                                     *)
 
 type outcome = {
   name : string;
   output : string;
-  wall_s : float;
-  events : int;
   trace : Xc_trace.Trace.captured;
   telemetry : Xc_sim.Metrics.telemetry;
 }
 
-(* Runs one experiment with its output captured in the domain-local
-   buffer and its event count read off the domain counter (experiments
-   build their engines internally, so the per-domain cumulative counter
-   is the only way to attribute events to the experiment).  The trace
-   capture gives each experiment its own buffer and cursor starting at
-   0, so the per-experiment track is independent of which domain — and
-   after what history — ran it. *)
-let instrument (name, f) () =
-  let buf = out () in
-  Buffer.clear buf;
-  let events0 = Xc_sim.Engine.domain_events () in
-  let t0 = Unix.gettimeofday () in
-  let ((), trace), telemetry =
-    Xc_sim.Metrics.capture (fun () -> Xc_trace.Trace.capture f)
-  in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let events = Xc_sim.Engine.domain_events () - events0 in
-  { name; output = Buffer.contents buf; wall_s; events; trace; telemetry }
-
-(* The per-cell analogue of an {!outcome}: what one shard of a [Cells]
-   experiment measured, before the merge phase assembles the pieces. *)
+(* What one cell of an experiment produced, before the merge phase
+   assembles the pieces into an {!outcome}. *)
 type 'b piece = {
   p_data : 'b;
   p_out : string;
-  p_wall : float;
-  p_events : int;
   p_trace : Xc_trace.Trace.captured;
   p_tel : Xc_sim.Metrics.telemetry;
 }
 
-let instrument_cell f () =
+(* Runs one cell with its output captured in the domain-local buffer.
+   The trace capture gives each cell its own buffer and cursor starting
+   at 0, so the per-experiment track is independent of which domain —
+   and after what history — ran it. *)
+let instrument f () =
   let buf = out () in
   Buffer.clear buf;
-  let events0 = Xc_sim.Engine.domain_events () in
-  let t0 = Unix.gettimeofday () in
   let (p_data, p_trace), p_tel =
     Xc_sim.Metrics.capture (fun () -> Xc_trace.Trace.capture f)
   in
-  let p_wall = Unix.gettimeofday () -. t0 in
-  {
-    p_data;
-    p_out = Buffer.contents buf;
-    p_wall;
-    p_events = Xc_sim.Engine.domain_events () - events0;
-    p_trace;
-    p_tel;
-  }
+  { p_data; p_out = Buffer.contents buf; p_trace; p_tel }
 
-(* A [Whole] experiment is one shard; a [Cells] experiment hands every
-   cell to the pool and assembles the outcome in the (deterministic,
-   index-ordered) merge phase: outputs concatenate, wall/events sum,
+(* Every cell goes to the pool; the outcome is assembled in the
+   (deterministic, index-ordered) merge phase: outputs concatenate,
    traces concatenate with rebased cursors, telemetry merges.  The
    printer runs against a cleared buffer so its tables land after any
    output the cells themselves produced. *)
-let shard_of_experiment (name, body) : outcome Xc_sim.Parallel.Shard.t =
-  match body with
-  | Whole f -> Xc_sim.Parallel.Shard.thunk (instrument (name, f))
-  | Cells { shards; print } ->
-      Xc_sim.Parallel.Shard.make
-        ~shards:(Array.map instrument_cell shards)
-        ~merge:(fun pieces ->
-          let buf = out () in
-          Buffer.clear buf;
-          print (Array.map (fun p -> p.p_data) pieces);
-          let printed = Buffer.contents buf in
-          {
-            name;
-            output =
-              String.concat ""
-                (Array.to_list (Array.map (fun p -> p.p_out) pieces))
-              ^ printed;
-            wall_s = Array.fold_left (fun a p -> a +. p.p_wall) 0. pieces;
-            events = Array.fold_left (fun a p -> a + p.p_events) 0 pieces;
-            trace =
-              Xc_trace.Trace.concat
-                (Array.to_list (Array.map (fun p -> p.p_trace) pieces));
-            telemetry =
-              Array.fold_left
-                (fun a p -> Xc_sim.Metrics.merge_telemetry a p.p_tel)
-                Xc_sim.Metrics.empty_telemetry pieces;
-          })
-
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-(* Run metadata: which commit produced this artifact.  Best-effort —
-   "unknown" outside a git checkout (e.g. the dune sandbox of a
-   distant future); never fails the run. *)
-let git_describe () =
-  try
-    let ic =
-      Unix.open_process_in "git describe --always --dirty 2>/dev/null"
-    in
-    let line = try input_line ic with End_of_file -> "" in
-    match Unix.close_process_in ic with
-    | Unix.WEXITED 0 when line <> "" -> line
-    | _ -> "unknown"
-  with _ -> "unknown"
+let shard_of_experiment (name, Cells { shards; print }) :
+    outcome Xc_sim.Parallel.Shard.t =
+  Xc_sim.Parallel.Shard.make
+    ~shards:(Array.map instrument shards)
+    ~merge:(fun pieces ->
+      let buf = out () in
+      Buffer.clear buf;
+      print (Array.map (fun p -> p.p_data) pieces);
+      let printed = Buffer.contents buf in
+      {
+        name;
+        output =
+          String.concat "" (Array.to_list (Array.map (fun p -> p.p_out) pieces))
+          ^ printed;
+        trace =
+          Xc_trace.Trace.concat
+            (Array.to_list (Array.map (fun p -> p.p_trace) pieces));
+        telemetry =
+          Array.fold_left
+            (fun a p -> Xc_sim.Metrics.merge_telemetry a p.p_tel)
+            Xc_sim.Metrics.empty_telemetry pieces;
+      })
 
 (* A named generic suite ("smoke", "macro", "fig9-matrix", or any
    [Registry.named] entry) run through the generic {!Sdriver}: one cell
@@ -1952,56 +1788,6 @@ let suite_body (suite : Suite.t) =
           print_string (Sdriver.render (Array.to_list rows)));
     }
 
-(* The declarative spec behind an experiment name, for embedding in the
-   artifact: registry experiments resolve directly; "suite:N" rows (the
-   --suite flag) resolve the named suite N.  Hand-coded extras (micro,
-   csv) carry no spec. *)
-let spec_of name =
-  match Registry.spec_text name with
-  | Some text -> Some text
-  | None ->
-      if String.length name > 6 && String.sub name 0 6 = "suite:" then
-        Registry.spec_text (String.sub name 6 (String.length name - 6))
-      else None
-
-let write_bench_json ~jobs ~trace_out ~wall_s outcomes =
-  let oc = open_out "BENCH_sim.json" in
-  let total_events = List.fold_left (fun acc o -> acc + o.events) 0 outcomes in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"schema\": \"xcontainers-bench/3\",\n";
-  Printf.fprintf oc "  \"schema_version\": 3,\n";
-  Printf.fprintf oc "  \"git\": \"%s\",\n" (json_escape (git_describe ()));
-  (* The closed-loop default seed: the one PRNG root every stochastic
-     experiment derives from (see docs/PERF.md). *)
-  Printf.fprintf oc "  \"seed\": %d,\n"
-    Xc_platforms.Closed_loop.default_config.seed;
-  Printf.fprintf oc "  \"trace\": %s,\n"
-    (match trace_out with
-    | None -> "null"
-    | Some path -> Printf.sprintf "\"%s\"" (json_escape path));
-  Printf.fprintf oc "  \"jobs\": %d,\n" jobs;
-  Printf.fprintf oc "  \"total_wall_s\": %.6f,\n" wall_s;
-  Printf.fprintf oc "  \"total_events\": %d,\n" total_events;
-  Printf.fprintf oc "  \"events_per_sec\": %.1f,\n"
-    (if wall_s > 0. then float_of_int total_events /. wall_s else 0.);
-  Printf.fprintf oc "  \"experiments\": [\n";
-  List.iteri
-    (fun i o ->
-      let spec =
-        match spec_of o.name with
-        | None -> ""
-        | Some text -> Printf.sprintf ", \"spec\": \"%s\"" (json_escape text)
-      in
-      Printf.fprintf oc
-        "    {\"name\": \"%s\", \"wall_s\": %.6f, \"events\": %d, \"events_per_sec\": %.1f%s}%s\n"
-        (json_escape o.name) o.wall_s o.events
-        (if o.wall_s > 0. then float_of_int o.events /. o.wall_s else 0.)
-        spec
-        (if i = List.length outcomes - 1 then "" else ","))
-    outcomes;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc
-
 let run_experiments ~jobs ~trace_out ~sample ~timeseries_out ~interval_us
     ~perfetto_out ~alert_rules experiments =
   (* --perfetto wants both halves (spans and counter tracks); --alerts
@@ -2016,7 +1802,6 @@ let run_experiments ~jobs ~trace_out ~sample ~timeseries_out ~interval_us
   in
   let wall_s = Unix.gettimeofday () -. t0 in
   List.iter (fun o -> Stdlib.print_string o.output) outcomes;
-  write_bench_json ~jobs ~trace_out ~wall_s outcomes;
   (match timeseries_out with
   | None -> ()
   | Some path ->
@@ -2059,19 +1844,9 @@ let run_experiments ~jobs ~trace_out ~sample ~timeseries_out ~interval_us
          Same byte-identical-at-any-jobs contract as the other two. *)
       let tails =
         List.filter_map
-          (fun (name, events) ->
-            let att = Xc_trace.Profile.attribute events in
-            match Xc_trace.Profile.request_totals att with
-            | [] -> None
-            | totals ->
-                let cut =
-                  Xc_sim.Histogram.percentile_floor
-                    (Xc_sim.Histogram.of_samples totals)
-                    99.
-                in
-                Some
-                  (Xc_trace.Profile.tail_of ~label:name ~pct:99. ~cut_ns:cut
-                     att))
+          (fun (label, events) ->
+            Xc_obs.Causal.tail_at ~label ~pct:99.
+              (Xc_trace.Profile.attribute events))
           tracks
       in
       let tails_path = Filename.remove_extension path ^ ".tails" in
@@ -2131,7 +1906,7 @@ let run_experiments ~jobs ~trace_out ~sample ~timeseries_out ~interval_us
            else acc)
          false outcomes
   in
-  Printf.eprintf "[bench] %d experiment(s), %d domain(s), %.2fs wall; wrote BENCH_sim.json\n%!"
+  Printf.eprintf "[bench] %d experiment(s), %d domain(s), %.2fs wall\n%!"
     (List.length outcomes) jobs wall_s;
   if alarm then exit 1
 
@@ -2281,8 +2056,7 @@ let () =
   in
   let names = parse [] args in
   let lookup name =
-    if name = "micro" then Some [ ("micro", Whole micro) ]
-    else if name = "smoke" then Some smoke_experiments
+    if name = "smoke" then Some smoke_experiments
     else
       match List.assoc_opt name all_experiments with
       | Some f -> Some [ (name, f) ]
@@ -2307,7 +2081,7 @@ let () =
             match lookup name with
             | Some es -> es
             | None ->
-                Printf.eprintf "unknown experiment %S; available: %s micro smoke %s\n"
+                Printf.eprintf "unknown experiment %S; available: %s smoke %s\n"
                   name
                   (String.concat " " (List.map fst all_experiments))
                   (String.concat " "

@@ -730,17 +730,7 @@ let parse_tail_pct s =
    unattributed bucket, so the tail table is exact accounting, not
    sampling.  Requires a request-emitting workload. *)
 let tail_of_events ~label ~pct events =
-  let module Profile = Xc_trace.Profile in
-  let att = Profile.attribute events in
-  match Profile.request_totals att with
-  | [] -> None
-  | totals ->
-      let cut =
-        Xc_sim.Histogram.percentile_floor
-          (Xc_sim.Histogram.of_samples totals)
-          pct
-      in
-      Some (Profile.tail_of ~label ~pct ~cut_ns:cut att)
+  Xc_obs.Causal.tail_at ~label ~pct (Xc_trace.Profile.attribute events)
 
 let trace_run_cmd =
   let exp_arg =
@@ -2242,242 +2232,6 @@ let lb_cmd =
              queueing-tail policy race.")
     [ lb_sweep_cmd; lb_tail_cmd ]
 
-(* ---------------- xc bench ---------------- *)
-
-let bench_check_cmd =
-  let current =
-    Arg.(value & opt string "BENCH_sim.json"
-        & info [ "current" ] ~docv:"FILE"
-            ~doc:"Artifact of the run under test (written by every bench \
-                  invocation).")
-  in
-  let baseline =
-    Arg.(value & opt string "bench/BENCH_baseline.json"
-        & info [ "baseline" ] ~docv:"FILE"
-            ~doc:"Committed baseline artifact to compare against (see \
-                  docs/PERF.md for how to refresh it).")
-  in
-  let threshold =
-    Arg.(value & opt float Xc_sim.Bench_json.default_threshold_pct
-        & info [ "threshold" ] ~docv:"PCT"
-            ~doc:"Regression budget in percent, applied to events/sec \
-                  (drop) and total wall-clock (rise).")
-  in
-  let run current baseline threshold_pct =
-    match (Xc_sim.Bench_json.of_file baseline, Xc_sim.Bench_json.of_file current) with
-    | Error e, _ | _, Error e -> exit_err e
-    | Ok b, Ok c ->
-        let verdicts =
-          Xc_sim.Bench_json.check ~threshold_pct ~baseline:b ~current:c ()
-        in
-        print_string
-          (Xc_sim.Bench_json.render ~threshold_pct ~baseline:b ~current:c
-             verdicts);
-        if Xc_sim.Bench_json.regressed verdicts then exit 1
-  in
-  Cmd.v
-    (Cmd.info "check"
-       ~doc:"Compare the current BENCH_sim.json against the committed \
-             baseline; exit nonzero on a regression beyond the threshold.")
-    Term.(const run $ current $ baseline $ threshold)
-
-(* ---------------- xc bench scale ---------------- *)
-
-let bench_scale_cmd =
-  let max_jobs =
-    Arg.(value & opt int 4
-        & info [ "max-jobs" ] ~docv:"N"
-            ~doc:"Highest job count to measure (the table runs 1..N).")
-  in
-  let duration_ms =
-    Arg.(value & opt float 40.
-        & info [ "duration" ] ~docv:"MS"
-            ~doc:"Simulated duration per sweep point, in ms.")
-  in
-  let containers =
-    Arg.(value & opt (list int) [ 8; 16 ]
-        & info [ "containers" ] ~doc:"Comma-separated container counts.")
-  in
-  let run max_jobs duration_ms counts =
-    if max_jobs < 1 then
-      exit_err
-        (Printf.sprintf "--max-jobs expects a positive integer, got %d" max_jobs);
-    let module CS = Xc_platforms.Cluster_sim in
-    let point mode n =
-      {
-        (CS.default_config mode ~containers:n) with
-        duration_ns = duration_ms *. 1e6;
-        warmup_ns = duration_ms *. 1e5;
-        client_rtt_ns = 1e6;
-      }
-    in
-    let configs =
-      List.concat_map (fun n -> [ point CS.Flat n; point CS.Hierarchical n ]) counts
-    in
-    Printf.printf
-      "cluster sweep, %d shard(s), host parallelism %d (requests above it run \
-       capped)\n\n"
-      (List.length configs)
-      (Xc_sim.Parallel.recommended_jobs ());
-    let t =
-      Xc_sim.Table.create
-        [
-          ("jobs", Xc_sim.Table.Right);
-          ("wall", Xc_sim.Table.Right);
-          ("speedup", Xc_sim.Table.Right);
-          ("efficiency", Xc_sim.Table.Right);
-        ]
-    in
-    let reference = ref None in
-    let t1 = ref 0. in
-    let identical = ref true in
-    for jobs = 1 to max_jobs do
-      let t0 = Unix.gettimeofday () in
-      let results = CS.run_sweep ~jobs configs in
-      let wall = Unix.gettimeofday () -. t0 in
-      (match !reference with
-      | None ->
-          reference := Some results;
-          t1 := wall
-      | Some r -> if results <> r then identical := false);
-      let speedup = if wall > 0. then !t1 /. wall else 1. in
-      Xc_sim.Table.add_row t
-        [
-          string_of_int jobs;
-          Printf.sprintf "%.3fs" wall;
-          Printf.sprintf "%.2fx" speedup;
-          Printf.sprintf "%.0f%%" (100. *. speedup /. float_of_int jobs);
-        ]
-    done;
-    Xc_sim.Table.print t;
-    Printf.printf "\nresults identical across job counts: %s\n"
-      (if !identical then "yes" else "NO");
-    if not !identical then exit 1
-  in
-  Cmd.v
-    (Cmd.info "scale"
-       ~doc:"Run the sharded cluster sweep at --jobs 1..N and print the \
-             speedup-per-jobs table; exits nonzero if any job count \
-             changes a result.")
-    Term.(const run $ max_jobs $ duration_ms $ containers)
-
-(* ---------------- xc bench history ---------------- *)
-
-let history_arg =
-  Arg.(value & opt string "bench/HISTORY.jsonl"
-      & info [ "history" ] ~docv:"FILE"
-          ~doc:"Append-only JSONL trajectory, one line per bench run.")
-
-let bench_history_append_cmd =
-  let bench =
-    Arg.(value & opt string "BENCH_sim.json"
-        & info [ "bench" ] ~docv:"FILE"
-            ~doc:"Artifact to fold into the history (written by every \
-                  bench invocation).")
-  in
-  let run bench history =
-    match Xc_sim.Bench_history.append ~history ~bench with
-    | Error e -> exit_err e
-    | Ok entry ->
-        let s = entry.Xc_sim.Bench_history.summary in
-        Printf.printf
-          "appended %s (jobs %d, %.1f ev/s, %d experiment(s)) to %s\n"
-          s.Xc_sim.Bench_json.git s.Xc_sim.Bench_json.jobs
-          s.Xc_sim.Bench_json.events_per_sec
-          (List.length entry.Xc_sim.Bench_history.experiments)
-          history
-  in
-  Cmd.v
-    (Cmd.info "append"
-       ~doc:"Fold the current BENCH_sim.json into the trajectory history.")
-    Term.(const run $ bench $ history_arg)
-
-let bench_history_check_cmd =
-  let current =
-    Arg.(value & opt string "BENCH_sim.json"
-        & info [ "current" ] ~docv:"FILE"
-            ~doc:"Artifact of the run under test.")
-  in
-  let window =
-    Arg.(value & opt int Xc_sim.Bench_history.default_window
-        & info [ "window" ] ~docv:"K"
-            ~doc:"Trailing history entries to average into the baseline.")
-  in
-  let threshold =
-    Arg.(value & opt float Xc_sim.Bench_json.default_threshold_pct
-        & info [ "threshold" ] ~docv:"PCT"
-            ~doc:"Drift budget in percent against the trailing-window mean.")
-  in
-  let run current history window threshold_pct =
-    if window < 1 then
-      exit_err
-        (Printf.sprintf "--window expects a positive integer, got %d" window);
-    match
-      ( Xc_sim.Bench_history.of_file history,
-        Xc_sim.Bench_json.of_file current )
-    with
-    | Error e, _ | _, Error e -> exit_err e
-    | Ok entries, Ok cur -> (
-        match
-          Xc_sim.Bench_history.check ~threshold_pct ~window entries cur
-        with
-        | Error e -> exit_err e
-        | Ok (report, regressed) ->
-            print_string report;
-            if regressed then exit 1)
-  in
-  Cmd.v
-    (Cmd.info "check"
-       ~doc:"Compare the current run against the mean of the trailing \
-             window of the history; exit nonzero on drift beyond the \
-             threshold.")
-    Term.(const run $ current $ history_arg $ window $ threshold)
-
-let bench_history_plot_cmd =
-  let experiment =
-    Arg.(value & opt (some string) None
-        & info [ "experiment"; "e" ] ~docv:"NAME"
-            ~doc:"Restrict to one series (\"total\" or an experiment name).")
-  in
-  let csv =
-    Arg.(value & opt (some string) None
-        & info [ "csv" ] ~docv:"FILE"
-            ~doc:"Also write every series as CSV rows.")
-  in
-  let run history experiment csv =
-    match Xc_sim.Bench_history.of_file history with
-    | Error e -> exit_err e
-    | Ok [] -> exit_err (history ^ ": empty history — append a run first")
-    | Ok entries -> (
-        print_string (Xc_sim.Bench_history.plot ?experiment entries);
-        match csv with
-        | Some path ->
-            let oc = open_out path in
-            output_string oc (Xc_sim.Bench_history.to_csv entries);
-            close_out oc;
-            Printf.printf "wrote %s\n" path
-        | None -> ())
-  in
-  Cmd.v
-    (Cmd.info "plot"
-       ~doc:"Chart the events/sec and wall-clock trajectory across the \
-             appended runs, per experiment and in total.")
-    Term.(const run $ history_arg $ experiment $ csv)
-
-let bench_history_cmd =
-  Cmd.group
-    (Cmd.info "history"
-       ~doc:"Track the bench trajectory across commits: append runs, \
-             chart them, and check drift against a trailing window.")
-    [ bench_history_append_cmd; bench_history_check_cmd; bench_history_plot_cmd ]
-
-let bench_cmd =
-  Cmd.group
-    (Cmd.info "bench"
-       ~doc:"Operate on bench artifacts (run the bench itself with dune \
-             exec bench/main.exe).")
-    [ bench_check_cmd; bench_scale_cmd; bench_history_cmd ]
-
 (* ---------------- suite ---------------- *)
 
 module Suite = Xc_suite.Suite
@@ -2644,17 +2398,7 @@ let suite_run_cmd =
             in
             let tails =
               List.filter_map
-                (fun (label, events) ->
-                  let att = Xc_trace.Profile.attribute events in
-                  match Xc_trace.Profile.request_totals att with
-                  | [] -> None
-                  | totals ->
-                      let cut =
-                        Xc_sim.Histogram.percentile_floor
-                          (Xc_sim.Histogram.of_samples totals)
-                          99.
-                      in
-                      Some (Xc_trace.Profile.tail_of ~label ~pct:99. ~cut_ns:cut att))
+                (fun (label, events) -> tail_of_events ~label ~pct:99. events)
                 tracks
             in
             Xc_trace.Export.tails_to_file ~path tails;
@@ -2729,5 +2473,4 @@ let () =
             causal_cmd;
             lb_cmd;
             suite_cmd;
-            bench_cmd;
           ]))

@@ -21,12 +21,8 @@ let run ?(host_mb = 96 * 1024) ?(reservation_mb = 128) ?(active_fraction = 0.2)
     policy =
   let available = host_mb - dom0_mb in
   let floor_mb = Xc_hypervisor.Balloon.min_usable_mb in
-  (* One event per container packed (below, per domain actually booted
-     through the balloon machinery), so the density experiment reports
-     real event counts to the bench artifact. *)
   match policy with
   | Static ->
-      Xc_sim.Engine.add_domain_events (available / reservation_mb);
       {
         policy;
         containers = available / reservation_mb;
@@ -69,7 +65,6 @@ let run ?(host_mb = 96 * 1024) ?(reservation_mb = 128) ?(active_fraction = 0.2)
            incr booted
          done
        with Exit -> ());
-      Xc_sim.Engine.add_domain_events !booted;
       let tmem_pool_mb =
         match policy with
         | Balloon_tmem ->

@@ -21,9 +21,6 @@ let per_unit_ns platform =
   +. compiler_cpu_ns
 
 let build_ns ?(units = 600) ?(jobs = 8) platform =
-  (* One event per translation unit compiled (plus the link step), so
-     build-bench reports real event counts to the bench artifact. *)
-  Xc_sim.Engine.add_domain_events (units + 1);
   let per = per_unit_ns platform in
   (* make -j: perfect parallelism across jobs, plus a serial link step. *)
   let link = 10. *. per in

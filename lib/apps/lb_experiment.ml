@@ -79,11 +79,6 @@ let lb_service_ns setup =
   in
   let n_irqs = if Lb.response_via_balancer mode then 3 else 1 in
   let irqs = float_of_int n_irqs *. Platform.irq_ns platform in
-  (* One balancer pass, the stack traversals and the interrupts this
-     path prices, plus the backend fan-out — credited so fig9 reports
-     real event counts to the bench artifact. *)
-  let n_traversals = if Lb.response_via_balancer mode then 4 else 2 in
-  Xc_sim.Engine.add_domain_events (1 + n_traversals + n_irqs + backends);
   core +. stack +. irqs +. per_connection_ns setup
 
 let run setup =

@@ -60,9 +60,6 @@ let dom0_netback_ns runtime =
   | _ -> 0.
 
 let run runtime ~containers =
-  (* Credit one event per modeled client connection: the population
-     this point prices, so fig8 reports real event counts. *)
-  Xc_sim.Engine.add_domain_events (containers * connections_per_container);
   (* The local cluster machines predate the Meltdown patches. *)
   let config = Config.make ~cloud:Local_cluster ~meltdown_patched:false runtime in
   let platform = Platform.create config in

@@ -24,14 +24,8 @@ let platform_of c =
 let rump_request_extra_ns = 1_500.
 let rump_tcp_roundtrip_extra_ns = 26_000.
 
-(* Every Figure 6 pricing call credits the syscall-level operations it
-   models to the domain event counter, so the fig6 experiment is
-   visible to the bench regression gate instead of reporting 0. *)
-let credit_ops n = Xc_sim.Engine.add_domain_events n
-
 let nginx_one_worker c =
   let platform = platform_of c in
-  credit_ops (Recipe.syscall_count Nginx.static_request_wrk);
   let service = Recipe.service_ns platform Nginx.static_request_wrk in
   let service = if c = U then service +. rump_request_extra_ns else service in
   1e9 /. service
@@ -47,7 +41,6 @@ let nginx_four_workers c =
   | G | X ->
       let platform = platform_of c in
       let recipe = Nginx.static_request_wrk in
-      credit_ops (4 * Recipe.syscall_count recipe);
       let per_req = Recipe.service_ns platform recipe in
       let per_req =
         match c with
@@ -109,9 +102,6 @@ let php_mysql c topology =
   | U, Dedicated_merged -> None (* needs two processes in one instance *)
   | (U | X), _ ->
       let platform = platform_of c in
-      (* 4 page-level ops, then 2 PHP-side + 4 MySQL-side ops and one
-         round trip per query. *)
-      credit_ops (4 + (queries_per_page * 7));
       let php = php_cpu_ns platform and mysql = mysql_cpu_ns platform in
       let per_page =
         match topology with

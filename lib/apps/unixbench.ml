@@ -55,21 +55,7 @@ let per_iteration_ns platform test =
       +. 14_000. (* user-space fork bookkeeping (atfork handlers, libc) *)
   | Iperf -> 0. (* handled in [rate] *)
 
-(* Operations the iteration model prices — syscalls, switches, packet
-   legs.  Credited per [rate] call so the fig4/fig5 experiments report
-   real event counts to the bench artifact (the same contract as
-   Machine.run crediting retired steps). *)
-let ops_per_iteration = function
-  | Syscall_rate -> 5
-  | Execl -> 1
-  | File_copy -> 2
-  | Pipe_throughput -> 2
-  | Context_switching -> 4
-  | Process_creation -> 5
-  | Iperf -> 3 (* per-chunk: send, wire, ack *)
-
 let rate platform test =
-  Xc_sim.Engine.add_domain_events (ops_per_iteration test);
   match test with
   | Iperf ->
       let r =

@@ -10,9 +10,6 @@ type breakdown = {
 let ms = 1e6
 
 let make ~toolstack_ns ~kernel_boot_ns ~bootloader_ns =
-  (* One event per boot phase priced: keeps the boot experiment visible
-     to the bench regression gate (non-zero event counts). *)
-  Xc_sim.Engine.add_domain_events 3;
   {
     toolstack_ns;
     kernel_boot_ns;

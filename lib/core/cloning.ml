@@ -15,9 +15,6 @@ type clone_breakdown = {
 }
 
 let clone s =
-  (* One event per PTE marked CoW plus one per eagerly-copied resident
-     page: the clone experiment's event count in the bench artifact. *)
-  Xc_sim.Engine.add_domain_events ((s.memory_mb * 256) + s.resident_pages);
   let toolstack_ns = 4e6 (* LightVM-style descriptor creation *) in
   (* Marking the parent's tables copy-on-write: one pass over its page
      table entries, batched through the PV MMU. *)

@@ -112,9 +112,6 @@ let relative_tcb runtime =
   float_of_int (profile_of runtime).tcb_kloc /. float_of_int linux_kloc
 
 let vulnerability_exposure p =
-  (* Credit one event per attack-surface entry point weighed, so the
-     security experiment reports real event counts. *)
-  Xc_sim.Engine.add_domain_events p.attack_surface;
   let docker = profile_of Config.Docker in
   float_of_int (p.tcb_kloc * p.attack_surface)
   /. float_of_int (docker.tcb_kloc * docker.attack_surface)

@@ -50,9 +50,6 @@ let migrate p =
     else go (index + 1) dirtied rounds sent
   in
   let rounds, sent, residual, converged = go 0 total_pages [] 0 in
-  (* One event per page moved (pre-copy rounds plus stop-and-copy):
-     the migration experiment's event count in the bench artifact. *)
-  Xc_sim.Engine.add_domain_events (sent + residual);
   (* Stop-and-copy: the guest is paused while the residual moves, plus a
      fixed handover (device re-attach, ARP announcements). *)
   let handover_ns = 3e6 in

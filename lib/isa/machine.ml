@@ -283,8 +283,8 @@ let run ?(fuel = 1_000_000) t =
   in
   let finish reason =
     (* Instruction steps are this machine's simulated events: credit
-       them to the domain counter so ISA-driven experiments (Table 1)
-       report real event counts, and to the telemetry registry. *)
+       them to the domain counter (the op count of perf/xcperf's
+       isa-abom workload) and to the telemetry registry. *)
     let executed = t.steps - before in
     Xc_sim.Engine.add_domain_events executed;
     Xc_sim.Metrics.counter_add ~cat:"isa" ~name:"instructions"

@@ -107,7 +107,6 @@ let run config =
   let refunded = ref 0. in
   let clones_spawned = ref 0 in
   let clones_cancelled = ref 0 in
-  let events = ref 0 in
   let t_end = config.warmup_ns +. config.duration_ns in
   let interarrival_mean = 1. /. config.arrival_rate_per_ns in
   let next_arrival = ref (Prng.exponential arr_rng ~mean:interarrival_mean) in
@@ -222,17 +221,14 @@ let run config =
         advance a;
         spawn a;
         next_arrival := a +. Prng.exponential arr_rng ~mean:interarrival_mean;
-        incr events;
         loop ()
     | _, Some (t, winner) ->
         advance t;
         complete t winner;
-        incr events;
         loop ()
     | Some _, None -> assert false
   in
   loop ();
-  Xc_sim.Engine.add_domain_events !events;
   {
     completed = !completed;
     mean_ns = Histogram.mean latencies;

@@ -80,8 +80,7 @@ type result = {
 }
 
 val run : config -> result
-(** Deterministic in [config] (all randomness from [seed]); simulated
-    events are credited to {!Xc_sim.Engine.domain_events} so the bench
-    harness reports real event counts.  Raises [Invalid_argument] on a
-    bad shape ([clones] outside [\[1, backends\]], a non-dividing
-    [clones] under [Subcluster], or an unstable load). *)
+(** Deterministic in [config] (all randomness from [seed]).  Raises
+    [Invalid_argument] on a bad shape ([clones] outside
+    [\[1, backends\]], a non-dividing [clones] under [Subcluster], or
+    an unstable load). *)

@@ -111,10 +111,6 @@ let closed_loop_mva ~servers ~clients ~service_ns ~think_ns =
       let r_sat = Float.max r ((mf *. service_ns /. c) -. think_ns) in
       (r_sat, mf /. (think_ns +. r_sat))
   in
-  (* Credit the solver's work to the enclosing experiment the same way
-     Machine.run credits retired ISA steps: the fluid tier's events are
-     MVA recursion steps, so `xc bench check` is not blind to it. *)
-  Xc_sim.Engine.add_domain_events steps;
   {
     mean_ns = think_ns +. r;
     throughput_per_ns = x;

@@ -61,7 +61,7 @@ type closed_loop = {
   mean_ns : float;  (** mean request latency, think time included: Z + R *)
   throughput_per_ns : float;  (** X, requests per simulated ns *)
   utilization : float;  (** X * S / c, clamped to 1 *)
-  steps : int;  (** recursion steps burnt (also credited as events) *)
+  steps : int;  (** recursion steps burnt *)
 }
 
 val closed_loop_mva :
@@ -74,8 +74,6 @@ val closed_loop_mva :
     loads, so it is not used.  Past the 4-million-customer cap the
     saturation asymptote [R = max(R(cap), M*S/c - Z)] takes over
     (exact in the limit — the station is pinned at [X = c/S] and
-    Little's law fixes the rest).  Credits its sweep steps via
-    {!Xc_sim.Engine.add_domain_events} so fluid runs are visible to
-    the bench regression gate.  Raises [Invalid_argument] on
+    Little's law fixes the rest).  Raises [Invalid_argument] on
     non-positive [servers]/[clients]/[service_ns] or negative/
     non-finite [think_ns]. *)

@@ -34,10 +34,6 @@ type t = {
   mutable probes : int;
 }
 
-let round_robin_step ~cursor ~backends =
-  if backends <= 0 then invalid_arg "Xc_lb.Policy: no backends";
-  (cursor mod backends, cursor + 1)
-
 let create ?(seed = 0) ~backends kind =
   if backends <= 0 then invalid_arg "Xc_lb.Policy: no backends";
   {
@@ -76,8 +72,8 @@ let argmin t load =
 let pick_one t =
   match t.kind with
   | Round_robin ->
-      let b, next = round_robin_step ~cursor:t.cursor ~backends:t.n in
-      t.cursor <- next;
+      let b = t.cursor mod t.n in
+      t.cursor <- t.cursor + 1;
       b
   | Least_loaded -> argmin t t.inflight
   | Jsq -> argmin t t.queued

@@ -76,8 +76,3 @@ val picks : t -> int
 val probes : t -> int
 (** Total load probes performed.  Power-of-two-choices performs at most
     2 per pick; the scanning policies charge one per backend. *)
-
-val round_robin_step : cursor:int -> backends:int -> int * int
-(** The bare round-robin arithmetic [(cursor mod backends, cursor + 1)]
-    — extracted from [Load_balancer.pick_backend], which now delegates
-    here.  Raises [Invalid_argument] when [backends <= 0]. *)

@@ -41,8 +41,3 @@ let balancer_cost_ns mode ~syscall_entry_ns ~request_bytes ~response_bytes =
   if Xc_trace.Trace.enabled () then
     Xc_trace.Trace.span ~cat:"net.lb" ~name:(mode_to_string mode) ns;
   ns
-
-let pick_backend ~round_robin ~backends =
-  let b, next = Xc_lb.Policy.round_robin_step ~cursor:!round_robin ~backends in
-  round_robin := next;
-  b

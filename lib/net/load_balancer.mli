@@ -31,13 +31,3 @@ val balancer_cost_ns :
 (** Per-request CPU cost on the balancer.  [syscall_entry_ns] is the
     platform's syscall entry cost — HAProxy being user-space pays it on
     every accept/read/connect/write, IPVS pays none. *)
-
-val pick_backend : round_robin:int ref -> backends:int -> int
-  [@@ocaml.deprecated
-    "use Xc_lb.Policy instead: backend choice is a policy, not a balancer \
-     data-path property"]
-(** Simple round-robin backend selection.  Deprecated: backend choice
-    now lives in {!Xc_lb.Policy} (this delegates to
-    [Policy.round_robin_step]), keeping the balancer {e mode}
-    (HAProxy/IPVS data path) orthogonal to the {e policy} (which
-    backend, whether to hedge). *)

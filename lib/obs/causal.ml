@@ -55,6 +55,15 @@ let mech_means areqs =
     |> List.sort (fun (a, _) (b, _) -> compare a b)
   end
 
+let tail_at ?label ~pct att =
+  match P.request_totals att with
+  | [] -> None
+  | totals ->
+      let cut =
+        Xc_sim.Histogram.percentile_floor (Xc_sim.Histogram.of_samples totals) pct
+      in
+      Some (P.tail_of ?label ~pct ~cut_ns:cut att)
+
 let measure_baseline config =
   let result, captured =
     Xc_trace.Trace.capture (fun () -> CS.run config)
@@ -63,16 +72,9 @@ let measure_baseline config =
   let path = Critical_path.of_events captured.Xc_trace.Trace.events in
   let n_requests = List.length att.P.areqs in
   let p99_cut_ns, mech_tail_mean =
-    match P.request_totals att with
-    | [] -> (0., [])
-    | totals ->
-        let cut =
-          Xc_sim.Histogram.percentile_floor
-            (Xc_sim.Histogram.of_samples totals)
-            99.
-        in
-        let tail = P.tail_of ~pct:99. ~cut_ns:cut att in
-        (cut, mech_means tail.P.tail)
+    match tail_at ~pct:99. att with
+    | None -> (0., [])
+    | Some t -> (t.P.cut_ns, mech_means t.P.tail)
   in
   {
     base = result;

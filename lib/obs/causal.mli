@@ -65,6 +65,15 @@ val with_tracing : ?capacity:int -> (unit -> 'a) -> 'a
     unsampled ring of [capacity] (default [2^18]) events and disables
     again afterwards (also on exceptions). *)
 
+val tail_at :
+  ?label:string -> pct:float -> Xc_trace.Profile.attribution ->
+  Xc_trace.Profile.tail option
+(** The [pct] tail of an attribution: the cut ([tail.cut_ns]) is
+    [Histogram.percentile_floor] over its request totals, and the tail
+    holds the requests at or above it.  [None] when no request was
+    attributed.  Every tails artifact (the bench [.tails] sidecar,
+    [xc --tail]/[--tails]) and {!measure_baseline} cut this way. *)
+
 val measure_baseline : CS.config -> baseline
 (** One traced run plus its attribution and critical-path summary.
     Call under {!with_tracing}; with tracing off (or a config without

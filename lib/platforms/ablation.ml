@@ -73,9 +73,4 @@ let service_delta_ns knob shape =
   | Smp_disabled -> smp_delta shape
 
 let relative_throughput knob shape ~base_service_ns =
-  (* Credit the per-request mechanism events the delta model walks
-     (syscalls, interrupts, switches), so the ablation experiment
-     reports real event counts. *)
-  Xc_sim.Engine.add_domain_events
-    (shape.syscalls + shape.irqs + shape.process_switches);
   base_service_ns /. (base_service_ns +. service_delta_ns knob shape)

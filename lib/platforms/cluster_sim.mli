@@ -110,8 +110,7 @@ val run_fluid : config -> result
     closed network plus the per-mode switch-overhead estimate.  Within
     a few percent of {!run} on mean latency, throughput and
     utilization across load levels (differential-tested); switch
-    {e counts} are regime estimates, not event counts.  Credits its
-    MVA recursion steps as engine events so bench gates see the work. *)
+    {e counts} are regime estimates, not event counts. *)
 
 val run_fidelity : fidelity -> config -> result
 (** Dispatch on the tier: {!run}, {!run_fluid}, or the mixed sampled

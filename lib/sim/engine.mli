@@ -28,19 +28,19 @@ val pending : t -> int
 (** Number of events not yet executed. *)
 
 val events_executed : t -> int
-(** Events executed by this engine so far — the numerator of the
-    events-per-second throughput metric the bench harness reports. *)
+(** Events executed by this engine so far. *)
 
 val domain_events : unit -> int
-(** Cumulative events executed in the {e current domain} by every
-    engine created in it.  The bench harness reads this before and
-    after an experiment to attribute event counts per experiment even
-    when the engines are internal to the experiment's code. *)
+(** Cumulative events in the {e current domain}: dispatches by every
+    engine created in it, plus instructions retired by
+    [Xc_isa.Machine.run] (its only {!add_domain_events} caller).  A
+    caller reads it before and after a call to count the simulated
+    work inside, even when the engines are internal to that call. *)
 
 val add_domain_events : int -> unit
-(** Credit [n] externally-simulated events (e.g. ISA-machine
-    instruction steps) to the current domain's counter, so engine-less
-    experiments still report real event counts. *)
+(** Credit [n] ISA-machine instruction steps to the current domain's
+    counter.  Nothing else calls it: analytic models do no simulated
+    work and credit none. *)
 
 val step : t -> bool
 (** Execute the next event; [false] if the queue was empty. *)

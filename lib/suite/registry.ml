@@ -7,7 +7,7 @@
    hedging points, fleet shapes — so adding a point is a data edit.
    Values that the bespoke drivers hard-code (cluster duration 300 ms,
    warmup 50 ms, seed 17 from [Cluster_sim.default_config]) are
-   recorded on the specs so the artifact-embedded config is the truth.
+   recorded on the specs so the printed spec is the truth.
 
    Everything here is validated at module init: a malformed registry
    entry raises [Invalid_argument] before any experiment can run. *)
@@ -25,7 +25,7 @@ let spec name fields =
 let cross name base axes = ok name (Suite.cross_axes ~base:(spec name base) axes)
 let suite name specs = ok name (Suite.make ~name specs)
 
-(* A [Whole] experiment: one spec whose kind names the bespoke driver. *)
+(* A single-cell experiment: one spec whose kind names the bespoke driver. *)
 let single name = suite name [ spec name [ ("kind", name) ] ]
 
 (* The Cluster_sim.default_config numbers every cluster-kind driver
@@ -318,7 +318,7 @@ let find_smoke n = List.assoc_opt n smoke
 let find_named n = List.assoc_opt n named
 
 (* The canonical spec text for any registry suite, bench or named —
-   what the BENCH_sim.json artifact embeds per experiment. *)
+   what [xc suite show] prints. *)
 let spec_text n =
   match find_bench n with
   | Some s -> Some (Suite.print s)

@@ -31,7 +31,7 @@ val find_named : string -> Suite.t option
 
 val spec_text : string -> string option
 (** Canonical spec text for any registry suite (bench, smoke or
-    named) — what [BENCH_sim.json] embeds per experiment. *)
+    named) — what [xc suite show] prints. *)
 
 val cluster_scale_suite :
   string ->

@@ -13,7 +13,6 @@ let () =
    @ Test_fuzz.suites @ Test_apps_extra.suites @ Test_apps_eleven.suites
    @ Test_substrate_extra.suites @ Test_inventory.suites @ Test_shapes.suites
    @ Test_parallel.suites @ Test_sharding.suites @ Test_trace.suites
-   @ Test_bench_check.suites
-   @ Test_tails.suites @ Test_metrics.suites @ Test_bench_history.suites
+   @ Test_tails.suites @ Test_metrics.suites
    @ Test_lb.suites @ Test_cluster_fluid.suites @ Test_suite.suites
    @ Test_causal.suites)

@@ -94,21 +94,16 @@ let test_lb_cost_ordering () =
   Alcotest.(check (float 1e-9)) "ipvs ignores entry cost"
     (cost Load_balancer.Ipvs_nat 12.) (cost Load_balancer.Ipvs_nat 475.)
 
-(* The deprecated entry point must keep its exact semantics while it
-   delegates to Xc_lb.Policy.round_robin_step. *)
+(* Backend choice in front of the balancer is an Xc_lb.Policy: plain
+   round robin cycles the backends and refuses an empty pool. *)
 let test_lb_round_robin () =
-  let pick = (Load_balancer.pick_backend [@alert "-deprecated"]) in
-  let rr = ref 0 in
-  let picks = List.init 6 (fun _ -> pick ~round_robin:rr ~backends:3) in
-  Alcotest.(check (list int)) "round robin" [ 0; 1; 2; 0; 1; 2 ] picks;
-  Alcotest.check_raises "no backends"
-    (Invalid_argument "Xc_lb.Policy: no backends") (fun () ->
-      ignore (pick ~round_robin:rr ~backends:0));
-  (* …and agree with the extracted policy it now delegates to. *)
   let pol = Xc_lb.Policy.create ~backends:3 Xc_lb.Policy.Round_robin in
   Alcotest.(check (list int))
-    "policy agrees" picks
-    (List.init 6 (fun _ -> Xc_lb.Policy.pick pol))
+    "round robin" [ 0; 1; 2; 0; 1; 2 ]
+    (List.init 6 (fun _ -> Xc_lb.Policy.pick pol));
+  Alcotest.check_raises "no backends"
+    (Invalid_argument "Xc_lb.Policy: no backends") (fun () ->
+      ignore (Xc_lb.Policy.create ~backends:0 Xc_lb.Policy.Round_robin))
 
 let suites =
   [

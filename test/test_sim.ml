@@ -518,6 +518,44 @@ let test_engine_domain_events () =
   done;
   Engine.run e;
   Alcotest.(check int) "domain counter advanced by 7" (before + 7)
+    (Engine.domain_events ());
+  (* Analytic models and the engine-less hedging simulator dispatch no
+     engine events, so they must not move the counter ... *)
+  let unchanged what f =
+    let before = Engine.domain_events () in
+    ignore (Sys.opaque_identity (f ()));
+    Alcotest.(check int) (what ^ " credits nothing") before
+      (Engine.domain_events ())
+  in
+  unchanged "Migration.migrate" (fun () ->
+      Xc_hypervisor.Migration.migrate
+        (Xc_hypervisor.Migration.default_params ~memory_mb:512));
+  unchanged "Security.vulnerability_exposure" (fun () ->
+      Xcontainers.Security.vulnerability_exposure
+        (Xcontainers.Security.profile_of Xc_platforms.Config.X_container));
+  unchanged "Oracle.closed_loop_mva" (fun () ->
+      Xc_lb.Oracle.closed_loop_mva ~servers:4 ~clients:64 ~service_ns:1e5
+        ~think_ns:0.);
+  unchanged "Hedge.run" (fun () ->
+      let r =
+        Xc_lb.Hedge.run
+          (Xc_lb.Hedge.config_for_utilization ~duration_ns:2e6
+             ~utilization:0.5 ())
+      in
+      Alcotest.(check bool) "hedge run completed requests" true
+        (r.Xc_lb.Hedge.completed > 0));
+  List.iter
+    (fun p -> unchanged "Density.run" (fun () -> Xc_apps.Density.run p))
+    Xc_apps.Density.all_policies;
+  (* ... while the ISA machine credits exactly the steps it retired. *)
+  let prog = Xc_isa.Builder.build [ (Xc_isa.Builder.Glibc_small, 0) ] in
+  let m = Xc_isa.Machine.create prog.image ~entry:prog.entry in
+  let before = Engine.domain_events () in
+  ignore (Xc_isa.Machine.run m);
+  Alcotest.(check bool) "machine retired instructions" true
+    (Xc_isa.Machine.steps m > 0);
+  Alcotest.(check int) "machine credits its retired steps"
+    (before + Xc_isa.Machine.steps m)
     (Engine.domain_events ())
 
 let test_engine_until_fast_lane () =

@@ -158,8 +158,8 @@ let prop_artifact_spec_reproduces =
         (Xc_sim.Engine.domain_events () - e0, row)
       in
       let events1, row1 = run spec in
-      (* The artifact embeds canonical text; a fresh process parses it
-         back and re-runs.  Here: same process, fresh parse. *)
+      (* [xc suite show] prints canonical text; a fresh process parses
+         it back and re-runs.  Here: same process, fresh parse. *)
       let text =
         Suite.print (ok_exn "make" (Suite.make ~name:"artifact" [ spec ]))
       in
