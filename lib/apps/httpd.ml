@@ -117,7 +117,7 @@ let get ?id ?deliver t ~path =
   let traced = Trace.enabled () in
   (* Bracket the whole exchange with cursor reads: every mechanism
      span charged in between lands inside [start, stop), which is what
-     ties children to the request for [Profile.slowest].  The request
+     ties children to the request for [Profile.attribute].  The request
      span itself carries the id in [value] and does not advance the
      cursor. *)
   let start = if traced then Trace.cursor () else 0. in

@@ -38,7 +38,7 @@ val get :
     field (explicit [?id], else a per-server counter), and each
     socket/VFS step charges its kernel syscall work so the request's
     [syscall-work] children land inside the span's window —
-    [Xc_trace.Profile.slowest] then explains the request end-to-end.
+    [Xc_trace.Profile.attribute] then explains the request end-to-end.
     [?deliver] runs between send and serve, inside that window: the
     place to model wire hops and interrupt delivery (net.hop / evtchn
     spans).  Untraced behaviour is unchanged. *)

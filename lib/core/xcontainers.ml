@@ -22,7 +22,6 @@ module Spec = Spec
 module Boot = Boot
 module Docker_wrapper = Docker_wrapper
 module Xcontainer = Xcontainer
-module Experiment = Experiment
 module Figures = Figures
 module Security = Security
 module Cloning = Cloning

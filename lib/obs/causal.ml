@@ -35,25 +35,12 @@ let with_tracing ?(capacity = 1 lsl 18) f =
     Fun.protect ~finally:Xc_trace.Trace.disable f
   end
 
-(* Mean attributed ns per request for each mechanism category, over a
-   request list.  Deterministic: categories sorted by name. *)
-let mech_means areqs =
-  let n = List.length areqs in
-  if n = 0 then []
-  else begin
-    let tbl = Hashtbl.create 16 in
-    List.iter
-      (fun (r : P.attributed_request) ->
-        List.iter
-          (fun (cat, _, ns) ->
-            match Hashtbl.find_opt tbl cat with
-            | Some cell -> cell := !cell +. ns
-            | None -> Hashtbl.add tbl cat (ref ns))
-          r.P.req_mech)
-      areqs;
-    Hashtbl.fold (fun cat cell l -> (cat, !cell /. float_of_int n) :: l) tbl []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  end
+(* Mean attributed ns per request of a tail for each mechanism
+   category.  Deterministic: categories sorted by name. *)
+let mech_means (t : P.tail) =
+  let per = float_of_int t.P.n_tail in
+  List.map (fun (cat, _, ns) -> (cat, ns /. per)) t.P.tail_mech
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let tail_at ?label ~pct att =
   match P.request_totals att with
@@ -69,19 +56,19 @@ let measure_baseline config =
     Xc_trace.Trace.capture (fun () -> CS.run config)
   in
   let att = P.attribute captured.Xc_trace.Trace.events in
-  let path = Critical_path.of_events captured.Xc_trace.Trace.events in
-  let n_requests = List.length att.P.areqs in
+  (* With no cut, the tail is every request. *)
+  let all = P.tail_of ~pct:0. ~cut_ns:neg_infinity att in
   let p99_cut_ns, mech_tail_mean =
     match tail_at ~pct:99. att with
     | None -> (0., [])
-    | Some t -> (t.P.cut_ns, mech_means t.P.tail)
+    | Some t -> (t.P.cut_ns, mech_means t)
   in
   {
     base = result;
-    n_requests;
+    n_requests = all.P.n_requests;
     p99_cut_ns;
-    path;
-    mech_mean = mech_means att.P.areqs;
+    path = Critical_path.(summarize (of_attribution att));
+    mech_mean = mech_means all;
     mech_tail_mean;
   }
 
@@ -160,15 +147,6 @@ let assemble ~targets baselines reruns_cells rerun_results =
       reruns_cells rerun_results
   in
   (by_label, points)
-
-let points_seq ~targets ~mechs ~scales () =
-  let* cells = grid ~targets ~mechs ~scales in
-  let baselines =
-    with_tracing (fun () ->
-        List.map (fun t -> measure_baseline t.config) targets)
-  in
-  let rerun_results = List.map (fun (_, _, _, c) -> CS.run c) cells in
-  Ok (assemble ~targets baselines cells rerun_results)
 
 type cell_result = B of baseline | R of CS.result
 

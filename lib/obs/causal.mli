@@ -102,17 +102,6 @@ val sweep :
     points in (target, mech, scale) row-major order — identical at any
     [jobs]. *)
 
-val points_seq :
-  targets:target list ->
-  mechs:string list ->
-  scales:float list ->
-  unit ->
-  ((string * baseline) list * point list, string) result
-(** {!sweep} without the pool — plain sequential maps on the calling
-    domain.  For callers already running inside a pool shard (the
-    bench harness), where nesting a second pool would interleave with
-    the outer capture drains. *)
-
 val render_points : point list -> string
 (** The predicted-vs-rerun table: throughput and p99 triples per point
     with signed residuals ([100 * (pred - rerun) / rerun]). *)

@@ -1,4 +1,4 @@
-module Trace = Xc_trace.Trace
+module P = Xc_trace.Profile
 
 type segment = { seg_label : string; seg_spans : int; seg_ns : float }
 
@@ -19,162 +19,54 @@ type summary = {
   sum_unattributed_ns : float;
 }
 
-let self_label = "(request-self)"
-let nested_label = "(nested-request)"
+let self_label = P.self_frame
+let nested_label = P.nested_frame
 
-(* One accumulator per request span: the per-label segment table plus
-   the identity of the chain it will become. *)
-type acc = {
-  acc_id : int;
-  acc_name : string;
-  acc_start : float;
-  acc_total : float;
-  acc_segs : (string, (int * float) ref) Hashtbl.t;
-}
+let segments rows =
+  List.map
+    (fun (seg_label, seg_spans, seg_ns) -> { seg_label; seg_spans; seg_ns })
+    rows
 
-type frame = {
-  fr_cat : string;
-  fr_end : float;
-  mutable fr_self : float;
-  fr_acc : acc option;  (** [Some] iff this frame is a request span *)
-  fr_owner : acc option;  (** innermost enclosing request, if any *)
-}
+(* A chain is the request's attribution with its own window time and
+   its nested requests as two more segments. *)
+let chain_of (r : P.attributed_request) =
+  let t = P.tally () in
+  List.iter (fun (cat, n, ns) -> P.tally_add t cat n ns) r.P.req_mech;
+  P.tally_add t self_label 1 r.P.req_self;
+  if r.P.req_nested > 0 then
+    P.tally_add t nested_label r.P.req_nested r.P.req_nested_ns;
+  {
+    chain_id = r.P.req_id;
+    chain_name = r.P.req_name;
+    chain_start = r.P.req_start;
+    chain_total = r.P.req_total;
+    segments = segments (P.tally_rows t);
+  }
 
-let bump tbl label spans ns =
-  match Hashtbl.find_opt tbl label with
-  | Some cell ->
-      let c, t = !cell in
-      cell := (c + spans, t +. ns)
-  | None -> Hashtbl.add tbl label (ref (spans, ns))
+let of_attribution (att : P.attribution) =
+  {
+    chains = List.map chain_of att.P.areqs;
+    unattributed_ns = att.P.unattributed_ns;
+  }
 
-let segments_of tbl =
-  Hashtbl.fold
-    (fun label cell l ->
-      let c, ns = !cell in
-      { seg_label = label; seg_spans = c; seg_ns = ns } :: l)
-    tbl []
-  |> List.sort (fun a b ->
-         match compare b.seg_ns a.seg_ns with
-         | 0 -> compare a.seg_label b.seg_label
-         | c -> c)
-
-let extract evs =
-  let spans =
-    List.filter (fun (ev : Trace.event) -> ev.kind = Trace.Span && ev.dur > 0.) evs
-  in
-  (* The canonical order and nesting epsilon of [Profile.fold], so the
-     three views of a trace (flamegraph, attribution, critical path)
-     never disagree about parenthood. *)
-  let spans =
-    List.stable_sort
-      (fun (a : Trace.event) (b : Trace.event) ->
-        match compare a.ts b.ts with
-        | 0 -> (
-            match compare b.dur a.dur with
-            | 0 -> compare (a.cat, a.name) (b.cat, b.name)
-            | c -> c)
-        | c -> c)
-      spans
-  in
-  let accs = ref [] in
-  let unattributed = ref 0. in
-  let stack = ref [] in
-  let pop () =
-    match !stack with
-    | [] -> ()
-    | top :: rest ->
-        (match (top.fr_acc, top.fr_owner) with
-        | Some a, _ -> bump a.acc_segs self_label 1 top.fr_self
-        | None, Some owner -> bump owner.acc_segs top.fr_cat 1 top.fr_self
-        | None, None -> unattributed := !unattributed +. top.fr_self);
-        stack := rest
-  in
-  let eps_for x = (1e-9 *. Float.abs x) +. 1e-6 in
-  List.iter
-    (fun (s : Trace.event) ->
-      let s_end = s.ts +. s.dur in
-      let rec unwind () =
-        match !stack with
-        | top :: _ when s_end > top.fr_end +. eps_for top.fr_end ->
-            pop ();
-            unwind ()
-        | _ -> ()
-      in
-      unwind ();
-      let owner =
-        match !stack with
-        | [] -> None
-        | parent :: _ -> (
-            parent.fr_self <- parent.fr_self -. s.dur;
-            match parent.fr_acc with Some a -> Some a | None -> parent.fr_owner)
-      in
-      let acc =
-        if s.cat = "request" then begin
-          let a =
-            {
-              acc_id = int_of_float s.value;
-              acc_name = s.name;
-              acc_start = s.ts;
-              acc_total = s.dur;
-              acc_segs = Hashtbl.create 8;
-            }
-          in
-          (* A nested request is one opaque segment of its enclosing
-             chain: its whole duration is charged here, its internals
-             are blamed on its own chain — so both chains telescope. *)
-          (match owner with
-          | Some o -> bump o.acc_segs nested_label 1 s.dur
-          | None -> ());
-          accs := a :: !accs;
-          Some a
-        end
-        else None
-      in
-      stack :=
-        { fr_cat = s.cat; fr_end = s_end; fr_self = s.dur; fr_acc = acc;
-          fr_owner = owner }
-        :: !stack)
-    spans;
-  while !stack <> [] do
-    pop ()
-  done;
-  let chains =
-    List.rev_map
-      (fun a ->
-        {
-          chain_id = a.acc_id;
-          chain_name = a.acc_name;
-          chain_start = a.acc_start;
-          chain_total = a.acc_total;
-          segments = segments_of a.acc_segs;
-        })
-      !accs
-    |> List.sort (fun a b ->
-           match compare b.chain_total a.chain_total with
-           | 0 -> (
-               match compare a.chain_start b.chain_start with
-               | 0 -> compare a.chain_id b.chain_id
-               | c -> c)
-           | c -> c)
-  in
-  { chains; unattributed_ns = !unattributed }
+let extract evs = of_attribution (P.attribute evs)
 
 let summarize t =
-  let tbl = Hashtbl.create 16 in
+  let shares = P.tally () in
   let path = ref 0. in
   List.iter
     (fun c ->
       path := !path +. c.chain_total;
-      List.iter (fun s -> bump tbl s.seg_label s.seg_spans s.seg_ns) c.segments)
+      List.iter
+        (fun s -> P.tally_add shares s.seg_label s.seg_spans s.seg_ns)
+        c.segments)
     t.chains;
   {
     n_chains = List.length t.chains;
     path_ns = !path;
-    shares = segments_of tbl;
+    shares = segments (P.tally_rows shares);
     sum_unattributed_ns = t.unattributed_ns;
   }
-
-let of_events evs = summarize (extract evs)
 
 let share s label =
   if s.path_ns <= 0. then 0.
@@ -183,7 +75,7 @@ let share s label =
     | Some seg -> seg.seg_ns /. s.path_ns
     | None -> 0.
 
-let fmt_ns = Xc_trace.Profile.fmt_ns
+let fmt_ns = P.fmt_ns
 
 let render_chain c =
   let buf = Buffer.create 256 in

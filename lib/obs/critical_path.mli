@@ -2,11 +2,9 @@
 
     {!Xc_trace.Profile.attribute} partitions the {e traced total} over
     enclosing requests — the right lens for "where did all the time
-    go", but a nested request keeps its own window, so a single
-    request's bucket does not sum to that request's duration.  This
-    module folds the same canonically-ordered forest into a {e blame
-    chain} per request: a list of segments that telescopes {e exactly}
-    to the request's end-to-end duration, nested requests included.
+    go".  This module reads the same attribution per request as a
+    {e blame chain}: a list of segments that telescopes {e exactly} to
+    the request's end-to-end duration, nested requests included.
 
     Per request, the segments are:
     - one per mechanism category, carrying the self-time of every
@@ -61,15 +59,13 @@ val self_label : string
 val nested_label : string
 (** ["(nested-request)"]. *)
 
+val of_attribution : Xc_trace.Profile.attribution -> t
+(** One chain per attributed request, in the attribution's order. *)
+
 val extract : Xc_trace.Trace.event list -> t
-(** Sweep the span timeline (the canonical sort and epsilon of
-    {!Xc_trace.Profile.fold}) and build one chain per [request]
-    span. *)
+(** [of_attribution (Xc_trace.Profile.attribute evs)]. *)
 
 val summarize : t -> summary
-
-val of_events : Xc_trace.Trace.event list -> summary
-(** [summarize (extract evs)]. *)
 
 val share : summary -> string -> float
 (** [share s label] — the label's fraction of [path_ns] in [0, 1]

@@ -146,7 +146,7 @@ let run_states config states =
             end;
             if Xc_trace.Trace.enabled () then begin
               (* value = per-server completion index: a stable request
-                 id that per-request tooling (Profile.slowest) reads
+                 id that per-request tooling (Profile.attribute) reads
                  back from the span. *)
               let bundle = config.trace_mechanisms <> [] in
               (* [shift] re-bases the whole bundle onto the sequential

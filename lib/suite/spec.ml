@@ -414,6 +414,18 @@ let validate t =
           (n >= 1 && n <= 1_000_000)
           "fidelity" "mixed sample-rate must be in [1, 1000000] (got %d)" n
   in
+  (* Tail attribution needs request spans, which the open loop and
+     the fluid cluster tier never emit. *)
+  let* () =
+    match (t.capture.tails, t.load.shape, t.fidelity) with
+    | true, Open, _ ->
+        Error "field tails: shape = open emits no request spans to attribute"
+    | true, Cluster, Fluid ->
+        Error
+          "field tails: shape = cluster with fidelity = fluid emits no \
+           request spans to attribute"
+    | _ -> Ok ()
+  in
   let* () =
     check
       (t.capture.sample >= 0 && t.capture.sample <= 1_000_000_000)

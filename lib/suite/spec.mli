@@ -110,7 +110,9 @@ val validate : t -> (unit, string) result
 (** Range and well-formedness checks with named-field messages
     ([experiment NAME: field KEY: ...]): name charset, known
     workload, connections/nodes/containers/sample-rate bounds, rate in
-    (0, 10], positive duration, warmup < duration. *)
+    (0, 10], positive duration, warmup < duration, and [tails] only on
+    shapes that emit request spans (not open, not the fluid cluster
+    tier). *)
 
 val float_to_string : float -> string
 (** Shortest decimal form that parses back to the identical float. *)

@@ -18,7 +18,7 @@ let chrome_event buf ~tid (ev : Trace.event) =
   match ev.kind with
   | Trace.Span ->
       (* Spans normally carry no value; request spans use it for the
-         request id, which riders like [Profile.requests] (and a human
+         request id, which riders like [Profile.attribute] (and a human
          in the Perfetto UI) read back from args. *)
       if ev.value <> 0. then
         Printf.bprintf buf

@@ -13,76 +13,108 @@ let frame_escape s =
 let frame_of (ev : Trace.event) =
   frame_escape ev.cat ^ ";" ^ frame_escape ev.name
 
-(* ---------------- Folding span timelines into stacks ---------------- *)
+(* ---------------- Largest-first tallies ---------------- *)
 
-(* An open span on the fold stack: the stack path that leads to it,
-   where it ends, and how much self-time it still owns (children
-   subtract from it as they are discovered). *)
-type open_span = {
-  path : string;
-  end_ts : float;
-  mutable self : float;
+type cell = { mutable n : int; mutable ns : float }
+type tally = (string, cell) Hashtbl.t
+
+let tally () : tally = Hashtbl.create 8
+
+let tally_add (t : tally) label n ns =
+  match Hashtbl.find_opt t label with
+  | Some c ->
+      c.n <- c.n + n;
+      c.ns <- c.ns +. ns
+  | None -> Hashtbl.add t label { n; ns }
+
+let tally_rows (t : tally) =
+  Hashtbl.fold (fun label c l -> (label, c.n, c.ns) :: l) t []
+  |> List.sort (fun (la, _, a) (lb, _, b) ->
+         match compare b a with 0 -> compare la lb | c -> c)
+
+(* ---------------- The span forest ---------------- *)
+
+type forest = {
+  spans : Trace.event array;
+  parent : int array;
+  self : float array;
+  closing : int array;
 }
 
-let fold ?root evs =
+let sweep evs =
   let spans =
-    List.filter (fun (ev : Trace.event) -> ev.kind = Trace.Span && ev.dur > 0.) evs
+    Array.of_list
+      (List.filter
+         (fun (ev : Trace.event) -> ev.kind = Trace.Span && ev.dur > 0.)
+         evs)
   in
   (* Sort by start time; at equal starts the longer span is the
-     parent, and (cat,name) breaks the remaining ties so the fold is
+     parent, and (cat,name) breaks the remaining ties so the forest is
      deterministic regardless of input order. *)
-  let spans =
-    List.stable_sort
-      (fun (a : Trace.event) (b : Trace.event) ->
-        match compare a.ts b.ts with
-        | 0 -> (
-            match compare b.dur a.dur with
-            | 0 -> compare (a.cat, a.name) (b.cat, b.name)
-            | c -> c)
-        | c -> c)
-      spans
-  in
-  let out : (string, float ref) Hashtbl.t = Hashtbl.create 64 in
-  let add path self =
-    if self > 0. then
-      match Hashtbl.find_opt out path with
-      | Some r -> r := !r +. self
-      | None -> Hashtbl.add out path (ref self)
-  in
-  let stack = ref [] in
-  let pop () =
-    match !stack with
-    | [] -> ()
-    | top :: rest ->
-        add top.path top.self;
-        stack := rest
-  in
-  let eps_for x = (1e-9 *. Float.abs x) +. 1e-6 in
-  List.iter
-    (fun (s : Trace.event) ->
-      let s_end = s.ts +. s.dur in
-      (* Pop anything this span does not nest inside.  Input is sorted
-         by start time, so only the end boundary needs checking. *)
-      let rec unwind () =
-        match !stack with
-        | top :: _ when s_end > top.end_ts +. eps_for top.end_ts ->
-            pop ();
-            unwind ()
-        | _ -> ()
-      in
-      unwind ();
-      let path =
-        match !stack with
-        | [] -> frame_of s
-        | parent :: _ ->
-            parent.self <- parent.self -. s.dur;
-            parent.path ^ ";" ^ frame_of s
-      in
-      stack := { path; end_ts = s_end; self = s.dur } :: !stack)
+  Array.stable_sort
+    (fun (a : Trace.event) (b : Trace.event) ->
+      match compare a.ts b.ts with
+      | 0 -> (
+          match compare b.dur a.dur with
+          | 0 -> compare (a.cat, a.name) (b.cat, b.name)
+          | c -> c)
+      | c -> c)
     spans;
-  while !stack <> [] do
-    pop ()
+  let n = Array.length spans in
+  let parent = Array.make n (-1) in
+  let self = Array.map (fun (s : Trace.event) -> s.dur) spans in
+  let closing = Array.make n 0 and closed = ref 0 in
+  (* The open spans are [top] and its ancestors, innermost first. *)
+  let top = ref (-1) in
+  let close () =
+    closing.(!closed) <- !top;
+    incr closed;
+    top := parent.(!top)
+  in
+  Array.iteri
+    (fun i (s : Trace.event) ->
+      (* Close every open span this one does not nest inside.  Spans
+         arrive by start time, so only the end boundary needs checking;
+         the relative epsilon absorbs float rounding in the cursor. *)
+      let s_end = s.ts +. s.dur in
+      while
+        !top >= 0
+        &&
+        let e = spans.(!top).ts +. spans.(!top).dur in
+        s_end > e +. ((1e-9 *. Float.abs e) +. 1e-6)
+      do
+        close ()
+      done;
+      if !top >= 0 then begin
+        parent.(i) <- !top;
+        self.(!top) <- self.(!top) -. s.dur
+      end;
+      top := i)
+    spans;
+  while !top >= 0 do
+    close ()
   done;
+  { spans; parent; self; closing }
+
+(* ---------------- Folding span timelines into stacks ---------------- *)
+
+let fold ?root evs =
+  let f = sweep evs in
+  let paths = Array.make (Array.length f.spans) "" in
+  Array.iteri
+    (fun i s ->
+      let p = f.parent.(i) in
+      paths.(i) <- (if p < 0 then frame_of s else paths.(p) ^ ";" ^ frame_of s))
+    f.spans;
+  let out : (string, float ref) Hashtbl.t = Hashtbl.create 64 in
+  Array.iter
+    (fun i ->
+      let self = f.self.(i) in
+      if self > 0. then
+        match Hashtbl.find_opt out paths.(i) with
+        | Some r -> r := !r +. self
+        | None -> Hashtbl.add out paths.(i) (ref self))
+    f.closing;
   let prefix = match root with None -> "" | Some r -> frame_escape r ^ ";" in
   Hashtbl.fold (fun path r acc -> (prefix ^ path, !r) :: acc) out []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
@@ -122,20 +154,6 @@ let rescale ~streams evs =
       evs
   end
 
-let totals_by_cat ?(streams = []) evs =
-  let evs = rescale ~streams evs in
-  let tbl : (string, float ref) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (ev : Trace.event) ->
-      if ev.kind = Trace.Span then
-        match Hashtbl.find_opt tbl ev.cat with
-        | Some r -> r := !r +. ev.dur
-        | None -> Hashtbl.add tbl ev.cat (ref ev.dur))
-    evs;
-  Hashtbl.fold (fun cat r acc -> (cat, !r) :: acc) tbl []
-  |> List.sort (fun (ca, ta) (cb, tb) ->
-         match compare tb ta with 0 -> compare ca cb | c -> c)
-
 let render_streams streams =
   let buf = Buffer.create 512 in
   Printf.bprintf buf "%-18s %-26s %10s %10s %10s %8s\n" "category" "name"
@@ -148,67 +166,7 @@ let render_streams streams =
   if streams = [] then Buffer.add_string buf "(no sampled streams)\n";
   Buffer.contents buf
 
-(* ---------------- Per-request attribution ---------------- *)
-
-type request = {
-  id : int;
-  name : string;
-  start : float;
-  total : float;
-  by_cat : (string * int * float) list;
-  accounted : float;
-}
-
-let requests evs =
-  let req_spans =
-    List.filter
-      (fun (ev : Trace.event) -> ev.kind = Trace.Span && ev.cat = "request")
-      evs
-  in
-  let children =
-    List.filter
-      (fun (ev : Trace.event) -> ev.kind = Trace.Span && ev.cat <> "request")
-      evs
-  in
-  let eps = 1e-6 in
-  let of_span (r : Trace.event) =
-    let fin = r.ts +. r.dur in
-    let tbl : (string, (int * float) ref) Hashtbl.t = Hashtbl.create 8 in
-    List.iter
-      (fun (ev : Trace.event) ->
-        if ev.ts >= r.ts -. eps && ev.ts < fin -. eps then
-          match Hashtbl.find_opt tbl ev.cat with
-          | Some cell ->
-              let c, t = !cell in
-              cell := (c + 1, t +. ev.dur)
-          | None -> Hashtbl.add tbl ev.cat (ref (1, ev.dur)))
-      children;
-    let by_cat =
-      Hashtbl.fold (fun cat cell acc -> (cat, fst !cell, snd !cell) :: acc) tbl []
-      |> List.sort (fun (ca, _, ta) (cb, _, tb) ->
-             match compare tb ta with 0 -> compare ca cb | c -> c)
-    in
-    let accounted = List.fold_left (fun acc (_, _, t) -> acc +. t) 0. by_cat in
-    {
-      id = int_of_float r.value;
-      name = r.name;
-      start = r.ts;
-      total = r.dur;
-      by_cat;
-      accounted;
-    }
-  in
-  List.map of_span req_spans
-  |> List.sort (fun a b ->
-         match compare b.total a.total with
-         | 0 -> ( match compare a.start b.start with 0 -> compare a.id b.id | c -> c)
-         | c -> c)
-
-let slowest ~k evs =
-  let all = requests evs in
-  List.filteri (fun i _ -> i < k) all
-
-(* ---------------- Exact self-time tail attribution ---------------- *)
+(* ---------------- Exact self-time attribution ---------------- *)
 
 type attributed_request = {
   req_id : int;
@@ -217,6 +175,8 @@ type attributed_request = {
   req_total : float;
   req_self : float;
   req_mech : (string * int * float) list;
+  req_nested : int;
+  req_nested_ns : float;
 }
 
 type attribution = {
@@ -225,134 +185,68 @@ type attribution = {
   total_self_ns : float;
 }
 
-(* Mutable per-request accumulator filled in while sweeping. *)
-type areq_acc = {
-  acc_id : int;
-  acc_name : string;
-  acc_start : float;
-  acc_total : float;
-  mutable acc_self : float;
-  acc_mech : (string, (int * float) ref) Hashtbl.t;
-}
-
-(* An open span on the attribution stack.  [oa_req] is set iff the
-   span itself is a request; [oa_owner] is the nearest enclosing
-   request (exclusive), fixed at push time. *)
-type open_attr = {
-  oa_cat : string;
-  oa_end : float;
-  mutable oa_self : float;
-  oa_req : areq_acc option;
-  oa_owner : areq_acc option;
+(* A request's accumulator while the forest is read. *)
+type acc = {
+  req : int;  (* forest index of the request span, -1 for none *)
+  mech : tally;
+  mutable nested : int;
+  mutable nested_ns : float;
 }
 
 let attribute evs =
-  let spans =
-    List.filter (fun (ev : Trace.event) -> ev.kind = Trace.Span && ev.dur > 0.) evs
+  let f = sweep evs in
+  let new_acc req =
+    { req; mech = tally (); nested = 0; nested_ns = 0. }
   in
-  (* Same canonical order and nesting rule as [fold], so the two views
-     of a trace never disagree about parenthood. *)
-  let spans =
-    List.stable_sort
-      (fun (a : Trace.event) (b : Trace.event) ->
-        match compare a.ts b.ts with
-        | 0 -> (
-            match compare b.dur a.dur with
-            | 0 -> compare (a.cat, a.name) (b.cat, b.name)
-            | c -> c)
-        | c -> c)
-      spans
-  in
+  (* [acc.(i)] is request [i]'s own accumulator, and for any other span
+     its innermost enclosing request's. *)
+  let none = new_acc (-1) in
+  let acc = Array.make (Array.length f.spans) none in
   let accs = ref [] in
-  let unattributed = ref 0. in
+  (* Root durations and nested-request charges accrue as spans open,
+     self-times as they close, children before parents.  Every
+     descendant's self-time telescopes out of its root's duration, so
+     the buckets sum exactly to the root durations — which is why
+     negative self-time (overlapping siblings) is kept, not dropped the
+     way [fold] drops it. *)
   let total_self = ref 0. in
-  let bump tbl cat self =
-    match Hashtbl.find_opt tbl cat with
-    | Some cell ->
-        let c, t = !cell in
-        cell := (c + 1, t +. self)
-    | None -> Hashtbl.add tbl cat (ref (1, self))
-  in
-  let stack = ref [] in
-  let pop () =
-    match !stack with
-    | [] -> ()
-    | top :: rest ->
-        (match (top.oa_req, top.oa_owner) with
-        | Some a, _ -> a.acc_self <- top.oa_self
-        | None, Some owner -> bump owner.acc_mech top.oa_cat top.oa_self
-        | None, None -> unattributed := !unattributed +. top.oa_self);
-        stack := rest
-  in
-  let eps_for x = (1e-9 *. Float.abs x) +. 1e-6 in
-  List.iter
-    (fun (s : Trace.event) ->
-      let s_end = s.ts +. s.dur in
-      let rec unwind () =
-        match !stack with
-        | top :: _ when s_end > top.oa_end +. eps_for top.oa_end ->
-            pop ();
-            unwind ()
-        | _ -> ()
-      in
-      unwind ();
-      let owner =
-        match !stack with
-        | [] ->
-            (* Root span: its duration joins the traced total.  Every
-               descendant's self-time telescopes out of it, so the sum
-               of all buckets below equals the sum of root durations —
-               an exact partition.  For that identity to hold, negative
-               self (overlapping siblings) must be kept, not dropped
-               the way [fold] drops it. *)
-            total_self := !total_self +. s.dur;
-            None
-        | parent :: _ -> (
-            parent.oa_self <- parent.oa_self -. s.dur;
-            match parent.oa_req with Some a -> Some a | None -> parent.oa_owner)
-      in
-      let acc =
-        if s.cat = "request" then begin
-          let a =
-            {
-              acc_id = int_of_float s.value;
-              acc_name = s.name;
-              acc_start = s.ts;
-              acc_total = s.dur;
-              acc_self = s.dur;
-              acc_mech = Hashtbl.create 8;
-            }
-          in
-          accs := a :: !accs;
-          Some a
+  Array.iteri
+    (fun i (s : Trace.event) ->
+      let p = f.parent.(i) in
+      if p < 0 then total_self := !total_self +. s.dur;
+      let owner = if p < 0 then none else acc.(p) in
+      if s.cat <> "request" then acc.(i) <- owner
+      else begin
+        let a = new_acc i in
+        acc.(i) <- a;
+        accs := a :: !accs;
+        if owner.req >= 0 then begin
+          owner.nested <- owner.nested + 1;
+          owner.nested_ns <- owner.nested_ns +. s.dur
         end
-        else None
-      in
-      stack :=
-        { oa_cat = s.cat; oa_end = s_end; oa_self = s.dur; oa_req = acc;
-          oa_owner = owner }
-        :: !stack)
-    spans;
-  while !stack <> [] do
-    pop ()
-  done;
+      end)
+    f.spans;
+  let unattributed = ref 0. in
+  Array.iter
+    (fun i ->
+      let s = f.spans.(i) and a = acc.(i) in
+      if s.cat = "request" then ()
+      else if a.req < 0 then unattributed := !unattributed +. f.self.(i)
+      else tally_add a.mech s.cat 1 f.self.(i))
+    f.closing;
   let areqs =
     List.rev_map
       (fun a ->
-        let mech =
-          Hashtbl.fold
-            (fun cat cell l -> (cat, fst !cell, snd !cell) :: l)
-            a.acc_mech []
-          |> List.sort (fun (ca, _, ta) (cb, _, tb) ->
-                 match compare tb ta with 0 -> compare ca cb | c -> c)
-        in
+        let s = f.spans.(a.req) in
         {
-          req_id = a.acc_id;
-          req_name = a.acc_name;
-          req_start = a.acc_start;
-          req_total = a.acc_total;
-          req_self = a.acc_self;
-          req_mech = mech;
+          req_id = int_of_float s.value;
+          req_name = s.name;
+          req_start = s.ts;
+          req_total = s.dur;
+          req_self = f.self.(a.req);
+          req_mech = tally_rows a.mech;
+          req_nested = a.nested;
+          req_nested_ns = a.nested_ns;
         })
       !accs
     |> List.sort (fun a b ->
@@ -382,26 +276,15 @@ type tail = {
 }
 
 let self_frame = "(request-self)"
+let nested_frame = "(nested-request)"
 
 let tail_of ?(label = "") ~pct ~cut_ns att =
   let tail = List.filter (fun r -> r.req_total >= cut_ns) att.areqs in
-  let tbl : (string, (int * float) ref) Hashtbl.t = Hashtbl.create 16 in
+  let mech = tally () in
   List.iter
     (fun r ->
-      List.iter
-        (fun (cat, n, ns) ->
-          match Hashtbl.find_opt tbl cat with
-          | Some cell ->
-              let c, t = !cell in
-              cell := (c + n, t +. ns)
-          | None -> Hashtbl.add tbl cat (ref (n, ns)))
-        r.req_mech)
+      List.iter (fun (cat, n, ns) -> tally_add mech cat n ns) r.req_mech)
     tail;
-  let tail_mech =
-    Hashtbl.fold (fun cat cell l -> (cat, fst !cell, snd !cell) :: l) tbl []
-    |> List.sort (fun (ca, _, ta) (cb, _, tb) ->
-           match compare tb ta with 0 -> compare ca cb | c -> c)
-  in
   {
     label;
     pct;
@@ -409,10 +292,25 @@ let tail_of ?(label = "") ~pct ~cut_ns att =
     n_requests = List.length att.areqs;
     n_tail = List.length tail;
     tail;
-    tail_mech;
+    tail_mech = tally_rows mech;
     tail_self_ns = List.fold_left (fun a r -> a +. r.req_self) 0. tail;
     tail_total_ns = List.fold_left (fun a r -> a +. r.req_total) 0. tail;
   }
+
+(* One request's rows — mechanisms, nested requests, own window time —
+   each with its share of the request; the rows sum to its duration. *)
+let render_request buf r =
+  Printf.bprintf buf "#%d %s: %s end-to-end (starts at %s)\n" r.req_id
+    r.req_name (fmt_ns r.req_total) (fmt_ns r.req_start);
+  let pct ns = if r.req_total > 0. then 100. *. ns /. r.req_total else 0. in
+  let row label count ns =
+    Printf.bprintf buf "  %-18s x%-5d %10s %6.1f%%\n" label count (fmt_ns ns)
+      (pct ns)
+  in
+  List.iter (fun (cat, count, ns) -> row cat count ns) r.req_mech;
+  if r.req_nested > 0 then row nested_frame r.req_nested r.req_nested_ns;
+  Printf.bprintf buf "  %-18s       %10s %6.1f%%\n" "(self)"
+    (fmt_ns r.req_self) (pct r.req_self)
 
 let render_tail ?(slowest = 0) t =
   let buf = Buffer.create 1024 in
@@ -444,50 +342,17 @@ let render_tail ?(slowest = 0) t =
       (fmt_ns (t.tail_total_ns /. per));
     if slowest > 0 then begin
       Printf.bprintf buf "\nslowest %d tail requests:\n" (min slowest t.n_tail);
-      List.iteri
-        (fun i r ->
-          if i < slowest then begin
-            Printf.bprintf buf "#%d %s: %s end-to-end (starts at %s)\n" r.req_id
-              r.req_name (fmt_ns r.req_total) (fmt_ns r.req_start);
-            let pct ns =
-              if r.req_total > 0. then 100. *. ns /. r.req_total else 0.
-            in
-            List.iter
-              (fun (cat, count, ns) ->
-                Printf.bprintf buf "  %-18s x%-5d %10s %6.1f%%\n" cat count
-                  (fmt_ns ns) (pct ns))
-              r.req_mech;
-            Printf.bprintf buf "  %-18s %s%10s %6.1f%%\n" "(self)" "      "
-              (fmt_ns r.req_self) (pct r.req_self)
-          end)
-        t.tail
+      List.iteri (fun i r -> if i < slowest then render_request buf r) t.tail
     end
   end;
   Buffer.contents buf
 
 let render_slowest ?(k = 3) evs =
-  let all = requests evs in
-  let n = List.length all in
-  let buf = Buffer.create 1024 in
-  if n = 0 then Buffer.add_string buf "(no request spans in trace)\n"
-  else begin
-    Printf.bprintf buf "slowest %d of %d requests:\n" (min k n) n;
-    List.iteri
-      (fun i r ->
-        if i < k then begin
-          Printf.bprintf buf "#%d %s: %s end-to-end (starts at %s)\n" r.id
-            r.name (fmt_ns r.total) (fmt_ns r.start);
-          let pct ns = if r.total > 0. then 100. *. ns /. r.total else 0. in
-          List.iter
-            (fun (cat, count, ns) ->
-              Printf.bprintf buf "  %-18s x%-5d %10s %6.1f%%\n" cat count
-                (fmt_ns ns) (pct ns))
-            r.by_cat;
-          let other = r.total -. r.accounted in
-          if Float.abs other > 0.5 then
-            Printf.bprintf buf "  %-18s %s%10s %6.1f%%\n" "(unattributed)"
-              "      " (fmt_ns other) (pct other)
-        end)
-      all
-  end;
-  Buffer.contents buf
+  match (attribute evs).areqs with
+  | [] -> "(no request spans in trace)\n"
+  | areqs ->
+      let buf = Buffer.create 1024 in
+      let n = List.length areqs in
+      Printf.bprintf buf "slowest %d of %d requests:\n" (min k n) n;
+      List.iteri (fun i r -> if i < k then render_request buf r) areqs;
+      Buffer.contents buf

@@ -1,26 +1,63 @@
-(** Profiles over trace event lists: collapsed-stack folding for
-    flamegraphs, rescaling of sampled aggregates, and per-request
-    attribution.
+(** Profiles over trace event lists: the span forest, and the views
+    over it — collapsed-stack folding for flamegraphs, exact per-request
+    attribution and tail cuts — plus rescaling of sampled aggregates.
 
     The synthetic-cursor timeline (see {!Trace}) makes nesting
     recoverable from timestamps alone: a span that starts inside
     another span's [ts, ts+dur) window and ends inside it is its
-    child.  Folding that containment relation yields exactly the
-    collapsed-stack format flamegraph tools consume. *)
+    child.  {!sweep} recovers that containment forest once, in one
+    canonical order with one nesting rule, and every view here (and
+    [Xc_obs.Critical_path]) reads it, so no two views of a trace can
+    disagree about parenthood. *)
 
 val fmt_ns : float -> string
 (** Human format for nanoseconds: [742ns], [3.40us], [1.25ms],
     [2.100s].  (Re-exported as [Export.fmt_ns].) *)
 
+(** {1 Largest-first tallies} *)
+
+type tally
+(** A mutable [(label -> spans, ns)] table. *)
+
+val tally : unit -> tally
+
+val tally_add : tally -> string -> int -> float -> unit
+(** [tally_add t label spans ns] adds [spans] and [ns] to [label]'s
+    row. *)
+
+val tally_rows : tally -> (string * int * float) list
+(** [(label, spans, ns)] rows, largest [ns] first (ties by label). *)
+
+(** {1 The span forest} *)
+
+type forest = {
+  spans : Trace.event array;
+      (** the spans with positive duration, in canonical order: by
+          start time, then longer first, then by (cat, name) *)
+  parent : int array;
+      (** index of each span's innermost enclosing span, [-1] for a
+          root *)
+  self : float array;
+      (** each span's duration minus its direct children's durations;
+          negative when children overlap each other *)
+  closing : int array;
+      (** span indices in the order the spans close: children before
+          their parent, each sibling before the next one opens *)
+}
+
+val sweep : Trace.event list -> forest
+(** Sort the span timeline into canonical order and walk it once with
+    a stack.  A span nests in the innermost open span whose end it does
+    not pass by more than a relative epsilon.  Instants, counters and
+    zero-duration spans do not appear. *)
+
 (** {1 Flamegraph folding} *)
 
 val fold : ?root:string -> Trace.event list -> (string * float) list
-(** Fold the span timeline into [(stack, self_ns)] rows, sorted by
-    stack.  Each span contributes the frame ["cat;name"]; nested spans
-    extend their parent's stack, and a parent's self-time excludes its
-    direct children.  [root] prepends one frame (e.g. the track name)
-    to every stack.  Instants, counters and zero-duration spans do not
-    appear. *)
+(** Fold the forest into [(stack, self_ns)] rows, sorted by stack.
+    Each span contributes the frame ["cat;name"] below its parent's
+    stack; rows whose self-time is not positive are dropped.  [root]
+    prepends one frame (e.g. the track name) to every stack. *)
 
 val to_folded : (string * Trace.event list) list -> string
 (** Render tracks as collapsed-stack lines — [stack count\n] with the
@@ -38,55 +75,17 @@ val rescale : streams:Trace.Stream.t list -> Trace.event list -> Trace.event lis
     entry (or kept = seen) pass through unchanged; [streams = []] is
     the identity. *)
 
-val totals_by_cat :
-  ?streams:Trace.Stream.t list -> Trace.event list -> (string * float) list
-(** Total span nanoseconds per category, largest first (ties by
-    category name).  With [~streams], totals are rescaled first. *)
-
 val render_streams : Trace.Stream.t list -> string
 (** Terminal table of per-stream sampler accounting (seen, kept,
     skipped, scale). *)
 
-(** {1 Per-request attribution} *)
+(** {1 Exact self-time attribution}
 
-type request = {
-  id : int;  (** from the request span's [value] field *)
-  name : string;  (** request span name, e.g. ["httpd"] *)
-  start : float;  (** span start, ns *)
-  total : float;  (** end-to-end duration, ns *)
-  by_cat : (string * int * float) list;
-      (** (category, span count, total ns) of child spans inside the
-          request window, largest first *)
-  accounted : float;  (** sum of [by_cat] nanoseconds *)
-}
-
-val requests : Trace.event list -> request list
-(** Every span with category ["request"], slowest first (ties by start
-    then id).  A child is any non-request span whose start lies inside
-    the request's [ts, ts+dur) window — the synthetic cursor places
-    the mechanism spans charged on behalf of a request inside exactly
-    that window. *)
-
-val slowest : k:int -> Trace.event list -> request list
-(** First [k] of {!requests}. *)
-
-val render_slowest : ?k:int -> Trace.event list -> string
-(** Terminal rendering of the [k] (default 3) slowest requests: one
-    block per request with its per-category time breakdown, percentage
-    of end-to-end time, and any unattributed remainder. *)
-
-(** {1 Exact self-time tail attribution}
-
-    {!requests} above counts a child span's full duration into every
-    request window containing its start — simple, but a nested child
-    is double-counted and queueing overlap leaks across requests.  The
-    attribution below instead runs the same nesting sweep as {!fold}
-    and charges each span's {e self}-time (duration minus direct
-    children) to its innermost enclosing [request] span.  Self-times
-    telescope, so the per-request buckets plus the [unattributed]
-    remainder sum {e exactly} to the total traced self-time (the sum
-    of root-span durations) — a partition, with no double counting
-    across nested or overlapping requests. *)
+    Each span's self-time is charged to its innermost enclosing
+    [request] span.  Self-times telescope, so the per-request buckets
+    plus the [unattributed] remainder sum {e exactly} to the total
+    traced self-time (the sum of root-span durations) — a partition,
+    with no double counting across nested or overlapping requests. *)
 
 type attributed_request = {
   req_id : int;  (** from the request span's [value] field *)
@@ -101,11 +100,15 @@ type attributed_request = {
   req_mech : (string * int * float) list;
       (** (category, span count, self ns) of mechanism spans owned by
           this request, largest first (ties by category) *)
+  req_nested : int;  (** requests nested directly inside this one *)
+  req_nested_ns : float;
+      (** their summed durations; [req_self + req_mech + req_nested_ns]
+          is [req_total] *)
 }
 
 type attribution = {
   areqs : attributed_request list;
-      (** slowest first (ties by start then id), like {!requests} *)
+      (** slowest first (ties by start then id) *)
   unattributed_ns : float;
       (** self-time of spans with no enclosing request span *)
   total_self_ns : float;
@@ -114,9 +117,8 @@ type attribution = {
 }
 
 val attribute : Trace.event list -> attribution
-(** Sweep the span timeline (same canonical order and epsilon as
-    {!fold}) and partition all self-time between enclosing requests
-    and the unattributed bucket. *)
+(** Partition the forest's self-time between enclosing requests and
+    the unattributed bucket. *)
 
 val request_totals : attribution -> float list
 (** End-to-end durations of all requests, slowest first — feed these
@@ -142,6 +144,10 @@ val self_frame : string
 (** The pseudo-mechanism label ["(request-self)"] used by renderers,
     the tails CSV and tail diffs for uncovered request-window time. *)
 
+val nested_frame : string
+(** ["(nested-request)"], the row charging a request for the requests
+    nested inside it. *)
+
 val tail_of : ?label:string -> pct:float -> cut_ns:float -> attribution -> tail
 (** Aggregate the requests at or above [cut_ns].  The cut itself is
     the caller's business (this library has no histogram); [pct] is
@@ -152,3 +158,9 @@ val render_tail : ?slowest:int -> tail -> string
     attributed tail time, with a [(request-self)] row for uncovered
     window time), and with [~slowest:k > 0] a per-request block for
     the [k] slowest tail requests. *)
+
+val render_slowest : ?k:int -> Trace.event list -> string
+(** The [k] (default 3) slowest attributed requests of a trace, each
+    as the per-request block {!render_tail} prints: mechanism rows, a
+    [(nested-request)] row when requests nest, and a [(self)] row,
+    each with its share of the request's duration. *)

@@ -143,36 +143,6 @@ let test_service_time () =
       | None -> Alcotest.fail "nginx image has a recipe"
     end
 
-(* ---------------- Experiment harness ---------------- *)
-
-let test_experiment_normalise () =
-  let samples =
-    Experiment.collect ~names:[ "base"; "fast" ]
-      ~name_of:(fun n -> n)
-      ~runs:5
-      (fun name ~seed ->
-        let jitter = float_of_int (seed mod 7) *. 0.1 in
-        match name with "base" -> 100. +. jitter | _ -> 200. +. jitter)
-  in
-  let rows = Experiment.normalise ~baseline:"base" samples in
-  (match Experiment.relative_of rows "base" with
-  | Some r -> Alcotest.(check (float 1e-9)) "baseline is 1" 1.0 r
-  | None -> Alcotest.fail "baseline row");
-  (match Experiment.relative_of rows "fast" with
-  | Some r -> Alcotest.(check bool) "fast ~2x" true (r > 1.9 && r < 2.1)
-  | None -> Alcotest.fail "fast row");
-  let table = Experiment.to_table ~value_header:"req/s" rows in
-  Alcotest.(check bool) "renders" true (String.length (Xc_sim.Table.render table) > 0)
-
-let test_experiment_missing_baseline () =
-  let samples =
-    Experiment.collect ~names:[ "a" ] ~name_of:(fun n -> n) ~runs:1
-      (fun _ ~seed:_ -> 1.)
-  in
-  Alcotest.check_raises "missing baseline"
-    (Invalid_argument "Experiment.normalise: no baseline nope") (fun () ->
-      ignore (Experiment.normalise ~baseline:"nope" samples))
-
 (* ---------------- Figures (smoke) ---------------- *)
 
 let test_fig3_structure () =
@@ -208,11 +178,6 @@ let suites =
         Alcotest.test_case "mysql keeps trapping" `Quick
           test_mysql_container_keeps_trapping;
         Alcotest.test_case "service time" `Quick test_service_time;
-      ] );
-    ( "core.experiment",
-      [
-        Alcotest.test_case "normalise" `Quick test_experiment_normalise;
-        Alcotest.test_case "missing baseline" `Quick test_experiment_missing_baseline;
       ] );
     ( "core.figures",
       [

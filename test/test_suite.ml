@@ -60,7 +60,12 @@ let gen_spec =
   let* sample = int_range 0 1000 in
   let* timeseries = oneofl [ "true"; "false" ] in
   let* interval_us = int_range 0 100000 in
-  let* tails = oneofl [ "true"; "false" ] in
+  (* Tails need request spans: never on open or fluid-cluster specs. *)
+  let* tails =
+    match (shape, fidelity) with
+    | "open", _ | "cluster", "fluid" -> return "false"
+    | _ -> oneofl [ "true"; "false" ]
+  in
   let* n_params = int_range 0 2 in
   let warmup =
     Spec.float_to_string (warmup_frac *. float_of_string duration)
@@ -206,7 +211,11 @@ let test_validation_errors () =
   check_error "key before section" "before the first"
     (parse "runtime = docker\n[experiment e]\n");
   check_error "warmup bound" "field warmup_ms"
-    (parse "[experiment e]\nduration_ms = 10\nwarmup_ms = 10\n")
+    (parse "[experiment e]\nduration_ms = 10\nwarmup_ms = 10\n");
+  check_error "tails on the open loop" "field tails"
+    (parse "[experiment e]\nshape = open\ntails = true\n");
+  check_error "tails on the fluid tier" "field tails"
+    (parse "[experiment e]\nshape = cluster\nfidelity = fluid\ntails = true\n")
 
 let test_comments_and_suite_line () =
   let suite =

@@ -154,6 +154,13 @@ let test_inject () =
 
 (* ---------------- the sampler ---------------- *)
 
+(* Per-category span totals of a trace, rescaled by [streams], read off
+   the A side of a diff against nothing. *)
+let cat_totals ?(streams = []) evs =
+  List.map
+    (fun (r : Diff.row) -> (r.Diff.cat, r.Diff.a_ns))
+    (Diff.diff ~a_streams:streams ~a:evs ~b:[] ()).Diff.rows
+
 let test_sampler_stride () =
   with_trace ~sample:4 (fun () ->
       for _ = 1 to 10 do
@@ -176,7 +183,7 @@ let test_sampler_stride () =
           Alcotest.(check int) "kept" 2 s.Trace.Stream.kept;
           Alcotest.(check int) "skipped" 8 (Trace.Stream.skipped s);
           (* Exact rescale: 2 kept spans of 10ns × 10/2 = the full 100. *)
-          let totals = Profile.totals_by_cat ~streams evs in
+          let totals = cat_totals ~streams evs in
           Alcotest.(check (float 1e-6)) "rescaled total exact" 100.
             (List.assoc "c" totals)
       | ss -> Alcotest.failf "expected 1 stream, got %d" (List.length ss))
@@ -214,7 +221,7 @@ let test_sampler_phase_fair () =
         (List.mem 100. durs && List.mem 300. durs);
       Alcotest.(check (float 1e-6)) "periodic stream rescales exactly"
         (16. *. (100. +. 300.))
-        (List.assoc "c" (Profile.totals_by_cat ~streams evs)))
+        (List.assoc "c" (cat_totals ~streams evs)))
 
 let test_sampler_capture_inject_merge () =
   with_trace ~sample:2 (fun () ->
@@ -498,6 +505,95 @@ let test_fold_escapes_frames () =
         "a_b;x:y" stack
   | rows -> Alcotest.failf "expected 1 stack, got %d" (List.length rows)
 
+(* ---------------- QCheck: fold vs O(n^2) reference ---------------- *)
+
+(* Independent reference for [Profile.fold]: the same canonical order,
+   an explicit O(n^2) parent array instead of a stack, and each stack
+   read off the parent links. *)
+let reference_fold events =
+  let a =
+    Array.of_list
+      (List.stable_sort
+         (fun (x : Trace.event) (y : Trace.event) ->
+           match Float.compare x.ts y.ts with
+           | 0 -> (
+               match Float.compare y.dur x.dur with
+               | 0 -> compare (x.cat, x.name) (y.cat, y.name)
+               | c -> c)
+           | c -> c)
+         (List.filter
+            (fun (e : Trace.event) -> e.kind = Trace.Span && e.dur > 0.)
+            events))
+  in
+  let n = Array.length a in
+  let ends = Array.map (fun (e : Trace.event) -> e.ts +. e.dur) a in
+  let eps x = (1e-9 *. Float.abs x) +. 1e-6 in
+  let parent = Array.make n (-1) in
+  for i = 0 to n - 1 do
+    for j = 0 to i - 1 do
+      if ends.(j) +. eps ends.(j) >= ends.(i) then parent.(i) <- j
+    done
+  done;
+  let self = Array.map (fun (e : Trace.event) -> e.dur) a in
+  Array.iteri
+    (fun i p -> if p >= 0 then self.(p) <- self.(p) -. a.(i).Trace.dur)
+    parent;
+  let rec stack i =
+    let frame = a.(i).Trace.cat ^ ";" ^ a.(i).Trace.name in
+    if parent.(i) < 0 then frame else stack parent.(i) ^ ";" ^ frame
+  in
+  let rows = Hashtbl.create 16 in
+  Array.iteri
+    (fun i self ->
+      if self > 0. then
+        let k = stack i in
+        Hashtbl.replace rows k
+          (self +. Option.value ~default:0. (Hashtbl.find_opt rows k)))
+    self;
+  (parent, List.sort compare (Hashtbl.fold (fun k v l -> (k, v) :: l) rows []))
+
+let fold_prop =
+  QCheck.Test.make ~name:"fold matches O(n^2) reference" ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         list_size (int_range 0 30)
+           (triple (int_range 0 80) (int_range 0 40) (int_range 0 8))))
+    (fun triples ->
+      let cats = [| "request"; "cpu"; "net.hop"; "syscall-work" |] in
+      let events =
+        List.map
+          (fun (ts, dur, roll) ->
+            if roll = 8 then
+              { Trace.kind = Trace.Instant; cat = "noise"; name = "tick";
+                ts = float_of_int ts; dur = 0.; value = 0. }
+            else
+              span ~ts:(float_of_int ts) cats.(roll mod 4)
+                (if roll < 4 then "a" else "b")
+                (float_of_int dur))
+          triples
+      in
+      let ref_parent, ref_rows = reference_fold events in
+      let forest = Profile.sweep events in
+      if forest.Profile.parent <> ref_parent then
+        QCheck.Test.fail_report "sweep parents differ from reference";
+      (* Children close before their parent. *)
+      let pos = Array.make (Array.length forest.Profile.closing) 0 in
+      Array.iteri (fun k i -> pos.(i) <- k) forest.Profile.closing;
+      Array.iteri
+        (fun i p ->
+          if p >= 0 && pos.(i) > pos.(p) then
+            QCheck.Test.fail_reportf "span %d closes after its parent %d" i p)
+        ref_parent;
+      let got = Profile.fold events in
+      if List.map fst got <> List.map fst ref_rows then
+        QCheck.Test.fail_report "fold stacks differ from reference";
+      List.iter2
+        (fun (k, v) (_, w) ->
+          if Float.abs (v -. w) > 1e-6 +. (1e-9 *. Float.abs w) then
+            QCheck.Test.fail_reportf "%s: fold %.9f <> reference %.9f" k v w)
+        got ref_rows;
+      true)
+
 (* ---------------- per-request attribution ---------------- *)
 
 let req id ts dur =
@@ -505,33 +601,44 @@ let req id ts dur =
     value = float_of_int id }
 
 let test_slowest_requests () =
+  (* Request 3 nests inside request 1 and is charged to it whole. *)
   let evs =
     [
       req 1 0. 100.;
       span ~ts:10. "syscall-work" "send" 40.;
       span ~ts:50. "net.hop" "native-stack" 20.;
+      req 3 75. 20.;
       req 2 200. 300.;
       span ~ts:210. "syscall-work" "recv" 250.;
     ]
   in
-  (match Profile.slowest ~k:1 evs with
-  | [ r ] ->
-      Alcotest.(check int) "slowest is request 2" 2 r.Profile.id;
-      Alcotest.(check (float 1e-9)) "its duration" 300. r.Profile.total;
-      Alcotest.(check (float 1e-9)) "accounted" 250. r.Profile.accounted
-  | rs -> Alcotest.failf "expected 1 request, got %d" (List.length rs));
-  match Profile.requests evs with
-  | [ r2; r1 ] ->
-      Alcotest.(check int) "slowest first" 2 r2.Profile.id;
-      Alcotest.(check int) "then the other" 1 r1.Profile.id;
-      (match r1.Profile.by_cat with
-      | [ ("syscall-work", 1, ns); ("net.hop", 1, ns') ] ->
-          Alcotest.(check (float 1e-9)) "syscall-work child" 40. ns;
-          Alcotest.(check (float 1e-9)) "net.hop child" 20. ns'
-      | _ -> Alcotest.fail "unexpected by_cat breakdown");
-      Alcotest.(check (float 1e-9)) "unattributed remainder" 40.
-        (r1.Profile.total -. r1.Profile.accounted)
-  | rs -> Alcotest.failf "expected 2 requests, got %d" (List.length rs)
+  let mech_t = Alcotest.(list (triple string int (float 1e-9))) in
+  (match (Profile.attribute evs).Profile.areqs with
+  | [ r2; r1; r3 ] ->
+      Alcotest.(check (list int)) "slowest first" [ 2; 1; 3 ]
+        [ r2.Profile.req_id; r1.Profile.req_id; r3.Profile.req_id ];
+      Alcotest.(check (float 1e-9)) "its duration" 300. r2.Profile.req_total;
+      Alcotest.check mech_t "its mechanism" [ ("syscall-work", 1, 250.) ]
+        r2.Profile.req_mech;
+      Alcotest.check mech_t "children largest first"
+        [ ("syscall-work", 1, 40.); ("net.hop", 1, 20.) ]
+        r1.Profile.req_mech;
+      Alcotest.(check int) "one nested request" 1 r1.Profile.req_nested;
+      Alcotest.(check (float 1e-9))
+        "charged whole" 20. r1.Profile.req_nested_ns;
+      Alcotest.(check (float 1e-9))
+        "uncovered remainder" 20. r1.Profile.req_self
+  | rs -> Alcotest.failf "expected 3 requests, got %d" (List.length rs));
+  let rendered = Profile.render_slowest ~k:2 evs in
+  List.iter
+    (fun needle ->
+      Alcotest.(check bool)
+        (Printf.sprintf "rendering mentions %S" needle)
+        true (contains rendered needle))
+    [
+      "slowest 2 of 3 requests"; "#1 httpd"; "(nested-request)   x1"; "(self)";
+    ];
+  Alcotest.(check bool) "only the top k" false (contains rendered "#3 httpd")
 
 (* The acceptance shape: tracing httpd requests end-to-end explains
    each one by mechanism. *)
@@ -565,21 +672,23 @@ let traced_httpd_requests () =
 
 let test_httpd_slowest_shape () =
   let evs = traced_httpd_requests () in
-  let reqs = Profile.requests evs in
+  let reqs = (Profile.attribute evs).Profile.areqs in
   Alcotest.(check int) "every request traced" 10 (List.length reqs);
   (* The slowest requests are the big-page ones, and each is explained
      by mechanism: syscall-work children account for (most of) it. *)
   List.iteri
-    (fun i (r : Profile.request) ->
+    (fun i (r : Profile.attributed_request) ->
       if i < 3 then begin
         Alcotest.(check bool)
-          (Printf.sprintf "slow request %d is a big page" r.Profile.id)
+          (Printf.sprintf "slow request %d is a big page" r.Profile.req_id)
           true
-          (r.Profile.id mod 2 = 0);
+          (r.Profile.req_id mod 2 = 0);
         Alcotest.(check bool) "has syscall-work children" true
-          (List.exists (fun (c, _, _) -> c = "syscall-work") r.Profile.by_cat);
+          (List.exists
+             (fun (c, _, _) -> c = "syscall-work")
+             r.Profile.req_mech);
         Alcotest.(check bool) "children explain the request" true
-          (r.Profile.accounted > 0.9 *. r.Profile.total)
+          (r.Profile.req_self < 0.1 *. r.Profile.req_total)
       end)
     reqs;
   let rendered = Profile.render_slowest ~k:3 evs in
@@ -609,9 +718,9 @@ let test_fig9_sampled_rescale () =
   let sampled = fig9_trace ~sample:16 () in
   Alcotest.(check bool) "sampling dropped events" true
     (List.length sampled.Trace.events < List.length full.Trace.events);
-  let full_totals = Profile.totals_by_cat full.Trace.events in
+  let full_totals = cat_totals full.Trace.events in
   let est_totals =
-    Profile.totals_by_cat ~streams:sampled.Trace.streams sampled.Trace.events
+    cat_totals ~streams:sampled.Trace.streams sampled.Trace.events
   in
   let grand_total = List.fold_left (fun acc (_, t) -> acc +. t) 0. full_totals in
   List.iter
@@ -724,6 +833,7 @@ let suites =
         Alcotest.test_case "fold nests by containment" `Quick test_fold_nesting;
         Alcotest.test_case "collapsed-stack output" `Quick test_to_folded_format;
         Alcotest.test_case "frame escaping" `Quick test_fold_escapes_frames;
+        QCheck_alcotest.to_alcotest fold_prop;
         Alcotest.test_case "slowest requests" `Quick test_slowest_requests;
         Alcotest.test_case "httpd --slowest shape" `Quick
           test_httpd_slowest_shape;
