@@ -13,25 +13,6 @@ let frame_escape s =
 let frame_of (ev : Trace.event) =
   frame_escape ev.cat ^ ";" ^ frame_escape ev.name
 
-(* ---------------- Largest-first tallies ---------------- *)
-
-type cell = { mutable n : int; mutable ns : float }
-type tally = (string, cell) Hashtbl.t
-
-let tally () : tally = Hashtbl.create 8
-
-let tally_add (t : tally) label n ns =
-  match Hashtbl.find_opt t label with
-  | Some c ->
-      c.n <- c.n + n;
-      c.ns <- c.ns +. ns
-  | None -> Hashtbl.add t label { n; ns }
-
-let tally_rows (t : tally) =
-  Hashtbl.fold (fun label c l -> (label, c.n, c.ns) :: l) t []
-  |> List.sort (fun (la, _, a) (lb, _, b) ->
-         match compare b a with 0 -> compare la lb | c -> c)
-
 (* ---------------- The span forest ---------------- *)
 
 type forest = {
@@ -165,6 +146,25 @@ let render_streams streams =
     streams;
   if streams = [] then Buffer.add_string buf "(no sampled streams)\n";
   Buffer.contents buf
+
+(* ---------------- Largest-first tallies ---------------- *)
+
+type cell = { mutable n : int; mutable ns : float }
+type tally = (string, cell) Hashtbl.t
+
+let tally () : tally = Hashtbl.create 8
+
+let tally_add (t : tally) label n ns =
+  match Hashtbl.find_opt t label with
+  | Some c ->
+      c.n <- c.n + n;
+      c.ns <- c.ns +. ns
+  | None -> Hashtbl.add t label { n; ns }
+
+let tally_rows (t : tally) =
+  Hashtbl.fold (fun label c l -> (label, c.n, c.ns) :: l) t []
+  |> List.sort (fun (la, _, a) (lb, _, b) ->
+         match compare b a with 0 -> compare la lb | c -> c)
 
 (* ---------------- Exact self-time attribution ---------------- *)
 

@@ -14,20 +14,6 @@ val fmt_ns : float -> string
 (** Human format for nanoseconds: [742ns], [3.40us], [1.25ms],
     [2.100s].  (Re-exported as [Export.fmt_ns].) *)
 
-(** {1 Largest-first tallies} *)
-
-type tally
-(** A mutable [(label -> spans, ns)] table. *)
-
-val tally : unit -> tally
-
-val tally_add : tally -> string -> int -> float -> unit
-(** [tally_add t label spans ns] adds [spans] and [ns] to [label]'s
-    row. *)
-
-val tally_rows : tally -> (string * int * float) list
-(** [(label, spans, ns)] rows, largest [ns] first (ties by label). *)
-
 (** {1 The span forest} *)
 
 type forest = {
@@ -78,6 +64,20 @@ val rescale : streams:Trace.Stream.t list -> Trace.event list -> Trace.event lis
 val render_streams : Trace.Stream.t list -> string
 (** Terminal table of per-stream sampler accounting (seen, kept,
     skipped, scale). *)
+
+(** {1 Largest-first tallies} *)
+
+type tally
+(** A mutable [(label -> spans, ns)] table. *)
+
+val tally : unit -> tally
+
+val tally_add : tally -> string -> int -> float -> unit
+(** [tally_add t label spans ns] adds [spans] and [ns] to [label]'s
+    row. *)
+
+val tally_rows : tally -> (string * int * float) list
+(** [(label, spans, ns)] rows, largest [ns] first (ties by label). *)
 
 (** {1 Exact self-time attribution}
 
