@@ -24,7 +24,7 @@ module Stream = struct
   let scale s = if s.kept <= 0 then 1. else float_of_int s.seen /. float_of_int s.kept
 end
 
-let default_capacity = 65_536
+let default_capacity = 1 lsl 18
 
 (* Atomics, not globals-with-fences: worker domains spawned after
    [enable] must observe the flag without extra synchronisation. *)

@@ -68,7 +68,8 @@ module Stream : sig
 end
 
 val default_capacity : int
-(** 65536 events per domain. *)
+(** [2^18] (262144) events per domain: room for a traced cluster run's
+    request bundles, so tail attribution sees every request. *)
 
 (** {1 Switches} *)
 
