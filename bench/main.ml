@@ -9,8 +9,9 @@
      dune exec bench/main.exe smoke                   # tiny-duration sweep
 
    Experiments are independent deterministic simulations, so with
-   --jobs N (or XC_JOBS=N) they fan out over N domains via
-   Xc_sim.Parallel; output is byte-identical to the sequential run.
+   --jobs N (or XC_JOBS=N) their cells fan out over N domains through
+   the runner `xc` shares (Xc_suite.Run); output is byte-identical to
+   the sequential run.
 
    --trace[=FILE] additionally records an Xc_trace event trace of
    every experiment (one track per experiment, Chrome trace-event JSON
@@ -41,57 +42,26 @@ module Spec = Xc_suite.Spec
 module Suite = Xc_suite.Suite
 module Registry = Xc_suite.Registry
 module Sdriver = Xc_suite.Driver
+module Run = Xc_suite.Run
 
-(* The experiment grids live in the declarative suite registry
-   (lib/suite): each grid builder below interprets its registry
-   suite's specs into cells, byte-identical to the pre-refactor
-   hand-coded drivers (pinned by the bench/golden differential
-   rules). *)
-let reg_suite name =
-  match Registry.find_bench name with
-  | Some s -> s
-  | None -> (
-      match Registry.find_smoke name with
-      | Some s -> s
-      | None -> invalid_arg (Printf.sprintf "bench: no registry suite %S" name))
+(* Experiment output goes through the runner's per-domain buffer (these
+   shadow the Stdlib printers), so a cell can run on any worker domain
+   and still print whole, in submission order. *)
+open Run.Out
 
-let specs_of name = (reg_suite name).Suite.specs
+(* Each experiment below is built from its registry suite (lib/suite),
+   which carries the grid: apps x clouds, fractions x runtimes, hedging
+   points, fleet shapes.  The printers interpret the specs into cells,
+   byte-identical to the pre-refactor hand-coded drivers (pinned by the
+   bench/golden differential rules).  An experiment is a set of
+   independent cells plus a printer over their index-ordered results
+   ({!Run.cells}); an unsplittable one is one cell that prints as it
+   runs. *)
+let whole = Run.whole
 
 let distinct xs =
   List.rev
     (List.fold_left (fun acc x -> if List.mem x acc then acc else x :: acc) [] xs)
-
-(* All experiment output goes through a domain-local buffer, so an
-   experiment can run on a worker domain and still have its output
-   emitted whole, in submission order: the parallel run is
-   byte-identical to the sequential one by construction. *)
-let out_key = Domain.DLS.new_key (fun () -> Buffer.create 8192)
-let out () = Domain.DLS.get out_key
-let printf fmt = Printf.ksprintf (fun s -> Buffer.add_string (out ()) s) fmt
-let print_string s = Buffer.add_string (out ()) s
-
-let print_endline s =
-  let b = out () in
-  Buffer.add_string b s;
-  Buffer.add_char b '\n'
-
-let print_newline () = Buffer.add_char (out ()) '\n'
-let print_table t = print_string (T.render t)
-
-let section title =
-  printf "\n%s\n%s\n\n" title (String.make (String.length title) '#')
-
-(* An experiment is a set of independent cells (shards) plus a printer
-   over their index-ordered results.  Cells are the unit the
-   work-stealing pool schedules, so the big sweeps (fig3, macro-extra,
-   latency) do not serialize the whole bench behind one worker; the
-   printer runs in the deterministic merge phase, so output is
-   byte-identical at any --jobs.  An unsplittable experiment is one
-   cell that prints as it runs. *)
-type body =
-  | Cells : { shards : (unit -> 'b) array; print : 'b array -> unit } -> body
-
-let whole f = Cells { shards = [| f |]; print = ignore }
 
 (* ------------------------------------------------------------------ *)
 (* Table 1                                                             *)
@@ -143,17 +113,17 @@ let macro_app_of_workload = function
   | "redis" -> Figures.Redis_app
   | w -> invalid_arg (Printf.sprintf "fig3: no macro app for workload %S" w)
 
-let fig3 =
-  let specs = Array.of_list (specs_of "fig3") in
+let fig3 (suite : Suite.t) =
+  let specs = Array.of_list suite.Suite.specs in
   let apps =
     Array.of_list
       (distinct
          (List.map
             (fun (s : Spec.t) -> macro_app_of_workload s.Spec.workload)
-            (specs_of "fig3")))
+            suite.Suite.specs))
   in
   assert (Array.length specs = 2 * Array.length apps);
-  Cells
+  Run.Cells
     {
       shards =
         Array.map
@@ -599,22 +569,22 @@ let clone () =
    suite; every cell is a plain generic closed-loop spec, so the cell
    body IS the generic driver — the spec path and the bench path
    cannot diverge. *)
-let macro_extra =
-  let specs = Array.of_list (specs_of "macro-extra") in
+let macro_extra (suite : Suite.t) =
+  let specs = Array.of_list suite.Suite.specs in
   let titles =
     distinct
       (List.map
          (fun (s : Spec.t) ->
            (Xc_suite.Workload.find_exn s.Spec.workload).Xc_suite.Workload.title)
-         (specs_of "macro-extra"))
+         suite.Suite.specs)
   in
   let configs =
-    distinct (List.map (fun (s : Spec.t) -> s.Spec.platform) (specs_of "macro-extra"))
+    distinct (List.map (fun (s : Spec.t) -> s.Spec.platform) suite.Suite.specs)
   in
   let titles_a = Array.of_list titles in
   let nc = List.length configs in
   assert (Array.length specs = Array.length titles_a * nc);
-  Cells
+  Run.Cells
     {
       shards =
         Array.map
@@ -697,12 +667,12 @@ let coldstart () =
    grid comes from the registry's latency suite — note the [rate]
    fields are fractions of Docker's capacity (the figure's x-axis),
    not the generic driver's self-relative load. *)
-let latency =
-  let specs = Array.of_list (specs_of "latency") in
+let latency (suite : Suite.t) =
+  let specs = Array.of_list suite.Suite.specs in
   let fractions =
     Array.of_list
       (distinct
-         (List.map (fun (s : Spec.t) -> s.Spec.load.Spec.rate) (specs_of "latency")))
+         (List.map (fun (s : Spec.t) -> s.Spec.load.Spec.rate) suite.Suite.specs))
   in
   assert (Array.length specs = 2 * Array.length fractions);
   let server runtime =
@@ -716,7 +686,7 @@ let latency =
         overhead_ns = 0.;
       } )
   in
-  Cells
+  Run.Cells
     {
       shards =
         Array.map
@@ -976,14 +946,15 @@ type hedging_cell =
   | H_policy of { kind : Xc_lb.Policy.kind; d : int; r : Xc_lb.Hedge.result }
   | H_cluster of { label : string; r : Xc_platforms.Cluster_sim.result }
 
-let hedging =
+let hedging (suite : Suite.t) =
   let module H = Xc_lb.Hedge in
   let module P = Xc_lb.Policy in
   (* The three grids — oracle differential points, the policy race,
      the Fig 9 cluster cells — come from the registry's hedging suite,
      partitioned by kind in spec order. *)
-  let specs = specs_of "hedging" in
-  let of_kind k = List.filter (fun (s : Spec.t) -> s.Spec.kind = k) specs in
+  let of_kind k =
+    List.filter (fun (s : Spec.t) -> s.Spec.kind = k) suite.Suite.specs
+  in
   let req what = function
     | Ok v -> v
     | Error m -> invalid_arg (Printf.sprintf "hedging %s: %s" what m)
@@ -1033,39 +1004,37 @@ let hedging =
                  } ))
          (of_kind "hedging-cluster"))
   in
-  let n_oracle = Array.length oracle_points in
-  let n_policy = Array.length policy_points in
-  Cells
+  Run.Cells
     {
       shards =
-        Array.init
-          (n_oracle + n_policy + Array.length cluster_cells)
-          (fun i () ->
-            if i < n_oracle then begin
-              let u, d = oracle_points.(i) in
-              let cfg =
-                H.config_for_utilization ~clones:d ~duration_ns:4e9
-                  ~utilization:u ()
-              in
-              let oracle =
-                Xc_lb.Oracle.cloned_mean_ns ~backends:cfg.H.backends ~clones:d
-                  ~arrival_rate_per_ns:cfg.H.arrival_rate_per_ns
-                  ~service_mean_ns:cfg.H.service_mean_ns
-              in
-              H_oracle { u; d; r = H.run cfg; oracle }
-            end
-            else if i < n_oracle + n_policy then begin
-              let kind, d = policy_points.(i - n_oracle) in
-              let cfg =
-                H.config_for_utilization ~clones:d ~dispatch:(H.Policy kind)
-                  ~duration_ns:1e9 ~utilization:0.65 ()
-              in
-              H_policy { kind; d; r = H.run cfg }
-            end
-            else begin
-              let label, cfg = cluster_cells.(i - n_oracle - n_policy) in
-              H_cluster { label; r = Xc_platforms.Cluster_sim.run cfg }
-            end);
+        Array.concat
+          [
+            Array.map
+              (fun (u, d) () ->
+                let cfg =
+                  H.config_for_utilization ~clones:d ~duration_ns:4e9
+                    ~utilization:u ()
+                in
+                let oracle =
+                  Xc_lb.Oracle.cloned_mean_ns ~backends:cfg.H.backends ~clones:d
+                    ~arrival_rate_per_ns:cfg.H.arrival_rate_per_ns
+                    ~service_mean_ns:cfg.H.service_mean_ns
+                in
+                H_oracle { u; d; r = H.run cfg; oracle })
+              oracle_points;
+            Array.map
+              (fun (kind, d) () ->
+                let cfg =
+                  H.config_for_utilization ~clones:d ~dispatch:(H.Policy kind)
+                    ~duration_ns:1e9 ~utilization:0.65 ()
+                in
+                H_policy { kind; d; r = H.run cfg })
+              policy_points;
+            Array.map
+              (fun (label, cfg) () ->
+                H_cluster { label; r = Xc_platforms.Cluster_sim.run cfg })
+              cluster_cells;
+          ];
       print =
         (fun cells ->
           section "Request hedging: cloning, LB policies and the PS oracle (extension)";
@@ -1215,7 +1184,7 @@ type cluster_scale_cell =
    spec (nodes, shard count and the heterogeneous size cycle as
    params), one cluster-diff spec per differential point, one
    cluster-mixed spec. *)
-let make_cluster_scale (suite : Suite.t) =
+let cluster_scale (suite : Suite.t) =
   let module CS = Xc_platforms.Cluster_sim in
   let sname = suite.Suite.name in
   let req what = function
@@ -1309,53 +1278,53 @@ let make_cluster_scale (suite : Suite.t) =
   let mixed_config =
     CS.default_config CS.Hierarchical ~containers:mixed_containers
   in
-  let n_diff = Array.length diff_cells in
-  Cells
+  Run.Cells
     {
       shards =
-        Array.init
-          (fleet_shards + n_diff + 1)
-          (fun k () ->
-            if k < fleet_shards then begin
-              let lo = k * fleet_nodes / fleet_shards
-              and hi = (k + 1) * fleet_nodes / fleet_shards in
-              let rps = ref 0.
-              and mean = ref 0.
-              and busy = ref 0.
-              and conts = ref 0 in
-              for i = lo to hi - 1 do
-                let c = node_config i in
-                let r = CS.run_fluid c in
-                rps := !rps +. r.CS.throughput_rps;
-                mean := !mean +. r.CS.mean_latency_ns;
-                busy := !busy +. r.CS.busy_fraction;
-                conts := !conts + c.CS.containers
-              done;
-              C_fleet
-                {
-                  nodes = hi - lo;
-                  containers = !conts;
-                  rps = !rps;
-                  mean_sum_ns = !mean;
-                  busy_sum = !busy;
-                }
-            end
-            else if k < fleet_shards + n_diff then begin
-              let label, config = diff_cells.(k - fleet_shards) in
-              C_diff
-                { label; exact = CS.run config; fluid = CS.run_fluid config }
-            end
-            else
-              C_mixed
-                {
-                  label =
-                    Printf.sprintf "hier n=%d, 1 in %d sampled" mixed_containers
-                      mixed_rate;
-                  r =
-                    CS.run_fidelity
-                      (CS.Mixed { sample_rate = mixed_rate })
-                      mixed_config;
-                });
+        Array.concat
+          [
+            Array.init fleet_shards (fun k () ->
+                let lo = k * fleet_nodes / fleet_shards
+                and hi = (k + 1) * fleet_nodes / fleet_shards in
+                let rps = ref 0.
+                and mean = ref 0.
+                and busy = ref 0.
+                and conts = ref 0 in
+                for i = lo to hi - 1 do
+                  let c = node_config i in
+                  let r = CS.run_fluid c in
+                  rps := !rps +. r.CS.throughput_rps;
+                  mean := !mean +. r.CS.mean_latency_ns;
+                  busy := !busy +. r.CS.busy_fraction;
+                  conts := !conts + c.CS.containers
+                done;
+                C_fleet
+                  {
+                    nodes = hi - lo;
+                    containers = !conts;
+                    rps = !rps;
+                    mean_sum_ns = !mean;
+                    busy_sum = !busy;
+                  });
+            Array.map
+              (fun (label, config) () ->
+                C_diff
+                  { label; exact = CS.run config; fluid = CS.run_fluid config })
+              diff_cells;
+            [|
+              (fun () ->
+                C_mixed
+                  {
+                    label =
+                      Printf.sprintf "hier n=%d, 1 in %d sampled"
+                        mixed_containers mixed_rate;
+                    r =
+                      CS.run_fidelity
+                        (CS.Mixed { sample_rate = mixed_rate })
+                        mixed_config;
+                  });
+            |];
+          ];
       print =
         (fun cells ->
           section
@@ -1441,8 +1410,6 @@ let make_cluster_scale (suite : Suite.t) =
             " exact slice so p99/tail attribution survives at fleet scale)");
     }
 
-let cluster_scale = make_cluster_scale (reg_suite "cluster-scale")
-
 (* ------------------------------------------------------------------ *)
 (* Causal what-if profiler (extension): per causal-point spec, predict
    the virtual speedup from the traced baseline's attribution and
@@ -1452,18 +1419,13 @@ let cluster_scale = make_cluster_scale (reg_suite "cluster-scale")
    cells that assume the flag is stable — and the whole grid is cheap
    (100 ms windows at 1-5 connections). *)
 
-let make_causal (suite : Suite.t) =
+let causal (suite : Suite.t) =
   let module CS = Xc_platforms.Cluster_sim in
   let module Causal = Xc_obs.Causal in
-  let sname = suite.Suite.name in
-  let ok what = function
-    | Ok v -> v
-    | Error m -> invalid_arg (Printf.sprintf "%s %s: %s" sname what m)
-  in
   (* Configs are priced here, at module init, before --trace can turn
-     the ring on; the what-if re-pricing is validated up front so a
-     registry typo aborts before anything runs. *)
-  let cells =
+     the ring on.  Each (runtime x connections) target's baseline runs
+     — and is traced — once, shared by every what-if point against it. *)
+  let points =
     List.map
       (fun (s : Spec.t) ->
         let mech, scale =
@@ -1473,7 +1435,7 @@ let make_causal (suite : Suite.t) =
               invalid_arg
                 (Printf.sprintf
                    "%s %s: causal-point wants exactly one whatif axis, got %d"
-                   sname s.Spec.name (List.length l))
+                   suite.Suite.name s.Spec.name (List.length l))
         in
         let platform = Xc_platforms.Platform.create s.Spec.platform in
         let config =
@@ -1486,95 +1448,36 @@ let make_causal (suite : Suite.t) =
             seed = s.Spec.seed;
           }
         in
-        let tlabel =
+        let label =
           Printf.sprintf "%s/c%d"
             (Spec.runtime_to_string s.Spec.platform.Config.runtime)
             s.Spec.load.Spec.connections
         in
-        let rerun_config =
-          ok s.Spec.name
-            (Xc_obs.Whatif.apply_cluster { Xc_obs.Whatif.mech; scale } config)
-        in
-        (s.Spec.name, tlabel, config, mech, scale, rerun_config))
+        (s.Spec.name, { Causal.label; config }, mech, scale))
       suite.Suite.specs
   in
-  (* Each (runtime x connections) baseline runs — and is traced — once,
-     shared by every what-if cell against it. *)
-  let targets = distinct (List.map (fun (_, t, _, _, _, _) -> t) cells) in
-  let config_of t =
-    let _, _, c, _, _, _ =
-      List.find (fun (_, tl, _, _, _, _) -> tl = t) cells
-    in
-    c
-  in
-  whole
-    (fun () ->
+  whole (fun () ->
       section
         "Causal what-if profiler: virtual speedups, predicted vs rerun \
          (extension)";
-      let baselines =
-        Causal.with_tracing (fun () ->
-            List.map (fun t -> (t, Causal.measure_baseline (config_of t))) targets)
-      in
-      List.iter
-        (fun (t, b) ->
-          print_string (Causal.render_baseline ~label:t b);
-          print_newline ())
-        baselines;
-      let points =
-        List.map
-          (fun (name, tlabel, _, mech, scale, rerun_config) ->
-            let b = List.assoc tlabel baselines in
-            {
-              Causal.pt_label = name;
-              pt_mech = mech;
-              pt_scale = scale;
-              pt_base = b.Causal.base;
-              pt_pred = Causal.predict b ~mech ~scale;
-              pt_rerun = CS.run rerun_config;
-            })
-          cells
-      in
-      print_string (Causal.render_points points);
-      print_newline ();
-      print_endline
-        "(off the knee — 1 connection per container — the linear";
-      print_endline
-        " attribution-share prediction lands within a few percent of the";
-      print_endline
-        " re-priced rerun; the c=5 knee rows diverge on purpose: queueing";
-      print_endline
-        " amplification is exactly what a linear share cannot see)")
-
-let causal = make_causal (reg_suite "causal")
-
-(* ------------------------------------------------------------------ *)
-
-let all_experiments =
-  [
-    ("table1", whole table1);
-    ("fig3", fig3);
-    ("fig4", whole fig4);
-    ("fig5", whole fig5);
-    ("fig6", whole fig6);
-    ("fig8", whole fig8);
-    ("fig9", whole fig9);
-    ("boot", whole boot);
-    ("ablation", whole ablation);
-    ("fig8sim", whole fig8sim);
-    ("security", whole security);
-    ("migration", whole migration);
-    ("clone", whole clone);
-    ("latency", latency);
-    ("coldstart", whole coldstart);
-    ("macro-extra", macro_extra);
-    ("build-bench", whole build_bench);
-    ("density", whole density);
-    ("hedging", hedging);
-    ("cluster-scale", cluster_scale);
-    ("causal", causal);
-    ("csv", whole csv);
-  ]
+      match Causal.sweep_points ~jobs:1 points with
+      | Error m -> invalid_arg (Printf.sprintf "%s %s" suite.Suite.name m)
+      | Ok (baselines, points) ->
+          List.iter
+            (fun (label, b) ->
+              print_string (Causal.render_baseline ~label b);
+              print_newline ())
+            baselines;
+          print_string (Causal.render_points points);
+          print_newline ();
+          print_endline
+            "(off the knee — 1 connection per container — the linear";
+          print_endline
+            " attribution-share prediction lands within a few percent of the";
+          print_endline
+            " re-priced rerun; the c=5 knee rows diverge on purpose: queueing";
+          print_endline
+            " amplification is exactly what a linear share cannot see)")
 
 (* ------------------------------------------------------------------ *)
 (* Smoke: every experiment family at tiny durations, cheap enough for
@@ -1583,210 +1486,141 @@ let all_experiments =
 module CS = Xc_platforms.Cluster_sim
 module CL = Xc_platforms.Closed_loop
 
-let smoke_experiments =
-  let req what = function
-    | Ok v -> v
-    | Error m -> invalid_arg (Printf.sprintf "smoke %s: %s" what m)
-  in
-  let single name =
-    match (reg_suite name).Suite.specs with
-    | [ s ] -> s
-    | l ->
-        invalid_arg
-          (Printf.sprintf "smoke: expected one %s spec, got %d" name
-             (List.length l))
-  in
-  let table1_smoke =
-    let s = single "table1-smoke" in
-    let invocations = req s.Spec.name (Spec.param_int s "invocations" ~default:2_000) in
-    fun () ->
-      section "Smoke: Table 1, 2k invocations";
-      List.iter
-        (fun (m : Xc_apps.Profiles.measurement) ->
-          printf "%-20s %.1f%%\n" m.profile.name (100. *. m.auto_reduction))
-        (Figures.table1 ~invocations ())
-  in
-  (* Two cells (one per runtime): the cheapest sharded experiment, and
-     the one the tier-1 determinism rules cmp at --jobs 1 vs 2.  The
-     cells are plain generic closed-loop specs. *)
-  let macro_smoke =
-    let specs = Array.of_list (reg_suite "macro-smoke").Suite.specs in
-    Cells
-      {
-        shards =
-          Array.map
-            (fun (s : Spec.t) ->
-              fun () ->
-                let r = Sdriver.closed_result s in
-                (Config.name s.Spec.platform, r.CL.throughput_rps))
-            specs;
-        print =
-          (fun rows ->
-            section "Smoke: closed-loop macro, 20ms simulated";
-            Array.iter
-              (fun (name, rps) -> printf "%-24s %s req/s\n" name (T.fmt_si rps))
-              rows);
-      }
-  in
-  let latency_smoke =
-    let s = single "latency-smoke" in
-    fun () ->
-      section "Smoke: open-loop latency, 20ms simulated";
-      let platform = Xc_platforms.Platform.create s.Spec.platform in
-      let service =
-        Xc_apps.Recipe.service_ns platform Xc_apps.Nginx.static_request_wrk
-      in
-      let server =
-        { CL.units = 4; service_ns = (fun _ -> service); overhead_ns = 0. }
-      in
-      let r =
-        Xc_platforms.Open_loop.run
-          (Xc_platforms.Open_loop.config ~duration_ns:(Spec.duration_ns s)
-             ~warmup_ns:(Spec.warmup_ns s)
-             ~rate_rps:(1e9 /. service) ())
-          server
-      in
-      printf "p50 %.0fus  p99 %.0fus\n" (r.p50_ns /. 1e3) (r.p99_ns /. 1e3)
-  in
-  let fig8sim_smoke =
-    let s = single "fig8sim-smoke" in
-    fun () ->
-      section "Smoke: cluster scheduler sweep, 20ms simulated, inner fan-out";
-      let tiny mode n =
-        {
-          (CS.default_config mode ~containers:n) with
-          duration_ns = Spec.duration_ns s;
-          warmup_ns = Spec.warmup_ns s;
-          client_rtt_ns = 1e6;
-        }
-      in
-      let configs =
-        List.concat_map (fun n -> [ tiny CS.Flat n; tiny CS.Hierarchical n ]) [ 4; 8 ]
-      in
-      let results = CS.run_sweep ~jobs:2 configs in
-      List.iter2
-        (fun (c : CS.config) (r : CS.result) ->
-          printf "%-12s n=%d  %s req/s  %d container switches\n"
-            (match c.mode with CS.Flat -> "flat" | CS.Hierarchical -> "hierarchical")
-            c.containers
-            (T.fmt_si r.throughput_rps)
-            r.container_switches)
-        configs results
-  in
-  (* A tiny fleet keeps the tier-1 determinism rules cheap while still
-     exercising every fidelity tier and the differential printer. *)
-  let cluster_smoke = make_cluster_scale (reg_suite "cluster-smoke") in
-  List.map
-    (fun n -> (n, List.assoc n all_experiments))
-    Registry.smoke_cheap
-  @ [
-      ("table1-smoke", whole table1_smoke);
-      ("macro-smoke", macro_smoke);
-      ("latency-smoke", whole latency_smoke);
-      ("fig8sim-smoke", whole fig8sim_smoke);
-      ("cluster-smoke", cluster_smoke);
-    ]
+(* The one spec of a single-cell smoke suite. *)
+let single (suite : Suite.t) =
+  match suite.Suite.specs with
+  | [ s ] -> s
+  | l ->
+      invalid_arg
+        (Printf.sprintf "%s: expected one spec, got %d" suite.Suite.name
+           (List.length l))
 
-(* Startup agreement check: the declarative registry and this driver
-   table must name exactly the same experiments — an experiment
-   reachable from one but not the other (the silent-skip class the
-   smoke-variant lookup used to risk) aborts the run. *)
-let () =
-  let driver_names =
-    List.filter (fun n -> n <> "csv") (List.map fst all_experiments)
+let table1_smoke suite =
+  let s = single suite in
+  let invocations =
+    match Spec.param_int s "invocations" ~default:2_000 with
+    | Ok n -> n
+    | Error m -> invalid_arg (Printf.sprintf "smoke %s: %s" s.Spec.name m)
   in
-  let missing =
-    List.filter (fun n -> not (List.mem n driver_names)) Registry.bench_names
-  and extra =
-    List.filter (fun n -> not (List.mem n Registry.bench_names)) driver_names
-  and smoke_drift =
-    List.map fst smoke_experiments <> Registry.smoke_names
-  in
-  if missing <> [] || extra <> [] || smoke_drift then begin
-    Printf.eprintf
-      "bench: registry/driver drift: missing=[%s] extra=[%s] smoke order %s\n"
-      (String.concat " " missing) (String.concat " " extra)
-      (if smoke_drift then "DRIFTED" else "ok");
-    exit 1
-  end
+  fun () ->
+    section "Smoke: Table 1, 2k invocations";
+    List.iter
+      (fun (m : Xc_apps.Profiles.measurement) ->
+        printf "%-20s %.1f%%\n" m.profile.name (100. *. m.auto_reduction))
+      (Figures.table1 ~invocations ())
 
-(* ------------------------------------------------------------------ *)
-(* The parallel experiment runner.                                     *)
-
-type outcome = {
-  name : string;
-  output : string;
-  trace : Xc_trace.Trace.captured;
-  telemetry : Xc_sim.Metrics.telemetry;
-}
-
-(* What one cell of an experiment produced, before the merge phase
-   assembles the pieces into an {!outcome}. *)
-type 'b piece = {
-  p_data : 'b;
-  p_out : string;
-  p_trace : Xc_trace.Trace.captured;
-  p_tel : Xc_sim.Metrics.telemetry;
-}
-
-(* Runs one cell with its output captured in the domain-local buffer.
-   The trace capture gives each cell its own buffer and cursor starting
-   at 0, so the per-experiment track is independent of which domain —
-   and after what history — ran it. *)
-let instrument f () =
-  let buf = out () in
-  Buffer.clear buf;
-  let (p_data, p_trace), p_tel =
-    Xc_sim.Metrics.capture (fun () -> Xc_trace.Trace.capture f)
-  in
-  { p_data; p_out = Buffer.contents buf; p_trace; p_tel }
-
-(* Every cell goes to the pool; the outcome is assembled in the
-   (deterministic, index-ordered) merge phase: outputs concatenate,
-   traces concatenate with rebased cursors, telemetry merges.  The
-   printer runs against a cleared buffer so its tables land after any
-   output the cells themselves produced. *)
-let shard_of_experiment (name, Cells { shards; print }) :
-    outcome Xc_sim.Parallel.Shard.t =
-  Xc_sim.Parallel.Shard.make
-    ~shards:(Array.map instrument shards)
-    ~merge:(fun pieces ->
-      let buf = out () in
-      Buffer.clear buf;
-      print (Array.map (fun p -> p.p_data) pieces);
-      let printed = Buffer.contents buf in
-      {
-        name;
-        output =
-          String.concat "" (Array.to_list (Array.map (fun p -> p.p_out) pieces))
-          ^ printed;
-        trace =
-          Xc_trace.Trace.concat
-            (Array.to_list (Array.map (fun p -> p.p_trace) pieces));
-        telemetry =
-          Array.fold_left
-            (fun a p -> Xc_sim.Metrics.merge_telemetry a p.p_tel)
-            Xc_sim.Metrics.empty_telemetry pieces;
-      })
-
-(* A named generic suite ("smoke", "macro", "fig9-matrix", or any
-   [Registry.named] entry) run through the generic {!Sdriver}: one cell
-   per spec, merged into one rendered table — the [bench --suite NAME]
-   body.  Registry bench suites use bespoke kinds and are not runnable
-   here (they ARE the experiments above); pointing at them is an error
-   at flag-parse time. *)
-let suite_body (suite : Suite.t) =
-  Cells
+(* Two cells (one per runtime): the cheapest sharded experiment, and
+   the one the tier-1 determinism rules cmp at --jobs 1 vs 2.  The
+   cells are plain generic closed-loop specs. *)
+let macro_smoke (suite : Suite.t) =
+  Run.Cells
     {
       shards =
         Array.map
-          (fun s () -> Sdriver.run s)
+          (fun (s : Spec.t) () ->
+            let r = Sdriver.closed_result s in
+            (Config.name s.Spec.platform, r.CL.throughput_rps))
           (Array.of_list suite.Suite.specs);
       print =
         (fun rows ->
-          section (Printf.sprintf "Suite: %s" suite.Suite.name);
-          print_string (Sdriver.render (Array.to_list rows)));
+          section "Smoke: closed-loop macro, 20ms simulated";
+          Array.iter
+            (fun (name, rps) -> printf "%-24s %s req/s\n" name (T.fmt_si rps))
+            rows);
     }
+
+let latency_smoke suite =
+  let s = single suite in
+  fun () ->
+    section "Smoke: open-loop latency, 20ms simulated";
+    let platform = Xc_platforms.Platform.create s.Spec.platform in
+    let service =
+      Xc_apps.Recipe.service_ns platform Xc_apps.Nginx.static_request_wrk
+    in
+    let server =
+      { CL.units = 4; service_ns = (fun _ -> service); overhead_ns = 0. }
+    in
+    let r =
+      Xc_platforms.Open_loop.run
+        (Xc_platforms.Open_loop.config ~duration_ns:(Spec.duration_ns s)
+           ~warmup_ns:(Spec.warmup_ns s)
+           ~rate_rps:(1e9 /. service) ())
+        server
+    in
+    printf "p50 %.0fus  p99 %.0fus\n" (r.p50_ns /. 1e3) (r.p99_ns /. 1e3)
+
+let fig8sim_smoke suite =
+  let s = single suite in
+  fun () ->
+    section "Smoke: cluster scheduler sweep, 20ms simulated, inner fan-out";
+    let tiny mode n =
+      {
+        (CS.default_config mode ~containers:n) with
+        duration_ns = Spec.duration_ns s;
+        warmup_ns = Spec.warmup_ns s;
+        client_rtt_ns = 1e6;
+      }
+    in
+    let configs =
+      List.concat_map (fun n -> [ tiny CS.Flat n; tiny CS.Hierarchical n ]) [ 4; 8 ]
+    in
+    let results = CS.run_sweep ~jobs:2 configs in
+    List.iter2
+      (fun (c : CS.config) (r : CS.result) ->
+        printf "%-12s n=%d  %s req/s  %d container switches\n"
+          (match c.mode with CS.Flat -> "flat" | CS.Hierarchical -> "hierarchical")
+          c.containers
+          (T.fmt_si r.throughput_rps)
+          r.container_switches)
+      configs results
+
+(* ------------------------------------------------------------------ *)
+(* The experiment table IS the registry: every bench and smoke suite
+   maps to its printer here.  A registry suite without one aborts the
+   bench at startup, naming the suite. *)
+
+let printer name suite =
+  match name with
+  | "table1" -> whole table1
+  | "fig3" -> fig3 suite
+  | "fig4" -> whole fig4
+  | "fig5" -> whole fig5
+  | "fig6" -> whole fig6
+  | "fig8" -> whole fig8
+  | "fig9" -> whole fig9
+  | "boot" -> whole boot
+  | "ablation" -> whole ablation
+  | "fig8sim" -> whole fig8sim
+  | "security" -> whole security
+  | "migration" -> whole migration
+  | "clone" -> whole clone
+  | "latency" -> latency suite
+  | "coldstart" -> whole coldstart
+  | "macro-extra" -> macro_extra suite
+  | "build-bench" -> whole build_bench
+  | "density" -> whole density
+  | "hedging" -> hedging suite
+  | "cluster-scale" | "cluster-smoke" -> cluster_scale suite
+  | "causal" -> causal suite
+  | "table1-smoke" -> whole (table1_smoke suite)
+  | "macro-smoke" -> macro_smoke suite
+  | "latency-smoke" -> whole (latency_smoke suite)
+  | "fig8sim-smoke" -> whole (fig8sim_smoke suite)
+  | _ ->
+      Printf.eprintf "bench: registry suite %S has no printer\n" name;
+      exit 1
+
+let experiments = List.map (fun (name, suite) -> (name, printer name suite))
+let bench_experiments = experiments Registry.bench
+
+let smoke_experiments =
+  List.map (fun n -> (n, List.assoc n bench_experiments)) Registry.smoke_cheap
+  @ experiments Registry.smoke
+
+(* Everything plus the artifact writer, the one bench-only entry. *)
+let all_experiments = bench_experiments @ [ ("csv", whole csv) ]
+
+(* ------------------------------------------------------------------ *)
 
 let run_experiments ~jobs ~trace_out ~sample ~timeseries_out ~interval_us
     ~perfetto_out ~alert_rules experiments =
@@ -1797,11 +1631,14 @@ let run_experiments ~jobs ~trace_out ~sample ~timeseries_out ~interval_us
   if timeseries_out <> None || perfetto_out <> None || alert_rules <> [] then
     Xc_sim.Metrics.enable ~interval_ns:(float_of_int interval_us *. 1e3) ();
   let t0 = Unix.gettimeofday () in
-  let outcomes =
-    Xc_sim.Parallel.run_sharded ~jobs (List.map shard_of_experiment experiments)
-  in
+  let outcomes = Run.run ~jobs experiments in
   let wall_s = Unix.gettimeofday () -. t0 in
-  List.iter (fun o -> Stdlib.print_string o.output) outcomes;
+  List.iter (fun (o : unit Run.outcome) -> Stdlib.print_string o.output) outcomes;
+  let dropped =
+    List.fold_left
+      (fun acc (o : unit Run.outcome) -> acc + o.trace.Xc_trace.Trace.dropped)
+      0 outcomes
+  in
   (match timeseries_out with
   | None -> ()
   | Some path ->
@@ -1809,15 +1646,12 @@ let run_experiments ~jobs ~trace_out ~sample ~timeseries_out ~interval_us
          or Chrome JSON by extension.  Each experiment's telemetry was
          captured against a fresh registry, so the file is byte-identical
          at any --jobs (tier-1 cmps it). *)
-      let tracks =
-        List.map
-          (fun o -> (o.name, Xc_sim.Metrics.to_trace_events o.telemetry))
-          outcomes
-      in
-      Xc_trace.Export.to_file ~path tracks;
+      Run.write_timeseries ~path
+        (List.map (fun (o : unit Run.outcome) -> (o.name, o.telemetry)) outcomes);
       let snaps =
         List.fold_left
-          (fun a o -> a + List.length o.telemetry.Xc_sim.Metrics.snapshots)
+          (fun a (o : unit Run.outcome) ->
+            a + List.length o.telemetry.Xc_sim.Metrics.snapshots)
           0 outcomes
       in
       Printf.eprintf
@@ -1826,50 +1660,47 @@ let run_experiments ~jobs ~trace_out ~sample ~timeseries_out ~interval_us
   (match trace_out with
   | None -> ()
   | Some path ->
+      (* The trace plus two sidecars, all byte-identical at any --jobs
+         (tier-1 cmps each): the collapsed-stack flamegraph, and for
+         every track that emitted request spans, the p99 tail's
+         per-mechanism breakdown as a tails CSV. *)
       let tracks =
-        List.map (fun o -> (o.name, o.trace.Xc_trace.Trace.events)) outcomes
+        List.map (fun (o : unit Run.outcome) -> (o.name, o.trace)) outcomes
       in
-      let dropped =
-        List.fold_left
-          (fun acc o -> acc + o.trace.Xc_trace.Trace.dropped)
-          0 outcomes
-      in
-      Xc_trace.Export.to_file ~dropped ~path tracks;
-      (* Flamegraph sidecar: same tracks, collapsed-stack format, same
-         byte-identical-at-any-jobs contract (tier-1 cmps it too). *)
-      let folded_path = Filename.remove_extension path ^ ".folded" in
-      Xc_trace.Export.to_file ~path:folded_path tracks;
-      (* Tail-attribution sidecar: for every track that emitted request
-         spans, the p99 tail's per-mechanism breakdown as a tails CSV.
-         Same byte-identical-at-any-jobs contract as the other two. *)
       let tails =
-        List.filter_map
-          (fun (label, events) ->
-            Xc_obs.Causal.tail_at ~label ~pct:99.
-              (Xc_trace.Profile.attribute events))
-          tracks
+        match Run.tails ~pct:99. tracks with
+        | Ok tails -> tails
+        | Error m ->
+            Printf.eprintf "bench: %s\n" m;
+            exit 1
       in
-      let tails_path = Filename.remove_extension path ^ ".tails" in
-      Xc_trace.Export.tails_to_file ~path:tails_path tails;
+      let sidecar ext = Filename.remove_extension path ^ ext in
+      Run.write_trace ~path tracks;
+      Run.write_folded ~path:(sidecar ".folded") tracks;
+      Run.write_tails ~path:(sidecar ".tails") tails;
       Printf.eprintf "[bench] wrote %s (%d request-emitting track(s))\n%!"
-        tails_path (List.length tails);
-      let total = List.fold_left (fun a (_, t) -> a + List.length t) 0 tracks in
+        (sidecar ".tails") (List.length tails);
+      let total =
+        List.fold_left
+          (fun a (_, (c : Xc_trace.Trace.captured)) -> a + List.length c.events)
+          0 tracks
+      in
       if sample > 1 then begin
         let seen, kept =
           List.fold_left
-            (fun acc o ->
+            (fun acc (_, (c : Xc_trace.Trace.captured)) ->
               List.fold_left
                 (fun (s, k) (st : Xc_trace.Trace.Stream.t) ->
                   (s + st.seen, k + st.kept))
-                acc o.trace.Xc_trace.Trace.streams)
-            (0, 0) outcomes
+                acc c.streams)
+            (0, 0) tracks
         in
         Printf.eprintf
           "[bench] sampling stride %d: kept %d of %d offered events\n%!" sample
           kept seen
       end;
       Printf.eprintf "[bench] wrote %s and %s (%d trace events, %d dropped)\n%!"
-        path folded_path total dropped);
+        path (sidecar ".folded") total dropped);
   (match perfetto_out with
   | None -> ()
   | Some path ->
@@ -1879,16 +1710,11 @@ let run_experiments ~jobs ~trace_out ~sample ~timeseries_out ~interval_us
          --jobs contract as the separate artifacts. *)
       let tracks =
         List.concat_map
-          (fun o ->
+          (fun (o : unit Run.outcome) ->
             let counters = Xc_sim.Metrics.to_trace_events o.telemetry in
             ((o.name, o.trace.Xc_trace.Trace.events)
             :: (if counters = [] then [] else [ (o.name ^ "/metrics", counters) ])))
           outcomes
-      in
-      let dropped =
-        List.fold_left
-          (fun acc o -> acc + o.trace.Xc_trace.Trace.dropped)
-          0 outcomes
       in
       Xc_trace.Export.to_file ~dropped ~path tracks;
       Printf.eprintf "[bench] wrote %s (%d combined track(s))\n%!" path
@@ -1896,7 +1722,7 @@ let run_experiments ~jobs ~trace_out ~sample ~timeseries_out ~interval_us
   let alarm =
     alert_rules <> []
     && List.fold_left
-         (fun acc o ->
+         (fun acc (o : unit Run.outcome) ->
            let fs = Xc_sim.Metrics.firings ~rules:alert_rules o.telemetry in
            if fs <> [] then begin
              Printf.eprintf "[bench] %s:\n%s%!" o.name
@@ -1910,6 +1736,48 @@ let run_experiments ~jobs ~trace_out ~sample ~timeseries_out ~interval_us
     (List.length outcomes) jobs wall_s;
   if alarm then exit 1
 
+let fail fmt = Printf.ksprintf (fun m -> prerr_string m; exit 2) fmt
+
+(* The bench's flags, each spelt [--NAME V] or [--NAME=V]; a flag with
+   a [default] takes its value only as [--NAME=V] and means the default
+   when bare.  [expects] completes the error for a missing value. *)
+type flag = {
+  name : string;
+  default : string option;
+  expects : string;
+  set : string -> unit;
+}
+
+let parse_flags flags args =
+  let find arg =
+    List.find_map
+      (fun f ->
+        let pre = "--" ^ f.name ^ "=" in
+        let n = String.length pre in
+        if arg = "--" ^ f.name then Some (f, None)
+        else if String.length arg > n && String.sub arg 0 n = pre then
+          Some (f, Some (String.sub arg n (String.length arg - n)))
+        else None)
+      flags
+  in
+  let rec go acc = function
+    | [] -> List.rev acc
+    | arg :: rest -> (
+        match (find arg, rest) with
+        | None, _ -> go (arg :: acc) rest
+        | Some (f, Some v), _ ->
+            f.set v;
+            go acc rest
+        | Some (({ default = Some d; _ } as f), None), _ ->
+            f.set d;
+            go acc rest
+        | Some (f, None), v :: rest ->
+            f.set v;
+            go acc rest
+        | Some (f, None), [] -> fail "bench: --%s expects %s\n" f.name f.expects)
+  in
+  go [] args
+
 let () =
   (match Xc_cpu.Costs.validate () with
   | Ok () -> ()
@@ -1917,144 +1785,71 @@ let () =
       prerr_endline "cost-model validation failed:";
       List.iter (fun v -> prerr_endline ("  - " ^ v)) violations;
       exit 1);
-  let args = List.tl (Array.to_list Sys.argv) in
   (* A bad XC_JOBS fails loudly up front (even if --jobs overrides it
      later): a typo silently running sequentially is worse than an
      error. *)
   let jobs =
     match Xc_sim.Parallel.jobs_from_env () with
     | Ok n -> ref n
-    | Error msg ->
-        Printf.eprintf "bench: %s\n" msg;
-        exit 2
+    | Error msg -> fail "bench: %s\n" msg
   in
-  let set_jobs s =
-    match Xc_sim.Parallel.jobs_of_string s with
-    | Ok n -> jobs := n
-    | Error _ ->
-        Printf.eprintf
-          "bench: --jobs expects a positive integer (or 0 for auto), got %S\n"
-          s;
-        exit 2
-  in
-  let trace_out = ref None in
-  let sample = ref 1 in
-  let set_sample s =
+  let trace_out = ref None
+  and sample = ref 1
+  and suites = ref []
+  and timeseries_out = ref None
+  and perfetto_out = ref None
+  and alert_rules = ref []
+  and interval_us = ref 50 in
+  let positive what unit r s =
     match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> sample := n
-    | _ ->
-        Printf.eprintf "bench: --sample expects a positive integer, got %S\n" s;
-        exit 2
+    | Some n when n >= 1 -> r := n
+    | _ -> fail "bench: --%s expects a positive integer%s, got %S\n" what unit s
   in
-  let suite_exps = ref [] in
-  let add_suite name =
-    match Registry.find_named name with
-    | Some suite ->
-        suite_exps := ("suite:" ^ name, suite_body suite) :: !suite_exps
-    | None ->
-        Printf.eprintf
-          "bench: --suite expects a named generic suite (%s), got %S%s\n"
-          (String.concat " " Registry.named_names)
-          name
-          (if Registry.find_bench name <> None || Registry.find_smoke name <> None
-           then " (bench suites run as plain experiment names)"
-           else "");
-        exit 2
+  let value name set = { name; default = None; expects = "an argument"; set } in
+  let path name default r =
+    { name; default = Some default; expects = ""; set = (fun p -> r := Some p) }
   in
-  let timeseries_out = ref None in
-  let perfetto_out = ref None in
-  let alert_rules = ref [] in
-  let add_alerts s =
-    String.split_on_char ',' s
-    |> List.iter (fun spec ->
-           match Xc_sim.Metrics.rule_of_string (String.trim spec) with
-           | Ok r -> alert_rules := !alert_rules @ [ r ]
-           | Error m ->
-               Printf.eprintf "bench: --alerts: %s\n" m;
-               exit 2)
+  let flags =
+    [
+      value "jobs" (fun s ->
+          match Xc_sim.Parallel.jobs_of_string s with
+          | Ok n -> jobs := n
+          | Error _ ->
+              fail
+                "bench: --jobs expects a positive integer (or 0 for auto), got \
+                 %S\n"
+                s);
+      path "trace" "BENCH_trace.json" trace_out;
+      value "sample" (positive "sample" "" sample);
+      path "timeseries" "BENCH_timeseries.csv" timeseries_out;
+      path "perfetto" "BENCH_perfetto.json" perfetto_out;
+      {
+        (value "alerts" (fun s ->
+             String.split_on_char ',' s
+             |> List.iter (fun spec ->
+                    match Xc_sim.Metrics.rule_of_string (String.trim spec) with
+                    | Ok r -> alert_rules := !alert_rules @ [ r ]
+                    | Error m -> fail "bench: --alerts: %s\n" m)))
+        with
+        expects = "CAT/NAME>V[,CAT/NAME<V...]";
+      };
+      value "suite" (fun name ->
+          match Registry.find_named name with
+          | Some suite ->
+              suites :=
+                ("suite:" ^ name, Run.map ignore (Run.suite suite)) :: !suites
+          | None ->
+              fail
+                "bench: --suite expects a named generic suite (%s), got %S%s\n"
+                (String.concat " " Registry.named_names)
+                name
+                (if Registry.find_bench name <> None || Registry.find_smoke name <> None
+                 then " (bench suites run as plain experiment names)"
+                 else ""));
+      value "interval" (positive "interval" " (sim-microseconds)" interval_us);
+    ]
   in
-  let interval_us = ref 50 in
-  let set_interval s =
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> interval_us := n
-    | _ ->
-        Printf.eprintf
-          "bench: --interval expects a positive integer (sim-microseconds), \
-           got %S\n"
-          s;
-        exit 2
-  in
-  let rec parse acc = function
-    | [] -> List.rev acc
-    | "--jobs" :: n :: rest ->
-        set_jobs n;
-        parse acc rest
-    | [ "--jobs" ] ->
-        Printf.eprintf "bench: --jobs expects an argument\n";
-        exit 2
-    | arg :: rest when String.length arg > 7 && String.sub arg 0 7 = "--jobs=" ->
-        set_jobs (String.sub arg 7 (String.length arg - 7));
-        parse acc rest
-    | "--trace" :: rest ->
-        trace_out := Some "BENCH_trace.json";
-        parse acc rest
-    | arg :: rest when String.length arg > 8 && String.sub arg 0 8 = "--trace=" ->
-        trace_out := Some (String.sub arg 8 (String.length arg - 8));
-        parse acc rest
-    | "--sample" :: n :: rest ->
-        set_sample n;
-        parse acc rest
-    | [ "--sample" ] ->
-        Printf.eprintf "bench: --sample expects an argument\n";
-        exit 2
-    | arg :: rest when String.length arg > 9 && String.sub arg 0 9 = "--sample=" ->
-        set_sample (String.sub arg 9 (String.length arg - 9));
-        parse acc rest
-    | "--timeseries" :: rest ->
-        timeseries_out := Some "BENCH_timeseries.csv";
-        parse acc rest
-    | arg :: rest
-      when String.length arg > 13 && String.sub arg 0 13 = "--timeseries=" ->
-        timeseries_out := Some (String.sub arg 13 (String.length arg - 13));
-        parse acc rest
-    | "--perfetto" :: rest ->
-        perfetto_out := Some "BENCH_perfetto.json";
-        parse acc rest
-    | arg :: rest
-      when String.length arg > 11 && String.sub arg 0 11 = "--perfetto=" ->
-        perfetto_out := Some (String.sub arg 11 (String.length arg - 11));
-        parse acc rest
-    | "--alerts" :: s :: rest ->
-        add_alerts s;
-        parse acc rest
-    | [ "--alerts" ] ->
-        Printf.eprintf "bench: --alerts expects CAT/NAME>V[,CAT/NAME<V...]\n";
-        exit 2
-    | arg :: rest when String.length arg > 9 && String.sub arg 0 9 = "--alerts=" ->
-        add_alerts (String.sub arg 9 (String.length arg - 9));
-        parse acc rest
-    | "--suite" :: n :: rest ->
-        add_suite n;
-        parse acc rest
-    | [ "--suite" ] ->
-        Printf.eprintf "bench: --suite expects an argument\n";
-        exit 2
-    | arg :: rest when String.length arg > 8 && String.sub arg 0 8 = "--suite=" ->
-        add_suite (String.sub arg 8 (String.length arg - 8));
-        parse acc rest
-    | "--interval" :: n :: rest ->
-        set_interval n;
-        parse acc rest
-    | [ "--interval" ] ->
-        Printf.eprintf "bench: --interval expects an argument\n";
-        exit 2
-    | arg :: rest
-      when String.length arg > 11 && String.sub arg 0 11 = "--interval=" ->
-        set_interval (String.sub arg 11 (String.length arg - 11));
-        parse acc rest
-    | arg :: rest -> parse (arg :: acc) rest
-  in
-  let names = parse [] args in
+  let names = parse_flags flags (List.tl (Array.to_list Sys.argv)) in
   let lookup name =
     if name = "smoke" then Some smoke_experiments
     else
@@ -2068,12 +1863,10 @@ let () =
           | Some f -> Some [ (name, f) ]
           | None -> None)
   in
-  let suites = List.rev !suite_exps in
+  let suites = List.rev !suites in
   let experiments =
     match (names, suites) with
-    | [], [] ->
-        (* Everything except the artifact writer (ask for "csv" explicitly). *)
-        List.filter (fun (name, _) -> name <> "csv") all_experiments
+    | [], [] -> bench_experiments
     | [], suites -> suites
     | names, suites ->
         List.concat_map
@@ -2081,14 +1874,12 @@ let () =
             match lookup name with
             | Some es -> es
             | None ->
-                Printf.eprintf "unknown experiment %S; available: %s smoke %s\n"
-                  name
+                fail "unknown experiment %S; available: %s smoke %s\n" name
                   (String.concat " " (List.map fst all_experiments))
                   (String.concat " "
                      (List.filter
                         (fun n -> not (List.mem_assoc n all_experiments))
-                        (List.map fst smoke_experiments)));
-                exit 2)
+                        (List.map fst smoke_experiments))))
           names
         @ suites
   in

@@ -12,10 +12,192 @@
    (The paper's tables and figures live in `dune exec bench/main.exe`.) *)
 
 open Cmdliner
+module Config = Xc_platforms.Config
+module CS = Xc_platforms.Cluster_sim
+module Trace = Xc_trace.Trace
+module Profile = Xc_trace.Profile
+module Causal = Xc_obs.Causal
+module Workload = Xc_suite.Workload
+module Run = Xc_suite.Run
 
 let exit_err msg =
   prerr_endline ("xc: " ^ msg);
   exit 1
+
+(* ---------------- shared flags ---------------- *)
+
+(* Every flag more than one command takes is declared once, here.  Each
+   numeric flag checks its range as the command line is read: a bad
+   value exits 1 with "xc: --FLAG expects ...", before anything runs. *)
+
+let checked ?(aliases = []) name cv ~ok ~expects default ~docv ~doc =
+  let check v =
+    if ok v then v
+    else
+      exit_err
+        (Format.asprintf "--%s expects %s, got %a" name expects
+           (Arg.conv_printer cv) v)
+  in
+  let names = name :: aliases in
+  Term.(const check $ Arg.(value & opt cv default & info names ~docv ~doc))
+
+let positive_int ?aliases name default ~doc =
+  checked ?aliases name Arg.int ~ok:(fun n -> n >= 1)
+    ~expects:"a positive integer" default ~docv:"N" ~doc
+
+let positive_float ?aliases ?(unit = "") name default ~docv ~doc =
+  let float = Arg.conv (Arg.conv_parser Arg.float, fun f -> Format.fprintf f "%g") in
+  checked ?aliases name float
+    ~ok:(fun x -> Float.is_finite x && x > 0.)
+    ~expects:("a positive number" ^ unit) default ~docv ~doc
+
+let cloud_conv =
+  let parse s =
+    match String.lowercase_ascii s with
+    | "amazon" | "ec2" -> Ok Config.Amazon_ec2
+    | "google" | "gce" -> Ok Config.Google_gce
+    | "local" -> Ok Config.Local_cluster
+    | other -> Error (`Msg ("unknown cloud: " ^ other))
+  in
+  Arg.conv
+    ( parse,
+      fun fmt c ->
+        Format.pp_print_string fmt
+          (match c with
+          | Config.Amazon_ec2 -> "amazon"
+          | Config.Google_gce -> "google"
+          | Config.Local_cluster -> "local") )
+
+let cloud =
+  Arg.(value & opt cloud_conv Config.Amazon_ec2
+      & info [ "cloud"; "c" ] ~doc:"Cloud: amazon, google, local.")
+
+let runtime_conv =
+  let parse s =
+    match String.lowercase_ascii s with
+    | "docker" -> Ok Config.Docker
+    | "gvisor" -> Ok Config.Gvisor
+    | "clear" -> Ok Config.Clear_container
+    | "xen-container" -> Ok Config.Xen_container
+    | "x-container" | "xc" -> Ok Config.X_container
+    | other -> Error (`Msg ("unknown runtime: " ^ other))
+  in
+  Arg.conv (parse, fun fmt r -> Format.pp_print_string fmt (Config.runtime_name r))
+
+let runtime_names = "docker, gvisor, clear, xen-container, x-container"
+
+let runtime =
+  Arg.(value & opt runtime_conv Config.X_container
+      & info [ "runtime"; "r" ] ~doc:("Runtime: " ^ runtime_names ^ "."))
+
+(* Explicit values must be positive (0 means "auto": whatever the host
+   can usefully run); absent falls back to $XC_JOBS (itself validated,
+   0-is-auto included) or 1. *)
+let jobs =
+  let resolve = function
+    | Some 0 -> Xc_sim.Parallel.recommended_jobs ()
+    | Some n when n >= 1 -> n
+    | Some n ->
+        exit_err
+          (Printf.sprintf
+             "--jobs expects a positive integer (or 0 for auto), got %d" n)
+    | None -> (
+        match Xc_sim.Parallel.jobs_from_env () with
+        | Ok n -> n
+        | Error msg -> exit_err msg)
+  in
+  Term.(
+    const resolve
+    $ Arg.(value & opt (some int) None
+          & info [ "jobs"; "j" ] ~docv:"N"
+              ~doc:"Worker domains (default \\$XC_JOBS or 1; 0 = auto); \
+                    output and every artifact are identical at any value."))
+
+let containers =
+  positive_int "containers" 4 ~doc:"Containers per node (cluster config)."
+
+let connections default ~doc = positive_int "connections" default ~doc
+
+(* "--tail p99", "--tail 99.9", "--tail 99" all mean the same cut. *)
+let tail ?default ~doc () =
+  let pct s =
+    let t = String.trim (String.lowercase_ascii s) in
+    let t =
+      if String.length t > 1 && t.[0] = 'p' then
+        String.sub t 1 (String.length t - 1)
+      else t
+    in
+    match float_of_string_opt t with
+    | Some p when p > 0. && p <= 100. -> p
+    | _ ->
+        exit_err
+          (Printf.sprintf "--tail expects a percentile like p99 or 99.9, got %S" s)
+  in
+  Term.(
+    const (Option.map pct)
+    $ Arg.(value & opt (some string) default & info [ "tail" ] ~docv:"PCT" ~doc))
+
+let slowest default ~doc =
+  checked "slowest" Arg.int ~ok:(fun k -> k >= 0)
+    ~expects:"a non-negative integer" default ~docv:"K" ~doc
+
+let sample default ~doc = positive_int "sample" default ~doc
+
+let duration_ms default ~doc =
+  positive_float "duration" ~unit:" of sim-milliseconds" default ~docv:"MS" ~doc
+
+let memory_mb = positive_int "memory" ~aliases:[ "m" ] 128 ~doc:"Guest memory in MB."
+
+let file_flag name ~doc =
+  Arg.(value & opt (some string) None & info [ name ] ~docv:"FILE" ~doc)
+
+let folded_out =
+  file_flag "folded"
+    ~doc:"Write the span timeline(s) as collapsed-stack flamegraph lines \
+          (flamegraph.pl / speedscope input)."
+
+let tails_out =
+  file_flag "tails"
+    ~doc:"Also write the tail attribution as a tails CSV (byte-identical \
+          across --jobs)."
+
+let timeseries_out =
+  file_flag "timeseries"
+    ~doc:"Sample the metric registry on the sim clock and write the \
+          time-series as Chrome counter events, or CSV when FILE ends in \
+          .csv (byte-identical across --jobs)."
+
+let app_conv =
+  let parse s =
+    match Workload.find (String.lowercase_ascii s) with
+    | Some w -> Ok w
+    | None ->
+        Error
+          (`Msg
+             (Printf.sprintf "unknown app %S; one of: %s" s
+                (String.concat ", " Workload.names)))
+  in
+  Arg.conv (parse, fun fmt (w : Workload.t) -> Format.pp_print_string fmt w.name)
+
+(* The tail of one captured track ([None] without request spans); a
+   capture that dropped events exits naming the track. *)
+let tail_of ~label ~pct captured =
+  match Causal.tail_at ~label ~pct captured with
+  | Ok t -> t
+  | Error e -> exit_err e
+
+(* One traced Fig 9-style cluster run and its [pct] tail.  The config is
+   priced before tracing turns on (the cost queries emit spans
+   themselves), so the capture holds only the run's own events and the
+   tail partition is exact. *)
+let traced_tail ~jobs ~pct ~label cs =
+  let (), captured =
+    Causal.with_tracing (fun () ->
+        Trace.capture (fun () -> ignore (CS.run_sweep ~jobs [ cs ])))
+  in
+  match tail_of ~label ~pct captured with
+  | Some t -> (t, (label, captured))
+  | None -> exit_err (label ^ ": trace has no request spans")
 
 (* ---------------- xc boot ---------------- *)
 
@@ -23,12 +205,9 @@ let boot_cmd =
   let image =
     Arg.(value & opt string "nginx:1.13" & info [ "image"; "i" ] ~doc:"Docker image to boot.")
   in
-  let memory =
-    Arg.(value & opt int 128 & info [ "memory"; "m" ] ~doc:"Memory in MB.")
-  in
   let vcpus = Arg.(value & opt int 1 & info [ "vcpus" ] ~doc:"Virtual CPUs.") in
   let repeat =
-    Arg.(value & opt int 100 & info [ "repeat"; "r" ] ~doc:"Program executions.")
+    positive_int "repeat" ~aliases:[ "r" ] 100 ~doc:"Program executions."
   in
   let lightvm =
     Arg.(value & flag & info [ "lightvm" ] ~doc:"Use the LightVM-style toolstack.")
@@ -56,7 +235,7 @@ let boot_cmd =
   in
   Cmd.v
     (Cmd.info "boot" ~doc:"Boot an X-Container and run its program under ABOM.")
-    Term.(const run $ image $ memory $ vcpus $ repeat $ lightvm)
+    Term.(const run $ image $ memory_mb $ vcpus $ repeat $ lightvm)
 
 (* ---------------- xc abom ---------------- *)
 
@@ -108,6 +287,10 @@ let abom_cmd =
 
 (* ---------------- xc platforms ---------------- *)
 
+let every_runtime =
+  Config.
+    [ Docker; Gvisor; Clear_container; Xen_container; X_container; Unikernel; Graphene ]
+
 let platforms_cmd =
   let run () =
     let open Xc_platforms.Config in
@@ -125,7 +308,7 @@ let platforms_cmd =
           :: List.map
                (fun f -> if supports r f then "yes" else "-")
                [ Binary_compat; Multiprocess; Multicore; Kernel_modules; No_hw_virt ]))
-      [ Docker; Gvisor; Clear_container; Xen_container; X_container; Unikernel; Graphene ];
+      every_runtime;
     Xc_sim.Table.print t
   in
   Cmd.v
@@ -134,28 +317,7 @@ let platforms_cmd =
 
 (* ---------------- xc syscall-costs ---------------- *)
 
-let cloud_conv =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "amazon" | "ec2" -> Ok Xc_platforms.Config.Amazon_ec2
-    | "google" | "gce" -> Ok Xc_platforms.Config.Google_gce
-    | "local" -> Ok Xc_platforms.Config.Local_cluster
-    | other -> Error (`Msg ("unknown cloud: " ^ other))
-  in
-  Arg.conv
-    ( parse,
-      fun fmt c ->
-        Format.pp_print_string fmt
-          (match c with
-          | Xc_platforms.Config.Amazon_ec2 -> "amazon"
-          | Xc_platforms.Config.Google_gce -> "google"
-          | Xc_platforms.Config.Local_cluster -> "local") )
-
 let syscall_costs_cmd =
-  let cloud =
-    Arg.(value & opt cloud_conv Xc_platforms.Config.Amazon_ec2
-        & info [ "cloud"; "c" ] ~doc:"Cloud: amazon, google, local.")
-  in
   let unpatched =
     Arg.(value & flag & info [ "unpatched" ] ~doc:"Without the Meltdown patches.")
   in
@@ -172,28 +334,18 @@ let syscall_costs_cmd =
     in
     List.iter
       (fun runtime ->
-        let config =
-          Xc_platforms.Config.make ~cloud ~meltdown_patched:(not unpatched) runtime
-        in
+        let config = Config.make ~cloud ~meltdown_patched:(not unpatched) runtime in
         let p = Xc_platforms.Platform.create config in
         let ns v = Printf.sprintf "%.0fns" v in
         Xc_sim.Table.add_row t
           [
-            Xc_platforms.Config.name config;
+            Config.name config;
             ns (Xc_platforms.Platform.syscall_entry_ns p);
             ns (Xc_platforms.Platform.irq_ns p);
             ns (Xc_platforms.Platform.process_switch_ns p);
             Printf.sprintf "%.1fus" (Xc_platforms.Platform.fork_ns p /. 1e3);
           ])
-      [
-        Xc_platforms.Config.Docker;
-        Xc_platforms.Config.Gvisor;
-        Xc_platforms.Config.Clear_container;
-        Xc_platforms.Config.Xen_container;
-        Xc_platforms.Config.X_container;
-        Xc_platforms.Config.Unikernel;
-        Xc_platforms.Config.Graphene;
-      ];
+      every_runtime;
     Xc_sim.Table.print t
   in
   Cmd.v
@@ -255,11 +407,13 @@ let boot_times_cmd =
 (* ---------------- xc migrate ---------------- *)
 
 let migrate_cmd =
-  let memory = Arg.(value & opt int 128 & info [ "memory"; "m" ] ~doc:"Guest MB.") in
   let dirty =
-    Arg.(value & opt float 5000. & info [ "dirty-rate" ] ~doc:"Dirtied pages/s.")
+    checked "dirty-rate" Arg.float
+      ~ok:(fun x -> Float.is_finite x && x >= 0.)
+      ~expects:"a non-negative number of pages/s" 5000. ~docv:"R"
+      ~doc:"Dirtied pages/s."
   in
-  let gbps = Arg.(value & opt float 1.0 & info [ "link" ] ~doc:"Migration link Gb/s.") in
+  let gbps = positive_float "link" 1.0 ~docv:"GBPS" ~doc:"Migration link Gb/s." in
   let run memory dirty gbps =
     let params =
       {
@@ -281,16 +435,21 @@ let migrate_cmd =
   in
   Cmd.v
     (Cmd.info "migrate" ~doc:"Pre-copy live migration of an X-Container.")
-    Term.(const run $ memory $ dirty $ gbps)
+    Term.(const run $ memory_mb $ dirty $ gbps)
 
 (* ---------------- xc clone ---------------- *)
 
 let clone_cmd =
-  let memory = Arg.(value & opt int 128 & info [ "memory"; "m" ] ~doc:"Guest MB.") in
   let resident =
     Arg.(value & opt int 2048 & info [ "resident" ] ~doc:"Hot pages copied eagerly.")
   in
   let run memory resident =
+    (* 4 KiB pages: the working set cannot outgrow the guest. *)
+    if resident < 0 || resident > memory * 256 then
+      exit_err
+        (Printf.sprintf
+           "--resident expects 0 to %d pages (the %d MB guest), got %d"
+           (memory * 256) memory resident);
     let s = Xcontainers.Cloning.snapshot_of_parent ~memory_mb:memory ~resident_pages:resident in
     let c = Xcontainers.Cloning.clone s in
     Printf.printf "toolstack      %8.2fms\n" (c.toolstack_ns /. 1e6);
@@ -302,7 +461,7 @@ let clone_cmd =
   in
   Cmd.v
     (Cmd.info "clone" ~doc:"SnowFlock-style clone of a warm X-Container.")
-    Term.(const run $ memory $ resident)
+    Term.(const run $ memory_mb $ resident)
 
 (* ---------------- xc security ---------------- *)
 
@@ -311,7 +470,7 @@ let security_cmd =
     List.iter
       (fun (p : Xcontainers.Security.profile) ->
         Printf.printf "%-16s %-22s TCB %6d kLoC, surface %3d, exposure %.4f\n"
-          (Xc_platforms.Config.runtime_name p.runtime)
+          (Config.runtime_name p.runtime)
           (Xcontainers.Security.boundary_name p.boundary)
           p.tcb_kloc p.attack_surface
           (Xcontainers.Security.vulnerability_exposure p))
@@ -325,7 +484,7 @@ let security_cmd =
 
 let coldstart_cmd =
   let rate =
-    Arg.(value & opt float 0.05 & info [ "rate" ] ~doc:"Invocations per second.")
+    positive_float "rate" 0.05 ~docv:"RPS" ~doc:"Invocations per second."
   in
   let run rate =
     List.iter
@@ -437,33 +596,15 @@ let profile_binary_cmd =
 
 (* ---------------- xc sweep ---------------- *)
 
-(* Shared --jobs validation: explicit value must be positive (0 means
-   "auto": whatever the host can usefully run), absent falls back to
-   $XC_JOBS (itself validated, 0-is-auto included) or 1. *)
-let jobs_or_exit = function
-  | Some 0 -> Xc_sim.Parallel.recommended_jobs ()
-  | Some n when n >= 1 -> n
-  | Some n ->
-      exit_err
-        (Printf.sprintf "--jobs expects a positive integer (or 0 for auto), got %d" n)
-  | None -> (
-      match Xc_sim.Parallel.jobs_from_env () with
-      | Ok n -> n
-      | Error msg -> exit_err msg)
-
 let sweep_cmd =
-  let containers =
-    Arg.(value & opt (list int) [ 16; 64; 150 ]
-        & info [ "containers" ] ~doc:"Comma-separated container counts.")
-  in
-  let jobs =
-    Arg.(value & opt (some int) None
-        & info [ "jobs"; "j" ]
-            ~doc:"Worker domains for the sweep fan-out (default \\$XC_JOBS or 1).")
+  let counts =
+    checked "containers" Arg.(list int)
+      ~ok:(List.for_all (fun n -> n >= 1))
+      ~expects:"positive integers" [ 16; 64; 150 ] ~docv:"N,..."
+      ~doc:"Comma-separated container counts."
   in
   let duration_ms =
-    Arg.(value & opt float 300.
-        & info [ "duration" ] ~doc:"Simulated duration per point, in ms.")
+    duration_ms 300. ~doc:"Simulated duration per point, in ms."
   in
   let trace_out =
     Arg.(value & opt ~vopt:(Some "sweep.trace.json") (some string) None
@@ -475,10 +616,9 @@ let sweep_cmd =
                   \\$(b,--no-sample).")
   in
   let sample =
-    Arg.(value & opt int 16
-        & info [ "sample" ] ~docv:"N"
-            ~doc:"Sampling stride for --trace: keep one event per window \
-                  of N per (cat,name) stream.")
+    sample 16
+      ~doc:"Sampling stride for --trace: keep one event per window of N per \
+            (cat,name) stream."
   in
   let no_sample =
     Arg.(value & flag
@@ -487,11 +627,7 @@ let sweep_cmd =
                   (the ring may drop the oldest under load).")
   in
   let run counts jobs duration_ms trace_out sample no_sample =
-    let jobs = jobs_or_exit jobs in
-    if sample < 1 then
-      exit_err (Printf.sprintf "--sample expects a positive integer, got %d" sample);
     let stride = if no_sample then 1 else sample in
-    let module CS = Xc_platforms.Cluster_sim in
     let point mode n =
       { (CS.default_config mode ~containers:n) with duration_ns = duration_ms *. 1e6 }
     in
@@ -501,12 +637,12 @@ let sweep_cmd =
     let t0 = Unix.gettimeofday () in
     let results, captured =
       match trace_out with
-      | None -> (CS.run_sweep ~jobs configs, None)
+      | None -> (CS.run_sweep ~jobs configs, Trace.empty_captured)
       | Some _ ->
-          Xc_trace.Trace.enable ~capacity:(1 lsl 18) ~sample:stride ();
-          let r, c = Xc_trace.Trace.capture (fun () -> CS.run_sweep ~jobs configs) in
-          Xc_trace.Trace.disable ();
-          (r, Some c)
+          Trace.enable ~sample:stride ();
+          let r = Trace.capture (fun () -> CS.run_sweep ~jobs configs) in
+          Trace.disable ();
+          r
     in
     let wall = Unix.gettimeofday () -. t0 in
     let t =
@@ -533,22 +669,25 @@ let sweep_cmd =
     Xc_sim.Table.print t;
     Printf.printf "%d points in %.2fs wall with %d domain(s)\n"
       (List.length configs) wall jobs;
-    match (trace_out, captured) with
-    | Some path, Some { Xc_trace.Trace.events; dropped; streams; _ } ->
-        Xc_trace.Export.to_file ~dropped ~path [ ("sweep", events) ];
+    match trace_out with
+    | Some path ->
+        Run.write_trace ~path [ ("sweep", captured) ];
+        let events = List.length captured.Trace.events in
         let seen =
-          List.fold_left (fun a (s : Xc_trace.Trace.Stream.t) -> a + s.seen) 0 streams
+          List.fold_left
+            (fun a (s : Trace.Stream.t) -> a + s.seen)
+            0 captured.Trace.streams
         in
         if stride > 1 then
           Printf.printf "wrote %s (%d events kept of %d offered, stride %d)\n"
-            path (List.length events) seen stride
-        else Printf.printf "wrote %s (%d events)\n" path (List.length events)
-    | _ -> ()
+            path events seen stride
+        else Printf.printf "wrote %s (%d events)\n" path events
+    | None -> ()
   in
   Cmd.v
     (Cmd.info "sweep"
        ~doc:"Figure 8 scheduler sweep, fanned out over worker domains.")
-    Term.(const run $ containers $ jobs $ duration_ms $ trace_out $ sample
+    Term.(const run $ counts $ jobs $ duration_ms $ trace_out $ sample
           $ no_sample)
 
 (* ---------------- xc experiments ---------------- *)
@@ -572,61 +711,16 @@ let experiments_cmd =
 
 (* ---------------- xc run-app ---------------- *)
 
-let app_table =
-  [
-    ("nginx", `Nginx); ("memcached", `Memcached); ("redis", `Redis);
-    ("etcd", `Etcd); ("mongodb", `Mongo); ("postgres", `Postgres);
-    ("rabbitmq", `Rabbitmq); ("mysql", `Mysql); ("fluentd", `Fluentd);
-    ("elasticsearch", `Elasticsearch); ("influxdb", `Influxdb);
-  ]
-
-let app_conv =
-  let table = app_table in
-  let parse s =
-    match List.assoc_opt (String.lowercase_ascii s) table with
-    | Some app -> Ok app
-    | None ->
-        Error
-          (`Msg
-             (Printf.sprintf "unknown app %S; one of: %s" s
-                (String.concat ", " (List.map fst table))))
-  in
-  let print fmt app =
-    let name = List.find (fun (_, a) -> a = app) table |> fst in
-    Format.pp_print_string fmt name
-  in
-  Arg.conv (parse, print)
-
-let runtime_conv =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "docker" -> Ok Xc_platforms.Config.Docker
-    | "gvisor" -> Ok Xc_platforms.Config.Gvisor
-    | "clear" -> Ok Xc_platforms.Config.Clear_container
-    | "xen-container" -> Ok Xc_platforms.Config.Xen_container
-    | "x-container" | "xc" -> Ok Xc_platforms.Config.X_container
-    | other -> Error (`Msg ("unknown runtime: " ^ other))
-  in
-  Arg.conv
-    ( parse,
-      fun fmt r -> Format.pp_print_string fmt (Xc_platforms.Config.runtime_name r) )
-
 let run_app_cmd =
   let app_arg =
-    Arg.(value & opt app_conv `Nginx & info [ "app"; "a" ] ~doc:"Application.")
+    Arg.(value & opt app_conv (Workload.find_exn "nginx")
+        & info [ "app"; "a" ] ~doc:"Application.")
   in
-  let runtime =
-    Arg.(value & opt runtime_conv Xc_platforms.Config.X_container
-        & info [ "runtime"; "r" ]
-            ~doc:"Runtime: docker, gvisor, clear, xen-container, x-container.")
-  in
-  let connections =
-    Arg.(value & opt int 64 & info [ "connections" ] ~doc:"Concurrent clients.")
-  in
-  let run app runtime connections =
-    let config = Xc_platforms.Config.make runtime in
+  let connections = connections 64 ~doc:"Concurrent clients." in
+  let run (app : Workload.t) runtime connections =
+    let config = Config.make runtime in
     let platform = Xc_platforms.Platform.create config in
-    let server = Xcontainers.Figures.server_for_public config platform app in
+    let server = Xcontainers.Figures.server_for_public config platform app.tag in
     let result =
       Xc_platforms.Closed_loop.run
         { Xc_platforms.Closed_loop.default_config with connections }
@@ -634,8 +728,8 @@ let run_app_cmd =
     in
     Printf.printf
       "%s on %s: %.0f req/s (p50 %.0fus, p99 %.0fus, %d served in 2s simulated)\n"
-      (Format.asprintf "%a" (Arg.conv_printer app_conv) app)
-      (Xc_platforms.Config.name config)
+      app.name
+      (Config.name config)
       result.throughput_rps
       (result.p50_ns /. 1e3)
       (result.p99_ns /. 1e3)
@@ -686,8 +780,8 @@ let run_traced_httpd config platform ~requests =
     | Error e -> exit_err ("httpd: " ^ e)
   in
   let delivery =
-    match config.Xc_platforms.Config.runtime with
-    | Xc_platforms.Config.X_container | Xc_platforms.Config.Xen_container ->
+    match config.Config.runtime with
+    | Config.X_container | Config.Xen_container ->
         Xc_hypervisor.Event_channel.Direct_user_mode
     | _ -> Xc_hypervisor.Event_channel.Via_hypervisor
   in
@@ -712,26 +806,6 @@ let run_traced_httpd config platform ~requests =
     ignore (Xc_apps.Httpd.get ~id:i ~deliver server ~path)
   done
 
-(* "--tail p99", "--tail 99.9", "--tail 99" all mean the same cut. *)
-let parse_tail_pct s =
-  let t = String.trim (String.lowercase_ascii s) in
-  let t =
-    if String.length t > 1 && t.[0] = 'p' then String.sub t 1 (String.length t - 1)
-    else t
-  in
-  match float_of_string_opt t with
-  | Some p when p > 0. && p <= 100. -> p
-  | _ ->
-      exit_err
-        (Printf.sprintf "--tail expects a percentile like p99 or 99.9, got %S" s)
-
-(* The percentile cut and tail attribution for one captured run; the
-   attribution partitions all traced self-time between requests and an
-   unattributed bucket, so the tail table is exact accounting, not
-   sampling.  Requires a request-emitting workload. *)
-let tail_of_events ~label ~pct events =
-  Xc_obs.Causal.tail_at ~label ~pct (Xc_trace.Profile.attribute events)
-
 let trace_run_cmd =
   let exp_arg =
     Arg.(required & pos 0 (some string) None
@@ -743,15 +817,6 @@ let trace_run_cmd =
                   closed-loop (the wrk-style driver with per-request \
                   mechanism spans), or cluster (the Fig 9 scheduling \
                   simulation, ditto).")
-  in
-  let runtime =
-    Arg.(value & opt runtime_conv Xc_platforms.Config.X_container
-        & info [ "runtime"; "r" ]
-            ~doc:"Runtime: docker, gvisor, clear, xen-container, x-container.")
-  in
-  let cloud =
-    Arg.(value & opt cloud_conv Xc_platforms.Config.Amazon_ec2
-        & info [ "cloud"; "c" ] ~doc:"Cloud: amazon, google, local.")
   in
   let iterations =
     Arg.(value & opt int 100
@@ -767,65 +832,31 @@ let trace_run_cmd =
     Arg.(value & opt int 5 & info [ "top" ] ~doc:"Names per category in the summary.")
   in
   let sample =
-    Arg.(value & opt int 1
-        & info [ "sample" ] ~docv:"N"
-            ~doc:"Sampling stride: keep one event per window of N per \
-                  (cat,name) stream and print the exact kept/skipped \
-                  accounting. The summary is rescaled by it.")
-  in
-  let folded =
-    Arg.(value & opt (some string) None
-        & info [ "folded" ] ~docv:"FILE"
-            ~doc:"Write a collapsed-stack flamegraph (stack count lines, \
-                  flamegraph.pl / speedscope input) of the span timeline.")
+    sample 1
+      ~doc:"Sampling stride: keep one event per window of N per (cat,name) \
+            stream and print the exact kept/skipped accounting. The summary \
+            is rescaled by it."
   in
   let slowest =
-    Arg.(value & opt int 0
-        & info [ "slowest" ] ~docv:"K"
-            ~doc:"Explain the K slowest requests end-to-end by mechanism \
-                  (workloads that emit request spans: httpd, closed-loop, \
-                  cluster and the closed-loop applications).  With --tail, \
-                  details the K slowest tail requests instead.")
+    slowest 0
+      ~doc:"Explain the K slowest requests end-to-end by mechanism \
+            (workloads that emit request spans: httpd, closed-loop, cluster \
+            and the closed-loop applications).  With --tail, details the K \
+            slowest tail requests instead."
   in
   let tail =
-    Arg.(value & opt (some string) None
-        & info [ "tail" ] ~docv:"PCT"
-            ~doc:"Attribute the requests at or above this latency \
-                  percentile (e.g. p99, 99.9) to mechanisms, with exact \
-                  self-time partitioning.  Needs a request-emitting \
-                  workload.")
+    tail
+      ~doc:"Attribute the requests at or above this latency percentile \
+            (e.g. p99, 99.9) to mechanisms, with exact self-time \
+            partitioning.  Needs a request-emitting workload."
+      ()
   in
-  let tails_out =
-    Arg.(value & opt (some string) None
-        & info [ "tails" ] ~docv:"FILE"
-            ~doc:"With --tail, also write the tail breakdown as a tails \
-                  CSV (byte-identical across --jobs).")
-  in
-  let jobs =
-    Arg.(value & opt (some int) None
-        & info [ "jobs"; "j" ]
-            ~doc:"Worker domains for the cluster workload (default \
-                  \\$XC_JOBS or 1); traced output is identical at any \
-                  value.")
-  in
-  let timeseries =
-    Arg.(value & opt (some string) None
-        & info [ "timeseries" ] ~docv:"FILE"
-            ~doc:"Also sample the metric registry every 50 sim-us and \
-                  write the time-series as Chrome counter events, or CSV \
-                  when FILE ends in .csv (byte-identical across --jobs).")
-  in
-  let run exp runtime cloud iterations out top sample folded slowest tail
+  let run exp runtime cloud iterations out top sample folded slowest tail_pct
       tails_out jobs timeseries =
-    let module Trace = Xc_trace.Trace in
     let module Export = Xc_trace.Export in
-    let module Profile = Xc_trace.Profile in
     let exp = String.lowercase_ascii exp in
-    let config = Xc_platforms.Config.make ~cloud runtime in
+    let config = Config.make ~cloud runtime in
     let platform = Xc_platforms.Platform.create config in
-    if sample < 1 then exit_err "--sample must be a positive integer";
-    let jobs = jobs_or_exit jobs in
-    let tail_pct = Option.map parse_tail_pct tail in
     if tails_out <> None && tail_pct = None then
       exit_err "--tails needs --tail";
     let workload =
@@ -846,30 +877,23 @@ let trace_run_cmd =
             server )
       end
       else if exp = "cluster" then
-        `Cluster (Xc_platforms.Cluster_sim.config_of_platform platform)
+        `Cluster (CS.config_of_platform platform)
       else
         match List.assoc_opt exp unixbench_workloads with
         | Some test -> `Unixbench test
         | None -> (
-            match List.assoc_opt exp app_table with
-            | Some app -> `App app
+            match Workload.find exp with
+            | Some w -> `App w.tag
             | None ->
                 exit_err
                   (Printf.sprintf
                      "unknown experiment %S; one of: httpd closed-loop cluster %s"
                      exp
                      (String.concat ", "
-                        (List.map fst unixbench_workloads @ List.map fst app_table))))
-    in
-    (* Request bundles are many small spans; give the ring room so no
-       request loses part of its bundle to drops. *)
-    let capacity =
-      match workload with
-      | `Closed_loop _ | `Cluster _ -> 1 lsl 18
-      | _ -> Trace.default_capacity
+                        (List.map fst unixbench_workloads @ Workload.names))))
     in
     if timeseries <> None then Xc_sim.Metrics.enable ();
-    Trace.enable ~capacity ~sample ();
+    Trace.enable ~sample ();
     let ((), captured), telemetry =
       Xc_sim.Metrics.capture (fun () ->
           Trace.capture (fun () ->
@@ -882,7 +906,7 @@ let trace_run_cmd =
               | `Closed_loop (cl_config, server) ->
                   ignore (Xc_platforms.Closed_loop.run cl_config server)
               | `Cluster cs_config ->
-                  ignore (Xc_platforms.Cluster_sim.run_sweep ~jobs [ cs_config ])
+                  ignore (CS.run_sweep ~jobs [ cs_config ])
               | `App app ->
                   let server =
                     Xcontainers.Figures.server_for_public config platform app
@@ -899,7 +923,7 @@ let trace_run_cmd =
     Trace.disable ();
     Xc_sim.Metrics.disable ();
     let { Trace.events; dropped; streams; _ } = captured in
-    let label = exp ^ "/" ^ Xc_platforms.Config.name config in
+    let label = exp ^ "/" ^ Config.name config in
     (* With a sampling stride, rescale spans by the exact per-stream
        kept/seen counters so the summary estimates the full run. *)
     let scaled = Profile.rescale ~streams events in
@@ -917,7 +941,7 @@ let trace_run_cmd =
         end
     | Some pct -> (
         print_newline ();
-        match tail_of_events ~label ~pct events with
+        match tail_of ~label ~pct captured with
         | None ->
             print_string
               "(no request spans in trace; --tail needs a request-emitting \
@@ -926,7 +950,7 @@ let trace_run_cmd =
             print_string (Profile.render_tail ~slowest t);
             match tails_out with
             | Some path ->
-                Export.tails_to_file ~path [ t ];
+                Run.write_tails ~path [ t ];
                 Printf.printf "wrote %s\n" path
             | None -> ())));
     if dropped > 0 then
@@ -949,15 +973,12 @@ let trace_run_cmd =
     | None -> ());
     (match folded with
     | Some path ->
-        let oc = open_out path in
-        output_string oc (Export.to_folded [ (label, events) ]);
-        close_out oc;
+        Run.write_folded ~path [ (label, captured) ];
         Printf.printf "wrote %s\n" path
     | None -> ());
     match timeseries with
     | Some path ->
-        Export.to_file ~path
-          [ (label ^ "/telemetry", Xc_sim.Metrics.to_trace_events telemetry) ];
+        Run.write_timeseries ~path [ (label ^ "/telemetry", telemetry) ];
         Printf.printf "wrote %s (%d snapshots)\n" path
           (List.length telemetry.Xc_sim.Metrics.snapshots)
     | None -> ()
@@ -966,7 +987,8 @@ let trace_run_cmd =
     (Cmd.info "run"
        ~doc:"Trace one workload and print its per-category cost summary.")
     Term.(const run $ exp_arg $ runtime $ cloud $ iterations $ out $ top
-          $ sample $ folded $ slowest $ tail $ tails_out $ jobs $ timeseries)
+          $ sample $ folded_out $ slowest $ tail $ tails_out $ jobs
+          $ timeseries_out)
 
 let trace_diff_cmd =
   let a_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"A") in
@@ -989,9 +1011,7 @@ let trace_diff_cmd =
 let trace_tails_cmd =
   let a_arg =
     Arg.(required & pos 0 (some runtime_conv) None
-        & info [] ~docv:"A"
-            ~doc:"First runtime (docker, gvisor, clear, xen-container, \
-                  x-container).")
+        & info [] ~docv:"A" ~doc:("First runtime (" ^ runtime_names ^ ")."))
   in
   let b_arg =
     Arg.(value & pos 1 (some runtime_conv) None
@@ -1005,83 +1025,29 @@ let trace_tails_cmd =
             ~doc:"Diff the two tails (implied whenever B is given; kept as \
                   an explicit spelling).")
   in
-  let cloud =
-    Arg.(value & opt cloud_conv Xc_platforms.Config.Amazon_ec2
-        & info [ "cloud"; "c" ] ~doc:"Cloud: amazon, google, local.")
-  in
-  let containers =
-    Arg.(value & opt int 4
-        & info [ "containers" ] ~doc:"Containers in the cluster config.")
-  in
   let connections =
-    Arg.(value & opt int 5
-        & info [ "connections" ]
-            ~doc:"Closed-loop connections per container.  At the default \
-                  5 a hierarchical runtime's vCPU saturates and queueing \
-                  (request self-time) dominates its tail; at 1 the load \
-                  is light and the diff isolates the per-mechanism cost \
-                  gap.")
+    connections 5
+      ~doc:"Closed-loop connections per container.  At the default 5 a \
+            hierarchical runtime's vCPU saturates and queueing (request \
+            self-time) dominates its tail; at 1 the load is light and the \
+            diff isolates the per-mechanism cost gap."
   in
-  let tail =
-    Arg.(value & opt string "p99"
-        & info [ "tail" ] ~docv:"PCT"
-            ~doc:"Tail percentile cut (e.g. p99, 99.9).")
-  in
+  let tail = tail ~default:"p99" ~doc:"Tail percentile cut (e.g. p99, 99.9)." () in
   let slowest =
-    Arg.(value & opt int 0
-        & info [ "slowest" ] ~docv:"K"
-            ~doc:"Without B: also detail the K slowest tail requests.")
+    slowest 0 ~doc:"Without B: also detail the K slowest tail requests."
   in
   let csv =
-    Arg.(value & opt (some string) None
-        & info [ "csv" ] ~docv:"FILE"
-            ~doc:"Write the tail(s) as a tails CSV (one block per side).")
+    file_flag "csv" ~doc:"Write the tail(s) as a tails CSV (one block per side)."
   in
-  let folded =
-    Arg.(value & opt (some string) None
-        & info [ "folded" ] ~docv:"FILE"
-            ~doc:"Write the raw span timelines of both sides as \
-                  collapsed-stack flamegraph lines.")
-  in
-  let jobs =
-    Arg.(value & opt (some int) None
-        & info [ "jobs"; "j" ]
-            ~doc:"Worker domains per cluster run (default \\$XC_JOBS or \
-                  1); output is identical at any value.")
-  in
-  let run a b _diff cloud containers connections tailstr slowest csv folded
-      jobs =
-    let module Trace = Xc_trace.Trace in
-    let module Export = Xc_trace.Export in
-    let module Profile = Xc_trace.Profile in
-    let pct = parse_tail_pct tailstr in
-    let jobs = jobs_or_exit jobs in
-    if containers < 1 then exit_err "--containers must be positive";
-    if connections < 1 then exit_err "--connections must be positive";
-    (* One traced fig-9-style cluster run per side.  The platform is
-       priced into the config before enabling the tracer (the cost
-       queries emit spans themselves), so the capture holds only the
-       run's own events and the tail partition is exact. *)
+  let run a b _diff cloud containers connections pct slowest csv folded jobs =
+    let pct = Option.get pct in
+    (* One traced fig-9-style cluster run per side. *)
     let side runtime =
-      let config = Xc_platforms.Config.make ~cloud runtime in
+      let config = Config.make ~cloud runtime in
       let platform = Xc_platforms.Platform.create config in
-      let cs =
-        Xc_platforms.Cluster_sim.config_of_platform ~containers ~connections
-          platform
-      in
-      Trace.enable ~capacity:(1 lsl 18) ();
-      let (), captured =
-        Trace.capture (fun () ->
-            ignore (Xc_platforms.Cluster_sim.run_sweep ~jobs [ cs ]))
-      in
-      Trace.disable ();
-      let label = "cluster/" ^ Xc_platforms.Config.name config in
-      let t =
-        match tail_of_events ~label ~pct captured.Trace.events with
-        | Some t -> t
-        | None -> exit_err (label ^ ": trace has no request spans")
-      in
-      (t, (label, captured.Trace.events))
+      traced_tail ~jobs ~pct
+        ~label:("cluster/" ^ Config.name config)
+        (CS.config_of_platform ~containers ~connections platform)
     in
     let ta, track_a = side a in
     let tails, tracks =
@@ -1096,14 +1062,12 @@ let trace_tails_cmd =
     in
     (match csv with
     | Some path ->
-        Export.tails_to_file ~path tails;
+        Run.write_tails ~path tails;
         Printf.printf "wrote %s\n" path
     | None -> ());
     match folded with
     | Some path ->
-        let oc = open_out path in
-        output_string oc (Export.to_folded tracks);
-        close_out oc;
+        Run.write_folded ~path tracks;
         Printf.printf "wrote %s\n" path
     | None -> ()
   in
@@ -1112,7 +1076,7 @@ let trace_tails_cmd =
        ~doc:"Attribute the p99 tail of the Fig 9 cluster workload to \
              mechanisms, and diff the tail composition of two runtimes.")
     Term.(const run $ a_arg $ b_arg $ diff_flag $ cloud $ containers
-          $ connections $ tail $ slowest $ csv $ folded $ jobs)
+          $ connections $ tail $ slowest $ csv $ folded_out $ jobs)
 
 let trace_cmd =
   Cmd.group
@@ -1150,32 +1114,14 @@ let top_cmd =
                   memcached, redis, ...) — the workloads that drive the \
                   sim engine, whose clock paces the snapshots.")
   in
-  let runtime =
-    Arg.(value & opt runtime_conv Xc_platforms.Config.X_container
-        & info [ "runtime"; "r" ]
-            ~doc:"Runtime: docker, gvisor, clear, xen-container, x-container.")
-  in
-  let cloud =
-    Arg.(value & opt cloud_conv Xc_platforms.Config.Amazon_ec2
-        & info [ "cloud"; "c" ] ~doc:"Cloud: amazon, google, local.")
-  in
   let interval =
-    Arg.(value & opt float 50.
-        & info [ "interval"; "i" ] ~docv:"N"
-            ~doc:"Snapshot cadence in simulated microseconds.")
+    positive_float "interval" ~aliases:[ "i" ] ~unit:" of sim-microseconds" 50.
+      ~docv:"N" ~doc:"Snapshot cadence in simulated microseconds."
   in
   let rows =
-    Arg.(value & opt int 10
-        & info [ "snapshots" ] ~docv:"K"
-            ~doc:"Snapshot lines to print, evenly spaced across the run \
-                  and ending at the last one.")
-  in
-  let timeseries =
-    Arg.(value & opt (some string) None
-        & info [ "timeseries" ] ~docv:"FILE"
-            ~doc:"Write the full time-series as Chrome counter events, or \
-                  CSV when FILE ends in .csv (byte-identical across \
-                  --jobs).")
+    positive_int "snapshots" 10
+      ~doc:"Snapshot lines to print, evenly spaced across the run and \
+            ending at the last one."
   in
   let rate =
     Arg.(value & opt ~vopt:(Some 1) (some int) None
@@ -1184,12 +1130,6 @@ let top_cmd =
                   over its last W snapshot intervals (bare --rate means \
                   W=1) instead of the cumulative total.  Gauges and \
                   distributions are unchanged.")
-  in
-  let jobs =
-    Arg.(value & opt (some int) None
-        & info [ "jobs"; "j" ]
-            ~doc:"Worker domains for the cluster workload (default \
-                  \\$XC_JOBS or 1); snapshots are identical at any value.")
   in
   let alert =
     Arg.(value & opt_all string []
@@ -1208,22 +1148,13 @@ let top_cmd =
           | Error e -> exit_err ("--alert: " ^ e))
         alert
     in
-    if (not (Float.is_finite interval_us)) || interval_us <= 0. then
-      exit_err
-        (Printf.sprintf
-           "--interval expects a positive number of sim-microseconds, got %g"
-           interval_us);
-    if rows < 1 then
-      exit_err
-        (Printf.sprintf "--snapshots expects a positive integer, got %d" rows);
     (match rate with
     | Some w when w < 1 ->
         exit_err
           (Printf.sprintf "--rate expects a positive number of intervals, got %d" w)
     | _ -> ());
-    let jobs = jobs_or_exit jobs in
     let exp = String.lowercase_ascii exp in
-    let config = Xc_platforms.Config.make ~cloud runtime in
+    let config = Config.make ~cloud runtime in
     let platform = Xc_platforms.Platform.create config in
     let closed_loop ~duration_ns ~warmup_ns app =
       let server = Xcontainers.Figures.server_for_public config platform app in
@@ -1235,18 +1166,18 @@ let top_cmd =
     in
     let workload =
       if exp = "cluster" then (
-        let cs_config = Xc_platforms.Cluster_sim.config_of_platform platform in
-        fun () -> ignore (Xc_platforms.Cluster_sim.run_sweep ~jobs [ cs_config ]))
+        let cs_config = CS.config_of_platform platform in
+        fun () -> ignore (CS.run_sweep ~jobs [ cs_config ]))
       else if exp = "closed-loop" then
         closed_loop ~duration_ns:3e7 ~warmup_ns:3e6 `Nginx
       else
-        match List.assoc_opt exp app_table with
-        | Some app -> closed_loop ~duration_ns:2e8 ~warmup_ns:2e7 app
+        match Workload.find exp with
+        | Some w -> closed_loop ~duration_ns:2e8 ~warmup_ns:2e7 w.tag
         | None ->
             exit_err
               (Printf.sprintf
                  "unknown workload %S; one of: cluster closed-loop %s" exp
-                 (String.concat ", " (List.map fst app_table)))
+                 (String.concat ", " Workload.names))
     in
     M.enable ~interval_ns:(interval_us *. 1e3) ();
     let (), telemetry = M.capture workload in
@@ -1262,7 +1193,7 @@ let top_cmd =
     let snaps = telemetry.M.snapshots in
     let n = List.length snaps in
     Printf.printf "xc top: %s on %s — %d snapshot(s), one per %gus of sim time%s\n"
-      exp (Xc_platforms.Config.name config) n interval_us
+      exp (Config.name config) n interval_us
       (if telemetry.M.snap_dropped > 0 then
          Printf.sprintf " (%d older dropped beyond retention)"
            telemetry.M.snap_dropped
@@ -1369,8 +1300,7 @@ let top_cmd =
     end;
     match timeseries with
     | Some path ->
-        Xc_trace.Export.to_file ~path
-          [ (exp ^ "/telemetry", M.to_trace_events telemetry) ];
+        Run.write_timeseries ~path [ (exp ^ "/telemetry", telemetry) ];
         Printf.printf "\nwrote %s (%d snapshots)\n" path n
     | None -> ()
   in
@@ -1379,13 +1309,12 @@ let top_cmd =
        ~doc:"Run a workload with sim-clock metric snapshots on and show \
              the registry like top(1): last snapshots, then every metric \
              with a per-interval sparkline.")
-    Term.(const run $ exp_arg $ runtime $ cloud $ interval $ rows $ timeseries
-          $ rate $ jobs $ alert)
+    Term.(const run $ exp_arg $ runtime $ cloud $ interval $ rows
+          $ timeseries_out $ rate $ jobs $ alert)
 
 (* ---------------- xc cluster ---------------- *)
 
 let cluster_cmd =
-  let module CS = Xc_platforms.Cluster_sim in
   let fidelity_arg =
     Arg.(value & opt string "exact"
         & info [ "fidelity"; "f" ] ~docv:"TIER"
@@ -1401,68 +1330,21 @@ let cluster_cmd =
                   exact slice (default 100).")
   in
   let nodes =
-    Arg.(value & opt int 1
-        & info [ "nodes" ] ~docv:"N"
-            ~doc:"Independent nodes to simulate; node i derives its seed \
-                  from the base seed + i.")
-  in
-  let containers =
-    Arg.(value & opt int 4
-        & info [ "containers" ] ~docv:"N" ~doc:"Containers per node.")
+    positive_int "nodes" 1
+      ~doc:"Independent nodes to simulate; node i derives its seed from \
+            the base seed + i."
   in
   let connections =
-    Arg.(value & opt int 5
-        & info [ "connections" ] ~docv:"N"
-            ~doc:"Closed-loop client connections per container.")
-  in
-  let runtime =
-    Arg.(value & opt runtime_conv Xc_platforms.Config.X_container
-        & info [ "runtime"; "r" ]
-            ~doc:"Runtime: docker, gvisor, clear, xen-container, x-container.")
-  in
-  let cloud =
-    Arg.(value & opt cloud_conv Xc_platforms.Config.Amazon_ec2
-        & info [ "cloud"; "c" ] ~doc:"Cloud: amazon, google, local.")
+    connections 5 ~doc:"Closed-loop client connections per container."
   in
   let tail =
-    Arg.(value & opt (some string) None
-        & info [ "tail" ] ~docv:"PCT"
-            ~doc:"Attribute the PCT tail (e.g. p99) of the exact/mixed \
-                  request population across mechanisms.")
+    tail
+      ~doc:"Attribute the PCT tail (e.g. p99) of the exact/mixed request \
+            population across mechanisms."
+      ()
   in
-  let tails_out =
-    Arg.(value & opt (some string) None
-        & info [ "tails" ] ~docv:"FILE"
-            ~doc:"With --tail: also write the attribution as a tails CSV \
-                  (byte-identical across --jobs).")
-  in
-  let timeseries =
-    Arg.(value & opt (some string) None
-        & info [ "timeseries" ] ~docv:"FILE"
-            ~doc:"Sample the metric registry every 50 sim-us and write the \
-                  time-series as Chrome counter events, or CSV when FILE \
-                  ends in .csv (byte-identical across --jobs).")
-  in
-  let jobs =
-    Arg.(value & opt (some int) None
-        & info [ "jobs"; "j" ]
-            ~doc:"Worker domains for the node sweep (default \\$XC_JOBS or \
-                  1); results and every artifact are identical at any \
-                  value.")
-  in
-  let run fidelity sample_rate nodes containers connections runtime cloud tail
-      tails_out timeseries jobs =
-    let module Trace = Xc_trace.Trace in
-    let module Export = Xc_trace.Export in
-    let module Profile = Xc_trace.Profile in
-    if nodes < 1 then
-      exit_err (Printf.sprintf "--nodes expects a positive integer, got %d" nodes);
-    if containers < 1 then
-      exit_err
-        (Printf.sprintf "--containers expects a positive integer, got %d" containers);
-    if connections < 1 then
-      exit_err
-        (Printf.sprintf "--connections expects a positive integer, got %d" connections);
+  let run fidelity sample_rate nodes containers connections runtime cloud
+      tail_pct tails_out timeseries jobs =
     (match sample_rate with
     | Some n when n < 1 ->
         exit_err
@@ -1480,15 +1362,13 @@ let cluster_cmd =
             (Printf.sprintf
                "--fidelity expects exact, fluid or mixed, got %S" other)
     in
-    let jobs = jobs_or_exit jobs in
-    let tail_pct = Option.map parse_tail_pct tail in
     if tails_out <> None && tail_pct = None then exit_err "--tails needs --tail";
     (match (fidelity, tail_pct) with
     | CS.Fluid, Some _ ->
         exit_err
           "--tail needs per-request machinery: use --fidelity exact or mixed"
     | _ -> ());
-    let config = Xc_platforms.Config.make ~cloud runtime in
+    let config = Config.make ~cloud runtime in
     let platform = Xc_platforms.Platform.create config in
     (* Price every node's config before enabling tracing/metrics: the
        platform cost queries emit spans themselves, and they must not
@@ -1498,7 +1378,7 @@ let cluster_cmd =
       List.init nodes (fun i -> { base with CS.seed = base.CS.seed + i })
     in
     if timeseries <> None then Xc_sim.Metrics.enable ();
-    if tail_pct <> None then Trace.enable ~capacity:(1 lsl 18) ();
+    if tail_pct <> None then Trace.enable ();
     let results, telemetry =
       Xc_sim.Metrics.capture (fun () ->
           Trace.capture (fun () -> CS.run_sweep ~jobs ~fidelity configs))
@@ -1515,7 +1395,7 @@ let cluster_cmd =
     Printf.printf
       "xc cluster: %s, %s tier — %d node(s) x %d container(s) x %d \
        connection(s) (%d containers total)\n\n"
-      (Xc_platforms.Config.name config)
+      (Config.name config)
       tier_name nodes containers connections (nodes * containers);
     let fmt_p99 v =
       if Float.is_nan v then "-" else Printf.sprintf "%.0fus" (v /. 1e3)
@@ -1570,8 +1450,8 @@ let cluster_cmd =
     | None -> ()
     | Some pct -> (
         print_newline ();
-        let label = Printf.sprintf "cluster/%s" (Xc_platforms.Config.name config) in
-        match tail_of_events ~label ~pct captured.Trace.events with
+        let label = Printf.sprintf "cluster/%s" (Config.name config) in
+        match tail_of ~label ~pct captured with
         | None ->
             print_string
               "(no request spans in trace; the exact slice produced no \
@@ -1580,13 +1460,12 @@ let cluster_cmd =
             print_string (Profile.render_tail ~slowest:0 t);
             match tails_out with
             | Some path ->
-                Export.tails_to_file ~path [ t ];
+                Run.write_tails ~path [ t ];
                 Printf.printf "wrote %s\n" path
             | None -> ())));
     match timeseries with
     | Some path ->
-        Export.to_file ~path
-          [ ("cluster/telemetry", Xc_sim.Metrics.to_trace_events telemetry) ];
+        Run.write_timeseries ~path [ ("cluster/telemetry", telemetry) ];
         Printf.printf "\nwrote %s (%d snapshots)\n" path
           (List.length telemetry.Xc_sim.Metrics.snapshots)
     | None -> ()
@@ -1597,7 +1476,7 @@ let cluster_cmd =
              tier: exact event-driven, fluid analytic (MVA), or mixed — \
              fluid bulk with a seeded exact slice for tail attribution.")
     Term.(const run $ fidelity_arg $ sample_rate $ nodes $ containers
-          $ connections $ runtime $ cloud $ tail $ tails_out $ timeseries
+          $ connections $ runtime $ cloud $ tail $ tails_out $ timeseries_out
           $ jobs)
 
 (* ---------------- xc causal ---------------- *)
@@ -1611,55 +1490,13 @@ let causal_mech_doc =
   Printf.sprintf "Mechanism to scale: %s."
     (String.concat ", " Xc_obs.Whatif.mechanisms)
 
-let causal_target ~cloud ~containers ~connections ~duration_ms ~warmup_ms ~seed
-    runtime =
-  let module CS = Xc_platforms.Cluster_sim in
-  if containers < 1 then
-    exit_err
-      (Printf.sprintf "--containers expects a positive integer, got %d" containers);
-  if connections < 1 then
-    exit_err
-      (Printf.sprintf "--connections expects a positive integer, got %d" connections);
-  if (not (Float.is_finite duration_ms)) || duration_ms <= 0. then
-    exit_err
-      (Printf.sprintf
-         "--duration-ms expects a positive number of sim-milliseconds, got %g"
-         duration_ms);
-  if (not (Float.is_finite warmup_ms)) || warmup_ms < 0. || warmup_ms >= duration_ms
-  then
-    exit_err
-      (Printf.sprintf "--warmup-ms expects 0 <= W < duration, got %g" warmup_ms);
-  let config = Xc_platforms.Config.make ~cloud runtime in
-  let platform = Xc_platforms.Platform.create config in
-  let base =
-    {
-      (CS.config_of_platform ~containers ~connections platform) with
-      CS.duration_ns = duration_ms *. 1e6;
-      warmup_ns = warmup_ms *. 1e6;
-    }
-  in
-  let base = match seed with None -> base | Some s -> { base with CS.seed = s } in
-  {
-    Xc_obs.Causal.label =
-      Printf.sprintf "%s/c%d" (Xc_suite.Spec.runtime_to_string runtime) connections;
-    config = base;
-  }
-
-let causal_common_args =
-  let cloud =
-    Arg.(value & opt cloud_conv Xc_platforms.Config.Amazon_ec2
-        & info [ "cloud"; "c" ] ~doc:"Cloud: amazon, google, local.")
-  in
-  let containers =
-    Arg.(value & opt int 4
-        & info [ "containers" ] ~docv:"N" ~doc:"Containers per node.")
-  in
+(* The shared flags price one cluster target per runtime. *)
+let causal_target =
   let connections =
-    Arg.(value & opt int 1
-        & info [ "connections" ] ~docv:"N"
-            ~doc:"Closed-loop client connections per container.  1 is the \
-                  off-knee regime where the linear prediction holds; 5 is \
-                  the Fig 9 queueing knee where it visibly under-shoots.")
+    connections 1
+      ~doc:"Closed-loop client connections per container.  1 is the \
+            off-knee regime where the linear prediction holds; 5 is the \
+            Fig 9 queueing knee where it visibly under-shoots."
   in
   let duration_ms =
     Arg.(value & opt float 100.
@@ -1674,17 +1511,47 @@ let causal_common_args =
     Arg.(value & opt (some int) None
         & info [ "seed" ] ~doc:"PRNG seed (default: the platform config's).")
   in
-  (cloud, containers, connections, duration_ms, warmup_ms, seed)
+  let make cloud containers connections duration_ms warmup_ms seed =
+    if (not (Float.is_finite duration_ms)) || duration_ms <= 0. then
+      exit_err
+        (Printf.sprintf
+           "--duration-ms expects a positive number of sim-milliseconds, got %g"
+           duration_ms);
+    if (not (Float.is_finite warmup_ms)) || warmup_ms < 0. || warmup_ms >= duration_ms
+    then
+      exit_err
+        (Printf.sprintf "--warmup-ms expects 0 <= W < duration, got %g" warmup_ms);
+    fun runtime ->
+      let platform = Xc_platforms.Platform.create (Config.make ~cloud runtime) in
+      let base =
+        {
+          (CS.config_of_platform ~containers ~connections platform) with
+          CS.duration_ns = duration_ms *. 1e6;
+          warmup_ns = warmup_ms *. 1e6;
+        }
+      in
+      {
+        Causal.label =
+          Printf.sprintf "%s/c%d" (Xc_suite.Spec.runtime_to_string runtime)
+            connections;
+        config = Option.fold seed ~none:base ~some:(fun s -> { base with CS.seed = s });
+      }
+  in
+  Term.(const make $ cloud $ containers $ connections $ duration_ms $ warmup_ms
+        $ seed)
+
+let print_causal = function
+  | Error e -> exit_err e
+  | Ok (baselines, points) ->
+      List.iter
+        (fun (label, b) ->
+          print_string (Causal.render_baseline ~label b);
+          print_newline ())
+        baselines;
+      print_string (Causal.render_points points);
+      points
 
 let causal_run_cmd =
-  let cloud, containers, connections, duration_ms, warmup_ms, seed =
-    causal_common_args
-  in
-  let runtime =
-    Arg.(value & opt runtime_conv Xc_platforms.Config.X_container
-        & info [ "runtime"; "r" ]
-            ~doc:"Runtime: docker, gvisor, clear, xen-container, x-container.")
-  in
   let mech =
     Arg.(value & opt string "syscall-entry"
         & info [ "mech"; "m" ] ~docv:"MECH" ~doc:causal_mech_doc)
@@ -1695,33 +1562,19 @@ let causal_run_cmd =
             ~doc:"Cost multiplier in [0, 10]: 0.7 asks \"what if this \
                   mechanism were 30% cheaper\".")
   in
-  let run runtime cloud containers connections duration_ms warmup_ms seed mech
-      scale =
-    (match Xc_obs.Whatif.validate ~mech ~scale with
-    | Ok () -> ()
-    | Error e -> exit_err e);
-    let target =
-      causal_target ~cloud ~containers ~connections ~duration_ms ~warmup_ms
-        ~seed runtime
-    in
-    match Xc_obs.Causal.run_point target ~mech ~scale with
-    | Error e -> exit_err e
-    | Ok (b, pt) ->
-        print_string (Xc_obs.Causal.render_baseline ~label:target.Xc_obs.Causal.label b);
-        print_newline ();
-        print_string (Xc_obs.Causal.render_points [ pt ])
+  let run runtime target mech scale =
+    let target = target runtime in
+    ignore
+      (print_causal
+         (Causal.sweep_points [ (target.Causal.label, target, mech, scale) ]))
   in
   Cmd.v
     (Cmd.info "run"
        ~doc:"One what-if point: traced baseline, critical-path shares, and \
              the predicted vs actually-rerun speedup.")
-    Term.(const run $ runtime $ cloud $ containers $ connections $ duration_ms
-          $ warmup_ms $ seed $ mech $ scale)
+    Term.(const run $ runtime $ causal_target $ mech $ scale)
 
 let causal_sweep_cmd =
-  let cloud, containers, connections, duration_ms, warmup_ms, seed =
-    causal_common_args
-  in
   let runtimes =
     Arg.(value & opt_all runtime_conv []
         & info [ "runtime"; "r" ]
@@ -1741,124 +1594,69 @@ let causal_sweep_cmd =
             ~doc:"Cost multiplier to sweep (repeatable; default 0.7).")
   in
   let csv_out =
-    Arg.(value & opt (some string) None
-        & info [ "csv" ] ~docv:"FILE"
-            ~doc:"Also write every point as CSV (byte-identical across \
-                  --jobs).")
+    file_flag "csv"
+      ~doc:"Also write every point as CSV (byte-identical across --jobs)."
   in
-  let jobs =
-    Arg.(value & opt (some int) None
-        & info [ "jobs"; "j" ]
-            ~doc:"Worker domains for the baseline/rerun fan-out (default \
-                  \\$XC_JOBS or 1); output and the CSV are identical at \
-                  any value.")
-  in
-  let run runtimes cloud containers connections duration_ms warmup_ms seed
-      mechs scales csv_out jobs =
-    let jobs = jobs_or_exit jobs in
+  let run runtimes target mechs scales csv_out jobs =
     let runtimes =
-      if runtimes <> [] then runtimes
-      else [ Xc_platforms.Config.Docker; Xc_platforms.Config.X_container ]
+      if runtimes <> [] then runtimes else [ Config.Docker; Config.X_container ]
     in
     let mechs =
       if mechs <> [] then mechs
       else [ "syscall-entry"; "syscall-work"; "ctx-switch" ]
     in
     let scales = if scales <> [] then scales else [ 0.7 ] in
-    List.iter
-      (fun mech ->
-        List.iter
-          (fun scale ->
-            match Xc_obs.Whatif.validate ~mech ~scale with
-            | Ok () -> ()
-            | Error e -> exit_err e)
-          scales)
-      mechs;
-    let targets =
-      List.map
-        (causal_target ~cloud ~containers ~connections ~duration_ms ~warmup_ms
-           ~seed)
-        runtimes
+    let targets = List.map target runtimes in
+    let points =
+      print_causal (Causal.sweep ~jobs ~targets ~mechs ~scales ())
     in
-    match Xc_obs.Causal.sweep ~jobs ~targets ~mechs ~scales () with
-    | Error e -> exit_err e
-    | Ok (baselines, points) ->
-        List.iter
-          (fun (label, b) ->
-            print_string (Xc_obs.Causal.render_baseline ~label b);
-            print_newline ())
-          baselines;
-        print_string (Xc_obs.Causal.render_points points);
-        (match csv_out with
-        | None -> ()
-        | Some path ->
-            let oc = open_out path in
-            output_string oc (Xc_obs.Causal.points_csv points);
-            close_out oc;
-            Printf.eprintf "[xc causal] wrote %s (%d point(s))\n%!" path
-              (List.length points))
+    match csv_out with
+    | None -> ()
+    | Some path ->
+        Out_channel.with_open_text path (fun oc ->
+            output_string oc (Causal.points_csv points));
+        Printf.eprintf "[xc causal] wrote %s (%d point(s))\n%!" path
+          (List.length points)
   in
   Cmd.v
     (Cmd.info "sweep"
        ~doc:"The full what-if grid: one traced baseline per runtime, one \
              re-priced rerun per (runtime x mechanism x scale), predicted \
              vs rerun side by side — byte-identical at any --jobs.")
-    Term.(const run $ runtimes $ cloud $ containers $ connections $ duration_ms
-          $ warmup_ms $ seed $ mechs $ scales $ csv_out $ jobs)
+    Term.(const run $ runtimes $ causal_target $ mechs $ scales $ csv_out $ jobs)
 
 let causal_explain_cmd =
-  let cloud, containers, connections, duration_ms, warmup_ms, seed =
-    causal_common_args
-  in
-  let runtime =
-    Arg.(value & opt runtime_conv Xc_platforms.Config.X_container
-        & info [ "runtime"; "r" ]
-            ~doc:"Runtime: docker, gvisor, clear, xen-container, x-container.")
-  in
   let slowest =
-    Arg.(value & opt int 3
-        & info [ "slowest" ] ~docv:"K"
-            ~doc:"Render the K slowest requests' full blame chains.")
+    slowest 3 ~doc:"Render the K slowest requests' full blame chains."
   in
-  let run runtime cloud containers connections duration_ms warmup_ms seed
-      slowest =
-    if slowest < 0 then
-      exit_err
-        (Printf.sprintf "--slowest expects a non-negative integer, got %d" slowest);
+  let run runtime target slowest =
     let module CP = Xc_obs.Critical_path in
-    let target =
-      causal_target ~cloud ~containers ~connections ~duration_ms ~warmup_ms
-        ~seed runtime
-    in
+    let target = target runtime in
     let result, captured =
-      Xc_obs.Causal.with_tracing (fun () ->
-          Xc_trace.Trace.capture (fun () ->
-              Xc_platforms.Cluster_sim.run target.Xc_obs.Causal.config))
+      Causal.with_tracing (fun () ->
+          Trace.capture (fun () -> CS.run target.Causal.config))
     in
-    let cp = CP.extract captured.Xc_trace.Trace.events in
+    let cp = CP.extract captured.Trace.events in
     let summary = CP.summarize cp in
     Printf.printf "%s: %.0f req/s, mean %.0fus, p99 %.0fus\n\n"
-      target.Xc_obs.Causal.label result.Xc_platforms.Cluster_sim.throughput_rps
-      (result.Xc_platforms.Cluster_sim.mean_latency_ns /. 1e3)
-      (result.Xc_platforms.Cluster_sim.p99_latency_ns /. 1e3);
+      target.Causal.label result.CS.throughput_rps
+      (result.CS.mean_latency_ns /. 1e3)
+      (result.CS.p99_latency_ns /. 1e3);
     print_string (CP.render summary);
-    let rec take k = function
-      | c :: rest when k > 0 -> c :: take (k - 1) rest
-      | _ -> []
-    in
-    List.iter
-      (fun chain ->
-        print_newline ();
-        print_string (CP.render_chain chain))
-      (take slowest cp.CP.chains)
+    List.iteri
+      (fun i chain ->
+        if i < slowest then begin
+          print_newline ();
+          print_string (CP.render_chain chain)
+        end)
+      cp.CP.chains
   in
   Cmd.v
     (Cmd.info "explain"
        ~doc:"Traced critical-path extraction only: the aggregate blame \
              shares plus the slowest requests' full chains (each chain's \
              segments telescope exactly to the request's duration).")
-    Term.(const run $ runtime $ cloud $ containers $ connections $ duration_ms
-          $ warmup_ms $ seed $ slowest)
+    Term.(const run $ runtime $ causal_target $ slowest)
 
 let causal_cmd =
   Cmd.group
@@ -1927,8 +1725,7 @@ let lb_sweep_cmd =
                   (1 = no hedging).")
   in
   let backends =
-    Arg.(value & opt int 6
-        & info [ "backends"; "n" ] ~docv:"N" ~doc:"PS backends in the cluster.")
+    positive_int "backends" ~aliases:[ "n" ] 6 ~doc:"PS backends in the cluster."
   in
   let utilizations =
     Arg.(value & opt string "0.3,0.5,0.7"
@@ -1937,16 +1734,11 @@ let lb_sweep_cmd =
                   to sweep.")
   in
   let duration_ms =
-    Arg.(value & opt float 3000.
-        & info [ "duration" ] ~docv:"MS"
-            ~doc:"Measured arrival window in simulated milliseconds.")
+    duration_ms 3000. ~doc:"Measured arrival window in simulated milliseconds."
   in
   let seed = Arg.(value & opt int 17 & info [ "seed" ] ~doc:"PRNG seed.") in
   let run policy clones backends utilizations duration_ms seed =
     let dispatch = lb_dispatch_of_string policy in
-    if backends < 1 then
-      exit_err
-        (Printf.sprintf "--backends expects a positive integer, got %d" backends);
     if clones < 1 || clones > backends then
       exit_err
         (Printf.sprintf
@@ -1959,11 +1751,6 @@ let lb_sweep_cmd =
               and %d"
              clones backends)
     | _ -> ());
-    if (not (Float.is_finite duration_ms)) || duration_ms <= 0. then
-      exit_err
-        (Printf.sprintf
-           "--duration expects a positive number of sim-milliseconds, got %g"
-           duration_ms);
     let utils = lb_parse_utilizations utilizations in
     let module T = Xc_sim.Table in
     let t =
@@ -2034,25 +1821,11 @@ let lb_sweep_cmd =
           $ seed)
 
 let lb_tail_cmd =
-  let runtime =
-    Arg.(value & opt runtime_conv Xc_platforms.Config.X_container
-        & info [ "runtime"; "r" ]
-            ~doc:"Runtime: docker, gvisor, clear, xen-container, x-container.")
-  in
-  let cloud =
-    Arg.(value & opt cloud_conv Xc_platforms.Config.Amazon_ec2
-        & info [ "cloud"; "c" ] ~doc:"Cloud: amazon, google, local.")
-  in
-  let containers =
-    Arg.(value & opt int 4
-        & info [ "containers" ] ~doc:"Containers in the cluster config.")
-  in
   let connections =
-    Arg.(value & opt int 5
-        & info [ "connections" ]
-            ~doc:"Closed-loop connections per container; at the default 5 \
-                  the vCPU saturates and the queueing tail is what the \
-                  policies compete over.")
+    connections 5
+      ~doc:"Closed-loop connections per container; at the default 5 the \
+            vCPU saturates and the queueing tail is what the policies \
+            compete over."
   in
   let policy =
     Arg.(value & opt (some string) None
@@ -2066,22 +1839,11 @@ let lb_tail_cmd =
             ~doc:"Run only this clone factor; default compares 1 and 2.")
   in
   let tail =
-    Arg.(value & opt string "p99"
-        & info [ "tail" ] ~docv:"PCT"
-            ~doc:"Tail percentile cut for the trace diff (e.g. p99, 99.9).")
+    tail ~default:"p99"
+      ~doc:"Tail percentile cut for the trace diff (e.g. p99, 99.9)." ()
   in
-  let jobs =
-    Arg.(value & opt (some int) None
-        & info [ "jobs"; "j" ]
-            ~doc:"Worker domains per cluster sweep (default \\$XC_JOBS or \
-                  1); output is identical at any value.")
-  in
-  let run runtime cloud containers connections policy clones tailstr jobs =
-    let module Trace = Xc_trace.Trace in
-    let pct = parse_tail_pct tailstr in
-    let jobs = jobs_or_exit jobs in
-    if containers < 1 then exit_err "--containers must be positive";
-    if connections < 1 then exit_err "--connections must be positive";
+  let run runtime cloud containers connections policy clones pct jobs =
+    let pct = Option.get pct in
     let kinds =
       match policy with
       | None -> Xc_lb.Policy.all_kinds
@@ -2106,30 +1868,23 @@ let lb_tail_cmd =
     (* Price the platform into the base config before any tracing — the
        cost queries emit spans.  The lb field never touches pricing, so
        every combo shares the base. *)
-    let config = Xc_platforms.Config.make ~cloud runtime in
+    let config = Config.make ~cloud runtime in
     let platform = Xc_platforms.Platform.create config in
-    let base =
-      Xc_platforms.Cluster_sim.config_of_platform ~containers ~connections
-        platform
+    let base = CS.config_of_platform ~containers ~connections platform in
+    let with_lb (kind, clones) =
+      { base with CS.lb = Some { Xc_lb.Policy.kind; clones } }
     in
     let combos =
-      List.concat_map
-        (fun k -> List.map (fun d -> (k, d)) clone_grid)
-        kinds
+      List.concat_map (fun k -> List.map (fun d -> (k, d)) clone_grid) kinds
     in
-    let configs =
-      base
-      :: List.map
-           (fun (k, d) ->
-             { base with
-               Xc_platforms.Cluster_sim.lb =
-                 Some { Xc_lb.Policy.kind = k; clones = d };
-             })
-           combos
-    in
-    let results = Xc_platforms.Cluster_sim.run_sweep ~jobs configs in
     let baseline, combo_results =
-      match results with r :: rest -> (r, rest) | [] -> assert false
+      match CS.run_sweep ~jobs (base :: List.map with_lb combos) with
+      | r :: rest -> (r, rest)
+      | [] -> assert false
+    in
+    let p99 (r : CS.result) = r.p99_latency_ns in
+    let vs_baseline r =
+      Printf.sprintf "%+.1f%%" ((p99 r -. p99 baseline) /. p99 baseline *. 100.)
     in
     let module T = Xc_sim.Table in
     let t =
@@ -2138,7 +1893,7 @@ let lb_tail_cmd =
           (Printf.sprintf
              "Fig 9 queueing tail vs policy/clones: %s, %d containers x %d \
               connections"
-             (Xc_platforms.Config.name config) containers connections)
+             (Config.name config) containers connections)
         [
           ("policy", T.Left);
           ("clones", T.Right);
@@ -2148,21 +1903,15 @@ let lb_tail_cmd =
           ("req/s", T.Right);
         ]
     in
-    let row name d (r : Xc_platforms.Cluster_sim.result) =
+    let row name d (r : CS.result) =
       T.add_row t
         [
           name;
           (if d = 0 then "-" else string_of_int d);
-          Printf.sprintf "%.0fus" (r.Xc_platforms.Cluster_sim.p99_latency_ns /. 1e3);
-          (if d = 0 then "-"
-           else
-             Printf.sprintf "%+.1f%%"
-               ((r.Xc_platforms.Cluster_sim.p99_latency_ns
-                -. baseline.Xc_platforms.Cluster_sim.p99_latency_ns)
-               /. baseline.Xc_platforms.Cluster_sim.p99_latency_ns *. 100.));
-          Printf.sprintf "%.0fus"
-            (r.Xc_platforms.Cluster_sim.mean_latency_ns /. 1e3);
-          Printf.sprintf "%.0f" r.Xc_platforms.Cluster_sim.throughput_rps;
+          Printf.sprintf "%.0fus" (p99 r /. 1e3);
+          (if d = 0 then "-" else vs_baseline r);
+          Printf.sprintf "%.0fus" (r.mean_latency_ns /. 1e3);
+          Printf.sprintf "%.0f" r.throughput_rps;
         ]
     in
     row "home-pinned (baseline)" 0 baseline;
@@ -2171,48 +1920,29 @@ let lb_tail_cmd =
     T.print t;
     (* Winner = lowest p99; trace baseline vs winner and attribute the
        gap to mechanisms, the same machinery as `xc trace tails`. *)
-    let (wk, wd), wr =
+    let ((wk, wd) as winner), wr =
       match List.combine combos combo_results with
       | [] -> assert false
       | first :: rest ->
           List.fold_left
             (fun ((_, br) as best) ((_, r) as cand) ->
-              if
-                r.Xc_platforms.Cluster_sim.p99_latency_ns
-                < br.Xc_platforms.Cluster_sim.p99_latency_ns
-              then cand
-              else best)
+              if p99 r < p99 br then cand else best)
             first rest
     in
-    Printf.printf
-      "\nwinner: %s d=%d — p99 %.0fus vs baseline %.0fus (%+.1f%%)\n\n"
+    Printf.printf "\nwinner: %s d=%d — p99 %.0fus vs baseline %.0fus (%s)\n\n"
       (Xc_lb.Policy.kind_to_string wk)
       wd
-      (wr.Xc_platforms.Cluster_sim.p99_latency_ns /. 1e3)
-      (baseline.Xc_platforms.Cluster_sim.p99_latency_ns /. 1e3)
-      ((wr.Xc_platforms.Cluster_sim.p99_latency_ns
-       -. baseline.Xc_platforms.Cluster_sim.p99_latency_ns)
-      /. baseline.Xc_platforms.Cluster_sim.p99_latency_ns *. 100.);
-    let traced label cs =
-      Trace.enable ~capacity:(1 lsl 18) ();
-      let (), captured =
-        Trace.capture (fun () ->
-            ignore (Xc_platforms.Cluster_sim.run_sweep ~jobs [ cs ]))
-      in
-      Trace.disable ();
-      match tail_of_events ~label ~pct captured.Trace.events with
-      | Some t -> t
-      | None -> exit_err (label ^ ": trace has no request spans")
-    in
-    let name = Xc_platforms.Config.name config in
+      (p99 wr /. 1e3)
+      (p99 baseline /. 1e3)
+      (vs_baseline wr);
+    let traced label cs = fst (traced_tail ~jobs ~pct ~label cs) in
+    let name = Config.name config in
     let ta = traced ("cluster/" ^ name) base in
     let tb =
       traced
         (Printf.sprintf "cluster/%s+%s-x%d" name
            (Xc_lb.Policy.kind_to_string wk) wd)
-        { base with
-          Xc_platforms.Cluster_sim.lb = Some { Xc_lb.Policy.kind = wk; clones = wd };
-        }
+        (with_lb winner)
     in
     print_string (Xc_trace.Diff.render_tails ~a:ta ~b:tb)
   in
@@ -2318,44 +2048,15 @@ let suite_show_cmd =
     Term.(const run $ suite_name_arg)
 
 let suite_run_cmd =
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs"; "j" ]
-          ~doc:"Worker domains (default \\$XC_JOBS or 1; 0 = auto).")
-  in
-  let csv_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "csv" ] ~docv:"FILE" ~doc:"Also write the result rows as CSV.")
-  in
-  let tails_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "tails" ] ~docv:"FILE"
-          ~doc:"Write p99 tail attribution for traced experiments (specs \
-                with trace/tails set).")
-  in
-  let ts_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "timeseries" ] ~docv:"FILE"
-          ~doc:"Write telemetry snapshots of timeseries-capturing specs \
-                (CSV or Chrome JSON by extension).")
-  in
+  let csv_out = file_flag "csv" ~doc:"Also write the result rows as CSV." in
   let run name jobs csv_out tails_out ts_out =
-    let jobs = jobs_or_exit jobs in
     match resolve_runnable name with
     | Error e -> exit_err e
     | Ok suite ->
         let wants_trace = Suite_driver.wants_trace suite in
         let wants_ts = Suite_driver.wants_timeseries suite in
         if wants_trace then
-          Xc_trace.Trace.enable ~sample:(Suite_driver.sample_stride suite) ();
+          Trace.enable ~sample:(Suite_driver.sample_stride suite) ();
         if wants_ts then
           Xc_sim.Metrics.enable
             ~interval_ns:(float_of_int (Suite_driver.interval_us suite) *. 1e3)
@@ -2368,68 +2069,54 @@ let suite_run_cmd =
           Printf.eprintf
             "[xc suite] warning: --timeseries given but no spec enables \
              timeseries capture; the artifact will be empty\n%!";
-        let outcomes = Suite_driver.run_suite ~jobs suite in
-        let rows =
-          List.map (fun (o : Suite_driver.outcome) -> o.Suite_driver.row) outcomes
+        (* The bench's runner and printer: one cell per spec, so the
+           pieces are per-spec tracks. *)
+        let o =
+          match Run.run ~jobs [ (suite.Suite.name, Run.suite suite) ] with
+          | [ o ] -> o
+          | _ -> assert false
         in
-        print_string
-          (Suite_driver.render
-             ~title:(Printf.sprintf "Suite: %s" suite.Suite.name)
-             rows);
+        print_string o.Run.output;
+        let per_spec f =
+          List.map2
+            (fun (s : Xc_suite.Spec.t) p -> (s.Xc_suite.Spec.name, f p))
+            suite.Suite.specs (Array.to_list o.Run.pieces)
+        in
         (match csv_out with
         | None -> ()
         | Some path ->
-            let oc = open_out path in
-            output_string oc (Suite_driver.csv rows);
-            close_out oc;
+            Out_channel.with_open_text path (fun oc ->
+                output_string oc (Suite_driver.csv o.Run.result));
             Printf.eprintf "[xc suite] wrote %s\n%!" path);
         (match tails_out with
         | None -> ()
-        | Some path ->
-            (* The bench tails pipeline: per-experiment tracks, p99 cut
-               over request totals, per-mechanism partition — so a suite
-               artifact is directly comparable with a bench one. *)
-            let tracks =
-              List.map
-                (fun (o : Suite_driver.outcome) ->
-                  ( o.Suite_driver.row.Suite_driver.spec.Xc_suite.Spec.name,
-                    o.Suite_driver.trace.Xc_trace.Trace.events ))
-                outcomes
-            in
-            let tails =
-              List.filter_map
-                (fun (label, events) -> tail_of_events ~label ~pct:99. events)
-                tracks
-            in
-            Xc_trace.Export.tails_to_file ~path tails;
-            Printf.eprintf "[xc suite] wrote %s (%d request-emitting track(s))\n%!"
-              path (List.length tails));
+        | Some path -> (
+            match Run.tails ~pct:99. (per_spec (fun p -> p.Run.trace)) with
+            | Error e -> exit_err e
+            | Ok tails ->
+                Run.write_tails ~path tails;
+                Printf.eprintf
+                  "[xc suite] wrote %s (%d request-emitting track(s))\n%!" path
+                  (List.length tails)));
         (match ts_out with
         | None -> ()
         | Some path ->
-            let tracks =
-              List.map
-                (fun (o : Suite_driver.outcome) ->
-                  ( o.Suite_driver.row.Suite_driver.spec.Xc_suite.Spec.name,
-                    Xc_sim.Metrics.to_trace_events o.Suite_driver.telemetry ))
-                outcomes
-            in
-            Xc_trace.Export.to_file ~path tracks;
+            Run.write_timeseries ~path (per_spec (fun p -> p.Run.telemetry));
             Printf.eprintf "[xc suite] wrote %s\n%!" path);
-        let events =
-          List.fold_left
-            (fun a (o : Suite_driver.outcome) -> a + o.Suite_driver.events)
-            0 outcomes
-        in
         Printf.eprintf "[xc suite] %d experiment(s), %d domain(s), %d events\n%!"
-          (List.length outcomes) jobs events
+          (List.length suite.Suite.specs)
+          jobs
+          (Array.fold_left (fun a p -> a + p.Run.events) 0 o.Run.pieces)
   in
   Cmd.v
     (Cmd.info "run"
-       ~doc:"Run a named suite or a spec file through the generic driver: \
-             every experiment is one pool shard, output and artifacts are \
-             byte-identical at any --jobs.")
-    Term.(const run $ suite_name_arg $ jobs $ csv_out $ tails_out $ ts_out)
+       ~doc:"Run a named suite or a spec file through the bench's runner: \
+             every experiment is one pool cell, output and artifacts are \
+             byte-identical at any --jobs.  Capture is enabled by the specs \
+             (trace/tails, timeseries), not by the file flags: --tails and \
+             --timeseries write one track per spec.")
+    Term.(const run $ suite_name_arg $ jobs $ csv_out $ tails_out
+          $ timeseries_out)
 
 let suite_cmd =
   Cmd.group

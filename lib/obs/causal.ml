@@ -28,10 +28,10 @@ type point = {
   pt_rerun : CS.result;
 }
 
-let with_tracing ?(capacity = 1 lsl 18) f =
+let with_tracing f =
   if Xc_trace.Trace.enabled () then f ()
   else begin
-    Xc_trace.Trace.enable ~capacity ();
+    Xc_trace.Trace.enable ~capacity:Xc_trace.Trace.default_capacity ();
     Fun.protect ~finally:Xc_trace.Trace.disable f
   end
 
@@ -42,7 +42,7 @@ let mech_means (t : P.tail) =
   List.map (fun (cat, _, ns) -> (cat, ns /. per)) t.P.tail_mech
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let tail_at ?label ~pct att =
+let cut ?label ~pct att =
   match P.request_totals att with
   | [] -> None
   | totals ->
@@ -50,6 +50,17 @@ let tail_at ?label ~pct att =
         Xc_sim.Histogram.percentile_floor (Xc_sim.Histogram.of_samples totals) pct
       in
       Some (P.tail_of ?label ~pct ~cut_ns:cut att)
+
+let tail_at ~label ~pct (captured : Xc_trace.Trace.captured) =
+  match cut ~label ~pct (P.attribute captured.Xc_trace.Trace.events) with
+  | Some _ when captured.Xc_trace.Trace.dropped > 0 ->
+      Error
+        (Printf.sprintf
+           "track %s dropped %d trace event(s) from its ring; refusing a p%g \
+            tail cut over a truncated request population (shorten the run or \
+            trace with a sampling stride)"
+           label captured.Xc_trace.Trace.dropped pct)
+  | t -> Ok t
 
 let measure_baseline config =
   let result, captured =
@@ -59,7 +70,7 @@ let measure_baseline config =
   (* With no cut, the tail is every request. *)
   let all = P.tail_of ~pct:0. ~cut_ns:neg_infinity att in
   let p99_cut_ns, mech_tail_mean =
-    match tail_at ~pct:99. att with
+    match cut ~pct:99. att with
     | None -> (0., [])
     | Some t -> (t.P.cut_ns, mech_means t)
   in
@@ -90,87 +101,72 @@ let predict b ~mech ~scale =
 
 let ( let* ) = Result.bind
 
-let run_point target ~mech ~scale =
-  let* rerun_config =
-    Whatif.apply_cluster { Whatif.mech; scale } target.config
-  in
-  let b = with_tracing (fun () -> measure_baseline target.config) in
-  let rerun = CS.run rerun_config in
-  Ok
-    ( b,
-      {
-        pt_label = target.label;
-        pt_mech = mech;
-        pt_scale = scale;
-        pt_base = b.base;
-        pt_pred = predict b ~mech ~scale;
-        pt_rerun = rerun;
-      } )
-
-(* Pre-validate and re-price the whole grid before anything runs, so a
-   bad what-if fails fast instead of after the expensive baselines. *)
-let grid ~targets ~mechs ~scales =
-  let cells =
-    List.concat_map
-      (fun target ->
-        List.concat_map
-          (fun mech -> List.map (fun scale -> (target, mech, scale)) scales)
-          mechs)
-      targets
-  in
-  List.fold_left
-    (fun acc (target, mech, scale) ->
-      let* l = acc in
-      let* config =
-        Result.map_error
-          (fun m -> Printf.sprintf "%s: %s x%g: %s" target.label mech scale m)
-          (Whatif.apply_cluster { Whatif.mech; scale } target.config)
-      in
-      Ok ((target, mech, scale, config) :: l))
-    (Ok []) cells
-  |> Result.map List.rev
-
-let assemble ~targets baselines reruns_cells rerun_results =
-  let by_label = List.combine (List.map (fun t -> t.label) targets) baselines in
-  let points =
-    List.map2
-      (fun (target, mech, scale, _) rerun ->
-        let b = List.assoc target.label by_label in
-        {
-          pt_label = target.label;
-          pt_mech = mech;
-          pt_scale = scale;
-          pt_base = b.base;
-          pt_pred = predict b ~mech ~scale;
-          pt_rerun = rerun;
-        })
-      reruns_cells rerun_results
-  in
-  (by_label, points)
-
 type cell_result = B of baseline | R of CS.result
 
-let sweep ?jobs ~targets ~mechs ~scales () =
-  let* cells = grid ~targets ~mechs ~scales in
+let sweep_points ?jobs points =
+  (* Re-price every point before anything runs, so a bad what-if fails
+     fast instead of after the expensive baselines. *)
+  let* reruns =
+    List.fold_left
+      (fun acc (label, target, mech, scale) ->
+        let* l = acc in
+        let* config =
+          Result.map_error
+            (fun m -> Printf.sprintf "%s: %s x%g: %s" label mech scale m)
+            (Whatif.apply_cluster { Whatif.mech; scale } target.config)
+        in
+        Ok (config :: l))
+      (Ok []) points
+    |> Result.map List.rev
+  in
+  (* One traced baseline per distinct target, in first-use order. *)
+  let targets =
+    List.fold_left
+      (fun acc (_, t, _, _) ->
+        if List.exists (fun u -> u.label = t.label) acc then acc else t :: acc)
+      [] points
+    |> List.rev
+  in
   let shards =
     List.map
       (fun t ->
         Xc_sim.Parallel.Shard.thunk (fun () -> B (measure_baseline t.config)))
       targets
     @ List.map
-        (fun (_, _, _, c) ->
-          Xc_sim.Parallel.Shard.thunk (fun () -> R (CS.run c)))
-        cells
+        (fun c -> Xc_sim.Parallel.Shard.thunk (fun () -> R (CS.run c)))
+        reruns
   in
   let results =
     with_tracing (fun () -> Xc_sim.Parallel.run_sharded ?jobs shards)
   in
-  let baselines, rerun_results =
-    List.partition_map
-      (function B b -> Left b | R r -> Right r)
-      results
+  let baselines, reruns =
+    List.partition_map (function B b -> Left b | R r -> Right r) results
   in
-  Ok (assemble ~targets baselines cells rerun_results)
+  let by_label = List.combine (List.map (fun t -> t.label) targets) baselines in
+  let points =
+    List.map2
+      (fun (label, target, mech, scale) rerun ->
+        let b = List.assoc target.label by_label in
+        {
+          pt_label = label;
+          pt_mech = mech;
+          pt_scale = scale;
+          pt_base = b.base;
+          pt_pred = predict b ~mech ~scale;
+          pt_rerun = rerun;
+        })
+      points reruns
+  in
+  Ok (by_label, points)
+
+let sweep ?jobs ~targets ~mechs ~scales () =
+  sweep_points ?jobs
+    (List.concat_map
+       (fun t ->
+         List.concat_map
+           (fun mech -> List.map (fun scale -> (t.label, t, mech, scale)) scales)
+           mechs)
+       targets)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

@@ -22,8 +22,8 @@
     ([--connections 5]) the rerun moves further than the share says —
     exactly the regime where the fig9 tail is queueing-dominated.
 
-    Baselines run traced ({!with_tracing}); rerun points are plain
-    runs.  {!sweep} fans baselines and reruns out over the
+    Baselines run traced ({!with_tracing}).  {!sweep_points} fans
+    baselines and reruns out over the
     {!Xc_sim.Parallel} shard layer and reassembles in submission
     order, so every artifact is byte-identical at any [--jobs]. *)
 
@@ -59,20 +59,24 @@ type point = {
   pt_rerun : CS.result;
 }
 
-val with_tracing : ?capacity:int -> (unit -> 'a) -> 'a
+val with_tracing : (unit -> 'a) -> 'a
 (** Run [f] with tracing enabled: a no-op wrapper when tracing is
-    already on (sampling and capacity inherited), otherwise enables an
-    unsampled ring of [capacity] (default [2^18]) events and disables
-    again afterwards (also on exceptions). *)
+    already on (sampling and capacity inherited), otherwise enables a
+    {!Xc_trace.Trace.default_capacity} ring and disables again
+    afterwards (also on exceptions). *)
 
 val tail_at :
-  ?label:string -> pct:float -> Xc_trace.Profile.attribution ->
-  Xc_trace.Profile.tail option
-(** The [pct] tail of an attribution: the cut ([tail.cut_ns]) is
+  label:string -> pct:float -> Xc_trace.Trace.captured ->
+  (Xc_trace.Profile.tail option, string) result
+(** The [pct] tail of a captured track: the cut ([tail.cut_ns]) is
     [Histogram.percentile_floor] over its request totals, and the tail
-    holds the requests at or above it.  [None] when no request was
-    attributed.  Every tails artifact (the bench [.tails] sidecar,
-    [xc --tail]/[--tails]) and {!measure_baseline} cut this way. *)
+    holds the requests at or above it.  [Ok None] when no request was
+    attributed.  [Error] names the track and its drop count when the
+    capture holds requests but its ring dropped events: the request
+    population is truncated, so any cut over it would be silently
+    wrong.  Every tails artifact and tail table (the bench [.tails]
+    sidecar, [xc --tail]/[--tails]) cuts this way, and
+    {!measure_baseline} uses the same cut. *)
 
 val measure_baseline : CS.config -> baseline
 (** One traced run plus its attribution and critical-path summary.
@@ -84,10 +88,17 @@ val predict : baseline -> mech:string -> scale:float -> prediction
 (** The linear-share prediction above.  A mechanism with no
     attributed time predicts no change. *)
 
-val run_point :
-  target -> mech:string -> scale:float -> (baseline * point, string) result
-(** Sequential single point: traced baseline, prediction, re-priced
-    rerun.  [Error] if the what-if does not apply to the config. *)
+val sweep_points :
+  ?jobs:int ->
+  (string * target * string * float) list ->
+  ((string * baseline) list * point list, string) result
+(** The causal sweep over explicit [(label, target, mech, scale)]
+    points: one traced baseline per distinct target (by label), one
+    re-priced rerun per point, every what-if validated before anything
+    runs and all of it fanned out as independent pool shards.
+    Baselines come back in first-use order, points in the given order
+    under their own labels — identical at any [jobs].  [Error] names
+    the point whose what-if does not apply. *)
 
 val sweep :
   ?jobs:int ->
@@ -96,11 +107,8 @@ val sweep :
   scales:float list ->
   unit ->
   ((string * baseline) list * point list, string) result
-(** The full grid: one traced baseline per target, one rerun per
-    (target x mech x scale), all validated up front and fanned out as
-    independent pool shards.  Baselines come back in target order,
-    points in (target, mech, scale) row-major order — identical at any
-    [jobs]. *)
+(** {!sweep_points} over the (target x mech x scale) cross product, in
+    row-major order, each point labelled by its target. *)
 
 val render_points : point list -> string
 (** The predicted-vs-rerun table: throughput and p99 triples per point

@@ -146,28 +146,7 @@ let run (spec : Spec.t) =
       { spec; throughput_rps = tput; mean_ns = mean; p50_ns = Float.nan; p99_ns = p99 }
 
 (* ------------------------------------------------------------------ *)
-(* Suite runs: one pool shard per spec, instrumented like the bench
-   harness so traced/telemetry runs stay byte-identical at any --jobs
-   (captures drain at shard boundaries and merge in spec order). *)
-
-type outcome = {
-  row : row;
-  events : int;
-  trace : Xc_trace.Trace.captured;
-  telemetry : Xc_sim.Metrics.telemetry;
-}
-
-let shard_of_spec spec =
-  Xc_sim.Parallel.Shard.thunk (fun () ->
-      let events0 = Xc_sim.Engine.domain_events () in
-      let (row, trace), telemetry =
-        Xc_sim.Metrics.capture (fun () -> Xc_trace.Trace.capture (fun () -> run spec))
-      in
-      let events = Xc_sim.Engine.domain_events () - events0 in
-      { row; events; trace; telemetry })
-
-let run_suite ?jobs (t : Suite.t) =
-  Xc_sim.Parallel.run_sharded ?jobs (List.map shard_of_spec t.Suite.specs)
+(* Capture wants: what a suite's specs ask the runner to record.       *)
 
 let wants_trace (t : Suite.t) =
   List.exists
@@ -200,9 +179,9 @@ module T = Xc_sim.Table
 let fmt_us v =
   if Float.is_nan v then "-" else Printf.sprintf "%.0fus" (v /. 1e3)
 
-let render ?title rows =
+let render rows =
   let t =
-    T.create ?title
+    T.create
       [
         ("experiment", T.Left);
         ("platform", T.Left);

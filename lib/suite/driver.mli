@@ -28,18 +28,6 @@ val run : Spec.t -> row
 (** Dispatch on the spec's shape; cluster rows aggregate node results
     (throughput sums, means average, p99 is the worst non-NaN). *)
 
-type outcome = {
-  row : row;
-  events : int;  (** engine events this spec's run executed *)
-  trace : Xc_trace.Trace.captured;
-  telemetry : Xc_sim.Metrics.telemetry;
-}
-
-val run_suite : ?jobs:int -> Suite.t -> outcome list
-(** One pool shard per spec, instrumented like the bench harness
-    (per-spec trace/telemetry capture, merged in spec order), so
-    traced runs are byte-identical at any [jobs]. *)
-
 val wants_trace : Suite.t -> bool
 (** Any spec asks for [trace] or [tails] capture. *)
 
@@ -51,5 +39,5 @@ val sample_stride : Suite.t -> int
 val interval_us : Suite.t -> int
 (** Smallest positive requested snapshot cadence; 50 if none. *)
 
-val render : ?title:string -> row list -> string
+val render : row list -> string
 val csv : row list -> string

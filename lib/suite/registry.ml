@@ -1,8 +1,9 @@
 (* The suite registry: every bench experiment as declarative data,
    plus the generically-runnable named suites.
 
-   The bench harness builds its experiment table from [bench]/[smoke]
-   (a builder per [kind] interprets the specs into cells); the specs
+   This is the bench's experiment table: the bench maps each
+   [bench]/[smoke] suite to its printer, which interprets the specs
+   into cells; the specs
    here carry the actual grids — apps x clouds, fractions x runtimes,
    hedging points, fleet shapes — so adding a point is a data edit.
    Values that the bespoke drivers hard-code (cluster duration 300 ms,

@@ -3,11 +3,12 @@
 
     [bench] holds the 20 baseline experiments in bench order; [smoke]
     the 5 smoke-variant suites; [smoke_cheap] names the bench
-    experiments the smoke list reuses unchanged.  The bench harness
-    interprets each suite through a per-[kind] builder, byte-identical
-    to the pre-refactor hand-coded drivers (pinned by the differential
-    golden tests).  [named] suites use only ["generic"] kinds and run
-    through {!Driver} alone (`xc suite run`, `bench --suite`).
+    experiments the smoke list reuses unchanged.  Together they are the
+    bench's experiment table: the bench maps each suite to its printer,
+    byte-identical to the pre-refactor hand-coded drivers (pinned by
+    the differential golden tests), and a suite without a printer
+    aborts it at startup.  [named] suites use only ["generic"] kinds
+    and run as {!Run.suite} (`xc suite run`, `bench --suite`).
 
     The whole registry is validated at module init — a malformed entry
     raises [Invalid_argument] before anything can run. *)

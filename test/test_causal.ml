@@ -326,9 +326,10 @@ let test_predict_vs_rerun () =
     }
   in
   let target = { Causal.label = "docker/c1"; config } in
-  match Causal.run_point target ~mech:"syscall-entry" ~scale:0.7 with
+  match Causal.sweep_points [ (target.Causal.label, target, "syscall-entry", 0.7) ] with
   | Error e -> Alcotest.fail e
-  | Ok (b, pt) ->
+  | Ok (baselines, points) ->
+      let b = snd (List.hd baselines) and pt = List.hd points in
       Alcotest.(check bool) "baseline attributed requests" true
         (b.Causal.n_requests > 0);
       Alcotest.(check bool) "syscall-entry has attributed share" true

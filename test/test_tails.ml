@@ -106,6 +106,30 @@ let test_render_tail () =
       "(request-self)"; "tail window time"; "slowest 1 tail requests";
     ]
 
+(* A ring that dropped events has lost requests or parts of their
+   bundles, so a cut over what is left is over the wrong population:
+   the one tail function refuses such a track by name, while complete
+   captures and request-free truncated ones still pass. *)
+let test_truncated_tail_refused () =
+  let captured dropped =
+    { Trace.empty_captured with Trace.events = unit_forest; dropped }
+  in
+  (match Xc_obs.Causal.tail_at ~label:"unit" ~pct:99. (captured 0) with
+  | Ok (Some t) ->
+      Alcotest.(check int) "complete capture is cut" 2 t.Profile.n_requests
+  | Ok None | Error _ -> Alcotest.fail "complete capture refused");
+  (match Xc_obs.Causal.tail_at ~label:"unit" ~pct:99. (captured 7) with
+  | Error e ->
+      Alcotest.(check bool) "error names the track and its drop count" true
+        (contains e "unit" && contains e "dropped 7")
+  | Ok _ -> Alcotest.fail "truncated capture attributed");
+  match
+    Xc_obs.Causal.tail_at ~label:"quiet" ~pct:99.
+      { Trace.empty_captured with Trace.dropped = 3 }
+  with
+  | Ok None -> ()
+  | Ok (Some _) | Error _ -> Alcotest.fail "request-free track not skipped"
+
 (* ---------------- QCheck: partition property ---------------- *)
 
 (* Independent reference for [Profile.attribute]: the same canonical
@@ -572,6 +596,8 @@ let suites =
           test_unit_forest;
         Alcotest.test_case "tail cut aggregation" `Quick test_unit_tail_cut;
         Alcotest.test_case "tail rendering" `Quick test_render_tail;
+        Alcotest.test_case "truncated capture refused" `Quick
+          test_truncated_tail_refused;
         QCheck_alcotest.to_alcotest partition_prop;
       ] );
     ( "tails.percentile",
