@@ -45,9 +45,11 @@ let positive_int ?aliases name default ~doc =
   checked ?aliases name Arg.int ~ok:(fun n -> n >= 1)
     ~expects:"a positive integer" default ~docv:"N" ~doc
 
+(* Floats echo back as %g ("0", not "0.") in errors and help. *)
+let float_arg = Arg.conv (Arg.conv_parser Arg.float, fun f -> Format.fprintf f "%g")
+
 let positive_float ?aliases ?(unit = "") name default ~docv ~doc =
-  let float = Arg.conv (Arg.conv_parser Arg.float, fun f -> Format.fprintf f "%g") in
-  checked ?aliases name float
+  checked ?aliases name float_arg
     ~ok:(fun x -> Float.is_finite x && x > 0.)
     ~expects:("a positive number" ^ unit) default ~docv ~doc
 
@@ -408,7 +410,7 @@ let boot_times_cmd =
 
 let migrate_cmd =
   let dirty =
-    checked "dirty-rate" Arg.float
+    checked "dirty-rate" float_arg
       ~ok:(fun x -> Float.is_finite x && x >= 0.)
       ~expects:"a non-negative number of pages/s" 5000. ~docv:"R"
       ~doc:"Dirtied pages/s."

@@ -42,46 +42,51 @@ let mech_means (t : P.tail) =
   List.map (fun (cat, _, ns) -> (cat, ns /. per)) t.P.tail_mech
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let cut ?label ~pct att =
+(* The [pct] cut of a capture's attribution; a capture that dropped
+   events while holding requests has lost part of its population. *)
+let cut ~label ~pct ~dropped att =
   match P.request_totals att with
-  | [] -> None
-  | totals ->
-      let cut =
-        Xc_sim.Histogram.percentile_floor (Xc_sim.Histogram.of_samples totals) pct
-      in
-      Some (P.tail_of ?label ~pct ~cut_ns:cut att)
-
-let tail_at ~label ~pct (captured : Xc_trace.Trace.captured) =
-  match cut ~label ~pct (P.attribute captured.Xc_trace.Trace.events) with
-  | Some _ when captured.Xc_trace.Trace.dropped > 0 ->
+  | [] -> Ok None
+  | _ when dropped > 0 ->
       Error
         (Printf.sprintf
            "track %s dropped %d trace event(s) from its ring; refusing a p%g \
             tail cut over a truncated request population (shorten the run or \
             trace with a sampling stride)"
-           label captured.Xc_trace.Trace.dropped pct)
-  | t -> Ok t
+           label dropped pct)
+  | totals ->
+      let cut =
+        Xc_sim.Histogram.percentile_floor (Xc_sim.Histogram.of_samples totals) pct
+      in
+      Ok (Some (P.tail_of ~label ~pct ~cut_ns:cut att))
 
-let measure_baseline config =
+let tail_at ~label ~pct (captured : Xc_trace.Trace.captured) =
+  cut ~label ~pct ~dropped:captured.dropped (P.attribute captured.events)
+
+let ( let* ) = Result.bind
+
+let measure_baseline target =
   let result, captured =
-    Xc_trace.Trace.capture (fun () -> CS.run config)
+    Xc_trace.Trace.capture (fun () -> CS.run target.config)
   in
   let att = P.attribute captured.Xc_trace.Trace.events in
+  let* tail = cut ~label:target.label ~pct:99. ~dropped:captured.dropped att in
   (* With no cut, the tail is every request. *)
   let all = P.tail_of ~pct:0. ~cut_ns:neg_infinity att in
   let p99_cut_ns, mech_tail_mean =
-    match cut ~pct:99. att with
+    match tail with
     | None -> (0., [])
     | Some t -> (t.P.cut_ns, mech_means t)
   in
-  {
-    base = result;
-    n_requests = all.P.n_requests;
-    p99_cut_ns;
-    path = Critical_path.(summarize (of_attribution att));
-    mech_mean = mech_means all;
-    mech_tail_mean;
-  }
+  Ok
+    {
+      base = result;
+      n_requests = all.P.n_requests;
+      p99_cut_ns;
+      path = Critical_path.(summarize (of_attribution att));
+      mech_mean = mech_means all;
+      mech_tail_mean;
+    }
 
 let predict b ~mech ~scale =
   let mean_of alist = Option.value (List.assoc_opt mech alist) ~default:0. in
@@ -99,9 +104,7 @@ let predict b ~mech ~scale =
   let pred_p99_ns = b.base.CS.p99_latency_ns +. dtail in
   { pred_tput; pred_mean_ns; pred_p99_ns }
 
-let ( let* ) = Result.bind
-
-type cell_result = B of baseline | R of CS.result
+type cell_result = B of (baseline, string) result | R of CS.result
 
 let sweep_points ?jobs points =
   (* Re-price every point before anything runs, so a bad what-if fails
@@ -130,7 +133,7 @@ let sweep_points ?jobs points =
   let shards =
     List.map
       (fun t ->
-        Xc_sim.Parallel.Shard.thunk (fun () -> B (measure_baseline t.config)))
+        Xc_sim.Parallel.Shard.thunk (fun () -> B (measure_baseline t)))
       targets
     @ List.map
         (fun c -> Xc_sim.Parallel.Shard.thunk (fun () -> R (CS.run c)))
@@ -141,6 +144,14 @@ let sweep_points ?jobs points =
   in
   let baselines, reruns =
     List.partition_map (function B b -> Left b | R r -> Right r) results
+  in
+  let* baselines =
+    List.fold_right
+      (fun b acc ->
+        let* b = b in
+        let* l = acc in
+        Ok (b :: l))
+      baselines (Ok [])
   in
   let by_label = List.combine (List.map (fun t -> t.label) targets) baselines in
   let points =

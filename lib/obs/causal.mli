@@ -78,9 +78,10 @@ val tail_at :
     sidecar, [xc --tail]/[--tails]) cuts this way, and
     {!measure_baseline} uses the same cut. *)
 
-val measure_baseline : CS.config -> baseline
-(** One traced run plus its attribution and critical-path summary.
-    Call under {!with_tracing}; with tracing off (or a config without
+val measure_baseline : target -> (baseline, string) result
+(** One traced run plus its attribution and critical-path summary;
+    [Error], as in {!tail_at}, when the capture dropped events.  Call
+    under {!with_tracing}; with tracing off (or a config without
     [request_mech] pricing) the attribution comes back empty and
     predictions degenerate to the baseline. *)
 
@@ -98,7 +99,8 @@ val sweep_points :
     runs and all of it fanned out as independent pool shards.
     Baselines come back in first-use order, points in the given order
     under their own labels — identical at any [jobs].  [Error] names
-    the point whose what-if does not apply. *)
+    the point whose what-if does not apply, or the baseline whose
+    capture dropped events. *)
 
 val sweep :
   ?jobs:int ->
