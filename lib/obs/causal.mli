@@ -75,28 +75,21 @@ val tail_at :
     capture holds requests but its ring dropped events: the request
     population is truncated, so any cut over it would be silently
     wrong.  Every tails artifact and tail table (the bench [.tails]
-    sidecar, [xc --tail]/[--tails]) cuts this way, and
-    {!measure_baseline} uses the same cut. *)
-
-val measure_baseline : target -> (baseline, string) result
-(** One traced run plus its attribution and critical-path summary;
-    [Error], as in {!tail_at}, when the capture dropped events.  Call
-    under {!with_tracing}; with tracing off (or a config without
-    [request_mech] pricing) the attribution comes back empty and
-    predictions degenerate to the baseline. *)
-
-val predict : baseline -> mech:string -> scale:float -> prediction
-(** The linear-share prediction above.  A mechanism with no
-    attributed time predicts no change. *)
+    sidecar, [xc --tail]/[--tails]) and every causal baseline cuts
+    this way. *)
 
 val sweep_points :
   ?jobs:int ->
   (string * target * string * float) list ->
   ((string * baseline) list * point list, string) result
 (** The causal sweep over explicit [(label, target, mech, scale)]
-    points: one traced baseline per distinct target (by label), one
-    re-priced rerun per point, every what-if validated before anything
-    runs and all of it fanned out as independent pool shards.
+    points: one traced baseline (run, attribution, critical path) per
+    distinct target (by label), one re-priced rerun and linear-share
+    prediction per point, every what-if validated before anything runs
+    and all of it fanned out as independent pool shards.  A config
+    without [request_mech] pricing attributes nothing, so its
+    predictions are the baseline; so does a mechanism with no
+    attributed time.
     Baselines come back in first-use order, points in the given order
     under their own labels — identical at any [jobs].  [Error] names
     the point whose what-if does not apply, or the baseline whose
