@@ -132,7 +132,7 @@ let all =
       kind = Extension;
       paper_ref = "\xc2\xa74.5";
       title = "Memory density with ballooning and tmem";
-      modules = [ "Xc_apps.Density"; "Xc_hypervisor.Balloon"; "Xc_hypervisor.Tmem" ];
+      modules = [ "Xc_apps.Density"; "Xc_hypervisor.Balloon" ];
     };
     {
       id = "build-bench";

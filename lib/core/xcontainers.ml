@@ -25,7 +25,6 @@ module Xcontainer = Xcontainer
 module Figures = Figures
 module Security = Security
 module Cloning = Cloning
-module Storage = Storage
 module Inventory = Inventory
 
 (* Substrates. *)

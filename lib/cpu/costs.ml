@@ -1,8 +1,6 @@
 (* All constants in nanoseconds.  See the .mli for calibration sources. *)
 
-let cycle_ns = 0.345
 let cache_line_refill_ns = 30.
-let tlb_walk_ns = 35.
 
 (* Syscall paths. *)
 let function_call_ns = 2.
@@ -54,7 +52,6 @@ let bridge_hop_ns = 1500.
 let split_driver_hop_ns = 2100.
 let gvisor_net_ns = 9000.
 let nested_io_ns = 5200.
-let wire_ns_per_byte = 0.8
 let lan_rtt_ns = 28_000.
 
 let validate () =

@@ -21,12 +21,7 @@
 
 (** {2 Base machine} *)
 
-val cycle_ns : float
-(** One cycle at 2.9 GHz. *)
-
 val cache_line_refill_ns : float
-val tlb_walk_ns : float
-(** One page-table walk after a TLB miss. *)
 
 (** {2 Mode switches and system calls} *)
 
@@ -171,9 +166,6 @@ val gvisor_net_ns : float
 
 val nested_io_ns : float
 (** Per-packet cost added by nested virtualization (Clear). *)
-
-val wire_ns_per_byte : float
-(** 10 GbE serialisation cost per byte. *)
 
 val lan_rtt_ns : float
 (** Client-server round trip on the local network. *)

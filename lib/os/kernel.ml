@@ -9,7 +9,6 @@ type t = {
   config : config;
   vfs : Vfs.t;
   scheduler : Cfs.t;
-  metrics : Xc_sim.Metrics.t;
   mutable next_pid : int;
   mutable procs : Process.t list;
   kernel_pages : int;
@@ -20,7 +19,6 @@ let create ?(config = default_config) () =
     config;
     vfs = Vfs.create ();
     scheduler = Cfs.create ();
-    metrics = Xc_sim.Metrics.create ();
     next_pid = 1;
     procs = [];
     kernel_pages = 2048; (* 8 MB of resident kernel text/data *)
@@ -29,7 +27,6 @@ let create ?(config = default_config) () =
 let config t = t.config
 let vfs t = t.vfs
 let scheduler t = t.scheduler
-let metrics t = t.metrics
 let process_count t = List.length t.procs
 let processes t = t.procs
 
@@ -63,7 +60,6 @@ let spawn t =
   let p = Process.create ~pid ~aspace:(fresh_aspace t ~id:pid) () in
   t.procs <- t.procs @ [ p ];
   Cfs.add t.scheduler p;
-  Xc_sim.Metrics.incr t.metrics "process.spawn";
   p
 
 let fork t parent =
@@ -81,18 +77,13 @@ let fork t parent =
   in
   t.procs <- t.procs @ [ child ];
   Cfs.add t.scheduler child;
-  Xc_sim.Metrics.incr t.metrics "process.fork";
   (child, fork_cost_ns t ~pages:(Process.resident_pages parent))
 
-let exec t p =
-  Xc_sim.Metrics.incr t.metrics "process.exec";
-  ignore p;
-  exec_cost_ns t
+let exec t _ = exec_cost_ns t
 
 let exit_process t p =
   Process.set_state p Process.Zombie;
   Cfs.remove t.scheduler p;
-  Xc_sim.Metrics.incr t.metrics "process.exit";
   120.
 
 let wait t parent =
@@ -105,7 +96,6 @@ let wait t parent =
   match zombie with
   | Some z ->
       t.procs <- List.filter (fun p -> p != z) t.procs;
-      Xc_sim.Metrics.incr t.metrics "process.reap";
       (Some z, 150.)
   | None -> (None, 150.)
 

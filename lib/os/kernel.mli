@@ -34,7 +34,6 @@ val create : ?config:config -> unit -> t
 val config : t -> config
 val vfs : t -> Vfs.t
 val scheduler : t -> Cfs.t
-val metrics : t -> Xc_sim.Metrics.t
 val process_count : t -> int
 val processes : t -> Process.t list
 

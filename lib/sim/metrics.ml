@@ -1,41 +1,3 @@
-(* ---------------- Instance registries (original API) ---------------- *)
-
-type t = (string, float ref) Hashtbl.t
-
-let create () : t = Hashtbl.create 32
-
-let cell t name =
-  match Hashtbl.find_opt t name with
-  | Some r -> r
-  | None ->
-      let r = ref 0. in
-      Hashtbl.add t name r;
-      r
-
-let add t name v = cell t name := !(cell t name) +. v
-let incr t name = add t name 1.
-let get t name = match Hashtbl.find_opt t name with Some r -> !r | None -> 0.
-let reset t = Hashtbl.reset t
-
-let merge a b =
-  let t = create () in
-  let absorb src = Hashtbl.iter (fun name r -> add t name !r) src in
-  absorb a;
-  absorb b;
-  t
-
-let to_alist t =
-  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let pp fmt t =
-  Format.pp_print_list
-    ~pp_sep:(fun fmt () -> Format.pp_print_cut fmt ())
-    (fun fmt (k, v) -> Format.fprintf fmt "%-40s %12.0f" k v)
-    fmt (to_alist t)
-
-(* ---------------- Global telemetry registry ---------------- *)
-
 (* Mirrors the Trace recorder design: process-wide atomic switches, all
    mutable state domain-local (DLS), capture/inject for deterministic
    cross-domain merging in Parallel.run.  Every emitter is one atomic

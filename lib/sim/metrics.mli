@@ -1,43 +1,12 @@
-(** Named counters and the global telemetry registry.
+(** The global telemetry registry.
 
-    Two layers:
-
-    + {b Instance registries} ([t]): each simulated component (CPU
-      core, TLB, hypervisor, ABOM) accumulates event counts into its
-      own registry; the benchmark harness reads them back to explain
-      {e why} a configuration is fast or slow (e.g. "syscalls
-      forwarded" vs "syscalls as function calls" for Table 1).
-    + {b Global telemetry} ({!section:telemetry}): a process-wide typed
-      registry of counters / gauges / histograms every substrate emits
-      into, sampled on the {e sim clock} into a bounded time-series of
-      {!snapshot}s by the engine (see [Engine]).  Disabled it costs one
-      atomic load per emitter; the state is domain-local and
-      {!capture}/{!inject} give [Parallel.run] the same deterministic
-      cross-domain merge the tracer has, so telemetry artifacts are
-      byte-identical at any [--jobs]. *)
-
-type t
-
-val create : unit -> t
-
-val incr : t -> string -> unit
-val add : t -> string -> float -> unit
-val get : t -> string -> float
-(** [0.] for a counter never touched. *)
-
-val merge : t -> t -> t
-(** Fresh registry with the counter-wise sum of both arguments (a
-    counter missing on one side counts as [0.]); the arguments are
-    not modified.  Used to combine per-domain registries after a
-    parallel run. *)
-
-val reset : t -> unit
-val to_alist : t -> (string * float) list
-(** Sorted by name. *)
-
-val pp : Format.formatter -> t -> unit
-
-(** {1:telemetry Global telemetry registry} *)
+    A process-wide typed registry of counters, gauges and histograms
+    that every substrate emits into, sampled on the {e sim clock} into a
+    bounded time-series of {!snapshot}s by the engine (see [Engine]).
+    Disabled it costs one atomic load per emitter; the state is
+    domain-local and {!capture}/{!inject} give [Parallel.run] the same
+    deterministic cross-domain merge the tracer has, so telemetry
+    artifacts are byte-identical at any [--jobs]. *)
 
 type dist_view = { n : int; p50 : float; p99 : float; max_ : float }
 (** Scalar projection of a histogram metric at snapshot time.  No

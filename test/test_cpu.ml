@@ -1,4 +1,4 @@
-(* Tests for the CPU cost model and core accounting. *)
+(* Tests for the CPU cost model and the privilege modes. *)
 
 open Xc_cpu
 
@@ -35,27 +35,6 @@ let test_headline_ratio () =
   let r = docker /. xc in
   Alcotest.(check bool) "headline ~27x" true (r > 20. && r < 32.)
 
-let test_core_accounting () =
-  let c = Core.create ~id:0 in
-  Core.charge c ~label:"syscall" 100.;
-  Core.charge c ~label:"syscall" 50.;
-  Core.charge c 25.;
-  Alcotest.(check (float 1e-9)) "busy" 175. (Core.busy_ns c);
-  Alcotest.(check (float 1e-9)) "labelled count" 2. (Core.count c "syscall");
-  Alcotest.(check (float 1e-9)) "utilization" 0.175 (Core.utilization c ~wall_ns:1000.);
-  Core.reset c;
-  Alcotest.(check (float 1e-9)) "reset" 0. (Core.busy_ns c)
-
-let test_smp () =
-  let s = Smp.create ~cores:4 in
-  Alcotest.(check int) "cores" 4 (Smp.cores s);
-  Core.charge (Smp.core s 0) 100.;
-  Core.charge (Smp.core s 1) 10.;
-  Alcotest.(check (float 1e-9)) "total busy" 110. (Smp.total_busy_ns s);
-  Alcotest.(check int) "least busy picks idle" 2 (Core.id (Smp.least_busy s));
-  Alcotest.check_raises "zero cores" (Invalid_argument "Smp.create: need at least one core")
-    (fun () -> ignore (Smp.create ~cores:0))
-
 let test_mode_names () =
   Alcotest.(check string) "hypervisor" "hypervisor" (Mode.to_string Mode.Hypervisor);
   Alcotest.(check bool) "equal" true (Mode.equal Mode.Guest_user Mode.Guest_user);
@@ -71,8 +50,6 @@ let suites =
       ] );
     ( "cpu.core",
       [
-        Alcotest.test_case "accounting" `Quick test_core_accounting;
-        Alcotest.test_case "smp" `Quick test_smp;
         Alcotest.test_case "modes" `Quick test_mode_names;
       ] );
   ]

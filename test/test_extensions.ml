@@ -1,4 +1,4 @@
-(* Tests for the beyond-paper extensions: ablation, ballooning, tmem,
+(* Tests for the beyond-paper extensions: ablation, ballooning, density,
    live migration, cloning, the security analysis and the open-loop
    driver. *)
 
@@ -88,40 +88,6 @@ let test_balloon_cost_scales () =
   Alcotest.(check bool) "bigger balloon costs more" true
     (Xc_hypervisor.Balloon.inflate_cost_ns ~mb:100
     > Xc_hypervisor.Balloon.inflate_cost_ns ~mb:10)
-
-(* ---------------- Tmem ---------------- *)
-
-let test_tmem_put_get () =
-  let t = Xc_hypervisor.Tmem.create ~capacity_pages:4 in
-  Xc_hypervisor.Tmem.put t ~domain_id:1 ~key:10;
-  Alcotest.(check bool) "hit" true (Xc_hypervisor.Tmem.get t ~domain_id:1 ~key:10 = `Hit);
-  (* Exclusive get: the page is gone. *)
-  Alcotest.(check bool) "second get misses" true
-    (Xc_hypervisor.Tmem.get t ~domain_id:1 ~key:10 = `Miss);
-  (* Domain isolation of keys. *)
-  Xc_hypervisor.Tmem.put t ~domain_id:1 ~key:7;
-  Alcotest.(check bool) "other domain misses" true
-    (Xc_hypervisor.Tmem.get t ~domain_id:2 ~key:7 = `Miss)
-
-let test_tmem_eviction_lru () =
-  let t = Xc_hypervisor.Tmem.create ~capacity_pages:2 in
-  Xc_hypervisor.Tmem.put t ~domain_id:1 ~key:1;
-  Xc_hypervisor.Tmem.put t ~domain_id:1 ~key:2;
-  Xc_hypervisor.Tmem.put t ~domain_id:1 ~key:3 (* evicts key 1 *);
-  Alcotest.(check int) "at capacity" 2 (Xc_hypervisor.Tmem.stored_pages t);
-  Alcotest.(check bool) "oldest evicted" true
-    (Xc_hypervisor.Tmem.get t ~domain_id:1 ~key:1 = `Miss);
-  Alcotest.(check bool) "recent kept" true
-    (Xc_hypervisor.Tmem.get t ~domain_id:1 ~key:3 = `Hit)
-
-let test_tmem_flush_domain () =
-  let t = Xc_hypervisor.Tmem.create ~capacity_pages:8 in
-  Xc_hypervisor.Tmem.put t ~domain_id:1 ~key:1;
-  Xc_hypervisor.Tmem.put t ~domain_id:1 ~key:2;
-  Xc_hypervisor.Tmem.put t ~domain_id:2 ~key:1;
-  Alcotest.(check int) "flushed two" 2 (Xc_hypervisor.Tmem.flush_domain t ~domain_id:1);
-  Alcotest.(check int) "one left" 1 (Xc_hypervisor.Tmem.stored_pages t);
-  Alcotest.(check bool) "hit saving positive" true (Xc_hypervisor.Tmem.hit_saving_ns > 0.)
 
 (* ---------------- Density ---------------- *)
 
@@ -287,12 +253,6 @@ let suites =
         Alcotest.test_case "targets" `Quick test_balloon_targets;
         Alcotest.test_case "pool reclaim" `Quick test_balloon_pool_reclaim;
         Alcotest.test_case "cost scales" `Quick test_balloon_cost_scales;
-      ] );
-    ( "ext.tmem",
-      [
-        Alcotest.test_case "put/get" `Quick test_tmem_put_get;
-        Alcotest.test_case "LRU eviction" `Quick test_tmem_eviction_lru;
-        Alcotest.test_case "flush domain" `Quick test_tmem_flush_domain;
       ] );
     ( "ext.density",
       [

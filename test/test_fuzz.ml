@@ -197,32 +197,6 @@ let page_table_model =
       in
       count_ok && globals_ok && lookups_ok)
 
-(* ---------------- TLB invariant ---------------- *)
-
-let tlb_cr3_invariant =
-  QCheck.Test.make ~name:"cr3 switch evicts exactly the non-global set" ~count:200
-    QCheck.(list_of_size Gen.(int_range 0 100) (pair (int_range 0 50) bool))
-    (fun accesses ->
-      let tlb = Xc_mem.Tlb.create ~capacity:256 () in
-      List.iter (fun (vpn, global) -> ignore (Xc_mem.Tlb.access tlb ~vpn ~global)) accesses;
-      (* Remember which vpns were accessed as global (last access wins is
-         not modelled: a vpn is inserted once with its first flag). *)
-      let globals =
-        List.fold_left
-          (fun acc (vpn, global) ->
-            if List.mem_assoc vpn acc then acc else (vpn, global) :: acc)
-          [] accesses
-      in
-      Xc_mem.Tlb.switch_cr3 tlb;
-      List.for_all
-        (fun (vpn, global) ->
-          let resident =
-            (* A hit without filling means it was resident. *)
-            Xc_mem.Tlb.access tlb ~vpn ~global = `Hit
-          in
-          if global then resident else not resident)
-        (List.filteri (fun i _ -> i < 10) globals))
-
 let xelf_total =
   QCheck.Test.make ~name:"xelf deserialize total on garbage" ~count:300 arb_bytes
     (fun blob ->
@@ -238,5 +212,5 @@ let suites =
       qsuite [ machine_total_on_garbage; machine_total_with_xkernel_config ] );
     ( "fuzz.abom",
       qsuite [ patch_idempotent; offline_equivalence; entry_table_roundtrip ] );
-    ("fuzz.mem", qsuite [ page_table_model; tlb_cr3_invariant ]);
+    ("fuzz.mem", qsuite [ page_table_model ]);
   ]

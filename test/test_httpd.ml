@@ -1,6 +1,5 @@
 (* Integration tests: a request served end to end through the semantic
-   substrate (VFS + sockets + the HTTP model), plus the split driver's
-   live grant handshake. *)
+   substrate (VFS + sockets + the HTTP model). *)
 
 let make_server () =
   let kernel = Xc_os.Kernel.create ~config:Xc_os.Kernel.xlibos_config () in
@@ -50,35 +49,6 @@ let test_bad_docroot () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "missing docroot must fail"
 
-(* The split driver's grant handshake, observed through the table. *)
-let test_split_driver_grants () =
-  let hypercalls = Xc_hypervisor.Hypercall.create () in
-  let events = Xc_hypervisor.Event_channel.create Xc_hypervisor.Event_channel.Via_hypervisor in
-  let d = Xc_hypervisor.Split_driver.create ~hypercalls ~events ~ring_slots:4 in
-  (* A 6000-byte packet spans 2 pages: 2 grants, both mapped. *)
-  (match Xc_hypervisor.Split_driver.submit d ~bytes_len:6000 with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail e);
-  let gt = Xc_hypervisor.Split_driver.grants d in
-  Alcotest.(check int) "two grants live" 2 (Xc_hypervisor.Grant_table.active_grants gt);
-  (* Completion unmaps and revokes. *)
-  ignore (Xc_hypervisor.Split_driver.complete d ~count:1);
-  Alcotest.(check int) "grants reclaimed" 0 (Xc_hypervisor.Grant_table.active_grants gt);
-  Alcotest.(check int) "ring drained" 0 (Xc_hypervisor.Split_driver.in_flight d)
-
-let test_split_driver_completion_order () =
-  let hypercalls = Xc_hypervisor.Hypercall.create () in
-  let events = Xc_hypervisor.Event_channel.create Xc_hypervisor.Event_channel.Via_hypervisor in
-  let d = Xc_hypervisor.Split_driver.create ~hypercalls ~events ~ring_slots:4 in
-  ignore (Xc_hypervisor.Split_driver.submit d ~bytes_len:1000);
-  ignore (Xc_hypervisor.Split_driver.submit d ~bytes_len:1000);
-  ignore (Xc_hypervisor.Split_driver.submit d ~bytes_len:1000);
-  ignore (Xc_hypervisor.Split_driver.complete d ~count:2);
-  Alcotest.(check int) "one left" 1 (Xc_hypervisor.Split_driver.in_flight d);
-  let gt = Xc_hypervisor.Split_driver.grants d in
-  Alcotest.(check int) "one request's grant live" 1
-    (Xc_hypervisor.Grant_table.active_grants gt)
-
 let suites =
   [
     ( "integration.httpd",
@@ -87,11 +57,5 @@ let suites =
         Alcotest.test_case "404" `Quick test_404;
         Alcotest.test_case "many requests" `Quick test_many_requests;
         Alcotest.test_case "bad docroot" `Quick test_bad_docroot;
-      ] );
-    ( "integration.split_driver",
-      [
-        Alcotest.test_case "grant handshake" `Quick test_split_driver_grants;
-        Alcotest.test_case "completion order" `Quick
-          test_split_driver_completion_order;
       ] );
   ]

@@ -1,6 +1,5 @@
 (* Tests for the exokernel layer: hypercalls, domains, event channels,
-   the PV MMU's validation rules, the credit scheduler, split drivers and
-   the X-Kernel ABI differences. *)
+   the credit scheduler and the X-Kernel ABI differences. *)
 
 open Xc_hypervisor
 
@@ -120,83 +119,6 @@ let test_event_delivery_costs () =
   Alcotest.(check bool) "direct cheaper" true
     (deliver Event_channel.Direct_user_mode < deliver Event_channel.Via_hypervisor)
 
-(* ---------------- PV MMU ---------------- *)
-
-let make_mmu () =
-  Pv_mmu.create ~hypercalls:(Hypercall.create ())
-    ~hypervisor_frames:(fun pfn -> pfn < 256)
-    ~owned:(fun ~domain_id ~pfn -> pfn / 4096 = domain_id)
-    ~page_table_frame:(fun pfn -> pfn land 0xfff = 42)
-
-let test_pv_mmu_valid_batch () =
-  let mmu = make_mmu () in
-  let table = Xc_mem.Page_table.create () in
-  let entries =
-    List.init 8 (fun i -> (100 + i, Xc_mem.Pte.make ~pfn:(4096 + 512 + i) ()))
-  in
-  (match Pv_mmu.update mmu ~domain_id:1 ~table ~entries with
-  | Ok cost -> Alcotest.(check bool) "batch cost" true (cost > 0.)
-  | Error (e, _) -> Alcotest.fail (Pv_mmu.error_to_string e));
-  Alcotest.(check int) "applied" 8 (Xc_mem.Page_table.entry_count table);
-  Alcotest.(check int) "validated" 8 (Pv_mmu.validated_entries mmu)
-
-let test_pv_mmu_rejects_hypervisor_frame () =
-  let mmu = make_mmu () in
-  let table = Xc_mem.Page_table.create () in
-  match
-    Pv_mmu.update mmu ~domain_id:1 ~table
-      ~entries:[ (5, Xc_mem.Pte.make ~pfn:10 ()) ]
-  with
-  | Error (Pv_mmu.Maps_hypervisor_frame, 5) ->
-      Alcotest.(check int) "nothing applied" 0 (Xc_mem.Page_table.entry_count table)
-  | _ -> Alcotest.fail "expected Maps_hypervisor_frame"
-
-let test_pv_mmu_rejects_foreign_frame () =
-  let mmu = make_mmu () in
-  let table = Xc_mem.Page_table.create () in
-  match
-    Pv_mmu.update mmu ~domain_id:1 ~table
-      ~entries:[ (5, Xc_mem.Pte.make ~pfn:9000 ()) ]
-  with
-  | Error (Pv_mmu.Not_owned_frame, _) -> ()
-  | _ -> Alcotest.fail "expected Not_owned_frame"
-
-let test_pv_mmu_rejects_writable_page_table () =
-  let mmu = make_mmu () in
-  let table = Xc_mem.Page_table.create () in
-  let pt_frame = 4096 + 42 in
-  (match
-     Pv_mmu.update mmu ~domain_id:1 ~table
-       ~entries:[ (5, Xc_mem.Pte.make ~writable:true ~pfn:pt_frame ()) ]
-   with
-  | Error (Pv_mmu.Writable_page_table, _) -> ()
-  | _ -> Alcotest.fail "expected Writable_page_table");
-  (* Read-only mapping of the same frame is fine (how guests read their
-     own page tables). *)
-  match
-    Pv_mmu.update mmu ~domain_id:1 ~table
-      ~entries:[ (5, Xc_mem.Pte.make ~writable:false ~pfn:pt_frame ()) ]
-  with
-  | Ok _ -> ()
-  | Error (e, _) -> Alcotest.fail (Pv_mmu.error_to_string e)
-
-let test_pv_mmu_atomic_batch () =
-  (* A bad entry anywhere aborts the whole batch. *)
-  let mmu = make_mmu () in
-  let table = Xc_mem.Page_table.create () in
-  let entries =
-    [ (1, Xc_mem.Pte.make ~pfn:5000 ()); (2, Xc_mem.Pte.make ~pfn:10 ()) ]
-  in
-  (match Pv_mmu.update mmu ~domain_id:1 ~table ~entries with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "expected rejection");
-  Alcotest.(check int) "atomic: nothing applied" 0 (Xc_mem.Page_table.entry_count table);
-  Alcotest.(check int) "rejection counted" 1 (Pv_mmu.rejected_batches mmu)
-
-let test_pv_mmu_batch_cost_scales () =
-  Alcotest.(check bool) "bigger batches cost more" true
-    (Pv_mmu.batch_cost_ns 100 > Pv_mmu.batch_cost_ns 1)
-
 (* ---------------- Credit scheduler ---------------- *)
 
 let test_credit_fairness () =
@@ -237,26 +159,6 @@ let test_credit_switch_cost_monotone () =
     (Credit_scheduler.switch_cost_ns ~runnable_vcpus:400
     > Credit_scheduler.switch_cost_ns ~runnable_vcpus:4)
 
-(* ---------------- Split driver ---------------- *)
-
-let test_split_driver_ring () =
-  let hypercalls = Hypercall.create () in
-  let events = Event_channel.create Event_channel.Via_hypervisor in
-  let d = Split_driver.create ~hypercalls ~events ~ring_slots:2 in
-  (match Split_driver.submit d ~bytes_len:1448 with
-  | Ok cost -> Alcotest.(check bool) "submit cost" true (cost > 0.)
-  | Error e -> Alcotest.fail e);
-  (match Split_driver.submit d ~bytes_len:1448 with Ok _ -> () | Error e -> Alcotest.fail e);
-  (match Split_driver.submit d ~bytes_len:1448 with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "ring full must fail");
-  Alcotest.(check int) "in flight" 2 (Split_driver.in_flight d);
-  ignore (Split_driver.complete d ~count:2);
-  Alcotest.(check int) "drained" 0 (Split_driver.in_flight d);
-  match Split_driver.submit d ~bytes_len:100 with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail ("slot not freed: " ^ e)
-
 let suites =
   [
     ( "hypervisor.hypercall",
@@ -281,18 +183,6 @@ let suites =
         Alcotest.test_case "unbound" `Quick test_event_channel_unbound;
         Alcotest.test_case "delivery costs (S4.2)" `Quick test_event_delivery_costs;
       ] );
-    ( "hypervisor.pv_mmu",
-      [
-        Alcotest.test_case "valid batch" `Quick test_pv_mmu_valid_batch;
-        Alcotest.test_case "rejects hypervisor frame" `Quick
-          test_pv_mmu_rejects_hypervisor_frame;
-        Alcotest.test_case "rejects foreign frame" `Quick
-          test_pv_mmu_rejects_foreign_frame;
-        Alcotest.test_case "rejects writable PT" `Quick
-          test_pv_mmu_rejects_writable_page_table;
-        Alcotest.test_case "atomic batch" `Quick test_pv_mmu_atomic_batch;
-        Alcotest.test_case "batch cost scales" `Quick test_pv_mmu_batch_cost_scales;
-      ] );
     ( "hypervisor.credit",
       [
         Alcotest.test_case "fairness" `Quick test_credit_fairness;
@@ -300,6 +190,4 @@ let suites =
         Alcotest.test_case "switch cost monotone" `Quick
           test_credit_switch_cost_monotone;
       ] );
-    ( "hypervisor.split_driver",
-      [ Alcotest.test_case "ring" `Quick test_split_driver_ring ] );
   ]

@@ -8,9 +8,8 @@ let () =
    @ Test_cpu.suites @ Test_os.suites @ Test_net.suites @ Test_hypervisor.suites
    @ Test_platforms.suites @ Test_apps.suites @ Test_core.suites
    @ Test_extensions.suites @ Test_cluster_sim.suites @ Test_coldstart.suites
-   @ Test_os_net_state.suites @ Test_epoll_console.suites @ Test_httpd.suites
-   @ Test_channel.suites
-   @ Test_fuzz.suites @ Test_apps_extra.suites @ Test_apps_eleven.suites
+   @ Test_os_net_state.suites @ Test_httpd.suites @ Test_fuzz.suites
+   @ Test_apps_extra.suites @ Test_apps_eleven.suites
    @ Test_substrate_extra.suites @ Test_inventory.suites @ Test_shapes.suites
    @ Test_parallel.suites @ Test_sharding.suites @ Test_trace.suites
    @ Test_tails.suites @ Test_metrics.suites

@@ -1,5 +1,4 @@
-(* Tests for the memory substrate: page tables, address spaces, the TLB's
-   global-bit semantics (the Section 4.3 mechanism) and KPTI. *)
+(* Tests for the memory substrate: page tables and address spaces. *)
 
 open Xc_mem
 
@@ -91,100 +90,6 @@ let test_mode_of_stack_pointer () =
   Alcotest.(check bool) "kernel stack (msb set)" true
     (Xc_cpu.Mode.of_stack_pointer 0xffff_8800_0000_0000L = Xc_cpu.Mode.Guest_kernel)
 
-(* ---------------- TLB ---------------- *)
-
-let test_tlb_hit_miss () =
-  let t = Tlb.create () in
-  Alcotest.(check bool) "first is miss" true (Tlb.access t ~vpn:1 ~global:false = `Miss);
-  Alcotest.(check bool) "second is hit" true (Tlb.access t ~vpn:1 ~global:false = `Hit);
-  Alcotest.(check int) "hits" 1 (Tlb.hits t);
-  Alcotest.(check int) "misses" 1 (Tlb.misses t)
-
-let test_tlb_global_survives_cr3 () =
-  let t = Tlb.create () in
-  ignore (Tlb.access t ~vpn:1 ~global:true);
-  ignore (Tlb.access t ~vpn:2 ~global:false);
-  Tlb.switch_cr3 t;
-  Alcotest.(check int) "only global resident" 1 (Tlb.resident t);
-  Alcotest.(check bool) "global hits after switch" true
-    (Tlb.access t ~vpn:1 ~global:true = `Hit);
-  Alcotest.(check bool) "non-global misses after switch" true
-    (Tlb.access t ~vpn:2 ~global:false = `Miss);
-  Alcotest.(check int) "cr3 counted" 1 (Tlb.cr3_switches t)
-
-let test_tlb_flush_all () =
-  let t = Tlb.create () in
-  ignore (Tlb.access t ~vpn:1 ~global:true);
-  Tlb.flush_all t;
-  Alcotest.(check int) "empty after full flush" 0 (Tlb.resident t);
-  Alcotest.(check int) "full flush counted" 1 (Tlb.full_flushes t)
-
-let test_tlb_flush_page () =
-  let t = Tlb.create () in
-  ignore (Tlb.access t ~vpn:7 ~global:false);
-  Tlb.flush_page t ~vpn:7;
-  Alcotest.(check bool) "invlpg evicts" true (Tlb.access t ~vpn:7 ~global:false = `Miss)
-
-let test_tlb_capacity () =
-  let t = Tlb.create ~capacity:16 () in
-  for vpn = 0 to 63 do
-    ignore (Tlb.access t ~vpn ~global:false)
-  done;
-  Alcotest.(check bool) "bounded" true (Tlb.resident t <= 16)
-
-let test_tlb_reset_counters () =
-  let t = Tlb.create () in
-  ignore (Tlb.access t ~vpn:1 ~global:false);
-  Tlb.reset_counters t;
-  Alcotest.(check int) "misses reset" 0 (Tlb.misses t)
-
-(* The Section 4.3 effect, end to end: with global kernel mappings, a
-   process switch preserves the kernel working set in the TLB. *)
-let test_tlb_global_bit_effect () =
-  let run ~global =
-    let t = Tlb.create () in
-    (* Touch 64 kernel pages, then switch processes, then touch again. *)
-    for vpn = 0 to 63 do
-      ignore (Tlb.access t ~vpn:(Address_space.kernel_base_vpn + vpn) ~global)
-    done;
-    Tlb.reset_counters t;
-    Tlb.switch_cr3 t;
-    for vpn = 0 to 63 do
-      ignore (Tlb.access t ~vpn:(Address_space.kernel_base_vpn + vpn) ~global)
-    done;
-    Tlb.misses t
-  in
-  Alcotest.(check int) "X-LibOS (global): no kernel refill" 0 (run ~global:true);
-  Alcotest.(check int) "stock PV (non-global): full refill" 64 (run ~global:false)
-
-(* ---------------- KPTI ---------------- *)
-
-let make_full_aspace () =
-  let a = Address_space.create ~id:1 in
-  Address_space.map_kernel a ~global:true ~vpn:Address_space.kernel_base_vpn
-    ~pages:64 ~first_pfn:0;
-  Address_space.map_user a ~vpn:16 ~pages:32 ~first_pfn:1000;
-  a
-
-let test_kpti_user_view () =
-  let k = Kpti.create (make_full_aspace ()) in
-  Alcotest.(check bool) "no kernel leak" false (Kpti.user_view_leaks_kernel k);
-  (* User view holds the user pages plus only the trampolines. *)
-  Alcotest.(check int) "user view size"
-    (32 + Kpti.trampoline_pages)
-    (Page_table.entry_count (Kpti.user_view k));
-  Alcotest.(check int) "full view untouched" (64 + 32)
-    (Page_table.entry_count (Kpti.full_view k))
-
-let test_kpti_transitions () =
-  let k = Kpti.create (make_full_aspace ()) in
-  let tlb = Tlb.create () in
-  ignore (Tlb.access tlb ~vpn:1 ~global:false);
-  Kpti.kernel_entry k tlb;
-  Kpti.kernel_exit k tlb;
-  Alcotest.(check int) "two CR3 writes" 2 (Kpti.transitions k);
-  Alcotest.(check int) "tlb saw the switches" 2 (Tlb.cr3_switches tlb)
-
 let suites =
   [
     ( "mem.page_table",
@@ -201,20 +106,5 @@ let suites =
         Alcotest.test_case "global policy" `Quick test_aspace_global_policy;
         Alcotest.test_case "share kernel" `Quick test_aspace_share_kernel;
         Alcotest.test_case "mode from stack pointer" `Quick test_mode_of_stack_pointer;
-      ] );
-    ( "mem.tlb",
-      [
-        Alcotest.test_case "hit/miss" `Quick test_tlb_hit_miss;
-        Alcotest.test_case "global survives cr3" `Quick test_tlb_global_survives_cr3;
-        Alcotest.test_case "flush all" `Quick test_tlb_flush_all;
-        Alcotest.test_case "flush page" `Quick test_tlb_flush_page;
-        Alcotest.test_case "capacity" `Quick test_tlb_capacity;
-        Alcotest.test_case "reset counters" `Quick test_tlb_reset_counters;
-        Alcotest.test_case "global-bit effect (S4.3)" `Quick test_tlb_global_bit_effect;
-      ] );
-    ( "mem.kpti",
-      [
-        Alcotest.test_case "user view" `Quick test_kpti_user_view;
-        Alcotest.test_case "transitions" `Quick test_kpti_transitions;
       ] );
   ]

@@ -1,6 +1,4 @@
-(* Tests for the stateful OS plumbing added beyond the cost models:
-   sockets, fd tables and grant tables — plus an end-to-end request
-   served through real socket objects. *)
+(* Tests for the stateful socket model added beyond the cost models. *)
 
 open Xc_os
 
@@ -102,112 +100,6 @@ let test_socket_accept_order () =
   | Ok _ -> ()
   | Error e -> Alcotest.fail e
 
-(* ---------------- Fd table ---------------- *)
-
-let test_fd_table_basics () =
-  let t = Fd_table.create () in
-  Alcotest.(check int) "std streams" 3 (Fd_table.open_count t);
-  let p = Pipe.create () in
-  let fd = Fd_table.allocate t (Fd_table.Pipe_read p) in
-  Alcotest.(check int) "lowest free is 3" 3 fd;
-  (match Fd_table.dup t fd with
-  | Ok d -> Alcotest.(check int) "dup gets 4" 4 d
-  | Error e -> Alcotest.fail e);
-  (match Fd_table.close t fd with Ok () -> () | Error e -> Alcotest.fail e);
-  (* The dup'd descriptor still works; slot 3 is free again. *)
-  (match Fd_table.get t 4 with
-  | Some (Fd_table.Pipe_read _) -> ()
-  | _ -> Alcotest.fail "dup target lost");
-  let fd2 = Fd_table.allocate t (Fd_table.Pipe_write p) in
-  Alcotest.(check int) "slot reused" 3 fd2
-
-let test_fd_table_errors () =
-  let t = Fd_table.create () in
-  (match Fd_table.dup t 99 with Error _ -> () | Ok _ -> Alcotest.fail "dup bad fd");
-  (match Fd_table.close t 99 with Error _ -> () | Ok _ -> Alcotest.fail "close bad fd");
-  (match Fd_table.dup2 t 0 (-1) with Error _ -> () | Ok _ -> Alcotest.fail "dup2 bad");
-  match Fd_table.dup2 t 0 7 with
-  | Ok () -> begin
-      match Fd_table.get t 7 with
-      | Some (Fd_table.Std "stdin") -> ()
-      | _ -> Alcotest.fail "dup2 target wrong"
-    end
-  | Error e -> Alcotest.fail e
-
-let test_fd_table_clone () =
-  let t = Fd_table.create () in
-  let p = Pipe.create () in
-  let fd = Fd_table.allocate t (Fd_table.Pipe_write p) in
-  let child = Fd_table.clone t in
-  (* Closing in the child does not affect the parent (separate tables),
-     but both named the same pipe. *)
-  (match Fd_table.close child fd with Ok () -> () | Error e -> Alcotest.fail e);
-  (match Fd_table.get t fd with
-  | Some (Fd_table.Pipe_write p') -> Alcotest.(check bool) "same pipe" true (p' == p)
-  | _ -> Alcotest.fail "parent lost fd")
-
-(* The UnixBench dup/close inner loop, on the real table. *)
-let test_fd_table_unixbench_loop () =
-  let t = Fd_table.create () in
-  for _ = 1 to 1000 do
-    match Fd_table.dup t 1 with
-    | Ok fd -> begin
-        match Fd_table.close t fd with
-        | Ok () -> ()
-        | Error e -> Alcotest.fail e
-      end
-    | Error e -> Alcotest.fail e
-  done;
-  Alcotest.(check int) "no leak" 3 (Fd_table.open_count t)
-
-(* ---------------- Grant table ---------------- *)
-
-let test_grant_lifecycle () =
-  let gt = Xc_hypervisor.Grant_table.create ~owner:1 ~capacity:8 in
-  let r =
-    match Xc_hypervisor.Grant_table.grant gt ~to_domain:0 ~frame:555 Xc_hypervisor.Grant_table.Read_only with
-    | Ok r -> r
-    | Error e -> Alcotest.fail e
-  in
-  (match Xc_hypervisor.Grant_table.map gt r ~by_domain:0 with
-  | Ok (frame, Xc_hypervisor.Grant_table.Read_only) ->
-      Alcotest.(check int) "frame" 555 frame
-  | Ok _ -> Alcotest.fail "wrong permission"
-  | Error e -> Alcotest.fail e);
-  (* Revocation must wait for the unmap. *)
-  (match Xc_hypervisor.Grant_table.revoke gt r with
-  | Error "mappings outstanding" -> ()
-  | _ -> Alcotest.fail "revoke must fail while mapped");
-  (match Xc_hypervisor.Grant_table.unmap gt r ~by_domain:0 with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
-  (match Xc_hypervisor.Grant_table.revoke gt r with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
-  match Xc_hypervisor.Grant_table.map gt r ~by_domain:0 with
-  | Error "grant revoked" -> ()
-  | _ -> Alcotest.fail "no use after revoke"
-
-let test_grant_authorization () =
-  let gt = Xc_hypervisor.Grant_table.create ~owner:1 ~capacity:2 in
-  let r =
-    match Xc_hypervisor.Grant_table.grant gt ~to_domain:2 ~frame:7 Xc_hypervisor.Grant_table.Read_write with
-    | Ok r -> r
-    | Error e -> Alcotest.fail e
-  in
-  (* Only the named grantee may map. *)
-  (match Xc_hypervisor.Grant_table.map gt r ~by_domain:3 with
-  | Error "grant is for another domain" -> ()
-  | _ -> Alcotest.fail "wrong domain must be rejected");
-  (match Xc_hypervisor.Grant_table.map gt 999 ~by_domain:2 with
-  | Error "unknown grant reference" -> ()
-  | _ -> Alcotest.fail "unknown ref");
-  (* Capacity limit. *)
-  ignore (Xc_hypervisor.Grant_table.grant gt ~to_domain:2 ~frame:8 Xc_hypervisor.Grant_table.Read_only);
-  match Xc_hypervisor.Grant_table.grant gt ~to_domain:2 ~frame:9 Xc_hypervisor.Grant_table.Read_only with
-  | Error "grant table full" -> ()
-  | _ -> Alcotest.fail "capacity must bind"
-
 let suites =
   [
     ( "os.socket",
@@ -217,17 +109,5 @@ let suites =
         Alcotest.test_case "EOF/broken pipe" `Quick test_socket_eof_and_broken_pipe;
         Alcotest.test_case "flow control" `Quick test_socket_flow_control;
         Alcotest.test_case "accept order" `Quick test_socket_accept_order;
-      ] );
-    ( "os.fd_table",
-      [
-        Alcotest.test_case "basics" `Quick test_fd_table_basics;
-        Alcotest.test_case "errors" `Quick test_fd_table_errors;
-        Alcotest.test_case "clone" `Quick test_fd_table_clone;
-        Alcotest.test_case "unixbench loop" `Quick test_fd_table_unixbench_loop;
-      ] );
-    ( "hypervisor.grant_table",
-      [
-        Alcotest.test_case "lifecycle" `Quick test_grant_lifecycle;
-        Alcotest.test_case "authorization" `Quick test_grant_authorization;
       ] );
   ]

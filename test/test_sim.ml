@@ -3,7 +3,6 @@
 open Xc_sim
 
 let check_float = Alcotest.(check (float 1e-9))
-let check_float_eps eps = Alcotest.(check (float eps))
 
 (* ---------------- Time ---------------- *)
 
@@ -213,36 +212,6 @@ let heap_props =
         !ok && Heap.to_sorted_list h = !reference);
   ]
 
-(* ---------------- Stats ---------------- *)
-
-let test_stats_known () =
-  let s = Stats.of_list [ 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. ] in
-  check_float_eps 1e-6 "mean" 5.0 (Stats.mean s);
-  check_float_eps 1e-6 "min" 2.0 (Stats.min s);
-  check_float_eps 1e-6 "max" 9.0 (Stats.max s);
-  check_float_eps 1e-6 "sum" 40.0 (Stats.sum s);
-  Alcotest.(check int) "count" 8 (Stats.count s);
-  (* Sample stddev of this classic set is ~2.138. *)
-  check_float_eps 1e-3 "stddev" 2.138 (Stats.stddev s)
-
-let test_stats_empty () =
-  let s = Stats.create () in
-  check_float "empty mean" 0. (Stats.mean s);
-  check_float "empty stddev" 0. (Stats.stddev s)
-
-let stats_props =
-  [
-    QCheck.Test.make ~name:"merge equals combined" ~count:200
-      QCheck.(pair (list (float_bound_inclusive 100.)) (list (float_bound_inclusive 100.)))
-      (fun (xs, ys) ->
-        let a = Stats.of_list xs and b = Stats.of_list ys in
-        let merged = Stats.merge a b in
-        let combined = Stats.of_list (xs @ ys) in
-        Stats.count merged = Stats.count combined
-        && Float.abs (Stats.mean merged -. Stats.mean combined) < 1e-6
-        && Float.abs (Stats.variance merged -. Stats.variance combined) < 1e-4);
-  ]
-
 (* ---------------- Histogram ---------------- *)
 
 let test_histogram_percentiles () =
@@ -353,50 +322,6 @@ let histogram_props =
         let v = Histogram.percentile h 50. in
         Float.abs (v -. x) /. x < 0.04);
   ]
-
-(* ---------------- Metrics ---------------- *)
-
-let test_metrics () =
-  let m = Metrics.create () in
-  Metrics.incr m "a";
-  Metrics.incr m "a";
-  Metrics.add m "b" 2.5;
-  check_float "a" 2. (Metrics.get m "a");
-  check_float "b" 2.5 (Metrics.get m "b");
-  check_float "missing" 0. (Metrics.get m "zzz");
-  Alcotest.(check (list (pair string (float 0.)))) "alist sorted"
-    [ ("a", 2.); ("b", 2.5) ] (Metrics.to_alist m);
-  Metrics.reset m;
-  check_float "reset" 0. (Metrics.get m "a")
-
-let test_metrics_merge () =
-  let a = Metrics.create () and b = Metrics.create () in
-  Metrics.incr a "hits";
-  Metrics.add a "bytes" 10.;
-  Metrics.incr b "hits";
-  Metrics.incr b "misses";
-  let m = Metrics.merge a b in
-  Alcotest.(check (list (pair string (float 0.))))
-    "duplicates sum, singletons pass through"
-    [ ("bytes", 10.); ("hits", 2.); ("misses", 1.) ]
-    (Metrics.to_alist m);
-  (* The result is a fresh registry: writing to it must not leak back. *)
-  Metrics.incr m "hits";
-  check_float "left input untouched" 1. (Metrics.get a "hits");
-  check_float "right input untouched" 1. (Metrics.get b "hits")
-
-let test_metrics_merge_empty () =
-  let empty = Metrics.create () and b = Metrics.create () in
-  Metrics.add b "x" 3.;
-  Alcotest.(check (list (pair string (float 0.))))
-    "empty left" [ ("x", 3.) ]
-    (Metrics.to_alist (Metrics.merge empty b));
-  Alcotest.(check (list (pair string (float 0.))))
-    "empty right" [ ("x", 3.) ]
-    (Metrics.to_alist (Metrics.merge b empty));
-  Alcotest.(check (list (pair string (float 0.))))
-    "both empty" []
-    (Metrics.to_alist (Metrics.merge (Metrics.create ()) (Metrics.create ())))
 
 (* ---------------- Table ---------------- *)
 
@@ -616,12 +541,6 @@ let suites =
           test_heap_capacity_one_grow_drain;
       ]
       @ qsuite heap_props );
-    ( "sim.stats",
-      [
-        Alcotest.test_case "known values" `Quick test_stats_known;
-        Alcotest.test_case "empty" `Quick test_stats_empty;
-      ]
-      @ qsuite stats_props );
     ( "sim.histogram",
       [
         Alcotest.test_case "percentiles" `Quick test_histogram_percentiles;
@@ -637,12 +556,6 @@ let suites =
           test_histogram_merge_disjoint;
       ]
       @ qsuite histogram_props );
-    ( "sim.metrics",
-      [
-        Alcotest.test_case "counters" `Quick test_metrics;
-        Alcotest.test_case "merge" `Quick test_metrics_merge;
-        Alcotest.test_case "merge with empty" `Quick test_metrics_merge_empty;
-      ] );
     ( "sim.table",
       [
         Alcotest.test_case "render" `Quick test_table_render;

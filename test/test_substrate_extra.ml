@@ -1,81 +1,5 @@
-(* Tests for the later substrate additions: kernel-side signals,
-   XenStore, the device-mapper storage model, and the kernel-build
-   workload. *)
-
-(* ---------------- Signals ---------------- *)
-
-module Sig = Xc_os.Signal
-
-let test_signal_dispositions () =
-  let s = Sig.create () in
-  (match Sig.set_disposition s Sig.sigterm (Sig.Handler 0x400100) with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
-  Alcotest.(check bool) "handler installed" true
-    (Sig.disposition s Sig.sigterm = Sig.Handler 0x400100);
-  (match Sig.set_disposition s Sig.sigkill Sig.Ignore with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "SIGKILL disposition must be fixed");
-  match Sig.block s Sig.sigkill with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "SIGKILL must not be blockable"
-
-let test_signal_delivery_order () =
-  let s = Sig.create () in
-  ignore (Sig.set_disposition s Sig.sigusr1 (Sig.Handler 1));
-  ignore (Sig.set_disposition s Sig.sigterm (Sig.Handler 2));
-  Sig.raise_signal s Sig.sigterm;
-  Sig.raise_signal s Sig.sigusr1;
-  (* Lowest-numbered deliverable first: SIGUSR1 (10) before SIGTERM (15). *)
-  (match Sig.next_delivery s with
-  | Sig.Run_handler { signo; handler } ->
-      Alcotest.(check int) "usr1 first" Sig.sigusr1 signo;
-      Alcotest.(check int) "its handler" 1 handler
-  | _ -> Alcotest.fail "expected handler run");
-  (match Sig.next_delivery s with
-  | Sig.Run_handler { signo; _ } -> Alcotest.(check int) "then term" Sig.sigterm signo
-  | _ -> Alcotest.fail "expected handler run");
-  Alcotest.(check bool) "drained" true (Sig.next_delivery s = Sig.Nothing)
-
-let test_signal_blocking () =
-  let s = Sig.create () in
-  ignore (Sig.set_disposition s Sig.sigusr1 (Sig.Handler 1));
-  ignore (Sig.block s Sig.sigusr1);
-  Sig.raise_signal s Sig.sigusr1;
-  Alcotest.(check bool) "blocked stays pending" true (Sig.next_delivery s = Sig.Nothing);
-  Alcotest.(check (list int)) "pending" [ Sig.sigusr1 ] (Sig.pending s);
-  Sig.unblock s Sig.sigusr1;
-  match Sig.next_delivery s with
-  | Sig.Run_handler { signo; _ } -> Alcotest.(check int) "delivered" Sig.sigusr1 signo
-  | _ -> Alcotest.fail "expected delivery after unblock"
-
-let test_signal_defaults () =
-  let s = Sig.create () in
-  Sig.raise_signal s Sig.sigterm;
-  (match Sig.next_delivery s with
-  | Sig.Kill signo -> Alcotest.(check int) "default terminates" Sig.sigterm signo
-  | _ -> Alcotest.fail "expected kill");
-  Sig.raise_signal s Sig.sigchld;
-  match Sig.next_delivery s with
-  | Sig.Ignored signo -> Alcotest.(check int) "sigchld ignored" Sig.sigchld signo
-  | _ -> Alcotest.fail "expected ignore"
-
-let test_signal_fork_exec_semantics () =
-  let s = Sig.create () in
-  ignore (Sig.set_disposition s Sig.sigusr1 (Sig.Handler 7));
-  ignore (Sig.block s Sig.sigterm);
-  Sig.raise_signal s Sig.sigusr1;
-  let child = Sig.fork_inherit s in
-  Alcotest.(check bool) "child inherits handler" true
-    (Sig.disposition child Sig.sigusr1 = Sig.Handler 7);
-  Alcotest.(check bool) "child inherits mask" true (Sig.is_blocked child Sig.sigterm);
-  Alcotest.(check (list int)) "child pending cleared" [] (Sig.pending child);
-  let after_exec = Sig.exec_reset s in
-  Alcotest.(check bool) "exec resets handlers" true
-    (Sig.disposition after_exec Sig.sigusr1 = Sig.Default);
-  Alcotest.(check bool) "exec keeps mask" true (Sig.is_blocked after_exec Sig.sigterm);
-  Alcotest.(check (list int)) "exec keeps pending" [ Sig.sigusr1 ]
-    (Sig.pending after_exec)
+(* Tests for the later substrate additions: XenStore, the bottom-up boot
+   estimate and the kernel-build workload. *)
 
 (* ---------------- XenStore ---------------- *)
 
@@ -115,49 +39,6 @@ let test_xenstore_handshake () =
   Alcotest.(check bool) "many ops per device" true (ops >= 15);
   Alcotest.(check bool) "ops counted" true (Xs.op_count xs >= ops)
 
-(* ---------------- Storage ---------------- *)
-
-module St = Xcontainers.Storage
-
-let test_storage_dedup_and_sharing () =
-  let pool = St.create () in
-  let base = St.add_layer pool ~content:"ubuntu-16.04 rootfs" in
-  let nginx = St.add_layer pool ~content:"nginx binaries" in
-  let php = St.add_layer pool ~content:"php binaries" in
-  let base' = St.add_layer pool ~content:"ubuntu-16.04 rootfs" in
-  Alcotest.(check string) "content addressed" base base';
-  Alcotest.(check int) "three unique layers" 3 (St.layer_count pool);
-  (match St.define_image pool ~name:"nginx:1.13" ~layers:[ base; nginx ] with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
-  (match St.define_image pool ~name:"php:7" ~layers:[ base; php ] with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
-  Alcotest.(check int) "images share the base" 1
-    (St.shared_with pool ~name_a:"nginx:1.13" ~name_b:"php:7");
-  match St.define_image pool ~name:"bad" ~layers:[ "sha-deadbeef" ] with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "missing layer must fail"
-
-let test_storage_cow_snapshot () =
-  let pool = St.create () in
-  let l0 = St.add_layer pool ~content:"base" in
-  let l1 = St.add_layer pool ~content:"app" in
-  ignore (St.define_image pool ~name:"img" ~layers:[ l0; l1 ]);
-  let snap_a = match St.snapshot pool ~image:"img" with Ok s -> s | Error e -> Alcotest.fail e in
-  let snap_b = match St.snapshot pool ~image:"img" with Ok s -> s | Error e -> Alcotest.fail e in
-  Alcotest.(check (option string)) "reads image content" (Some "app")
-    (St.read_block snap_a ~block:1);
-  St.write_block snap_a ~block:1 "app-modified";
-  Alcotest.(check (option string)) "sees own write" (Some "app-modified")
-    (St.read_block snap_a ~block:1);
-  Alcotest.(check (option string)) "other snapshot isolated" (Some "app")
-    (St.read_block snap_b ~block:1);
-  Alcotest.(check int) "one dirty block" 1 (St.dirty_blocks snap_a);
-  Alcotest.(check int) "other clean" 0 (St.dirty_blocks snap_b);
-  Alcotest.(check bool) "snapshot setup is metadata-cheap" true
-    (St.snapshot_setup_cost_ns () < 1e6)
-
 (* ---------------- Boot bottom-up estimate ---------------- *)
 
 let test_boot_bottom_up_matches_top_down () =
@@ -193,25 +74,11 @@ let test_kernel_build_shape () =
 
 let suites =
   [
-    ( "os.signal",
-      [
-        Alcotest.test_case "dispositions" `Quick test_signal_dispositions;
-        Alcotest.test_case "delivery order" `Quick test_signal_delivery_order;
-        Alcotest.test_case "blocking" `Quick test_signal_blocking;
-        Alcotest.test_case "defaults" `Quick test_signal_defaults;
-        Alcotest.test_case "fork/exec semantics" `Quick
-          test_signal_fork_exec_semantics;
-      ] );
     ( "hypervisor.xenstore",
       [
         Alcotest.test_case "tree" `Quick test_xenstore_tree;
         Alcotest.test_case "watches" `Quick test_xenstore_watches;
         Alcotest.test_case "device handshake" `Quick test_xenstore_handshake;
-      ] );
-    ( "core.storage",
-      [
-        Alcotest.test_case "dedup and sharing" `Quick test_storage_dedup_and_sharing;
-        Alcotest.test_case "CoW snapshot" `Quick test_storage_cow_snapshot;
       ] );
     ( "apps.kernel_build",
       [ Alcotest.test_case "shape" `Quick test_kernel_build_shape ] );
