@@ -1,5 +1,6 @@
 (* Tests for the exokernel layer: hypercalls, domains, event channels,
-   the credit scheduler and the X-Kernel ABI differences. *)
+   the PV MMU's batched page-table updates as a PV fork pays them, the
+   credit scheduler and the X-Kernel ABI differences. *)
 
 open Xc_hypervisor
 
@@ -119,6 +120,32 @@ let test_event_delivery_costs () =
   Alcotest.(check bool) "direct cheaper" true
     (deliver Event_channel.Direct_user_mode < deliver Event_channel.Via_hypervisor)
 
+(* ---------------- PV MMU ---------------- *)
+
+(* What a PV guest's fork pays on top of a stock fork for the same
+   pages: its page-table entries go through validated mmu_update
+   hypercalls, [Costs.pv_mmu_batch_entries] entries per batch. *)
+let pv_extra_ns ~pages =
+  let fork config = Xc_os.Kernel.fork_cost_ns (Xc_os.Kernel.create ~config ()) ~pages in
+  fork Xc_os.Kernel.xlibos_config -. fork Xc_os.Kernel.default_config
+
+let batch_ns = Xc_cpu.Costs.hypercall_ns +. Xc_cpu.Costs.pv_mmu_update_ns
+
+let test_pv_mmu_valid_batch () =
+  let entries = Xc_cpu.Costs.pv_mmu_batch_entries in
+  Alcotest.(check (float 1e-6))
+    "one full batch: one hypercall, one update, every entry validated"
+    (batch_ns +. (float_of_int entries *. Xc_cpu.Costs.pv_validation_per_entry_ns))
+    (pv_extra_ns ~pages:entries)
+
+let test_pv_mmu_batch_cost_scales () =
+  let entries = Xc_cpu.Costs.pv_mmu_batch_entries in
+  Alcotest.(check (float 1e-6)) "one entry past a full batch opens the next"
+    (batch_ns +. Xc_cpu.Costs.pv_validation_per_entry_ns)
+    (pv_extra_ns ~pages:(entries + 1) -. pv_extra_ns ~pages:entries);
+  Alcotest.(check bool) "bigger batches cost more" true
+    (pv_extra_ns ~pages:(100 * entries) > pv_extra_ns ~pages:entries)
+
 (* ---------------- Credit scheduler ---------------- *)
 
 let test_credit_fairness () =
@@ -182,6 +209,11 @@ let suites =
         Alcotest.test_case "bind/notify/deliver" `Quick test_event_channel_basic;
         Alcotest.test_case "unbound" `Quick test_event_channel_unbound;
         Alcotest.test_case "delivery costs (S4.2)" `Quick test_event_delivery_costs;
+      ] );
+    ( "hypervisor.pv_mmu",
+      [
+        Alcotest.test_case "valid batch" `Quick test_pv_mmu_valid_batch;
+        Alcotest.test_case "batch cost scales" `Quick test_pv_mmu_batch_cost_scales;
       ] );
     ( "hypervisor.credit",
       [

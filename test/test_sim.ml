@@ -323,6 +323,33 @@ let histogram_props =
         Float.abs (v -. x) /. x < 0.04);
   ]
 
+(* ---------------- Metrics ---------------- *)
+
+(* Counters of the telemetry registry: a key's increments sum, the
+   final totals come back sorted by key, [read] leaves the registry as
+   it was, and [drain] hands the totals over and restarts counting from
+   zero (the per-shard flush of the sharded runner). *)
+let test_metrics_counters () =
+  Metrics.enable ~interval_ns:Metrics.default_interval_ns
+    ~retention:Metrics.default_retention ();
+  Metrics.reset_registry ();
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.reset_registry ();
+      Metrics.disable ())
+    (fun () ->
+      let counters () = (Metrics.read ()).Metrics.counters in
+      let check = Alcotest.(check (list (pair string (float 0.)))) in
+      Metrics.counter_incr ~cat:"os" ~name:"syscalls";
+      Metrics.counter_incr ~cat:"os" ~name:"syscalls";
+      Metrics.counter_add ~cat:"net" ~name:"bytes" 2.5;
+      let totals = [ ("net/bytes", 2.5); ("os/syscalls", 2.) ] in
+      check "totals sorted by key" totals (counters ());
+      check "read leaves the registry" totals (counters ());
+      check "drain hands the totals over" totals (Metrics.drain ()).Metrics.counters;
+      Metrics.counter_incr ~cat:"os" ~name:"syscalls";
+      check "counting restarts after drain" [ ("os/syscalls", 1.) ] (counters ()))
+
 (* ---------------- Table ---------------- *)
 
 let test_table_render () =
@@ -556,6 +583,7 @@ let suites =
           test_histogram_merge_disjoint;
       ]
       @ qsuite histogram_props );
+    ("sim.metrics", [ Alcotest.test_case "counters" `Quick test_metrics_counters ]);
     ( "sim.table",
       [
         Alcotest.test_case "render" `Quick test_table_render;
