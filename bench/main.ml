@@ -680,11 +680,7 @@ let latency (suite : Suite.t) =
     let recipe = Xc_apps.Nginx.static_request_wrk in
     let service = Xc_apps.Recipe.service_ns platform recipe in
     ( service,
-      {
-        Xc_platforms.Closed_loop.units = 4;
-        service_ns = (fun _ -> service);
-        overhead_ns = 0.;
-      } )
+      { Xc_platforms.Closed_loop.units = 4; service_ns = (fun _ -> service) } )
   in
   Run.Cells
     {
@@ -1538,7 +1534,7 @@ let latency_smoke suite =
       Xc_apps.Recipe.service_ns platform Xc_apps.Nginx.static_request_wrk
     in
     let server =
-      { CL.units = 4; service_ns = (fun _ -> service); overhead_ns = 0. }
+      { CL.units = 4; service_ns = (fun _ -> service) }
     in
     let r =
       Xc_platforms.Open_loop.run

@@ -25,12 +25,6 @@ let mixed_request =
     ~request_bytes:240 ~response_bytes:380 ~irqs:2 ~abom_coverage ()
 
 let server ~cores platform =
-  let base = Recipe.service_ns platform mixed_request in
-  {
-    Xc_platforms.Closed_loop.units = Stdlib.max 1 (Stdlib.min 4 cores);
-    service_ns =
-      (fun rng ->
-        let jitter = Xc_sim.Prng.normal rng ~mean:1.0 ~stddev:0.12 in
-        base *. Float.max 0.4 jitter);
-    overhead_ns = 0.;
-  }
+  Recipe.server
+    ~units:(Stdlib.max 1 (Stdlib.min 4 cores))
+    ~stddev:0.12 ~floor:0.4 platform mixed_request

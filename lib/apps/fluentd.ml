@@ -29,13 +29,7 @@ let steady_state =
     ~request_bytes:batch.Recipe.request_bytes ~response_bytes:40 ~irqs:3
     ~abom_coverage ()
 
-let server ?(workers = 2) ~cores platform =
-  let base = Recipe.service_ns platform steady_state in
-  {
-    Xc_platforms.Closed_loop.units = Stdlib.max 1 (Stdlib.min workers cores);
-    service_ns =
-      (fun rng ->
-        let jitter = Xc_sim.Prng.normal rng ~mean:1.0 ~stddev:0.15 in
-        base *. Float.max 0.4 jitter);
-    overhead_ns = 0.;
-  }
+let server ~cores platform =
+  Recipe.server
+    ~units:(Stdlib.max 1 (Stdlib.min 2 cores))
+    ~stddev:0.15 ~floor:0.4 platform steady_state

@@ -19,5 +19,5 @@ val steady_state : Recipe.t
     share of flushing folded in. *)
 
 val server :
-  ?workers:int -> cores:int -> Xc_platforms.Platform.t ->
-  Xc_platforms.Closed_loop.server
+  cores:int -> Xc_platforms.Platform.t -> Xc_platforms.Closed_loop.server
+(** A two-worker process pool, capped at [cores]. *)

@@ -36,12 +36,6 @@ let mixed_request =
     ~irqs:3 ~abom_coverage ()
 
 let server ~cores platform =
-  let base = Recipe.service_ns platform mixed_request in
-  {
-    Xc_platforms.Closed_loop.units = Stdlib.max 1 (Stdlib.min 4 cores);
-    service_ns =
-      (fun rng ->
-        let jitter = Xc_sim.Prng.normal rng ~mean:1.0 ~stddev:0.15 in
-        base *. Float.max 0.4 jitter);
-    overhead_ns = 0.;
-  }
+  Recipe.server
+    ~units:(Stdlib.max 1 (Stdlib.min 4 cores))
+    ~stddev:0.15 ~floor:0.4 platform mixed_request

@@ -65,13 +65,7 @@ let mixed_request =
          +. (s *. float_of_int set_request.Recipe.response_bytes)))
     ~irqs:5 ~abom_coverage ()
 
-let server ?(threads = 4) ~cores platform =
-  let base = Recipe.service_ns platform mixed_request in
-  {
-    Xc_platforms.Closed_loop.units = Stdlib.max 1 (Stdlib.min threads cores);
-    service_ns =
-      (fun rng ->
-        let jitter = Xc_sim.Prng.normal rng ~mean:1.0 ~stddev:0.10 in
-        base *. Float.max 0.5 jitter);
-    overhead_ns = 0.;
-  }
+let server ~cores platform =
+  Recipe.server
+    ~units:(Stdlib.max 1 (Stdlib.min 4 cores))
+    ~stddev:0.10 ~floor:0.5 platform mixed_request

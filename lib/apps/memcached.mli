@@ -14,5 +14,5 @@ val mixed_request : Recipe.t
 (** The 1:10 SET:GET mix as a single average recipe. *)
 
 val server :
-  ?threads:int -> cores:int -> Xc_platforms.Platform.t ->
-  Xc_platforms.Closed_loop.server
+  cores:int -> Xc_platforms.Platform.t -> Xc_platforms.Closed_loop.server
+(** Four worker threads (memcached's default), capped at [cores]. *)

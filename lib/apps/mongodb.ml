@@ -35,12 +35,6 @@ let ycsb_a =
     ~request_bytes:570 ~response_bytes:810 ~irqs:3 ~abom_coverage ()
 
 let server ~cores platform =
-  let base = Recipe.service_ns platform ycsb_a in
-  {
-    Xc_platforms.Closed_loop.units = Stdlib.max 1 (Stdlib.min 4 cores);
-    service_ns =
-      (fun rng ->
-        let jitter = Xc_sim.Prng.normal rng ~mean:1.0 ~stddev:0.18 in
-        base *. Float.max 0.3 jitter);
-    overhead_ns = 0.;
-  }
+  Recipe.server
+    ~units:(Stdlib.max 1 (Stdlib.min 4 cores))
+    ~stddev:0.18 ~floor:0.3 platform ycsb_a

@@ -41,13 +41,8 @@ let mixed_query ~offline_patched =
     ~request_bytes:200 ~response_bytes:240 ~irqs:2
     ~abom_coverage:(coverage ~offline_patched) ()
 
-let server ?(offline_patched = false) ~cores platform =
-  let base = Recipe.service_ns platform (mixed_query ~offline_patched) in
-  {
-    Xc_platforms.Closed_loop.units = Stdlib.max 1 (Stdlib.min 4 cores);
-    service_ns =
-      (fun rng ->
-        let jitter = Xc_sim.Prng.normal rng ~mean:1.0 ~stddev:0.15 in
-        base *. Float.max 0.4 jitter);
-    overhead_ns = 0.;
-  }
+let server ~cores platform =
+  Recipe.server
+    ~units:(Stdlib.max 1 (Stdlib.min 4 cores))
+    ~stddev:0.15 ~floor:0.4 platform
+    (mixed_query ~offline_patched:false)

@@ -15,7 +15,5 @@ val mixed_query : offline_patched:bool -> Recipe.t
 (** Equal read/write probability (the Figure 6c page). *)
 
 val server :
-  ?offline_patched:bool ->
-  cores:int ->
-  Xc_platforms.Platform.t ->
-  Xc_platforms.Closed_loop.server
+  cores:int -> Xc_platforms.Platform.t -> Xc_platforms.Closed_loop.server
+(** The {!mixed_query} server at the automatic (unpatched) coverage. *)

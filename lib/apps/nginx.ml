@@ -48,13 +48,7 @@ let static_request_wrk =
 let workers_default = 1
 
 let server ?(workers = workers_default) ?(keepalive = true) ~cores platform =
-  let recipe = if keepalive then static_request_wrk else static_request_ab in
-  let base = Recipe.service_ns platform recipe in
-  {
-    Xc_platforms.Closed_loop.units = Stdlib.max 1 (Stdlib.min workers cores);
-    service_ns =
-      (fun rng ->
-        let jitter = Xc_sim.Prng.normal rng ~mean:1.0 ~stddev:0.08 in
-        base *. Float.max 0.5 jitter);
-    overhead_ns = 0.;
-  }
+  Recipe.server
+    ~units:(Stdlib.max 1 (Stdlib.min workers cores))
+    ~stddev:0.08 ~floor:0.5 platform
+    (if keepalive then static_request_wrk else static_request_ab)

@@ -27,13 +27,7 @@ let connection_setup_ns platform =
   +. Xc_platforms.Platform.syscall_ns ~coverage:abom_coverage platform K.Accept_op
   +. 60_000. (* auth handshake and catalogue warm-up *)
 
-let server ?(backends = 8) ~cores platform =
-  let base = Recipe.service_ns platform transaction in
-  {
-    Xc_platforms.Closed_loop.units = Stdlib.max 1 (Stdlib.min backends cores);
-    service_ns =
-      (fun rng ->
-        let jitter = Xc_sim.Prng.normal rng ~mean:1.0 ~stddev:0.2 in
-        base *. Float.max 0.3 jitter);
-    overhead_ns = 0.;
-  }
+let server ~cores platform =
+  Recipe.server
+    ~units:(Stdlib.max 1 (Stdlib.min 8 cores))
+    ~stddev:0.2 ~floor:0.3 platform transaction

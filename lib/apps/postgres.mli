@@ -13,5 +13,5 @@ val connection_setup_ns : Xc_platforms.Platform.t -> float
 (** Cost of a new client connection: fork a backend + handshake. *)
 
 val server :
-  ?backends:int -> cores:int -> Xc_platforms.Platform.t ->
-  Xc_platforms.Closed_loop.server
+  cores:int -> Xc_platforms.Platform.t -> Xc_platforms.Closed_loop.server
+(** Eight backends serving in parallel, capped at [cores]. *)

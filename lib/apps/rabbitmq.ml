@@ -25,12 +25,6 @@ let publish_persistent =
     ~request_bytes:1200 ~response_bytes:60 ~irqs:4 ~abom_coverage ()
 
 let server ~cores platform =
-  let base = Recipe.service_ns platform publish_transient in
-  {
-    Xc_platforms.Closed_loop.units = Stdlib.max 1 (Stdlib.min 4 cores);
-    service_ns =
-      (fun rng ->
-        let jitter = Xc_sim.Prng.normal rng ~mean:1.0 ~stddev:0.15 in
-        base *. Float.max 0.4 jitter);
-    overhead_ns = 0.;
-  }
+  Recipe.server
+    ~units:(Stdlib.max 1 (Stdlib.min 4 cores))
+    ~stddev:0.15 ~floor:0.4 platform publish_transient

@@ -85,10 +85,12 @@ let mechanisms platform t =
   in
   List.filter (fun (_, _, ns) -> ns > 0.) (base @ hops @ irqs @ net)
 
-let with_jitter t platform ~cv rng =
+let server ~units ~stddev ~floor platform t =
   let base = service_ns platform t in
-  if cv <= 0. then base
-  else begin
-    let sample = Xc_sim.Prng.normal rng ~mean:1.0 ~stddev:cv in
-    base *. Float.max 0.2 sample
-  end
+  {
+    Xc_platforms.Closed_loop.units;
+    service_ns =
+      (fun rng ->
+        let jitter = Xc_sim.Prng.normal rng ~mean:1.0 ~stddev in
+        base *. Float.max floor jitter);
+  }

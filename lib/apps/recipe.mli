@@ -37,10 +37,17 @@ val service_ns : Xc_platforms.Platform.t -> t -> float
 val cpu_only_ns : Xc_platforms.Platform.t -> t -> float
 (** Service time without the network component (for pipelined stages). *)
 
-val with_jitter :
-  t -> Xc_platforms.Platform.t -> cv:float -> Xc_sim.Prng.t -> float
-(** Sample a service time with lognormal-ish jitter of coefficient of
-    variation [cv] around the deterministic value. *)
+val server :
+  units:int ->
+  stddev:float ->
+  floor:float ->
+  Xc_platforms.Platform.t ->
+  t ->
+  Xc_platforms.Closed_loop.server
+(** A closed-loop server of [units] service units whose per-request
+    service time is {!service_ns} (priced once, here) times a normal
+    jitter factor of mean 1 and standard deviation [stddev], floored at
+    [floor]. *)
 
 val mechanisms :
   Xc_platforms.Platform.t -> t -> (string * string * float) list

@@ -8,12 +8,4 @@ let request =
     ~request_bytes:64 ~response_bytes:256 ~irqs:3 ~abom_coverage ()
 
 let server ~cores:_ platform =
-  let base = Recipe.service_ns platform request in
-  {
-    Xc_platforms.Closed_loop.units = 1;
-    service_ns =
-      (fun rng ->
-        let jitter = Xc_sim.Prng.normal rng ~mean:1.0 ~stddev:0.10 in
-        base *. Float.max 0.5 jitter);
-    overhead_ns = 0.;
-  }
+  Recipe.server ~units:1 ~stddev:0.10 ~floor:0.5 platform request

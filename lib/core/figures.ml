@@ -28,15 +28,6 @@ let cores = 4
 let clamp_units config units =
   if Config.supports config.Config.runtime Config.Multicore then units else 1
 
-let server_for config platform app : Closed_loop.server =
-  let s =
-    match app with
-    | Nginx_ab -> Xc_apps.Nginx.server ~workers:4 ~keepalive:false ~cores platform
-    | Memcached_app -> Xc_apps.Memcached.server ~threads:4 ~cores platform
-    | Redis_app -> Xc_apps.Redis.server ~cores platform
-  in
-  { s with units = clamp_units config s.Closed_loop.units }
-
 (* Server builders for the extended application sweep (harness use). *)
 let server_for_public (config : Config.t) platform app : Closed_loop.server =
   let clamp (s : Closed_loop.server) =
@@ -45,7 +36,7 @@ let server_for_public (config : Config.t) platform app : Closed_loop.server =
   clamp
     (match app with
     | `Nginx -> Xc_apps.Nginx.server ~workers:4 ~keepalive:false ~cores platform
-    | `Memcached -> Xc_apps.Memcached.server ~threads:4 ~cores platform
+    | `Memcached -> Xc_apps.Memcached.server ~cores platform
     | `Redis -> Xc_apps.Redis.server ~cores platform
     | `Etcd -> Xc_apps.Etcd.server ~cores platform
     | `Mongo -> Xc_apps.Mongodb.server ~cores platform
@@ -55,6 +46,13 @@ let server_for_public (config : Config.t) platform app : Closed_loop.server =
     | `Fluentd -> Xc_apps.Fluentd.server ~cores platform
     | `Elasticsearch -> Xc_apps.Elasticsearch.server ~cores platform
     | `Influxdb -> Xc_apps.Influxdb.server ~cores platform)
+
+let server_for config platform app =
+  server_for_public config platform
+    (match app with
+    | Nginx_ab -> `Nginx
+    | Memcached_app -> `Memcached
+    | Redis_app -> `Redis)
 
 let fig3 ?(seed = 42) cloud app =
   List.map

@@ -20,20 +20,8 @@ let validate ~mech ~scale =
          (Printf.sprintf "%g" scale))
   else Ok ()
 
-(* Shortest float form for the canonical rendering (mirrors
-   Spec.float_to_string without depending on the suite layer). *)
-let float_str v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else
-    let rec go p =
-      if p > 17 then Printf.sprintf "%.17g" v
-      else
-        let s = Printf.sprintf "%.*g" p v in
-        if float_of_string s = v then s else go (p + 1)
-    in
-    go 1
-
-let to_string w = Printf.sprintf "%s x%s" w.mech (float_str w.scale)
+let to_string w =
+  Printf.sprintf "%s x%s" w.mech (Xc_sim.Table.fmt_shortest w.scale)
 
 let ( let* ) = Result.bind
 

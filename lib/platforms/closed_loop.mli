@@ -4,14 +4,12 @@
     wait for the response, immediately send again — the loop wrk and ab
     run.  The server side is a pool of service units (min(workers, cores)
     for process-per-request servers, 1 for single-threaded event loops),
-    each serving FIFO.  Per-request scheduling overhead is added on top of
-    the service time, which is how container-switch costs surface in
-    Figures 3, 6, 8, 9. *)
+    each serving FIFO; a request takes the unit that frees up first. *)
 
 type server = {
   units : int;  (** parallel service units *)
-  service_ns : Xc_sim.Prng.t -> float;  (** per-request service sample *)
-  overhead_ns : float;  (** per-request scheduling/switch overhead *)
+  service_ns : Xc_sim.Prng.t -> float;
+      (** per-request service sample, platform costs included *)
 }
 
 type config = {
@@ -33,16 +31,6 @@ type config = {
           geometry are preserved exactly.  Build the rows with
           [Xc_apps.Recipe.mechanisms] {e before} enabling tracing; the
           default [[]] changes nothing. *)
-  lb : Xc_lb.Policy.hedge option;
-      (** When set, unit selection goes through a {!Xc_lb.Policy}
-          (seeded from [seed]) instead of the built-in earliest-free
-          scan, and each request is cloned to [clones] distinct units
-          with synchronized service and cancel-on-first-complete: the
-          clone with the earliest start wins, siblings hold their unit
-          only until the winner finishes (that time is charged to the
-          request as an [lb.hedge]/[clone-xD] trace-bundle row), and a
-          clone that would start later than that never runs — a full
-          refund.  [None] changes nothing. *)
 }
 
 val default_config : config
@@ -57,8 +45,3 @@ type result = {
 }
 
 val run : config -> server -> result
-
-val run_many : config -> server list -> result list
-(** Run several servers {i sharing the simulated time axis} but with
-    independent queues (one client group per server), e.g. the
-    per-container wrk threads of Figure 8. *)

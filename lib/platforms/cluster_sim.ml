@@ -6,15 +6,23 @@ type mode = Flat | Hierarchical
 
 type fidelity = Exact | Fluid | Mixed of { sample_rate : int }
 
+(* A core runs one entity for at most this much core time before the
+   scheduler rotates. *)
+let timeslice_ns = 1e6
+
+(* Schedulable entities: one per container (a vCPU) under Hierarchical,
+   one per process under Flat, and a container runs one process per
+   stage. *)
+let entities mode ~containers ~stages =
+  match mode with Hierarchical -> containers | Flat -> containers * stages
+
 type config = {
   mode : mode;
   pcpus : int;
   containers : int;
   connections_per_container : int;
   stage_cpu_ns : float array;
-  processes_per_container : int;
   client_rtt_ns : float;
-  timeslice_ns : float;
   container_switch_ns : runnable:int -> float;
   process_switch_ns : float;
   duration_ns : float;
@@ -34,9 +42,7 @@ let default_config mode ~containers =
        logger: the four processes of the webdevops container each touch
        the request. *)
     stage_cpu_ns = [| 60_000.; 290_000.; 75_000.; 75_000. |];
-    processes_per_container = 4;
     client_rtt_ns = 25e6;
-    timeslice_ns = 1e6;
     container_switch_ns =
       (fun ~runnable ->
         Xc_cpu.Costs.context_switch_base_ns
@@ -61,15 +67,14 @@ type result = {
   process_switches : int;
   switch_overhead_ns : float;
   busy_fraction : float;
-  per_backend_utilization : float array;
 }
 
-(* One CPU burst of a request on a specific process of a container.
-   Under hedged dispatch ([config.lb]) a request spawns one burst chain
-   per clone, all pointing at a shared [clone_set]. *)
+(* One CPU burst of a request on a specific process of a container:
+   stage [i] runs on process [i], so [stage] names both.  Under hedged
+   dispatch ([config.lb]) a request spawns one burst chain per clone,
+   all pointing at a shared [clone_set]. *)
 type burst = {
   container : int;
-  mutable process : int;
   mutable remaining : float;
   mutable stage : int;
   sent_at : float;
@@ -187,11 +192,8 @@ let run config =
      [Profile.attribute] exact.  Durations are untouched. *)
   let synth_cursor = ref (measure_end +. config.client_rtt_ns +. 1e9) in
 
-  (* Entities: one per container (hier) or one per process (flat). *)
   let n_entities =
-    match config.mode with
-    | Hierarchical -> config.containers
-    | Flat -> config.containers * config.processes_per_container
+    entities config.mode ~containers:config.containers ~stages:n_stages
   in
   let queued = Bytes.make n_entities '\000' in
   let held = Bytes.make n_entities '\000' in
@@ -217,13 +219,9 @@ let run config =
   let entity_of_burst (b : burst) =
     match config.mode with
     | Hierarchical -> b.container
-    | Flat -> (b.container * config.processes_per_container) + b.process
+    | Flat -> (b.container * n_stages) + b.stage
   in
   let ready = Ring.make n_entities in
-  let held_count = ref 0 in
-  (* Per-backend core-time, for the utilization column the fluid tier
-     predicts analytically: busy.(i) / (pcpus * horizon). *)
-  let backend_busy = Array.make config.containers 0. in
   (* Telemetry: the scheduler this driver models belongs to a different
      substrate per mode — the hypervisor's credit scheduler over vCPUs
      under Hierarchical, the host kernel's scheduler over processes
@@ -396,7 +394,6 @@ let run config =
     let fresh_burst ~target ~set =
       {
         container = target;
-        process = 0;
         remaining = config.stage_cpu_ns.(0);
         stage = 0;
         sent_at = now;
@@ -451,7 +448,6 @@ let run config =
     b.stage <- b.stage + 1;
     if b.stage >= n_stages then finish_request engine b
     else begin
-      b.process <- b.stage mod config.processes_per_container;
       b.remaining <- config.stage_cpu_ns.(b.stage);
       enqueue_burst engine b
     end
@@ -461,8 +457,7 @@ let run config =
     let continue_current () =
       if core.cur_entity >= 0 then begin
         let e = core.cur_entity in
-        if (not (work_empty e)) && core.slice_used < config.timeslice_ns then
-          Some (e, false)
+        if (not (work_empty e)) && core.slice_used < timeslice_ns then Some e
         else None
       end
       else None
@@ -474,7 +469,6 @@ let run config =
         (if core.cur_entity >= 0 then begin
            let e = core.cur_entity in
            Bytes.set held e '\000';
-           decr held_count;
            if (not (work_empty e)) && Bytes.get queued e = '\000' then begin
              Bytes.set queued e '\001';
              Ring.add ready e;
@@ -486,11 +480,10 @@ let run config =
         | Some e ->
             Bytes.set queued e '\000';
             Bytes.set held e '\001';
-            incr held_count;
             core.cur_entity <- e;
             core.slice_used <- 0.;
             note_ready ();
-            Some (e, true)
+            Some e
         | None -> None
       end
 
@@ -502,7 +495,7 @@ let run config =
         core.cur_entity <- -1;
         Xc_sim.Metrics.gauge_add ~cat:"cpu" ~name:"cores-busy" (-1.);
         Ring.add idle_cores core_idx
-    | Some (e, _fresh) -> begin
+    | Some e -> begin
         match work_pop e with
         | None ->
             (* Raced empty; retry. *)
@@ -529,11 +522,9 @@ let run config =
                    processes under Flat, N vCPUs under Hierarchical.
                    The instantaneous queue length [ready + held] is much
                    smaller, but the cold state is still resident. *)
-                let runnable = n_entities in
-                ignore !held_count;
-                config.container_switch_ns ~runnable
+                config.container_switch_ns ~runnable:n_entities
               end
-              else if core.last_process <> b.process then begin
+              else if core.last_process <> b.stage then begin
                 incr process_switches;
                 Xc_sim.Metrics.counter_incr ~cat:"os" ~name:"ctx-switches";
                 switch_kind := "process";
@@ -554,15 +545,13 @@ let run config =
               Xc_trace.Trace.span ~at:now ~cat:"ctx-switch" ~name:!switch_kind
                 switch_cost;
             core.last_container <- b.container;
-            core.last_process <- b.process;
+            core.last_process <- b.stage;
             let slice =
-              Float.min b.remaining (config.timeslice_ns -. core.slice_used)
+              Float.min b.remaining (timeslice_ns -. core.slice_used)
             in
             let slice = Float.max slice 1_000. in
             switch_overhead := !switch_overhead +. switch_cost;
             busy := !busy +. switch_cost +. slice;
-            backend_busy.(b.container) <-
-              backend_busy.(b.container) +. switch_cost +. slice;
             core.slice_used <- core.slice_used +. slice;
             if Xc_sim.Metrics.on () then begin
               Xc_sim.Metrics.counter_incr ~cat:sched_cat ~name:slice_name;
@@ -609,11 +598,6 @@ let run config =
     switch_overhead_ns = !switch_overhead;
     busy_fraction =
       !busy /. (float_of_int config.pcpus *. (measure_end +. config.client_rtt_ns));
-    per_backend_utilization =
-      (let horizon =
-         float_of_int config.pcpus *. (measure_end +. config.client_rtt_ns)
-       in
-       Array.map (fun t -> t /. horizon) backend_busy);
   }
 
 (* ---------------- Fluid fidelity tier ---------------- *)
@@ -630,12 +614,10 @@ let run config =
    container.  W is a few percent of the request demand, so the blend
    only needs to be roughly right — the queueing itself is MVA-exact. *)
 let fluid_estimate config ~utilization =
-  let n_entities =
-    match config.mode with
-    | Hierarchical -> config.containers
-    | Flat -> config.containers * config.processes_per_container
-  in
   let n_stages = Array.length config.stage_cpu_ns in
+  let n_entities =
+    entities config.mode ~containers:config.containers ~stages:n_stages
+  in
   let nf = float_of_int n_stages in
   let cs = config.container_switch_ns ~runnable:n_entities in
   let ps = config.process_switch_ns in
@@ -653,12 +635,12 @@ let fluid_estimate config ~utilization =
            slice allows — sqrt of the slice capacity tracks the
            measured drain depth across the saturated range. *)
         let drain =
-          Float.sqrt (Float.max 1. (config.timeslice_ns /. mean_stage))
+          Float.sqrt (Float.max 1. (timeslice_ns /. mean_stage))
         in
         (nf /. drain, 0.)
     | Hierarchical ->
         let bursts_per_visit =
-          Float.max 1. (config.timeslice_ns /. mean_stage)
+          Float.max 1. (timeslice_ns /. mean_stage)
         in
         let visits = Float.max 1. (nf /. bursts_per_visit) in
         (visits, nf -. visits)
@@ -704,9 +686,6 @@ let run_fluid config =
     process_switches = int_of_float (ppr *. completed);
     switch_overhead_ns = w *. completed;
     busy_fraction = u;
-    per_backend_utilization =
-      (* the closed loop is symmetric across containers *)
-      Array.make config.containers (u /. float_of_int config.containers);
   }
 
 let run_mixed ~sample_rate config =
@@ -797,11 +776,8 @@ let config_of_platform ?(containers = 4) ?(connections = 5) ?lb platform =
   let mode =
     if Platform.hierarchical_scheduling platform then Hierarchical else Flat
   in
-  let processes_per_container = Array.length stage_profiles in
   let n_entities =
-    match mode with
-    | Hierarchical -> containers
-    | Flat -> containers * processes_per_container
+    entities mode ~containers ~stages:(Array.length stage_profiles)
   in
   (* The runnable population is fixed for the whole run (closed loop,
      fixed container count), so the switch is priced once and wrapped
@@ -815,9 +791,7 @@ let config_of_platform ?(containers = 4) ?(connections = 5) ?lb platform =
     containers;
     connections_per_container = connections;
     stage_cpu_ns;
-    processes_per_container;
     client_rtt_ns = 1e6;
-    timeslice_ns = 1e6;
     container_switch_ns = (fun ~runnable:_ -> cswitch);
     process_switch_ns = pswitch;
     duration_ns = 3e8;

@@ -4,18 +4,22 @@
     the X-Kernel's two-level hierarchy (N vCPUs x 4 processes) — is
     priced analytically in {!Xc_apps}'s scalability model.  This module
     makes the same claim {i emerge} from mechanism: it simulates cores,
-    runqueues, time slices and per-switch costs directly, with requests
-    hopping between the processes of a container (NGINX -> PHP-FPM ->
-    NGINX), and measures throughput and the actual switch counts.
+    runqueues, time slices (1 ms) and per-switch costs directly, with
+    requests hopping between the processes of a container (one process
+    per stage), and measures throughput and the actual switch counts.
 
     Two scheduling modes:
-    - [Flat]: one global FIFO runqueue; every dispatch that changes
-      container pays the cross-container switch cost with the {i whole}
-      system's runnable count;
+    - [Flat]: one global FIFO runqueue of processes; every dispatch that
+      changes container pays the cross-container switch cost priced at
+      {i every} process the host kernel owns (containers x stages);
     - [Hierarchical]: cores pick a container first (round-robin over
-      containers with runnable work; switch cost scales with the number
-      of runnable {i containers}), then run that container's processes
-      with cheap intra-container switches.
+      containers with runnable work; the switch cost is priced at every
+      container the hypervisor owns), then run that container's
+      processes with cheap intra-container switches.
+
+    Either way the switch-cost population is every entity the scheduler
+    owns, not the instantaneously runnable ones: per-task scheduler
+    state stays resident whether or not the task is queued.
 
     The harness cross-validates this simulation against the analytic
     Figure 8 model at small container counts. *)
@@ -45,11 +49,9 @@ type config = {
   containers : int;
   connections_per_container : int;
   stage_cpu_ns : float array;
-      (** CPU bursts of one request; stage [i] runs on process [i mod
-          processes] of the container *)
-  processes_per_container : int;
+      (** CPU bursts of one request; stage [i] runs on process [i] of
+          the container, so a container has one process per stage *)
   client_rtt_ns : float;
-  timeslice_ns : float;
   container_switch_ns : runnable:int -> float;
   process_switch_ns : float;
   duration_ns : float;
@@ -85,8 +87,8 @@ type config = {
 }
 
 val default_config : mode -> containers:int -> config
-(** 16 cores, 5 connections/container, a 3-stage request (NGINX ->
-    worker -> NGINX), 1 ms slices, switch costs from {!Xc_cpu.Costs}. *)
+(** 16 cores, 5 connections/container, a 4-stage request (NGINX ->
+    PHP-FPM -> opcache -> logger), switch costs from {!Xc_cpu.Costs}. *)
 
 type result = {
   throughput_rps : float;
@@ -96,11 +98,6 @@ type result = {
   process_switches : int;
   switch_overhead_ns : float;  (** total core time burnt on switching *)
   busy_fraction : float;
-  per_backend_utilization : float array;
-      (** one entry per container: its core-time share of the whole
-          machine over the horizon (sums to [busy_fraction]).  The
-          fluid tier predicts these analytically (symmetric); the
-          differential tests compare the two. *)
 }
 
 val run : config -> result

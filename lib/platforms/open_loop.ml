@@ -46,7 +46,7 @@ let run config (server : Closed_loop.server) =
     if !in_flight > !max_queue then max_queue := !in_flight;
     let u = least_loaded () in
     let start = Float.max now unit_free.(u) in
-    let finish = start +. server.service_ns rng +. server.overhead_ns in
+    let finish = start +. server.service_ns rng in
     unit_free.(u) <- finish;
     Engine.schedule engine finish (fun engine ->
         decr in_flight;
@@ -74,6 +74,3 @@ let run config (server : Closed_loop.server) =
     p99_ns = Histogram.percentile latencies 99.;
     max_queue = !max_queue;
   }
-
-let utilization r ~service_ns ~units =
-  r.offered_rps *. service_ns /. 1e9 /. float_of_int units

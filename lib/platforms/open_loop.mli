@@ -27,8 +27,5 @@ type result = {
 }
 
 val run : config -> Closed_loop.server -> result
-(** Requests arrive as a Poisson process; each takes
-    [service_ns + overhead_ns] on the least-loaded unit, FIFO. *)
-
-val utilization : result -> service_ns:float -> units:int -> float
-(** Offered load as a fraction of capacity. *)
+(** Requests arrive as a Poisson process; each takes one [service_ns]
+    sample on the least-loaded unit, FIFO. *)

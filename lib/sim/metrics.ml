@@ -331,21 +331,6 @@ type alert_rule = {
   below : float option;
 }
 
-let alert_rules : alert_rule list Atomic.t = Atomic.make []
-
-let alert ~cat ~name ?above ?below () =
-  if above = None && below = None then
-    invalid_arg "Metrics.alert: at least one of ~above / ~below is required";
-  let r = { acat = cat; aname = name; above; below } in
-  let rec add () =
-    let old = Atomic.get alert_rules in
-    if not (Atomic.compare_and_set alert_rules old (old @ [ r ])) then add ()
-  in
-  add ()
-
-let alerts () = Atomic.get alert_rules
-let clear_alerts () = Atomic.set alert_rules []
-
 let rule_key r = r.acat ^ "/" ^ r.aname
 
 let rule_to_string r =
@@ -396,8 +381,7 @@ let fired r v =
   (match r.above with Some t -> v > t | None -> false)
   || match r.below with Some t -> v < t | None -> false
 
-let firings ?rules tel =
-  let rules = match rules with Some r -> r | None -> alerts () in
+let firings ~rules tel =
   List.concat_map
     (fun snap ->
       List.filter_map

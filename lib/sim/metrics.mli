@@ -149,15 +149,6 @@ type alert_rule = {
   below : float option;  (** fire when value < bound *)
 }
 
-val alert : cat:string -> name:string -> ?above:float -> ?below:float -> unit -> unit
-(** Register a rule process-wide (at least one bound required, or
-    [Invalid_argument]).  Rules persist until {!clear_alerts}. *)
-
-val alerts : unit -> alert_rule list
-(** Registered rules, in registration order. *)
-
-val clear_alerts : unit -> unit
-
 val rule_to_string : alert_rule -> string
 (** ["cat/name>0.9"] / ["cat/name<5"]. *)
 
@@ -166,10 +157,9 @@ val rule_of_string : string -> (alert_rule, string) result
 
 type firing = { rule : alert_rule; at : Time_ns.t; value : float }
 
-val firings : ?rules:alert_rule list -> telemetry -> firing list
+val firings : rules:alert_rule list -> telemetry -> firing list
 (** Every (rule, snapshot) crossing, in snapshot order then rule
-    order; [rules] defaults to {!alerts}[ ()].  Pure — same telemetry,
-    same firings, at any job count. *)
+    order.  Pure — same telemetry, same firings, at any job count. *)
 
 val render_firings : firing list -> string
 (** One [ALERT key: N snapshot(s), worst V] line per rule that fired,

@@ -97,3 +97,16 @@ let fmt_si v =
   else if abs >= 1e6 then Printf.sprintf "%.2fM" (v /. 1e6)
   else if abs >= 1e3 then Printf.sprintf "%.1fK" (v /. 1e3)
   else Printf.sprintf "%.0f" v
+
+(* Shortest decimal form that parses back to the identical float, so
+   print -> parse is the identity on every representable value. *)
+let fmt_shortest v =
+  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
+  else
+    let rec go p =
+      if p > 17 then Printf.sprintf "%.17g" v
+      else
+        let s = Printf.sprintf "%.*g" p v in
+        if float_of_string s = v then s else go (p + 1)
+    in
+    go 1

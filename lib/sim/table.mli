@@ -32,3 +32,7 @@ val fmt_pct : float -> string
 
 val fmt_si : float -> string
 (** 12K / 3.4M style, for request rates. *)
+
+val fmt_shortest : float -> string
+(** The shortest decimal form that parses back to the identical float
+    ([0.7], [1e-05], [3]), so print -> parse is the identity. *)

@@ -44,7 +44,7 @@ let closed_result (spec : Spec.t) =
       Figures.server_for_public spec.platform platform w.Workload.tag
     else
       let service = whatif_service spec platform w.Workload.recipe in
-      { CL.units = 4; service_ns = (fun _ -> service); overhead_ns = 0. }
+      { CL.units = 4; service_ns = (fun _ -> service) }
   in
   CL.run
     {
@@ -64,7 +64,7 @@ let open_result (spec : Spec.t) =
     else whatif_service spec platform w.Workload.recipe
   in
   let units = 4 in
-  let server = { CL.units; service_ns = (fun _ -> service); overhead_ns = 0. } in
+  let server = { CL.units; service_ns = (fun _ -> service) } in
   let rate_rps = spec.load.rate *. (float_of_int units *. 1e9 /. service) in
   OL.run
     (OL.config

@@ -1,4 +1,5 @@
 module Config = Xc_platforms.Config
+module Table = Xc_sim.Table
 
 type shape = Closed | Open | Cluster
 type fidelity = Exact | Fluid | Mixed of int
@@ -146,19 +147,6 @@ let cloud_of_string s =
         (Printf.sprintf "unknown cloud %S (%s)" s
            (String.concat ", " (List.map fst clouds)))
 
-(* Shortest decimal form that parses back to the identical float, so
-   print -> parse is the identity on every representable value. *)
-let float_to_string v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else
-    let rec go p =
-      if p > 17 then Printf.sprintf "%.17g" v
-      else
-        let s = Printf.sprintf "%.*g" p v in
-        if float_of_string s = v then s else go (p + 1)
-    in
-    go 1
-
 (* ------------------------------------------------------------------ *)
 (* Field table                                                         *)
 
@@ -228,7 +216,7 @@ let field_table :
         let* n = parse_int "connections" v in
         Ok { t with load = { t.load with connections = n } } );
     ( "rate",
-      (fun t -> float_to_string t.load.rate),
+      (fun t -> Table.fmt_shortest t.load.rate),
       fun t v ->
         let* f = parse_float "rate" v in
         Ok { t with load = { t.load with rate = f } } );
@@ -243,12 +231,12 @@ let field_table :
         let* n = parse_int "containers" v in
         Ok { t with load = { t.load with containers = n } } );
     ( "duration_ms",
-      (fun t -> float_to_string t.load.duration_ms),
+      (fun t -> Table.fmt_shortest t.load.duration_ms),
       fun t v ->
         let* f = parse_float "duration_ms" v in
         Ok { t with load = { t.load with duration_ms = f } } );
     ( "warmup_ms",
-      (fun t -> float_to_string t.load.warmup_ms),
+      (fun t -> Table.fmt_shortest t.load.warmup_ms),
       fun t v ->
         let* f = parse_float "warmup_ms" v in
         Ok { t with load = { t.load with warmup_ms = f } } );
@@ -315,7 +303,7 @@ let set_field t key value =
 
 let fields t =
   List.map (fun (k, get, _) -> (k, get t)) field_table
-  @ List.map (fun (m, s) -> ("whatif." ^ m, float_to_string s)) t.whatif
+  @ List.map (fun (m, s) -> ("whatif." ^ m, Table.fmt_shortest s)) t.whatif
   @ List.map (fun (k, v) -> ("param." ^ k, v)) t.params
 
 let print_fields t =
@@ -381,7 +369,7 @@ let validate t =
     check
       (t.load.rate > 0. && t.load.rate <= 10.)
       "rate" "must be in (0, 10] of capacity (got %s)"
-      (float_to_string t.load.rate)
+      (Table.fmt_shortest t.load.rate)
   in
   let* () =
     check
@@ -397,13 +385,13 @@ let validate t =
     check
       (t.load.duration_ms > 0. && t.load.duration_ms <= 1e7)
       "duration_ms" "must be in (0, 1e7] (got %s)"
-      (float_to_string t.load.duration_ms)
+      (Table.fmt_shortest t.load.duration_ms)
   in
   let* () =
     check
       (t.load.warmup_ms >= 0. && t.load.warmup_ms < t.load.duration_ms)
       "warmup_ms" "must be in [0, duration_ms) (got %s)"
-      (float_to_string t.load.warmup_ms)
+      (Table.fmt_shortest t.load.warmup_ms)
   in
   let* () = check (t.seed >= 0) "seed" "must be >= 0 (got %d)" t.seed in
   let* () =

@@ -113,6 +113,3 @@ val validate : t -> (unit, string) result
     (0, 10], positive duration, warmup < duration, and [tails] only on
     shapes that emit request spans (not open, not the fluid cluster
     tier). *)
-
-val float_to_string : float -> string
-(** Shortest decimal form that parses back to the identical float. *)

@@ -33,8 +33,11 @@ let test_recipe_hops_charged () =
 let test_recipe_jitter_positive () =
   let p = platform Config.Docker in
   let rng = Xc_sim.Prng.create 1 in
+  let server =
+    Recipe.server ~units:1 ~stddev:0.3 ~floor:0.2 p Nginx.static_request_wrk
+  in
   for _ = 1 to 100 do
-    let v = Recipe.with_jitter Nginx.static_request_wrk p ~cv:0.3 rng in
+    let v = server.Xc_platforms.Closed_loop.service_ns rng in
     Alcotest.(check bool) "positive" true (v > 0.)
   done
 

@@ -419,16 +419,7 @@ let test_alert_rules () =
   | Ok _ -> Alcotest.fail "no-threshold rule accepted");
   (match M.rule_of_string "net/messages>wat" with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "non-numeric threshold accepted");
-  (try
-     M.alert ~cat:"x" ~name:"y" ();
-     Alcotest.fail "boundless rule accepted"
-   with Invalid_argument _ -> ());
-  M.clear_alerts ();
-  M.alert ~cat:"net" ~name:"messages" ~above:100. ();
-  Alcotest.(check int) "registered" 1 (List.length (M.alerts ()));
-  M.clear_alerts ();
-  Alcotest.(check int) "cleared" 0 (List.length (M.alerts ()))
+  | Ok _ -> Alcotest.fail "non-numeric threshold accepted")
 
 let test_alert_firings () =
   let snap at v =

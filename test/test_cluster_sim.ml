@@ -75,6 +75,20 @@ let test_stage_validation () =
   Alcotest.check_raises "no stages" (Invalid_argument "Cluster_sim.run: stages")
     (fun () -> ignore (CS.run config))
 
+let test_words_per_event () =
+  let platform =
+    Xc_platforms.Platform.create
+      (Xc_platforms.Config.make Xc_platforms.Config.X_container)
+  in
+  let config =
+    {
+      (CS.config_of_platform ~containers:100 ~connections:1 platform) with
+      CS.duration_ns = 1e8;
+      warmup_ns = 2e7;
+    }
+  in
+  Test_platforms.check_words_budget ~budget:51 (fun () -> CS.run config)
+
 let suites =
   [
     ( "cluster_sim",
@@ -88,5 +102,6 @@ let suites =
           test_agrees_with_analytic_model;
         Alcotest.test_case "latency grows" `Slow test_latency_grows_with_load;
         Alcotest.test_case "validation" `Quick test_stage_validation;
+        Alcotest.test_case "words per event" `Quick test_words_per_event;
       ] );
   ]

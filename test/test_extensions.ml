@@ -197,7 +197,7 @@ let test_security_meltdown_column () =
 (* ---------------- Open loop ---------------- *)
 
 let ol_server service units =
-  { Xc_platforms.Closed_loop.units; service_ns = (fun _ -> service); overhead_ns = 0. }
+  { Xc_platforms.Closed_loop.units; service_ns = (fun _ -> service) }
 
 let test_open_loop_low_load () =
   let r =
@@ -230,15 +230,22 @@ let test_open_loop_overload () =
   in
   (* Past capacity (50k/s): completion pegged at capacity. *)
   Alcotest.(check bool) "pegged at capacity" true
-    (r.completed_rps < 55_000. && r.completed_rps > 45_000.);
-  Alcotest.(check bool) "utilization over 1" true
-    (Xc_platforms.Open_loop.utilization r ~service_ns:20_000. ~units:1 > 1.)
+    (r.completed_rps < 55_000. && r.completed_rps > 45_000.)
 
 let test_open_loop_deterministic () =
   let cfg = Xc_platforms.Open_loop.config ~rate_rps:5_000. () in
   let a = Xc_platforms.Open_loop.run cfg (ol_server 20_000. 2) in
   let b = Xc_platforms.Open_loop.run cfg (ol_server 20_000. 2) in
   Alcotest.(check (float 1e-9)) "deterministic" a.completed_rps b.completed_rps
+
+let test_open_loop_words () =
+  let server = Test_platforms.xc_nginx_server () in
+  let config =
+    Xc_platforms.Open_loop.config ~duration_ns:5e8 ~warmup_ns:5e7
+      ~rate_rps:40_000. ()
+  in
+  Test_platforms.check_words_budget ~budget:32 (fun () ->
+      Xc_platforms.Open_loop.run config server)
 
 let suites =
   [
@@ -278,5 +285,6 @@ let suites =
         Alcotest.test_case "saturation tail" `Quick test_open_loop_saturation_tail;
         Alcotest.test_case "overload" `Quick test_open_loop_overload;
         Alcotest.test_case "deterministic" `Quick test_open_loop_deterministic;
+        Alcotest.test_case "words per event" `Quick test_open_loop_words;
       ] );
   ]

@@ -5,7 +5,6 @@
 
 open Xc_lb
 module CS = Xc_platforms.Cluster_sim
-module CL = Xc_platforms.Closed_loop
 module Config = Xc_platforms.Config
 
 (* ---------------- Policy ---------------- *)
@@ -298,28 +297,6 @@ let test_cluster_hedge_trace_row () =
   Alcotest.(check bool) "capture still partitions into requests" true
     (Xc_trace.Profile.request_totals att <> [])
 
-(* The closed-loop driver's booking-model hedging: runs, completes,
-   and at d=1 policy routing the result stays in the same regime as
-   the legacy earliest-free scan (same service samples, different
-   unit choice). *)
-let test_closed_loop_hedged () =
-  let server =
-    { CL.units = 4; service_ns = (fun rng -> Xc_sim.Prng.exponential rng ~mean:50_000.); overhead_ns = 1_000. }
-  in
-  let base = { CL.default_config with duration_ns = 2e8; warmup_ns = 2e7 } in
-  let legacy = CL.run base server in
-  List.iter
-    (fun (kind, clones) ->
-      let r =
-        CL.run { base with CL.lb = Some { Policy.kind; clones } } server
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s d=%d completes" (Policy.kind_to_string kind) clones)
-        true
-        (r.CL.completed > 0 && r.CL.p99_ns > 0.
-        && r.CL.completed > legacy.CL.completed / 4))
-    [ (Policy.Least_loaded, 1); (Policy.Least_loaded, 2); (Policy.Round_robin, 2) ]
-
 let qsuite props = List.map QCheck_alcotest.to_alcotest props
 
 let suites =
@@ -353,6 +330,5 @@ let suites =
         Alcotest.test_case "fig9 shape: policy beats hedging at saturation"
           `Slow test_cluster_shape;
         Alcotest.test_case "hedge trace row" `Quick test_cluster_hedge_trace_row;
-        Alcotest.test_case "closed-loop hedged" `Quick test_closed_loop_hedged;
       ] );
   ]

@@ -68,7 +68,7 @@ let gen_spec =
   in
   let* n_params = int_range 0 2 in
   let warmup =
-    Spec.float_to_string (warmup_frac *. float_of_string duration)
+    Xc_sim.Table.fmt_shortest (warmup_frac *. float_of_string duration)
   in
   let spec = { Spec.default with Spec.name } in
   let spec = set spec "runtime" runtime in

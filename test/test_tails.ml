@@ -485,11 +485,7 @@ let test_closed_loop_mechanisms () =
     }
   in
   let server =
-    {
-      Xc_platforms.Closed_loop.units = 2;
-      service_ns = (fun _ -> service);
-      overhead_ns = 0.;
-    }
+    { Xc_platforms.Closed_loop.units = 2; service_ns = (fun _ -> service) }
   in
   with_trace (fun () ->
       let result, captured =
