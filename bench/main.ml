@@ -1529,20 +1529,7 @@ let latency_smoke suite =
   let s = single suite in
   fun () ->
     section "Smoke: open-loop latency, 20ms simulated";
-    let platform = Xc_platforms.Platform.create s.Spec.platform in
-    let service =
-      Xc_apps.Recipe.service_ns platform Xc_apps.Nginx.static_request_wrk
-    in
-    let server =
-      { CL.units = 4; service_ns = (fun _ -> service) }
-    in
-    let r =
-      Xc_platforms.Open_loop.run
-        (Xc_platforms.Open_loop.config ~duration_ns:(Spec.duration_ns s)
-           ~warmup_ns:(Spec.warmup_ns s)
-           ~rate_rps:(1e9 /. service) ())
-        server
-    in
+    let r = Sdriver.open_result s in
     printf "p50 %.0fus  p99 %.0fus\n" (r.p50_ns /. 1e3) (r.p99_ns /. 1e3)
 
 let fig8sim_smoke suite =

@@ -92,9 +92,14 @@ let runtime =
   Arg.(value & opt runtime_conv Config.X_container
       & info [ "runtime"; "r" ] ~doc:("Runtime: " ^ runtime_names ^ "."))
 
+(* $XC_JOBS (validated, 0-is-auto included) or 1. *)
+let env_jobs () =
+  match Xc_sim.Parallel.jobs_from_env () with
+  | Ok n -> n
+  | Error msg -> exit_err msg
+
 (* Explicit values must be positive (0 means "auto": whatever the host
-   can usefully run); absent falls back to $XC_JOBS (itself validated,
-   0-is-auto included) or 1. *)
+   can usefully run); absent falls back to {!env_jobs}. *)
 let jobs =
   let resolve = function
     | Some 0 -> Xc_sim.Parallel.recommended_jobs ()
@@ -103,10 +108,7 @@ let jobs =
         exit_err
           (Printf.sprintf
              "--jobs expects a positive integer (or 0 for auto), got %d" n)
-    | None -> (
-        match Xc_sim.Parallel.jobs_from_env () with
-        | Ok n -> n
-        | Error msg -> exit_err msg)
+    | None -> env_jobs ()
   in
   Term.(
     const resolve
@@ -814,11 +816,11 @@ let trace_run_cmd =
         & info [] ~docv:"EXPERIMENT"
             ~doc:"A UnixBench loop (syscalls, execl, file-copy, pipe, \
                   context-switch, process-creation), an application \
-                  (nginx, memcached, redis, ...), httpd (the \
-                  executable server, with per-request tracing), \
-                  closed-loop (the wrk-style driver with per-request \
-                  mechanism spans), or cluster (the Fig 9 scheduling \
-                  simulation, ditto).")
+                  (nginx, memcached, redis, ...) in the wrk-style \
+                  closed-loop driver with per-request mechanism spans \
+                  (closed-loop is nginx under its own label), httpd \
+                  (the executable server, with per-request tracing), or \
+                  cluster (the Fig 9 scheduling simulation, ditto).")
   in
   let iterations =
     Arg.(value & opt int 100
@@ -863,29 +865,32 @@ let trace_run_cmd =
       exit_err "--tails needs --tail";
     let workload =
       if exp = "httpd" then `Httpd
-      else if exp = "closed-loop" then begin
-        (* Both the driver config and the mechanism rows query platform
-           costs, and those queries emit trace spans themselves — price
-           everything before enabling the tracer. *)
-        let recipe = Xc_apps.Nginx.static_request_wrk in
-        let server = Xcontainers.Figures.server_for_public config platform `Nginx in
-        `Closed_loop
-          ( {
-              Xc_platforms.Closed_loop.default_config with
-              duration_ns = 3e7;
-              warmup_ns = 3e6;
-              trace_mechanisms = Xc_apps.Recipe.mechanisms platform recipe;
-            },
-            server )
-      end
       else if exp = "cluster" then
         `Cluster (CS.config_of_platform platform)
       else
         match List.assoc_opt exp unixbench_workloads with
         | Some test -> `Unixbench test
         | None -> (
-            match Workload.find exp with
-            | Some w -> `App w.tag
+            (* closed-loop is the nginx app under its own label. *)
+            match Workload.find (if exp = "closed-loop" then "nginx" else exp) with
+            | Some w ->
+                (* Both the driver config and the mechanism rows query
+                   platform costs, and those queries emit trace spans
+                   themselves — price everything before enabling the
+                   tracer.  A short window keeps every request's bundle
+                   inside the trace ring. *)
+                let server =
+                  Xcontainers.Figures.server_for_public config platform w.tag
+                in
+                `Closed_loop
+                  ( {
+                      Xc_platforms.Closed_loop.default_config with
+                      duration_ns = 3e7;
+                      warmup_ns = 3e6;
+                      trace_mechanisms =
+                        Xc_apps.Recipe.mechanisms platform w.recipe;
+                    },
+                    server )
             | None ->
                 exit_err
                   (Printf.sprintf
@@ -908,19 +913,7 @@ let trace_run_cmd =
               | `Closed_loop (cl_config, server) ->
                   ignore (Xc_platforms.Closed_loop.run cl_config server)
               | `Cluster cs_config ->
-                  ignore (CS.run_sweep ~jobs [ cs_config ])
-              | `App app ->
-                  let server =
-                    Xcontainers.Figures.server_for_public config platform app
-                  in
-                  ignore
-                    (Xc_platforms.Closed_loop.run
-                       {
-                         Xc_platforms.Closed_loop.default_config with
-                         duration_ns = 2e8;
-                         warmup_ns = 2e7;
-                       }
-                       server)))
+                  ignore (CS.run_sweep ~jobs [ cs_config ])))
     in
     Trace.disable ();
     Xc_sim.Metrics.disable ();
@@ -1565,10 +1558,12 @@ let causal_run_cmd =
                   mechanism were 30% cheaper\".")
   in
   let run runtime target mech scale =
+    let jobs = env_jobs () in
     let target = target runtime in
     ignore
       (print_causal
-         (Causal.sweep_points [ (target.Causal.label, target, mech, scale) ]))
+         (Causal.sweep_points ~jobs
+            [ (target.Causal.label, target, mech, scale) ]))
   in
   Cmd.v
     (Cmd.info "run"
@@ -1610,7 +1605,7 @@ let causal_sweep_cmd =
     let scales = if scales <> [] then scales else [ 0.7 ] in
     let targets = List.map target runtimes in
     let points =
-      print_causal (Causal.sweep ~jobs ~targets ~mechs ~scales ())
+      print_causal (Causal.sweep ~jobs ~targets ~mechs ~scales)
     in
     match csv_out with
     | None -> ()

@@ -5,11 +5,6 @@ let page_user_ns = 58_000.
 let db_roundtrip_remote_ops =
   [ K.Socket_send 180; K.Epoll; K.Socket_recv 420 ]
 
-(* Unix-domain socket to a co-located MySQL: same syscall count but the
-   bytes never cross the network stack; the kernel copies buffers
-   directly (we model it as pipe traffic). *)
-let db_roundtrip_local_ops = [ K.Pipe_write 180; K.Epoll; K.Pipe_read 420 ]
-
 let cgi_request ~queries =
   let base_ops =
     [

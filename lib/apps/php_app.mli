@@ -16,9 +16,5 @@ val fpm_request : Recipe.t
 (** NGINX -> PHP-FPM over FastCGI: the request hops to the FPM worker
     process and back (two intra-container process switches). *)
 
-val db_roundtrip_local_ops : Xc_os.Kernel.op list
-(** Socket ops PHP performs per query when the database is in the {i same}
-    container (Unix socket): the Dedicated&Merged case of Figure 7. *)
-
 val db_roundtrip_remote_ops : Xc_os.Kernel.op list
 (** Socket ops per query against a remote database container. *)

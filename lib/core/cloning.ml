@@ -5,8 +5,6 @@ let snapshot_of_parent ~memory_mb ~resident_pages =
     invalid_arg "Cloning.snapshot_of_parent";
   { memory_mb; resident_pages }
 
-let snapshot_memory_mb s = s.memory_mb
-
 type clone_breakdown = {
   toolstack_ns : float;
   page_sharing_setup_ns : float;

@@ -12,8 +12,6 @@ val snapshot_of_parent :
 (** Capture a booted parent: only its resident working set must be
     materialised eagerly in a clone. *)
 
-val snapshot_memory_mb : snapshot -> int
-
 type clone_breakdown = {
   toolstack_ns : float;  (** LightVM-style: descriptor setup only *)
   page_sharing_setup_ns : float;  (** mark parent pages copy-on-write *)

@@ -62,7 +62,6 @@ let create ?(config = default_config) image ~entry =
 let image t = t.image
 let rip t = t.rip
 let rax t = t.rax
-let set_rax t v = t.rax <- v
 
 let reset t ~entry =
   t.rip <- entry;

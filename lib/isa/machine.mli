@@ -51,7 +51,6 @@ val create : ?config:config -> Image.t -> entry:int -> t
 val image : t -> Image.t
 val rip : t -> int
 val rax : t -> int64
-val set_rax : t -> int64 -> unit
 
 val run : ?fuel:int -> t -> exit_reason
 (** Execute until halt, fault, or [fuel] instructions (default 1_000_000). *)

@@ -38,7 +38,7 @@ type t
 val create : ?seed:int -> backends:int -> kind -> t
 (** Fresh policy state over [backends] (> 0, else [Invalid_argument]).
     [seed] (default 0) feeds the probe PRNG — pass the experiment seed
-    so traced runs stay deterministic under work stealing. *)
+    so traced runs stay deterministic at any [--jobs]. *)
 
 val kind : t -> kind
 val backends : t -> int

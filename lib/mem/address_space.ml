@@ -12,9 +12,6 @@ let kernel_base_vpn = 1 lsl 35
 
 let region_of_vpn vpn = if vpn >= kernel_base_vpn then Kernel else User
 
-let region_of_addr addr =
-  region_of_vpn (Page_table.vpn_of_addr (Int64.logand addr Int64.max_int))
-
 let map_user t ~vpn ~pages ~first_pfn =
   if vpn + pages > kernel_base_vpn then invalid_arg "map_user: above user half";
   Page_table.map_range t.table ~vpn ~pages ~first_pfn ~flags:(fun ~pfn ->

@@ -18,7 +18,6 @@ val kernel_base_vpn : int
     folded to an int vpn). *)
 
 val region_of_vpn : int -> region
-val region_of_addr : int64 -> region
 
 val map_user : t -> vpn:int -> pages:int -> first_pfn:int -> unit
 (** User pages: writable, user-accessible, never global. *)

@@ -106,7 +106,7 @@ let predict b ~mech ~scale =
 
 type cell_result = B of (baseline, string) result | R of CS.result
 
-let sweep_points ?jobs points =
+let sweep_points ~jobs points =
   (* Re-price every point before anything runs, so a bad what-if fails
      fast instead of after the expensive baselines. *)
   let* reruns =
@@ -140,7 +140,7 @@ let sweep_points ?jobs points =
         reruns
   in
   let results =
-    with_tracing (fun () -> Xc_sim.Parallel.run_sharded ?jobs shards)
+    with_tracing (fun () -> Xc_sim.Parallel.run_sharded ~jobs shards)
   in
   let baselines, reruns =
     List.partition_map (function B b -> Left b | R r -> Right r) results
@@ -170,8 +170,8 @@ let sweep_points ?jobs points =
   in
   Ok (by_label, points)
 
-let sweep ?jobs ~targets ~mechs ~scales () =
-  sweep_points ?jobs
+let sweep ~jobs ~targets ~mechs ~scales =
+  sweep_points ~jobs
     (List.concat_map
        (fun t ->
          List.concat_map

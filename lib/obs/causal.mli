@@ -79,7 +79,7 @@ val tail_at :
     this way. *)
 
 val sweep_points :
-  ?jobs:int ->
+  jobs:int ->
   (string * target * string * float) list ->
   ((string * baseline) list * point list, string) result
 (** The causal sweep over explicit [(label, target, mech, scale)]
@@ -96,11 +96,10 @@ val sweep_points :
     capture dropped events. *)
 
 val sweep :
-  ?jobs:int ->
+  jobs:int ->
   targets:target list ->
   mechs:string list ->
   scales:float list ->
-  unit ->
   ((string * baseline) list * point list, string) result
 (** {!sweep_points} over the (target x mech x scale) cross product, in
     row-major order, each point labelled by its target. *)

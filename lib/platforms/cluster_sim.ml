@@ -146,7 +146,7 @@ let run config =
   let rng = Prng.create config.seed in
   (* Hedged dispatch: the policy's probe PRNG is seeded from the
      experiment seed, never from global state, so traced runs stay
-     deterministic under work stealing. *)
+     deterministic at any --jobs. *)
   let lb_state =
     match config.lb with
     | None -> None
@@ -715,9 +715,9 @@ let run_fidelity fidelity config =
    workload — each config is an independent seeded simulation and the
    merge is just the index-ordered collect, so the result (and any
    enclosing trace) is identical at every job count. *)
-let run_sweep ?jobs ?(fidelity = Exact) configs =
+let run_sweep ~jobs ?(fidelity = Exact) configs =
   match
-    Xc_sim.Parallel.run_sharded ?jobs
+    Xc_sim.Parallel.run_sharded ~jobs
       [
         Xc_sim.Parallel.Shard.make
           ~shards:

@@ -114,7 +114,7 @@ val run_fidelity : fidelity -> config -> result
     slice.  Raises [Invalid_argument] if a {!Mixed} [sample_rate] is
     < 1. *)
 
-val run_sweep : ?jobs:int -> ?fidelity:fidelity -> config list -> result list
+val run_sweep : jobs:int -> ?fidelity:fidelity -> config list -> result list
 (** Run many independent configurations (a Figure 8 sweep: per-count,
     per-mode points), fanned out over [jobs] worker domains via
     {!Xc_sim.Parallel}.  Results come back in input order and are

@@ -93,5 +93,3 @@ let run ?until t =
             advance t (Time_ns.max t.clock stop);
             continue := false
       done
-
-let run_for t d = run ~until:(Time_ns.add t.clock d) t

@@ -48,6 +48,3 @@ val step : t -> bool
 val run : ?until:Time_ns.t -> t -> unit
 (** Run until the queue drains or the clock would pass [until].  With
     [until], the clock is left at exactly [until] if reached. *)
-
-val run_for : t -> Time_ns.t -> unit
-(** [run_for t d] = [run ~until:(now t + d) t]. *)

@@ -96,7 +96,3 @@ let equal a b =
      (e.g. merged across worker domains) can disagree in [sum] while
      agreeing in every bucket.  Percentiles read only buckets/count. *)
   a.count = b.count && Array.for_all2 ( = ) a.buckets b.buckets
-
-let pp_summary fmt t =
-  Format.fprintf fmt "p50=%.3g p90=%.3g p99=%.3g (n=%d)" (percentile t 50.)
-    (percentile t 90.) (percentile t 99.) t.count

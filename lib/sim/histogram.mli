@@ -38,6 +38,3 @@ val equal : t -> t -> bool
     addition is not associative, so the sum of the same samples merged
     in a different grouping may differ in the last bits; every
     percentile query reads only buckets and count). *)
-
-val pp_summary : Format.formatter -> t -> unit
-(** One-line p50/p90/p99 summary. *)

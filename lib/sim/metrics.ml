@@ -1,7 +1,7 @@
 (* Mirrors the Trace recorder design: process-wide atomic switches, all
    mutable state domain-local (DLS), capture/inject for deterministic
-   cross-domain merging in Parallel.run.  Every emitter is one atomic
-   load + branch when disabled. *)
+   cross-domain merging in Parallel.run_sharded.  Every emitter is one
+   atomic load + branch when disabled. *)
 
 type dist_view = { n : int; p50 : float; p99 : float; max_ : float }
 type sample = Count of float | Level of float | Dist of dist_view

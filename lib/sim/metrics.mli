@@ -4,9 +4,9 @@
     that every substrate emits into, sampled on the {e sim clock} into a
     bounded time-series of {!snapshot}s by the engine (see [Engine]).
     Disabled it costs one atomic load per emitter; the state is
-    domain-local and {!capture}/{!inject} give [Parallel.run] the same
-    deterministic cross-domain merge the tracer has, so telemetry
-    artifacts are byte-identical at any [--jobs]. *)
+    domain-local and {!capture}/{!inject} give [Parallel.run_sharded]
+    the same deterministic cross-domain merge the tracer has, so
+    telemetry artifacts are byte-identical at any [--jobs]. *)
 
 type dist_view = { n : int; p50 : float; p99 : float; max_ : float }
 (** Scalar projection of a histogram metric at snapshot time.  No
@@ -111,9 +111,9 @@ val inject : telemetry -> unit
 (** Merge a capture into the current domain's registry: counters add,
     gauges overwrite (last-writer-wins in submission order), histograms
     merge bucket-wise, snapshots append in order under the retention
-    bound.  [Parallel.run] injects worker captures in submission order,
-    so the merged registry is identical at any job count.  No-op when
-    disabled. *)
+    bound.  [Parallel.run_sharded] injects worker captures in submission
+    order, so the merged registry is identical at any job count.  No-op
+    when disabled. *)
 
 val merge_telemetry : telemetry -> telemetry -> telemetry
 (** Pure merge with {!inject}'s semantics — counters add, gauges

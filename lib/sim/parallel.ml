@@ -20,84 +20,6 @@ let jobs_from_env () =
       | Ok _ as ok -> ok
       | Error msg -> Error ("XC_JOBS: " ^ msg))
 
-let default_jobs () = match jobs_from_env () with Ok n -> n | Error _ -> 1
-
-(* ---------------- Work-stealing deque ---------------- *)
-
-(* A growable ring guarded by a mutex.  The owner pushes at the back
-   and pops from the front (FIFO relative to push, so a worker walks
-   its initial share in global index order); a thief steals from the
-   back, peeling off the work the owner would reach last.  Shards are
-   coarse (a whole sub-simulation each), so a mutex per operation is
-   noise — the point of the deque is that claiming work touches one
-   deque, not one global atomic every worker hammers. *)
-module Deque = struct
-  type 'a t = {
-    mutable buf : 'a option array;
-    mutable head : int;  (* index of the front element *)
-    mutable len : int;
-    lock : Mutex.t;
-  }
-
-  let create () =
-    { buf = Array.make 16 None; head = 0; len = 0; lock = Mutex.create () }
-
-  let locked d f =
-    Mutex.lock d.lock;
-    match f () with
-    | v ->
-        Mutex.unlock d.lock;
-        v
-    | exception e ->
-        Mutex.unlock d.lock;
-        raise e
-
-  let slot d i =
-    let cap = Array.length d.buf in
-    let j = d.head + i in
-    if j >= cap then j - cap else j
-
-  let grow d =
-    let cap = Array.length d.buf in
-    let buf = Array.make (2 * cap) None in
-    for i = 0 to d.len - 1 do
-      buf.(i) <- d.buf.(slot d i)
-    done;
-    d.buf <- buf;
-    d.head <- 0
-
-  let push d x =
-    locked d (fun () ->
-        if d.len = Array.length d.buf then grow d;
-        d.buf.(slot d d.len) <- Some x;
-        d.len <- d.len + 1)
-
-  let pop d =
-    locked d (fun () ->
-        if d.len = 0 then None
-        else begin
-          let i = d.head in
-          let x = d.buf.(i) in
-          d.buf.(i) <- None;
-          d.head <- (if i + 1 >= Array.length d.buf then 0 else i + 1);
-          d.len <- d.len - 1;
-          x
-        end)
-
-  let steal d =
-    locked d (fun () ->
-        if d.len = 0 then None
-        else begin
-          let i = slot d (d.len - 1) in
-          let x = d.buf.(i) in
-          d.buf.(i) <- None;
-          d.len <- d.len - 1;
-          x
-        end)
-
-  let length d = locked d (fun () -> d.len)
-end
-
 (* ---------------- Shards ---------------- *)
 
 module Shard = struct
@@ -109,43 +31,13 @@ module Shard = struct
 
   let thunk f = Shard { shards = [| f |]; merge = (fun a -> a.(0)) }
   let make ~shards ~merge = Shard { shards; merge }
-
-  let reduce ~combine shards =
-    make ~shards ~merge:(fun arr ->
-        let n = Array.length arr in
-        if n = 0 then invalid_arg "Parallel.Shard.reduce: no shards";
-        let acc = ref arr.(0) in
-        for i = 1 to n - 1 do
-          acc := combine !acc arr.(i)
-        done;
-        !acc)
-
   let count (Shard { shards; _ }) = Array.length shards
 end
 
 type 'a outcome = Done of 'a | Raised of exn * Printexc.raw_backtrace
 
-(* xorshift64*: victim selection for stealing.  Seedable so tests can
-   drive the thief through different orders; never part of any result
-   (slots are indexed, merges run in shard order), so the stream only
-   shapes the schedule. *)
-let rng_make seed =
-  let s = ref (Int64.of_int ((seed * 2654435761) + 0x9E3779B9)) in
-  if !s = 0L then s := 88172645463325252L;
-  fun () ->
-    let x = !s in
-    let x = Int64.logxor x (Int64.shift_left x 13) in
-    let x = Int64.logxor x (Int64.shift_right_logical x 7) in
-    let x = Int64.logxor x (Int64.shift_left x 17) in
-    s := x;
-    (* Mask to OCaml's positive int range: Int64.to_int keeps the low
-       63 bits, so a set bit 62 would otherwise come out negative and
-       poison the [mod workers] victim index. *)
-    Int64.to_int (Int64.shift_right_logical x 1) land max_int
-
-let run_sharded (type a) ?jobs ?(steal_seed = 0) ?(oversubscribe = false)
+let run_sharded (type a) ~jobs ?(oversubscribe = false)
     (tasks : a Shard.t list) : a list =
-  let jobs = match jobs with Some j -> j | None -> default_jobs () in
   let instrumented = Xc_trace.Trace.enabled () || Metrics.on () in
   let total = List.fold_left (fun n t -> n + Shard.count t) 0 tasks in
   (* Spawning more domains than the host can run concurrently is a
@@ -154,9 +46,9 @@ let run_sharded (type a) ?jobs ?(steal_seed = 0) ?(oversubscribe = false)
      test explicitly asks to oversubscribe. *)
   let workers =
     let requested = min jobs total in
-    if oversubscribe then requested else min requested (recommended_jobs ())
+    max 1 (if oversubscribe then requested else min requested (recommended_jobs ()))
   in
-  if workers <= 1 && not instrumented then
+  if workers = 1 && not instrumented then
     (* The sequential untraced path is the benched hot path: run the
        shards directly, exactly like nested List.map / Array.map —
        exceptions propagate immediately, later shards never run. *)
@@ -214,74 +106,30 @@ let run_sharded (type a) ?jobs ?(steal_seed = 0) ?(oversubscribe = false)
           M.Task { slots; merge })
         tasks
     in
-    (if workers <= 1 then begin
-       (* Sequential but instrumented: same store-and-continue semantics
-          as the pool (every shard runs; captures of completed shards
-          survive a failure), shielded so the caller's live recorder
-          state is untouched while shards drain. *)
-       let seq () = Array.iter (fun f -> f ()) work in
-       let ((), c), t =
-         Metrics.capture (fun () -> Xc_trace.Trace.capture seq)
-       in
+    (* One claim counter: every worker takes the next unclaimed shard in
+       global index order until none is left, so no worker idles while
+       shards remain.  Shards are whole sub-simulations, so one atomic
+       increment per shard is noise. *)
+    let claim = Atomic.make 0 in
+    let rec worker () =
+      let i = Atomic.fetch_and_add claim 1 in
+      if i < total then begin
+        work.(i) ();
+        worker ()
+      end
+    in
+    let spawned = Array.init (workers - 1) (fun _ -> Domain.spawn worker) in
+    (if instrumented then begin
+       (* The calling domain works the pool too; its recorder may hold
+          live pre-pool state (e.g. an enclosing capture), so its
+          participation runs shielded — every shard drains, so the
+          shield comes back empty. *)
+       let ((), c), t = Metrics.capture (fun () -> Xc_trace.Trace.capture worker) in
        ignore (c : Xc_trace.Trace.captured);
        ignore (t : Metrics.telemetry)
      end
-     else begin
-       let deques = Array.init workers (fun _ -> Deque.create ()) in
-       (* Round-robin distribution: shard i starts on worker i mod W, so
-          one big task's shards spread across the pool up front and
-          stealing only handles the imbalance that develops. *)
-       Array.iteri (fun i _ -> Deque.push deques.(i mod workers) i) work;
-       let worker w () =
-         let rand = rng_make (steal_seed + (w * 7919)) in
-         let steal () =
-           (* Random first victim, then one full scan: if the scan sees
-              every other deque empty, all remaining work is already
-              held by the domain that will run it — safe to retire. *)
-           let start = rand () mod workers in
-           let rec scan k =
-             if k = workers then None
-             else
-               let v = (start + k) mod workers in
-               if v = w then scan (k + 1)
-               else
-                 match Deque.steal deques.(v) with
-                 | Some i -> Some i
-                 | None -> scan (k + 1)
-           in
-           scan 0
-         in
-         let rec loop () =
-           match Deque.pop deques.(w) with
-           | Some i ->
-               work.(i) ();
-               loop ()
-           | None -> (
-               match steal () with
-               | Some i ->
-                   work.(i) ();
-                   loop ()
-               | None -> ())
-         in
-         loop ()
-       in
-       let spawned =
-         Array.init (workers - 1) (fun k -> Domain.spawn (worker (k + 1)))
-       in
-       (if instrumented then begin
-          (* The calling domain works the pool too; its recorder may hold
-             live pre-pool state (e.g. an enclosing capture), so its
-             participation runs shielded — every shard drains, so the
-             shield comes back empty. *)
-          let ((), c), t =
-            Metrics.capture (fun () -> Xc_trace.Trace.capture (worker 0))
-          in
-          ignore (c : Xc_trace.Trace.captured);
-          ignore (t : Metrics.telemetry)
-        end
-        else worker 0 ());
-       Array.iter Domain.join spawned
-     end);
+     else worker ());
+    Array.iter Domain.join spawned;
     (* Merge phase, calling domain, deterministic: walk tasks in
        submission order and shards in index order — inject every
        completed shard's capture, then either merge the task or record
@@ -320,8 +168,3 @@ let run_sharded (type a) ?jobs ?(steal_seed = 0) ?(oversubscribe = false)
         | Raised (e, bt) -> Printexc.raise_with_backtrace e bt)
       outcomes
   end
-
-let run ?jobs ?oversubscribe thunks =
-  run_sharded ?jobs ?oversubscribe (List.map Shard.thunk thunks)
-
-let map ?jobs f xs = run ?jobs (List.map (fun x () -> f x) xs)

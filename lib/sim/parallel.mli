@@ -1,23 +1,19 @@
 (** Deterministic fan-out of independent work over OCaml 5 domains.
 
-    Two granularities:
-
-    + {b Whole experiments} ({!run}): a list of [unit -> 'a] thunks,
-      results merged back in submission order — the original runner,
-      now a special case of the sharded one.
-    + {b Shards} ({!Shard}, {!run_sharded}): an experiment declares
-      independent sub-units (each [(platform × app)] cell of a sweep,
-      each config of a cluster sweep) plus an associative merge over
-      the index-ordered shard results.  The pool schedules shards over
-      per-worker deques with work stealing, so one long experiment no
-      longer serializes the whole bench behind a single worker.
+    A task ({!Shard}) declares independent sub-units (each
+    [(platform × app)] cell of a sweep, each config of a cluster sweep)
+    plus a merge over the index-ordered shard results; a whole
+    experiment is the one-shard case ({!Shard.thunk}).  {!run_sharded}
+    runs every shard of every task on one pool: each worker claims the
+    next unclaimed shard from one shared counter, so one long
+    experiment never serializes the rest behind a single worker.
 
     Determinism at every job count is structural, not scheduled: each
     shard writes an indexed result slot, captures of trace/telemetry
     drain at shard boundaries, and the merge phase walks tasks in
     submission order and shards in index order on the calling domain.
-    The steal schedule can only change {e when} a shard runs, never
-    what anything computes or the order anything merges.
+    The schedule can only change {e when} a shard runs, never what
+    anything computes or the order anything merges.
 
     Shards must be independent: they may not share mutable state (each
     experiment builds its own engine, PRNG and platform, so the
@@ -40,30 +36,9 @@ val jobs_from_env : unit -> (int, string) result
     [Ok 1] when unset.  Entry points should call this and fail loudly
     on [Error] rather than silently falling back. *)
 
-val default_jobs : unit -> int
-(** {!jobs_from_env} with [Error] collapsed to [1] — for library
-    contexts that have no way to report a bad environment. *)
-
 val recommended_jobs : unit -> int
 (** [Domain.recommended_domain_count ()]: what the host can usefully
     run in parallel. *)
-
-(** Work-stealing deque: owner pushes at the back and pops from the
-    front (FIFO relative to push), a thief steals from the back.
-    Exposed for the scheduler's unit tests. *)
-module Deque : sig
-  type 'a t
-
-  val create : unit -> 'a t
-  val push : 'a t -> 'a -> unit
-  val pop : 'a t -> 'a option
-  (** Owner end: front, FIFO relative to {!push}. *)
-
-  val steal : 'a t -> 'a option
-  (** Thief end: back — the work the owner would reach last. *)
-
-  val length : 'a t -> int
-end
 
 (** A task as the pool sees it: an array of independent shard thunks
     plus a merge over their index-ordered results. *)
@@ -71,40 +46,31 @@ module Shard : sig
   type 'a t
 
   val thunk : (unit -> 'a) -> 'a t
-  (** One unsplittable unit of work — how {!run} wraps its thunks. *)
+  (** One unsplittable unit of work. *)
 
   val make : shards:(unit -> 'b) array -> merge:('b array -> 'a) -> 'a t
   (** [make ~shards ~merge]: [merge] receives the shard results in
       shard-index order, whatever workers ran them, and runs on the
       calling domain during the merge phase. *)
 
-  val reduce : combine:('a -> 'a -> 'a) -> (unit -> 'a) array -> 'a t
-  (** [make] with a left fold of [combine] over the index-ordered
-      results ([combine] should be associative for the declaration to
-      make sense; the fold order is fixed regardless).  Raises
-      [Invalid_argument] on an empty shard array at merge time. *)
-
   val count : 'a t -> int
 end
 
-val run_sharded :
-  ?jobs:int -> ?steal_seed:int -> ?oversubscribe:bool -> 'a Shard.t list -> 'a list
+val run_sharded : jobs:int -> ?oversubscribe:bool -> 'a Shard.t list -> 'a list
 (** Run every shard of every task and return one merged result per
     task, in submission order.
 
-    [jobs] (default {!default_jobs}) bounds the worker pool; the pool
-    also never exceeds the shard count or — unless [oversubscribe]
-    (default false) — {!recommended_jobs}.  When the pool resolves to
-    a single worker and no recorder is live, shards run in the calling
-    domain in (task, shard) order with zero scheduling overhead and
-    [List.map] exception semantics (a raise propagates immediately).
+    [jobs] bounds the worker pool; the pool also never exceeds the
+    shard count or — unless [oversubscribe] (default false) —
+    {!recommended_jobs}.  When the pool resolves to a single worker and
+    no recorder is live, shards run in the calling domain in (task,
+    shard) order with zero scheduling overhead and [List.map] exception
+    semantics (a raise propagates immediately).
 
-    With more than one worker, shards are dealt round-robin onto
-    per-worker deques; a worker pops its own deque from the front and,
-    when empty, steals from the back of a random victim's
-    ([steal_seed], default 0, drives the victim choice — results never
-    depend on it).  Each shard's outcome lands in its own slot, so the
-    merge phase is scheduling-independent.
+    Otherwise the calling domain and [workers - 1] spawned domains each
+    claim shards in global (task, shard) index order from one atomic
+    counter until none is left.  Each shard's outcome lands in its own
+    slot, so the merge phase is scheduling-independent.
 
     If a shard raises, the pool keeps running (no cancellation); at
     merge time the exception of the lowest-indexed failed shard of the
@@ -118,17 +84,9 @@ val run_sharded :
     worker's batch) and the calling domain injects the drained
     captures in (task, shard) order during the merge phase — at
     {e every} job count, including 1 — so trace and telemetry
-    artifacts are byte-identical whatever [jobs] or [steal_seed] say.
+    artifacts are byte-identical whatever [jobs] says.
     Each shard's synthetic cursor therefore restarts at 0; a sharded
     experiment that wants one monotone per-experiment timeline merges
     its shard captures with [Trace.concat].  The instrumented path
-    runs every shard even at one worker, matching the pool. *)
-
-val run : ?jobs:int -> ?oversubscribe:bool -> (unit -> 'a) list -> 'a list
-(** [run ~jobs thunks] = [run_sharded ~jobs (List.map Shard.thunk thunks)]:
-    every thunk is one shard, results in submission order, the
-    exception of the lowest-indexed failed thunk re-raised after all
-    captures landed.  See {!run_sharded} for the capture contract. *)
-
-val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map ~jobs f xs] = [run ~jobs (List.map (fun x () -> f x) xs)]. *)
+    runs every shard even at one worker, and the calling domain's own
+    share runs shielded, so a live enclosing capture is untouched. *)

@@ -1,10 +1,9 @@
 type align = Left | Right
-type row = Cells of string list | Separator
 
 type t = {
   title : string option;
   columns : (string * align) list;
-  mutable rows : row list; (* reversed *)
+  mutable rows : string list list; (* reversed *)
 }
 
 let create ?title columns = { title; columns; rows = [] }
@@ -12,9 +11,7 @@ let create ?title columns = { title; columns; rows = [] }
 let add_row t cells =
   if List.length cells <> List.length t.columns then
     invalid_arg "Table.add_row: wrong number of cells";
-  t.rows <- Cells cells :: t.rows
-
-let add_separator t = t.rows <- Separator :: t.rows
+  t.rows <- cells :: t.rows
 
 let render t =
   let rows = List.rev t.rows in
@@ -23,10 +20,7 @@ let render t =
     List.mapi
       (fun i (h, _) ->
         List.fold_left
-          (fun w row ->
-            match row with
-            | Separator -> w
-            | Cells cells -> Stdlib.max w (String.length (List.nth cells i)))
+          (fun w cells -> Stdlib.max w (String.length (List.nth cells i)))
           (String.length h) rows)
       t.columns
   in
@@ -58,14 +52,7 @@ let render t =
   emit_cells headers;
   Buffer.add_string buf (String.make total_width '-');
   Buffer.add_char buf '\n';
-  List.iter
-    (fun row ->
-      match row with
-      | Cells cells -> emit_cells cells
-      | Separator ->
-          Buffer.add_string buf (String.make total_width '-');
-          Buffer.add_char buf '\n')
-    rows;
+  List.iter emit_cells rows;
   Buffer.contents buf
 
 let print t = print_string (render t)
@@ -82,12 +69,9 @@ let to_csv t =
     Buffer.add_char buf '\n'
   in
   emit (List.map fst t.columns);
-  List.iter
-    (fun row -> match row with Cells cells -> emit cells | Separator -> ())
-    (List.rev t.rows);
+  List.iter emit (List.rev t.rows);
   Buffer.contents buf
 
-let fmt_float ?(decimals = 2) v = Printf.sprintf "%.*f" decimals v
 let fmt_ratio v = Printf.sprintf "%.2fx" v
 let fmt_pct v = Printf.sprintf "%.1f%%" v
 

@@ -14,16 +14,12 @@ val create : ?title:string -> (string * align) list -> t
 val add_row : t -> string list -> unit
 (** Row length must match the number of columns. *)
 
-val add_separator : t -> unit
-(** Insert a horizontal rule between row groups. *)
-
 val render : t -> string
 val print : t -> unit
 val to_csv : t -> string
 
 (** Cell formatting helpers. *)
 
-val fmt_float : ?decimals:int -> float -> string
 val fmt_ratio : float -> string
 (** e.g. [2.13x]. *)
 

@@ -5,9 +5,7 @@ let ns x = x
 let us x = x *. 1e3
 let ms x = x *. 1e6
 let s x = x *. 1e9
-let to_ns t = t
 let to_us t = t /. 1e3
-let to_ms t = t /. 1e6
 let to_s t = t /. 1e9
 let add = ( +. )
 let sub = ( -. )

@@ -24,9 +24,7 @@ val ms : float -> t
 val s : float -> t
 (** [s x] is [x] seconds. *)
 
-val to_ns : t -> float
 val to_us : t -> float
-val to_ms : t -> float
 val to_s : t -> float
 
 val add : t -> t -> t

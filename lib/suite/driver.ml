@@ -21,20 +21,21 @@ type row = {
   p99_ns : float;  (** NaN on the fluid tier *)
 }
 
-(* What-if service pricing: the recipe's per-mechanism rows with each
-   whatif axis applied, summed back to a deterministic service time.
-   Used on closed/open shapes whenever the spec carries what-ifs — so
-   a whatif spec's baseline is its [whatif.MECH = 1] sibling (same
+(* The recipe's per-mechanism rows with each whatif axis applied: the
+   closed loop's bundle rows when the spec asks for tails, and, summed
+   back to a deterministic service time, the what-if service pricing
+   on closed/open shapes whenever the spec carries what-ifs — so a
+   whatif spec's baseline is its [whatif.MECH = 1] sibling (same
    decomposed pricing), not the bespoke per-app server model. *)
-let whatif_service (spec : Spec.t) platform recipe =
-  let rows = Xc_apps.Recipe.mechanisms platform recipe in
-  let rows =
-    List.fold_left
-      (fun rows (mech, scale) ->
-        Xc_obs.Whatif.scale_rows { Xc_obs.Whatif.mech; scale } rows)
-      rows spec.Spec.whatif
-  in
-  List.fold_left (fun a (_, _, ns) -> a +. ns) 0. rows
+let whatif_rows (spec : Spec.t) platform recipe =
+  List.fold_left
+    (fun rows (mech, scale) ->
+      Xc_obs.Whatif.scale_rows { Xc_obs.Whatif.mech; scale } rows)
+    (Xc_apps.Recipe.mechanisms platform recipe)
+    spec.Spec.whatif
+
+let whatif_service spec platform recipe =
+  List.fold_left (fun a (_, _, ns) -> a +. ns) 0. (whatif_rows spec platform recipe)
 
 let closed_result (spec : Spec.t) =
   let w = Workload.find_exn spec.workload in
@@ -53,6 +54,9 @@ let closed_result (spec : Spec.t) =
       duration_ns = Spec.duration_ns spec;
       warmup_ns = Spec.warmup_ns spec;
       seed = spec.seed;
+      trace_mechanisms =
+        (if spec.capture.tails then whatif_rows spec platform w.Workload.recipe
+         else []);
     }
     server
 

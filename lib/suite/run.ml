@@ -1,5 +1,5 @@
 (* The experiment runner behind the bench and `xc`: cells on the
-   work-stealing pool, one output buffer per domain, captures merged in
+   worker pool, one output buffer per domain, captures merged in
    submission order, and the artifact writers every front-end shares. *)
 
 module Trace = Xc_trace.Trace
@@ -91,8 +91,8 @@ let shard : type r. string * r cells -> r outcome Xc_sim.Parallel.Shard.t =
             Metrics.empty_telemetry pieces;
       })
 
-let run ?jobs experiments =
-  Xc_sim.Parallel.run_sharded ?jobs (List.map shard experiments)
+let run ~jobs experiments =
+  Xc_sim.Parallel.run_sharded ~jobs (List.map shard experiments)
 
 let suite (s : Suite.t) =
   Cells

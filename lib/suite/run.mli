@@ -1,8 +1,8 @@
 (** The one experiment runner, shared by the bench and [xc].
 
     An experiment is a set of independent cells plus a printer over
-    their index-ordered results.  Cells are the unit the work-stealing
-    pool ({!Xc_sim.Parallel}) schedules; each runs instrumented (its
+    their index-ordered results.  Cells are the unit the worker pool
+    ({!Xc_sim.Parallel}) schedules; each runs instrumented (its
     output, trace and telemetry captured on its own domain) and the
     printer runs in the deterministic merge phase, so stdout and every
     artifact are byte-identical at any [--jobs]. *)
@@ -48,7 +48,7 @@ type 'r outcome = {
   telemetry : Xc_sim.Metrics.telemetry;  (** the pieces' telemetry, merged *)
 }
 
-val run : ?jobs:int -> (string * 'r cells) list -> 'r outcome list
+val run : jobs:int -> (string * 'r cells) list -> 'r outcome list
 (** Every cell of every named experiment on one pool; one outcome per
     experiment, in submission order. *)
 

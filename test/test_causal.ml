@@ -326,7 +326,10 @@ let test_predict_vs_rerun () =
     }
   in
   let target = { Causal.label = "docker/c1"; config } in
-  match Causal.sweep_points [ (target.Causal.label, target, "syscall-entry", 0.7) ] with
+  match
+    Causal.sweep_points ~jobs:1
+      [ (target.Causal.label, target, "syscall-entry", 0.7) ]
+  with
   | Error e -> Alcotest.fail e
   | Ok (baselines, points) ->
       let b = snd (List.hd baselines) and pt = List.hd points in
@@ -374,7 +377,7 @@ let test_sweep_deterministic () =
   let run jobs =
     match
       Causal.sweep ~jobs ~targets ~mechs:[ "syscall-entry"; "ctx-switch" ]
-        ~scales:[ 0.7 ] ()
+        ~scales:[ 0.7 ]
     with
     | Error e -> Alcotest.fail e
     | Ok (_, points) -> (Causal.render_points points, Causal.points_csv points)
@@ -395,8 +398,9 @@ let test_grid_fails_fast () =
      sweep must refuse before running anything. *)
   let stripped = { config with CS.request_mech = [||] } in
   match
-    Causal.sweep ~targets:[ { Causal.label = "stripped"; config = stripped } ]
-      ~mechs:[ "cpu" ] ~scales:[ 0.5 ] ()
+    Causal.sweep ~jobs:1
+      ~targets:[ { Causal.label = "stripped"; config = stripped } ]
+      ~mechs:[ "cpu" ] ~scales:[ 0.5 ]
   with
   | Error e ->
       Alcotest.(check bool) "error names the target and mechanism" true

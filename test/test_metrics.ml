@@ -1,7 +1,7 @@
 (* Tests for the global telemetry registry (Xc_sim.Metrics): typed
    emitters, sim-clock snapshotting by the engine, the retention bound,
    and the determinism contract — capture/inject must merge
-   associatively enough that Parallel.run produces the same telemetry
+   associatively enough that the worker pool produces the same telemetry
    at any jobs count. *)
 
 module M = Xc_sim.Metrics
@@ -131,7 +131,7 @@ let test_capture_isolates =
       Alcotest.(check int) "inject appends snapshots" 1
         (List.length merged.M.snapshots))
 
-(* The cross-domain contract: telemetry read after Parallel.run is the
+(* The cross-domain contract: telemetry read after a pool run is the
    same at jobs 1 and jobs 2 — counters summed, gauges last-writer-wins
    in submission order, snapshots concatenated in submission order,
    histograms merged bucket-wise. *)
@@ -151,7 +151,10 @@ let thunks () =
 let run_at ~jobs =
   M.enable ();
   M.reset_registry ();
-  let vs = Xc_sim.Parallel.run ~jobs (thunks ()) in
+  let vs =
+    Xc_sim.Parallel.run_sharded ~jobs
+      (List.map Xc_sim.Parallel.Shard.thunk (thunks ()))
+  in
   let tel = M.read () in
   M.disable ();
   (vs, tel)

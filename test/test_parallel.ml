@@ -7,21 +7,25 @@ open Xc_sim
 module CS = Xc_platforms.Cluster_sim
 module Config = Xc_platforms.Config
 
+(* Whole thunks, one shard each, results in submission order. *)
+let run ~jobs thunks =
+  Parallel.run_sharded ~jobs (List.map Parallel.Shard.thunk thunks)
+
 let test_order_preserved () =
-  let squares = Parallel.run ~jobs:4 (List.init 20 (fun i () -> i * i)) in
+  let squares = run ~jobs:4 (List.init 20 (fun i () -> i * i)) in
   Alcotest.(check (list int))
     "submission order" (List.init 20 (fun i -> i * i)) squares
 
 let test_more_jobs_than_work () =
-  Alcotest.(check (list int)) "jobs > work" [ 7 ] (Parallel.run ~jobs:8 [ (fun () -> 7) ]);
-  Alcotest.(check (list int)) "no work" [] (Parallel.run ~jobs:4 [])
+  Alcotest.(check (list int)) "jobs > work" [ 7 ] (run ~jobs:8 [ (fun () -> 7) ]);
+  Alcotest.(check (list int)) "no work" [] (run ~jobs:4 [])
 
 let test_sequential_default () =
   (* jobs=1 must run in the calling domain, in order: side effects on
      shared state are then well-defined, exactly like List.map. *)
   let log = ref [] in
   let r =
-    Parallel.run ~jobs:1
+    run ~jobs:1
       (List.init 5 (fun i () ->
            log := i :: !log;
            i))
@@ -33,7 +37,7 @@ exception Boom of int
 
 let test_exception_propagates () =
   match
-    Parallel.run ~jobs:3 (List.init 6 (fun i () -> if i = 3 then raise (Boom i)))
+    run ~jobs:3 (List.init 6 (fun i () -> if i = 3 then raise (Boom i)))
   with
   | _ -> Alcotest.fail "expected Boom"
   | exception Boom 3 -> ()
@@ -51,7 +55,7 @@ let test_exception_keeps_partial_trace () =
     (fun () ->
       (try
          ignore
-           (Parallel.run ~jobs:2
+           (run ~jobs:2
               (List.init 6 (fun i () ->
                    if i = 4 then raise (Boom i)
                    else
@@ -67,11 +71,6 @@ let test_exception_keeps_partial_trace () =
          their spans arrive in submission order. *)
       Alcotest.(check (list string))
         "completed thunks' spans survive" [ "0"; "1"; "2"; "3"; "5" ] names)
-
-let test_map () =
-  Alcotest.(check (list int))
-    "map" [ 2; 4; 6 ]
-    (Parallel.map ~jobs:2 (fun x -> 2 * x) [ 1; 2; 3 ])
 
 (* ---------------- jobs parsing ---------------- *)
 
@@ -115,7 +114,7 @@ let test_jobs_from_env () =
 (* ---------------- determinism under fan-out ---------------- *)
 
 (* One Cluster_sim config and one Figures.fig3 point, run through
-   Parallel.run ~jobs:4 and sequentially: results must be identical —
+   run ~jobs:4 and sequentially: results must be identical —
    each job owns its engine and PRNG, so domains cannot perturb it. *)
 
 let tiny_cluster mode =
@@ -139,7 +138,7 @@ let test_cluster_sim_deterministic () =
 let test_fig3_deterministic () =
   let point () = Xcontainers.Figures.fig3 Config.Amazon_ec2 Xcontainers.Figures.Redis_app in
   let sequential = point () in
-  match Parallel.run ~jobs:4 [ point; point ] with
+  match run ~jobs:4 [ point; point ] with
   | [ a; b ] ->
       Alcotest.(check bool) "parallel replicas agree" true (a = b);
       Alcotest.(check bool) "parallel equals sequential" true (a = sequential)
@@ -155,7 +154,6 @@ let suites =
         Alcotest.test_case "exception propagates" `Quick test_exception_propagates;
         Alcotest.test_case "exception keeps partial trace" `Quick
           test_exception_keeps_partial_trace;
-        Alcotest.test_case "map" `Quick test_map;
         Alcotest.test_case "jobs_of_string" `Quick test_jobs_of_string;
         Alcotest.test_case "jobs_from_env default" `Quick test_jobs_from_env;
         Alcotest.test_case "cluster_sim deterministic" `Quick

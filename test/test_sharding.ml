@@ -1,72 +1,11 @@
-(* Tests for the sharded work-stealing layer of Xc_sim.Parallel: the
-   Deque the scheduler is built on, the Shard declarations, and the
-   structural-determinism contract — results, trace and telemetry must
-   be byte-identical at any job count and under any steal schedule. *)
+(* Tests for the sharded pool of Xc_sim.Parallel: the Shard
+   declarations, the claim counter handing out every shard exactly
+   once, and the structural-determinism contract — results, trace and
+   telemetry must be byte-identical at any job count and under any
+   schedule. *)
 
 open Xc_sim
 module Trace = Xc_trace.Trace
-
-(* ---------------- Deque ---------------- *)
-
-let test_deque_fifo () =
-  let d = Parallel.Deque.create () in
-  Alcotest.(check (option int)) "pop on empty" None (Parallel.Deque.pop d);
-  Alcotest.(check (option int)) "steal on empty" None (Parallel.Deque.steal d);
-  List.iter (Parallel.Deque.push d) [ 1; 2; 3; 4 ];
-  Alcotest.(check int) "length" 4 (Parallel.Deque.length d);
-  Alcotest.(check (option int)) "owner pops front" (Some 1) (Parallel.Deque.pop d);
-  Alcotest.(check (option int)) "thief steals back" (Some 4) (Parallel.Deque.steal d);
-  Alcotest.(check (option int)) "pop again" (Some 2) (Parallel.Deque.pop d);
-  Alcotest.(check (option int)) "steal again" (Some 3) (Parallel.Deque.steal d);
-  Alcotest.(check int) "drained" 0 (Parallel.Deque.length d);
-  Alcotest.(check (option int)) "pop after drain" None (Parallel.Deque.pop d)
-
-let test_deque_interleaved () =
-  let d = Parallel.Deque.create () in
-  List.iter (Parallel.Deque.push d) [ 0; 1; 2; 3; 4; 5 ];
-  Alcotest.(check (option int)) "steal newest" (Some 5) (Parallel.Deque.steal d);
-  Parallel.Deque.push d 6;
-  Alcotest.(check (option int)) "pop oldest" (Some 0) (Parallel.Deque.pop d);
-  Alcotest.(check (option int)) "steal the late push" (Some 6) (Parallel.Deque.steal d);
-  let rest = List.init 4 (fun _ -> Option.get (Parallel.Deque.pop d)) in
-  Alcotest.(check (list int)) "FIFO middle survives" [ 1; 2; 3; 4 ] rest
-
-let test_deque_growth () =
-  (* Push far past any initial capacity; FIFO order must survive the
-     ring reallocations. *)
-  let d = Parallel.Deque.create () in
-  let n = 1000 in
-  for i = 0 to n - 1 do
-    Parallel.Deque.push d i
-  done;
-  Alcotest.(check int) "length" n (Parallel.Deque.length d);
-  let popped = List.init n (fun _ -> Option.get (Parallel.Deque.pop d)) in
-  Alcotest.(check (list int)) "FIFO across growth" (List.init n Fun.id) popped
-
-let test_deque_concurrent_steal () =
-  (* The deque is the one structure shared across domains: an owner
-     popping while thieves steal must hand out every element exactly
-     once.  (On a 1-core host the domains timeslice, which still
-     exercises the locking.) *)
-  let d = Parallel.Deque.create () in
-  let n = 200 in
-  for i = 0 to n - 1 do
-    Parallel.Deque.push d i
-  done;
-  let grab () =
-    let rec go acc =
-      match Parallel.Deque.steal d with None -> acc | Some v -> go (v :: acc)
-    in
-    go []
-  in
-  let thieves = [ Domain.spawn grab; Domain.spawn grab ] in
-  let rec own acc =
-    match Parallel.Deque.pop d with None -> acc | Some v -> go_on acc v
-  and go_on acc v = own (v :: acc) in
-  let mine = own [] in
-  let stolen = List.concat_map Domain.join thieves in
-  let all = List.sort compare (mine @ stolen) in
-  Alcotest.(check (list int)) "every element exactly once" (List.init n Fun.id) all
 
 (* ---------------- Shard declarations ---------------- *)
 
@@ -88,37 +27,40 @@ let test_merge_sees_index_order () =
       ~merge:Array.to_list
   in
   List.iter
-    (fun (jobs, seed) ->
-      match
-        Parallel.run_sharded ~jobs ~steal_seed:seed ~oversubscribe:true [ task ]
-      with
+    (fun jobs ->
+      match Parallel.run_sharded ~jobs ~oversubscribe:true [ task ] with
       | [ squares ] ->
           Alcotest.(check (list int))
-            (Printf.sprintf "jobs %d seed %d" jobs seed)
+            (Printf.sprintf "jobs %d" jobs)
             (List.init 16 (fun i -> i * i))
             squares
       | _ -> Alcotest.fail "wrong arity")
-    [ (1, 0); (2, 0); (2, 1); (4, 0); (4, 42) ]
+    [ 1; 2; 4 ]
 
-let test_shard_reduce () =
-  (match
-     Parallel.run_sharded ~jobs:2 ~oversubscribe:true
-       [ Parallel.Shard.reduce ~combine:( + ) (Array.init 10 (fun i () -> i)) ]
-   with
-  | [ total ] -> Alcotest.(check int) "left fold" 45 total
+let test_each_shard_once () =
+  (* The claim counter is the one structure shared across domains:
+     however the workers race, every shard runs exactly once.  (On a
+     1-core host the domains timeslice, which still races the claims.) *)
+  let n = 2_000 in
+  let runs = Array.init n (fun _ -> Atomic.make 0) in
+  let task =
+    Parallel.Shard.make
+      ~shards:(Array.init n (fun i () -> Atomic.incr runs.(i); i))
+      ~merge:Array.to_list
+  in
+  (match Parallel.run_sharded ~jobs:4 ~oversubscribe:true [ task ] with
+  | [ ids ] -> Alcotest.(check (list int)) "index order" (List.init n Fun.id) ids
   | _ -> Alcotest.fail "wrong arity");
-  match
-    Parallel.run_sharded [ Parallel.Shard.reduce ~combine:( + ) [||] ]
-  with
-  | _ -> Alcotest.fail "empty reduce should raise"
-  | exception Invalid_argument _ -> ()
+  Alcotest.(check (list int))
+    "every shard ran exactly once" (List.init n (fun _ -> 1))
+    (Array.to_list (Array.map Atomic.get runs))
 
 (* ---------------- structural determinism ---------------- *)
 
 (* A small sharded workload that exercises everything at once: multiple
    tasks, uneven shard counts, trace spans and telemetry counters and
-   histograms per shard.  Runs are compared against the jobs-1 /
-   seed-0 reference byte-for-byte (results, events, telemetry). *)
+   histograms per shard.  Runs are compared against the jobs-1
+   reference byte-for-byte (results, events, telemetry). *)
 
 let workload () =
   List.init 3 (fun t ->
@@ -137,7 +79,7 @@ let workload () =
                (t * 100) + i))
         ~merge:(fun arr -> Array.fold_left ( + ) 0 arr))
 
-let run_workload ~jobs ~steal_seed =
+let run_workload ~jobs =
   Trace.enable ();
   Metrics.enable ();
   Fun.protect
@@ -149,47 +91,39 @@ let run_workload ~jobs ~steal_seed =
       let (results, captured), telemetry =
         Metrics.capture (fun () ->
             Trace.capture (fun () ->
-                Parallel.run_sharded ~jobs ~steal_seed ~oversubscribe:true
-                  (workload ())))
+                Parallel.run_sharded ~jobs ~oversubscribe:true (workload ())))
       in
       (results, captured, telemetry))
 
-let check_against_reference ~jobs ~steal_seed =
-  let r0, c0, t0 = run_workload ~jobs:1 ~steal_seed:0 in
-  let r, c, t = run_workload ~jobs ~steal_seed in
-  let label fmt = Printf.sprintf fmt jobs steal_seed in
-  Alcotest.(check (list int)) (label "results jobs=%d seed=%d") r0 r;
-  Alcotest.(check bool) (label "trace jobs=%d seed=%d") true (c0 = c);
-  Alcotest.(check bool) (label "telemetry jobs=%d seed=%d") true (t0 = t)
-
 let test_deterministic_across_jobs () =
+  let r0, c0, t0 = run_workload ~jobs:1 in
   List.iter
-    (fun jobs -> check_against_reference ~jobs ~steal_seed:0)
-    [ 1; 2; 4 ]
-
-let test_deterministic_across_seeds () =
-  List.iter
-    (fun seed -> check_against_reference ~jobs:3 ~steal_seed:seed)
-    [ 1; 7; 1234; -5 ]
+    (fun jobs ->
+      let r, c, t = run_workload ~jobs in
+      let label what = Printf.sprintf "%s jobs=%d" what jobs in
+      Alcotest.(check (list int)) (label "results") r0 r;
+      Alcotest.(check bool) (label "trace") true (c0 = c);
+      Alcotest.(check bool) (label "telemetry") true (t0 = t))
+    [ 1; 2; 3; 4 ]
 
 let prop_deterministic =
   QCheck.Test.make ~name:"sharded runs are schedule-independent" ~count:25
-    QCheck.(pair (int_range 1 4) (int_range 0 10_000))
-    (fun (jobs, steal_seed) ->
-      let r0, c0, t0 = run_workload ~jobs:1 ~steal_seed:0 in
-      let r, c, t = run_workload ~jobs ~steal_seed in
+    QCheck.(int_range 1 4)
+    (fun jobs ->
+      let r0, c0, t0 = run_workload ~jobs:1 in
+      let r, c, t = run_workload ~jobs in
       r0 = r && c0 = c && t0 = t)
 
-(* Exceptions under stealing: every completed shard's capture still
+(* Exceptions on a real pool: every completed shard's capture still
    lands, and the lowest-indexed failure of the first failed task
    re-raises — at any schedule. *)
 exception Cell of int
 
 let test_exception_ordering_oversubscribed () =
   List.iter
-    (fun (jobs, seed) ->
+    (fun jobs ->
       match
-        Parallel.run_sharded ~jobs ~steal_seed:seed ~oversubscribe:true
+        Parallel.run_sharded ~jobs ~oversubscribe:true
           [
             Parallel.Shard.make
               ~shards:(Array.init 4 (fun i () -> i))
@@ -204,9 +138,8 @@ let test_exception_ordering_oversubscribed () =
       | _ -> Alcotest.fail "expected Cell"
       | exception Cell 2 -> ()
       | exception Cell n ->
-          Alcotest.failf "jobs %d seed %d: re-raised shard %d, not the lowest"
-            jobs seed n)
-    [ (1, 0); (2, 0); (3, 5); (4, 9) ]
+          Alcotest.failf "jobs %d: re-raised shard %d, not the lowest" jobs n)
+    [ 1; 2; 3; 4 ]
 
 (* ---------------- capture plumbing ---------------- *)
 
@@ -268,7 +201,7 @@ let test_merge_telemetry () =
 (* Hedged cluster runs keep the schedule-independence contract: the
    LB policy's probe PRNG is seeded from the experiment seed (never
    global state), so a sweep mixing hedged and plain configurations is
-   structurally identical at any job count and steal schedule. *)
+   structurally identical at any job count and schedule. *)
 let prop_hedged_sweep_schedule_independent =
   let module CS = Xc_platforms.Cluster_sim in
   let configs =
@@ -293,14 +226,14 @@ let prop_hedged_sweep_schedule_independent =
   let reference = lazy (CS.run_sweep ~jobs:1 (Lazy.force configs)) in
   QCheck.Test.make ~name:"hedged cluster sweeps are schedule-independent"
     ~count:8
-    QCheck.(pair (int_range 1 4) (int_range 0 10_000))
-    (fun (jobs, steal_seed) ->
+    QCheck.(int_range 1 4)
+    (fun jobs ->
       let shards =
         List.map
           (fun c -> Parallel.Shard.thunk (fun () -> CS.run c))
           (Lazy.force configs)
       in
-      let r = Parallel.run_sharded ~jobs ~steal_seed ~oversubscribe:true shards in
+      let r = Parallel.run_sharded ~jobs ~oversubscribe:true shards in
       r = Lazy.force reference)
 
 let qsuite props = List.map QCheck_alcotest.to_alcotest props
@@ -309,19 +242,12 @@ let suites =
   [
     ( "sim.parallel.sharding",
       [
-        Alcotest.test_case "deque FIFO vs steal ends" `Quick test_deque_fifo;
-        Alcotest.test_case "deque interleaved" `Quick test_deque_interleaved;
-        Alcotest.test_case "deque growth" `Quick test_deque_growth;
-        Alcotest.test_case "deque concurrent steal" `Quick
-          test_deque_concurrent_steal;
         Alcotest.test_case "shard counts" `Quick test_shard_counts;
         Alcotest.test_case "merge sees index order" `Quick
           test_merge_sees_index_order;
-        Alcotest.test_case "shard reduce" `Quick test_shard_reduce;
+        Alcotest.test_case "each shard once" `Quick test_each_shard_once;
         Alcotest.test_case "deterministic across jobs" `Quick
           test_deterministic_across_jobs;
-        Alcotest.test_case "deterministic across steal seeds" `Quick
-          test_deterministic_across_seeds;
         Alcotest.test_case "exception ordering oversubscribed" `Quick
           test_exception_ordering_oversubscribed;
         Alcotest.test_case "trace concat rebases" `Quick

@@ -522,6 +522,36 @@ let test_closed_loop_mechanisms () =
             (Float.abs r.Profile.req_self <= 0.5))
         att.Profile.areqs)
 
+(* A closed-shape suite spec with [tails = true] runs the recipe's
+   bundles, so its p99 tail splits by mechanism — network hops and the
+   entry path — instead of one uncovered request-self row. *)
+let test_closed_spec_tails () =
+  let spec =
+    match
+      Xc_suite.Suite.parse
+        "suite = t\n[experiment c]\nshape = closed\nworkload = nginx\n\
+         tails = true\nduration_ms = 10\nwarmup_ms = 1\n"
+    with
+    | Ok { Xc_suite.Suite.specs = [ spec ]; _ } -> spec
+    | Ok _ -> Alcotest.fail "expected one spec"
+    | Error e -> Alcotest.fail e
+  in
+  with_trace (fun () ->
+      let _, captured = Trace.capture (fun () -> Xc_suite.Driver.run spec) in
+      match Xc_obs.Causal.tail_at ~label:"c" ~pct:99. captured with
+      | Error e -> Alcotest.fail e
+      | Ok None -> Alcotest.fail "no request spans in the closed trace"
+      | Ok (Some t) ->
+          List.iter
+            (fun cat ->
+              Alcotest.(check bool)
+                (Printf.sprintf "tail has a %s row" cat)
+                true
+                (List.exists (fun (c, _, _) -> c = cat) t.Profile.tail_mech))
+            [ "net.hop"; "syscall-entry" ];
+          Alcotest.(check bool) "request-self is a small remainder" true
+            (t.Profile.tail_self_ns < 0.1 *. t.Profile.tail_total_ns))
+
 (* ---------------- the Figure 9 tail shape ---------------- *)
 
 let cluster_tail runtime =
@@ -615,6 +645,8 @@ let suites =
       [
         Alcotest.test_case "closed-loop bundles recover the recipe" `Quick
           test_closed_loop_mechanisms;
+        Alcotest.test_case "closed suite spec tails" `Quick
+          test_closed_spec_tails;
         Alcotest.test_case "fig9 p99 gap is the entry path" `Quick
           test_fig9_tail_shape;
       ] );

@@ -247,12 +247,13 @@ let test_sampler_capture_inject_merge () =
 let traced_parallel_run ?sample jobs =
   with_trace ?sample (fun () ->
       let values =
-        Xc_sim.Parallel.run ~jobs
-          (List.init 6 (fun i () ->
-               Trace.span ~cat:"work" ~name:(string_of_int i)
-                 (float_of_int (i + 1));
-               Trace.instant ~cat:"tick" ~name:(string_of_int i) ();
-               i * i))
+        Xc_sim.Parallel.run_sharded ~jobs
+          (List.init 6 (fun i ->
+               Xc_sim.Parallel.Shard.thunk (fun () ->
+                   Trace.span ~cat:"work" ~name:(string_of_int i)
+                     (float_of_int (i + 1));
+                   Trace.instant ~cat:"tick" ~name:(string_of_int i) ();
+                   i * i)))
       in
       let streams = Trace.streams () in
       (values, streams, Trace.take ()))
