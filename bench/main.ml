@@ -43,20 +43,18 @@ module Suite = Xc_suite.Suite
 module Registry = Xc_suite.Registry
 module Sdriver = Xc_suite.Driver
 module Run = Xc_suite.Run
+module CS = Xc_platforms.Cluster_sim
+module CL = Xc_platforms.Closed_loop
 
 (* Experiment output goes through the runner's per-domain buffer (these
    shadow the Stdlib printers), so a cell can run on any worker domain
    and still print whole, in submission order. *)
 open Run.Out
 
-(* Each experiment below is built from its registry suite (lib/suite),
-   which carries the grid: apps x clouds, fractions x runtimes, hedging
-   points, fleet shapes.  The printers interpret the specs into cells,
-   byte-identical to the pre-refactor hand-coded drivers (pinned by the
-   bench/golden differential rules).  An experiment is a set of
-   independent cells plus a printer over their index-ordered results
-   ({!Run.cells}); an unsplittable one is one cell that prints as it
-   runs. *)
+(* An experiment is a set of independent cells plus a printer over
+   their index-ordered results ({!Run.cells}); an unsplittable one is
+   one cell that prints as it runs.  Each experiment builds its grid
+   from typed values; the bench/golden rules pin every printed byte. *)
 let whole = Run.whole
 
 let distinct xs =
@@ -102,40 +100,25 @@ let table1 () =
 (* ------------------------------------------------------------------ *)
 (* Figure 3                                                            *)
 
-(* One cell per (app × cloud): 6 independent closed-loop sweeps the
-   pool can schedule freely; the per-app tables need both clouds, so
-   they render in the merge-phase printer from the cell results.  The
-   grid (which apps, which clouds, app-major order) comes from the
-   registry's fig3 suite. *)
-let macro_app_of_workload = function
-  | "nginx" -> Figures.Nginx_ab
-  | "memcached" -> Figures.Memcached_app
-  | "redis" -> Figures.Redis_app
-  | w -> invalid_arg (Printf.sprintf "fig3: no macro app for workload %S" w)
-
-let fig3 (suite : Suite.t) =
-  let specs = Array.of_list suite.Suite.specs in
-  let apps =
-    Array.of_list
-      (distinct
-         (List.map
-            (fun (s : Spec.t) -> macro_app_of_workload s.Spec.workload)
-            suite.Suite.specs))
-  in
-  assert (Array.length specs = 2 * Array.length apps);
+(* One cell per (app × cloud), app-major: 6 independent closed-loop
+   sweeps the pool can schedule freely; the per-app tables need both
+   clouds, so they render in the merge-phase printer from the cell
+   results. *)
+let fig3 () =
   Run.Cells
     {
       shards =
-        Array.map
-          (fun (s : Spec.t) ->
-            let app = macro_app_of_workload s.Spec.workload
-            and cloud = s.Spec.platform.Config.cloud in
-            fun () -> Figures.fig3 cloud app)
-          specs;
+        Array.of_list
+          (List.concat_map
+             (fun app ->
+               List.map
+                 (fun cloud () -> Figures.fig3 cloud app)
+                 [ Config.Amazon_ec2; Config.Google_gce ])
+             Figures.macro_apps);
       print =
         (fun results ->
           section "Figure 3: macrobenchmarks (relative to patched Docker)";
-          Array.iteri
+          List.iteri
             (fun a app ->
               let t =
                 T.create
@@ -169,7 +152,7 @@ let fig3 (suite : Suite.t) =
                 (Figures.relative_throughput amazon);
               print_table t;
               print_newline ())
-            apps);
+            Figures.macro_apps);
     }
 
 (* ------------------------------------------------------------------ *)
@@ -561,15 +544,13 @@ let clone () =
 (* ------------------------------------------------------------------ *)
 (* Extension: the wider application sweep                              *)
 
-(* One cell per (application × platform config): 44 independent
-   closed-loop runs.  The normalisation base (patched Docker) is the
+(* One cell per (application × platform config): the named macro
+   suite's 44 generic closed-loop specs, so the cell body IS the
+   generic driver.  The normalisation base (patched Docker) is the
    row's first cell, so the printer needs the whole row — it renders in
    the merge phase. *)
-(* The 11-app × 4-runtime grid comes from the registry's macro-extra
-   suite; every cell is a plain generic closed-loop spec, so the cell
-   body IS the generic driver — the spec path and the bench path
-   cannot diverge. *)
-let macro_extra (suite : Suite.t) =
+let macro_extra () =
+  let suite = List.assoc "macro" Registry.named in
   let specs = Array.of_list suite.Suite.specs in
   let titles =
     distinct
@@ -581,16 +562,12 @@ let macro_extra (suite : Suite.t) =
   let configs =
     distinct (List.map (fun (s : Spec.t) -> s.Spec.platform) suite.Suite.specs)
   in
-  let titles_a = Array.of_list titles in
   let nc = List.length configs in
-  assert (Array.length specs = Array.length titles_a * nc);
   Run.Cells
     {
       shards =
         Array.map
-          (fun (s : Spec.t) ->
-            fun () ->
-              (Sdriver.closed_result s).Xc_platforms.Closed_loop.throughput_rps)
+          (fun (s : Spec.t) () -> (Sdriver.closed_result s).CL.throughput_rps)
           specs;
       print =
         (fun tputs ->
@@ -602,7 +579,7 @@ let macro_extra (suite : Suite.t) =
               (("application", T.Left)
               :: List.map (fun c -> (Config.name c, T.Right)) configs)
           in
-          Array.iteri
+          List.iteri
             (fun a name ->
               let base = tputs.(a * nc) in
               T.add_row t
@@ -610,7 +587,7 @@ let macro_extra (suite : Suite.t) =
                 :: List.mapi
                      (fun c _ -> T.fmt_ratio (tputs.((a * nc) + c) /. base))
                      configs))
-            titles_a;
+            titles;
           print_table t;
           print_newline ();
           print_endline
@@ -660,21 +637,13 @@ let coldstart () =
 (* ------------------------------------------------------------------ *)
 (* Extension: open-loop latency curves                                 *)
 
-(* One cell per (load fraction × runtime): 10 independent open-loop
-   runs.  Each cell rebuilds its (analytic, cheap) server and the
-   Docker capacity it normalises against, so cells share nothing and
-   the pool can run them in any order.  The (fractions × runtimes)
-   grid comes from the registry's latency suite — note the [rate]
-   fields are fractions of Docker's capacity (the figure's x-axis),
-   not the generic driver's self-relative load. *)
-let latency (suite : Suite.t) =
-  let specs = Array.of_list suite.Suite.specs in
-  let fractions =
-    Array.of_list
-      (distinct
-         (List.map (fun (s : Spec.t) -> s.Spec.load.Spec.rate) suite.Suite.specs))
-  in
-  assert (Array.length specs = 2 * Array.length fractions);
+(* One cell per (load fraction × runtime), fraction-major: 10
+   independent open-loop runs.  Each cell rebuilds its (analytic,
+   cheap) server and the Docker capacity it normalises against, so
+   cells share nothing and the pool can run them in any order.  The
+   fractions are of Docker's capacity (the figure's x-axis). *)
+let latency () =
+  let fractions = [ 0.3; 0.5; 0.7; 0.85; 0.95 ] in
   let server runtime =
     let platform = Xc_platforms.Platform.create (Config.make runtime) in
     let recipe = Xc_apps.Nginx.static_request_wrk in
@@ -685,19 +654,20 @@ let latency (suite : Suite.t) =
   Run.Cells
     {
       shards =
-        Array.map
-          (fun (s : Spec.t) ->
-            let fraction = s.Spec.load.Spec.rate
-            and runtime = s.Spec.platform.Config.runtime in
-            fun () ->
-              let docker_service, _ = server Config.Docker in
-              let _, srv = server runtime in
-              let capacity = 4e9 /. docker_service in
-              Xc_platforms.Open_loop.run
-                (Xc_platforms.Open_loop.config
-                   ~rate_rps:(fraction *. capacity) ())
-                srv)
-          specs;
+        Array.of_list
+          (List.concat_map
+             (fun fraction ->
+               List.map
+                 (fun runtime () ->
+                   let docker_service, _ = server Config.Docker in
+                   let _, srv = server runtime in
+                   let capacity = 4e9 /. docker_service in
+                   Xc_platforms.Open_loop.run
+                     (Xc_platforms.Open_loop.config
+                        ~rate_rps:(fraction *. capacity) ())
+                     srv)
+                 [ Config.Docker; Config.X_container ])
+             fractions);
       print =
         (fun results ->
           section
@@ -713,7 +683,7 @@ let latency (suite : Suite.t) =
                 ("XC p99", T.Right);
               ]
           in
-          Array.iteri
+          List.iteri
             (fun i fraction ->
               let d = results.(2 * i) and x = results.((2 * i) + 1) in
               let us v = Printf.sprintf "%.0fus" (v /. 1e3) in
@@ -942,63 +912,33 @@ type hedging_cell =
   | H_policy of { kind : Xc_lb.Policy.kind; d : int; r : Xc_lb.Hedge.result }
   | H_cluster of { label : string; r : Xc_platforms.Cluster_sim.result }
 
-let hedging (suite : Suite.t) =
+let hedging () =
   let module H = Xc_lb.Hedge in
   let module P = Xc_lb.Policy in
-  (* The three grids — oracle differential points, the policy race,
-     the Fig 9 cluster cells — come from the registry's hedging suite,
-     partitioned by kind in spec order. *)
-  let of_kind k =
-    List.filter (fun (s : Spec.t) -> s.Spec.kind = k) suite.Suite.specs
-  in
-  let req what = function
-    | Ok v -> v
-    | Error m -> invalid_arg (Printf.sprintf "hedging %s: %s" what m)
-  in
   let oracle_points =
     Array.of_list
-      (List.map
-         (fun (s : Spec.t) ->
-           ( req s.Spec.name (Spec.param_float s "utilization" ~default:0.5),
-             req s.Spec.name (Spec.param_int s "clones" ~default:1) ))
-         (of_kind "hedging-oracle"))
+      (List.concat_map
+         (fun u -> List.map (fun d -> (u, d)) [ 1; 2; 3 ])
+         [ 0.3; 0.6 ])
   in
   let policy_points =
     Array.of_list
-      (List.map
-         (fun (s : Spec.t) ->
-           let kind =
-             match Spec.param s "policy" with
-             | Some p -> req s.Spec.name (P.kind_of_string p)
-             | None -> invalid_arg "hedging: policy spec without param.policy"
-           in
-           (kind, req s.Spec.name (Spec.param_int s "clones" ~default:1)))
-         (of_kind "hedging-policy"))
+      (List.concat_map (fun kind -> List.map (fun d -> (kind, d)) [ 1; 2 ]) P.all_kinds)
   in
+  (* The 4-container x 5-connection X-Container point, home-pinned
+     and then least-loaded alone and hedged. *)
   let cluster_cells =
-    (* Configs are priced here at module init — before the harness can
-       enable tracing — so traced runs capture only the simulation's
-       own spans. *)
     Array.of_list
       (List.map
-         (fun (s : Spec.t) ->
-           let platform = Xc_platforms.Platform.create s.Spec.platform in
-           let base =
-             Xc_platforms.Cluster_sim.config_of_platform
-               ~containers:s.Spec.load.Spec.containers
-               ~connections:s.Spec.load.Spec.connections platform
-           in
-           match Spec.param s "policy" with
-           | None -> ("home-pinned (baseline)", base)
-           | Some p ->
-               let kind = req s.Spec.name (P.kind_of_string p) in
-               let clones = req s.Spec.name (Spec.param_int s "clones" ~default:1) in
-               ( Printf.sprintf "%s d=%d" p clones,
-                 {
-                   base with
-                   Xc_platforms.Cluster_sim.lb = Some { Xc_lb.Policy.kind; clones };
-                 } ))
-         (of_kind "hedging-cluster"))
+         (fun (label, lb) ->
+           ( label,
+             CS.config_of_platform ~containers:4 ~connections:5 ?lb
+               (Xc_platforms.Platform.create (Config.make Config.X_container)) ))
+         [
+           ("home-pinned (baseline)", None);
+           ("least-loaded d=1", Some { P.kind = P.Least_loaded; clones = 1 });
+           ("least-loaded d=2", Some { P.kind = P.Least_loaded; clones = 2 });
+         ])
   in
   Run.Cells
     {
@@ -1175,102 +1115,36 @@ type cluster_scale_cell =
     }
   | C_mixed of { label : string; r : Xc_platforms.Cluster_sim.result }
 
-(* The fleet shape, differential points and mixed cell come from a
-   registry suite (cluster-scale, cluster-smoke) — one cluster-fleet
-   spec (nodes, shard count and the heterogeneous size cycle as
-   params), one cluster-diff spec per differential point, one
-   cluster-mixed spec. *)
-let cluster_scale (suite : Suite.t) =
-  let module CS = Xc_platforms.Cluster_sim in
-  let sname = suite.Suite.name in
-  let req what = function
-    | Ok v -> v
-    | Error m -> invalid_arg (Printf.sprintf "%s %s: %s" sname what m)
-  in
-  let of_kind k =
-    List.filter (fun (s : Spec.t) -> s.Spec.kind = k) suite.Suite.specs
-  in
-  let one k =
-    match of_kind k with
-    | [ s ] -> s
-    | l ->
-        invalid_arg
-          (Printf.sprintf "%s: expected one %s spec, got %d" sname k
-             (List.length l))
-  in
-  let fleet = one "cluster-fleet" in
-  let fleet_nodes = fleet.Spec.load.Spec.nodes in
-  let fleet_shards =
-    req fleet.Spec.name (Spec.param_int fleet "shards" ~default:1)
-  in
-  let platform = Xc_platforms.Platform.create fleet.Spec.platform in
-  (* Heterogeneous fleet: node sizes cycle param.sizes (mean 1000 in
-     the committed suites), so the fleet totals fleet_nodes x mean
+(* [diffs] are the [(mode, containers, connections)] differential
+   points; the mixed cell samples 1 in 10 containers exactly. *)
+let cluster_scale ~fleet_nodes ~fleet_shards ~diffs ~mixed_containers =
+  let platform = Xc_platforms.Platform.create (Config.make Config.X_container) in
+  (* Heterogeneous fleet: node sizes cycle 800-1200 containers (mean
+     1000) at 5 connections, so the fleet totals fleet_nodes x 1000
      containers. *)
-  let sizes =
-    match Spec.param fleet "sizes" with
-    | None -> invalid_arg (Printf.sprintf "%s: fleet spec without param.sizes" sname)
-    | Some v ->
-        Array.of_list
-          (List.map
-             (fun s ->
-               match int_of_string_opt s with
-               | Some n when n > 0 -> n
-               | _ ->
-                   invalid_arg
-                     (Printf.sprintf "%s: bad fleet size %S in param.sizes" sname s))
-             (String.split_on_char ':' v))
-  in
   let bases =
     Array.map
-      (fun n ->
-        CS.config_of_platform ~containers:n
-          ~connections:fleet.Spec.load.Spec.connections platform)
-      sizes
+      (fun n -> CS.config_of_platform ~containers:n ~connections:5 platform)
+      [| 800; 900; 1000; 1100; 1200 |]
   in
   let node_config i =
-    let b = bases.(i mod Array.length sizes) in
+    let b = bases.(i mod Array.length bases) in
     { b with CS.seed = b.CS.seed + i }
   in
   let diff_cells =
     Array.of_list
       (List.map
-         (fun (s : Spec.t) ->
-           let mode =
-             match Spec.param s "mode" with
-             | Some "flat" -> CS.Flat
-             | Some "hier" -> CS.Hierarchical
-             | m ->
-                 invalid_arg
-                   (Printf.sprintf "%s %s: param.mode must be flat or hier, got %s"
-                      sname s.Spec.name
-                      (Option.value m ~default:"<absent>"))
-           in
-           let n = s.Spec.load.Spec.containers
-           and conns = s.Spec.load.Spec.connections in
-           let label =
-             Printf.sprintf "%s n=%d c=%d"
+         (fun (mode, n, conns) ->
+           ( Printf.sprintf "%s n=%d c=%d"
                (match mode with CS.Flat -> "flat" | CS.Hierarchical -> "hier")
-               n conns
-           in
-           let config =
+               n conns,
              {
                (CS.default_config mode ~containers:n) with
                CS.connections_per_container = conns;
-             }
-           in
-           (label, config))
-         (of_kind "cluster-diff"))
+             } ))
+         diffs)
   in
-  let mixed = one "cluster-mixed" in
-  let mixed_containers = mixed.Spec.load.Spec.containers in
-  let mixed_rate =
-    match mixed.Spec.fidelity with
-    | Spec.Mixed n -> n
-    | _ ->
-        invalid_arg
-          (Printf.sprintf "%s: cluster-mixed spec must have mixed:N fidelity" sname)
-  in
+  let mixed_rate = 10 in
   let mixed_config =
     CS.default_config CS.Hierarchical ~containers:mixed_containers
   in
@@ -1407,57 +1281,53 @@ let cluster_scale (suite : Suite.t) =
     }
 
 (* ------------------------------------------------------------------ *)
-(* Causal what-if profiler (extension): per causal-point spec, predict
-   the virtual speedup from the traced baseline's attribution and
-   validate it against an actually re-priced rerun.  One cell on
-   purpose: the baselines flip the process-wide trace flag
-   ([Causal.with_tracing]), so they must not run concurrently with
-   cells that assume the flag is stable — and the whole grid is cheap
-   (100 ms windows at 1-5 connections). *)
+(* Causal what-if profiler (extension): per point, predict the virtual
+   speedup from the traced baseline's attribution and validate it
+   against an actually re-priced rerun.  The light points (1
+   connection) are the regime where the linear prediction holds; the
+   knee points (5 connections, the fig9 queueing regime) are kept on
+   purpose to show where it breaks.  One cell on purpose: the
+   baselines flip the process-wide trace flag ([Causal.with_tracing]),
+   so they must not run concurrently with cells that assume the flag is
+   stable — and the whole grid is cheap (100 ms windows at 1-5
+   connections). *)
 
-let causal (suite : Suite.t) =
-  let module CS = Xc_platforms.Cluster_sim in
+let causal () =
   let module Causal = Xc_obs.Causal in
   (* Configs are priced here, at module init, before --trace can turn
      the ring on.  Each (runtime x connections) target's baseline runs
      — and is traced — once, shared by every what-if point against it. *)
-  let points =
-    List.map
-      (fun (s : Spec.t) ->
-        let mech, scale =
-          match s.Spec.whatif with
-          | [ w ] -> w
-          | l ->
-              invalid_arg
-                (Printf.sprintf
-                   "%s %s: causal-point wants exactly one whatif axis, got %d"
-                   suite.Suite.name s.Spec.name (List.length l))
-        in
-        let platform = Xc_platforms.Platform.create s.Spec.platform in
-        let config =
-          {
-            (CS.config_of_platform ~containers:s.Spec.load.Spec.containers
-               ~connections:s.Spec.load.Spec.connections platform)
-            with
-            CS.duration_ns = Spec.duration_ns s;
-            warmup_ns = Spec.warmup_ns s;
-            seed = s.Spec.seed;
-          }
-        in
-        let label =
-          Printf.sprintf "%s/c%d"
-            (Spec.runtime_to_string s.Spec.platform.Config.runtime)
-            s.Spec.load.Spec.connections
-        in
-        (s.Spec.name, { Causal.label; config }, mech, scale))
-      suite.Suite.specs
+  let point ?(knee = false) runtime mech =
+    let rt = Spec.runtime_to_string runtime in
+    let connections = if knee then 5 else 1 in
+    let platform = Xc_platforms.Platform.create (Config.make runtime) in
+    let config =
+      {
+        (CS.config_of_platform ~containers:4 ~connections platform) with
+        CS.duration_ns = 1e8;
+        warmup_ns = 2e7;
+        seed = 17;
+      }
+    in
+    ( (rt ^ "/" ^ mech ^ if knee then "/knee" else ""),
+      { Causal.label = Printf.sprintf "%s/c%d" rt connections; config },
+      mech,
+      0.7 )
   in
+  let runtimes = [ Config.Docker; Config.X_container ] in
+  let light =
+    List.concat_map
+      (fun rt -> List.map (point rt) [ "syscall-entry"; "ctx-switch"; "net.hop" ])
+      runtimes
+  in
+  let knee = List.map (fun rt -> point ~knee:true rt "syscall-entry") runtimes in
+  let points = light @ knee in
   whole (fun () ->
       section
         "Causal what-if profiler: virtual speedups, predicted vs rerun \
          (extension)";
       match Causal.sweep_points ~jobs:1 points with
-      | Error m -> invalid_arg (Printf.sprintf "%s %s" suite.Suite.name m)
+      | Error m -> invalid_arg ("causal " ^ m)
       | Ok (baselines, points) ->
           List.iter
             (fun (label, b) ->
@@ -1479,44 +1349,33 @@ let causal (suite : Suite.t) =
 (* Smoke: every experiment family at tiny durations, cheap enough for
    tier-1 (`dune runtest` runs it at --jobs 1 and 2 and compares). *)
 
-module CS = Xc_platforms.Cluster_sim
-module CL = Xc_platforms.Closed_loop
+let table1_smoke () =
+  section "Smoke: Table 1, 2k invocations";
+  List.iter
+    (fun (m : Xc_apps.Profiles.measurement) ->
+      printf "%-20s %.1f%%\n" m.profile.name (100. *. m.auto_reduction))
+    (Figures.table1 ~invocations:2_000 ())
 
-(* The one spec of a single-cell smoke suite. *)
-let single (suite : Suite.t) =
-  match suite.Suite.specs with
-  | [ s ] -> s
-  | l ->
-      invalid_arg
-        (Printf.sprintf "%s: expected one spec, got %d" suite.Suite.name
-           (List.length l))
-
-let table1_smoke suite =
-  let s = single suite in
-  let invocations =
-    match Spec.param_int s "invocations" ~default:2_000 with
-    | Ok n -> n
-    | Error m -> invalid_arg (Printf.sprintf "smoke %s: %s" s.Spec.name m)
-  in
-  fun () ->
-    section "Smoke: Table 1, 2k invocations";
-    List.iter
-      (fun (m : Xc_apps.Profiles.measurement) ->
-        printf "%-20s %.1f%%\n" m.profile.name (100. *. m.auto_reduction))
-      (Figures.table1 ~invocations ())
+(* The generic driver's load with a 20 ms window after 2 ms. *)
+let smoke_load =
+  { Spec.default.Spec.load with Spec.duration_ms = 20.; warmup_ms = 2. }
 
 (* Two cells (one per runtime): the cheapest sharded experiment, and
    the one the tier-1 determinism rules cmp at --jobs 1 vs 2.  The
    cells are plain generic closed-loop specs. *)
-let macro_smoke (suite : Suite.t) =
+let macro_smoke () =
   Run.Cells
     {
       shards =
         Array.map
-          (fun (s : Spec.t) () ->
-            let r = Sdriver.closed_result s in
-            (Config.name s.Spec.platform, r.CL.throughput_rps))
-          (Array.of_list suite.Suite.specs);
+          (fun runtime () ->
+            let platform = Config.make runtime in
+            let r =
+              Sdriver.closed_result
+                { Spec.default with Spec.platform; load = smoke_load }
+            in
+            (Config.name platform, r.CL.throughput_rps))
+          [| Config.Docker; Config.X_container |];
       print =
         (fun rows ->
           section "Smoke: closed-loop macro, 20ms simulated";
@@ -1525,47 +1384,48 @@ let macro_smoke (suite : Suite.t) =
             rows);
     }
 
-let latency_smoke suite =
-  let s = single suite in
-  fun () ->
-    section "Smoke: open-loop latency, 20ms simulated";
-    let r = Sdriver.open_result s in
-    printf "p50 %.0fus  p99 %.0fus\n" (r.p50_ns /. 1e3) (r.p99_ns /. 1e3)
-
-let fig8sim_smoke suite =
-  let s = single suite in
-  fun () ->
-    section "Smoke: cluster scheduler sweep, 20ms simulated, inner fan-out";
-    let tiny mode n =
+let latency_smoke () =
+  section "Smoke: open-loop latency, 20ms simulated";
+  let r =
+    Sdriver.open_result
       {
-        (CS.default_config mode ~containers:n) with
-        duration_ns = Spec.duration_ns s;
-        warmup_ns = Spec.warmup_ns s;
-        client_rtt_ns = 1e6;
+        Spec.default with
+        Spec.load = { smoke_load with Spec.shape = Spec.Open; rate = 0.25 };
       }
-    in
-    let configs =
-      List.concat_map (fun n -> [ tiny CS.Flat n; tiny CS.Hierarchical n ]) [ 4; 8 ]
-    in
-    let results = CS.run_sweep ~jobs:2 configs in
-    List.iter2
-      (fun (c : CS.config) (r : CS.result) ->
-        printf "%-12s n=%d  %s req/s  %d container switches\n"
-          (match c.mode with CS.Flat -> "flat" | CS.Hierarchical -> "hierarchical")
-          c.containers
-          (T.fmt_si r.throughput_rps)
-          r.container_switches)
-      configs results
+  in
+  printf "p50 %.0fus  p99 %.0fus\n" (r.p50_ns /. 1e3) (r.p99_ns /. 1e3)
+
+let fig8sim_smoke () =
+  section "Smoke: cluster scheduler sweep, 20ms simulated, inner fan-out";
+  let tiny mode n =
+    {
+      (CS.default_config mode ~containers:n) with
+      duration_ns = 2e7;
+      warmup_ns = 2e6;
+      client_rtt_ns = 1e6;
+    }
+  in
+  let configs =
+    List.concat_map (fun n -> [ tiny CS.Flat n; tiny CS.Hierarchical n ]) [ 4; 8 ]
+  in
+  let results = CS.run_sweep ~jobs:2 configs in
+  List.iter2
+    (fun (c : CS.config) (r : CS.result) ->
+      printf "%-12s n=%d  %s req/s  %d container switches\n"
+        (match c.mode with CS.Flat -> "flat" | CS.Hierarchical -> "hierarchical")
+        c.containers
+        (T.fmt_si r.throughput_rps)
+        r.container_switches)
+    configs results
 
 (* ------------------------------------------------------------------ *)
-(* The experiment table IS the registry: every bench and smoke suite
-   maps to its printer here.  A registry suite without one aborts the
-   bench at startup, naming the suite. *)
+(* The experiment table is Xcontainers.Inventory.all: every inventory id
+   maps to its cells here, and an id without a printer aborts the bench
+   at startup, naming it. *)
 
-let printer name suite =
-  match name with
+let printer = function
   | "table1" -> whole table1
-  | "fig3" -> fig3 suite
+  | "fig3" -> fig3 ()
   | "fig4" -> whole fig4
   | "fig5" -> whole fig5
   | "fig6" -> whole fig6
@@ -1577,28 +1437,51 @@ let printer name suite =
   | "security" -> whole security
   | "migration" -> whole migration
   | "clone" -> whole clone
-  | "latency" -> latency suite
+  | "latency" -> latency ()
   | "coldstart" -> whole coldstart
-  | "macro-extra" -> macro_extra suite
+  | "macro-extra" -> macro_extra ()
   | "build-bench" -> whole build_bench
   | "density" -> whole density
-  | "hedging" -> hedging suite
-  | "cluster-scale" | "cluster-smoke" -> cluster_scale suite
-  | "causal" -> causal suite
-  | "table1-smoke" -> whole (table1_smoke suite)
-  | "macro-smoke" -> macro_smoke suite
-  | "latency-smoke" -> whole (latency_smoke suite)
-  | "fig8sim-smoke" -> whole (fig8sim_smoke suite)
-  | _ ->
-      Printf.eprintf "bench: registry suite %S has no printer\n" name;
+  | "hedging" -> hedging ()
+  | "cluster-scale" ->
+      cluster_scale ~fleet_nodes:1000 ~fleet_shards:16
+        ~diffs:
+          [
+            (CS.Hierarchical, 8, 5);
+            (CS.Hierarchical, 400, 5);
+            (CS.Flat, 400, 5);
+            (CS.Hierarchical, 64, 1);
+          ]
+        ~mixed_containers:200
+  | "causal" -> causal ()
+  | id ->
+      Printf.eprintf "bench: inventory id %S has no printer\n" id;
       exit 1
 
-let experiments = List.map (fun (name, suite) -> (name, printer name suite))
-let bench_experiments = experiments Registry.bench
+let bench_experiments =
+  List.map
+    (fun (e : Xcontainers.Inventory.entry) -> (e.id, printer e.id))
+    Xcontainers.Inventory.all
 
+(* The bench experiments cheap enough to run unchanged, then the smoke
+   variants. *)
 let smoke_experiments =
-  List.map (fun n -> (n, List.assoc n bench_experiments)) Registry.smoke_cheap
-  @ experiments Registry.smoke
+  List.map
+    (fun n -> (n, List.assoc n bench_experiments))
+    [
+      "fig4"; "fig5"; "fig6"; "fig8"; "fig9"; "boot"; "ablation"; "security";
+      "migration"; "clone"; "coldstart"; "build-bench"; "density";
+    ]
+  @ [
+      ("table1-smoke", whole table1_smoke);
+      ("macro-smoke", macro_smoke ());
+      ("latency-smoke", whole latency_smoke);
+      ("fig8sim-smoke", whole fig8sim_smoke);
+      ( "cluster-smoke",
+        cluster_scale ~fleet_nodes:64 ~fleet_shards:8
+          ~diffs:[ (CS.Hierarchical, 8, 5) ]
+          ~mixed_containers:32 );
+    ]
 
 (* Everything plus the artifact writer, the one bench-only entry. *)
 let all_experiments = bench_experiments @ [ ("csv", whole csv) ]
@@ -1826,7 +1709,9 @@ let () =
                 "bench: --suite expects a named generic suite (%s), got %S%s\n"
                 (String.concat " " Registry.named_names)
                 name
-                (if Registry.find_bench name <> None || Registry.find_smoke name <> None
+                (if
+                   List.mem_assoc name bench_experiments
+                   || List.mem_assoc name smoke_experiments
                  then " (bench suites run as plain experiment names)"
                  else ""));
       value "interval" (positive "interval" " (sim-microseconds)" interval_us);

@@ -1966,18 +1966,15 @@ module Suite_registry = Xc_suite.Registry
 module Suite_driver = Xc_suite.Driver
 
 (* A runnable suite: a [Registry.named] entry or a spec file on disk.
-   Registry bench/smoke suites use bespoke kinds the generic driver
-   does not interpret — running them here would silently produce
-   different numbers than the bench, so point at the bench instead. *)
+   A bench experiment is not a suite — its grid lives in the bench's
+   printer — so point at the bench instead. *)
 let resolve_runnable name =
   match Suite_registry.find_named name with
   | Some s -> Ok s
   | None ->
-      if Sys.file_exists name then Suite.parse_file name
-      else if
-        Suite_registry.find_bench name <> None
-        || Suite_registry.find_smoke name <> None
-      then
+      if Sys.file_exists name then
+        Result.map_error (fun e -> name ^ ": " ^ e) (Suite.parse_file name)
+      else if Xcontainers.Inventory.find name <> None then
         Error
           (Printf.sprintf
              "%S is a bench experiment suite; run it with the bench harness \
@@ -2004,39 +2001,17 @@ let suite_list_cmd =
     List.iter
       (fun (name, (s : Suite.t)) ->
         Printf.printf "  %-16s %d experiment(s)\n" name (List.length s.Suite.specs))
-      Suite_registry.named;
-    print_endline "";
-    print_endline
-      "bench suites (declarative grids behind dune exec bench/main.exe -- NAME):";
-    List.iter
-      (fun (name, (s : Suite.t)) ->
-        Printf.printf "  %-16s %d experiment(s)\n" name (List.length s.Suite.specs))
-      Suite_registry.bench;
-    print_endline "";
-    print_endline "bench smoke variants:";
-    List.iter
-      (fun (name, (s : Suite.t)) ->
-        Printf.printf "  %-16s %d experiment(s)\n" name (List.length s.Suite.specs))
-      Suite_registry.smoke
+      Suite_registry.named
   in
   Cmd.v
-    (Cmd.info "list" ~doc:"List every registry suite and its experiment count.")
+    (Cmd.info "list" ~doc:"List the named suites and their experiment counts.")
     Term.(const run $ const ())
 
 let suite_show_cmd =
   let run name =
-    match Suite_registry.spec_text name with
-    | Some text -> print_string text
-    | None -> (
-        if not (Sys.file_exists name) then
-          exit_err
-            (Printf.sprintf
-               "unknown suite %S: expected a registry suite or a spec file path"
-               name)
-        else
-          match Suite.parse_file name with
-          | Error e -> exit_err (name ^ ": " ^ e)
-          | Ok s -> print_string (Suite.print s))
+    match resolve_runnable name with
+    | Error e -> exit_err e
+    | Ok s -> print_string (Suite.print s)
   in
   Cmd.v
     (Cmd.info "show"
@@ -2050,6 +2025,19 @@ let suite_run_cmd =
     match resolve_runnable name with
     | Error e -> exit_err e
     | Ok suite ->
+        (* The generic driver reads no [param.*] field: running one
+           would silently ignore it. *)
+        List.iter
+          (fun (s : Xc_suite.Spec.t) ->
+            match s.Xc_suite.Spec.params with
+            | [] -> ()
+            | (k, _) :: _ ->
+                exit_err
+                  (Printf.sprintf
+                     "experiment %s: field param.%s: the generic driver \
+                      reads no param.* field"
+                     s.Xc_suite.Spec.name k))
+          suite.Suite.specs;
         let wants_trace = Suite_driver.wants_trace suite in
         let wants_ts = Suite_driver.wants_timeseries suite in
         if wants_trace then
@@ -2118,7 +2106,7 @@ let suite_run_cmd =
 let suite_cmd =
   Cmd.group
     (Cmd.info "suite"
-       ~doc:"Declarative experiment suites: list the registry, print \
+       ~doc:"Declarative experiment suites: list the named suites, print \
              canonical spec text, run specs through the generic driver.")
     [ suite_list_cmd; suite_show_cmd; suite_run_cmd ]
 

@@ -128,18 +128,18 @@ let all =
           "Xc_apps.Influxdb" ];
     };
     {
-      id = "density";
-      kind = Extension;
-      paper_ref = "\xc2\xa74.5";
-      title = "Memory density with ballooning and tmem";
-      modules = [ "Xc_apps.Density"; "Xc_hypervisor.Balloon" ];
-    };
-    {
       id = "build-bench";
       kind = Extension;
       paper_ref = "Table 1 (Kernel Compilation)";
       title = "Kernel build: the process-churn counterpoint";
       modules = [ "Xc_apps.Kernel_build" ];
+    };
+    {
+      id = "density";
+      kind = Extension;
+      paper_ref = "\xc2\xa74.5";
+      title = "Memory density with ballooning and tmem";
+      modules = [ "Xc_apps.Density"; "Xc_hypervisor.Balloon" ];
     };
     {
       id = "hedging";

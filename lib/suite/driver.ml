@@ -1,10 +1,10 @@
 (* The generic interpreter: a {!Spec.t} into the existing engines.
 
-   Closed specs reproduce the bench macro-sweep cell exactly —
+   Closed specs are the bench macro-sweep cell —
    [Closed_loop.default_config] overridden by the spec's typed fields,
-   a [Figures.server_for_public] server — so a registry spec and a
-   hand-written driver cannot diverge (the differential golden tests
-   pin this).  Open specs drive [Open_loop] at [rate] x the server's
+   a [Figures.server_for_public] server — and the bench's macro-extra
+   experiment runs the named macro suite through this very function
+   (the differential golden tests pin its output).  Open specs drive [Open_loop] at [rate] x the server's
    own capacity; cluster specs fan [nodes] seeded [Cluster_sim] nodes
    at the requested fidelity tier. *)
 

@@ -24,7 +24,6 @@ type capture = {
 
 type t = {
   name : string;
-  kind : string;
   platform : Config.t;
   workload : string;
   load : load;
@@ -40,7 +39,6 @@ type t = {
 let default =
   {
     name = "experiment";
-    kind = "generic";
     platform = Config.make Config.X_container;
     workload = "nginx";
     load =
@@ -178,9 +176,6 @@ let prefix_err key = Result.map_error (fun m -> "field " ^ key ^ ": " ^ m)
 let field_table :
     (string * (t -> string) * (t -> string -> (t, string) result)) list =
   [
-    ( "kind",
-      (fun t -> t.kind),
-      fun t v -> Ok { t with kind = String.trim v } );
     ( "runtime",
       (fun t -> runtime_to_string t.platform.Config.runtime),
       fun t v ->
@@ -320,11 +315,6 @@ let param_int t k ~default =
   | None -> Ok default
   | Some v -> parse_int ("param." ^ k) v
 
-let param_float t k ~default =
-  match param t k with
-  | None -> Ok default
-  | Some v -> parse_float ("param." ^ k) v
-
 (* ------------------------------------------------------------------ *)
 (* Validation                                                          *)
 
@@ -350,10 +340,6 @@ let validate t =
   let* () =
     check (name_ok t.name) "name"
       "%S: must be nonempty, using only [A-Za-z0-9._/=+:-]" t.name
-  in
-  let* () =
-    check (name_ok t.kind) "kind"
-      "%S: must be nonempty, using only [A-Za-z0-9._/=+:-]" t.kind
   in
   let* () =
     check

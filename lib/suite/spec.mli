@@ -6,11 +6,7 @@
     it printed ({!print_fields} emits only non-default fields, and
     {!set_field} accepts exactly what {!print_fields} writes).  The
     generic {!Driver} interprets a spec into the existing
-    [Closed_loop]/[Open_loop]/[Cluster_sim] engines; the bench harness
-    additionally interprets registry-reserved {!kind}s (fig3, latency,
-    the hedging and cluster families) with its bespoke drivers,
-    byte-identical to the hand-coded originals (pinned by the
-    differential golden tests). *)
+    [Closed_loop]/[Open_loop]/[Cluster_sim] engines. *)
 
 module Config = Xc_platforms.Config
 
@@ -41,10 +37,6 @@ type capture = {
 
 type t = {
   name : string;
-  kind : string;
-      (** interpretation label: ["generic"] for the standard driver;
-          the bench registry reserves bespoke kinds for migrated
-          experiments *)
   platform : Config.t;
   workload : string;  (** a {!Workload.names} member *)
   load : load;
@@ -61,11 +53,13 @@ type t = {
           compare them against a [whatif.MECH = 1] cell of the same
           spec, not an un-scaled spec. *)
   params : (string * string) list;
-      (** free-form [param.KEY = value] extension fields, in file order *)
+      (** free-form [param.KEY = value] extension fields, in file order.
+          The generic driver reads none of them, so [xc suite run]
+          refuses a suite that sets any. *)
 }
 
 val default : t
-(** [generic] kind, X-Container on Amazon (patched), nginx workload,
+(** X-Container on Amazon (patched), nginx workload,
     closed loop at 32 connections for 2000 ms (200 ms warmup), seed 42,
     exact fidelity, no capture — the [Closed_loop.default_config]
     numbers. *)
@@ -101,7 +95,6 @@ val print_fields : t -> (string * string) list
 
 val param : t -> string -> string option
 val param_int : t -> string -> default:int -> (int, string) result
-val param_float : t -> string -> default:float -> (float, string) result
 
 val name_ok : string -> bool
 (** The experiment/suite name charset: nonempty [A-Za-z0-9._/=+:-]. *)

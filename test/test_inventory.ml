@@ -1,52 +1,52 @@
 (* Tests for the experiment inventory and workload descriptions: the
-   registry, the harness and the docs must agree, and every lib/ module
-   must be reached from the bench or xc. *)
+   inventory, the bench harness and the named suites must agree, and
+   every lib/ module must be reached from the bench or xc. *)
 
-let bench_targets =
-  (* The bench experiment names, straight from the suite registry: the
-     single source the bench harness itself interprets ("micro" and
-     "csv" are utilities, not experiments, and carry no spec). *)
-  Xc_suite.Registry.bench_names
+let read file = In_channel.with_open_bin file In_channel.input_all
+
+(* The source root: the test runs in _build/default/test under dune,
+   or at the repository root when started by hand. *)
+let root = if Sys.file_exists "../bin/xc.ml" then ".." else "."
+
+(* The ids the bench's [printer] match maps, in source order: its
+   [| "ID" ->] cases up to the catch-all one. *)
+let printer_cases () =
+  let rec find = function
+    | [] -> Alcotest.fail "bench/main.ml has no [let printer = function]"
+    | l :: rest -> if l = "let printer = function" then cases [] rest else find rest
+  and cases acc = function
+    | [] -> List.rev acc
+    | l :: rest -> (
+        let l = String.trim l in
+        match Scanf.sscanf_opt l "| %S ->" Fun.id with
+        | Some id -> cases (id :: acc) rest
+        | None -> if String.starts_with ~prefix:"|" l then List.rev acc else cases acc rest)
+  in
+  find (String.split_on_char '\n' (read (Filename.concat root "bench/main.ml")))
 
 let test_inventory_covers_bench () =
-  List.iter
-    (fun target ->
-      Alcotest.(check bool)
-        (Printf.sprintf "inventory has %s" target)
-        true
-        (Xcontainers.Inventory.find target <> None))
-    bench_targets;
-  Alcotest.(check int) "no stale inventory entries" (List.length bench_targets)
-    (List.length Xcontainers.Inventory.all)
+  Alcotest.(check (list string))
+    "bench printer cases, in inventory order"
+    (List.map (fun (e : Xcontainers.Inventory.entry) -> e.id) Xcontainers.Inventory.all)
+    (printer_cases ())
 
 let test_registry_agrees_with_bench () =
-  (* The registry's bench list is the 21 baseline experiments in bench
-     order; every one resolves to a validated suite with canonical spec
-     text, and the smoke list extends — never contradicts — it. *)
-  Alcotest.(check int) "twenty-one bench suites" 21 (List.length bench_targets);
+  (* Every named suite prints canonical text that parses back to
+     itself, and none takes an inventory id: [xc suite run] resolves
+     named suites first, so one would shadow a bench experiment. *)
   List.iter
-    (fun name ->
+    (fun (name, suite) ->
       Alcotest.(check bool)
-        (name ^ " resolves") true
-        (Xc_suite.Registry.find_bench name <> None);
-      match Xc_suite.Registry.spec_text name with
-      | None -> Alcotest.fail (name ^ " has no spec text")
-      | Some text -> (
-          match Xc_suite.Suite.parse text with
-          | Error e -> Alcotest.fail (name ^ ": " ^ e)
-          | Ok reparsed ->
-              Alcotest.(check string)
-                (name ^ " spec text round-trips") text
-                (Xc_suite.Suite.print reparsed)))
-    bench_targets;
-  List.iter
-    (fun name ->
-      Alcotest.(check bool)
-        (name ^ " is a bench or smoke suite")
-        true
-        (Xc_suite.Registry.find_bench name <> None
-        || Xc_suite.Registry.find_smoke name <> None))
-    Xc_suite.Registry.smoke_names
+        (name ^ " is not an inventory id") true
+        (Xcontainers.Inventory.find name = None);
+      let text = Xc_suite.Suite.print suite in
+      match Xc_suite.Suite.parse text with
+      | Error e -> Alcotest.fail (name ^ ": " ^ e)
+      | Ok reparsed ->
+          Alcotest.(check string)
+            (name ^ " spec text round-trips") text
+            (Xc_suite.Suite.print reparsed))
+    Xc_suite.Registry.named
 
 let test_inventory_structure () =
   Alcotest.(check int) "eight paper entries" 8
@@ -181,12 +181,6 @@ let uses ~libs ~own src =
     | _ :: rest -> walk rest
   in
   List.sort_uniq compare (walk (tokens src))
-
-let read file = In_channel.with_open_bin file In_channel.input_all
-
-(* The source root: the test runs in _build/default/test under dune,
-   or at the repository root when started by hand. *)
-let root = if Sys.file_exists "../bin/xc.ml" then ".." else "."
 
 (* Each library under lib/ as (directory, namespace, modules).  The
    namespace is the [(name ...)] of its dune file; a file named after

@@ -196,6 +196,8 @@ let test_validation_errors () =
     (parse "[experiment e]\nfidelity = turbo\n");
   check_error "unknown field" "field frob"
     (parse "[experiment e]\nfrob = 1\n");
+  check_error "kind is not a field" "field kind: unknown field"
+    (parse "[experiment e]\nkind = fig3\n");
   check_error "connections range" "field connections"
     (parse "[experiment e]\nconnections = 0\n");
   check_error "mixed sample-rate" "sample-rate"
@@ -232,7 +234,7 @@ let test_comments_and_suite_line () =
 let test_registry_named_generic () =
   (* Named suites must stay runnable by the generic driver alone:
      every spec uses a workload the driver resolves and a plain
-     shape.  (Bench suites, by contrast, reserve bespoke kinds.) *)
+     shape. *)
   List.iter
     (fun (name, (suite : Suite.t)) ->
       List.iter
