@@ -647,9 +647,12 @@ let latency () =
   let server runtime =
     let platform = Xc_platforms.Platform.create (Config.make runtime) in
     let recipe = Xc_apps.Nginx.static_request_wrk in
-    let service = Xc_apps.Recipe.service_ns platform recipe in
-    ( service,
-      { Xc_platforms.Closed_loop.units = 4; service_ns = (fun _ -> service) } )
+    {
+      Xc_platforms.Closed_loop.units = 4;
+      base_ns = Xc_apps.Recipe.service_ns platform recipe;
+      stddev = 0.;
+      floor = 0.;
+    }
   in
   Run.Cells
     {
@@ -659,13 +662,11 @@ let latency () =
              (fun fraction ->
                List.map
                  (fun runtime () ->
-                   let docker_service, _ = server Config.Docker in
-                   let _, srv = server runtime in
-                   let capacity = 4e9 /. docker_service in
+                   let capacity = 4e9 /. (server Config.Docker).base_ns in
                    Xc_platforms.Open_loop.run
                      (Xc_platforms.Open_loop.config
                         ~rate_rps:(fraction *. capacity) ())
-                     srv)
+                     (server runtime))
                  [ Config.Docker; Config.X_container ])
              fractions);
       print =

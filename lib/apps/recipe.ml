@@ -86,11 +86,4 @@ let mechanisms platform t =
   List.filter (fun (_, _, ns) -> ns > 0.) (base @ hops @ irqs @ net)
 
 let server ~units ~stddev ~floor platform t =
-  let base = service_ns platform t in
-  {
-    Xc_platforms.Closed_loop.units;
-    service_ns =
-      (fun rng ->
-        let jitter = Xc_sim.Prng.normal rng ~mean:1.0 ~stddev in
-        base *. Float.max floor jitter);
-  }
+  { Xc_platforms.Closed_loop.units; base_ns = service_ns platform t; stddev; floor }

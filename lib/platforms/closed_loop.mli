@@ -6,10 +6,14 @@
     for process-per-request servers, 1 for single-threaded event loops),
     each serving FIFO; a request takes the unit that frees up first. *)
 
-type server = {
+type server = Station.server = {
   units : int;  (** parallel service units *)
-  service_ns : Xc_sim.Prng.t -> float;
-      (** per-request service sample, platform costs included *)
+  base_ns : float;  (** service time, platform costs included *)
+  stddev : float;
+      (** each request's service time is [base_ns] times a normal
+          jitter factor of mean 1 and this standard deviation, floored
+          at [floor]; [0.] serves exactly [base_ns] and draws nothing *)
+  floor : float;
 }
 
 type config = {
@@ -45,3 +49,5 @@ type result = {
 }
 
 val run : config -> server -> result
+(** A {!Station} fed by [connections] clients, each staggered by a
+    uniform draw in [\[0, 1 ms)] before its first send. *)

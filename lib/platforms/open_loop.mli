@@ -23,9 +23,11 @@ type result = {
   mean_latency_ns : float;
   p50_ns : float;
   p99_ns : float;
-  max_queue : int;  (** high-water mark of queued requests *)
+  max_queue : int;
+      (** high-water mark of requests in the system: those queued and
+          those in service *)
 }
 
 val run : config -> Closed_loop.server -> result
-(** Requests arrive as a Poisson process; each takes one [service_ns]
-    sample on the least-loaded unit, FIFO. *)
+(** A {!Station} fed by Poisson arrivals: each request takes one
+    service sample on the unit that frees up first, FIFO. *)

@@ -53,43 +53,34 @@ let exec t f =
   f t;
   true
 
+(* Dispatch the heap's minimum.  The key is read in place: a popped
+   [(key, f)] option would allocate on every event. *)
+let exec_top t =
+  let f = Heap.top t.queue in
+  advance t (Heap.keys t.queue).(0);
+  Heap.drop t.queue;
+  exec t f
+
 let step t =
-  if Queue.is_empty t.lane then begin
-    match Heap.pop t.queue with
-    | None -> false
-    | Some (at, f) ->
-        advance t at;
-        exec t f
-  end
-  else begin
-    (* A heap event still due at the current timestamp was scheduled
-       before anything in the lane (scheduling at [clock] always goes
-       to the lane), so FIFO-among-equal-timestamps spans both. *)
-    match Heap.peek t.queue with
-    | Some (at, _) when Time_ns.compare at t.clock <= 0 -> (
-        match Heap.pop t.queue with
-        | Some (at, f) ->
-            advance t at;
-            exec t f
-        | None -> false)
-    | Some _ | None -> exec t (Queue.pop t.lane)
-  end
+  if Queue.is_empty t.lane then (not (Heap.is_empty t.queue)) && exec_top t
+  (* A heap event still due at the current timestamp was scheduled
+     before anything in the lane (scheduling at [clock] always goes
+     to the lane), so FIFO-among-equal-timestamps spans both. *)
+  else if (not (Heap.is_empty t.queue)) && (Heap.keys t.queue).(0) <= t.clock then
+    exec_top t
+  else exec t (Queue.pop t.lane)
 
 let run ?until t =
   match until with
   | None -> while step t do () done
   | Some stop ->
-      let continue = ref true in
-      while !continue do
-        let next =
-          if not (Queue.is_empty t.lane) then Some t.clock
-          else match Heap.peek t.queue with
-            | Some (at, _) -> Some at
-            | None -> None
-        in
-        match next with
-        | Some at when Time_ns.compare at stop <= 0 -> ignore (step t)
-        | Some _ | None ->
-            advance t (Time_ns.max t.clock stop);
-            continue := false
-      done
+      (* The next event is due by [stop]: the lane's at [clock], else
+         the heap's minimum. *)
+      let due () =
+        if not (Queue.is_empty t.lane) then Float.compare t.clock stop <= 0
+        else
+          (not (Heap.is_empty t.queue))
+          && Float.compare (Heap.keys t.queue).(0) stop <= 0
+      in
+      while due () do ignore (step t) done;
+      advance t (Time_ns.max t.clock stop)

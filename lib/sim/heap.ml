@@ -64,8 +64,10 @@ let sift_up t i key seq v =
   t.values.(!i) <- v
 
 (* Move the hole at the root down along the smaller-child path until
-   (key, seq) fits, then drop the element in. *)
-let sift_down t key seq v =
+   the element at index [j] (past the live prefix) fits, then move it
+   in.  It is read by index: a [float] key argument would be boxed. *)
+let sift_down t j =
+  let key = t.keys.(j) and seq = t.seqs.(j) and v = t.values.(j) in
   let n = t.size in
   let i = ref 0 in
   let moving = ref true in
@@ -103,17 +105,17 @@ let push t key value =
   t.next_seq <- seq + 1;
   sift_up t i key seq value
 
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let key = t.keys.(0) and v = t.values.(0) in
-    let n = t.size - 1 in
-    t.size <- n;
-    if n > 0 then sift_down t t.keys.(n) t.seqs.(n) t.values.(n);
-    Some (key, v)
-  end
+let top t =
+  if t.size = 0 then invalid_arg "Heap.top: empty heap";
+  t.values.(0)
 
-let peek t = if t.size = 0 then None else Some (t.keys.(0), t.values.(0))
+let drop t =
+  if t.size = 0 then invalid_arg "Heap.drop: empty heap";
+  let n = t.size - 1 in
+  t.size <- n;
+  if n > 0 then sift_down t n
+
+let keys t = t.keys
 let clear t = t.size <- 0
 
 let to_sorted_list t =
@@ -127,6 +129,11 @@ let to_sorted_list t =
     }
   in
   let rec drain acc =
-    match pop copy with None -> List.rev acc | Some kv -> drain (kv :: acc)
+    if copy.size = 0 then List.rev acc
+    else begin
+      let kv = (copy.keys.(0), top copy) in
+      drop copy;
+      drain (kv :: acc)
+    end
   in
   drain []

@@ -8,7 +8,11 @@
     payloads — no per-entry record allocation, and no placeholder
     element is ever fabricated.  Ties are broken by insertion order so
     the simulation is deterministic even when many events share a
-    timestamp. *)
+    timestamp.
+
+    Removing the minimum is split into {!top}, {!drop} and a read of
+    {!keys}, so a dispatch loop allocates nothing: a [float] returned
+    from a function, or an option around it, would be boxed. *)
 
 type 'a t
 
@@ -19,11 +23,21 @@ val is_empty : 'a t -> bool
 val push : 'a t -> float -> 'a -> unit
 (** [push h key v] inserts [v] with priority [key]. *)
 
-val pop : 'a t -> (float * 'a) option
-(** Remove and return the minimum-key element (FIFO among equal keys). *)
+val top : 'a t -> 'a
+(** The minimum-key element (FIFO among equal keys), left in place.
+    Raises [Invalid_argument] on an empty heap. *)
 
-val peek : 'a t -> (float * 'a) option
+val drop : 'a t -> unit
+(** Remove the {!top} element.  Raises [Invalid_argument] on an empty
+    heap. *)
+
+val keys : 'a t -> float array
+(** The heap's own key storage, for reading the minimum key unboxed:
+    when the heap is non-empty, slot [0] holds the key of {!top}.
+    Read it, never write it.  A {!push} may replace the array, so fetch
+    it again after pushing. *)
+
 val clear : 'a t -> unit
 
 val to_sorted_list : 'a t -> (float * 'a) list
-(** Non-destructive: all elements in pop order (for tests). *)
+(** Non-destructive: all elements in {!top} order (for tests). *)

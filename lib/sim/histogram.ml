@@ -6,10 +6,12 @@ let n_buckets = (sub_buckets * n_powers) + 1
 type t = {
   buckets : int array;
   mutable count : int;
-  mutable sum : float;
+  sum : float array;
+      (* one cell: a mutable float field beside non-float fields would
+         box a fresh float on every [add] *)
 }
 
-let create () = { buckets = Array.make n_buckets 0; count = 0; sum = 0. }
+let create () = { buckets = Array.make n_buckets 0; count = 0; sum = [| 0. |] }
 
 let bucket_of_value v =
   if v < 1.0 then 0
@@ -37,7 +39,7 @@ let add t v =
   let i = bucket_of_value v in
   t.buckets.(i) <- t.buckets.(i) + 1;
   t.count <- t.count + 1;
-  t.sum <- t.sum +. v
+  t.sum.(0) <- t.sum.(0) +. v
 
 let count t = t.count
 
@@ -79,7 +81,7 @@ let percentile_floor t p =
   if t.count = 0 then 0. else floor_of_bucket (percentile_bucket t p)
 
 let median t = percentile t 50.
-let mean t = if t.count = 0 then 0. else t.sum /. float_of_int t.count
+let mean t = if t.count = 0 then 0. else t.sum.(0) /. float_of_int t.count
 
 let merge a b =
   let t = create () in
@@ -87,7 +89,7 @@ let merge a b =
     t.buckets.(i) <- a.buckets.(i) + b.buckets.(i)
   done;
   t.count <- a.count + b.count;
-  t.sum <- a.sum +. b.sum;
+  t.sum.(0) <- a.sum.(0) +. b.sum.(0);
   t
 
 let equal a b =

@@ -1,20 +1,34 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state lives in an 8-byte [Bytes], read and written
+   with the unboxed 64-bit primitives: a mutable [int64] record field
+   would box a fresh value on every draw.  [mix], [next_int64] and
+   [float] are inlined into each sampler (as is [Float.max]), so no
+   [int64] or [float] crosses a call before a sampler returns. *)
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create seed = { state = mix (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  set64 t 0 s;
+  t
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let create seed = of_state (mix (Int64.of_int seed))
 
-let split t = { state = next_int64 t }
-let copy t = { state = t.state }
+let[@inline] next_int64 t =
+  let s = Int64.add (get64 t 0) golden_gamma in
+  set64 t 0 s;
+  mix s
+
+let split t = of_state (next_int64 t)
+let copy = Bytes.copy
 
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
@@ -24,7 +38,7 @@ let int t bound =
   let v = Int64.to_int (next_int64 t) land max_int in
   v mod bound
 
-let float t bound =
+let[@inline] float t bound =
   let v = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   v /. 9007199254740992. *. bound
 

@@ -45,7 +45,7 @@ let closed_result (spec : Spec.t) =
       Figures.server_for_public spec.platform platform w.Workload.tag
     else
       let service = whatif_service spec platform w.Workload.recipe in
-      { CL.units = 4; service_ns = (fun _ -> service) }
+      { CL.units = 4; base_ns = service; stddev = 0.; floor = 0. }
   in
   CL.run
     {
@@ -68,7 +68,7 @@ let open_result (spec : Spec.t) =
     else whatif_service spec platform w.Workload.recipe
   in
   let units = 4 in
-  let server = { CL.units; service_ns = (fun _ -> service) } in
+  let server = { CL.units; base_ns = service; stddev = 0.; floor = 0. } in
   let rate_rps = spec.load.rate *. (float_of_int units *. 1e9 /. service) in
   OL.run
     (OL.config

@@ -30,16 +30,28 @@ let test_recipe_hops_charged () =
   Alcotest.(check bool) "hops cost" true
     (Recipe.cpu_only_ns p hopped > Recipe.cpu_only_ns p base)
 
+(* The jitter factor is floored, so every service sample is at least
+   [floor] times the priced service time.  One connection with no RTT
+   makes each latency sample exactly one service sample, served back
+   to back. *)
 let test_recipe_jitter_positive () =
+  let module CL = Xc_platforms.Closed_loop in
   let p = platform Config.Docker in
-  let rng = Xc_sim.Prng.create 1 in
   let server =
     Recipe.server ~units:1 ~stddev:0.3 ~floor:0.2 p Nginx.static_request_wrk
   in
-  for _ = 1 to 100 do
-    let v = server.Xc_platforms.Closed_loop.service_ns rng in
-    Alcotest.(check bool) "positive" true (v > 0.)
-  done
+  let duration_ns = 1e8 in
+  let r =
+    CL.run
+      { CL.default_config with connections = 1; rtt_ns = 0.; duration_ns; warmup_ns = 0. }
+      server
+  in
+  Alcotest.(check bool) "ran" true (r.CL.completed > 100);
+  Alcotest.(check bool) "positive" true (r.CL.p50_ns > 0.);
+  Alcotest.(check bool) "mean at least the floor" true
+    (r.CL.mean_latency_ns >= 0.2 *. server.CL.base_ns);
+  Alcotest.(check bool) "served back to back inside the window" true
+    (float_of_int r.CL.completed *. r.CL.mean_latency_ns <= duration_ns)
 
 let test_app_coverages_match_table1 () =
   Alcotest.(check (float 1e-9)) "nginx" 0.923 Nginx.abom_coverage;

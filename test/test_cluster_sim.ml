@@ -87,7 +87,7 @@ let test_words_per_event () =
       warmup_ns = 2e7;
     }
   in
-  Test_platforms.check_words_budget ~budget:51 (fun () -> CS.run config)
+  Test_sim.check_words_budget ~budget:35 (fun () -> CS.run config)
 
 let suites =
   [

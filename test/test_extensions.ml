@@ -197,7 +197,7 @@ let test_security_meltdown_column () =
 (* ---------------- Open loop ---------------- *)
 
 let ol_server service units =
-  { Xc_platforms.Closed_loop.units; service_ns = (fun _ -> service) }
+  { Xc_platforms.Closed_loop.units; base_ns = service; stddev = 0.; floor = 0. }
 
 let test_open_loop_low_load () =
   let r =
@@ -238,13 +238,46 @@ let test_open_loop_deterministic () =
   let b = Xc_platforms.Open_loop.run cfg (ol_server 20_000. 2) in
   Alcotest.(check (float 1e-9)) "deterministic" a.completed_rps b.completed_rps
 
+(* The kernel against the engine-driven loop it replaced: the same
+   result bit for bit, from the same number of dispatches, from light
+   load to past saturation. *)
+let open_differential =
+  let gen =
+    QCheck.Gen.(
+      pair Ref_loops.server_gen
+        (quad (float_range 0.05 1.5) (float_range 1e5 2e6) (float_range 0. 5e5) small_nat))
+  in
+  let print (server, (rho, duration_ns, warmup_ns, seed)) =
+    Printf.sprintf "%s rho=%h duration_ns=%h warmup_ns=%h seed=%d"
+      (Ref_loops.print_server server) rho duration_ns warmup_ns seed
+  in
+  QCheck.Test.make ~name:"matches the engine-driven loop" ~count:150
+    (QCheck.make ~print gen)
+    (fun ((server : Xc_platforms.Closed_loop.server), (rho, duration_ns, warmup_ns, seed)) ->
+      let rate_rps =
+        rho *. float_of_int server.Xc_platforms.Closed_loop.units *. 1e9
+        /. server.Xc_platforms.Closed_loop.base_ns
+      in
+      let config =
+        Xc_platforms.Open_loop.config ~duration_ns ~warmup_ns ~seed ~rate_rps ()
+      in
+      let a, na = Ref_loops.counted (fun () -> Xc_platforms.Open_loop.run config server) in
+      let b, nb = Ref_loops.counted (fun () -> Ref_loops.open_ config server) in
+      let same = Ref_loops.same_bits in
+      let open Xc_platforms.Open_loop in
+      na = nb && a.max_queue = b.max_queue
+      && same a.offered_rps b.offered_rps
+      && same a.completed_rps b.completed_rps
+      && same a.mean_latency_ns b.mean_latency_ns
+      && same a.p50_ns b.p50_ns && same a.p99_ns b.p99_ns)
+
 let test_open_loop_words () =
   let server = Test_platforms.xc_nginx_server () in
   let config =
     Xc_platforms.Open_loop.config ~duration_ns:5e8 ~warmup_ns:5e7
       ~rate_rps:40_000. ()
   in
-  Test_platforms.check_words_budget ~budget:32 (fun () ->
+  Test_sim.check_words_budget ~budget:5 (fun () ->
       Xc_platforms.Open_loop.run config server)
 
 let suites =
@@ -286,5 +319,6 @@ let suites =
         Alcotest.test_case "overload" `Quick test_open_loop_overload;
         Alcotest.test_case "deterministic" `Quick test_open_loop_deterministic;
         Alcotest.test_case "words per event" `Quick test_open_loop_words;
+        QCheck_alcotest.to_alcotest open_differential;
       ] );
   ]

@@ -156,7 +156,7 @@ let test_iperf_chunks () =
 (* ---------------- Closed loop ---------------- *)
 
 let base_server service =
-  { Closed_loop.units = 1; service_ns = (fun _ -> service) }
+  { Closed_loop.units = 1; base_ns = service; stddev = 0.; floor = 0. }
 
 let test_closed_loop_deterministic () =
   let config = { Closed_loop.default_config with duration_ns = 1e8; warmup_ns = 1e7 } in
@@ -195,23 +195,53 @@ let test_closed_loop_units_scale () =
   Alcotest.(check bool) "4 units ~4x" true
     (four.throughput_rps > 3.2 *. one.throughput_rps)
 
-(* ---------------- Words per event ---------------- *)
-
-(* Minor-heap words allocated per engine event while [f] runs.  Unlike
-   host time the count repeats exactly, so a budget on it gates driver
-   allocation deterministically.  The budgets sit at the measured value
-   rounded up to the next whole word. *)
-let check_words_budget ~budget f =
-  let e0 = Xc_sim.Engine.domain_events () and w0 = Gc.minor_words () in
-  ignore (Sys.opaque_identity (f ()));
-  let w =
-    (Gc.minor_words () -. w0)
-    /. float_of_int (Xc_sim.Engine.domain_events () - e0)
+(* The kernel against the engine-driven loop it replaced: the same
+   result bit for bit, from the same number of dispatches. *)
+let closed_differential =
+  let gen =
+    QCheck.Gen.(
+      pair Ref_loops.server_gen
+        (quad (int_range 0 24)
+           (oneof [ return 0.; float_range 0. 2e5 ])
+           (pair (float_range 1e5 2e6) (float_range 0. 5e5))
+           small_nat))
   in
-  Alcotest.(check bool)
-    (Printf.sprintf "%.2f words/event within %d" w budget)
-    true
-    (w <= float_of_int budget)
+  let print (server, (connections, rtt_ns, (duration_ns, warmup_ns), seed)) =
+    Printf.sprintf "%s connections=%d rtt_ns=%h duration_ns=%h warmup_ns=%h seed=%d"
+      (Ref_loops.print_server server) connections rtt_ns duration_ns warmup_ns seed
+  in
+  QCheck.Test.make ~name:"matches the engine-driven loop" ~count:150
+    (QCheck.make ~print gen)
+    (fun (server, (connections, rtt_ns, (duration_ns, warmup_ns), seed)) ->
+      let config =
+        { Closed_loop.default_config with connections; rtt_ns; duration_ns; warmup_ns; seed }
+      in
+      let a, na = Ref_loops.counted (fun () -> Closed_loop.run config server) in
+      let b, nb = Ref_loops.counted (fun () -> Ref_loops.closed config server) in
+      let same = Ref_loops.same_bits in
+      na = nb && a.completed = b.completed
+      && same a.throughput_rps b.throughput_rps
+      && same a.mean_latency_ns b.mean_latency_ns
+      && same a.p50_ns b.p50_ns && same a.p99_ns b.p99_ns)
+
+(* A NaN or past event time is refused by name instead of corrupting
+   the heap: a NaN RTT makes every response time NaN, and an RTT more
+   negative than twice the service time puts the response before the
+   send. *)
+let test_closed_loop_bad_times () =
+  List.iter
+    (fun rtt_ns ->
+      Alcotest.check_raises
+        (Printf.sprintf "rtt_ns = %g" rtt_ns)
+        (Invalid_argument "Station.run: event in the past or NaN")
+        (fun () ->
+          ignore
+            (Closed_loop.run
+               { Closed_loop.default_config with rtt_ns; duration_ns = 1e6; warmup_ns = 0. }
+               (base_server 10_000.))))
+    [ Float.nan; -1e6 ]
+
+(* ---------------- Words per event ---------------- *)
 
 (* The X-Container NGINX server of the macro sweep, priced before the
    measured window opens. *)
@@ -229,7 +259,7 @@ let test_closed_loop_words () =
       warmup_ns = 5e7;
     }
   in
-  check_words_budget ~budget:55 (fun () -> Closed_loop.run config server)
+  Test_sim.check_words_budget ~budget:6 (fun () -> Closed_loop.run config server)
 
 let suites =
   [
@@ -263,5 +293,7 @@ let suites =
         Alcotest.test_case "latency floor" `Quick test_closed_loop_latency_floor;
         Alcotest.test_case "units scale" `Quick test_closed_loop_units_scale;
         Alcotest.test_case "words per event" `Quick test_closed_loop_words;
+        Alcotest.test_case "bad event times refused" `Quick test_closed_loop_bad_times;
+        QCheck_alcotest.to_alcotest closed_differential;
       ] );
   ]

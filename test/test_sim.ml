@@ -81,6 +81,30 @@ let test_shuffle_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "same elements" (Array.init 50 (fun i -> i)) sorted
 
+(* Minor-heap words per call of [draw], over [n] calls.  The count
+   repeats exactly, unlike host time. *)
+let words_per_call n draw =
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (draw ()))
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+(* The state lives unboxed, so [int] allocates nothing and [normal]
+   only its boxed return: a [float] result crosses the call. *)
+let test_prng_alloc () =
+  let rng = Prng.create 3 in
+  let int_draw () = Prng.int rng 1000 in
+  let normal_draw () = Prng.normal rng ~mean:1.0 ~stddev:0.1 in
+  let int_words = words_per_call 10_000 int_draw in
+  let normal_words = words_per_call 10_000 normal_draw in
+  Alcotest.(check bool)
+    (Printf.sprintf "int: %.2f words/draw within 0" int_words)
+    true (int_words = 0.);
+  Alcotest.(check bool)
+    (Printf.sprintf "normal: %.2f words/draw within 2" normal_words)
+    true (normal_words <= 2.)
+
 let prng_props =
   [
     QCheck.Test.make ~name:"int bounded" ~count:500
@@ -110,6 +134,16 @@ let prng_props =
 
 (* ---------------- Heap ---------------- *)
 
+(* Remove and return the minimum as [(key, value)], through the
+   allocation-free [top]/[keys]/[drop] trio; [None] when empty. *)
+let heap_pop h =
+  if Heap.is_empty h then None
+  else begin
+    let kv = ((Heap.keys h).(0), Heap.top h) in
+    Heap.drop h;
+    Some kv
+  end
+
 let test_heap_basic () =
   let h = Heap.create () in
   Alcotest.(check bool) "empty" true (Heap.is_empty h);
@@ -117,16 +151,22 @@ let test_heap_basic () =
   Heap.push h 1.0 "a";
   Heap.push h 2.0 "b";
   Alcotest.(check int) "length" 3 (Heap.length h);
-  Alcotest.(check (option (pair (float 0.) string))) "peek" (Some (1.0, "a")) (Heap.peek h);
-  Alcotest.(check (option (pair (float 0.) string))) "pop a" (Some (1.0, "a")) (Heap.pop h);
-  Alcotest.(check (option (pair (float 0.) string))) "pop b" (Some (2.0, "b")) (Heap.pop h);
-  Alcotest.(check (option (pair (float 0.) string))) "pop c" (Some (3.0, "c")) (Heap.pop h);
-  Alcotest.(check (option (pair (float 0.) string))) "drained" None (Heap.pop h)
+  Alcotest.(check string) "top" "a" (Heap.top h);
+  Alcotest.(check (float 0.)) "min key" 1.0 (Heap.keys h).(0);
+  Alcotest.(check int) "top leaves it in place" 3 (Heap.length h);
+  Alcotest.(check (option (pair (float 0.) string))) "pop a" (Some (1.0, "a")) (heap_pop h);
+  Alcotest.(check (option (pair (float 0.) string))) "pop b" (Some (2.0, "b")) (heap_pop h);
+  Alcotest.(check (option (pair (float 0.) string))) "pop c" (Some (3.0, "c")) (heap_pop h);
+  Alcotest.(check (option (pair (float 0.) string))) "drained" None (heap_pop h);
+  Alcotest.check_raises "top of empty" (Invalid_argument "Heap.top: empty heap")
+    (fun () -> ignore (Heap.top h));
+  Alcotest.check_raises "drop of empty" (Invalid_argument "Heap.drop: empty heap")
+    (fun () -> Heap.drop h)
 
 let test_heap_fifo_ties () =
   let h = Heap.create () in
   List.iter (fun v -> Heap.push h 5.0 v) [ 1; 2; 3; 4; 5 ];
-  let popped = List.init 5 (fun _ -> snd (Option.get (Heap.pop h))) in
+  let popped = List.init 5 (fun _ -> snd (Option.get (heap_pop h))) in
   Alcotest.(check (list int)) "insertion order among ties" [ 1; 2; 3; 4; 5 ] popped
 
 let test_heap_grow () =
@@ -135,7 +175,7 @@ let test_heap_grow () =
     Heap.push h (float_of_int i) i
   done;
   Alcotest.(check int) "all inserted" 1000 (Heap.length h);
-  let first = snd (Option.get (Heap.pop h)) in
+  let first = snd (Option.get (heap_pop h)) in
   Alcotest.(check int) "min first" 0 first
 
 let test_heap_clear () =
@@ -155,7 +195,7 @@ let test_heap_capacity_one_grow_drain () =
   Alcotest.(check int) "all inserted" 100 (Heap.length h);
   let drained = ref [] in
   let rec drain () =
-    match Heap.pop h with
+    match heap_pop h with
     | Some (k, v) ->
         drained := (k, v) :: !drained;
         drain ()
@@ -203,7 +243,7 @@ let heap_props =
                 reference := insert !reference;
                 incr seq
             | None -> (
-                match (Heap.pop h, !reference) with
+                match (heap_pop h, !reference) with
                 | None, [] -> ()
                 | Some (k, v), (k', s') :: rest when k = k' && v = s' ->
                     reference := rest
@@ -499,6 +539,25 @@ let test_engine_domain_events () =
   List.iter
     (fun p -> unchanged "Density.run" (fun () -> Xc_apps.Density.run p))
     Xc_apps.Density.all_policies;
+  (* The station kernel credits every dispatch, as the engine-driven
+     loops it replaced did (their counts for this config, pinned). *)
+  let credits what expected f =
+    let before = Engine.domain_events () in
+    ignore (Sys.opaque_identity (f ()));
+    Alcotest.(check int) (what ^ " credits its dispatches") expected
+      (Engine.domain_events () - before)
+  in
+  let module CL = Xc_platforms.Closed_loop in
+  let server = { CL.units = 2; base_ns = 20_000.; stddev = 0.1; floor = 0.5 } in
+  credits "Closed_loop.run" 1098 (fun () ->
+      CL.run
+        { CL.default_config with connections = 8; duration_ns = 1e7; warmup_ns = 1e6 }
+        server);
+  credits "Open_loop.run" 1113 (fun () ->
+      Xc_platforms.Open_loop.run
+        (Xc_platforms.Open_loop.config ~duration_ns:1e7 ~warmup_ns:1e6
+           ~rate_rps:50_000. ())
+        server);
   (* ... while the ISA machine credits exactly the steps it retired. *)
   let prog = Xc_isa.Builder.build [ (Xc_isa.Builder.Glibc_small, 0) ] in
   let m = Xc_isa.Machine.create prog.image ~entry:prog.entry in
@@ -509,6 +568,32 @@ let test_engine_domain_events () =
   Alcotest.(check int) "machine credits its retired steps"
     (before + Xc_isa.Machine.steps m)
     (Engine.domain_events ())
+
+(* Minor-heap words allocated per engine event while [f] runs.  Unlike
+   host time the count repeats exactly, so a budget on it gates driver
+   allocation deterministically.  The budgets sit at the measured value
+   rounded up to the next whole word. *)
+let check_words_budget ~budget f =
+  let e0 = Engine.domain_events () and w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  let w =
+    (Gc.minor_words () -. w0) /. float_of_int (Engine.domain_events () - e0)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words/event within %d" w budget)
+    true
+    (w <= float_of_int budget)
+
+(* A bare chain, each event scheduling the next: what is left per event
+   is [schedule_after]'s boxed sum and the boxed clock [advance]
+   stores.  The heap's minimum is read in place, never popped into an
+   option.  The first event goes through the heap before measuring,
+   since the heap's first push allocates its payload array. *)
+let test_engine_words () =
+  let e = Engine.create () in
+  let rec tick eng = if Engine.now eng < 1e6 then Engine.schedule_after eng 10. tick in
+  Engine.schedule e 10. tick;
+  check_words_budget ~budget:4 (fun () -> Engine.run e)
 
 let test_engine_until_fast_lane () =
   (* A zero-delay event scheduled at the horizon must still run when
@@ -556,6 +641,7 @@ let suites =
         Alcotest.test_case "uniform mean" `Quick test_prng_mean;
         Alcotest.test_case "exponential mean" `Quick test_exponential_mean;
         Alcotest.test_case "shuffle permutation" `Quick test_shuffle_permutation;
+        Alcotest.test_case "words per draw" `Quick test_prng_alloc;
       ]
       @ qsuite prng_props );
     ( "sim.heap",
@@ -602,6 +688,7 @@ let suites =
         Alcotest.test_case "events executed" `Quick test_engine_events_executed;
         Alcotest.test_case "domain events" `Quick test_engine_domain_events;
         Alcotest.test_case "until fast lane" `Quick test_engine_until_fast_lane;
+        Alcotest.test_case "words per event" `Quick test_engine_words;
       ]
       @ qsuite engine_props );
   ]

@@ -485,7 +485,12 @@ let test_closed_loop_mechanisms () =
     }
   in
   let server =
-    { Xc_platforms.Closed_loop.units = 2; service_ns = (fun _ -> service) }
+    {
+      Xc_platforms.Closed_loop.units = 2;
+      base_ns = service;
+      stddev = 0.;
+      floor = 0.;
+    }
   in
   with_trace (fun () ->
       let result, captured =
