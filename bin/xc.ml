@@ -360,9 +360,7 @@ let syscall_costs_cmd =
 
 let profile_cmd =
   let app_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"APP") in
-  let invocations =
-    Arg.(value & opt int 50_000 & info [ "invocations" ] ~doc:"Workload size.")
-  in
+  let invocations = positive_int "invocations" 50_000 ~doc:"Workload size." in
   let run name invocations =
     match Xc_apps.Profiles.find name with
     | None -> exit_err ("unknown application: " ^ name)
@@ -569,9 +567,7 @@ let disasm_cmd =
 
 let profile_binary_cmd =
   let file = Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE") in
-  let iterations =
-    Arg.(value & opt int 200 & info [ "iterations"; "n" ] ~doc:"Workload runs.")
-  in
+  let iterations = positive_int "iterations" ~aliases:[ "n" ] 200 ~doc:"Workload runs." in
   let run file iterations =
     match Xc_isa.Xelf.load ~path:file with
     | Error e -> exit_err e

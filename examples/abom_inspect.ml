@@ -56,11 +56,9 @@ let () =
   Machine.clear_events machine;
   Machine.reset machine ~entry:prog.entry;
   ignore (Machine.run machine);
-  let fast, trap =
-    List.partition (fun (e : Machine.event) -> e.kind = `Fast) (Machine.events machine)
-  in
   Format.printf "second run: %d function-call syscalls, %d trapped@."
-    (List.length fast) (List.length trap);
+    (Machine.syscall_count machine `Fast)
+    (Machine.syscall_count machine `Trap);
 
   (* The offline tool can still rescue the cancellable site. *)
   let report = Xc_abom.Offline_tool.patch_image ~aggressive:true patcher prog.image in
@@ -68,8 +66,6 @@ let () =
   Machine.clear_events machine;
   Machine.reset machine ~entry:prog.entry;
   ignore (Machine.run machine);
-  let fast, trap =
-    List.partition (fun (e : Machine.event) -> e.kind = `Fast) (Machine.events machine)
-  in
   Format.printf "after offline patch: %d function-call syscalls, %d trapped@."
-    (List.length fast) (List.length trap)
+    (Machine.syscall_count machine `Fast)
+    (Machine.syscall_count machine `Trap)

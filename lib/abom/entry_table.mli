@@ -23,7 +23,9 @@ val address_of : t -> int -> int64
     entry.  Raises [Invalid_argument] outside [\[0, max_syscalls)]. *)
 
 val lookup : t -> int64 -> Xc_isa.Machine.entry option
-(** Resolve a call target back to an entry; [None] for foreign addresses. *)
+(** Resolve a call target back to an entry; [None] for foreign addresses.
+    A fixed slot's answer is built on its first lookup and shared after,
+    so a patched call allocates nothing. *)
 
 val registered : t -> int list
 (** Syscall numbers whose fixed entries have been handed out (sorted). *)

@@ -163,12 +163,13 @@ type measurement = {
   cmpxchg_ops : int;
 }
 
-(* Draw a site index by weight. *)
-let pick_site rng cumulative =
-  let x = Xc_sim.Prng.float rng 1.0 in
-  let n = Array.length cumulative in
-  let rec go i = if i >= n - 1 || cumulative.(i) >= x then i else go (i + 1) in
-  go 0
+(* Draw a site index by weight.  Top-level and monomorphic, so the
+   search neither allocates a closure nor boxes the weights it reads. *)
+let rec first_at_least (cumulative : float array) x i =
+  if i >= Array.length cumulative - 1 || cumulative.(i) >= x then i
+  else first_at_least cumulative x (i + 1)
+
+let pick_site rng cumulative = first_at_least cumulative (Xc_sim.Prng.float rng 1.0) 0
 
 let run_workload ~invocations ~seed ~offline profile =
   let wrappers = List.map (fun (style, nr, _) -> (style, nr)) profile.sites in
@@ -195,9 +196,8 @@ let run_workload ~invocations ~seed ~offline profile =
     | Fuel_exhausted -> failwith "profile workload: fuel exhausted"
     | Fault msg -> failwith ("profile workload fault: " ^ msg)
   done;
-  let events = Machine.events machine in
-  let fast = List.length (List.filter (fun e -> e.Machine.kind = `Fast) events) in
-  let total = List.length events in
+  let fast = Machine.syscall_count machine `Fast in
+  let total = fast + Machine.syscall_count machine `Trap in
   let reduction = if total = 0 then 0. else float_of_int fast /. float_of_int total in
   (reduction, patcher)
 

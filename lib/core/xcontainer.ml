@@ -95,10 +95,9 @@ let syscall_stats t =
   match t.machine with
   | None -> { total = 0; via_trap = 0; via_function_call = 0; reduction = 0. }
   | Some machine ->
-      let events = Xc_isa.Machine.events machine in
-      let traps = List.length (List.filter (fun e -> e.Xc_isa.Machine.kind = `Trap) events) in
-      let fast = List.length events - traps in
-      let total = List.length events in
+      let traps = Xc_isa.Machine.syscall_count machine `Trap in
+      let fast = Xc_isa.Machine.syscall_count machine `Fast in
+      let total = traps + fast in
       {
         total;
         via_trap = traps;

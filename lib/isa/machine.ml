@@ -2,17 +2,24 @@ type entry = Fixed of int | Dynamic
 type event = { kind : [ `Trap | `Fast ]; sysno : int; site : int }
 type exit_reason = Halted | Fuel_exhausted | Fault of string
 
+(* Registers are ints, so writing one never boxes; they widen to int64
+   only at the stack's bytes.  Every value starts as an imm32, a stack
+   offset or a decrement and fits in 63 bits, and a stack slot holds
+   what a register stored.  Only a load straddling two slots can read a
+   wider pattern, which keeps its low 63 bits. *)
 type t = {
   image : Image.t;
   mutable rip : int;
-  mutable rax : int64;
-  mutable rcx : int64;
+  mutable rax : int;
+  mutable rcx : int;
   mutable zf : bool;
-  mutable rbp : int64;
+  mutable rbp : int;
   stack : Bytes.t;
   mutable rsp : int;
   stack_top : int;
   mutable events : event list; (* reversed *)
+  mutable traps : int;
+  mutable fasts : int;
   mutable steps : int;
   config : config;
 }
@@ -47,32 +54,40 @@ let create ?(config = default_config) image ~entry =
   {
     image;
     rip = entry;
-    rax = 0L;
-    rcx = 0L;
+    rax = 0;
+    rcx = 0;
     zf = false;
-    rbp = 0L;
+    rbp = 0;
     stack = Bytes.make stack_size '\x00';
     rsp = stack_top;
     stack_top;
     events = [];
+    traps = 0;
+    fasts = 0;
     steps = 0;
     config;
   }
 
 let image t = t.image
 let rip t = t.rip
-let rax t = t.rax
+let rax t = Int64.of_int t.rax
 
 let reset t ~entry =
   t.rip <- entry;
-  t.rax <- 0L;
-  t.rcx <- 0L;
+  t.rax <- 0;
+  t.rcx <- 0;
   t.zf <- false;
-  t.rbp <- 0L;
+  t.rbp <- 0;
   t.rsp <- t.stack_top
 
 let events t = List.rev t.events
-let clear_events t = t.events <- []
+
+let clear_events t =
+  t.events <- [];
+  t.traps <- 0;
+  t.fasts <- 0
+
+let syscall_count t = function `Trap -> t.traps | `Fast -> t.fasts
 let syscall_numbers t = List.rev_map (fun e -> e.sysno) t.events
 let steps t = t.steps
 
@@ -80,12 +95,12 @@ exception Fault_exn of string
 
 let load64 t off =
   if off < 0 || off + 8 > stack_size then raise (Fault_exn "stack load out of bounds");
-  Bytes.get_int64_le t.stack off
+  Int64.to_int (Bytes.get_int64_le t.stack off)
 
 let store64 t off v =
   if off < 0 || off + 8 > stack_size then
     raise (Fault_exn "stack store out of bounds");
-  Bytes.set_int64_le t.stack off v
+  Bytes.set_int64_le t.stack off (Int64.of_int v)
 
 let push t v =
   t.rsp <- t.rsp - 8;
@@ -96,7 +111,9 @@ let pop t =
   t.rsp <- t.rsp + 8;
   v
 
-let record t kind sysno site = t.events <- { kind; sysno; site } :: t.events
+let record t kind sysno site =
+  t.events <- { kind; sysno; site } :: t.events;
+  match kind with `Trap -> t.traps <- t.traps + 1 | `Fast -> t.fasts <- t.fasts + 1
 
 (* Signals: rt_sigreturn pops the frame deliver_signal pushed. *)
 let sigreturn_sysno = 15
@@ -104,12 +121,12 @@ let sigreturn_sysno = 15
 let deliver_signal t ~handler ~restorer =
   (* Kernel-built frame: the interrupted rip deepest, then the restorer
      address, so the handler's ret falls into __restore_rt. *)
-  push t (Int64.of_int t.rip);
-  push t (Int64.of_int restorer);
+  push t t.rip;
+  push t restorer;
   t.rip <- handler
 
 (* rt_sigreturn: resume the interrupted context from the frame. *)
-let do_sigreturn t = t.rip <- Int64.to_int (pop t)
+let do_sigreturn t = t.rip <- pop t
 
 (* After a phase-1 9-byte patch the original [syscall] still follows the
    new call; after phase 2 a [jmp -9] follows it.  The X-LibOS syscall
@@ -123,16 +140,16 @@ let skip_trailing t ret_off =
 let exec_vsyscall t entry next_rip =
   (* The call pushed [next_rip]; figure out the syscall number, record the
      fast-path event, run the skip check, then return. *)
-  push t (Int64.of_int next_rip);
+  push t next_rip;
   let sysno =
     match entry with
     | Fixed n -> n
     | Dynamic ->
         (* Stack layout at this point: [rsp]=inner ret, [rsp+8]=caller ret,
            [rsp+16]=syscall number pushed by the caller (Go convention). *)
-        Int64.to_int (load64 t (t.rsp + 16))
+        load64 t (t.rsp + 16)
   in
-  t.rax <- Int64.of_int sysno;
+  t.rax <- sysno;
   record t `Fast sysno (next_rip - 7);
   if sysno = sigreturn_sysno then begin
     (* A patched __restore_rt: discard the call's own return address and
@@ -141,7 +158,7 @@ let exec_vsyscall t entry next_rip =
     do_sigreturn t
   end
   else begin
-    let ret = Int64.to_int (pop t) in
+    let ret = pop t in
     let ret = if t.config.libos_skip_check then skip_trailing t ret else ret in
     t.rip <- ret
   end
@@ -155,12 +172,11 @@ let step t : exit_reason option =
     match insn with
     | Insn.Mov_eax_imm32 n ->
         (* 32-bit destination zero-extends. *)
-        t.rax <- Int64.of_int (n land 0xffffffff);
+        t.rax <- n land 0xffffffff;
         t.rip <- next;
         None
     | Mov_rax_imm32 n ->
-        let v = if n land 0x80000000 <> 0 then n - (1 lsl 32) else n in
-        t.rax <- Int64.of_int v;
+        t.rax <- (if n land 0x80000000 <> 0 then n - (1 lsl 32) else n);
         t.rip <- next;
         None
     | Mov_rax_rsp8 d ->
@@ -188,7 +204,7 @@ let step t : exit_reason option =
         t.rip <- next;
         None
     | Mov_rbp_rsp ->
-        t.rbp <- Int64.of_int t.rsp;
+        t.rbp <- t.rsp;
         t.rip <- next;
         None
     | Sub_rsp_imm8 n ->
@@ -200,7 +216,7 @@ let step t : exit_reason option =
         t.rip <- next;
         None
     | Syscall ->
-        let sysno = Int64.to_int t.rax in
+        let sysno = t.rax in
         let site = t.rip in
         record t `Trap sysno site;
         (match t.config.on_syscall_trap with
@@ -216,7 +232,7 @@ let step t : exit_reason option =
         | None -> Some (Fault (Printf.sprintf "call to unmapped 0x%Lx" addr))
       end
     | Call_rel32 d ->
-        push t (Int64.of_int next);
+        push t next;
         t.rip <- next + d;
         None
     | Jmp_rel8 d ->
@@ -226,13 +242,12 @@ let step t : exit_reason option =
         t.rip <- next + d;
         None
     | Mov_rcx_imm32 n ->
-        let v = if n land 0x80000000 <> 0 then n - (1 lsl 32) else n in
-        t.rcx <- Int64.of_int v;
+        t.rcx <- (if n land 0x80000000 <> 0 then n - (1 lsl 32) else n);
         t.rip <- next;
         None
     | Dec_rcx ->
-        t.rcx <- Int64.sub t.rcx 1L;
-        t.zf <- Int64.equal t.rcx 0L;
+        t.rcx <- t.rcx - 1;
+        t.zf <- t.rcx = 0;
         t.rip <- next;
         None
     | Jnz_rel8 d ->
@@ -241,7 +256,7 @@ let step t : exit_reason option =
     | Ret ->
         if t.rsp >= t.stack_top then Some Halted
         else begin
-          t.rip <- Int64.to_int (pop t);
+          t.rip <- pop t;
           None
         end
     | Nop | Nop2 ->
@@ -270,26 +285,19 @@ let step t : exit_reason option =
 
 let step_once t = try step t with Fault_exn msg -> Some (Fault msg)
 
+let rec run_steps t remaining =
+  if remaining = 0 then Fuel_exhausted
+  else match step t with Some reason -> reason | None -> run_steps t (remaining - 1)
+
 let run ?(fuel = 1_000_000) t =
   let before = t.steps in
-  let rec go remaining =
-    if remaining = 0 then Fuel_exhausted
-    else begin
-      match step t with
-      | Some reason -> reason
-      | None -> go (remaining - 1)
-    end
-  in
-  let finish reason =
-    (* Instruction steps are this machine's simulated events: credit
-       them to the domain counter (the op count of perf/xcperf's
-       isa-abom workload) and to the telemetry registry. *)
-    let executed = t.steps - before in
-    Xc_sim.Engine.add_domain_events executed;
+  let reason = try run_steps t fuel with Fault_exn msg -> Fault msg in
+  (* Instruction steps are this machine's simulated events: credit them
+     to the domain counter (the op count of perf/xcperf's isa-abom
+     workload) and to the telemetry registry. *)
+  let executed = t.steps - before in
+  Xc_sim.Engine.add_domain_events executed;
+  if Xc_sim.Metrics.on () then
     Xc_sim.Metrics.counter_add ~cat:"isa" ~name:"instructions"
       (float_of_int executed);
-    reason
-  in
-  match go fuel with
-  | reason -> finish reason
-  | exception Fault_exn msg -> finish (Fault msg)
+  reason

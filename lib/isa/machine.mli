@@ -87,6 +87,10 @@ val events : t -> event list
 (** All system-call events since creation or [clear_events], in order. *)
 
 val clear_events : t -> unit
+(** Empty the log and zero the {!syscall_count}s. *)
+
+val syscall_count : t -> [ `Trap | `Fast ] -> int
+(** How many {!events} are of this kind, without building the list. *)
 
 val syscall_numbers : t -> int list
 (** Just the syscall-number sequence (for equivalence checks). *)

@@ -92,9 +92,14 @@ let deserialize blob =
       if pages <> expected_pages then raise (Bad "inconsistent page count");
       let code = Bytes.of_string (str code_len) in
       let img = Image.create ~base ~size:code_len () in
-      (* Blit below the protection layer: loading is not patching, so the
-         pages must come up clean, not dirty. *)
-      Bytes.blit code 0 (Image.code img) 0 code_len;
+      (* Loading is not patching, so the pages must come up clean: write
+         through writable pages, then apply the file's protection. *)
+      for p = 0 to pages - 1 do
+        Image.set_page_writable img ~page:p true
+      done;
+      (match Image.write img ~off:0 code ~wp_override:false with
+      | Ok () -> ()
+      | Error msg -> raise (Bad msg));
       for p = 0 to pages - 1 do
         let flags = u8 () in
         Image.set_page_writable img ~page:p (flags land 1 = 1)

@@ -144,6 +144,16 @@ let test_mysql_manual_patch () =
       Alcotest.(check bool) "manual strictly better" true
         (m.manual_reduction > m.auto_reduction +. 0.3)
 
+(* Table 1's per-invocation loop: after a warm-up, a row allocates the
+   syscall log and one boxed draw per invocation, 4.5 words per retired
+   instruction, plus the fixed cost of building and patching two
+   binaries (5.00 at 5,000 invocations). *)
+let test_profiles_words () =
+  let memcached = Option.get (Profiles.find "memcached") in
+  ignore (Profiles.measure ~invocations:100 memcached);
+  Test_sim.check_words_budget ~budget:6 (fun () ->
+      Profiles.measure ~invocations:5_000 memcached)
+
 let test_profiles_deterministic () =
   let profile = List.hd Profiles.all in
   let a = Profiles.measure ~invocations:5_000 ~seed:3 profile in
@@ -277,6 +287,7 @@ let suites =
         Alcotest.test_case "match Table 1" `Slow test_profiles_match_paper;
         Alcotest.test_case "mysql manual patch" `Quick test_mysql_manual_patch;
         Alcotest.test_case "deterministic" `Quick test_profiles_deterministic;
+        Alcotest.test_case "words per instruction" `Quick test_profiles_words;
       ] );
     ( "apps.scalability",
       [

@@ -180,9 +180,100 @@ let test_image_writable_page () =
 
 let test_image_bounds () =
   let img = Image.create ~size:16 () in
-  match Image.write img ~off:10 (Bytes.create 10) ~wp_override:true with
+  (match Image.write img ~off:10 (Bytes.create 10) ~wp_override:true with
   | Error _ -> ()
-  | Ok () -> Alcotest.fail "out-of-bounds write must fail"
+  | Ok () -> Alcotest.fail "out-of-bounds write must fail");
+  (* A zero-length write in bounds touches no page, read-only or not,
+     wherever it starts; out of bounds it still fails. *)
+  let img = Image.create ~size:8192 () in
+  List.iter
+    (fun wp_override ->
+      List.iter
+        (fun off ->
+          match Image.write img ~off Bytes.empty ~wp_override with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "empty write at %d: %s" off e)
+        [ 0; 4096; 5000; 8192 ];
+      List.iter
+        (fun off ->
+          match Image.write img ~off Bytes.empty ~wp_override with
+          | Error _ -> ()
+          | Ok () -> Alcotest.failf "empty write at %d must fail" off)
+        [ -1; 8193 ])
+    [ false; true ];
+  Alcotest.(check (list int)) "no page dirtied" [] (Image.dirty_pages img)
+
+(* The decode cache stays coherent with the bytes: random writes and
+   emits in two 24-byte windows, one straddling a page boundary,
+   interleaved with reads of every window offset and with copies.
+   Every read, and at the end every offset of every image the case
+   made, must decode as the bytes do. *)
+let image_cache_props =
+  let size = Image.page_size + 12 in
+  let window = List.init 24 Fun.id @ List.init 24 (fun i -> Image.page_size - 12 + i) in
+  (* Bytes that start or continue the modelled encodings, so stores
+     often change multi-byte decodes. *)
+  let byte_gen =
+    QCheck.Gen.oneofl
+      [ 0x00; 0x05; 0x08; 0x0f; 0x14; 0x24; 0x25; 0x44; 0x48; 0x50; 0x58;
+        0x75; 0x83; 0x89; 0x8b; 0x90; 0xb8; 0xc0; 0xc1; 0xc3; 0xc7; 0xc9;
+        0xe5; 0xe8; 0xe9; 0xeb; 0xec; 0xf4; 0xff ]
+  in
+  let insn_gen =
+    QCheck.Gen.oneofl
+      Insn.
+        [ Mov_eax_imm32 0xe7; Mov_rax_imm32 15; Mov_rax_rsp8 8; Syscall;
+          Call_abs 0xffffffffff600008L; Jmp_rel8 (-9); Nop; Ret; Dec_rcx ]
+  in
+  let op_gen =
+    QCheck.Gen.(
+      let off_gen = oneofl window in
+      frequency
+        [
+          ( 3,
+            map2
+              (fun off s -> `Write (off, Bytes.of_string s))
+              off_gen
+              (string_size ~gen:(map Char.chr byte_gen) (int_range 0 9)) );
+          (2, map2 (fun off i -> `Emit (off, i)) off_gen insn_gen);
+          (3, return `Read);
+          (1, return `Copy);
+        ])
+  in
+  let print_op = function
+    | `Write (off, b) -> Printf.sprintf "write %d (%d bytes)" off (Bytes.length b)
+    | `Emit (off, i) -> Printf.sprintf "emit %d %s" off (Insn.to_string i)
+    | `Read -> "read"
+    | `Copy -> "copy"
+  in
+  let coherent img off = Image.insn_at img off = Codec.decode (Image.code img) off in
+  [
+    QCheck.Test.make ~name:"decode cache coherent" ~count:300
+      (QCheck.make ~print:QCheck.Print.(list print_op)
+         QCheck.Gen.(list_size (int_range 0 60) op_gen))
+      (fun ops ->
+        let img = ref (Image.create ~size ()) and images = ref [] in
+        let reads_ok =
+          List.for_all
+            (function
+              | `Write (off, b) ->
+                  ignore (Image.write !img ~off b ~wp_override:true);
+                  true
+              | `Emit (off, i) ->
+                  if off + Insn.length i <= size then ignore (Image.emit !img ~off i);
+                  true
+              | `Read -> List.for_all (coherent !img) window
+              | `Copy ->
+                  images := !img :: !images;
+                  img := Image.copy !img;
+                  true)
+            ops
+        in
+        let rec coherent_from img off =
+          off = size || (coherent img off && coherent_from img (off + 1))
+        in
+        reads_ok && List.for_all (fun img -> coherent_from img 0) (!img :: !images));
+  ]
 
 let test_image_addresses () =
   let img = Image.create ~base:0x400000L ~size:4096 () in
@@ -249,27 +340,68 @@ let test_machine_fuel () =
   | Fuel_exhausted -> Alcotest.(check int) "steps counted" 100 (Machine.steps m)
   | _ -> Alcotest.fail "expected fuel exhaustion"
 
+(* Each value survives a push, a pop, a store and a load; the 32-bit
+   edges check zero- against sign-extension through the int registers
+   and the stack's int64 slots. *)
 let test_machine_stack_ops () =
-  let img = Image.create ~size:64 () in
-  let insns =
-    [
-      Insn.Mov_eax_imm32 77;
-      Push_rax;
-      Mov_eax_imm32 0;
-      Pop_rax;
-      Mov_rsp8_rax 8;
-      Mov_eax_imm32 0;
-      Mov_rax_rsp8 8;
-      Hlt;
-    ]
+  let check (load : Insn.t) expected =
+    let img = Image.create ~size:64 () in
+    let insns =
+      [
+        load;
+        Insn.Push_rax;
+        Mov_eax_imm32 0;
+        Pop_rax;
+        Mov_rsp8_rax 8;
+        Mov_eax_imm32 0;
+        Mov_rax_rsp8 8;
+        Hlt;
+      ]
+    in
+    ignore (Image.emit_list img ~off:0 insns);
+    let m = Machine.create img ~entry:0 in
+    (match Machine.run m with
+    | Halted -> ()
+    | Fault msg -> Alcotest.fail msg
+    | Fuel_exhausted -> Alcotest.fail "fuel");
+    Alcotest.(check int64)
+      (Insn.to_string load ^ ": push/pop/store/load preserve rax")
+      expected (Machine.rax m)
   in
-  ignore (Image.emit_list img ~off:0 insns);
-  let m = Machine.create img ~entry:0 in
-  (match Machine.run m with
-  | Halted -> ()
-  | Fault msg -> Alcotest.fail msg
-  | Fuel_exhausted -> Alcotest.fail "fuel");
-  Alcotest.(check int64) "push/pop/store/load preserve rax" 77L (Machine.rax m)
+  check (Mov_eax_imm32 77) 77L;
+  check (Mov_eax_imm32 0xffffffff) 0xffffffffL;
+  check (Mov_rax_imm32 0xffffffff) (-1L);
+  check (Mov_rax_imm32 0x80000000) (-0x80000000L)
+
+(* With telemetry on, one run adds exactly its retired instructions to
+   isa/instructions. *)
+let test_machine_instruction_counter () =
+  let module M = Xc_sim.Metrics in
+  let prog = Builder.build [ (Builder.Glibc_small, 0); (Builder.Go_stack, 39) ] in
+  let m = Machine.create prog.image ~entry:prog.entry in
+  let counted () =
+    Option.value ~default:0. (List.assoc_opt "isa/instructions" (M.read ()).M.counters)
+  in
+  M.enable ();
+  M.reset_registry ();
+  Fun.protect ~finally:M.disable (fun () ->
+      ignore (Machine.run m);
+      Alcotest.(check bool) "ran" true (Machine.steps m > 0);
+      Alcotest.(check (float 0.)) "counter gains the steps"
+        (float_of_int (Machine.steps m)) (counted ()))
+
+(* A warm run of a looping program: every offset is decoded, so only
+   the syscall log allocates (an event record and its cons cell per
+   syscall). *)
+let test_machine_words () =
+  let prog =
+    Builder.build ~loop_iterations:200
+      [ (Builder.Glibc_small, 0); (Builder.Glibc_wide, 1); (Builder.Go_stack, 39) ]
+  in
+  let m = Machine.create prog.image ~entry:prog.entry in
+  ignore (Machine.run m);
+  Machine.reset m ~entry:prog.entry;
+  Test_sim.check_words_budget ~budget:2 (fun () -> Machine.run m)
 
 let suites =
   [
@@ -294,7 +426,8 @@ let suites =
         Alcotest.test_case "writable page" `Quick test_image_writable_page;
         Alcotest.test_case "bounds" `Quick test_image_bounds;
         Alcotest.test_case "addresses" `Quick test_image_addresses;
-      ] );
+      ]
+      @ List.map QCheck_alcotest.to_alcotest image_cache_props );
     ( "isa.machine",
       [
         Alcotest.test_case "runs program" `Quick test_machine_runs_program;
@@ -304,5 +437,7 @@ let suites =
         Alcotest.test_case "fault invalid opcode" `Quick test_machine_fault_invalid_opcode;
         Alcotest.test_case "fuel" `Quick test_machine_fuel;
         Alcotest.test_case "stack ops" `Quick test_machine_stack_ops;
+        Alcotest.test_case "instructions counter" `Quick test_machine_instruction_counter;
+        Alcotest.test_case "words per instruction" `Quick test_machine_words;
       ] );
   ]
