@@ -96,15 +96,32 @@ let pick t =
   t.picks <- t.picks + 1;
   pick_one t
 
-(* The [clones] smallest loads, stable by index. *)
-let k_least t load k =
-  let idx = Array.init t.n Fun.id in
-  Array.sort
-    (fun a b ->
-      match compare load.(a) load.(b) with 0 -> compare a b | c -> c)
-    idx;
+(* The [k] smallest loads, ties to the lower index: what a stable sort
+   by load would put first, in one O(n·k) pass.  A k-slot buffer of
+   indices stays sorted by (load, index); backend [i] enters while it
+   is not full, or below the last kept load, and shifts only past
+   strictly larger loads, so an equal load keeps its lower index
+   ahead. *)
+let k_least t (load : int array) k =
+  let best = Array.make k 0 and len = ref 0 in
+  for i = 0 to t.n - 1 do
+    let l = load.(i) in
+    if !len < k || l < load.(best.(k - 1)) then begin
+      let j = ref (if !len < k then !len else k - 1) in
+      while !j > 0 && load.(best.(!j - 1)) > l do
+        best.(!j) <- best.(!j - 1);
+        decr j
+      done;
+      best.(!j) <- i;
+      if !len < k then incr len
+    end
+  done;
   t.probes <- t.probes + t.n;
-  Array.to_list (Array.sub idx 0 k)
+  let set = ref [] in
+  for j = k - 1 downto 0 do
+    set := best.(j) :: !set
+  done;
+  !set
 
 let pick_set t ~clones =
   if clones < 1 || clones > t.n then

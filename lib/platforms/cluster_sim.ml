@@ -1,6 +1,8 @@
-module Engine = Xc_sim.Engine
+module Heap = Xc_sim.Heap
 module Prng = Xc_sim.Prng
 module Histogram = Xc_sim.Histogram
+module Metrics = Xc_sim.Metrics
+module Trace = Xc_trace.Trace
 
 type mode = Flat | Hierarchical
 
@@ -69,42 +71,42 @@ type result = {
   busy_fraction : float;
 }
 
-(* One CPU burst of a request on a specific process of a container:
-   stage [i] runs on process [i], so [stage] names both.  Under hedged
-   dispatch ([config.lb]) a request spawns one burst chain per clone,
-   all pointing at a shared [clone_set]. *)
-type burst = {
-  container : int;
-  mutable remaining : float;
-  mutable stage : int;
-  sent_at : float;
-  mutable switch_ns : float;
-      (* scheduler switch time charged while serving this request *)
-  mutable cancelled : bool;  (* a sibling clone finished first *)
-  mutable done_ns : float;  (* core time this clone has burnt so far *)
-  set : clone_set option;
-  mutable qnext : burst option;
-      (* intrusive FIFO link: the next burst in its entity's work list.
-         A burst sits in at most one work list at a time, so one link
-         field replaces the per-entity [Queue.t] cells. *)
-}
-
-and clone_set = {
-  origin : int;  (* client container the response goes back to *)
-  fanout : int;
-  mutable won : bool;
-  mutable bursts : burst list;
-  mutable hedge_ns : float;
-      (* core time burnt by losing clones — the hedge overhead the
-         winner's trace bundle carries as an [lb.hedge] row *)
-}
-
-(* A schedulable entity (a process under Flat, a container/vCPU under
-   Hierarchical) is just an index: its state lives in unboxed parallel
-   arrays inside [run] — [queued]/[held] flags packed into [Bytes.t],
-   its work FIFO as head/tail slots over the bursts' intrusive [qnext]
-   links.  Same move the [Heap] rework made for events: a million
-   entities cost a few bytes each instead of a record + [Queue.t]. *)
+(* The envelope [run] and [run_fluid] accept, checked once up front so
+   a bad field is refused by name instead of returning NaN or failing
+   mid-run.  Returns the container switch priced at the run's entity
+   population; every in-tree producer builds a pure closure, so one
+   call stands for all of them. *)
+let validate fn config =
+  let bad field what = invalid_arg (Printf.sprintf "Cluster_sim.%s: %s %s" fn field what) in
+  let at_least field lo v =
+    if v < lo then bad field (Printf.sprintf "must be >= %d (got %d)" lo v)
+  in
+  let nonneg field x =
+    if not (Float.is_finite x && x >= 0.) then
+      bad field (Printf.sprintf "must be finite and >= 0 (got %g)" x)
+  in
+  let n_stages = Array.length config.stage_cpu_ns in
+  if n_stages = 0 then invalid_arg (Printf.sprintf "Cluster_sim.%s: stages" fn);
+  at_least "pcpus" 1 config.pcpus;
+  at_least "containers" 0 config.containers;
+  at_least "connections_per_container" 0 config.connections_per_container;
+  if not (Float.is_finite config.duration_ns && config.duration_ns > 0.) then
+    bad "duration_ns" (Printf.sprintf "must be finite and > 0 (got %g)" config.duration_ns);
+  nonneg "warmup_ns" config.warmup_ns;
+  nonneg "client_rtt_ns" config.client_rtt_ns;
+  nonneg "process_switch_ns" config.process_switch_ns;
+  Array.iteri (fun i ns -> nonneg (Printf.sprintf "stage_cpu_ns.(%d)" i) ns) config.stage_cpu_ns;
+  let mechs = Array.length config.request_mech in
+  if mechs <> 0 && mechs <> n_stages then
+    bad "request_mech"
+      (Printf.sprintf "must be empty or one entry per stage (got %d for %d stages)" mechs
+         n_stages);
+  let cswitch =
+    config.container_switch_ns
+      ~runnable:(entities config.mode ~containers:config.containers ~stages:n_stages)
+  in
+  nonneg "container_switch_ns" cswitch;
+  cswitch
 
 (* Fixed-capacity int ring (the ready queue, the idle-core pool).  The
    queued/idle flags bound occupancy — an entity is enqueued at most
@@ -119,12 +121,13 @@ module Ring = struct
     t.buf.(t.tail) <- v;
     t.tail <- (t.tail + 1) mod Array.length t.buf
 
-  let take_opt t =
-    if t.head = t.tail then None
+  (* The oldest entry, or -1 when empty (entries are indices). *)
+  let take t =
+    if t.head = t.tail then -1
     else begin
       let v = t.buf.(t.head) in
       t.head <- (t.head + 1) mod Array.length t.buf;
-      Some v
+      v
     end
 
   let length t =
@@ -132,42 +135,55 @@ module Ring = struct
     if n < 0 then n + Array.length t.buf else n
 end
 
-type core_state = {
-  mutable last_container : int;
-  mutable last_process : int;
-  mutable cur_entity : int;  (** -1 when idle *)
-  mutable slice_used : float;
-  mutable idle : bool;
-}
+(* Event codes: the kind in the low two bits, its index above. *)
+let first_send = 0 (* index: the client's container *)
+let arrival = 1 (* index: the request *)
+let slice_end = 2 (* index: the core *)
+let response = 3 (* index: the winning burst *)
 
+(* The exact tier's kernel.  Events are int codes dispatched from one
+   [Heap] in (time, insertion) order — the Engine's order, its
+   same-instant lane included, since everything scheduled at the
+   current instant was inserted after every event already due then.
+   All state is struct-of-arrays:
+
+   - a request slot [r] holds its client ([origin]), send time and,
+     under [lb], the hedge time its losing clones burnt.  Its [clones]
+     bursts (one without [lb]) are the burst slots [r * clones + k], in
+     [pick_set] order.  [live] counts its bursts not yet torn down: a
+     cancelled loser still charges its in-flight slice to [hedge] after
+     the winner responded, so the slot returns to the free stack only
+     at zero.  Slots grow by doubling.
+   - a burst [b] holds its target container, stage, remaining and
+     burnt core time, switch time charged, the cancelled flag and its
+     entity's FIFO link [next].
+   - a core [i] holds what it last ran, its current entity and slice
+     budget, and while a slice runs its burst, switch cost and slice.
+
+   Dev builds compile every library [-opaque], so a [float] crossing a
+   call or stored in a mutable field is boxed: floats live in float
+   arrays and helpers take int indices.  What still allocates per
+   event is [Heap.push]'s key and [Histogram.add]'s sample, plus under
+   [lb] the [pick_set] list and its k-slot buffer. *)
 let run config =
-  if Array.length config.stage_cpu_ns = 0 then invalid_arg "Cluster_sim.run: stages";
-  let engine = Engine.create () in
+  let cswitch = validate "run" config in
   let rng = Prng.create config.seed in
   (* Hedged dispatch: the policy's probe PRNG is seeded from the
      experiment seed, never from global state, so traced runs stay
      deterministic at any --jobs. *)
-  let lb_state =
+  let pol, clones =
     match config.lb with
-    | None -> None
+    | None -> (None, 1)
     | Some { Xc_lb.Policy.kind; clones } ->
         if clones < 1 || clones > config.containers then
           invalid_arg "Cluster_sim.run: clones must be in [1, containers]";
-        Some
-          ( Xc_lb.Policy.create ~seed:(config.seed lxor 0x2545f491)
-              ~backends:config.containers kind,
-            clones )
+        ( Some
+            (Xc_lb.Policy.create ~seed:(config.seed lxor 0x2545f491)
+               ~backends:config.containers kind),
+          clones )
   in
-  let note_policy_enqueue (b : burst) =
-    match lb_state with
-    | Some (pol, _) -> Xc_lb.Policy.enqueue pol b.container
-    | None -> ()
-  in
-  let note_policy_dequeue (b : burst) =
-    match lb_state with
-    | Some (pol, _) -> Xc_lb.Policy.dequeue pol b.container
-    | None -> ()
-  in
+  let heap = Heap.create () in
+  let clock = [| 0. |] in
   let latencies = Histogram.create () in
   let completed = ref 0 in
   (* Throughput census: every response landing inside the measurement
@@ -178,50 +194,117 @@ let run config =
   let finished = ref 0 in
   let container_switches = ref 0 in
   let process_switches = ref 0 in
-  let switch_overhead = ref 0. in
-  let busy = ref 0. in
   let measure_start = config.warmup_ns in
   let measure_end = config.warmup_ns +. config.duration_ns in
+  let half = config.client_rtt_ns /. 2. in
   let n_stages = Array.length config.stage_cpu_ns in
-  (* Bundle lane for tail attribution: when [request_mech] is set, each
-     measured request's spans (request + synthetic children) are
-     re-based onto a sequential region past the end of the simulated
-     timeline, packed end to end.  Concurrent requests overlap in
-     simulated time, and overlapping windows cannot be partitioned
-     exactly by a containment sweep; the sequential lane makes
-     [Profile.attribute] exact.  Durations are untouched. *)
-  let synth_cursor = ref (measure_end +. config.client_rtt_ns +. 1e9) in
+  let no_mech = Array.length config.request_mech = 0 in
+  (* Busy core time, switch overhead, and the bundle lane for tail
+     attribution: when [request_mech] is set, each measured request's
+     spans (request + synthetic children) are re-based onto a
+     sequential region past the end of the simulated timeline, packed
+     end to end.  Concurrent requests overlap in simulated time, and
+     overlapping windows cannot be partitioned exactly by a containment
+     sweep; the sequential lane makes [Profile.attribute] exact.
+     Durations are untouched. *)
+  let busy = 0 and overhead = 1 and lane = 2 in
+  let sums = [| 0.; 0.; measure_end +. config.client_rtt_ns +. 1e9 |] in
+  let hedge_row = Printf.sprintf "clone-x%d" clones in
 
   let n_entities =
     entities config.mode ~containers:config.containers ~stages:n_stages
   in
   let queued = Bytes.make n_entities '\000' in
   let held = Bytes.make n_entities '\000' in
-  let work_head : burst option array = Array.make n_entities None in
-  let work_tail : burst option array = Array.make n_entities None in
-  let work_empty e = match work_head.(e) with None -> true | Some _ -> false in
-  let work_push e (b : burst) =
-    b.qnext <- None;
-    (match work_tail.(e) with
-    | Some t -> t.qnext <- Some b
-    | None -> work_head.(e) <- Some b);
-    work_tail.(e) <- Some b
+  let work_head = Array.make n_entities (-1) in
+  let work_tail = Array.make n_entities (-1) in
+  let ready = Ring.make n_entities in
+
+  let slots = Stdlib.max 1 (config.containers * config.connections_per_container) in
+  let origin = ref (Array.make slots 0) and sent = ref (Array.make slots 0.) in
+  let hedge = ref (Array.make slots 0.) and live = ref (Array.make slots 0) in
+  let bursts = slots * clones in
+  let target = ref (Array.make bursts 0) and stage = ref (Array.make bursts 0) in
+  let remaining = ref (Array.make bursts 0.) and burnt = ref (Array.make bursts 0.) in
+  let switched = ref (Array.make bursts 0.) and cancelled = ref (Array.make bursts false) in
+  let next = ref (Array.make bursts (-1)) in
+  let free = ref (Array.make slots 0) and n_free = ref 0 and fresh = ref 0 in
+  let grow a fill =
+    let b = Array.make (2 * Array.length a) fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  in
+  let take_request () =
+    if !n_free > 0 then begin
+      decr n_free;
+      !free.(!n_free)
+    end
+    else begin
+      let r = !fresh in
+      incr fresh;
+      if r = Array.length !origin then begin
+        origin := grow !origin 0;
+        sent := grow !sent 0.;
+        hedge := grow !hedge 0.;
+        live := grow !live 0;
+        target := grow !target 0;
+        stage := grow !stage 0;
+        remaining := grow !remaining 0.;
+        burnt := grow !burnt 0.;
+        switched := grow !switched 0.;
+        cancelled := grow !cancelled false;
+        next := grow !next (-1);
+        free := grow !free 0
+      end;
+      r
+    end
+  in
+  let release b =
+    let r = b / clones in
+    !live.(r) <- !live.(r) - 1;
+    if !live.(r) = 0 then begin
+      !free.(!n_free) <- r;
+      incr n_free
+    end
+  in
+  let init_burst b container =
+    !target.(b) <- container;
+    !stage.(b) <- 0;
+    !remaining.(b) <- config.stage_cpu_ns.(0);
+    !burnt.(b) <- 0.;
+    !switched.(b) <- 0.;
+    !cancelled.(b) <- false;
+    !next.(b) <- -1
+  in
+  (* A burst sits in at most one work list at a time, so one link per
+     burst makes each entity's FIFO. *)
+  let work_push e b =
+    !next.(b) <- -1;
+    let t = work_tail.(e) in
+    if t >= 0 then !next.(t) <- b else work_head.(e) <- b;
+    work_tail.(e) <- b
   in
   let work_pop e =
-    match work_head.(e) with
-    | None -> None
-    | Some b ->
-        work_head.(e) <- b.qnext;
-        (match b.qnext with None -> work_tail.(e) <- None | Some _ -> ());
-        b.qnext <- None;
-        Some b
+    let b = work_head.(e) in
+    if b >= 0 then begin
+      let n = !next.(b) in
+      work_head.(e) <- n;
+      if n < 0 then work_tail.(e) <- -1;
+      !next.(b) <- -1
+    end;
+    b
   in
-  let entity_of_burst (b : burst) =
+  let entity_of b =
     match config.mode with
-    | Hierarchical -> b.container
-    | Flat -> (b.container * n_stages) + b.stage
+    | Hierarchical -> !target.(b)
+    | Flat -> (!target.(b) * n_stages) + !stage.(b)
   in
-  let ready = Ring.make n_entities in
+  let note_enqueue b =
+    match pol with Some p -> Xc_lb.Policy.enqueue p !target.(b) | None -> ()
+  in
+  let note_dequeue b =
+    match pol with Some p -> Xc_lb.Policy.dequeue p !target.(b) | None -> ()
+  in
   (* Telemetry: the scheduler this driver models belongs to a different
      substrate per mode — the hypervisor's credit scheduler over vCPUs
      under Hierarchical, the host kernel's scheduler over processes
@@ -238,366 +321,355 @@ let run config =
     | Flat -> ("os", "container-switches")
   in
   let note_ready () =
-    if Xc_sim.Metrics.on () then
-      Xc_sim.Metrics.gauge_set ~cat:sched_cat ~name:"ready-queue"
+    if Metrics.on () then
+      Metrics.gauge_set ~cat:sched_cat ~name:"ready-queue"
         (float_of_int (Ring.length ready))
   in
   (* top(1)'s "Tasks:" line — how many schedulable entities this
      scheduler owns (vCPUs under the hypervisor, processes under the
      host kernel). *)
-  if Xc_sim.Metrics.on () then
-    Xc_sim.Metrics.gauge_set ~cat:sched_cat
+  if Metrics.on () then
+    Metrics.gauge_set ~cat:sched_cat
       ~name:(match config.mode with Hierarchical -> "vcpus" | Flat -> "tasks")
       (float_of_int n_entities);
-  let cores =
-    Array.init config.pcpus (fun _ ->
-        {
-          last_container = -1;
-          last_process = -1;
-          cur_entity = -1;
-          slice_used = 0.;
-          idle = true;
-        })
-  in
+  let last_container = Array.make config.pcpus (-1) in
+  let last_process = Array.make config.pcpus (-1) in
+  let cur_entity = Array.make config.pcpus (-1) in
+  let slice_used = Array.make config.pcpus 0. in
+  let idle = Array.make config.pcpus true in
+  (* The running slice: its burst, switch cost and length.  Its entity
+     is [cur_entity], which only the core's own dispatch changes. *)
+  let run_burst = Array.make config.pcpus (-1) in
+  let run_switch = Array.make config.pcpus 0. in
+  let run_slice = Array.make config.pcpus 0. in
   let idle_cores = Ring.make config.pcpus in
-  Array.iteri (fun i _ -> Ring.add idle_cores i) cores;
+  for i = 0 to config.pcpus - 1 do
+    Ring.add idle_cores i
+  done;
 
-  (* Forward declaration of the dispatch loop. *)
-  let rec wake_core engine =
-    match Ring.take_opt idle_cores with
-    | Some i when cores.(i).idle ->
-        cores.(i).idle <- false;
-        Xc_sim.Metrics.gauge_add ~cat:"cpu" ~name:"cores-busy" 1.;
-        dispatch i engine
-    | Some _ -> wake_core engine
-    | None -> ()
+  let rec wake_core () =
+    let i = Ring.take idle_cores in
+    if i >= 0 then
+      if idle.(i) then begin
+        idle.(i) <- false;
+        Metrics.gauge_add ~cat:"cpu" ~name:"cores-busy" 1.;
+        dispatch i
+      end
+      else wake_core ()
 
-  and enqueue_burst engine (b : burst) =
-    let e = entity_of_burst b in
-    note_policy_enqueue b;
+  and enqueue b =
+    let e = entity_of b in
+    note_enqueue b;
     work_push e b;
     if Bytes.get queued e = '\000' && Bytes.get held e = '\000' then begin
       Bytes.set queued e '\001';
       Ring.add ready e;
       note_ready ();
-      wake_core engine
+      wake_core ()
     end
 
-  and finish_request engine (b : burst) =
+  and finish b =
     (* Cancel-on-first-complete: the first clone through all stages
        wins; siblings are torn down at their next scheduling point and
        their remaining stages refunded (never enqueued again).  The
        core time losers already burnt is charged to the set as hedge
-       overhead. *)
-    (match (b.set, lb_state) with
-    | Some cs, Some (pol, _) when not cs.won ->
-        cs.won <- true;
-        Xc_lb.Policy.complete pol b.container;
-        List.iter
-          (fun (sib : burst) ->
-            if sib != b then begin
-              sib.cancelled <- true;
-              cs.hedge_ns <- cs.hedge_ns +. sib.done_ns;
-              Xc_lb.Policy.complete pol sib.container;
-              if Xc_sim.Metrics.on () then
-                Xc_sim.Metrics.counter_incr ~cat:"lb" ~name:"clones-cancelled"
-            end)
-          cs.bursts
-    | _ -> ());
-    let client = match b.set with Some cs -> cs.origin | None -> b.container in
-    let now = Engine.now engine in
-    let response_at = now +. (config.client_rtt_ns /. 2.) in
-    if Xc_sim.Metrics.on () then begin
-      Xc_sim.Metrics.gauge_add ~cat:"net" ~name:"in-flight" 1.;
-      Xc_sim.Metrics.counter_incr ~cat:"net" ~name:"messages"
-    end;
-    Engine.schedule engine response_at (fun engine ->
-        let now' = Engine.now engine in
-        if Xc_sim.Metrics.on () then begin
-          Xc_sim.Metrics.gauge_add ~cat:"net" ~name:"in-flight" (-1.);
-          Xc_sim.Metrics.gauge_add ~cat:"platform" ~name:"in-flight" (-1.)
-        end;
-        if now' >= measure_start && now' <= measure_end then incr finished;
-        if b.sent_at >= measure_start && now' <= measure_end then begin
-          incr completed;
-          Histogram.add latencies (now' -. b.sent_at);
-          if Xc_sim.Metrics.on () then begin
-            Xc_sim.Metrics.counter_incr ~cat:"platform" ~name:"requests";
-            Xc_sim.Metrics.hist_observe ~cat:"platform" ~name:"latency-ns"
-              (now' -. b.sent_at)
-          end;
-          if Xc_trace.Trace.enabled () then begin
-            let bundle = Array.length config.request_mech > 0 in
-            (* [shift] re-bases the whole bundle onto the sequential
-               lane; 0 keeps the legacy real-time request span when no
-               mechanism decomposition was configured. *)
-            let shift =
-              if bundle then begin
-                let c = !synth_cursor in
-                synth_cursor := c +. (now' -. b.sent_at);
-                c -. b.sent_at
-              end
-              else 0.
-            in
-            Xc_trace.Trace.span ~at:(b.sent_at +. shift)
-              ~value:(float_of_int !completed) ~cat:"request" ~name:"cluster"
-              (now' -. b.sent_at);
-            (* Synthetic children nested inside the request window: the
-               two half-RTT hops, each stage's mechanism decomposition
-               laid out serially and clamped to the window, and one
-               exact [ctx-switch] row carrying the scheduler switch
-               time this request was actually charged (accumulated
-               per-burst in [dispatch]).  Scheduling/queueing delay
-               stays request self-time. *)
-            if bundle then begin
-              let half = config.client_rtt_ns /. 2. in
-              if half > 0. then
-                Xc_trace.Trace.span ~at:(b.sent_at +. shift) ~cat:"net.hop"
-                  ~name:"client->server" half;
-              let cursor = ref (b.sent_at +. shift +. half) in
-              let budget = now' +. shift -. half in
-              let emit cat mname ns =
-                let d = Float.min ns (budget -. !cursor) in
-                if d > 0. then begin
-                  Xc_trace.Trace.span ~at:!cursor ~cat ~name:mname d;
-                  cursor := !cursor +. d
-                end
-              in
-              Array.iter
-                (List.iter (fun (cat, mname, ns) -> emit cat mname ns))
-                config.request_mech;
-              if b.switch_ns > 0. then emit "ctx-switch" "sched" b.switch_ns;
-              (* Hedge overhead: core time the losing clones burnt
-                 before cancellation, clamped like every other row (it
-                 accrues on other backends in parallel, so it can
-                 exceed the response window).  The row name carries the
-                 clone fan-out; a floor of 1ns keeps the fan-out
-                 visible even when the siblings never started. *)
-              (match b.set with
-              | Some cs when cs.fanout > 1 ->
-                  emit "lb.hedge"
-                    (Printf.sprintf "clone-x%d" cs.fanout)
-                    (Float.max cs.hedge_ns 1.)
-              | _ -> ());
-              if half > 0. then
-                Xc_trace.Trace.span ~at:(now' +. shift -. half) ~cat:"net.hop"
-                  ~name:"server->client" half
-            end
+       overhead.  Only a set's first clone gets here: a cancelled burst
+       never advances. *)
+    let r = b / clones in
+    (match pol with
+    | Some p ->
+        Xc_lb.Policy.complete p !target.(b);
+        for sib = r * clones to (r * clones) + clones - 1 do
+          if sib <> b then begin
+            !cancelled.(sib) <- true;
+            !hedge.(r) <- !hedge.(r) +. !burnt.(sib);
+            Xc_lb.Policy.complete p !target.(sib);
+            if Metrics.on () then Metrics.counter_incr ~cat:"lb" ~name:"clones-cancelled"
           end
-        end;
-        (* Closed loop: the client immediately sends the next request. *)
-        if now' < measure_end then send_request engine client)
-
-  and send_request engine container =
-    let now = Engine.now engine in
-    let arrive_at = now +. (config.client_rtt_ns /. 2.) in
-    let fresh_burst ~target ~set =
-      {
-        container = target;
-        remaining = config.stage_cpu_ns.(0);
-        stage = 0;
-        sent_at = now;
-        switch_ns = 0.;
-        cancelled = false;
-        done_ns = 0.;
-        set;
-        qnext = None;
-      }
-    in
-    if Xc_sim.Metrics.on () then begin
-      Xc_sim.Metrics.gauge_add ~cat:"platform" ~name:"in-flight" 1.;
-      Xc_sim.Metrics.gauge_add ~cat:"net" ~name:"in-flight" 1.;
-      Xc_sim.Metrics.counter_incr ~cat:"net" ~name:"messages"
+        done
+    | None -> ());
+    if Metrics.on () then begin
+      Metrics.gauge_add ~cat:"net" ~name:"in-flight" 1.;
+      Metrics.counter_incr ~cat:"net" ~name:"messages"
     end;
-    match lb_state with
+    Heap.push heap (clock.(0) +. half) ((b lsl 2) lor response)
+
+  and advance b =
+    let s = !stage.(b) + 1 in
+    !stage.(b) <- s;
+    if s >= n_stages then finish b
+    else begin
+      !remaining.(b) <- config.stage_cpu_ns.(s);
+      enqueue b
+    end
+
+  (* Pick the next entity for a core, honouring slice budgets; -1 when
+     nothing is runnable. *)
+  and pick_entity i =
+    let e = cur_entity.(i) in
+    if e >= 0 && work_head.(e) >= 0 && slice_used.(i) < timeslice_ns then e
+    else begin
+      (* Release the current entity. *)
+      if e >= 0 then begin
+        Bytes.set held e '\000';
+        if work_head.(e) >= 0 && Bytes.get queued e = '\000' then begin
+          Bytes.set queued e '\001';
+          Ring.add ready e;
+          note_ready ()
+        end;
+        cur_entity.(i) <- -1
+      end;
+      let e = Ring.take ready in
+      if e >= 0 then begin
+        Bytes.set queued e '\000';
+        Bytes.set held e '\001';
+        cur_entity.(i) <- e;
+        slice_used.(i) <- 0.;
+        note_ready ()
+      end;
+      e
+    end
+
+  and dispatch i =
+    let e = pick_entity i in
+    if e < 0 then begin
+      idle.(i) <- true;
+      cur_entity.(i) <- -1;
+      Metrics.gauge_add ~cat:"cpu" ~name:"cores-busy" (-1.);
+      Ring.add idle_cores i
+    end
+    else
+      let b = work_pop e in
+      if b < 0 then (* Raced empty; retry. *)
+        dispatch i
+      else if !cancelled.(b) then begin
+        (* A sibling clone finished first: tear the loser down at its
+           scheduling point, for free — the refund of its remaining
+           work. *)
+        note_dequeue b;
+        release b;
+        dispatch i
+      end
+      else begin
+        note_dequeue b;
+        let now = clock.(0) in
+        let c = !target.(b) and s = !stage.(b) in
+        (* Switch-cost accounting. *)
+        let container_switch = last_container.(i) <> c in
+        let switch_cost =
+          if container_switch then begin
+            incr container_switches;
+            Metrics.counter_incr ~cat:cswitch_cat ~name:cswitch_name;
+            (* The bookkeeping term scales with the task population
+               this scheduler manages (CFS statistics, cgroup walks,
+               load-balancer scans touch per-task state): all 4N
+               processes under Flat, N vCPUs under Hierarchical.  The
+               instantaneous queue length [ready + held] is much
+               smaller, but the cold state is still resident. *)
+            cswitch
+          end
+          else if last_process.(i) <> s then begin
+            incr process_switches;
+            Metrics.counter_incr ~cat:"os" ~name:"ctx-switches";
+            config.process_switch_ns
+          end
+          else 0.
+        in
+        !switched.(b) <- !switched.(b) +. switch_cost;
+        (* Per-dispatch switch spans only when no per-request bundle is
+           configured: the bundle carries the same time as one exact
+           per-request [ctx-switch] row, and emitting both would
+           double-count switching in summaries. *)
+        if switch_cost > 0. && no_mech && Trace.enabled () then
+          Trace.span ~at:now ~cat:"ctx-switch"
+            ~name:(if container_switch then "container" else "process")
+            switch_cost;
+        last_container.(i) <- c;
+        last_process.(i) <- s;
+        let slice = Float.min !remaining.(b) (timeslice_ns -. slice_used.(i)) in
+        let slice = Float.max slice 1_000. in
+        sums.(overhead) <- sums.(overhead) +. switch_cost;
+        sums.(busy) <- sums.(busy) +. switch_cost +. slice;
+        slice_used.(i) <- slice_used.(i) +. slice;
+        if Metrics.on () then begin
+          Metrics.counter_incr ~cat:sched_cat ~name:slice_name;
+          if now > 0. then
+            Metrics.gauge_set ~cat:"platform" ~name:"vcpu-utilization"
+              (sums.(busy) /. (float_of_int config.pcpus *. now))
+        end;
+        run_burst.(i) <- b;
+        run_switch.(i) <- switch_cost;
+        run_slice.(i) <- slice;
+        Heap.push heap (now +. switch_cost +. slice) ((i lsl 2) lor slice_end)
+      end
+  in
+
+  let end_slice i =
+    let b = run_burst.(i) in
+    let switch_cost = run_switch.(i) and slice = run_slice.(i) in
+    !burnt.(b) <- !burnt.(b) +. switch_cost +. slice;
+    !remaining.(b) <- !remaining.(b) -. slice;
+    if !cancelled.(b) then begin
+      (* Cancelled mid-slice: the slice still burnt core time, so it
+         counts as hedge overhead; the rest of the clone is dropped. *)
+      let r = b / clones in
+      !hedge.(r) <- !hedge.(r) +. switch_cost +. slice;
+      release b
+    end
+    else if !remaining.(b) > 1. then begin
+      note_enqueue b;
+      work_push cur_entity.(i) b
+    end
+    else advance b;
+    dispatch i
+  in
+
+  let send container =
+    let r = take_request () in
+    !origin.(r) <- container;
+    !sent.(r) <- clock.(0);
+    !hedge.(r) <- 0.;
+    !live.(r) <- clones;
+    if Metrics.on () then begin
+      Metrics.gauge_add ~cat:"platform" ~name:"in-flight" 1.;
+      Metrics.gauge_add ~cat:"net" ~name:"in-flight" 1.;
+      Metrics.counter_incr ~cat:"net" ~name:"messages"
+    end;
+    Heap.push heap (clock.(0) +. half) ((r lsl 2) lor arrival)
+  in
+
+  let rec fan_out p b = function
+    | [] -> ()
+    | container :: rest ->
+        init_burst b container;
+        Xc_lb.Policy.admit p container;
+        enqueue b;
+        fan_out p (b + 1) rest
+  in
+  let arrive r =
+    Metrics.gauge_add ~cat:"net" ~name:"in-flight" (-1.);
+    match pol with
     | None ->
-        let b = fresh_burst ~target:container ~set:None in
-        Engine.schedule engine arrive_at (fun engine ->
-            Xc_sim.Metrics.gauge_add ~cat:"net" ~name:"in-flight" (-1.);
-            enqueue_burst engine b)
-    | Some (pol, clones) ->
+        init_burst r !origin.(r);
+        enqueue r
+    | Some p ->
         (* The balancer picks on arrival, observing the in-flight and
            queue state of that instant, and fans the request out to
            [clones] distinct backends. *)
-        Engine.schedule engine arrive_at (fun engine ->
-            Xc_sim.Metrics.gauge_add ~cat:"net" ~name:"in-flight" (-1.);
-            let targets = Xc_lb.Policy.pick_set pol ~clones in
-            let cs =
-              {
-                origin = container;
-                fanout = clones;
-                won = false;
-                bursts = [];
-                hedge_ns = 0.;
-              }
-            in
-            cs.bursts <-
-              List.map (fun target -> fresh_burst ~target ~set:(Some cs)) targets;
-            if Xc_sim.Metrics.on () then begin
-              Xc_sim.Metrics.counter_incr ~cat:"lb" ~name:"requests";
-              Xc_sim.Metrics.counter_add ~cat:"lb" ~name:"clones-spawned"
-                (float_of_int clones)
-            end;
-            List.iter
-              (fun (b : burst) ->
-                Xc_lb.Policy.admit pol b.container;
-                enqueue_burst engine b)
-              cs.bursts)
+        let targets = Xc_lb.Policy.pick_set p ~clones in
+        if Metrics.on () then begin
+          Metrics.counter_incr ~cat:"lb" ~name:"requests";
+          Metrics.counter_add ~cat:"lb" ~name:"clones-spawned" (float_of_int clones)
+        end;
+        fan_out p (r * clones) targets
+  in
 
-  and advance_stage engine (b : burst) =
-    b.stage <- b.stage + 1;
-    if b.stage >= n_stages then finish_request engine b
-    else begin
-      b.remaining <- config.stage_cpu_ns.(b.stage);
-      enqueue_burst engine b
-    end
-
-  (* Pick the next entity for a core, honouring slice budgets. *)
-  and pick_entity core =
-    let continue_current () =
-      if core.cur_entity >= 0 then begin
-        let e = core.cur_entity in
-        if (not (work_empty e)) && core.slice_used < timeslice_ns then Some e
-        else None
+  (* Synthetic children nested inside the request window: the two
+     half-RTT hops, each stage's mechanism decomposition laid out
+     serially and clamped to the window, and one exact [ctx-switch] row
+     carrying the scheduler switch time this request was actually
+     charged (accumulated per burst in [dispatch]).  Scheduling and
+     queueing delay stay request self-time. *)
+  let emit_bundle b ~sent_at ~shift =
+    let now = clock.(0) in
+    if half > 0. then
+      Trace.span ~at:(sent_at +. shift) ~cat:"net.hop" ~name:"client->server" half;
+    let cursor = ref (sent_at +. shift +. half) in
+    let budget = now +. shift -. half in
+    let emit cat mname ns =
+      let d = Float.min ns (budget -. !cursor) in
+      if d > 0. then begin
+        Trace.span ~at:!cursor ~cat ~name:mname d;
+        cursor := !cursor +. d
       end
-      else None
     in
-    match continue_current () with
-    | Some _ as res -> res
-    | None -> begin
-        (* Release the current entity. *)
-        (if core.cur_entity >= 0 then begin
-           let e = core.cur_entity in
-           Bytes.set held e '\000';
-           if (not (work_empty e)) && Bytes.get queued e = '\000' then begin
-             Bytes.set queued e '\001';
-             Ring.add ready e;
-             note_ready ()
-           end;
-           core.cur_entity <- -1
-         end);
-        match Ring.take_opt ready with
-        | Some e ->
-            Bytes.set queued e '\000';
-            Bytes.set held e '\001';
-            core.cur_entity <- e;
-            core.slice_used <- 0.;
-            note_ready ();
-            Some e
-        | None -> None
-      end
+    Array.iter (List.iter (fun (cat, mname, ns) -> emit cat mname ns)) config.request_mech;
+    if !switched.(b) > 0. then emit "ctx-switch" "sched" !switched.(b);
+    (* Hedge overhead: core time the losing clones burnt before
+       cancellation, clamped like every other row (it accrues on other
+       backends in parallel, so it can exceed the response window).
+       The row name carries the clone fan-out; a floor of 1ns keeps the
+       fan-out visible even when the siblings never started. *)
+    if clones > 1 then emit "lb.hedge" hedge_row (Float.max !hedge.(b / clones) 1.);
+    if half > 0. then
+      Trace.span ~at:(now +. shift -. half) ~cat:"net.hop" ~name:"server->client" half
+  in
 
-  and dispatch core_idx engine =
-    let core = cores.(core_idx) in
-    match pick_entity core with
-    | None ->
-        core.idle <- true;
-        core.cur_entity <- -1;
-        Xc_sim.Metrics.gauge_add ~cat:"cpu" ~name:"cores-busy" (-1.);
-        Ring.add idle_cores core_idx
-    | Some e -> begin
-        match work_pop e with
-        | None ->
-            (* Raced empty; retry. *)
-            dispatch core_idx engine
-        | Some b when b.cancelled ->
-            (* A sibling clone finished first: tear the loser down at
-               its scheduling point, for free — the refund of its
-               remaining work. *)
-            note_policy_dequeue b;
-            dispatch core_idx engine
-        | Some b ->
-            note_policy_dequeue b;
-            let now = Engine.now engine in
-            (* Switch-cost accounting. *)
-            let switch_kind = ref "" in
-            let switch_cost =
-              if core.last_container <> b.container then begin
-                incr container_switches;
-                Xc_sim.Metrics.counter_incr ~cat:cswitch_cat ~name:cswitch_name;
-                switch_kind := "container";
-                (* The bookkeeping term scales with the task population
-                   this scheduler manages (CFS statistics, cgroup walks,
-                   load-balancer scans touch per-task state): all 4N
-                   processes under Flat, N vCPUs under Hierarchical.
-                   The instantaneous queue length [ready + held] is much
-                   smaller, but the cold state is still resident. *)
-                config.container_switch_ns ~runnable:n_entities
-              end
-              else if core.last_process <> b.stage then begin
-                incr process_switches;
-                Xc_sim.Metrics.counter_incr ~cat:"os" ~name:"ctx-switches";
-                switch_kind := "process";
-                config.process_switch_ns
-              end
-              else 0.
-            in
-            b.switch_ns <- b.switch_ns +. switch_cost;
-            (* Per-dispatch switch spans only when no per-request bundle
-               is configured: the bundle carries the same time as one
-               exact per-request [ctx-switch] row, and emitting both
-               would double-count switching in summaries. *)
-            if
-              switch_cost > 0.
-              && Array.length config.request_mech = 0
-              && Xc_trace.Trace.enabled ()
-            then
-              Xc_trace.Trace.span ~at:now ~cat:"ctx-switch" ~name:!switch_kind
-                switch_cost;
-            core.last_container <- b.container;
-            core.last_process <- b.stage;
-            let slice =
-              Float.min b.remaining (timeslice_ns -. core.slice_used)
-            in
-            let slice = Float.max slice 1_000. in
-            switch_overhead := !switch_overhead +. switch_cost;
-            busy := !busy +. switch_cost +. slice;
-            core.slice_used <- core.slice_used +. slice;
-            if Xc_sim.Metrics.on () then begin
-              Xc_sim.Metrics.counter_incr ~cat:sched_cat ~name:slice_name;
-              if now > 0. then
-                Xc_sim.Metrics.gauge_set ~cat:"platform" ~name:"vcpu-utilization"
-                  (!busy /. (float_of_int config.pcpus *. now))
-            end;
-            Engine.schedule engine
-              (now +. switch_cost +. slice)
-              (fun engine ->
-                b.done_ns <- b.done_ns +. switch_cost +. slice;
-                b.remaining <- b.remaining -. slice;
-                if b.cancelled then begin
-                  (* Cancelled mid-slice: the slice still burnt core
-                     time, so it counts as hedge overhead; the rest of
-                     the clone is dropped. *)
-                  (match b.set with
-                  | Some cs -> cs.hedge_ns <- cs.hedge_ns +. switch_cost +. slice
-                  | None -> ())
-                end
-                else if b.remaining > 1. then begin
-                  note_policy_enqueue b;
-                  work_push e b
-                end
-                else advance_stage engine b;
-                dispatch core_idx engine)
+  let respond b =
+    let now = clock.(0) and r = b / clones in
+    let sent_at = !sent.(r) in
+    if Metrics.on () then begin
+      Metrics.gauge_add ~cat:"net" ~name:"in-flight" (-1.);
+      Metrics.gauge_add ~cat:"platform" ~name:"in-flight" (-1.)
+    end;
+    if now >= measure_start && now <= measure_end then incr finished;
+    if sent_at >= measure_start && now <= measure_end then begin
+      incr completed;
+      Histogram.add latencies (now -. sent_at);
+      if Metrics.on () then begin
+        Metrics.counter_incr ~cat:"platform" ~name:"requests";
+        Metrics.hist_observe ~cat:"platform" ~name:"latency-ns" (now -. sent_at)
+      end;
+      if Trace.enabled () then begin
+        (* [shift] re-bases the whole bundle onto the sequential lane;
+           0 keeps the legacy real-time request span when no mechanism
+           decomposition was configured. *)
+        let shift =
+          if no_mech then 0.
+          else begin
+            let c = sums.(lane) in
+            sums.(lane) <- c +. (now -. sent_at);
+            c -. sent_at
+          end
+        in
+        Trace.span ~at:(sent_at +. shift)
+          ~value:(float_of_int !completed) ~cat:"request" ~name:"cluster"
+          (now -. sent_at);
+        if not no_mech then emit_bundle b ~sent_at ~shift
       end
+    end;
+    let client = !origin.(r) in
+    release b;
+    (* Closed loop: the client immediately sends the next request. *)
+    if now < measure_end then send client
   in
 
   (* Start the closed-loop clients, staggered. *)
   for c = 0 to config.containers - 1 do
     for _ = 1 to config.connections_per_container do
-      Engine.schedule engine (Prng.float rng 1e6) (fun engine ->
-          send_request engine c)
+      Heap.push heap (Prng.float rng 1e6) ((c lsl 2) lor first_send)
     done
   done;
-  Engine.run ~until:(measure_end +. config.client_rtt_ns) engine;
+  (* [Engine.run ~until]: every event due by [stop] runs, then the
+     clock advances to [stop], snapshotting telemetry on the way. *)
+  let stop = measure_end +. config.client_rtt_ns in
+  let events = ref 0 in
+  while (not (Heap.is_empty heap)) && (Heap.keys heap).(0) <= stop do
+    let code = Heap.top heap and at = (Heap.keys heap).(0) in
+    Heap.drop heap;
+    (* Snapshot telemetry at every interval boundary the clock jump
+       crosses, before the event runs, as [Engine] does. *)
+    if Metrics.on () then Metrics.sample_boundaries ~from:clock.(0) ~until:at;
+    clock.(0) <- at;
+    incr events;
+    let i = code lsr 2 in
+    match code land 3 with
+    | 0 -> send i
+    | 1 -> arrive i
+    | 2 -> end_slice i
+    | _ -> respond i
+  done;
+  if Metrics.on () then
+    Metrics.sample_boundaries ~from:clock.(0) ~until:(Float.max clock.(0) stop);
+  Xc_sim.Engine.add_domain_events !events;
   {
     throughput_rps = float_of_int !finished /. (config.duration_ns /. 1e9);
     mean_latency_ns = Histogram.mean latencies;
     p99_latency_ns = Histogram.percentile latencies 99.;
     container_switches = !container_switches;
     process_switches = !process_switches;
-    switch_overhead_ns = !switch_overhead;
-    busy_fraction =
-      !busy /. (float_of_int config.pcpus *. (measure_end +. config.client_rtt_ns));
+    switch_overhead_ns = sums.(overhead);
+    busy_fraction = sums.(busy) /. (float_of_int config.pcpus *. stop);
   }
 
 (* ---------------- Fluid fidelity tier ---------------- *)
@@ -652,8 +724,7 @@ let fluid_estimate config ~utilization =
   (s_base, cpr, ppr, (cpr *. cs) +. (ppr *. ps))
 
 let run_fluid config =
-  if Array.length config.stage_cpu_ns = 0 then
-    invalid_arg "Cluster_sim.run_fluid: stages";
+  ignore (validate "run_fluid" config);
   let clients = config.containers * config.connections_per_container in
   let z = config.client_rtt_ns in
   let solve ~utilization =

@@ -27,7 +27,10 @@
 type mode = Flat | Hierarchical
 
 type fidelity =
-  | Exact  (** every request through the event-driven dispatcher *)
+  | Exact
+      (** every request through the event-driven dispatcher: an
+          int-coded kernel over struct-of-arrays state, in the
+          [Xc_sim.Engine]'s (time, insertion) order *)
   | Fluid
       (** the whole closed loop solved analytically: one load-dependent
           PS station (the [pcpus] cores) under exact MVA
@@ -101,10 +104,20 @@ type result = {
 }
 
 val run : config -> result
+(** The {!Exact} tier.  Raises [Invalid_argument] naming the field when
+    [config] lies outside the envelope: [pcpus >= 1];
+    [containers] and [connections_per_container] [>= 0];
+    [duration_ns] finite and [> 0]; [warmup_ns], [client_rtt_ns],
+    [process_switch_ns], every stage cost and the container switch
+    priced at the run's entity population finite and [>= 0];
+    [request_mech] empty or one entry per stage; [lb]'s clones in
+    [[1, containers]]. *)
 
 val run_fluid : config -> result
 (** The {!Fluid} tier: no engine, no entities — exact MVA over the
-    closed network plus the per-mode switch-overhead estimate.  Within
+    closed network plus the per-mode switch-overhead estimate.  Refuses
+    a config outside {!run}'s envelope (bar [lb], which it ignores) by
+    the same field names.  Within
     a few percent of {!run} on mean latency, throughput and
     utilization across load levels (differential-tested); switch
     {e counts} are regime estimates, not event counts. *)

@@ -2,10 +2,10 @@
 
     A classic event-list simulator: callbacks scheduled at absolute
     simulated times, executed in timestamp order (insertion order among
-    ties, so runs are deterministic).  The cluster scheduler
-    ([Xc_platforms.Cluster_sim]) and the serverless cold-start model run
-    on it; the closed and open request loops run on
-    [Xc_platforms.Station], which keeps this dispatch order with int
+    ties, so runs are deterministic).  The serverless cold-start model
+    runs on it; the closed and open request loops
+    ([Xc_platforms.Station]) and the exact cluster tier
+    ([Xc_platforms.Cluster_sim.run]) keep this dispatch order with int
     event codes instead of callbacks.
 
     Events scheduled at exactly the current timestamp take a FIFO fast
@@ -37,16 +37,17 @@ val domain_events : unit -> int
 (** Cumulative events in the {e current domain}: dispatches by every
     engine created in it, plus what {!add_domain_events} credits — the
     dispatches of [Xc_platforms.Station.run] (the closed and open
-    loops' kernel) and the instructions retired by
-    [Xc_isa.Machine.run], its only two callers.  A caller reads it
+    loops' kernel) and [Xc_platforms.Cluster_sim.run], and the
+    instructions retired by [Xc_isa.Machine.run], its only three
+    callers.  A caller reads it
     before and after a call to count the simulated work inside, even
     when the engines are internal to that call. *)
 
 val add_domain_events : int -> unit
-(** Credit [n] events to the current domain's counter: the station
-    kernel's dispatches, or ISA-machine instruction steps.  Nothing
-    else calls it: analytic models do no simulated work and credit
-    none. *)
+(** Credit [n] events to the current domain's counter: the station or
+    cluster kernel's dispatches, or ISA-machine instruction steps.
+    Nothing else calls it: analytic models do no simulated work and
+    credit none. *)
 
 val step : t -> bool
 (** Execute the next event; [false] if the queue was empty. *)

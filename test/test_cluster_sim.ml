@@ -70,24 +70,177 @@ let test_latency_grows_with_load () =
   Alcotest.(check bool) "latency at least the rtt" true
     (low.mean_latency_ns >= 25e6)
 
+(* A config outside the envelope is refused up front, naming the
+   field, instead of returning NaN (no cores, an empty window), raising
+   from deep inside the run (a negative core count, an event in the
+   past) or running silently (a negative stage cost). *)
 let test_stage_validation () =
   let config = { (CS.default_config CS.Flat ~containers:1) with stage_cpu_ns = [||] } in
   Alcotest.check_raises "no stages" (Invalid_argument "Cluster_sim.run: stages")
-    (fun () -> ignore (CS.run config))
+    (fun () -> ignore (CS.run config));
+  let base = CS.default_config CS.Flat ~containers:4 in
+  let refused ?(run = CS.run) fn msg config =
+    Alcotest.check_raises msg
+      (Invalid_argument (Printf.sprintf "Cluster_sim.%s: %s" fn msg))
+      (fun () -> ignore (run config))
+  in
+  refused "run" "pcpus must be >= 1 (got 0)" { base with pcpus = 0 };
+  refused "run" "pcpus must be >= 1 (got -1)" { base with pcpus = -1 };
+  refused "run" "containers must be >= 0 (got -1)" { base with containers = -1 };
+  refused "run" "connections_per_container must be >= 0 (got -1)"
+    { base with connections_per_container = -1 };
+  refused "run" "duration_ns must be finite and > 0 (got 0)" { base with duration_ns = 0. };
+  refused "run" "duration_ns must be finite and > 0 (got inf)"
+    { base with duration_ns = Float.infinity };
+  refused "run" "warmup_ns must be finite and >= 0 (got -1)" { base with warmup_ns = -1. };
+  refused "run" "client_rtt_ns must be finite and >= 0 (got -1e+06)"
+    { base with client_rtt_ns = -1e6 };
+  refused "run" "process_switch_ns must be finite and >= 0 (got nan)"
+    { base with process_switch_ns = Float.nan };
+  refused "run" "stage_cpu_ns.(1) must be finite and >= 0 (got nan)"
+    { base with stage_cpu_ns = [| 60_000.; Float.nan |] };
+  refused "run" "stage_cpu_ns.(0) must be finite and >= 0 (got -1000)"
+    { base with stage_cpu_ns = [| -1000.; 290_000. |] };
+  refused "run" "request_mech must be empty or one entry per stage (got 1 for 4 stages)"
+    { base with request_mech = [| [ ("cpu", "user", 1.) ] |] };
+  refused "run" "container_switch_ns must be finite and >= 0 (got -5)"
+    { base with container_switch_ns = (fun ~runnable:_ -> -5.) };
+  refused ~run:CS.run_fluid "run_fluid" "pcpus must be >= 1 (got 0)" { base with pcpus = 0 }
 
-let test_words_per_event () =
+(* xcperf's cluster-hedge cell at 100 containers.  What is left per
+   event is [Heap.push]'s boxed key and [Histogram.add]'s boxed
+   sample; a hedged pick adds its clone-set list and k-slot buffer. *)
+let words_config () =
   let platform =
     Xc_platforms.Platform.create
       (Xc_platforms.Config.make Xc_platforms.Config.X_container)
   in
+  {
+    (CS.config_of_platform ~containers:100 ~connections:1 platform) with
+    CS.duration_ns = 1e8;
+    warmup_ns = 2e7;
+  }
+
+let test_words_per_event () =
+  let config = words_config () in
+  Test_sim.check_words_budget ~budget:3 (fun () -> CS.run config)
+
+let test_hedged_words_per_event () =
   let config =
-    {
-      (CS.config_of_platform ~containers:100 ~connections:1 platform) with
-      CS.duration_ns = 1e8;
-      warmup_ns = 2e7;
-    }
+    { (words_config ()) with CS.lb = Some { Xc_lb.Policy.kind = Least_loaded; clones = 2 } }
   in
-  Test_sim.check_words_budget ~budget:35 (fun () -> CS.run config)
+  Test_sim.check_words_budget ~budget:4 (fun () -> CS.run config)
+
+(* ---------------- The kernel against the closure reference ---------------- *)
+
+let stage_gen =
+  QCheck.Gen.(
+    oneof [ float_range 0. 1_499.; float_range 0. 49_999.; float_range 0. 399_999. ])
+
+(* Up to four stages costed to reach both the 1us slice floor and the
+   [remaining > 1.] cut; an RTT of 0 runs the whole exchange through
+   the same-instant lane; any policy with up to four clones. *)
+let config_gen =
+  QCheck.Gen.(
+    let* mode = oneofl [ CS.Flat; CS.Hierarchical ] in
+    let* containers = int_range 1 24 in
+    let* connections_per_container = int_range 0 4 in
+    let* pcpus = int_range 1 6 in
+    let* stage_cpu_ns = array_size (int_range 1 4) stage_gen in
+    let* client_rtt_ns = oneof [ return 0.; float_range 0. 2e6 ] in
+    let* process_switch_ns = float_range 0. 5_000. in
+    let* duration_ns = float_range 2e6 22e6 in
+    let* warmup_ns = float_range 0. 5e6 in
+    let* lb =
+      oneof
+        [
+          return None;
+          (let* kind = oneofl Xc_lb.Policy.all_kinds in
+           let* clones = int_range 1 (Stdlib.min 4 containers) in
+           return (Some { Xc_lb.Policy.kind; clones }));
+        ]
+    in
+    let* with_mech = bool in
+    let* seed = int_range 0 10_000 in
+    let request_mech =
+      if with_mech then
+        Array.map
+          (fun ns -> [ ("cpu", "user", ns /. 2.); ("syscall-work", "kernel", ns /. 2.) ])
+          stage_cpu_ns
+      else [||]
+    in
+    let base = CS.default_config mode ~containers in
+    return
+      {
+        base with
+        CS.pcpus;
+        connections_per_container;
+        stage_cpu_ns;
+        client_rtt_ns;
+        process_switch_ns;
+        duration_ns;
+        warmup_ns;
+        seed;
+        request_mech;
+        lb;
+      })
+
+let print_config (c : CS.config) =
+  Printf.sprintf
+    "{mode=%s; pcpus=%d; containers=%d; connections=%d; stages=[%s]; rtt=%h; \
+     pswitch=%h; duration=%h; warmup=%h; seed=%d; mech=%b; lb=%s}"
+    (match c.CS.mode with CS.Flat -> "Flat" | CS.Hierarchical -> "Hierarchical")
+    c.CS.pcpus c.CS.containers c.CS.connections_per_container
+    (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") c.CS.stage_cpu_ns)))
+    c.CS.client_rtt_ns c.CS.process_switch_ns c.CS.duration_ns c.CS.warmup_ns c.CS.seed
+    (c.CS.request_mech <> [||])
+    (match c.CS.lb with
+    | None -> "none"
+    | Some { Xc_lb.Policy.kind; clones } ->
+        Printf.sprintf "%s x%d" (Xc_lb.Policy.kind_to_string kind) clones)
+
+let result_bits (r : CS.result) =
+  Printf.sprintf "%h %h %h %d %d %h %h" r.CS.throughput_rps r.CS.mean_latency_ns
+    r.CS.p99_latency_ns r.CS.container_switches r.CS.process_switches
+    r.CS.switch_overhead_ns r.CS.busy_fraction
+
+(* The run's result and dispatch count; traced, also every captured
+   event and telemetry snapshot, counter, gauge and histogram,
+   marshalled so floats compare bit for bit. *)
+let observe ~traced run config =
+  let module Trace = Xc_trace.Trace in
+  let module Metrics = Xc_sim.Metrics in
+  let counted () = Ref_loops.counted (fun () -> run config) in
+  if not traced then
+    let r, n = counted () in
+    (result_bits r, n, "")
+  else begin
+    Trace.enable ~capacity:(1 lsl 16) ~sample:1 ();
+    Metrics.enable ();
+    Fun.protect
+      ~finally:(fun () ->
+        Metrics.disable ();
+        Trace.disable ();
+        Trace.reset ())
+      (fun () ->
+        let ((r, n), captured), telemetry =
+          Metrics.capture (fun () -> Trace.capture counted)
+        in
+        (result_bits r, n, Marshal.to_string (captured, telemetry) [ Marshal.No_sharing ]))
+  end
+
+let kernel_differential =
+  let gen = QCheck.Gen.(pair config_gen (frequency [ (1, return true); (3, return false) ])) in
+  let print (c, traced) = Printf.sprintf "%s traced=%b" (print_config c) traced in
+  QCheck.Test.make ~name:"matches the closure reference" ~count:200
+    (QCheck.make ~print gen)
+    (fun (config, traced) ->
+      let ra, na, ta = observe ~traced CS.run config in
+      let rb, nb, tb = observe ~traced Ref_cluster.run config in
+      if ra <> rb then QCheck.Test.fail_reportf "results %s vs reference %s" ra rb;
+      if na <> nb then QCheck.Test.fail_reportf "%d dispatches vs reference %d" na nb;
+      if ta <> tb then QCheck.Test.fail_reportf "captured trace or telemetry differs";
+      true)
 
 let suites =
   [
@@ -103,5 +256,7 @@ let suites =
         Alcotest.test_case "latency grows" `Slow test_latency_grows_with_load;
         Alcotest.test_case "validation" `Quick test_stage_validation;
         Alcotest.test_case "words per event" `Quick test_words_per_event;
+        Alcotest.test_case "hedged words per event" `Quick test_hedged_words_per_event;
+        QCheck_alcotest.to_alcotest kernel_differential;
       ] );
   ]

@@ -111,6 +111,55 @@ let prop_po2c_two_probes =
       done;
       Policy.picks p = picks && Policy.probes p <= 2 * picks)
 
+(* Least-loaded and JSQ clone sets are the [clones] lowest loads, ties
+   to the lower index: exactly the prefix a stable sort by load gives,
+   found in one pass that probes every backend once.  Loads of 0-3 make
+   ties the common case. *)
+let prop_k_least_stable_sort =
+  QCheck.Test.make ~name:"least-loaded and jsq sets match a stable sort" ~count:500
+    (QCheck.make
+       ~print:(fun (kind, loads, clones) ->
+         Printf.sprintf "%s loads=[%s] clones=%d" (Policy.kind_to_string kind)
+           (String.concat ";" (Array.to_list (Array.map string_of_int loads)))
+           clones)
+       QCheck.Gen.(
+         let* kind = oneofl [ Policy.Least_loaded; Policy.Jsq ] in
+         let* loads = array_size (int_range 1 40) (int_range 0 3) in
+         let* clones = int_range 1 (Array.length loads) in
+         return (kind, loads, clones)))
+    (fun (kind, loads, clones) ->
+      let backends = Array.length loads in
+      let p = Policy.create ~backends kind in
+      Array.iteri
+        (fun b l ->
+          for _ = 1 to l do
+            if kind = Policy.Jsq then Policy.enqueue p b else Policy.admit p b
+          done)
+        loads;
+      let expected =
+        List.filteri
+          (fun i _ -> i < clones)
+          (List.stable_sort
+             (fun a b -> compare loads.(a) loads.(b))
+             (List.init backends Fun.id))
+      in
+      let probes = Policy.probes p in
+      let set = Policy.pick_set p ~clones in
+      set = expected && Policy.probes p = probes + backends)
+
+(* A d=2 least-loaded pick over 100 backends allocates its k-slot
+   buffer and the returned list, and nothing per backend. *)
+let test_pick_words () =
+  let p = Policy.create ~backends:100 Policy.Least_loaded in
+  for b = 0 to 99 do
+    for _ = 1 to (b * 7) mod 5 do
+      Policy.admit p b
+    done
+  done;
+  let w = Test_sim.words_per_call 10_000 (fun () -> Policy.pick_set p ~clones:2) in
+  Alcotest.(check bool) (Printf.sprintf "%.2f words per pick within 9" w) true
+    (w <= 9.)
+
 (* ---------------- Oracle ---------------- *)
 
 let test_oracle_plain_mps () =
@@ -308,8 +357,9 @@ let suites =
         Alcotest.test_case "least-loaded observes load" `Quick
           test_least_loaded_observes_load;
         Alcotest.test_case "jsq observes queue" `Quick test_jsq_observes_queue;
+        Alcotest.test_case "words per pick" `Quick test_pick_words;
       ]
-      @ qsuite [ prop_policy_valid_picks; prop_po2c_two_probes ] );
+      @ qsuite [ prop_policy_valid_picks; prop_po2c_two_probes; prop_k_least_stable_sort ] );
     ( "lb.oracle",
       [
         Alcotest.test_case "d=1 is plain M/PS" `Quick test_oracle_plain_mps;
