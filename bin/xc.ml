@@ -819,8 +819,8 @@ let trace_run_cmd =
                   cluster (the Fig 9 scheduling simulation, ditto).")
   in
   let iterations =
-    Arg.(value & opt int 100
-        & info [ "iterations"; "n" ] ~doc:"Loop iterations (UnixBench workloads).")
+    positive_int "iterations" ~aliases:[ "n" ] 100
+      ~doc:"Loop iterations (UnixBench workloads)."
   in
   let out =
     Arg.(value & opt (some string) None

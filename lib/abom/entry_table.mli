@@ -8,9 +8,6 @@
 
 type t
 
-val base : int64
-(** [0xffffffffff600000], the historical vsyscall page address. *)
-
 val dynamic_address : int64
 (** [0xffffffffff600c08]: the entry used by 7-byte case-2 replacements. *)
 

@@ -48,7 +48,7 @@ let run ?(host_mb = 96 * 1024) ?(reservation_mb = 128) ?(active_fraction = 0.2)
       (try
          for i = 1 to containers do
            let d =
-             Xc_hypervisor.Domain.create ~id:i ~kind:Xc_hypervisor.Domain.Domu
+             Xc_hypervisor.Domain.create ~kind:Xc_hypervisor.Domain.Domu
                ~vcpus:1 ~memory_mb:reservation_mb
            in
            let b = Xc_hypervisor.Balloon.create ~domain:d in

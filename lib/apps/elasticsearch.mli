@@ -6,10 +6,6 @@
     and a small share of syscalls go through JVM-internal wrappers the
     online patcher does not match. *)
 
-val abom_coverage : float
-val search_request : Recipe.t
-val index_request : Recipe.t
-
 val mixed_request : Recipe.t
 (** The stress test's default 80/20 search/index mix. *)
 

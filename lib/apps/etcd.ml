@@ -7,18 +7,20 @@ let get_request =
     ~ops:[ K.Epoll; K.Socket_recv 120; K.Socket_send 480; K.Cheap Getpid ]
     ~request_bytes:120 ~response_bytes:480 ~irqs:2 ~abom_coverage ()
 
-let put_request ?(peers = 0) () =
-  let wal = [ K.File_write 512; K.File_write 64 (* WAL entry + index *) ] in
-  let replication =
-    List.concat
-      (List.init peers (fun _ -> [ K.Socket_send 600; K.Epoll; K.Socket_recv 80 ]))
-  in
+let put_request =
   Recipe.make ~name:"etcd-put" ~user_ns:9_500.
-    ~ops:([ K.Epoll; K.Socket_recv 600 ] @ wal @ replication @ [ K.Socket_send 90 ])
-    ~request_bytes:600 ~response_bytes:90 ~irqs:(2 + peers) ~abom_coverage ()
+    ~ops:
+      [
+        K.Epoll;
+        K.Socket_recv 600;
+        K.File_write 512;
+        K.File_write 64 (* WAL entry + index *);
+        K.Socket_send 90;
+      ]
+    ~request_bytes:600 ~response_bytes:90 ~irqs:2 ~abom_coverage ()
 
 let mixed_request =
-  let r = get_request and w = put_request () in
+  let r = get_request and w = put_request in
   Recipe.make ~name:"etcd-mixed"
     ~user_ns:((0.75 *. r.Recipe.user_ns) +. (0.25 *. w.Recipe.user_ns))
     ~ops:(r.Recipe.ops @ [ K.File_write 512 ] (* amortised WAL share *))

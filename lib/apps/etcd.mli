@@ -6,10 +6,6 @@
     to the stack-loaded pattern ABOM handles with the dynamic vsyscall
     entry — coverage still reaches 100%. *)
 
-val abom_coverage : float
-val get_request : Recipe.t
-val put_request : ?peers:int -> unit -> Recipe.t
-
 val mixed_request : Recipe.t
 (** etcd-benchmark's default mix (3:1 read:write, single node). *)
 

@@ -6,14 +6,6 @@
     user-space work per event; a sliver of its syscalls sit behind
     runtime wrappers the online patcher does not recognise. *)
 
-val abom_coverage : float
-
-val ingest_batch : events:int -> Recipe.t
-(** One network batch of [events] log records (parse + buffer). *)
-
-val flush_chunk : Recipe.t
-(** Buffer flush: a large sequential write plus an fsync-class barrier. *)
-
 val steady_state : Recipe.t
 (** The benchmark's steady state: a 100-event batch with the amortised
     share of flushing folded in. *)

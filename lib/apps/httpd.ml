@@ -26,8 +26,6 @@ let create ~kernel ~port ~docroot =
         end
     end
 
-let listener t = t.listener
-let port t = t.port
 let requests_served t = t.served
 
 (* [Socket] is a pure state machine with no cost model; when tracing,

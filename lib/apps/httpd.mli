@@ -12,14 +12,6 @@ val create :
   kernel:Xc_os.Kernel.t -> port:int -> docroot:string -> (t, string) result
 (** Bind and listen; the docroot must exist in the kernel's VFS. *)
 
-val listener : t -> Xc_os.Socket.t
-val port : t -> int
-
-val handle_pending : t -> int
-(** Accept and fully serve every pending connection; returns how many
-    requests were served.  Unknown paths get a 404; requests that are
-    not [GET] get a 400. *)
-
 val requests_served : t -> int
 
 (** {2 Client side} *)

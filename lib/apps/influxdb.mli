@@ -5,11 +5,6 @@
     Go runtime, so syscall sites use the stack-loaded pattern (ABOM case
     2) — coverage is full. *)
 
-val abom_coverage : float
-
-val write_batch : points:int -> Recipe.t
-val range_query : Recipe.t
-
 val mixed_request : Recipe.t
 (** influxdb-comparisons' load phase mix: mostly writes. *)
 

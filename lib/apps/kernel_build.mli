@@ -10,10 +10,6 @@
 
 val abom_coverage : float
 
-val per_unit_ns : Xc_platforms.Platform.t -> float
-(** Cost of compiling one translation unit: fork + exec + headers read +
-    object write + compiler CPU. *)
-
 val build_ns : ?units:int -> ?jobs:int -> Xc_platforms.Platform.t -> float
 (** Wall time of a [make -j jobs] build of [units] translation units
     (default: 600 units — a tiny-config kernel — on 8 jobs). *)

@@ -23,5 +23,3 @@ type result = {
 }
 
 val run : setup -> result
-
-val backends : int

@@ -6,10 +6,6 @@
     the paper's largest macrobenchmark gains (1.34x-2.08x over Docker).
     ABOM coverage is 100% (Table 1). *)
 
-val abom_coverage : float
-val get_request : Recipe.t
-val set_request : Recipe.t
-
 val mixed_request : Recipe.t
 (** The 1:10 SET:GET mix as a single average recipe. *)
 

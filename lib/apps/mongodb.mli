@@ -4,9 +4,7 @@
     more user-space work (BSON parsing, snapshot bookkeeping) than the
     plain caches, and writes hit the journal. *)
 
-val abom_coverage : float
 val read_request : Recipe.t
-val update_request : Recipe.t
 
 val ycsb_a : Recipe.t
 (** YCSB workload A: 50/50 read/update. *)

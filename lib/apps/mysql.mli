@@ -6,10 +6,6 @@
     libpthread locations (Table 1, Section 5.2). *)
 
 val abom_coverage_auto : float
-val abom_coverage_manual : float
-
-val read_query : offline_patched:bool -> Recipe.t
-val write_query : offline_patched:bool -> Recipe.t
 
 val mixed_query : offline_patched:bool -> Recipe.t
 (** Equal read/write probability (the Figure 6c page). *)

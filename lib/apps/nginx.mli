@@ -6,16 +6,12 @@
     in Figures 6, 8 and 9 (keep-alive).  ABOM converts 92.3% of its
     dynamic syscalls (Table 1). *)
 
-val abom_coverage : float
-
 val static_request_ab : Recipe.t
 (** One static-page request over a fresh connection (accept + teardown),
     as the [ab] benchmark of Figure 3 generates. *)
 
 val static_request_wrk : Recipe.t
 (** One keep-alive request, as [wrk] generates (Figures 6, 9). *)
-
-val workers_default : int
 
 val server :
   ?workers:int ->

@@ -4,9 +4,6 @@
     backed by MySQL (Figure 6c) and PHP-FPM behind NGINX (Figures 8, 9
     use webdevops/php-nginx with one FPM worker). *)
 
-val page_user_ns : float
-(** Interpreter work for the benchmark page. *)
-
 val cgi_request : queries:int -> Recipe.t
 (** A request to the built-in server that issues [queries] database
     round trips over TCP (the Figure 6c page issues one, read or write
@@ -15,6 +12,3 @@ val cgi_request : queries:int -> Recipe.t
 val fpm_request : Recipe.t
 (** NGINX -> PHP-FPM over FastCGI: the request hops to the FPM worker
     process and back (two intra-container process switches). *)
-
-val db_roundtrip_remote_ops : Xc_os.Kernel.op list
-(** Socket ops per query against a remote database container. *)

@@ -22,11 +22,6 @@ let transaction =
       ]
     ~request_bytes:300 ~response_bytes:150 ~irqs:2 ~abom_coverage ()
 
-let connection_setup_ns platform =
-  Xc_platforms.Platform.fork_ns platform
-  +. Xc_platforms.Platform.syscall_ns ~coverage:abom_coverage platform K.Accept_op
-  +. 60_000. (* auth handshake and catalogue warm-up *)
-
 let server ~cores platform =
   Recipe.server
     ~units:(Stdlib.max 1 (Stdlib.min 8 cores))

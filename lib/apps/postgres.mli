@@ -6,11 +6,7 @@
     the working set grows with connections.  pgbench's TPC-B-like
     transaction touches several pages and the WAL. *)
 
-val abom_coverage : float
 val transaction : Recipe.t
-
-val connection_setup_ns : Xc_platforms.Platform.t -> float
-(** Cost of a new client connection: fork a backend + handshake. *)
 
 val server :
   cores:int -> Xc_platforms.Platform.t -> Xc_platforms.Closed_loop.server

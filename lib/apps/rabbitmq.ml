@@ -18,12 +18,6 @@ let publish_transient =
       ]
     ~request_bytes:1200 ~response_bytes:60 ~irqs:4 ~abom_coverage ()
 
-let publish_persistent =
-  Recipe.make ~name:"rabbitmq-publish-persistent"
-    ~user_ns:13_000.
-    ~ops:(publish_transient.Recipe.ops @ [ K.File_write 1300; K.File_write 0 ])
-    ~request_bytes:1200 ~response_bytes:60 ~irqs:4 ~abom_coverage ()
-
 let server ~cores platform =
   Recipe.server
     ~units:(Stdlib.max 1 (Stdlib.min 4 cores))

@@ -6,9 +6,7 @@
     small fraction of its syscall sites sit behind the runtime's own
     wrappers where ABOM's patterns do not apply (the 1.4% residue). *)
 
-val abom_coverage : float
 val publish_transient : Recipe.t
-val publish_persistent : Recipe.t
 
 val server :
   cores:int -> Xc_platforms.Platform.t -> Xc_platforms.Closed_loop.server

@@ -7,7 +7,6 @@
     with Docker here (Figure 3, "comparable ... with stronger
     isolation").  ABOM coverage is 100% (Table 1). *)
 
-val abom_coverage : float
 val request : Recipe.t
 
 val server : cores:int -> Xc_platforms.Platform.t -> Xc_platforms.Closed_loop.server

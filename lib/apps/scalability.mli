@@ -22,10 +22,6 @@ type point = {
   service_ns : float;  (** per-request service time incl. overhead *)
 }
 
-val host_cores : int
-val host_memory_mb : int
-val connections_per_container : int
-
 val run : Xc_platforms.Config.runtime -> containers:int -> point
 
 val sweep : Xc_platforms.Config.runtime -> int list -> point list

@@ -9,7 +9,6 @@
 type contender = G | U | X  (** Graphene, Unikernel, X-Container *)
 
 val contender_name : contender -> string
-val platform_of : contender -> Xc_platforms.Platform.t
 
 val nginx_one_worker : contender -> float
 (** Requests/second, one worker on one dedicated core (Figure 6a). *)
@@ -25,5 +24,3 @@ val php_mysql : contender -> db_topology -> float option
 (** Total requests/second of the two PHP servers (Figure 6c); [None] for
     unsupported combinations (Graphene cannot run the PHP CGI server;
     merging requires multi-process support, so not Unikernel). *)
-
-val queries_per_page : int

@@ -17,26 +17,6 @@ let ab =
     notes = "full TCP connection per request; drives Figure 3 NGINX";
   }
 
-let wrk =
-  {
-    name = "wrk";
-    tool = "wrk";
-    connections = 64;
-    keepalive = true;
-    set_get_ratio = None;
-    notes = "keep-alive; drives Figures 6 and 9";
-  }
-
-let wrk_scalability =
-  {
-    name = "wrk-scalability";
-    tool = "wrk";
-    connections = 5;
-    keepalive = true;
-    set_get_ratio = None;
-    notes = "one thread, 5 connections per container (Figure 8)";
-  }
-
 let memtier =
   {
     name = "memtier";
@@ -57,8 +37,6 @@ let redis_bench =
     notes = "default command mix; drives Redis";
   }
 
-let all = [ ab; wrk; wrk_scalability; memtier; redis_bench ]
-let find name = List.find_opt (fun w -> w.name = name) all
 
 let closed_loop_config ?(duration_ns = 2e9) ?(seed = 42) w =
   {

@@ -21,18 +21,10 @@ val ab : t
 (** Apache ab: 100 concurrent connections, no keep-alive (a fresh TCP
     connection per request — the Figure 3 NGINX driver). *)
 
-val wrk : t
-(** wrk: keep-alive, moderate connection count (Figures 6, 9). *)
-
-val wrk_scalability : t
-(** wrk as used in Figure 8: 5 connections per container. *)
-
 val memtier : t
 (** memtier_benchmark: many connections, 1:10 SET:GET. *)
 
 val redis_bench : t
-val all : t list
-val find : string -> t option
 
 val closed_loop_config :
   ?duration_ns:float -> ?seed:int -> t -> Xc_platforms.Closed_loop.config

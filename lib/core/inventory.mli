@@ -21,5 +21,4 @@ val all : entry list
 val find : string -> entry option
 val paper_entries : entry list
 val extension_entries : entry list
-val kind_name : kind -> string
 val pp_entry : Format.formatter -> entry -> unit

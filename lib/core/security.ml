@@ -108,9 +108,6 @@ let all =
       Config.Graphene;
     ]
 
-let relative_tcb runtime =
-  float_of_int (profile_of runtime).tcb_kloc /. float_of_int linux_kloc
-
 let vulnerability_exposure p =
   let docker = profile_of Config.Docker in
   float_of_int (p.tcb_kloc * p.attack_surface)

@@ -26,10 +26,6 @@ val profile_of : Xc_platforms.Config.runtime -> profile
 val all : profile list
 val boundary_name : boundary -> string
 
-val relative_tcb : Xc_platforms.Config.runtime -> float
-(** TCB size relative to Docker's shared Linux kernel (lower is better:
-    X-Containers come out around 0.016). *)
-
 val vulnerability_exposure : profile -> float
 (** A simple figure of merit: TCB kLoC times attack-surface width,
     normalised to Docker = 1.0.  Not a CVE predictor — a way to rank the

@@ -16,8 +16,5 @@ val make :
   ?vcpus:int -> ?memory_mb:int -> ?processes:int -> name:string -> image:string ->
   unit -> t
 
-val default_memory_mb : int
-(** 128 MB, the Section 5.6 per-container configuration. *)
-
 val validate : t -> (t, string) result
 val pp : Format.formatter -> t -> unit

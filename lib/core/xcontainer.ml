@@ -61,11 +61,8 @@ let boot ?(toolstack = Boot.Xl) ~xkernel spec =
     end
 
 let shutdown ~xkernel t = Xk.destroy_domain xkernel t.domain
-let spec t = t.spec
-let image t = t.image
 let domain t = t.domain
 let libos t = t.libos
-let patcher t = t.patcher
 let boot_time t = t.boot_time
 let processes t = Xc_os.Kernel.processes t.libos
 

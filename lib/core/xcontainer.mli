@@ -20,11 +20,8 @@ val boot :
 
 val shutdown : xkernel:Xc_hypervisor.Xkernel.t -> t -> unit
 
-val spec : t -> Spec.t
-val image : t -> Docker_wrapper.image
 val domain : t -> Xc_hypervisor.Domain.t
 val libos : t -> Xc_os.Kernel.t
-val patcher : t -> Xc_abom.Patcher.t
 val boot_time : t -> Boot.breakdown
 val processes : t -> Xc_os.Process.t list
 

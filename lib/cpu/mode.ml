@@ -5,11 +5,6 @@ let to_string = function
   | Guest_kernel -> "guest-kernel"
   | Guest_user -> "guest-user"
 
-let equal (a : t) (b : t) = a = b
-
-let of_stack_pointer sp =
-  if Int64.compare sp 0L < 0 then Guest_kernel else Guest_user
-
 (* Mode transitions are the single most frequent traced event (two per
    trapped syscall), so their names are precomputed: recording one
    must not allocate. *)

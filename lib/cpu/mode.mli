@@ -12,15 +12,6 @@ type t =
   | Guest_user  (** application code *)
 
 val to_string : t -> string
-val equal : t -> t -> bool
-
-val of_stack_pointer : int64 -> t
-(** Guess guest mode from a stack pointer the way the X-Kernel does: the
-    most significant bit set means a kernel stack (top half). *)
-
-val switch_name : from_:t -> to_:t -> string
-(** Precomputed ["guest-user->guest-kernel"]-style label; never
-    allocates. *)
 
 val record_switch : ?at:float -> from_:t -> to_:t -> unit -> unit
 (** Emit a ["mode-switch"] trace instant for one privilege transition

@@ -24,39 +24,10 @@ let set_target t ~usable_mb =
     Ok (before - usable_mb)
   end
 
-(* Scrub + grant-return per 4KB page, batched. *)
-let inflate_cost_ns ~mb =
-  let pages = float_of_int (mb * 256) in
-  pages *. (180. +. Xc_cpu.Costs.pv_validation_per_entry_ns)
+type pool = { host_mb : int; mutable balloons : t list }
 
-type pool = {
-  host_mb : int;
-  mutable balloons : t list;
-  mutable freed_mb : int;
-}
-
-let pool ~host_mb = { host_mb; balloons = []; freed_mb = 0 }
+let pool ~host_mb = { host_mb; balloons = [] }
 let attach p b = p.balloons <- b :: p.balloons
-
-let reclaim p ~need_mb =
-  let freed = ref 0 in
-  let by_usable =
-    List.sort (fun a b -> compare (guest_usable_mb b) (guest_usable_mb a)) p.balloons
-  in
-  List.iter
-    (fun b ->
-      if !freed < need_mb then begin
-        let usable = guest_usable_mb b in
-        let give = Stdlib.min (usable - min_usable_mb) (need_mb - !freed) in
-        if give > 0 then begin
-          match set_target b ~usable_mb:(usable - give) with
-          | Ok got -> freed := !freed + got
-          | Error _ -> ()
-        end
-      end)
-    by_usable;
-  p.freed_mb <- p.freed_mb + !freed;
-  !freed
 
 let pool_committed_mb p =
   List.fold_left (fun acc b -> acc + domain_reservation_mb b) 0 p.balloons

@@ -13,7 +13,6 @@ val create : domain:Domain.t -> t
 (** A balloon for a domain; starts fully deflated (guest owns its whole
     reservation). *)
 
-val domain_reservation_mb : t -> int
 val guest_usable_mb : t -> int
 (** Memory currently usable by the guest (reservation - balloon size). *)
 
@@ -28,19 +27,12 @@ val set_target : t -> usable_mb:int -> (int, string) result
 val min_usable_mb : int
 (** 64 MB (footnote 1 of Section 5.6). *)
 
-val inflate_cost_ns : mb:int -> float
-(** Cost of returning [mb] to the hypervisor (page scrubbing + grants). *)
-
 (** {2 Host-side oversubscription} *)
 
 type pool
 
 val pool : host_mb:int -> pool
 val attach : pool -> t -> unit
-
-val reclaim : pool -> need_mb:int -> int
-(** Inflate balloons (largest first) until [need_mb] has been freed or
-    every guest is at the floor; returns the amount actually freed. *)
 
 val pool_free_mb : pool -> int
 val pool_committed_mb : pool -> int

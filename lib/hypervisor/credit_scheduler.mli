@@ -1,35 +1,7 @@
-(** A simplified Xen credit scheduler.
-
-    vCPUs receive credits proportional to their weight each accounting
-    period and are debited while running; vCPUs with positive credit
-    (UNDER) run before those that overdrew (OVER).  We reproduce enough
-    of the mechanism to (a) unit-test fairness, and (b) expose the
-    per-switch cost model used by the hierarchical-scheduling analysis of
-    Figure 8. *)
-
-type t
-
-val create : pcpus:int -> t
-val pcpus : t -> int
-
-val attach : t -> Vcpu.t -> weight:int -> unit
-val detach : t -> Vcpu.t -> unit
-val vcpu_count : t -> int
-
-val accounting_tick : t -> unit
-(** Refill credits proportionally to weights (one 30ms Xen period). *)
-
-val pick_next : t -> pcpu:int -> Vcpu.t option
-(** Choose the next vCPU for a physical core: runnable, UNDER before
-    OVER, round-robin within a priority class.  Debits nothing. *)
-
-val run_slice : t -> Vcpu.t -> ns:float -> unit
-(** Account [ns] of execution: debit credits, accumulate runtime. *)
+(** Xen's credit scheduler, as the hierarchical-scheduling analysis of
+    Figure 8 prices it: the cost of one vCPU switch.  Scheduling itself
+    is simulated in [Xc_platforms.Cluster_sim]. *)
 
 val switch_cost_ns : runnable_vcpus:int -> float
 (** Cost of one vCPU switch: fixed context save/restore plus runqueue
     bookkeeping growing with queue length. *)
-
-val fairness_ratio : t -> float
-(** max/min runtime across attached vCPUs with equal weights (1.0 is
-    perfectly fair); 1.0 when fewer than two vCPUs. *)

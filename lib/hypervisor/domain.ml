@@ -2,28 +2,17 @@ type kind = Dom0 | Domu | Driver_domain
 type state = Created | Running | Paused | Shutdown
 
 type t = {
-  id : int;
   kind : kind;
-  vcpus : Vcpu.t array;
   memory_mb : int;
   mutable state : state;
 }
 
-let create ~id ~kind ~vcpus ~memory_mb =
+let create ~kind ~vcpus ~memory_mb =
   if vcpus <= 0 then invalid_arg "Domain.create: need at least one vcpu";
   if memory_mb <= 0 then invalid_arg "Domain.create: need positive memory";
-  {
-    id;
-    kind;
-    vcpus = Array.init vcpus (fun i -> Vcpu.create ~id:i ~domain_id:id);
-    memory_mb;
-    state = Created;
-  }
+  { kind; memory_mb; state = Created }
 
-let id t = t.id
 let kind t = t.kind
-let vcpus t = t.vcpus
 let memory_mb t = t.memory_mb
 let state t = t.state
 let set_state t s = t.state <- s
-let is_privileged t = t.kind = Dom0

@@ -10,14 +10,9 @@ type state = Created | Running | Paused | Shutdown
 
 type t
 
-val create :
-  id:int -> kind:kind -> vcpus:int -> memory_mb:int -> t
+val create : kind:kind -> vcpus:int -> memory_mb:int -> t
 
-val id : t -> int
 val kind : t -> kind
-val vcpus : t -> Vcpu.t array
 val memory_mb : t -> int
 val state : t -> state
 val set_state : t -> state -> unit
-val is_privileged : t -> bool
-(** Only Domain-0 may issue domctl hypercalls. *)

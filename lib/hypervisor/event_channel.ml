@@ -10,7 +10,6 @@ type t = {
 let create delivery =
   { delivery; bound = Hashtbl.create 8; pending = []; delivered = 0 }
 
-let delivery t = t.delivery
 let bind t ~port = Hashtbl.replace t.bound port ()
 let is_bound t ~port = Hashtbl.mem t.bound port
 

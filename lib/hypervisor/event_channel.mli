@@ -12,7 +12,6 @@ type delivery = Via_hypervisor | Direct_user_mode
 type t
 
 val create : delivery -> t
-val delivery : t -> delivery
 
 val bind : t -> port:int -> unit
 val is_bound : t -> port:int -> bool

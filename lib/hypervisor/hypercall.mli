@@ -3,9 +3,8 @@
     The paper's isolation argument rests on the exokernel exposing "a
     small number of well-documented system calls" (Section 3): the
     hypercall table below is the whole attack surface of the X-Kernel,
-    versus ~350 syscalls for a monolithic Linux host.  Each hypercall has
-    a modelled cost; counts are kept per table so experiments can report
-    how often the kernel boundary was crossed. *)
+    versus ~350 syscalls for a monolithic Linux host.  Hypercall costs
+    are priced from [Xc_cpu.Costs] where a platform pays them. *)
 
 type kind =
   | Mmu_update  (** batched validated page-table writes *)
@@ -20,21 +19,5 @@ type kind =
   | Console_io
   | Domctl  (** domain management (toolstack only) *)
 
-val all : kind list
-val name : kind -> string
-
-val cost_ns : kind -> float
-(** Cost of one invocation (trap + validation + work). *)
-
-type t
-(** A per-hypervisor invocation counter. *)
-
-val create : unit -> t
-
-val invoke : t -> kind -> float
-(** Count one invocation and return its cost. *)
-
-val invocations : t -> kind -> int
-val total_invocations : t -> int
 val surface_size : unit -> int
 (** Number of distinct hypercalls = the attack surface (cf. Table TCB). *)

@@ -64,5 +64,3 @@ let migrate p =
     total_ns = total;
     converged;
   }
-
-let downtime_budget_met r ~budget_ns = r.downtime_ns <= budget_ns

@@ -31,7 +31,3 @@ type result = {
 }
 
 val migrate : params -> result
-
-val page_size_bytes : int
-
-val downtime_budget_met : result -> budget_ns:float -> bool

@@ -62,17 +62,6 @@ let directory t ~path =
       Hashtbl.fold (fun k _ acc -> k :: acc) node.children [] |> List.sort compare
   | None -> []
 
-let rm t ~path =
-  t.ops <- t.ops + 1;
-  (match List.rev (split path) with
-  | [] -> ()
-  | leaf :: rev_parents -> begin
-      match find_node t.root (List.rev rev_parents) with
-      | Some parent -> Hashtbl.remove parent.children leaf
-      | None -> ()
-    end);
-  fire_watches t path
-
 let watch t ~path f = t.watches <- (path, f) :: t.watches
 let op_count t = t.ops
 

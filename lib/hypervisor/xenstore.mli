@@ -18,9 +18,6 @@ val read : t -> path:string -> string option
 val directory : t -> path:string -> string list
 (** Immediate children names (sorted); empty for missing paths. *)
 
-val rm : t -> path:string -> unit
-(** Remove a subtree; fires watches. *)
-
 val watch : t -> path:string -> (string -> unit) -> unit
 (** Register a callback fired with the changed path for every write/rm
     at or under [path]. *)

@@ -1,67 +1,25 @@
-type abi = {
-  kernel_user_isolated : bool;
-  global_bit_allowed : bool;
-  direct_event_delivery : bool;
-  user_mode_iret : bool;
-  abom_enabled : bool;
-}
-
-let stock_xen_abi =
-  {
-    kernel_user_isolated = true;
-    global_bit_allowed = false;
-    direct_event_delivery = false;
-    user_mode_iret = false;
-    abom_enabled = false;
-  }
-
-let xkernel_abi =
-  {
-    kernel_user_isolated = false;
-    global_bit_allowed = true;
-    direct_event_delivery = true;
-    user_mode_iret = true;
-    abom_enabled = true;
-  }
-
 type t = {
-  abi : abi;
-  pcpus : int;
   total_memory_mb : int;
   mutable used_memory_mb : int;
-  hypercalls : Hypercall.t;
-  scheduler : Credit_scheduler.t;
   mutable domains : Domain.t list;
-  mutable next_domid : int;
   dom0 : Domain.t;
 }
 
 let dom0_memory_mb = 1024
 
-let create ?(abi = xkernel_abi) ~pcpus ~memory_mb () =
+let create ~pcpus ~memory_mb () =
   if memory_mb <= dom0_memory_mb then
     invalid_arg "Xkernel.create: not enough memory for Dom0";
-  let dom0 = Domain.create ~id:0 ~kind:Dom0 ~vcpus:pcpus ~memory_mb:dom0_memory_mb in
+  let dom0 = Domain.create ~kind:Dom0 ~vcpus:pcpus ~memory_mb:dom0_memory_mb in
   Domain.set_state dom0 Running;
   {
-    abi;
-    pcpus;
     total_memory_mb = memory_mb;
     used_memory_mb = dom0_memory_mb;
-    hypercalls = Hypercall.create ();
-    scheduler = Credit_scheduler.create ~pcpus;
     domains = [ dom0 ];
-    next_domid = 1;
     dom0;
   }
 
-let abi t = t.abi
-let pcpus t = t.pcpus
-let total_memory_mb t = t.total_memory_mb
 let free_memory_mb t = t.total_memory_mb - t.used_memory_mb
-let hypercalls t = t.hypercalls
-let scheduler t = t.scheduler
-let domains t = t.domains
 let dom0 t = t.dom0
 
 let create_domain t ~vcpus ~memory_mb =
@@ -70,13 +28,9 @@ let create_domain t ~vcpus ~memory_mb =
       (Printf.sprintf "out of memory: need %dMB, %dMB free" memory_mb
          (free_memory_mb t))
   else begin
-    let d =
-      Domain.create ~id:t.next_domid ~kind:Domu ~vcpus ~memory_mb
-    in
-    t.next_domid <- t.next_domid + 1;
+    let d = Domain.create ~kind:Domu ~vcpus ~memory_mb in
     t.used_memory_mb <- t.used_memory_mb + memory_mb;
     t.domains <- t.domains @ [ d ];
-    Array.iter (fun v -> Credit_scheduler.attach t.scheduler v ~weight:256) (Domain.vcpus d);
     Domain.set_state d Running;
     Ok d
   end
@@ -86,23 +40,9 @@ let destroy_domain t d =
   if List.memq d t.domains then begin
     t.domains <- List.filter (fun x -> x != d) t.domains;
     t.used_memory_mb <- t.used_memory_mb - Domain.memory_mb d;
-    Array.iter (Credit_scheduler.detach t.scheduler) (Domain.vcpus d);
     Domain.set_state d Shutdown
   end
 
-let syscall_forward_cost_ns t =
-  if t.abi.kernel_user_isolated then Xc_cpu.Costs.xen_pv_syscall_ns
-  else Xc_cpu.Costs.xc_forwarded_syscall_ns
-
-let event_delivery t : Event_channel.delivery =
-  if t.abi.direct_event_delivery then Direct_user_mode else Via_hypervisor
-
-let iret_cost_ns t =
-  if t.abi.user_mode_iret then Xc_cpu.Costs.xc_iret_ns
-  else Xc_cpu.Costs.iret_hypercall_ns
-
-(* Xen 4.2 is ~270 kLoC of hypervisor code; the X-Kernel adds a small
-   patch on top.  A Linux host kernel is ~17 MLoC with ~350 syscalls. *)
-let tcb_kloc _t = 280
+(* A Linux host kernel is ~17 MLoC with ~350 syscalls. *)
 let linux_host_tcb_kloc = 17_000
 let linux_host_syscall_surface = 350

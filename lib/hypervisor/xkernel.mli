@@ -1,40 +1,17 @@
-(** The exokernel: stock Xen or the modified X-Kernel.
+(** The exokernel: the X-Kernel, a modified Xen.
 
-    The two differ by the ABI changes of Section 4.2/4.3, captured in the
-    {!abi} record:
-
-    - [kernel_user_isolated]: stock x86-64 PV keeps the guest kernel in
-      its own address space and forwards each syscall with a page-table
-      switch and TLB flush; the X-Kernel maps X-LibOS into the process;
-    - [global_bit_allowed]: X-LibOS pages may set the global bit;
-    - [direct_event_delivery]: events delivered by emulating the
-      interrupt frame in user mode instead of an upcall through Xen;
-    - [user_mode_iret]: iret/sysret implemented without hypercalls;
-    - [abom_enabled]: the online binary patcher runs on syscall traps. *)
-
-type abi = {
-  kernel_user_isolated : bool;
-  global_bit_allowed : bool;
-  direct_event_delivery : bool;
-  user_mode_iret : bool;
-  abom_enabled : bool;
-}
-
-val stock_xen_abi : abi
-val xkernel_abi : abi
+    It hosts Domain-0 and one Domain-U per X-Container, and gates their
+    creation on host memory.  Its ABI changes (Sections 4.2/4.3: syscall
+    forwarding without a page-table switch, global kernel mappings,
+    direct event delivery, user-mode iret) are priced per platform by
+    [Xc_platforms.Syscall_path] from [Xc_cpu.Costs]. *)
 
 type t
 
-val create : ?abi:abi -> pcpus:int -> memory_mb:int -> unit -> t
+val create : pcpus:int -> memory_mb:int -> unit -> t
 (** A host with a Dom0 (1 GB, created implicitly). *)
 
-val abi : t -> abi
-val pcpus : t -> int
-val total_memory_mb : t -> int
 val free_memory_mb : t -> int
-val hypercalls : t -> Hypercall.t
-val scheduler : t -> Credit_scheduler.t
-val domains : t -> Domain.t list
 val dom0 : t -> Domain.t
 
 val create_domain :
@@ -44,15 +21,8 @@ val create_domain :
 
 val destroy_domain : t -> Domain.t -> unit
 
-val syscall_forward_cost_ns : t -> float
-(** Cost of one forwarded (unpatched) syscall under this ABI. *)
-
-val event_delivery : t -> Event_channel.delivery
-val iret_cost_ns : t -> float
-
-val tcb_kloc : t -> int
-(** Modelled trusted-computing-base size in kLoC: Xen ~270 kLoC vs a
-    monolithic Linux host at ~17,000 kLoC — the Section 3.4 argument. *)
-
 val linux_host_tcb_kloc : int
+(** A monolithic Linux host kernel: ~17,000 kLoC of trusted computing
+    base, against Xen's ~270 kLoC (the Section 3.4 argument). *)
+
 val linux_host_syscall_surface : int

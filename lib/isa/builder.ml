@@ -130,19 +130,3 @@ let build ?loop_iterations wrappers =
       wrappers
   in
   { image; entry; sites }
-
-let build_direct_jump ~style ~sysno =
-  let prog = build [ (style, sysno) ] in
-  match prog.sites with
-  | [ site ] ->
-      (* Append a second entry point that sets eax then jumps straight at
-         the syscall instruction. *)
-      let image = prog.image in
-      let entry2 = Image.size image - 32 in
-      let mov = Insn.Mov_eax_imm32 sysno in
-      let jmp_off = entry2 + Insn.length mov in
-      let disp = site.syscall_off - (jmp_off + 5) in
-      ignore (Image.emit_list image ~off:entry2 [ mov; Jmp_rel32 disp ]);
-      Image.add_symbol image ~name:"direct_entry" ~offset:entry2 ~size:10;
-      { prog with entry = entry2 }
-  | _ -> assert false

@@ -52,9 +52,3 @@ val build : ?loop_iterations:int -> (style * int) list -> program
     patch-once/run-many behaviour without resetting the machine.  Raises
     [Invalid_argument] when the call block exceeds [jnz]'s one-byte reach
     (more than ~20 wrappers). *)
-
-val build_direct_jump : style:style -> sysno:int -> program
-(** A program whose [main] sets [%eax] itself and jumps {i directly to the
-    syscall instruction} inside the wrapper — the rare case of Section 4.4
-    that lands in the middle of the patched call and must be repaired by
-    the X-Kernel's invalid-opcode fixup. *)

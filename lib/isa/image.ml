@@ -30,7 +30,6 @@ let size t = Bytes.length t.code
 let base t = t.base
 let code t = t.code
 let addr_of_offset t off = Int64.add t.base (Int64.of_int off)
-let offset_of_addr t addr = Int64.to_int (Int64.sub addr t.base)
 let page_count t = Array.length t.writable
 let set_page_writable t ~page v = t.writable.(page) <- v
 let page_writable t ~page = t.writable.(page)
@@ -106,16 +105,6 @@ let insn_at t off =
 let add_symbol t ~name ~offset ~size = t.symbols <- { name; offset; size } :: t.symbols
 let find_symbol t name = List.find_opt (fun s -> s.name = name) t.symbols
 let symbols t = List.rev t.symbols
-
-let copy t =
-  {
-    code = Bytes.copy t.code;
-    base = t.base;
-    symbols = t.symbols;
-    writable = Array.copy t.writable;
-    dirty = Array.copy t.dirty;
-    decoded = Array.map Array.copy t.decoded;
-  }
 
 let disassemble_range t ~off ~len =
   let sub = Bytes.sub t.code off len in

@@ -24,7 +24,6 @@ val code : t -> Bytes.t
     cache of {!insn_at} coherent. *)
 
 val addr_of_offset : t -> int -> int64
-val offset_of_addr : t -> int64 -> int
 
 val page_size : int
 val page_count : t -> int
@@ -57,9 +56,5 @@ val insn_at : t -> int -> Insn.t * int
 val add_symbol : t -> name:string -> offset:int -> size:int -> unit
 val find_symbol : t -> string -> symbol option
 val symbols : t -> symbol list
-
-val copy : t -> t
-(** Deep copy, decode cache included (for comparing patched vs pristine
-    images in tests). *)
 
 val disassemble_range : t -> off:int -> len:int -> string

@@ -71,6 +71,3 @@ let pp fmt = function
   | Nop2 -> Format.fprintf fmt "xchg %%ax,%%ax"
   | Hlt -> Format.fprintf fmt "hlt"
   | Invalid b -> Format.fprintf fmt "(bad 0x%02x)" b
-
-let to_string i = Format.asprintf "%a" pp i
-let equal (a : t) (b : t) = a = b

@@ -49,6 +49,3 @@ val length : t -> int
 
 val pp : Format.formatter -> t -> unit
 (** AT&T-flavoured disassembly, e.g. [callq *0xffffffffff600008]. *)
-
-val to_string : t -> string
-val equal : t -> t -> bool

@@ -69,7 +69,6 @@ let create ?(config = default_config) image ~entry =
   }
 
 let image t = t.image
-let rip t = t.rip
 let rax t = Int64.of_int t.rax
 
 let reset t ~entry =
@@ -115,17 +114,11 @@ let record t kind sysno site =
   t.events <- { kind; sysno; site } :: t.events;
   match kind with `Trap -> t.traps <- t.traps + 1 | `Fast -> t.fasts <- t.fasts + 1
 
-(* Signals: rt_sigreturn pops the frame deliver_signal pushed. *)
+(* Signals: a delivered signal's frame holds the interrupted rip, under
+   the restorer address the handler's ret falls into (__restore_rt);
+   rt_sigreturn resumes the interrupted context from it. *)
 let sigreturn_sysno = 15
 
-let deliver_signal t ~handler ~restorer =
-  (* Kernel-built frame: the interrupted rip deepest, then the restorer
-     address, so the handler's ret falls into __restore_rt. *)
-  push t t.rip;
-  push t restorer;
-  t.rip <- handler
-
-(* rt_sigreturn: resume the interrupted context from the frame. *)
 let do_sigreturn t = t.rip <- pop t
 
 (* After a phase-1 9-byte patch the original [syscall] still follows the

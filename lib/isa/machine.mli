@@ -37,9 +37,6 @@ type config = {
   invalid_opcode_fixup : bool;
 }
 
-val default_config : config
-(** No vsyscall table, no hooks, no fixups: a plain CPU. *)
-
 val xcontainer_config :
   ?on_syscall_trap:(t -> sysno:int -> syscall_off:int -> unit) ->
   lookup:(int64 -> entry option) ->
@@ -48,8 +45,10 @@ val xcontainer_config :
 (** Skip-check and invalid-opcode fixup enabled, as on the X-Kernel. *)
 
 val create : ?config:config -> Image.t -> entry:int -> t
+(** [config] defaults to a plain CPU: no vsyscall table, no hooks, no
+    fixups. *)
+
 val image : t -> Image.t
-val rip : t -> int
 val rax : t -> int64
 
 val run : ?fuel:int -> t -> exit_reason
@@ -65,19 +64,11 @@ val step_once : t -> exit_reason option
     Figure 2's second example is glibc's [__restore_rt]: the signal
     trampoline whose [mov $0xf,%rax; syscall] pair ABOM rewrites with the
     two-phase 9-byte replacement.  To prove that rewrite safe we model
-    the delivery/return protocol: {!deliver_signal} builds the signal
-    frame (interrupted rip, then the restorer address the handler's
-    [ret] lands on), and syscall 15 ([rt_sigreturn]) — whether it arrives
-    by trap or through the patched vsyscall path — pops the frame and
-    resumes the interrupted context. *)
-
-val sigreturn_sysno : int
-(** 15, the x86-64 [rt_sigreturn]. *)
-
-val deliver_signal : t -> handler:int -> restorer:int -> unit
-(** Interrupt the machine at its current rip: push the frame and point
-    rip at [handler].  The handler returns into [restorer], whose
-    [rt_sigreturn] resumes the interrupted code. *)
+    the return half of the protocol: a delivered signal's frame holds the
+    interrupted rip under the restorer address the handler's [ret] lands
+    on, and syscall 15 ([rt_sigreturn]) — whether it arrives by trap or
+    through the patched vsyscall path — pops the frame and resumes the
+    interrupted context. *)
 
 val reset : t -> entry:int -> unit
 (** Rewind registers/stack to run again; the (possibly patched) image and

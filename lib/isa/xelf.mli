@@ -9,9 +9,6 @@
     pipeline itself (load, patch with {!Xc_abom}, save) lives one layer
     up, in the CLI and tests, to keep this library below the patcher. *)
 
-val magic : string
-(** ["XELF1"]. *)
-
 val serialize : Image.t -> bytes
 
 val deserialize : bytes -> (Image.t, string) result

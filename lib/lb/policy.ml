@@ -48,13 +48,10 @@ let create ?(seed = 0) ~backends kind =
   }
 
 let kind t = t.kind
-let backends t = t.n
 let admit t b = t.inflight.(b) <- t.inflight.(b) + 1
 let complete t b = t.inflight.(b) <- t.inflight.(b) - 1
 let enqueue t b = t.queued.(b) <- t.queued.(b) + 1
 let dequeue t b = t.queued.(b) <- t.queued.(b) - 1
-let inflight t b = t.inflight.(b)
-let queued t b = t.queued.(b)
 let picks t = t.picks
 let probes t = t.probes
 

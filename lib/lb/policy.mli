@@ -41,7 +41,6 @@ val create : ?seed:int -> backends:int -> kind -> t
     so traced runs stay deterministic at any [--jobs]. *)
 
 val kind : t -> kind
-val backends : t -> int
 
 val pick : t -> int
 (** Choose one backend in [\[0, backends)]. *)
@@ -66,9 +65,6 @@ val enqueue : t -> int -> unit
 (** Work became queued (not yet running) at this backend: queued +1. *)
 
 val dequeue : t -> int -> unit
-
-val inflight : t -> int -> int
-val queued : t -> int -> int
 
 val picks : t -> int
 (** Total {!pick}/{!pick_set} calls so far. *)

@@ -1,10 +1,8 @@
 type region = User | Kernel
 
-type t = { id : int; table : Page_table.t }
+type t = { table : Page_table.t }
 
-let create ~id = { id; table = Page_table.create () }
-let id t = t.id
-let table t = t.table
+let create () = { table = Page_table.create () }
 
 (* We fold the 48-bit canonical space down: pages at or above this vpn are
    the kernel half.  2^35 pages = 128 TiB of user space, plenty. *)
@@ -21,10 +19,6 @@ let map_kernel t ~global ~vpn ~pages ~first_pfn =
   if vpn < kernel_base_vpn then invalid_arg "map_kernel: below kernel half";
   Page_table.map_range t.table ~vpn ~pages ~first_pfn ~flags:(fun ~pfn ->
       Pte.make ~writable:true ~user:false ~global ~pfn ())
-
-let share_kernel_into ~src ~dst =
-  Page_table.iter (table src) (fun vpn pte ->
-      if region_of_vpn vpn = Kernel then Page_table.map (table dst) ~vpn pte)
 
 let count_region t region =
   let n = ref 0 in

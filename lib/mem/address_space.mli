@@ -9,15 +9,11 @@ type region = User | Kernel
 
 type t
 
-val create : id:int -> t
-val id : t -> int
-val table : t -> Page_table.t
+val create : unit -> t
 
 val kernel_base_vpn : int
 (** First virtual page of the top half (0xffff800000000000 onwards,
     folded to an int vpn). *)
-
-val region_of_vpn : int -> region
 
 val map_user : t -> vpn:int -> pages:int -> first_pfn:int -> unit
 (** User pages: writable, user-accessible, never global. *)
@@ -25,10 +21,6 @@ val map_user : t -> vpn:int -> pages:int -> first_pfn:int -> unit
 val map_kernel : t -> global:bool -> vpn:int -> pages:int -> first_pfn:int -> unit
 (** Kernel pages: [global] is the platform policy knob of Section 4.3 —
     true on X-Containers, false on stock paravirtualized Linux. *)
-
-val share_kernel_into : src:t -> dst:t -> unit
-(** Copy all kernel-half mappings from [src] to [dst]: in both Linux and
-    X-LibOS the kernel half is shared by all processes. *)
 
 val user_pages : t -> int
 val kernel_pages : t -> int

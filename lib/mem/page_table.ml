@@ -1,5 +1,3 @@
-let page_size = 4096
-
 type t = {
   entries : (int, Pte.t) Hashtbl.t;
   mutable globals : int;
@@ -14,13 +12,6 @@ let map t ~vpn pte =
   Hashtbl.replace t.entries vpn pte;
   if pte.Pte.global then t.globals <- t.globals + 1
 
-let unmap t ~vpn =
-  match Hashtbl.find_opt t.entries vpn with
-  | Some old ->
-      if old.Pte.global then t.globals <- t.globals - 1;
-      Hashtbl.remove t.entries vpn
-  | None -> ()
-
 let lookup t ~vpn = Hashtbl.find_opt t.entries vpn
 let entry_count t = Hashtbl.length t.entries
 let global_count t = t.globals
@@ -30,10 +21,3 @@ let map_range t ~vpn ~pages ~first_pfn ~flags =
   for i = 0 to pages - 1 do
     map t ~vpn:(vpn + i) (flags ~pfn:(first_pfn + i))
   done
-
-let copy t =
-  let entries = Hashtbl.copy t.entries in
-  { entries; globals = t.globals }
-
-let vpn_of_addr addr = Int64.to_int (Int64.div addr (Int64.of_int page_size))
-let addr_of_vpn vpn = Int64.mul (Int64.of_int vpn) (Int64.of_int page_size)

@@ -6,13 +6,9 @@
 
 type t
 
-val page_size : int
-(** 4096 bytes. *)
-
 val create : unit -> t
 
 val map : t -> vpn:int -> Pte.t -> unit
-val unmap : t -> vpn:int -> unit
 val lookup : t -> vpn:int -> Pte.t option
 val entry_count : t -> int
 
@@ -24,9 +20,3 @@ val iter : t -> (int -> Pte.t -> unit) -> unit
 val map_range : t -> vpn:int -> pages:int -> first_pfn:int -> flags:(pfn:int -> Pte.t) -> unit
 (** Map [pages] consecutive virtual pages starting at [vpn] to consecutive
     frames starting at [first_pfn]. *)
-
-val copy : t -> t
-(** Deep copy, as [fork] would create (eagerly, no COW refinement). *)
-
-val vpn_of_addr : int64 -> int
-val addr_of_vpn : int -> int64

@@ -2,11 +2,3 @@ type t = { pfn : int; writable : bool; user : bool; global : bool }
 
 let make ?(writable = true) ?(user = true) ?(global = false) ~pfn () =
   { pfn; writable; user; global }
-
-let pp fmt t =
-  Format.fprintf fmt "pfn=%#x%s%s%s" t.pfn
-    (if t.writable then " W" else "")
-    (if t.user then " U" else "")
-    (if t.global then " G" else "")
-
-let equal (a : t) (b : t) = a = b

@@ -14,5 +14,3 @@ type t = {
 }
 
 val make : ?writable:bool -> ?user:bool -> ?global:bool -> pfn:int -> unit -> t
-val pp : Format.formatter -> t -> unit
-val equal : t -> t -> bool

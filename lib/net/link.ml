@@ -5,8 +5,6 @@ let create ?(latency_ns = 10_000.) ~gbps () =
   { latency_ns; gbps }
 
 let ten_gbe = { latency_ns = 10_000.; gbps = 10. }
-let latency_ns t = t.latency_ns
-let gbps t = t.gbps
 
 let serialize_ns t ~bytes_len = float_of_int bytes_len *. 8. /. t.gbps
 

@@ -11,9 +11,6 @@ val create : ?latency_ns:float -> gbps:float -> unit -> t
 val ten_gbe : t
 (** 10 GbE with a typical in-rack latency. *)
 
-val latency_ns : t -> float
-val gbps : t -> float
-
 val serialize_ns : t -> bytes_len:int -> float
 (** Time to clock [bytes_len] onto the wire. *)
 

@@ -18,8 +18,6 @@ type mode =
   | Ipvs_nat
   | Ipvs_direct_routing
 
-val mode_to_string : mode -> string
-
 val requires_kernel_modules : mode -> bool
 (** True for both IPVS modes — impossible under Docker without root and
     host-network access (Section 5.7). *)

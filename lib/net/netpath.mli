@@ -18,9 +18,6 @@ type hop =
   | Nested_exit  (** Clear's nested-virt I/O penalty *)
   | Wire of Link.t
 
-val hop_name : hop -> string
-(** Stable label for trace spans and docs. *)
-
 val hop_cost_ns : hop -> bytes_len:int -> float
 
 val path_cost_ns : hop list -> bytes_len:int -> float

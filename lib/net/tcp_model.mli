@@ -18,6 +18,3 @@ val steady_throughput :
   link:Link.t ->
   unit ->
   result
-
-val default_mss : int
-val default_window : int

@@ -25,41 +25,6 @@ let to_string w =
 
 let ( let* ) = Result.bind
 
-let parse s =
-  let s = String.trim s in
-  (* "MECH xS" (the canonical form), "MECH:S" or "MECH=S".  A bare "x"
-     separator without the space would be ambiguous: mechanism names
-     themselves contain 'x' (ctx-switch). *)
-  let split =
-    match String.index_opt s ':' with
-    | Some i -> Some (i, 1)
-    | None -> (
-        match String.index_opt s '=' with
-        | Some i -> Some (i, 1)
-        | None -> (
-            let rec find i =
-              if i + 1 >= String.length s then None
-              else if s.[i] = ' ' then Some (i, if s.[i + 1] = 'x' then 2 else 1)
-              else find (i + 1)
-            in
-            find 0))
-  in
-  match split with
-  | None ->
-      Error
-        (Printf.sprintf
-           "expected MECH xSCALE, MECH:SCALE or MECH=SCALE, got %S" s)
-  | Some (i, skip) -> (
-      let mech = String.trim (String.sub s 0 i) in
-      let rest =
-        String.trim (String.sub s (i + skip) (String.length s - i - skip))
-      in
-      match float_of_string_opt rest with
-      | None -> Error (Printf.sprintf "bad scale %S in %S" rest s)
-      | Some scale ->
-          let* () = validate ~mech ~scale in
-          Ok { mech; scale })
-
 let scale_rows w rows =
   List.map
     (fun (cat, name, ns) ->

@@ -20,17 +20,11 @@ val mechanisms : string list
 (** The scalable mechanism vocabulary: [cpu], [syscall-entry],
     [syscall-work], [ctx-switch], [irq], [net.hop]. *)
 
-val max_scale : float
-(** [10.] — a what-if is a scaling experiment, not a load model. *)
-
 val validate : mech:string -> scale:float -> (unit, string) result
 (** Known mechanism; finite scale in [0, {!max_scale}]. *)
 
 val to_string : t -> string
 (** Canonical form, e.g. ["syscall-entry x0.7"]. *)
-
-val parse : string -> (t, string) result
-(** Accepts ["MECH xS"], ["MECH:S"] and ["MECH=S"]; validated. *)
 
 val scale_rows :
   t -> (string * string * float) list -> (string * string * float) list

@@ -1,27 +1,12 @@
-(** A CFS-flavoured process scheduler.
+(** The guest kernel's runqueue.
 
-    The guest kernel picks the runnable process with the lowest virtual
-    runtime.  The per-switch cost is supplied by the platform (it depends
-    on whether kernel mappings are global, Section 4.3); the scheduler
-    only does the bookkeeping and exposes the runqueue length, which
-    feeds the runqueue term of the Figure 8 model. *)
+    The per-switch cost is supplied by the platform (it depends on
+    whether kernel mappings are global, Section 4.3); the runqueue only
+    exposes its length, which feeds the runqueue term of the Figure 8
+    model.  Scheduling itself is simulated in [Cluster_sim]. *)
 
 type t
 
 val create : unit -> t
 val add : t -> Process.t -> unit
-val remove : t -> Process.t -> unit
 val runnable_count : t -> int
-
-val pick_next : t -> Process.t option
-(** Lowest-vruntime runnable process; [None] if none. *)
-
-val run_slice : t -> Process.t -> ns:float -> unit
-(** Account a slice: cpu time and vruntime grow by [ns] (unit weight). *)
-
-val min_vruntime : t -> float
-(** Used to place newly woken processes fairly. *)
-
-val wake : t -> Process.t -> unit
-(** Mark runnable and set vruntime to the queue minimum (no starvation,
-    no sleeper bonus modelled). *)

@@ -9,7 +9,6 @@ type t = {
   config : config;
   vfs : Vfs.t;
   scheduler : Cfs.t;
-  mutable next_pid : int;
   mutable procs : Process.t list;
   kernel_pages : int;
 }
@@ -19,19 +18,16 @@ let create ?(config = default_config) () =
     config;
     vfs = Vfs.create ();
     scheduler = Cfs.create ();
-    next_pid = 1;
     procs = [];
     kernel_pages = 2048; (* 8 MB of resident kernel text/data *)
   }
 
 let config t = t.config
 let vfs t = t.vfs
-let scheduler t = t.scheduler
-let process_count t = List.length t.procs
 let processes t = t.procs
 
-let fresh_aspace t ~id =
-  let aspace = Xc_mem.Address_space.create ~id in
+let fresh_aspace t =
+  let aspace = Xc_mem.Address_space.create () in
   Xc_mem.Address_space.map_kernel aspace ~global:t.config.kernel_global
     ~vpn:Xc_mem.Address_space.kernel_base_vpn ~pages:t.kernel_pages ~first_pfn:0;
   Xc_mem.Address_space.map_user aspace ~vpn:0x1000 ~pages:Costs.process_pages
@@ -55,49 +51,10 @@ let exec_cost_ns t =
   else Costs.exec_base_ns
 
 let spawn t =
-  let pid = t.next_pid in
-  t.next_pid <- pid + 1;
-  let p = Process.create ~pid ~aspace:(fresh_aspace t ~id:pid) () in
+  let p = Process.create ~aspace:(fresh_aspace t) in
   t.procs <- t.procs @ [ p ];
   Cfs.add t.scheduler p;
   p
-
-let fork t parent =
-  let pid = t.next_pid in
-  t.next_pid <- pid + 1;
-  let aspace = Xc_mem.Address_space.create ~id:pid in
-  (* Copy the parent's full table, as fork does. *)
-  Xc_mem.Page_table.iter
-    (Xc_mem.Address_space.table (Process.aspace parent))
-    (fun vpn pte -> Xc_mem.Page_table.map (Xc_mem.Address_space.table aspace) ~vpn pte);
-  let child =
-    Process.create ~pid ~ppid:(Process.pid parent)
-      ~resident_pages:(Process.resident_pages parent)
-      ~aspace ()
-  in
-  t.procs <- t.procs @ [ child ];
-  Cfs.add t.scheduler child;
-  (child, fork_cost_ns t ~pages:(Process.resident_pages parent))
-
-let exec t _ = exec_cost_ns t
-
-let exit_process t p =
-  Process.set_state p Process.Zombie;
-  Cfs.remove t.scheduler p;
-  120.
-
-let wait t parent =
-  let zombie =
-    List.find_opt
-      (fun p ->
-        Process.state p = Process.Zombie && Process.ppid p = Process.pid parent)
-      t.procs
-  in
-  match zombie with
-  | Some z ->
-      t.procs <- List.filter (fun p -> p != z) t.procs;
-      (Some z, 150.)
-  | None -> (None, 150.)
 
 type op =
   | Cheap of Syscall_nr.t

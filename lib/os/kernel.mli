@@ -21,40 +21,24 @@ type config = {
   pv_mmu : bool;
 }
 
-val default_config : config
-(** SMP on, no global kernel mappings, direct page-table writes — a
-    stock bare-metal Linux. *)
-
 val xlibos_config : config
 (** X-LibOS: global bit on, PV MMU, SMP on. *)
 
 type t
 
 val create : ?config:config -> unit -> t
+(** [config] defaults to a stock bare-metal Linux: SMP on, no global
+    kernel mappings, direct page-table writes. *)
+
 val config : t -> config
 val vfs : t -> Vfs.t
-val scheduler : t -> Cfs.t
-val process_count : t -> int
 val processes : t -> Process.t list
 
-(** {2 Process lifecycle (functional state + cost)} *)
+(** {2 Processes} *)
 
 val spawn : t -> Process.t
 (** Create a fresh process with a kernel-half mapping obeying
     [kernel_global] and a default-sized user mapping. *)
-
-val fork : t -> Process.t -> Process.t * float
-(** Duplicate [parent]; returns the child and the kernel work in ns
-    (page-table copy; hypercall batches when [pv_mmu]). *)
-
-val exec : t -> Process.t -> float
-(** Replace the image: tear down and rebuild user mappings. *)
-
-val exit_process : t -> Process.t -> float
-(** Process becomes a zombie awaiting [wait]. *)
-
-val wait : t -> Process.t -> Process.t option * float
-(** Reap one zombie child of the given parent, if any. *)
 
 (** {2 Syscall work costs}
 
@@ -76,10 +60,6 @@ type op =
   | Fork_op
   | Exec_op
   | Wait_op
-
-val op_name : op -> string
-(** Stable low-cardinality label (the syscall's name) used for trace
-    spans and the trace-diff per-name breakdown. *)
 
 val syscall_work_ns : t -> op -> float
 

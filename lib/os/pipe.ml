@@ -1,40 +1,1 @@
-let default_capacity = 65536
-
-type t = {
-  capacity : int;
-  buf : Buffer.t;
-  mutable total : int;
-}
-
-let create ?(capacity = default_capacity) () =
-  if capacity <= 0 then invalid_arg "Pipe.create: capacity";
-  { capacity; buf = Buffer.create 256; total = 0 }
-
-let capacity t = t.capacity
-let buffered t = Buffer.length t.buf
-
-let write t data =
-  let room = t.capacity - Buffer.length t.buf in
-  if room <= 0 then `Would_block
-  else begin
-    let n = Stdlib.min room (Bytes.length data) in
-    Buffer.add_subbytes t.buf data 0 n;
-    t.total <- t.total + n;
-    `Wrote n
-  end
-
-let read t ~max_len =
-  let available = Buffer.length t.buf in
-  if available = 0 then `Would_block
-  else begin
-    let n = Stdlib.min max_len available in
-    let out = Bytes.create n in
-    Bytes.blit_string (Buffer.contents t.buf) 0 out 0 n;
-    let rest = Buffer.sub t.buf n (available - n) in
-    Buffer.clear t.buf;
-    Buffer.add_string t.buf rest;
-    `Read out
-  end
-
 let transfer_cost_ns ~bytes_len = 120. +. (0.05 *. float_of_int bytes_len)
-let total_transferred t = t.total

@@ -2,23 +2,7 @@
 
     Behind two UnixBench tests: Pipe Throughput (one process reading and
     writing its own pipe) and Context Switching (two processes ping-pong
-    over a pipe pair).  The buffer is the Linux default 64 KiB. *)
-
-type t
-
-val default_capacity : int
-
-val create : ?capacity:int -> unit -> t
-val capacity : t -> int
-val buffered : t -> int
-
-val write : t -> bytes -> [ `Wrote of int | `Would_block ]
-(** Append as many bytes as fit; [`Would_block] only when zero fit. *)
-
-val read : t -> max_len:int -> [ `Read of bytes | `Would_block ]
-(** Consume up to [max_len] buffered bytes (FIFO). *)
+    over a pipe pair).  Only the kernel work of a transfer is priced. *)
 
 val transfer_cost_ns : bytes_len:int -> float
 (** Kernel work for one pipe read or write of [bytes_len]. *)
-
-val total_transferred : t -> int

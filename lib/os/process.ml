@@ -1,26 +1,8 @@
-type state = Runnable | Running | Blocked | Zombie
+type state = Runnable | Blocked
 
-type t = {
-  pid : int;
-  ppid : int;
-  mutable state : state;
-  aspace : Xc_mem.Address_space.t;
-  resident_pages : int;
-  mutable vruntime : float;
-  mutable cpu_time_ns : float;
-}
+type t = { mutable state : state; aspace : Xc_mem.Address_space.t }
 
-let create ~pid ?(ppid = 0) ?(resident_pages = Xc_cpu.Costs.process_pages) ~aspace () =
-  { pid; ppid; state = Runnable; aspace; resident_pages; vruntime = 0.; cpu_time_ns = 0. }
-
-let pid t = t.pid
-let ppid t = t.ppid
+let create ~aspace = { state = Runnable; aspace }
 let state t = t.state
 let set_state t s = t.state <- s
 let aspace t = t.aspace
-let resident_pages t = t.resident_pages
-let vruntime t = t.vruntime
-let add_vruntime t v = t.vruntime <- t.vruntime +. v
-let set_vruntime t v = t.vruntime <- v
-let cpu_time_ns t = t.cpu_time_ns
-let add_cpu_time t ns = t.cpu_time_ns <- t.cpu_time_ns +. ns

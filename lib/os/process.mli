@@ -6,23 +6,12 @@
     from containers.  The PCB is identical across platforms; what differs
     is how much a switch between PCBs costs. *)
 
-type state = Runnable | Running | Blocked | Zombie
+type state = Runnable | Blocked
 
 type t
 
-val create :
-  pid:int -> ?ppid:int -> ?resident_pages:int -> aspace:Xc_mem.Address_space.t -> unit -> t
+val create : aspace:Xc_mem.Address_space.t -> t
 
-val pid : t -> int
-val ppid : t -> int
 val state : t -> state
 val set_state : t -> state -> unit
 val aspace : t -> Xc_mem.Address_space.t
-val resident_pages : t -> int
-
-val vruntime : t -> float
-val add_vruntime : t -> float -> unit
-val set_vruntime : t -> float -> unit
-
-val cpu_time_ns : t -> float
-val add_cpu_time : t -> float -> unit

@@ -30,10 +30,6 @@ let create () =
   }
 
 let state t = t.state
-let id t = t.id
-let port t = t.bound_port
-let peer t = t.peer
-let buffered t = Buffer.length t.rx
 
 let bind t ~port =
   match t.state with

@@ -19,13 +19,10 @@ type state =
 
 val create : unit -> t
 val state : t -> state
-val id : t -> int
 
 val bind : t -> port:int -> (unit, string) result
 (** Fails if the port is taken in this kernel's namespace or the socket
     is not fresh. *)
-
-val port : t -> int option
 
 val listen : t -> backlog:int -> (unit, string) result
 
@@ -51,6 +48,4 @@ val close : t -> unit
 (** Close this endpoint; the peer observes EOF ([recv] returns an error
     after draining). *)
 
-val peer : t -> t option
 val buffer_capacity : int
-val buffered : t -> int

@@ -100,7 +100,3 @@ let name = function
   | Epoll_wait -> "epoll_wait"
   | Epoll_ctl -> "epoll_ctl"
   | Accept4 -> "accept4"
-
-let is_cheap_nonblocking = function
-  | Dup | Close | Getpid | Getuid | Umask -> true
-  | _ -> false

@@ -40,6 +40,3 @@ val number : t -> int
 val of_number : int -> t option
 val name : t -> string
 val all : t list
-
-val is_cheap_nonblocking : t -> bool
-(** The class exercised by the UnixBench System Call test. *)

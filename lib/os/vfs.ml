@@ -4,18 +4,12 @@ type error =
   | Not_found
   | Not_a_directory
   | Is_a_directory
-  | Already_exists
-  | Bad_descriptor
 
 let error_to_string = function
   | Not_found -> "no such file or directory"
   | Not_a_directory -> "not a directory"
   | Is_a_directory -> "is a directory"
-  | Already_exists -> "file exists"
-  | Bad_descriptor -> "bad file descriptor"
 
-type open_file = { node : node; mutable pos : int; mutable closed : bool }
-type fd = open_file
 type t = { root : (string, node) Hashtbl.t }
 
 let create () = { root = Hashtbl.create 16 }
@@ -49,16 +43,6 @@ let parent_dir t path =
       | Ok (File _) -> Error Not_a_directory
       | Error e -> Error e
     end
-
-let mkdir t path =
-  match parent_dir t path with
-  | Error e -> Error e
-  | Ok (dir, name) ->
-      if Hashtbl.mem dir name then Error Already_exists
-      else begin
-        Hashtbl.add dir name (Dir (Hashtbl.create 8));
-        Ok ()
-      end
 
 let mkdir_p t path =
   let comps = split_path path in
@@ -96,96 +80,10 @@ let read_file t path =
   | Ok (Dir _) -> Error Is_a_directory
   | Error e -> Error e
 
-let exists t path = match lookup t path with Ok _ -> true | Error _ -> false
-
-let file_size t path =
-  match read_file t path with Ok d -> Ok (Bytes.length d) | Error e -> Error e
-
-let unlink t path =
-  match parent_dir t path with
-  | Error e -> Error e
-  | Ok (dir, name) -> begin
-      match Hashtbl.find_opt dir name with
-      | Some (File _) ->
-          Hashtbl.remove dir name;
-          Ok ()
-      | Some (Dir _) -> Error Is_a_directory
-      | None -> Error Not_found
-    end
-
 let readdir t path =
   match lookup t path with
   | Ok (Dir d) -> Ok (Hashtbl.fold (fun k _ acc -> k :: acc) d [] |> List.sort compare)
   | Ok (File _) -> Error Not_a_directory
   | Error e -> Error e
-
-let openf t path mode =
-  match (lookup t path, mode) with
-  | Ok (File _), `Create -> Error Already_exists
-  | Ok (File f), (`Read | `Write) ->
-      Ok { node = File f; pos = 0; closed = false }
-  | Ok (Dir _), _ -> Error Is_a_directory
-  | Error Not_found, `Create -> begin
-      match write_file t path Bytes.empty with
-      | Ok () -> begin
-          match lookup t path with
-          | Ok node -> Ok { node; pos = 0; closed = false }
-          | Error e -> Error e
-        end
-      | Error e -> Error e
-    end
-  | Error e, _ -> Error e
-
-let check_open fd = if fd.closed then Error Bad_descriptor else Ok ()
-
-let read _t fd ~buf_len =
-  match check_open fd with
-  | Error e -> Error e
-  | Ok () -> begin
-      match fd.node with
-      | Dir _ -> Error Is_a_directory
-      | File f ->
-          let available = Bytes.length f.data - fd.pos in
-          let n = Stdlib.max 0 (Stdlib.min buf_len available) in
-          let out = Bytes.sub f.data fd.pos n in
-          fd.pos <- fd.pos + n;
-          Ok out
-    end
-
-let write _t fd data =
-  match check_open fd with
-  | Error e -> Error e
-  | Ok () -> begin
-      match fd.node with
-      | Dir _ -> Error Is_a_directory
-      | File f ->
-          let n = Bytes.length data in
-          let needed = fd.pos + n in
-          if needed > Bytes.length f.data then begin
-            let grown = Bytes.make needed '\x00' in
-            Bytes.blit f.data 0 grown 0 (Bytes.length f.data);
-            f.data <- grown
-          end;
-          Bytes.blit data 0 f.data fd.pos n;
-          fd.pos <- fd.pos + n;
-          Ok n
-    end
-
-let lseek _t fd pos =
-  match check_open fd with
-  | Error e -> Error e
-  | Ok () ->
-      if pos < 0 then Error Bad_descriptor
-      else begin
-        fd.pos <- pos;
-        Ok ()
-      end
-
-let close _t fd =
-  match check_open fd with
-  | Error e -> Error e
-  | Ok () ->
-      fd.closed <- true;
-      Ok ()
 
 let copy_cost_ns ~bytes_len = 140. +. (0.05 *. float_of_int bytes_len)

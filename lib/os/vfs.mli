@@ -10,15 +10,10 @@ type error =
   | Not_found
   | Not_a_directory
   | Is_a_directory
-  | Already_exists
-  | Bad_descriptor
 
 val error_to_string : error -> string
 
 val create : unit -> t
-
-val mkdir : t -> string -> (unit, error) result
-(** Create one directory; parents must exist. *)
 
 val mkdir_p : t -> string -> (unit, error) result
 
@@ -26,22 +21,7 @@ val write_file : t -> string -> bytes -> (unit, error) result
 (** Create or truncate a file with the given contents. *)
 
 val read_file : t -> string -> (bytes, error) result
-val exists : t -> string -> bool
-val file_size : t -> string -> (int, error) result
-val unlink : t -> string -> (unit, error) result
 val readdir : t -> string -> (string list, error) result
-
-(** {2 Descriptor-based I/O} *)
-
-type fd
-
-val openf : t -> string -> [ `Read | `Write | `Create ] -> (fd, error) result
-val read : t -> fd -> buf_len:int -> (bytes, error) result
-(** Read up to [buf_len] bytes from the current position. *)
-
-val write : t -> fd -> bytes -> (int, error) result
-val lseek : t -> fd -> int -> (unit, error) result
-val close : t -> fd -> (unit, error) result
 
 val copy_cost_ns : bytes_len:int -> float
 (** Kernel work to move [bytes_len] through read/write: fixed path cost

@@ -26,9 +26,6 @@ val runtime_name : runtime -> string
 val name : t -> string
 (** e.g. ["X-Container"] or ["Docker-unpatched"]. *)
 
-val all_cloud_runtimes : runtime list
-(** The five runtimes of the cloud comparison. *)
-
 val ten_configurations : cloud -> t list
 (** The full patched x unpatched grid of Section 5.1. *)
 

@@ -2,11 +2,7 @@ module Costs = Xc_cpu.Costs
 module Kernel = Xc_os.Kernel
 module Netpath = Xc_net.Netpath
 
-type t = {
-  config : Config.t;
-  kernel : Kernel.t;
-  xkernel : Xc_hypervisor.Xkernel.t option;
-}
+type t = { config : Config.t; kernel : Kernel.t }
 
 let kernel_config (c : Config.t) : Kernel.config =
   match c.runtime with
@@ -36,23 +32,9 @@ let needs_hypervisor (c : Config.t) =
 let hierarchical_scheduling t = needs_hypervisor t.config
 
 let create (config : Config.t) =
-  let xkernel =
-    if needs_hypervisor config then begin
-      let abi =
-        match config.runtime with
-        | X_container -> Xc_hypervisor.Xkernel.xkernel_abi
-        | _ -> Xc_hypervisor.Xkernel.stock_xen_abi
-      in
-      Some (Xc_hypervisor.Xkernel.create ~abi ~pcpus:8 ~memory_mb:(96 * 1024) ())
-    end
-    else None
-  in
-  { config; kernel = Kernel.create ~config:(kernel_config config) (); xkernel }
+  { config; kernel = Kernel.create ~config:(kernel_config config) () }
 
 let config t = t.config
-let name t = Config.name t.config
-let kernel t = t.kernel
-let xkernel t = t.xkernel
 
 let syscall_entry_ns ?(coverage = 1.0) t =
   Syscall_path.effective_entry_ns t.config ~abom_coverage:coverage

@@ -1,18 +1,15 @@
-(** A composed platform: kernel(s), hypervisor, costs, network path.
+(** A composed platform: guest kernel, costs, network path.
 
     One value of {!t} models a host configured with one container
     runtime.  It owns the guest kernel model (with the right knobs for
-    that runtime), optionally a hypervisor, and answers the questions the
-    application models ask: what does a syscall cost here, what does a
-    process switch cost, which network hops does a packet cross. *)
+    that runtime) and answers the questions the application models ask:
+    what does a syscall cost here, what does a process switch cost,
+    which network hops does a packet cross. *)
 
 type t
 
 val create : Config.t -> t
 val config : t -> Config.t
-val name : t -> string
-val kernel : t -> Xc_os.Kernel.t
-val xkernel : t -> Xc_hypervisor.Xkernel.t option
 
 (** {2 Costs} *)
 
@@ -66,9 +63,6 @@ val iperf_per_chunk_cpu_ns : t -> float
 (** CPU cost to push one TSO chunk through this platform's stack. *)
 
 (** {2 Memory footprint (Figure 8)} *)
-
-val container_memory_mb : t -> int
-(** Memory reserved per container instance on this platform. *)
 
 val max_instances : t -> host_memory_mb:int -> int
 (** How many instances fit (the Figure 8 boot ceiling). *)

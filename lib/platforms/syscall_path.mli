@@ -21,24 +21,8 @@ val effective_entry_ns : Config.t -> abom_coverage:float -> float
     invocations go through patched sites (Table 1 gives per-application
     coverage).  Ignores coverage on non-X-Container platforms. *)
 
-val entry_mechanism : Config.t -> string
-(** The entry path's trace label, e.g. ["syscall-trap+kpti"] for a
-    patched Docker host or ["xen-pv-forward"] for a PV guest.  (The
-    X-Container blend traces as ["abom-call"] / ["xc-forwarded"]
-    spans; this function returns the forwarded label.) *)
-
-val interrupt_mechanism : Config.t -> string
-(** Trace label of the interrupt delivery path. *)
-
 val interrupt_ns : Config.t -> float
 (** Cost of delivering one interrupt/event to the container's kernel. *)
-
-val graphene_ipc_fraction_multiproc : float
-(** Fraction of syscalls that hit the shared POSIX state and require IPC
-    when a Graphene application runs several processes (Section 5.5). *)
-
-val graphene_ipc_cost_ns : float
-(** One coordination IPC round trip between Graphene instances. *)
 
 val graphene_entry_ns : multiprocess:bool -> float
 (** Graphene's libOS call cost; multi-process adds IPC coordination. *)

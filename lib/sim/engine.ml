@@ -33,7 +33,6 @@ let schedule t at f =
   else if c = 0 then Queue.add f t.lane
   else Heap.push t.queue at f
 
-let schedule_after t delay f = schedule t (Time_ns.add t.clock delay) f
 let pending t = Heap.length t.queue + Queue.length t.lane
 
 let add_domain_events n =

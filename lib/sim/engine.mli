@@ -24,9 +24,6 @@ val schedule : t -> Time_ns.t -> (t -> unit) -> unit
 (** [schedule t at f] runs [f] when the clock reaches [at].  Scheduling in
     the past raises [Invalid_argument]. *)
 
-val schedule_after : t -> Time_ns.t -> (t -> unit) -> unit
-(** [schedule_after t delay f] = [schedule t (now t + delay) f]. *)
-
 val pending : t -> int
 (** Number of events not yet executed. *)
 
@@ -48,9 +45,6 @@ val add_domain_events : int -> unit
     cluster kernel's dispatches, or ISA-machine instruction steps.
     Nothing else calls it: analytic models do no simulated work and
     credit none. *)
-
-val step : t -> bool
-(** Execute the next event; [false] if the queue was empty. *)
 
 val run : ?until:Time_ns.t -> t -> unit
 (** Run until the queue drains or the clock would pass [until].  With

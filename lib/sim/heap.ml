@@ -116,7 +116,6 @@ let drop t =
   if n > 0 then sift_down t n
 
 let keys t = t.keys
-let clear t = t.size <- 0
 
 let to_sorted_list t =
   let copy =

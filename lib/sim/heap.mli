@@ -37,7 +37,5 @@ val keys : 'a t -> float array
     Read it, never write it.  A {!push} may replace the array, so fetch
     it again after pushing. *)
 
-val clear : 'a t -> unit
-
 val to_sorted_list : 'a t -> (float * 'a) list
 (** Non-destructive: all elements in {!top} order (for tests). *)

@@ -80,7 +80,6 @@ let percentile t p =
 let percentile_floor t p =
   if t.count = 0 then 0. else floor_of_bucket (percentile_bucket t p)
 
-let median t = percentile t 50.
 let mean t = if t.count = 0 then 0. else t.sum.(0) /. float_of_int t.count
 
 let merge a b =

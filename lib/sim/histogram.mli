@@ -29,7 +29,6 @@ val percentile_floor : t -> float -> float
     selecting a tail by [>=] — the midpoint can sit above every sample
     in its own bucket and select nothing.  [0.] when empty. *)
 
-val median : t -> float
 val mean : t -> float
 val merge : t -> t -> t
 

@@ -203,12 +203,6 @@ let read () =
   if not (on ()) then empty_telemetry
   else telemetry_of_reg (Domain.DLS.get reg_key)
 
-let reset_registry () =
-  let reg = Domain.DLS.get reg_key in
-  reg.tbl <- Hashtbl.create 32;
-  reg.snaps <- Queue.create ();
-  reg.snap_dropped <- 0
-
 (* Flush-at-shard-boundary read: [read ()] then an in-place clear that
    keeps the hashtable and queue allocated for the next shard on this
    domain — the sharded runner's counterpart to [Trace.drain]. *)

@@ -55,9 +55,6 @@ val on : unit -> bool
 (** One atomic load; inlinable.  Emitters are already guarded, but hot
     call sites should test this before building arguments. *)
 
-val interval_ns : unit -> float
-val retention : unit -> int
-
 (** {2 Emitters}
 
     All are no-ops when disabled.  [cat] names the substrate
@@ -90,9 +87,6 @@ val sample_boundaries : from:Time_ns.t -> until:Time_ns.t -> unit
 val read : unit -> telemetry
 (** The current domain's registry as a telemetry value (registry left
     untouched).  {!empty_telemetry} when disabled. *)
-
-val reset_registry : unit -> unit
-(** Discard the current domain's metrics, snapshots and drop count. *)
 
 val drain : unit -> telemetry
 (** {!read} followed by an in-place clear that keeps the containers

@@ -28,7 +28,6 @@ let[@inline] next_int64 t =
   mix s
 
 let split t = of_state (next_int64 t)
-let copy = Bytes.copy
 
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
@@ -42,30 +41,12 @@ let[@inline] float t bound =
   let v = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   v /. 9007199254740992. *. bound
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
-
 let exponential t ~mean =
   let u = Float.max 1e-12 (float t 1.0) in
   -.mean *. Float.log u
-
-let pareto t ~shape ~scale =
-  let u = Float.max 1e-12 (float t 1.0) in
-  scale /. Float.pow u (1.0 /. shape)
 
 let normal t ~mean ~stddev =
   let u1 = Float.max 1e-12 (float t 1.0) in
   let u2 = float t 1.0 in
   let z = Float.sqrt (-2.0 *. Float.log u1) *. Float.cos (2.0 *. Float.pi *. u2) in
   mean +. (stddev *. z)
-
-let pick t arr =
-  if Array.length arr = 0 then invalid_arg "Prng.pick: empty array";
-  arr.(int t (Array.length arr))
-
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done

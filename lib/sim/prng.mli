@@ -16,31 +16,14 @@ val create : int -> t
 val split : t -> t
 (** [split t] forks an independent generator; [t] advances. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state without advancing [t]. *)
-
-val next_int64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  [bound] must be positive. *)
 
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
-val bool : t -> bool
-
 val exponential : t -> mean:float -> float
 (** Exponentially distributed sample with the given mean. *)
 
-val pareto : t -> shape:float -> scale:float -> float
-(** Pareto-distributed sample; used for heavy-tailed request sizes. *)
-
 val normal : t -> mean:float -> stddev:float -> float
 (** Gaussian sample via Box-Muller. *)
-
-val pick : t -> 'a array -> 'a
-(** Uniformly pick one element of a non-empty array. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)

@@ -73,7 +73,6 @@ let to_csv t =
   Buffer.contents buf
 
 let fmt_ratio v = Printf.sprintf "%.2fx" v
-let fmt_pct v = Printf.sprintf "%.1f%%" v
 
 let fmt_si v =
   let abs = Float.abs v in

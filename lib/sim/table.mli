@@ -23,9 +23,6 @@ val to_csv : t -> string
 val fmt_ratio : float -> string
 (** e.g. [2.13x]. *)
 
-val fmt_pct : float -> string
-(** e.g. [92.3%] (argument is the percentage value, not a fraction). *)
-
 val fmt_si : float -> string
 (** 12K / 3.4M style, for request rates. *)
 

@@ -21,9 +21,6 @@ type row = {
 val closed_result : Spec.t -> Xc_platforms.Closed_loop.result
 val open_result : Spec.t -> Xc_platforms.Open_loop.result
 
-val cluster_results : Spec.t -> Xc_platforms.Cluster_sim.result list
-(** One result per node, in node order. *)
-
 val run : Spec.t -> row
 (** Dispatch on the spec's shape; cluster rows aggregate node results
     (throughput sums, means average, p99 is the worst non-NaN). *)

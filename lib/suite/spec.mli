@@ -68,25 +68,13 @@ val duration_ns : t -> float
 val warmup_ns : t -> float
 
 val shape_to_string : shape -> string
-val fidelity_to_string : fidelity -> string
 val runtime_to_string : Config.runtime -> string
-val runtime_of_string : string -> (Config.runtime, string) result
-val cloud_to_string : Config.cloud -> string
-val cloud_of_string : string -> (Config.cloud, string) result
-
-val field_names : string list
-(** Every typed field key, in canonical print order (excludes
-    [param.*]). *)
 
 val set_field : t -> string -> string -> (t, string) result
 (** [set_field t key value] — the single write path shared by the file
     parser and suite cross-products.  Unknown keys and malformed
     values produce a named-field error ([field KEY: ...]); [param.K]
     keys append (duplicate [param.K] is an error). *)
-
-val fields : t -> (string * string) list
-(** All fields (typed then [param.*]) as canonical key=value strings;
-    [set_field] on each pair rebuilds an equal record. *)
 
 val print_fields : t -> (string * string) list
 (** Only the fields that differ from {!default} (params always);

@@ -35,8 +35,6 @@ let make ~name specs =
     | Some n -> Error (Printf.sprintf "duplicate experiment name %S" n)
     | None -> Ok { name; specs }
 
-let find t name = List.find_opt (fun (s : Spec.t) -> s.Spec.name = name) t.specs
-
 (* ------------------------------------------------------------------ *)
 (* Cross products                                                      *)
 

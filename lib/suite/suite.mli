@@ -41,7 +41,6 @@ val cross_axes :
     cardinality is the product of the distinct-value counts and names
     are unique by construction. *)
 
-val find : t -> string -> Spec.t option
 val print : t -> string
 val parse : ?name:string -> string -> (t, string) result
 (** [name] is the default suite name if the text has no [suite =]

@@ -21,7 +21,6 @@ type t = {
   recipe : Xc_apps.Recipe.t;  (** per-request recipe for raw service times *)
 }
 
-val all : t list
 val names : string list
 val find : string -> t option
 

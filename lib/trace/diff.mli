@@ -86,10 +86,6 @@ type tail_row = {
   b_mean_ns : float;
 }
 
-val tail_delta : tail_row -> float
-(** [b_mean_ns -. a_mean_ns]: positive means B's tail requests spend
-    more in this mechanism. *)
-
 type tail_report = {
   tail_rows : tail_row list;  (** sorted by |delta| descending, then name *)
   a_tail : Profile.tail;

@@ -47,8 +47,6 @@ val of_file : string -> (Trace.event list, string) result
     what {!to_tails_csv} writes; per-request detail is not serialised,
     so parsed tails come back with [tail = []]. *)
 
-val tails_csv_header : string
-
 val to_tails_csv : Profile.tail list -> string
 
 val tails_to_file : path:string -> Profile.tail list -> unit

@@ -46,7 +46,6 @@ let enable ?capacity ?sample () =
   Atomic.set enabled_flag true
 
 let disable () = Atomic.set enabled_flag false
-let sample_stride () = Atomic.get sample_cell
 
 (* Per-(cat,name) sampler state; mutable so the hot path updates in
    place without reinserting into the table. *)
@@ -170,15 +169,6 @@ let counter ?at ~cat ~name v =
   end
 
 let cursor () = (recorder ()).cursor
-
-let reset () =
-  let r = recorder () in
-  r.buf <- [||];
-  r.start <- 0;
-  r.len <- 0;
-  r.dropped <- 0;
-  r.cursor <- 0.;
-  Hashtbl.reset r.streams
 
 let dropped () = (recorder ()).dropped
 

@@ -90,9 +90,6 @@ val enabled : unit -> bool
 (** One atomic load; inlinable.  Emitters are already guarded, but hot
     call sites should test this before building event arguments. *)
 
-val sample_stride : unit -> int
-(** The current sampling stride (1 = unsampled). *)
-
 (** {1 Emitters}
 
     All are no-ops when disabled.  With a sampling stride > 1, each
@@ -128,15 +125,11 @@ val take : unit -> event list
 
 val dropped : unit -> int
 (** Events overwritten in the current domain's ring since the last
-    {!take}/{!reset}. *)
+    {!take}. *)
 
 val streams : unit -> Stream.t list
-(** Per-stream sampler accounting since the last {!take}/{!reset},
+(** Per-stream sampler accounting since the last {!take},
     sorted by (cat, name).  Empty when no stride > 1 was active. *)
-
-val reset : unit -> unit
-(** Discard the current domain's buffer and reset cursor, dropped
-    count and sampler streams. *)
 
 (** {1 Composition}
 

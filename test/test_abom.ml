@@ -5,7 +5,7 @@
 open Xc_isa
 open Xc_abom
 
-let insn = Alcotest.testable Insn.pp Insn.equal
+let insn = Alcotest.testable Insn.pp ( = )
 
 let fresh_patcher () = Patcher.create (Entry_table.create ())
 
@@ -166,11 +166,22 @@ let test_patch_9byte_phase2_jmp_execution () =
 
 (* ---------------- stray jump into patched bytes ---------------- *)
 
+(* A one-wrapper program with a second entry point that sets eax and
+   jumps straight at the wrapper's syscall instruction. *)
+let direct_jump_program ~sysno =
+  let prog = Builder.build [ (Builder.Glibc_small, sysno) ] in
+  let site = List.hd prog.sites in
+  let entry = Image.size prog.image - 32 in
+  let mov = Insn.Mov_eax_imm32 sysno in
+  let disp = site.syscall_off - (entry + Insn.length mov + 5) in
+  ignore (Image.emit_list prog.image ~off:entry [ mov; Jmp_rel32 disp ]);
+  { prog with entry }
+
 let test_invalid_opcode_fixup () =
   (* A second entry point jumps directly at the original syscall
      location; after the 7-byte patch that lands mid-call on 0x60 0xff,
      and the X-Kernel fixup must back rip up onto the call. *)
-  let prog = Builder.build_direct_jump ~style:Builder.Glibc_small ~sysno:13 in
+  let prog = direct_jump_program ~sysno:13 in
   let site = List.hd prog.sites in
   let p = fresh_patcher () in
   (* Patch the site first (as if the wrapper path ran earlier). *)
@@ -184,15 +195,17 @@ let test_invalid_opcode_fixup () =
     (Machine.syscall_numbers m)
 
 let test_invalid_opcode_without_fixup_faults () =
-  let prog = Builder.build_direct_jump ~style:Builder.Glibc_small ~sysno:13 in
+  let prog = direct_jump_program ~sysno:13 in
   let site = List.hd prog.sites in
   let p = fresh_patcher () in
   ignore (Patcher.patch_site p prog.image ~syscall_off:site.syscall_off);
   (* Plain CPU without the X-Kernel trap handler: must fault. *)
   let config =
     {
-      Machine.default_config with
-      vsyscall_lookup = Entry_table.lookup (Patcher.table p);
+      Machine.vsyscall_lookup = Entry_table.lookup (Patcher.table p);
+      on_syscall_trap = None;
+      libos_skip_check = false;
+      invalid_opcode_fixup = false;
     }
   in
   let m = Machine.create ~config prog.image ~entry:prog.entry in

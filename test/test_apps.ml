@@ -54,11 +54,13 @@ let test_recipe_jitter_positive () =
     (float_of_int r.CL.completed *. r.CL.mean_latency_ns <= duration_ns)
 
 let test_app_coverages_match_table1 () =
-  Alcotest.(check (float 1e-9)) "nginx" 0.923 Nginx.abom_coverage;
-  Alcotest.(check (float 1e-9)) "memcached" 1.0 Memcached.abom_coverage;
-  Alcotest.(check (float 1e-9)) "redis" 1.0 Redis.abom_coverage;
+  let coverage (r : Recipe.t) = r.abom_coverage in
+  Alcotest.(check (float 1e-9)) "nginx" 0.923 (coverage Nginx.static_request_wrk);
+  Alcotest.(check (float 1e-9)) "memcached" 1.0 (coverage Memcached.mixed_request);
+  Alcotest.(check (float 1e-9)) "redis" 1.0 (coverage Redis.request);
   Alcotest.(check (float 1e-9)) "mysql auto" 0.446 Mysql.abom_coverage_auto;
-  Alcotest.(check (float 1e-9)) "mysql manual" 0.922 Mysql.abom_coverage_manual
+  Alcotest.(check (float 1e-9)) "mysql manual" 0.922
+    (coverage (Mysql.mixed_query ~offline_patched:true))
 
 let test_mysql_offline_patch_helps () =
   let p = platform Config.X_container in

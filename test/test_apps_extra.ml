@@ -9,28 +9,11 @@ let xc = Platform.create (Config.make Config.X_container)
 let docker = Platform.create (Config.make Config.Docker)
 
 let test_coverages () =
-  Alcotest.(check (float 1e-9)) "etcd" 1.0 Etcd.abom_coverage;
-  Alcotest.(check (float 1e-9)) "mongo" 1.0 Mongodb.abom_coverage;
-  Alcotest.(check (float 1e-9)) "postgres" 0.998 Postgres.abom_coverage;
-  Alcotest.(check (float 1e-9)) "rabbitmq" 0.986 Rabbitmq.abom_coverage
-
-let test_write_paths_cost_more () =
-  let s r = Recipe.service_ns docker r in
-  Alcotest.(check bool) "etcd put > get" true (s (Etcd.put_request ()) > s Etcd.get_request);
-  Alcotest.(check bool) "etcd replication costs" true
-    (s (Etcd.put_request ~peers:2 ()) > s (Etcd.put_request ()));
-  Alcotest.(check bool) "mongo update > read" true
-    (s Mongodb.update_request > s Mongodb.read_request);
-  Alcotest.(check bool) "rabbit persistent > transient" true
-    (s Rabbitmq.publish_persistent > s Rabbitmq.publish_transient)
-
-let test_postgres_connection_setup () =
-  (* Process-per-connection: setup pays the platform's fork, so it is
-     dearer on X-Containers (PV page tables) than on Docker. *)
-  Alcotest.(check bool) "xc setup dearer" true
-    (Postgres.connection_setup_ns xc > Postgres.connection_setup_ns docker);
-  Alcotest.(check bool) "setup dominated by fork" true
-    (Postgres.connection_setup_ns docker > Platform.fork_ns docker)
+  let coverage (r : Recipe.t) = r.abom_coverage in
+  Alcotest.(check (float 1e-9)) "etcd" 1.0 (coverage Etcd.mixed_request);
+  Alcotest.(check (float 1e-9)) "mongo" 1.0 (coverage Mongodb.ycsb_a);
+  Alcotest.(check (float 1e-9)) "postgres" 0.998 (coverage Postgres.transaction);
+  Alcotest.(check (float 1e-9)) "rabbitmq" 0.986 (coverage Rabbitmq.publish_transient)
 
 let test_sweep_ordering () =
   (* The Table 1 / Figure 3 story: XC's relative gain orders by syscall
@@ -80,9 +63,6 @@ let suites =
     ( "apps.extra",
       [
         Alcotest.test_case "coverages" `Quick test_coverages;
-        Alcotest.test_case "write paths cost more" `Quick test_write_paths_cost_more;
-        Alcotest.test_case "postgres connection setup" `Quick
-          test_postgres_connection_setup;
         Alcotest.test_case "sweep ordering" `Quick test_sweep_ordering;
         Alcotest.test_case "positive everywhere" `Quick
           test_all_apps_positive_everywhere;

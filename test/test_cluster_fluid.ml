@@ -269,7 +269,7 @@ let with_trace f =
   Fun.protect
     ~finally:(fun () ->
       Trace.disable ();
-      Trace.reset ())
+      ignore (Trace.take ()))
     f
 
 let test_mixed_slice_emits_tails () =

@@ -221,7 +221,7 @@ let observe ~traced run config =
       ~finally:(fun () ->
         Metrics.disable ();
         Trace.disable ();
-        Trace.reset ())
+        ignore (Trace.take ()))
       (fun () ->
         let ((r, n), captured), telemetry =
           Metrics.capture (fun () -> Trace.capture counted)

@@ -28,7 +28,7 @@ let interleave ~rng ~fuel a b =
     let pick_a =
       if !done_a then false
       else if !done_b then true
-      else Xc_sim.Prng.bool rng
+      else Xc_sim.Prng.int rng 2 = 1
     in
     let m, flag = if pick_a then (a, done_a) else (b, done_b) in
     match Machine.step_once m with

@@ -22,7 +22,7 @@ let test_spec_validation () =
 
 let test_spec_defaults () =
   let s = Spec.make ~name:"x" ~image:"redis:3.2.11" () in
-  Alcotest.(check int) "128MB default (S5.6)" Spec.default_memory_mb s.Spec.memory_mb;
+  Alcotest.(check int) "128MB default (S5.6)" 128 s.Spec.memory_mb;
   Alcotest.(check int) "1 vcpu" 1 s.Spec.vcpus
 
 (* ---------------- Boot ---------------- *)

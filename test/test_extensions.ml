@@ -51,7 +51,7 @@ let test_ablation_coverage_matters () =
 (* ---------------- Balloon ---------------- *)
 
 let make_balloon mb =
-  let d = Xc_hypervisor.Domain.create ~id:1 ~kind:Xc_hypervisor.Domain.Domu ~vcpus:1 ~memory_mb:mb in
+  let d = Xc_hypervisor.Domain.create ~kind:Xc_hypervisor.Domain.Domu ~vcpus:1 ~memory_mb:mb in
   Xc_hypervisor.Balloon.create ~domain:d
 
 let test_balloon_targets () =
@@ -77,17 +77,10 @@ let test_balloon_pool_reclaim () =
   Xc_hypervisor.Balloon.attach pool b1;
   Xc_hypervisor.Balloon.attach pool b2;
   Alcotest.(check int) "committed" 1024 (Xc_hypervisor.Balloon.pool_committed_mb pool);
-  let freed = Xc_hypervisor.Balloon.reclaim pool ~need_mb:300 in
-  Alcotest.(check int) "reclaimed" 300 freed;
-  Alcotest.(check int) "host free grew" 300 (Xc_hypervisor.Balloon.pool_free_mb pool);
-  (* Cannot reclaim past the floors: 2 x (512-64) = 896 max total. *)
-  let more = Xc_hypervisor.Balloon.reclaim pool ~need_mb:10_000 in
-  Alcotest.(check int) "bounded by floors" (896 - 300) more
-
-let test_balloon_cost_scales () =
-  Alcotest.(check bool) "bigger balloon costs more" true
-    (Xc_hypervisor.Balloon.inflate_cost_ns ~mb:100
-    > Xc_hypervisor.Balloon.inflate_cost_ns ~mb:10)
+  (match Xc_hypervisor.Balloon.set_target b1 ~usable_mb:212 with
+  | Ok moved -> Alcotest.(check int) "inflated" 300 moved
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check int) "host free grew" 300 (Xc_hypervisor.Balloon.pool_free_mb pool)
 
 (* ---------------- Density ---------------- *)
 
@@ -145,9 +138,7 @@ let test_migration_divergence () =
   in
   let r = Xc_hypervisor.Migration.migrate params in
   Alcotest.(check bool) "did not converge" false r.converged;
-  Alcotest.(check int) "capped rounds" 10 (List.length r.rounds);
-  Alcotest.(check bool) "budget check works" false
-    (Xc_hypervisor.Migration.downtime_budget_met r ~budget_ns:1e6)
+  Alcotest.(check int) "capped rounds" 10 (List.length r.rounds)
 
 (* ---------------- Cloning ---------------- *)
 
@@ -173,7 +164,7 @@ let test_security_tcb_ranking () =
   Alcotest.(check bool) "gvisor keeps host kernel in tcb" true
     (tcb Config.Gvisor >= tcb Config.Docker);
   Alcotest.(check bool) "relative tcb ~0.016" true
-    (let r = Xcontainers.Security.relative_tcb Config.X_container in
+    (let r = float_of_int (tcb Config.X_container) /. float_of_int (tcb Config.Docker) in
      r > 0.005 && r < 0.05)
 
 let test_security_exposure () =
@@ -292,7 +283,6 @@ let suites =
       [
         Alcotest.test_case "targets" `Quick test_balloon_targets;
         Alcotest.test_case "pool reclaim" `Quick test_balloon_pool_reclaim;
-        Alcotest.test_case "cost scales" `Quick test_balloon_cost_scales;
       ] );
     ( "ext.density",
       [

@@ -107,7 +107,7 @@ let test_split_driver_completion_order () =
     Fun.protect
       ~finally:(fun () ->
         Trace.disable ();
-        Trace.reset ())
+        ignore (Trace.take ()))
       (fun () ->
         Trace.capture (fun () -> Netpath.message_cost_ns hops ~bytes_len:6000 ~mss:1448))
   in

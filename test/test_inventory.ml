@@ -61,14 +61,9 @@ let test_inventory_structure () =
 
 let test_workloads () =
   Alcotest.(check bool) "ab closes connections" false Xc_apps.Workloads.ab.keepalive;
-  Alcotest.(check bool) "wrk keeps alive" true Xc_apps.Workloads.wrk.keepalive;
   (match Xc_apps.Workloads.memtier.set_get_ratio with
   | Some (1, 10) -> ()
   | _ -> Alcotest.fail "memtier must be 1:10 SET:GET (Section 5.3)");
-  Alcotest.(check int) "fig8 wrk: 5 connections" 5
-    Xc_apps.Workloads.wrk_scalability.connections;
-  Alcotest.(check bool) "find" true (Xc_apps.Workloads.find "memtier" <> None);
-  Alcotest.(check bool) "find missing" true (Xc_apps.Workloads.find "jmeter" = None);
   let cfg = Xc_apps.Workloads.closed_loop_config Xc_apps.Workloads.ab in
   Alcotest.(check int) "config carries connections" 100
     cfg.Xc_platforms.Closed_loop.connections
@@ -243,6 +238,527 @@ let graph =
      ( List.concat_map (fun (_, ns, ms) -> List.map (fun m -> show (ns, m)) ms) libs,
        List.map show (close [] roots) ))
 
+(* ---------------- Value reachability ---------------- *)
+
+(* Every exported value must be used as well, so a second model of a
+   mechanism cannot hide inside a reached module.  A [val] of
+   [lib/L/m.mli] is used when a caller names it: bench/main.ml,
+   bin/xc.ml, an example, a perf/ file, or a lib/ file other than
+   [m.ml].  These forms name it: [L.M.v]; [X.v] after [module X = L.M];
+   [M.v] inside library [L] or after [open L]; a bare [v] under
+   [open L.M], [let open L.M in], [L.M.( ... )] or [include L.M].  A
+   signature nested in [m.mli] ([module Out : sig ... end]) is a module
+   of its own.  Record fields ([r.M.f], [{ M.f = ... }]) and
+   constructors are not values. *)
+
+(* What a module path names: a library's namespace, or one of its
+   modules with the path of a signature nested in it. *)
+type target = Lib of string | Mod of string * string list
+
+(* The values an .mli declares, as [(path, name)]: [path] is [[]] at
+   top level and [["Out"]] inside [module Out : sig ... end].  A
+   [module type] declares none. *)
+let declared mli =
+  let rec go stack acc = function
+    | [] -> List.rev acc
+    | Word "module" :: Path ([ m ], _) :: Sym ':' :: Word "sig" :: rest ->
+        go (Some m :: stack) acc rest
+    | Word ("sig" | "object") :: rest -> go (None :: stack) acc rest
+    | Word "end" :: rest -> go (match stack with _ :: s -> s | [] -> []) acc rest
+    | Word "val" :: Word v :: rest when List.for_all Option.is_some stack ->
+        go stack ((List.rev_map Option.get stack, v) :: acc) rest
+    | _ :: rest -> go stack acc rest
+  in
+  go [] [] (tokens mli)
+
+(* The [((namespace, path), value)] pairs [src] names.  [libs] maps
+   each namespace to its modules; [umbrella] maps ["Ns.A"] to what a
+   namespace file re-exports as [A] ([Xcontainers.Sim] is [Xc_sim]);
+   [nested] lists every module path that declares values, nested
+   signatures included; [own] is the namespace of the library [src]
+   belongs to, if any. *)
+let value_uses ~libs ~umbrella ~nested ~own src =
+  let sub l m =
+    match List.assoc_opt l libs with
+    | Some ms when List.mem m ms -> Some (Mod (l, [ m ]))
+    | _ -> List.assoc_opt (l ^ "." ^ m) umbrella
+  in
+  let rec descend t names =
+    match (t, names) with
+    | _, [] -> Some t
+    | Lib l, m :: rest -> Option.bind (sub l m) (fun t -> descend t rest)
+    | Mod (l, p), m :: rest -> descend (Mod (l, p @ [ m ])) rest
+  in
+  (* Scopes, innermost first: each is what closes it, the modules
+     opened in it and the aliases bound in it. *)
+  let head scopes h =
+    let in_scope (_, opened, aliases) =
+      match List.assoc_opt h aliases with
+      | Some t -> Some t
+      | None ->
+          List.find_map
+            (function
+              | Lib l -> sub l h
+              | Mod (l, p) -> if List.mem (l, p @ [ h ]) nested then Some (Mod (l, p @ [ h ])) else None)
+            opened
+    in
+    match List.find_map in_scope scopes with
+    | Some t -> Some t
+    | None when List.mem_assoc h libs -> Some (Lib h)
+    | None -> (
+        match own with
+        | Some l when List.mem h (List.assoc l libs) -> Some (Mod (l, [ h ]))
+        | _ -> None)
+  in
+  let resolve scopes = function
+    | [] -> None
+    | h :: rest -> Option.bind (head scopes h) (fun t -> descend t rest)
+  in
+  let bind scopes f p =
+    match (resolve scopes p, scopes) with
+    | Some t, scope :: outer -> f t scope :: outer
+    | _ -> scopes
+  in
+  let close = function [ root ] -> [ root ] | _ :: outer -> outer | [] -> [] in
+  let opened scopes v =
+    List.concat_map
+      (fun (_, opened, _) ->
+        List.filter_map (function Mod (l, p) -> Some ((l, p), v) | Lib _ -> None) opened)
+      scopes
+  in
+  (* [r.f] and [(e).f] select a field; a [.] after a number or an
+     operator ([2. *. M.v], [x +. M.v]) does not. *)
+  let selects = function
+    | Word w, Sym '.' -> not (w.[0] >= '0' && w.[0] <= '9')
+    | Sym ')', Sym '.' -> true
+    | _ -> false
+  in
+  let rec walk scopes prev acc = function
+    | [] -> acc
+    | Word ("open" | "include") :: (Sym '!' :: Path (p, _) :: rest | Path (p, _) :: rest) ->
+        walk (bind scopes (fun t (c, o, a) -> (c, t :: o, a)) p) (Sym ' ', Word "open") acc rest
+    | Word "module" :: Path ([ x ], _) :: Sym '=' :: Path (p, false) :: rest ->
+        walk (bind scopes (fun t (c, o, a) -> (c, o, (x, t) :: a)) p) (Sym ' ', Word "module") acc rest
+    | Path (p, true) :: Sym '.' :: Sym '(' :: rest ->
+        walk ((")", Option.to_list (resolve scopes p), []) :: scopes) (Sym '.', Sym '(') acc rest
+    | Path (p, true) :: Sym '.' :: Word v :: rest ->
+        (* A label in braces ends at [=], [;] or [}]; [{ M.v with ... }]
+           copies the value [M.v]. *)
+        let field =
+          selects prev
+          ||
+          match (snd prev, scopes, rest) with
+          | (Sym ('{' | ';') | Word "with"), ("}", _, _) :: _, Sym ('=' | ';' | '}') :: _ -> true
+          | _ -> false
+        in
+        let acc =
+          match resolve scopes p with
+          | Some (Mod (l, p)) when not field -> ((l, p), v) :: acc
+          | _ -> acc
+        in
+        walk scopes (Sym '.', Word v) acc rest
+    | Word v :: rest ->
+        let acc =
+          if selects prev || snd prev = Sym '~' || snd prev = Sym '?' then acc
+          else opened scopes v @ acc
+        in
+        let scopes =
+          match v with
+          | "begin" | "struct" | "sig" | "object" -> ("end", [], []) :: scopes
+          | "end" -> close scopes
+          | _ -> scopes
+        in
+        walk scopes (snd prev, Word v) acc rest
+    | Sym ('(' | '[' | '{' as c) :: rest ->
+        let closer = match c with '(' -> ")" | '[' -> "]" | _ -> "}" in
+        walk ((closer, [], []) :: scopes) (snd prev, Sym c) acc rest
+    | Sym ((')' | ']' | '}') as c) :: rest -> walk (close scopes) (snd prev, Sym c) acc rest
+    | t :: rest -> walk scopes (snd prev, t) acc rest
+  in
+  List.sort_uniq compare (walk [ ("", [], []) ] (Sym ' ', Sym ' ') [] (tokens src))
+
+(* Every exported value as [((namespace, path), value)], and the ones a
+   caller names. *)
+let values =
+  lazy
+    (let libs = libraries () in
+     let names = List.map (fun (_, ns, ms) -> (ns, ms)) libs in
+     let umbrella =
+       List.concat_map
+         (fun (dir, ns, ms) ->
+           let file = Filename.concat dir (String.uncapitalize_ascii ns ^ ".ml") in
+           if not (Sys.file_exists file) then []
+           else
+             let rec go = function
+               | Word "module" :: Path ([ a ], _) :: Sym '=' :: Path ([ b ], _) :: rest ->
+                   let t =
+                     if List.mem_assoc b names then [ (ns ^ "." ^ a, Lib b) ]
+                     else if List.mem b ms then [ (ns ^ "." ^ a, Mod (ns, [ b ])) ]
+                     else []
+                   in
+                   t @ go rest
+               | _ :: rest -> go rest
+               | [] -> []
+             in
+             go (tokens (read file)))
+         libs
+     in
+     let exports =
+       List.concat_map
+         (fun (dir, ns, ms) ->
+           List.concat_map
+             (fun m ->
+               let mli = Filename.concat dir (String.uncapitalize_ascii m ^ ".mli") in
+               if Sys.file_exists mli then
+                 List.map (fun (p, v) -> ((ns, m :: p), v)) (declared (read mli))
+               else [])
+             ms)
+         libs
+     in
+     let nested = List.sort_uniq compare (List.map fst exports) in
+     let scan ~own file = value_uses ~libs:names ~umbrella ~nested ~own (read file) in
+     let ml_files dir =
+       Sys.readdir (Filename.concat root dir) |> Array.to_list |> List.sort compare
+       |> List.filter (fun f -> Filename.check_suffix f ".ml")
+       |> List.map (fun f -> Filename.concat (Filename.concat root dir) f)
+     in
+     let outside =
+       List.concat_map (scan ~own:None)
+         ([ Filename.concat root "bench/main.ml"; Filename.concat root "bin/xc.ml" ]
+         @ ml_files "examples" @ ml_files "perf")
+     in
+     let inside =
+       List.concat_map
+         (fun (dir, ns, ms) ->
+           List.concat_map
+             (fun m ->
+               let ml = Filename.concat dir (String.uncapitalize_ascii m ^ ".ml") in
+               List.filter (fun ((l, p), _) -> l <> ns || List.hd p <> m) (scan ~own:(Some ns) ml))
+             ms)
+         libs
+     in
+     let tests = List.concat_map (scan ~own:None) (ml_files "test") in
+     (exports, List.sort_uniq compare (outside @ inside), List.sort_uniq compare tests))
+
+(* The exported values no caller uses, kept because a test needs them,
+   by module.  [Oracle]: an independent reference a test checks a
+   reached path against.  [Hook]: a read-only view of state or of an
+   intermediate result a reached path computes, or a finer-grained
+   entry into a reached path.  Each entry names the tests that need it. *)
+type reason = Oracle | Hook
+
+let test_only =
+  [
+    ("Xc_abom.Entry_table", [ ("registered", Hook, [ "abom.entry_table bounds" ]) ]);
+    ( "Xc_abom.Patcher",
+      [ ("unrecognized_sites", Hook, [ "abom.patcher cancellable keeps trapping" ]) ] );
+    ( "Xc_abom.Profile",
+      [
+        ("of_events", Hook, [ "abom.profile empty" ]);
+        ("hot_unconverted", Hook, [ "abom.profile hot unconverted" ]);
+      ] );
+    ( "Xc_apps.Coldstart",
+      [ ("spawn_ns", Hook, [ "coldstart spawn ordering"; "coldstart matches boot models" ]) ] );
+    ( "Xc_apps.Httpd",
+      [
+        ( "requests_served",
+          Hook,
+          [ "integration.httpd serves page"; "integration.httpd many requests" ] );
+      ] );
+    ("Xc_apps.Kernel_build", [ ("abom_coverage", Hook, [ "apps.eleven coverages" ]) ]);
+    ( "Xc_apps.Mongodb",
+      [
+        ( "ycsb_a",
+          Hook,
+          [
+            "apps.eleven recipes everywhere";
+            "apps.eleven no app collapses on XC";
+            "apps.extra coverages";
+            "apps.extra sweep ordering";
+            "apps.extra positive everywhere";
+          ] );
+      ] );
+    ("Xc_apps.Recipe", [ ("cpu_only_ns", Hook, [ "apps.recipe pricing"; "apps.recipe hops charged" ]) ]);
+    ("Xc_cpu.Mode", [ ("to_string", Hook, [ "cpu.core modes" ]) ]);
+    ( "Xc_hypervisor.Balloon",
+      [
+        ("guest_usable_mb", Hook, [ "ext.balloon targets" ]);
+        ("ballooned_mb", Hook, [ "ext.balloon targets" ]);
+        ("pool_committed_mb", Hook, [ "ext.balloon pool reclaim" ]);
+      ] );
+    ( "Xc_hypervisor.Domain",
+      [
+        ( "state",
+          Hook,
+          [ "core.xcontainer boot and run"; "hypervisor.xkernel destroy returns memory" ] );
+      ] );
+    ( "Xc_hypervisor.Event_channel",
+      [
+        ("is_bound", Hook, [ "hypervisor.events bind/notify/deliver" ]);
+        ( "pending",
+          Hook,
+          [ "hypervisor.events bind/notify/deliver"; "integration.split_driver grant handshake" ] );
+        ("delivered_count", Hook, [ "hypervisor.events bind/notify/deliver" ]);
+      ] );
+    ( "Xc_hypervisor.Xenstore",
+      [
+        ( "read",
+          Hook,
+          [
+            "hypervisor.xenstore tree";
+            "hypervisor.xenstore device handshake";
+            "integration.split_driver grant handshake";
+          ] );
+        ("directory", Hook, [ "hypervisor.xenstore tree" ]);
+        ( "watch",
+          Hook,
+          [ "hypervisor.xenstore watches"; "integration.split_driver grant handshake" ] );
+      ] );
+    ("Xc_hypervisor.Xkernel", [ ("dom0", Hook, [ "hypervisor.xkernel dom0 protected" ]) ]);
+    ( "Xc_isa.Image",
+      [
+        ("addr_of_offset", Hook, [ "isa.image addresses" ]);
+        ("dirty_pages", Hook, [ "isa.image bounds"; "isa.xelf roundtrip" ]);
+      ] );
+    ( "Xc_isa.Machine",
+      [
+        ("rax", Hook, [ "isa.machine stack ops" ]);
+        ("step_once", Hook, [ "abom.concurrency" ]);
+        ( "syscall_numbers",
+          Hook,
+          [
+            "abom.patcher";
+            "abom.offline";
+            "abom.concurrency";
+            "abom.patcher patched binary is trace-equivalent";
+            "isa.machine";
+            "isa.loops";
+            "isa.signals";
+            "isa.xelf offline pipeline equivalence";
+            "fuzz.abom";
+          ] );
+        ( "steps",
+          Hook,
+          [
+            "isa.machine fuel";
+            "isa.machine instructions counter";
+            "isa.loops dec/jnz semantics";
+            "sim.engine domain events";
+          ] );
+      ] );
+    ( "Xc_isa.Xelf",
+      [
+        ( "serialize",
+          Hook,
+          [ "isa.xelf roundtrip"; "isa.xelf bad inputs"; "isa.xelf serialize/deserialize identity" ] );
+        ( "deserialize",
+          Hook,
+          [
+            "isa.xelf roundtrip";
+            "isa.xelf bad inputs";
+            "isa.xelf serialize/deserialize identity";
+            "fuzz.codec xelf deserialize total on garbage";
+          ] );
+      ] );
+    ("Xc_lb.Hedge", [ ("default_config", Hook, [ "lb.hedge shape validation" ]) ]);
+    ( "Xc_lb.Oracle",
+      [
+        ("mps_mean_ns", Oracle, [ "lb.oracle d=1 is plain M/PS"; "lb.oracle invalid arguments" ]);
+        ("effective_utilization", Oracle, [ "lb.oracle cloning maths" ]);
+        ("arrival_rate_for", Oracle, [ "lb.oracle d=1 is plain M/PS" ]);
+      ] );
+    ( "Xc_lb.Policy",
+      [
+        ( "pick",
+          Hook,
+          [
+            "lb.policy jsq observes queue";
+            "lb.policy least-loaded observes load";
+            "lb.policy po2c charges at most two probes per pick";
+            "net.lb round robin";
+          ] );
+        ("picks", Hook, [ "lb.policy po2c charges at most two probes per pick" ]);
+        ( "probes",
+          Hook,
+          [
+            "lb.policy po2c charges at most two probes per pick";
+            "lb.policy least-loaded and jsq sets match a stable sort";
+          ] );
+      ] );
+    ( "Xc_mem.Address_space",
+      [
+        ("user_pages", Hook, [ "mem.address_space global policy" ]);
+        ("kernel_pages", Hook, [ "mem.address_space global policy" ]);
+        ( "kernel_global",
+          Hook,
+          [ "mem.address_space global policy"; "os.kernel spawn policy" ] );
+      ] );
+    ( "Xc_mem.Page_table",
+      [
+        ( "map",
+          Hook,
+          [
+            "mem.page_table map/lookup";
+            "mem.page_table global count";
+            "fuzz.mem page table agrees with a Map model";
+          ] );
+        ( "lookup",
+          Hook,
+          [
+            "mem.page_table map/lookup";
+            "mem.page_table map_range/copy";
+            "fuzz.mem page table agrees with a Map model";
+          ] );
+        ( "entry_count",
+          Hook,
+          [
+            "mem.page_table map/lookup";
+            "mem.page_table map_range/copy";
+            "fuzz.mem page table agrees with a Map model";
+          ] );
+        ( "global_count",
+          Hook,
+          [ "mem.page_table global count"; "fuzz.mem page table agrees with a Map model" ] );
+      ] );
+    ( "Xc_net.Link",
+      [ ("create", Hook, [ "net.link math" ]); ("serialize_ns", Hook, [ "net.link math" ]) ] );
+    ( "Xc_net.Netpath",
+      [
+        ( "hop_cost_ns",
+          Hook,
+          [
+            "net.path hop ordering";
+            "net.path additive";
+            "integration.split_driver completion order";
+          ] );
+        ("packets_for", Hook, [ "net.link packets_for" ]);
+      ] );
+    ( "Xc_obs.Critical_path",
+      [
+        ("self_label", Hook, [ "causal-critical-path hand-built chains"; "causal-critical-path critical path telescopes" ]);
+        ("nested_label", Hook, [ "causal-critical-path hand-built chains"; "causal-critical-path critical path telescopes" ]);
+        ("share", Hook, [ "causal-critical-path hand-built chains" ]);
+      ] );
+    ( "Xc_os.Process",
+      [
+        ("set_state", Hook, [ "os.cfs blocked skipped" ]);
+        ("aspace", Hook, [ "os.kernel spawn policy" ]);
+      ] );
+    ( "Xc_os.Socket",
+      [
+        ("state", Hook, [ "os.socket lifecycle" ]);
+        ("buffer_capacity", Hook, [ "os.socket flow control" ]);
+      ] );
+    ( "Xc_os.Syscall_nr",
+      [
+        ("number", Hook, [ "os.syscall_nr authentic numbers"; "os.syscall_nr roundtrip" ]);
+        ("all", Hook, [ "os.syscall_nr roundtrip" ]);
+      ] );
+    ( "Xc_platforms.Ablation",
+      [ ("service_delta_ns", Hook, [ "ext.ablation additivity"; "ext.ablation coverage matters" ]) ]
+    );
+    ( "Xc_platforms.Syscall_path",
+      [
+        ( "entry_ns",
+          Hook,
+          [
+            "platforms.syscall_path entry ordering";
+            "platforms.syscall_path coverage interpolation";
+            "platforms.syscall_path meltdown effects";
+            "mem.kpti transitions";
+          ] );
+        ("unpatched_site_ns", Hook, [ "platforms.syscall_path coverage interpolation" ]);
+      ] );
+    ( "Xc_sim.Engine",
+      [
+        ("pending", Hook, [ "sim.engine events executed" ]);
+        ("events_executed", Hook, [ "sim.engine events executed" ]);
+      ] );
+    ("Xc_sim.Heap", [ ("to_sorted_list", Oracle, [ "sim.heap pop order is sorted" ]) ]);
+    ( "Xc_sim.Histogram",
+      [
+        ( "equal",
+          Oracle,
+          [
+            "metrics Histogram.merge is associative";
+            "metrics Histogram.merge is commutative";
+            "metrics Metrics capture/inject invariant under partitioning";
+            "metrics Parallel.run telemetry identical at jobs 1 and 2";
+          ] );
+      ] );
+    ( "Xc_sim.Metrics",
+      [
+        ("default_interval_ns", Hook, [ "sim.metrics counters"; "metrics" ]);
+        ("default_retention", Hook, [ "sim.metrics counters"; "metrics" ]);
+        ( "take_snapshot",
+          Hook,
+          [
+            "metrics emitters, snapshot, sorted keys";
+            "metrics capture isolates, inject merges";
+            "metrics disabled emitters are no-ops";
+            "metrics Parallel.run telemetry identical at jobs 1 and 2";
+          ] );
+        ("read", Hook, [ "metrics"; "sim.metrics counters"; "isa.machine instructions counter" ]);
+        ("rule_to_string", Hook, [ "causal-alerts rule algebra" ]);
+      ] );
+    ("Xc_sim.Parallel.Shard", [ ("count", Hook, [ "sim.parallel.sharding shard counts" ]) ]);
+    ( "Xc_trace.Diff",
+      [
+        ("delta", Hook, [ "trace.diff" ]);
+        ("diff", Hook, [ "trace.diff" ]);
+        ("names_in", Hook, [ "trace.diff per-name rows" ]);
+        ("dominant", Hook, [ "trace.diff aggregation and ranking"; "trace.diff figure 4 shape" ]);
+        ("dominant_share", Hook, [ "trace.diff" ]);
+        ("diff_tails", Hook, [ "tails.drivers fig9 p99 gap is the entry path" ]);
+        ("dominant_tail", Hook, [ "tails.drivers fig9 p99 gap is the entry path" ]);
+        ("dominant_tail_share", Hook, [ "tails.drivers fig9 p99 gap is the entry path" ]);
+      ] );
+    ( "Xc_trace.Export",
+      [
+        ("to_chrome", Hook, [ "trace.export chrome round trip"; "trace.export span value round trip" ]);
+        ("to_csv", Hook, [ "trace.export"; "trace.recorder" ]);
+        ("events_of_string", Oracle, [ "trace.export"; "trace.recorder" ]);
+        ("to_tails_csv", Hook, [ "tails.csv round-trip"; "tails.csv truncation detected, no exceptions" ]);
+        ( "tails_of_string",
+          Oracle,
+          [ "tails.csv round-trip"; "tails.csv truncation detected, no exceptions"; "tails.csv tails_of_string never raises" ] );
+        ("tails_of_file", Oracle, [ "tails.csv round-trip"; "tails.csv truncation detected, no exceptions" ]);
+      ] );
+    ( "Xc_trace.Profile",
+      [
+        ("sweep", Hook, [ "trace.profile fold matches O(n^2) reference" ]);
+        ("fold", Hook, [ "trace.profile"; "trace.profile fold matches O(n^2) reference" ]);
+      ] );
+    ( "Xc_trace.Trace",
+      [
+        ("take", Hook, [ "trace.recorder"; "trace.sampler"; "sim.parallel"; "sim.parallel.sharding" ]);
+        ("dropped", Hook, [ "trace.recorder" ]);
+        ("streams", Hook, [ "trace.sampler" ]);
+      ] );
+    ( "Xcontainers.Boot",
+      [ ("xl_toolstack_estimate_ns", Oracle, [ "core.boot_bottom_up xenstore estimate matches" ]) ]
+    );
+    ("Xcontainers.Docker_wrapper", [ ("registry", Hook, [ "core.docker_wrapper registry/pull" ]) ]);
+    ( "Xcontainers.Security",
+      [
+        ( "profile_of",
+          Hook,
+          [
+            "ext.security tcb ranking";
+            "ext.security exposure";
+            "ext.security meltdown column";
+            "hypervisor.xkernel TCB comparison";
+            "sim.engine domain events";
+          ] );
+      ] );
+    ( "Xcontainers.Xcontainer",
+      [
+        ("domain", Hook, [ "core.xcontainer boot and run" ]);
+        ("libos", Hook, [ "core.xcontainer boot and run" ]);
+        ("profile", Hook, [ "core.xcontainer boot and run" ]);
+      ] );
+  ]
+
 let test_every_module_reached () =
   let all, reached = Lazy.force graph in
   Alcotest.(check (list string))
@@ -260,6 +776,40 @@ let test_inventory_modules_reached () =
            e.modules)
        Xcontainers.Inventory.all)
 
+let show ((l, p), v) = String.concat "." ((l :: p) @ [ v ])
+
+(* The values the allow-list names, as "Ns.Module.value". *)
+let listed () =
+  List.concat_map (fun (m, vs) -> List.map (fun (v, _, _) -> m ^ "." ^ v) vs) test_only
+
+let test_every_value_used () =
+  let exports, used, _ = Lazy.force values in
+  let listed = listed () in
+  Alcotest.(check (list string))
+    "exported values no caller uses and the test-only list does not name" []
+    (List.filter_map
+       (fun x ->
+         let v = show x in
+         if List.mem x used || List.mem v listed then None else Some v)
+       exports)
+
+let test_test_only_current () =
+  let exports, used, tests = Lazy.force values in
+  let find v = List.find_opt (fun x -> show x = v) exports in
+  let stale, reached, untested =
+    List.fold_left
+      (fun (stale, reached, untested) v ->
+        match find v with
+        | None -> (v :: stale, reached, untested)
+        | Some x when List.mem x used -> (stale, v :: reached, untested)
+        | Some x when not (List.mem x tests) -> (stale, reached, v :: untested)
+        | Some _ -> (stale, reached, untested))
+      ([], [], []) (listed ())
+  in
+  Alcotest.(check (list string)) "test-only entries that no longer exist" [] (List.rev stale);
+  Alcotest.(check (list string)) "test-only entries a caller now uses" [] (List.rev reached);
+  Alcotest.(check (list string)) "test-only entries no test uses" [] (List.rev untested)
+
 let test_scanner () =
   let libs = [ ("Xc_os", [ "Epoll"; "Kernel" ]); ("Xc_hypervisor", [ "Tmem" ]) ] in
   let case name ?own src expected =
@@ -275,7 +825,44 @@ let test_scanner () =
   case "alias" "module K = Xc_os.Kernel" kernel;
   case "sibling alias" ~own:"Xc_os" "module K = Kernel" kernel;
   case "sibling projection" ~own:"Xc_os" "let k = Kernel.create ()" kernel;
-  case "polymorphic variant" ~own:"Xc_os" "let v = `Kernel" []
+  case "polymorphic variant" ~own:"Xc_os" "let v = `Kernel" [];
+  (* Values: [Kernel.spawn] and a nested [Run.Out.write]. *)
+  let libs = [ ("Xc_os", [ "Kernel" ]); ("Xc_suite", [ "Run" ]) ] in
+  let nested = [ ("Xc_os", [ "Kernel" ]); ("Xc_suite", [ "Run" ]); ("Xc_suite", [ "Run"; "Out" ]) ] in
+  let spawn = [ (("Xc_os", [ "Kernel" ]), "spawn") ] in
+  let write = [ (("Xc_suite", [ "Run"; "Out" ]), "write") ] in
+  (* Bare words under an open name every value of the opened module;
+     the gate keeps the exported ones. *)
+  let value name ?own src expected =
+    Alcotest.(check (list (pair (pair string (list string)) string)))
+      name expected
+      (List.filter (fun u -> List.mem u (spawn @ write)) (value_uses ~libs ~umbrella:[] ~nested ~own src))
+  in
+  value "qualified value" "let p = Xc_os.Kernel.spawn k" spawn;
+  value "nested signature" "let () = Xc_suite.Run.Out.write x" write;
+  value "alias" "module K = Xc_os.Kernel\nlet p = K.spawn k" spawn;
+  value "sibling" ~own:"Xc_os" "let p = Kernel.spawn k" spawn;
+  value "open library" "open Xc_os\nlet p = Kernel.spawn k" spawn;
+  value "open module" "open Xc_os.Kernel\nlet p = spawn k" spawn;
+  value "let open" "let p = let open Xc_os.Kernel in spawn k" spawn;
+  value "local open" "let p = Xc_os.Kernel.(spawn k)" spawn;
+  value "local open ends" "let p = Xc_os.Kernel.(k) and q = spawn k" [];
+  value "include" "include Xc_os.Kernel\nlet p = spawn k" spawn;
+  value "open nested" "module R = Xc_suite.Run\nopen R.Out\nlet () = write x" write;
+  value "constructor" "let c = Xc_os.Kernel.Spawn" [];
+  value "record field" "let n = r.Xc_os.Kernel.spawn" [];
+  value "record label" "let r = { Xc_os.Kernel.spawn = 1; x = 2 }" [];
+  value "record copy" "let r = { Xc_os.Kernel.spawn with x = 2 }" spawn;
+  value "float operand" "let t = 2. *. Xc_os.Kernel.spawn" spawn;
+  value "labelled argument" "open Xc_os.Kernel\nlet p = f ~spawn:1" [];
+  value "name in a comment" "(* Xc_os.Kernel.spawn *) let x = 1" [];
+  value "name in a string" "let s = \"Xc_os.Kernel.spawn\"" [];
+  Alcotest.(check (list (pair (list string) string)))
+    "declared values, nested signatures apart, module types skipped"
+    [ ([], "run"); ([ "Out" ], "write"); ([], "all") ]
+    (declared
+       "val run : t -> unit\nmodule Out : sig val write : t -> unit end\n\
+        module type S = sig val hidden : int end\nval all : t list")
 
 let suites =
   [
@@ -290,5 +877,7 @@ let suites =
         Alcotest.test_case "inventory modules reached" `Quick
           test_inventory_modules_reached;
         Alcotest.test_case "reachability scanner" `Quick test_scanner;
+        Alcotest.test_case "every lib value used" `Quick test_every_value_used;
+        Alcotest.test_case "test-only list current" `Quick test_test_only_current;
       ] );
   ]

@@ -4,14 +4,14 @@
 
 open Xc_isa
 
-let insn = Alcotest.testable Insn.pp Insn.equal
+let insn = Alcotest.testable Insn.pp ( = )
 
 let test_codec_roundtrip () =
   List.iter
     (fun i ->
       let buf = Codec.encode i in
       let decoded, len = Codec.decode buf 0 in
-      Alcotest.check insn (Insn.to_string i) i decoded;
+      Alcotest.check insn (Format.asprintf "%a" Insn.pp i) i decoded;
       Alcotest.(check int) "length" (Insn.length i) len)
     [ Insn.Mov_rcx_imm32 1000; Dec_rcx; Jnz_rel8 (-20); Jnz_rel8 5 ]
 

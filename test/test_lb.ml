@@ -331,7 +331,7 @@ let test_cluster_hedge_trace_row () =
   Trace.enable ~capacity:(1 lsl 18) ();
   let (), captured = Trace.capture (fun () -> ignore (CS.run cfg)) in
   Trace.disable ();
-  Trace.reset ();
+  ignore (Trace.take ());
   let events = captured.Trace.events in
   let hedge_rows =
     List.filter (fun (e : Trace.event) -> e.Trace.cat = "lb.hedge") events

@@ -14,12 +14,12 @@ module E = Xc_sim.Engine
 let with_metrics ?(interval_ns = M.default_interval_ns)
     ?(retention = M.default_retention) f () =
   M.enable ~interval_ns ~retention ();
-  M.reset_registry ();
+  ignore (M.drain ());
   Fun.protect ~finally:M.disable f
 
 let test_disabled_is_free () =
   M.disable ();
-  M.reset_registry ();
+  ignore (M.drain ());
   M.counter_incr ~cat:"cpu" ~name:"x";
   M.gauge_set ~cat:"os" ~name:"y" 7.;
   M.take_snapshot ~at:100.;
@@ -150,7 +150,7 @@ let thunks () =
 
 let run_at ~jobs =
   M.enable ();
-  M.reset_registry ();
+  ignore (M.drain ());
   let vs =
     Xc_sim.Parallel.run_sharded ~jobs
       (List.map Xc_sim.Parallel.Shard.thunk (thunks ()))
@@ -222,7 +222,7 @@ let qcheck_capture_partition =
       let groups = 4 in
       let run_partitioned () =
         M.enable ();
-        M.reset_registry ();
+        ignore (M.drain ());
         let tels =
           List.init groups (fun g ->
               snd
@@ -241,7 +241,7 @@ let qcheck_capture_partition =
       in
       let direct () =
         M.enable ();
-        M.reset_registry ();
+        ignore (M.drain ());
         List.iter
           (fun (v, _) -> M.hist_observe ~cat:"p" ~name:"h" (float_of_int (v + 1)))
           samples;

@@ -51,7 +51,7 @@ let test_exception_keeps_partial_trace () =
   Fun.protect
     ~finally:(fun () ->
       Xc_trace.Trace.disable ();
-      Xc_trace.Trace.reset ())
+      ignore (Xc_trace.Trace.take ()))
     (fun () ->
       (try
          ignore

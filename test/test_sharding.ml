@@ -86,7 +86,7 @@ let run_workload ~jobs =
     ~finally:(fun () ->
       Metrics.disable ();
       Trace.disable ();
-      Trace.reset ())
+      ignore (Trace.take ()))
     (fun () ->
       let (results, captured), telemetry =
         Metrics.capture (fun () ->
@@ -148,7 +148,7 @@ let test_trace_concat_rebases () =
   Fun.protect
     ~finally:(fun () ->
       Trace.disable ();
-      Trace.reset ())
+      ignore (Trace.take ()))
     (fun () ->
       let seg name width =
         snd

@@ -20,7 +20,7 @@ let with_trace ?(capacity = Trace.default_capacity) ?(sample = 1) f =
   Fun.protect
     ~finally:(fun () ->
       Trace.disable ();
-      Trace.reset ())
+      ignore (Trace.take ()))
     f
 
 let contains s needle =
