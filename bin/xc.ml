@@ -24,6 +24,10 @@ let exit_err msg =
   prerr_endline ("xc: " ^ msg);
   exit 1
 
+(* xc's own tables are laid out here, as rows of text cells. *)
+let add_text_row t cells =
+  Xc_sim.Table.add_row t (List.map (fun s -> Xc_sim.Table.Text s) cells)
+
 (* ---------------- shared flags ---------------- *)
 
 (* Every flag more than one command takes is declared once, here.  Each
@@ -307,7 +311,7 @@ let platforms_cmd =
     in
     List.iter
       (fun r ->
-        Xc_sim.Table.add_row t
+        add_text_row t
           (runtime_name r
           :: List.map
                (fun f -> if supports r f then "yes" else "-")
@@ -341,7 +345,7 @@ let syscall_costs_cmd =
         let config = Config.make ~cloud ~meltdown_patched:(not unpatched) runtime in
         let p = Xc_platforms.Platform.create config in
         let ns v = Printf.sprintf "%.0fns" v in
-        Xc_sim.Table.add_row t
+        add_text_row t
           [
             Config.name config;
             ns (Xc_platforms.Platform.syscall_entry_ns p);
@@ -396,12 +400,7 @@ let profiles_cmd =
 (* ---------------- xc boot-times ---------------- *)
 
 let boot_times_cmd =
-  let run () =
-    List.iter
-      (fun (r : Xcontainers.Figures.boot_row) ->
-        Format.printf "%-34s %a@." r.label Xcontainers.Boot.pp r.breakdown)
-      (Xcontainers.Figures.boot_times ())
-  in
+  let run () = print_string (Run.render (Xc_suite.Experiments.boot ())) in
   Cmd.v
     (Cmd.info "boot-times" ~doc:"Instantiation-time comparison (Section 4.5).")
     Term.(const run $ const ())
@@ -452,14 +451,9 @@ let clone_cmd =
         (Printf.sprintf
            "--resident expects 0 to %d pages (the %d MB guest), got %d"
            (memory * 256) memory resident);
-    let s = Xcontainers.Cloning.snapshot_of_parent ~memory_mb:memory ~resident_pages:resident in
-    let c = Xcontainers.Cloning.clone s in
-    Printf.printf "toolstack      %8.2fms\n" (c.toolstack_ns /. 1e6);
-    Printf.printf "CoW setup      %8.2fms\n" (c.page_sharing_setup_ns /. 1e6);
-    Printf.printf "eager copy     %8.2fms\n" (c.eager_copy_ns /. 1e6);
-    Printf.printf "total          %8.2fms  (%.0fx faster than a cold boot)\n"
-      (c.total_ns /. 1e6)
-      (Xcontainers.Cloning.speedup_vs_cold_boot s)
+    print_string
+      (Run.render
+         (Xc_suite.Experiments.clone ~memory_mb:memory ~resident_pages:resident))
   in
   Cmd.v
     (Cmd.info "clone" ~doc:"SnowFlock-style clone of a warm X-Container.")
@@ -468,16 +462,7 @@ let clone_cmd =
 (* ---------------- xc security ---------------- *)
 
 let security_cmd =
-  let run () =
-    List.iter
-      (fun (p : Xcontainers.Security.profile) ->
-        Printf.printf "%-16s %-22s TCB %6d kLoC, surface %3d, exposure %.4f\n"
-          (Config.runtime_name p.runtime)
-          (Xcontainers.Security.boundary_name p.boundary)
-          p.tcb_kloc p.attack_surface
-          (Xcontainers.Security.vulnerability_exposure p))
-      Xcontainers.Security.all
-  in
+  let run () = print_string (Run.render (Xc_suite.Experiments.security ())) in
   Cmd.v
     (Cmd.info "security" ~doc:"TCB / attack-surface comparison (Section 3.4).")
     Term.(const run $ const ())
@@ -489,17 +474,7 @@ let coldstart_cmd =
     positive_float "rate" 0.05 ~docv:"RPS" ~doc:"Invocations per second."
   in
   let run rate =
-    List.iter
-      (fun path ->
-        let r =
-          Xc_apps.Coldstart.run path (Xc_apps.Coldstart.default_config ~rate_rps:rate)
-        in
-        Printf.printf "%-28s cold %3d/%d  p50 %7.0fms  p99 %7.0fms\n"
-          (Xc_apps.Coldstart.spawn_path_name path)
-          r.cold_starts r.invocations
-          (r.p50_latency_ns /. 1e6)
-          (r.p99_latency_ns /. 1e6))
-      Xc_apps.Coldstart.all_paths
+    print_string (Run.render (Xc_suite.Experiments.coldstart ~rates:[ rate ]))
   in
   Cmd.v
     (Cmd.info "coldstart" ~doc:"Serverless cold-start tails by spawn path.")
@@ -657,7 +632,7 @@ let sweep_cmd =
     in
     List.iter2
       (fun (c : CS.config) (r : CS.result) ->
-        Xc_sim.Table.add_row t
+        add_text_row t
           [
             string_of_int c.containers;
             (match c.mode with CS.Flat -> "flat" | CS.Hierarchical -> "hierarchical");
@@ -829,7 +804,9 @@ let trace_run_cmd =
                   ends in .csv.")
   in
   let top =
-    Arg.(value & opt int 5 & info [ "top" ] ~doc:"Names per category in the summary.")
+    checked "top" Arg.int ~ok:(fun n -> n >= 0)
+      ~expects:"a non-negative integer" 5 ~docv:"N"
+      ~doc:"Names per category in the summary."
   in
   let sample =
     sample 1
@@ -1405,7 +1382,7 @@ let cluster_cmd =
       in
       List.iteri
         (fun i (r : CS.result) ->
-          Xc_sim.Table.add_row t
+          add_text_row t
             [
               string_of_int i;
               Xc_sim.Table.fmt_si r.throughput_rps;
@@ -1784,7 +1761,7 @@ let lb_sweep_cmd =
             r.Xc_lb.Hedge.cancelled_work_ns /. r.Xc_lb.Hedge.busy_ns
           else 0.
         in
-        T.add_row t
+        add_text_row t
           [
             Printf.sprintf "%.2f" u;
             string_of_int r.Xc_lb.Hedge.completed;
@@ -1897,7 +1874,7 @@ let lb_tail_cmd =
         ]
     in
     let row name d (r : CS.result) =
-      T.add_row t
+      add_text_row t
         [
           name;
           (if d = 0 then "-" else string_of_int d);
@@ -1962,8 +1939,8 @@ module Suite_registry = Xc_suite.Registry
 module Suite_driver = Xc_suite.Driver
 
 (* A runnable suite: a [Registry.named] entry or a spec file on disk.
-   A bench experiment is not a suite — its grid lives in the bench's
-   printer — so point at the bench instead. *)
+   A bench experiment is not a suite — its grid lives in
+   Xc_suite.Experiments — so point at the bench instead. *)
 let resolve_runnable name =
   match Suite_registry.find_named name with
   | Some s -> Ok s
@@ -2050,8 +2027,8 @@ let suite_run_cmd =
           Printf.eprintf
             "[xc suite] warning: --timeseries given but no spec enables \
              timeseries capture; the artifact will be empty\n%!";
-        (* The bench's runner and printer: one cell per spec, so the
-           pieces are per-spec tracks. *)
+        (* The bench's runner and suite report: one cell per spec, so
+           the pieces are per-spec tracks. *)
         let o =
           match Run.run ~jobs [ (suite.Suite.name, Run.suite suite) ] with
           | [ o ] -> o
@@ -2067,7 +2044,9 @@ let suite_run_cmd =
         | None -> ()
         | Some path ->
             Out_channel.with_open_text path (fun oc ->
-                output_string oc (Suite_driver.csv o.Run.result));
+                List.iter
+                  (fun t -> output_string oc (Xc_sim.Table.to_csv t))
+                  (Run.tables o.Run.report));
             Printf.eprintf "[xc suite] wrote %s\n%!" path);
         (match tails_out with
         | None -> ()

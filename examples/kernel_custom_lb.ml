@@ -34,15 +34,19 @@ let () =
       in
       Xc_sim.Table.add_row t
         [
-          Xc_apps.Lb_experiment.setup_name setup;
-          Xc_sim.Table.fmt_si r.throughput_rps;
-          Printf.sprintf "%.1fus" (r.lb_service_ns /. 1e3);
-          (match r.bottleneck with
-          | `Balancer -> "load balancer"
-          | `Backends -> "NGINX servers");
-          (if Xc_net.Load_balancer.requires_kernel_modules mode then
-             "yes (X-Containers only)"
-           else "no");
+          Xc_sim.Table.Text (Xc_apps.Lb_experiment.setup_name setup);
+          Xc_sim.Table.num Xc_sim.Table.Si r.throughput_rps;
+          Xc_sim.Table.num
+            (Xc_sim.Table.Scaled { per = 1e3; digits = 1; unit = "us" })
+            r.lb_service_ns;
+          Xc_sim.Table.Text
+            (match r.bottleneck with
+            | `Balancer -> "load balancer"
+            | `Backends -> "NGINX servers");
+          Xc_sim.Table.Text
+            (if Xc_net.Load_balancer.requires_kernel_modules mode then
+               "yes (X-Containers only)"
+             else "no");
         ])
     Xc_apps.Lb_experiment.all;
   Xc_sim.Table.print t;

@@ -20,7 +20,7 @@ let () =
       Format.printf "boot time: %a@." Xcontainers.Boot.pp
         (Xcontainers.Xcontainer.boot_time xc);
       Format.printf "processes spawned by the bootloader: %d@."
-        (List.length (Xcontainers.Xcontainer.processes xc));
+        (Xcontainers.Xcontainer.processes xc);
 
       (* Serve 1000 "requests": each run of the program issues the
          image's syscalls.  The first pass traps into the X-Kernel and

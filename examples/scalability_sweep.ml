@@ -29,11 +29,11 @@ let () =
       let simulated mode = (CS.run (CS.default_config mode ~containers:n)).throughput_rps in
       Xc_sim.Table.add_row t
         [
-          string_of_int n;
-          Xc_sim.Table.fmt_si (analytic Xc_platforms.Config.Docker);
-          Xc_sim.Table.fmt_si (analytic Xc_platforms.Config.X_container);
-          Xc_sim.Table.fmt_si (simulated CS.Flat);
-          Xc_sim.Table.fmt_si (simulated CS.Hierarchical);
+          Xc_sim.Table.int n;
+          Xc_sim.Table.num Xc_sim.Table.Si (analytic Xc_platforms.Config.Docker);
+          Xc_sim.Table.num Xc_sim.Table.Si (analytic Xc_platforms.Config.X_container);
+          Xc_sim.Table.num Xc_sim.Table.Si (simulated CS.Flat);
+          Xc_sim.Table.num Xc_sim.Table.Si (simulated CS.Hierarchical);
         ])
     [ 16; 64; 150; 400 ];
   Xc_sim.Table.print t;

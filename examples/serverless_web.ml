@@ -24,9 +24,9 @@ let () =
     (fun (c, note) ->
       Xc_sim.Table.add_row t
         [
-          Xc_apps.Serverless.contender_name c;
-          Xc_sim.Table.fmt_si (Xc_apps.Serverless.nginx_one_worker c);
-          note;
+          Xc_sim.Table.Text (Xc_apps.Serverless.contender_name c);
+          Xc_sim.Table.num Xc_sim.Table.Si (Xc_apps.Serverless.nginx_one_worker c);
+          Xc_sim.Table.Text note;
         ])
     [
       (Xc_apps.Serverless.G, "libOS on a full Linux host");
@@ -49,6 +49,7 @@ let () =
         ("p99 latency", Xc_sim.Table.Right);
       ]
   in
+  let us = Xc_sim.Table.Scaled { per = 1e3; digits = 0; unit = "us" } in
   List.iter
     (fun conns ->
       let server = Xc_apps.Nginx.server ~workers:1 ~cores:1 platform in
@@ -57,10 +58,10 @@ let () =
       in
       Xc_sim.Table.add_row t
         [
-          string_of_int conns;
-          Xc_sim.Table.fmt_si result.throughput_rps;
-          Printf.sprintf "%.0fus" (result.p50_ns /. 1e3);
-          Printf.sprintf "%.0fus" (result.p99_ns /. 1e3);
+          Xc_sim.Table.int conns;
+          Xc_sim.Table.num Xc_sim.Table.Si result.throughput_rps;
+          Xc_sim.Table.num us result.p50_ns;
+          Xc_sim.Table.num us result.p99_ns;
         ])
     [ 1; 2; 4; 8; 16; 32; 64 ];
   Xc_sim.Table.print t;

@@ -72,7 +72,6 @@ val fig6 : unit -> fig6
 
 (** {2 Figure 8: scalability} *)
 
-val fig8_runtimes : Config.runtime list
 val fig8 : unit -> (Config.runtime * Xc_apps.Scalability.point list) list
 
 (** {2 Figure 9: load balancing} *)

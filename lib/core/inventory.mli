@@ -3,9 +3,9 @@
     DESIGN.md's experiment index, as data: every paper table/figure and
     every beyond-paper extension, with its bench target and the modules
     that implement it, in bench order.  This is the bench's experiment
-    table: the bench maps every id to its printer and aborts at startup
-    naming an id without one.  [xc experiments] lists it; a test
-    asserts the bench's printers cover exactly these ids, in order. *)
+    table: [Xc_suite.Experiments] maps every id to its cells and aborts
+    at startup naming an id without a case.  [xc experiments] lists it;
+    a test asserts those cases cover exactly these ids, in order. *)
 
 type kind = Paper_table | Paper_figure | Paper_section | Extension
 

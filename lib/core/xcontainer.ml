@@ -32,7 +32,7 @@ let boot ?(toolstack = Boot.Xl) ~xkernel spec =
                   (Docker_wrapper.bootloader_process_count image)
               in
               for _ = 1 to process_count do
-                ignore (Xc_os.Kernel.spawn libos)
+                Xc_os.Kernel.spawn libos
               done;
               let table = Xc_abom.Entry_table.create () in
               let patcher = Xc_abom.Patcher.create table in

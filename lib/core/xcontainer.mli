@@ -23,7 +23,8 @@ val shutdown : xkernel:Xc_hypervisor.Xkernel.t -> t -> unit
 val domain : t -> Xc_hypervisor.Domain.t
 val libos : t -> Xc_os.Kernel.t
 val boot_time : t -> Boot.breakdown
-val processes : t -> Xc_os.Process.t list
+val processes : t -> int
+(** Processes the bootloader spawned. *)
 
 val exec_program : ?repeat:int -> t -> (Xc_isa.Machine.exit_reason, string) result
 (** Run the image's entry binary [repeat] times (default 1) under ABOM. *)

@@ -31,7 +31,6 @@ module Inventory = Inventory
 module Sim = Xc_sim
 module Isa = Xc_isa
 module Abom = Xc_abom
-module Mem = Xc_mem
 module Cpu = Xc_cpu
 module Os = Xc_os
 module Net = Xc_net

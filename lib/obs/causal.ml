@@ -207,18 +207,20 @@ let render_points points =
   List.iter
     (fun p ->
       T.add_row t
-        [
-          p.pt_label;
-          Whatif.to_string { Whatif.mech = p.pt_mech; scale = p.pt_scale };
-          T.fmt_si p.pt_base.CS.throughput_rps;
-          T.fmt_si p.pt_pred.pred_tput;
-          T.fmt_si p.pt_rerun.CS.throughput_rps;
-          err_pct p.pt_pred.pred_tput p.pt_rerun.CS.throughput_rps;
-          fmt_us p.pt_base.CS.p99_latency_ns;
-          fmt_us p.pt_pred.pred_p99_ns;
-          fmt_us p.pt_rerun.CS.p99_latency_ns;
-          err_pct p.pt_pred.pred_p99_ns p.pt_rerun.CS.p99_latency_ns;
-        ])
+        (List.map
+           (fun s -> T.Text s)
+           [
+             p.pt_label;
+             Whatif.to_string { Whatif.mech = p.pt_mech; scale = p.pt_scale };
+             T.fmt_si p.pt_base.CS.throughput_rps;
+             T.fmt_si p.pt_pred.pred_tput;
+             T.fmt_si p.pt_rerun.CS.throughput_rps;
+             err_pct p.pt_pred.pred_tput p.pt_rerun.CS.throughput_rps;
+             fmt_us p.pt_base.CS.p99_latency_ns;
+             fmt_us p.pt_pred.pred_p99_ns;
+             fmt_us p.pt_rerun.CS.p99_latency_ns;
+             err_pct p.pt_pred.pred_p99_ns p.pt_rerun.CS.p99_latency_ns;
+           ]))
     points;
   T.render t
 

@@ -8,31 +8,15 @@ let xlibos_config = { smp = true; kernel_global = true; pv_mmu = true }
 type t = {
   config : config;
   vfs : Vfs.t;
-  scheduler : Cfs.t;
-  mutable procs : Process.t list;
-  kernel_pages : int;
+  mutable processes : int; (* spawned; none ever blocks, so all runnable *)
 }
 
 let create ?(config = default_config) () =
-  {
-    config;
-    vfs = Vfs.create ();
-    scheduler = Cfs.create ();
-    procs = [];
-    kernel_pages = 2048; (* 8 MB of resident kernel text/data *)
-  }
+  { config; vfs = Vfs.create (); processes = 0 }
 
 let config t = t.config
 let vfs t = t.vfs
-let processes t = t.procs
-
-let fresh_aspace t =
-  let aspace = Xc_mem.Address_space.create () in
-  Xc_mem.Address_space.map_kernel aspace ~global:t.config.kernel_global
-    ~vpn:Xc_mem.Address_space.kernel_base_vpn ~pages:t.kernel_pages ~first_pfn:0;
-  Xc_mem.Address_space.map_user aspace ~vpn:0x1000 ~pages:Costs.process_pages
-    ~first_pfn:0x10000;
-  aspace
+let processes t = t.processes
 
 (* PV guests pay hypervisor validation for every page-table entry they
    install, in mmu_update batches. *)
@@ -50,11 +34,7 @@ let exec_cost_ns t =
   if t.config.pv_mmu then Costs.exec_base_ns +. pv_build_cost ~pages
   else Costs.exec_base_ns
 
-let spawn t =
-  let p = Process.create ~aspace:(fresh_aspace t) in
-  t.procs <- t.procs @ [ p ];
-  Cfs.add t.scheduler p;
-  p
+let spawn t = t.processes <- t.processes + 1
 
 type op =
   | Cheap of Syscall_nr.t
@@ -114,7 +94,7 @@ let syscall_work_ns t op =
   ns
 
 let context_switch_cost_ns t =
-  let runnable = Cfs.runnable_count t.scheduler in
+  let runnable = t.processes in
   if Xc_sim.Metrics.on () then begin
     Xc_sim.Metrics.counter_incr ~cat:"os" ~name:"ctx-switches";
     Xc_sim.Metrics.gauge_set ~cat:"os" ~name:"runqueue" (float_of_int runnable)

@@ -32,13 +32,19 @@ val create : ?config:config -> unit -> t
 
 val config : t -> config
 val vfs : t -> Vfs.t
-val processes : t -> Process.t list
 
-(** {2 Processes} *)
+(** {2 Processes}
 
-val spawn : t -> Process.t
-(** Create a fresh process with a kernel-half mapping obeying
-    [kernel_global] and a default-sized user mapping. *)
+    Processes keep their own address spaces "for resource management
+    and compatibility" but no longer provide security isolation
+    (Section 1).  What a process costs here is its place on the
+    runqueue: every process spawned stays runnable, and each one adds
+    [Costs.runqueue_ns_per_task] to a context switch. *)
+
+val spawn : t -> unit
+
+val processes : t -> int
+(** The processes spawned so far. *)
 
 (** {2 Syscall work costs}
 
@@ -64,8 +70,9 @@ type op =
 val syscall_work_ns : t -> op -> float
 
 val context_switch_cost_ns : t -> float
-(** One in-kernel process switch: scheduler bookkeeping, CR3 write, user
-    TLB refill, and — without the global bit — the kernel TLB refill. *)
+(** One in-kernel process switch: scheduler bookkeeping over the
+    runqueue, CR3 write, user TLB refill, and — without the global bit —
+    the kernel TLB refill. *)
 
 val fork_cost_ns : t -> pages:int -> float
 val exec_cost_ns : t -> float

@@ -1,9 +1,21 @@
 type align = Left | Right
 
+type format =
+  | Scaled of { per : float; digits : int; unit : string }
+  | Ratio
+  | Si
+  | Percent of int
+  | Delta of int
+
+type cell = Text of string | Num of float * format * string
+
+let num ?(rest = "") format v = Num (v, format, rest)
+let int n = num (Scaled { per = 1.; digits = 0; unit = "" }) (float_of_int n)
+
 type t = {
   title : string option;
   columns : (string * align) list;
-  mutable rows : string list list; (* reversed *)
+  mutable rows : cell list list; (* reversed *)
 }
 
 let create ?title columns = { title; columns; rows = [] }
@@ -13,8 +25,53 @@ let add_row t cells =
     invalid_arg "Table.add_row: wrong number of cells";
   t.rows <- cells :: t.rows
 
+let title t = t.title
+
+let fmt_ratio v = Printf.sprintf "%.2fx" v
+
+let fmt_si v =
+  let abs = Float.abs v in
+  if abs >= 1e9 then Printf.sprintf "%.2fG" (v /. 1e9)
+  else if abs >= 1e6 then Printf.sprintf "%.2fM" (v /. 1e6)
+  else if abs >= 1e3 then Printf.sprintf "%.1fK" (v /. 1e3)
+  else Printf.sprintf "%.0f" v
+
+(* Shortest decimal form that parses back to the identical float, so
+   print -> parse is the identity on every representable value. *)
+let fmt_shortest v =
+  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
+  else
+    let rec go p =
+      if p > 17 then Printf.sprintf "%.17g" v
+      else
+        let s = Printf.sprintf "%.*g" p v in
+        if float_of_string s = v then s else go (p + 1)
+    in
+    go 1
+
+(* The number a format shows, before its digits are cut. *)
+let scaled format v =
+  match format with
+  | Scaled { per; _ } -> v /. per
+  | Ratio | Si -> v
+  | Percent _ | Delta _ -> 100. *. v
+
+let text = function
+  | Text s -> s
+  | Num (v, format, rest) ->
+      let shown =
+        match format with
+        | Scaled { digits; unit; _ } ->
+            Printf.sprintf "%.*f%s" digits (scaled format v) unit
+        | Ratio -> fmt_ratio v
+        | Si -> fmt_si v
+        | Percent digits -> Printf.sprintf "%.*f%%" digits (scaled format v)
+        | Delta digits -> Printf.sprintf "%+.*f%%" digits (scaled format v)
+      in
+      shown ^ rest
+
 let render t =
-  let rows = List.rev t.rows in
+  let rows = List.rev_map (List.map text) t.rows in
   let headers = List.map fst t.columns in
   let widths =
     List.mapi
@@ -63,33 +120,15 @@ let to_csv t =
       "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
     else s
   in
+  let field = function
+    | Text s -> escape s
+    | Num (v, format, _) -> fmt_shortest (scaled format v)
+  in
   let buf = Buffer.create 1024 in
-  let emit cells =
-    Buffer.add_string buf (String.concat "," (List.map escape cells));
+  let emit fields =
+    Buffer.add_string buf (String.concat "," fields);
     Buffer.add_char buf '\n'
   in
-  emit (List.map fst t.columns);
-  List.iter emit (List.rev t.rows);
+  emit (List.map (fun (h, _) -> escape h) t.columns);
+  List.iter (fun cells -> emit (List.map field cells)) (List.rev t.rows);
   Buffer.contents buf
-
-let fmt_ratio v = Printf.sprintf "%.2fx" v
-
-let fmt_si v =
-  let abs = Float.abs v in
-  if abs >= 1e9 then Printf.sprintf "%.2fG" (v /. 1e9)
-  else if abs >= 1e6 then Printf.sprintf "%.2fM" (v /. 1e6)
-  else if abs >= 1e3 then Printf.sprintf "%.1fK" (v /. 1e3)
-  else Printf.sprintf "%.0f" v
-
-(* Shortest decimal form that parses back to the identical float, so
-   print -> parse is the identity on every representable value. *)
-let fmt_shortest v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else
-    let rec go p =
-      if p > 17 then Printf.sprintf "%.17g" v
-      else
-        let s = Printf.sprintf "%.*g" p v in
-        if float_of_string s = v then s else go (p + 1)
-    in
-    go 1

@@ -176,14 +176,18 @@ let interval_us (t : Suite.t) =
   if v = 0 then 50 else v
 
 (* ------------------------------------------------------------------ *)
-(* Rendering                                                           *)
+(* The result table: what [Run.suite] prints and [xc suite run --csv]
+   writes.                                                             *)
 
 module T = Xc_sim.Table
 
-let fmt_us v =
-  if Float.is_nan v then "-" else Printf.sprintf "%.0fus" (v /. 1e3)
+(* Latencies in microseconds; a statistic the shape does not produce
+   (a cluster's p50, a fluid node's p99) is NaN and shows as "-". *)
+let us v =
+  if Float.is_nan v then T.Text "-"
+  else T.num (T.Scaled { per = 1e3; digits = 0; unit = "us" }) v
 
-let render rows =
+let table rows =
   let t =
     T.create
       [
@@ -201,28 +205,14 @@ let render rows =
     (fun r ->
       T.add_row t
         [
-          r.spec.Spec.name;
-          Spec.Config.name r.spec.Spec.platform;
-          r.spec.Spec.workload;
-          Spec.shape_to_string r.spec.Spec.load.Spec.shape;
-          T.fmt_si r.throughput_rps;
-          fmt_us r.mean_ns;
-          fmt_us r.p50_ns;
-          fmt_us r.p99_ns;
+          T.Text r.spec.Spec.name;
+          T.Text (Spec.Config.name r.spec.Spec.platform);
+          T.Text r.spec.Spec.workload;
+          T.Text (Spec.shape_to_string r.spec.Spec.load.Spec.shape);
+          T.num T.Si r.throughput_rps;
+          us r.mean_ns;
+          us r.p50_ns;
+          us r.p99_ns;
         ])
     rows;
-  T.render t
-
-let csv rows =
-  let b = Buffer.create 256 in
-  Buffer.add_string b
-    "experiment,platform,workload,shape,throughput_rps,mean_ns,p50_ns,p99_ns\n";
-  List.iter
-    (fun r ->
-      Printf.bprintf b "%s,%s,%s,%s,%.3f,%.3f,%.3f,%.3f\n" r.spec.Spec.name
-        (Spec.Config.name r.spec.Spec.platform)
-        r.spec.Spec.workload
-        (Spec.shape_to_string r.spec.Spec.load.Spec.shape)
-        r.throughput_rps r.mean_ns r.p50_ns r.p99_ns)
-    rows;
-  Buffer.contents b
+  t

@@ -36,5 +36,6 @@ val sample_stride : Suite.t -> int
 val interval_us : Suite.t -> int
 (** Smallest positive requested snapshot cadence; 50 if none. *)
 
-val render : row list -> string
-val csv : row list -> string
+val table : row list -> Xc_sim.Table.t
+(** One row per spec: req/s, then mean, p50 and p99 in microseconds
+    (["-"] where the shape produces none). *)

@@ -1,38 +1,35 @@
 (* The experiment runner behind the bench and `xc`: cells on the
-   worker pool, one output buffer per domain, captures merged in
-   submission order, and the artifact writers every front-end shares. *)
+   worker pool, captures merged in submission order, reports rendered
+   in the merge phase, and the artifact writers every front-end
+   shares. *)
 
 module Trace = Xc_trace.Trace
 module Export = Xc_trace.Export
 module Metrics = Xc_sim.Metrics
 
-(* All experiment output goes through a domain-local buffer, so a cell
-   can run on a worker domain and still have its output emitted whole,
-   in submission order: the parallel run is byte-identical to the
-   sequential one by construction. *)
-module Out = struct
-  let key = Domain.DLS.new_key (fun () -> Buffer.create 8192)
-  let buffer () = Domain.DLS.get key
-  let printf fmt = Printf.ksprintf (fun s -> Buffer.add_string (buffer ()) s) fmt
-  let print_string s = Buffer.add_string (buffer ()) s
+type block = Section of string | Table of Xc_sim.Table.t | Line of string
+type report = block list
 
-  let print_endline s =
-    let b = buffer () in
-    Buffer.add_string b s;
-    Buffer.add_char b '\n'
+let render report =
+  let b = Buffer.create 4096 in
+  List.iter
+    (function
+      | Section title ->
+          Printf.bprintf b "\n%s\n%s\n\n" title
+            (String.make (String.length title) '#')
+      | Table t -> Buffer.add_string b (Xc_sim.Table.render t)
+      | Line s ->
+          Buffer.add_string b s;
+          Buffer.add_char b '\n')
+    report;
+  Buffer.contents b
 
-  let print_newline () = Buffer.add_char (buffer ()) '\n'
-  let print_table t = print_string (Xc_sim.Table.render t)
+let tables report = List.filter_map (function Table t -> Some t | _ -> None) report
 
-  let section title =
-    printf "\n%s\n%s\n\n" title (String.make (String.length title) '#')
-end
+type cells =
+  | Cells : { shards : (unit -> 'b) array; report : 'b array -> report } -> cells
 
-type 'r cells =
-  | Cells : { shards : (unit -> 'b) array; print : 'b array -> 'r } -> 'r cells
-
-let whole f = Cells { shards = [| f |]; print = (fun r -> r.(0)) }
-let map f (Cells c) = Cells { shards = c.shards; print = (fun r -> f (c.print r)) }
+let whole f = Cells { shards = [| f |]; report = (fun r -> r.(0)) }
 
 type piece = {
   trace : Trace.captured;
@@ -40,47 +37,38 @@ type piece = {
   events : int;
 }
 
-type 'r outcome = {
+type outcome = {
   name : string;
+  report : report;
   output : string;
-  result : 'r;
   pieces : piece array;
   trace : Trace.captured;
   telemetry : Metrics.telemetry;
 }
 
-(* Runs one cell with its output captured in the domain-local buffer.
-   The trace capture gives each cell its own buffer and cursor starting
-   at 0, so the experiment's track is independent of which domain — and
-   after what history — ran it. *)
+(* Runs one cell instrumented.  The trace capture gives each cell its
+   own buffer and cursor starting at 0, so the experiment's track is
+   independent of which domain — and after what history — ran it. *)
 let instrument f () =
-  let buf = Out.buffer () in
-  Buffer.clear buf;
   let events0 = Xc_sim.Engine.domain_events () in
   let (data, trace), telemetry = Metrics.capture (fun () -> Trace.capture f) in
   let events = Xc_sim.Engine.domain_events () - events0 in
-  (data, Buffer.contents buf, { trace; telemetry; events })
+  (data, { trace; telemetry; events })
 
 (* Every cell goes to the pool; the outcome is assembled in the
-   (deterministic, index-ordered) merge phase: outputs concatenate,
-   traces concatenate with rebased cursors, telemetry merges.  The
-   printer runs against a cleared buffer so its tables land after any
-   output the cells themselves produced. *)
-let shard : type r. string * r cells -> r outcome Xc_sim.Parallel.Shard.t =
- fun (name, Cells { shards; print }) ->
+   (deterministic, index-ordered) merge phase: the report is built over
+   the cell results and rendered, traces concatenate with rebased
+   cursors, telemetry merges. *)
+let shard (name, Cells { shards; report }) =
   Xc_sim.Parallel.Shard.make
     ~shards:(Array.map instrument shards)
     ~merge:(fun cells ->
-      let buf = Out.buffer () in
-      Buffer.clear buf;
-      let result = print (Array.map (fun (d, _, _) -> d) cells) in
-      let pieces = Array.map (fun (_, _, p) -> p) cells in
+      let report = report (Array.map fst cells) in
+      let pieces = Array.map snd cells in
       {
         name;
-        output =
-          String.concat "" (Array.to_list (Array.map (fun (_, o, _) -> o) cells))
-          ^ Buffer.contents buf;
-        result;
+        report;
+        output = render report;
         pieces;
         trace =
           Trace.concat
@@ -99,12 +87,12 @@ let suite (s : Suite.t) =
     {
       shards =
         Array.of_list (List.map (fun spec () -> Driver.run spec) s.Suite.specs);
-      print =
+      report =
         (fun rows ->
-          let rows = Array.to_list rows in
-          Out.section (Printf.sprintf "Suite: %s" s.Suite.name);
-          Out.print_string (Driver.render rows);
-          rows);
+          [
+            Section (Printf.sprintf "Suite: %s" s.Suite.name);
+            Table (Driver.table (Array.to_list rows));
+          ]);
     }
 
 (* ------------------------------------------------------------------ *)
@@ -134,6 +122,27 @@ let rec tails ~pct = function
       Ok (Option.to_list tail @ tails)
 
 let write_tails = Export.tails_to_file
+
+(* "(a) Amazon EC2 Single" -> "a_amazon_ec2_single". *)
+let slug title =
+  String.split_on_char ' ' (String.map (fun c ->
+      match Char.lowercase_ascii c with ('a' .. 'z' | '0' .. '9') as c -> c | _ -> ' ') title)
+  |> List.filter (( <> ) "")
+  |> String.concat "_"
+
+let write_csvs ~dir ~id report =
+  (try Sys.mkdir dir 0o755 with Sys_error _ when Sys.is_directory dir -> ());
+  List.map
+    (fun table ->
+      let name =
+        match Xc_sim.Table.title table with
+        | None -> id
+        | Some title -> id ^ "_" ^ slug title
+      in
+      let path = Filename.concat dir (name ^ ".csv") in
+      write_file path (Xc_sim.Table.to_csv table);
+      path)
+    (tables report)
 
 let write_timeseries ~path tracks =
   Export.to_file ~path

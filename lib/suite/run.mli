@@ -1,36 +1,38 @@
 (** The one experiment runner, shared by the bench and [xc].
 
-    An experiment is a set of independent cells plus a printer over
+    An experiment is a set of independent cells plus a report over
     their index-ordered results.  Cells are the unit the worker pool
-    ({!Xc_sim.Parallel}) schedules; each runs instrumented (its
-    output, trace and telemetry captured on its own domain) and the
-    printer runs in the deterministic merge phase, so stdout and every
+    ({!Xc_sim.Parallel}) schedules; each runs instrumented (its trace
+    and telemetry captured on its own domain) and the report is built
+    and rendered in the deterministic merge phase, so stdout and every
     artifact are byte-identical at any [--jobs]. *)
 
-(** The per-domain output buffer.  Printers write through these, never
-    to stdout: a cell's output is emitted whole, in submission order,
-    by whoever prints {!outcome.output}. *)
-module Out : sig
-  val printf : ('a, unit, string, unit) format4 -> 'a
-  val print_string : string -> unit
-  val print_endline : string -> unit
-  val print_newline : unit -> unit
-  val print_table : Xc_sim.Table.t -> unit
+(** {1 Reports}
 
-  val section : string -> unit
-  (** A blank line, [title], an underline of [#], a blank line. *)
-end
+    What an experiment prints, as data: the text printer and the CSV
+    writer are two views of the same typed tables. *)
 
-type 'r cells =
-  | Cells : { shards : (unit -> 'b) array; print : 'b array -> 'r } -> 'r cells
-(** Independent [shards] and a [print] over their results, in shard
-    order; [print]'s value is the experiment's {!outcome.result}. *)
+type block =
+  | Section of string  (** A blank line, the title, an underline of [#], a blank line. *)
+  | Table of Xc_sim.Table.t
+  | Line of string  (** One line of text; [""] is a blank line. *)
 
-val whole : (unit -> 'r) -> 'r cells
-(** One unsplittable cell that prints as it runs. *)
+type report = block list
 
-val map : ('r -> 's) -> 'r cells -> 's cells
-(** Post-compose the printer's value. *)
+val render : report -> string
+
+val tables : report -> Xc_sim.Table.t list
+(** The report's tables, in order. *)
+
+(** {1 Running} *)
+
+type cells =
+  | Cells : { shards : (unit -> 'b) array; report : 'b array -> report } -> cells
+(** Independent [shards] and the [report] over their results, in shard
+    order. *)
+
+val whole : (unit -> report) -> cells
+(** One unsplittable cell. *)
 
 (** What one cell recorded. *)
 type piece = {
@@ -39,22 +41,22 @@ type piece = {
   events : int;  (** engine events the cell executed on its domain *)
 }
 
-type 'r outcome = {
+type outcome = {
   name : string;
-  output : string;  (** the cells' output, then the printer's *)
-  result : 'r;
+  report : report;
+  output : string;  (** the report, rendered *)
   pieces : piece array;  (** per cell, in cell order *)
   trace : Xc_trace.Trace.captured;  (** the pieces' traces, concatenated *)
   telemetry : Xc_sim.Metrics.telemetry;  (** the pieces' telemetry, merged *)
 }
 
-val run : jobs:int -> (string * 'r cells) list -> 'r outcome list
+val run : jobs:int -> (string * cells) list -> outcome list
 (** Every cell of every named experiment on one pool; one outcome per
     experiment, in submission order. *)
 
-val suite : Suite.t -> Driver.row list cells
-(** A generic suite: one {!Driver.run} cell per spec, printed as a
-    ["Suite: NAME"] section over {!Driver.render} — what both
+val suite : Suite.t -> cells
+(** A generic suite: one {!Driver.run} cell per spec, reported as a
+    ["Suite: NAME"] section over {!Driver.table} — what both
     [bench --suite NAME] and [xc suite run NAME] print. *)
 
 (** {1 Artifacts}
@@ -78,6 +80,12 @@ val tails :
 
 val write_tails : path:string -> Xc_trace.Profile.tail list -> unit
 (** The tails CSV ({!Xc_trace.Export.to_tails_csv}). *)
+
+val write_csvs : dir:string -> id:string -> report -> string list
+(** Each table of the report as {!Xc_sim.Table.to_csv}, one file per
+    table in [dir] (made if missing): [ID.csv] for an untitled table,
+    [ID_TITLE.csv] for a titled one, the title's letters and digits
+    lowercased and joined by [_].  Returns the paths, in order. *)
 
 val write_timeseries :
   path:string -> (string * Xc_sim.Metrics.telemetry) list -> unit

@@ -148,41 +148,6 @@ let entry_table_roundtrip =
       | Some (Machine.Fixed m) -> m = n
       | _ -> false)
 
-(* ---------------- page table vs a reference model ---------------- *)
-
-module IntMap = Map.Make (Int)
-
-(* Each op maps (or remaps) one page, global or not. *)
-let pt_ops_arb =
-  QCheck.make
-    ~print:(fun ops -> Printf.sprintf "%d ops" (List.length ops))
-    QCheck.Gen.(list_size (int_range 0 200) (pair (int_range 0 40) bool))
-
-let page_table_model =
-  QCheck.Test.make ~name:"page table agrees with a Map model" ~count:200 pt_ops_arb
-    (fun ops ->
-      let table = Xc_mem.Page_table.create () in
-      let model =
-        List.fold_left
-          (fun model (vpn, global) ->
-            let pte = Xc_mem.Pte.make ~global ~pfn:vpn () in
-            Xc_mem.Page_table.map table ~vpn pte;
-            IntMap.add vpn pte model)
-          IntMap.empty ops
-      in
-      let count_ok = Xc_mem.Page_table.entry_count table = IntMap.cardinal model in
-      let globals_ok =
-        Xc_mem.Page_table.global_count table
-        = IntMap.fold (fun _ p acc -> if p.Xc_mem.Pte.global then acc + 1 else acc) model 0
-      in
-      let lookups_ok =
-        List.for_all
-          (fun vpn ->
-            Xc_mem.Page_table.lookup table ~vpn = IntMap.find_opt vpn model)
-          (List.init 41 (fun i -> i))
-      in
-      count_ok && globals_ok && lookups_ok)
-
 let xelf_total =
   QCheck.Test.make ~name:"xelf deserialize total on garbage" ~count:300 arb_bytes
     (fun blob ->
@@ -198,5 +163,4 @@ let suites =
       qsuite [ machine_total_on_garbage; machine_total_with_xkernel_config ] );
     ( "fuzz.abom",
       qsuite [ patch_idempotent; offline_equivalence; entry_table_roundtrip ] );
-    ("fuzz.mem", qsuite [ page_table_model ]);
   ]

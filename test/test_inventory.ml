@@ -8,11 +8,11 @@ let read file = In_channel.with_open_bin file In_channel.input_all
    or at the repository root when started by hand. *)
 let root = if Sys.file_exists "../bin/xc.ml" then ".." else "."
 
-(* The ids the bench's [printer] match maps, in source order: its
+(* The ids the experiments' [printer] match maps, in source order: its
    [| "ID" ->] cases up to the catch-all one. *)
 let printer_cases () =
   let rec find = function
-    | [] -> Alcotest.fail "bench/main.ml has no [let printer = function]"
+    | [] -> Alcotest.fail "lib/suite/experiments.ml has no [let printer = function]"
     | l :: rest -> if l = "let printer = function" then cases [] rest else find rest
   and cases acc = function
     | [] -> List.rev acc
@@ -22,7 +22,9 @@ let printer_cases () =
         | Some id -> cases (id :: acc) rest
         | None -> if String.starts_with ~prefix:"|" l then List.rev acc else cases acc rest)
   in
-  find (String.split_on_char '\n' (read (Filename.concat root "bench/main.ml")))
+  find
+    (String.split_on_char '\n'
+       (read (Filename.concat root "lib/suite/experiments.ml")))
 
 let test_inventory_covers_bench () =
   Alcotest.(check (list string))
@@ -247,7 +249,7 @@ let graph =
    [m.ml].  These forms name it: [L.M.v]; [X.v] after [module X = L.M];
    [M.v] inside library [L] or after [open L]; a bare [v] under
    [open L.M], [let open L.M in], [L.M.( ... )] or [include L.M].  A
-   signature nested in [m.mli] ([module Out : sig ... end]) is a module
+   signature nested in [m.mli] ([module Shard : sig ... end]) is a module
    of its own.  Record fields ([r.M.f], [{ M.f = ... }]) and
    constructors are not values. *)
 
@@ -256,7 +258,7 @@ let graph =
 type target = Lib of string | Mod of string * string list
 
 (* The values an .mli declares, as [(path, name)]: [path] is [[]] at
-   top level and [["Out"]] inside [module Out : sig ... end].  A
+   top level and [["Shard"]] inside [module Shard : sig ... end].  A
    [module type] declares none. *)
 let declared mli =
   let rec go stack acc = function
@@ -585,41 +587,6 @@ let test_only =
             "lb.policy least-loaded and jsq sets match a stable sort";
           ] );
       ] );
-    ( "Xc_mem.Address_space",
-      [
-        ("user_pages", Hook, [ "mem.address_space global policy" ]);
-        ("kernel_pages", Hook, [ "mem.address_space global policy" ]);
-        ( "kernel_global",
-          Hook,
-          [ "mem.address_space global policy"; "os.kernel spawn policy" ] );
-      ] );
-    ( "Xc_mem.Page_table",
-      [
-        ( "map",
-          Hook,
-          [
-            "mem.page_table map/lookup";
-            "mem.page_table global count";
-            "fuzz.mem page table agrees with a Map model";
-          ] );
-        ( "lookup",
-          Hook,
-          [
-            "mem.page_table map/lookup";
-            "mem.page_table map_range/copy";
-            "fuzz.mem page table agrees with a Map model";
-          ] );
-        ( "entry_count",
-          Hook,
-          [
-            "mem.page_table map/lookup";
-            "mem.page_table map_range/copy";
-            "fuzz.mem page table agrees with a Map model";
-          ] );
-        ( "global_count",
-          Hook,
-          [ "mem.page_table global count"; "fuzz.mem page table agrees with a Map model" ] );
-      ] );
     ( "Xc_net.Link",
       [ ("create", Hook, [ "net.link math" ]); ("serialize_ns", Hook, [ "net.link math" ]) ] );
     ( "Xc_net.Netpath",
@@ -638,11 +605,6 @@ let test_only =
         ("self_label", Hook, [ "causal-critical-path hand-built chains"; "causal-critical-path critical path telescopes" ]);
         ("nested_label", Hook, [ "causal-critical-path hand-built chains"; "causal-critical-path critical path telescopes" ]);
         ("share", Hook, [ "causal-critical-path hand-built chains" ]);
-      ] );
-    ( "Xc_os.Process",
-      [
-        ("set_state", Hook, [ "os.cfs blocked skipped" ]);
-        ("aspace", Hook, [ "os.kernel spawn policy" ]);
       ] );
     ( "Xc_os.Socket",
       [
@@ -826,20 +788,20 @@ let test_scanner () =
   case "sibling alias" ~own:"Xc_os" "module K = Kernel" kernel;
   case "sibling projection" ~own:"Xc_os" "let k = Kernel.create ()" kernel;
   case "polymorphic variant" ~own:"Xc_os" "let v = `Kernel" [];
-  (* Values: [Kernel.spawn] and a nested [Run.Out.write]. *)
-  let libs = [ ("Xc_os", [ "Kernel" ]); ("Xc_suite", [ "Run" ]) ] in
-  let nested = [ ("Xc_os", [ "Kernel" ]); ("Xc_suite", [ "Run" ]); ("Xc_suite", [ "Run"; "Out" ]) ] in
+  (* Values: [Kernel.spawn] and a nested [Parallel.Shard.make]. *)
+  let libs = [ ("Xc_os", [ "Kernel" ]); ("Xc_sim", [ "Parallel" ]) ] in
+  let nested = [ ("Xc_os", [ "Kernel" ]); ("Xc_sim", [ "Parallel" ]); ("Xc_sim", [ "Parallel"; "Shard" ]) ] in
   let spawn = [ (("Xc_os", [ "Kernel" ]), "spawn") ] in
-  let write = [ (("Xc_suite", [ "Run"; "Out" ]), "write") ] in
+  let make = [ (("Xc_sim", [ "Parallel"; "Shard" ]), "make") ] in
   (* Bare words under an open name every value of the opened module;
      the gate keeps the exported ones. *)
   let value name ?own src expected =
     Alcotest.(check (list (pair (pair string (list string)) string)))
       name expected
-      (List.filter (fun u -> List.mem u (spawn @ write)) (value_uses ~libs ~umbrella:[] ~nested ~own src))
+      (List.filter (fun u -> List.mem u (spawn @ make)) (value_uses ~libs ~umbrella:[] ~nested ~own src))
   in
   value "qualified value" "let p = Xc_os.Kernel.spawn k" spawn;
-  value "nested signature" "let () = Xc_suite.Run.Out.write x" write;
+  value "nested signature" "let s = Xc_sim.Parallel.Shard.make x" make;
   value "alias" "module K = Xc_os.Kernel\nlet p = K.spawn k" spawn;
   value "sibling" ~own:"Xc_os" "let p = Kernel.spawn k" spawn;
   value "open library" "open Xc_os\nlet p = Kernel.spawn k" spawn;
@@ -848,7 +810,7 @@ let test_scanner () =
   value "local open" "let p = Xc_os.Kernel.(spawn k)" spawn;
   value "local open ends" "let p = Xc_os.Kernel.(k) and q = spawn k" [];
   value "include" "include Xc_os.Kernel\nlet p = spawn k" spawn;
-  value "open nested" "module R = Xc_suite.Run\nopen R.Out\nlet () = write x" write;
+  value "open nested" "module P = Xc_sim.Parallel\nopen P.Shard\nlet s = make x" make;
   value "constructor" "let c = Xc_os.Kernel.Spawn" [];
   value "record field" "let n = r.Xc_os.Kernel.spawn" [];
   value "record label" "let r = { Xc_os.Kernel.spawn = 1; x = 2 }" [];
@@ -859,9 +821,9 @@ let test_scanner () =
   value "name in a string" "let s = \"Xc_os.Kernel.spawn\"" [];
   Alcotest.(check (list (pair (list string) string)))
     "declared values, nested signatures apart, module types skipped"
-    [ ([], "run"); ([ "Out" ], "write"); ([], "all") ]
+    [ ([], "run"); ([ "Shard" ], "make"); ([], "all") ]
     (declared
-       "val run : t -> unit\nmodule Out : sig val write : t -> unit end\n\
+       "val run : t -> unit\nmodule Shard : sig val make : t -> unit end\n\
         module type S = sig val hidden : int end\nval all : t list")
 
 let suites =

@@ -1,5 +1,5 @@
-(* Tests for the guest-kernel model: syscall table, VFS, the runqueue,
-   and the kernel facade's processes and cost knobs. *)
+(* Tests for the guest-kernel model: syscall table, VFS, and the kernel
+   facade's processes and cost knobs. *)
 
 open Xc_os
 
@@ -58,29 +58,24 @@ let test_vfs_copy_cost () =
   Alcotest.(check bool) "per-byte cost grows" true
     (Vfs.copy_cost_ns ~bytes_len:4096 > Vfs.copy_cost_ns ~bytes_len:1024)
 
-(* ---------------- Runqueue ---------------- *)
-
-let make_proc () = Process.create ~aspace:(Xc_mem.Address_space.create ())
-
-let test_cfs_blocked_skipped () =
-  let s = Cfs.create () in
-  let a = make_proc () and b = make_proc () in
-  Cfs.add s a;
-  Cfs.add s b;
-  Process.set_state a Process.Blocked;
-  Alcotest.(check int) "one runnable" 1 (Cfs.runnable_count s)
-
 (* ---------------- Kernel ---------------- *)
 
+(* Every spawned process joins the runqueue, so each spawn adds one
+   task's scheduler bookkeeping to a context switch, on stock Linux and
+   X-LibOS alike. *)
 let test_kernel_spawn_policy () =
-  let stock = Kernel.create () in
-  let p = Kernel.spawn stock in
-  Alcotest.(check bool) "stock: kernel not global" false
-    (Xc_mem.Address_space.kernel_global (Process.aspace p));
-  let xlibos = Kernel.create ~config:Kernel.xlibos_config () in
-  let q = Kernel.spawn xlibos in
-  Alcotest.(check bool) "xlibos: kernel global" true
-    (Xc_mem.Address_space.kernel_global (Process.aspace q))
+  List.iter
+    (fun config ->
+      let k = Kernel.create ~config () in
+      let idle = Kernel.context_switch_cost_ns k in
+      Kernel.spawn k;
+      Kernel.spawn k;
+      Kernel.spawn k;
+      Alcotest.(check int) "three spawned" 3 (Kernel.processes k);
+      Alcotest.(check (float 1e-9)) "one runqueue task per spawn"
+        (idle +. (3. *. Xc_cpu.Costs.runqueue_ns_per_task))
+        (Kernel.context_switch_cost_ns k))
+    [ Kernel.config (Kernel.create ()); Kernel.xlibos_config ]
 
 let test_kernel_fork_cost_pv () =
   let stock = Kernel.create () in
@@ -125,10 +120,6 @@ let suites =
         Alcotest.test_case "files" `Quick test_vfs_files;
         Alcotest.test_case "errors" `Quick test_vfs_errors;
         Alcotest.test_case "copy cost" `Quick test_vfs_copy_cost;
-      ] );
-    ( "os.cfs",
-      [
-        Alcotest.test_case "blocked skipped" `Quick test_cfs_blocked_skipped;
       ] );
     ( "os.kernel",
       [

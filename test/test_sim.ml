@@ -349,31 +349,96 @@ let test_metrics_counters () =
 
 let test_table_render () =
   let t = Table.create [ ("name", Table.Left); ("value", Table.Right) ] in
-  Table.add_row t [ "x"; "1" ];
-  Table.add_row t [ "longer"; "22" ];
-  let s = Table.render t in
-  Alcotest.(check bool) "has header" true
-    (String.length s > 0 && String.sub s 0 4 = "name");
-  (* Right-aligned column: "1" is padded to width of "value" (5). *)
-  Alcotest.(check bool) "right aligned" true
-    (String.length (List.nth (String.split_on_char '\n' s) 2) > 6)
+  Table.add_row t [ Table.Text "x"; Table.int 1 ];
+  Table.add_row t [ Table.Text "longer"; Table.num Table.Ratio 1.3 ];
+  Alcotest.(check string) "aligned"
+    "name    value\n-------------\nx           1\nlonger  1.30x\n"
+    (Table.render t)
 
 let test_table_wrong_row () =
   let t = Table.create [ ("a", Table.Left) ] in
   Alcotest.check_raises "row mismatch" (Invalid_argument "Table.add_row: wrong number of cells")
-    (fun () -> Table.add_row t [ "1"; "2" ])
+    (fun () -> Table.add_row t [ Table.Text "1"; Table.Text "2" ])
 
 let test_table_csv () =
-  let t = Table.create [ ("a", Table.Left); ("b", Table.Left) ] in
-  Table.add_row t [ "x,y"; "plain" ];
-  let csv = Table.to_csv t in
-  Alcotest.(check string) "csv escape" "a,b\n\"x,y\",plain\n" csv
+  let t = Table.create [ ("a", Table.Left); ("b", Table.Left); ("c", Table.Right) ] in
+  Table.add_row t
+    [
+      Table.Text "x,y";
+      Table.Text "plain";
+      Table.num ~rest:" (92.2% manual)" (Table.Percent 1) 0.446;
+    ];
+  Table.add_row t [ Table.Text "say \"hi\""; Table.Text "two\nlines"; Table.int 7 ];
+  Alcotest.(check string) "csv escape, compound cell's leading number"
+    "a,b,c\n\"x,y\",plain,44.6\n\"say \"\"hi\"\"\",\"two\nlines\",7\n"
+    (Table.to_csv t)
+
+(* A cell's text: a one-column table with an empty header renders the
+   cell alone on its third line. *)
+let cell_text cell =
+  let t = Table.create [ ("", Table.Left) ] in
+  Table.add_row t [ cell ];
+  List.nth (String.split_on_char '\n' (Table.render t)) 2
 
 let test_table_fmt () =
-  Alcotest.(check string) "ratio" "2.13x" (Table.fmt_ratio 2.131);
+  Alcotest.(check string) "ratio" "2.13x" (cell_text (Table.num Table.Ratio 2.131));
   Alcotest.(check string) "si K" "12.3K" (Table.fmt_si 12_345.);
   Alcotest.(check string) "si M" "3.40M" (Table.fmt_si 3_400_000.);
   Alcotest.(check string) "si plain" "45" (Table.fmt_si 45.)
+
+(* Every format against its layout spelt out as a literal format
+   string, and the number its CSV field carries. *)
+let table_formats =
+  let scaled per digits unit = Table.Scaled { per; digits; unit } in
+  [
+    (scaled 1e3 1 "us", (fun v -> Printf.sprintf "%.1fus" (v /. 1e3)), fun v -> v /. 1e3);
+    (scaled 1e3 0 "us", (fun v -> Printf.sprintf "%.0fus" (v /. 1e3)), fun v -> v /. 1e3);
+    (scaled 1e6 0 "ms", (fun v -> Printf.sprintf "%.0fms" (v /. 1e6)), fun v -> v /. 1e6);
+    (scaled 1e6 1 "ms", (fun v -> Printf.sprintf "%.1fms" (v /. 1e6)), fun v -> v /. 1e6);
+    (scaled 1e9 1 "s", (fun v -> Printf.sprintf "%.1fs" (v /. 1e9)), fun v -> v /. 1e9);
+    (scaled 1. 0 "", (fun v -> Printf.sprintf "%.0f" v), Fun.id);
+    (scaled 1. 2 "", (fun v -> Printf.sprintf "%.2f" v), Fun.id);
+    (scaled 1. 4 "", (fun v -> Printf.sprintf "%.4f" v), Fun.id);
+    (scaled 1. 0 "MB", (fun v -> Printf.sprintf "%.0fMB" v), Fun.id);
+    (Table.Ratio, (fun v -> Printf.sprintf "%.2fx" v), Fun.id);
+    (Table.Si, Table.fmt_si, Fun.id);
+    (Table.Percent 0, (fun v -> Printf.sprintf "%.0f%%" (100. *. v)), fun v -> 100. *. v);
+    (Table.Percent 1, (fun v -> Printf.sprintf "%.1f%%" (100. *. v)), fun v -> 100. *. v);
+    (Table.Delta 1, (fun v -> Printf.sprintf "%+.1f%%" (v *. 100.)), fun v -> v *. 100.);
+  ]
+
+let table_cell_views =
+  let value =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map Int64.float_of_bits ui64);
+          (2, float);
+          (2, map float_of_int (int_range (-100_000) 10_000_000));
+          (1, map (fun m -> Float.ldexp (float_of_int m) (-1074)) (int_range (-4096) 4096));
+          (1, oneofl [ nan; infinity; neg_infinity; 0.; -0.; 5e-324; max_float ]);
+        ])
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun (v, i, rest) -> Printf.sprintf "%h, format %d, rest %S" v i rest)
+      QCheck.Gen.(
+        triple value
+          (int_bound (List.length table_formats - 1))
+          (oneofl [ ""; " (92.2% manual)"; "/25 (36%)" ]))
+  in
+  QCheck.Test.make ~name:"cells render as before, CSV is exact" ~count:2000 arb
+    (fun (v, i, rest) ->
+      let format, before, scaled = List.nth table_formats i in
+      let cell = Table.num ~rest format v in
+      let t = Table.create [ ("", Table.Left) ] in
+      Table.add_row t [ cell ];
+      (* The CSV is the empty header's line, then the field's. *)
+      let field = List.nth (String.split_on_char '\n' (Table.to_csv t)) 1 in
+      let back = float_of_string field and want = scaled v in
+      cell_text cell = before v ^ rest
+      && ((Float.is_nan back && Float.is_nan want)
+         || Int64.equal (Int64.bits_of_float back) (Int64.bits_of_float want)))
 
 (* ---------------- Engine ---------------- *)
 
@@ -625,7 +690,8 @@ let suites =
         Alcotest.test_case "wrong row" `Quick test_table_wrong_row;
         Alcotest.test_case "csv" `Quick test_table_csv;
         Alcotest.test_case "formatters" `Quick test_table_fmt;
-      ] );
+      ]
+      @ qsuite [ table_cell_views ] );
     ( "sim.engine",
       [
         Alcotest.test_case "ordering" `Quick test_engine_ordering;
