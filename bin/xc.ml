@@ -18,6 +18,8 @@ module Trace = Xc_trace.Trace
 module Profile = Xc_trace.Profile
 module Causal = Xc_obs.Causal
 module Workload = Xc_suite.Workload
+module Spec = Xc_suite.Spec
+module Driver = Xc_suite.Driver
 module Run = Xc_suite.Run
 
 let exit_err msg =
@@ -122,7 +124,8 @@ let jobs =
                     output and every artifact are identical at any value."))
 
 let containers =
-  positive_int "containers" 4 ~doc:"Containers per node (cluster config)."
+  positive_int "containers" Spec.cluster.load.containers
+    ~doc:"Containers per node (cluster config)."
 
 let connections default ~doc = positive_int "connections" default ~doc
 
@@ -194,14 +197,23 @@ let tail_of ~label ~pct captured =
   | Ok t -> t
   | Error e -> exit_err e
 
-(* One traced Fig 9-style cluster run and its [pct] tail.  The config is
-   priced before tracing turns on (the cost queries emit spans
+(* The Fig 9 cluster point ([Spec.cluster]) on [config] at a per-node
+   load; [Driver.cluster] prices it. *)
+let cluster_spec ~containers ~connections config =
+  {
+    Spec.cluster with
+    platform = config;
+    load = { Spec.cluster.load with containers; connections };
+  }
+
+(* One traced Fig 9-style cluster run and its [pct] tail.  The nodes
+   are priced before tracing turns on (the cost queries emit spans
    themselves), so the capture holds only the run's own events and the
    tail partition is exact. *)
-let traced_tail ~jobs ~pct ~label cs =
+let traced_tail ~jobs ~pct ~label nodes =
   let (), captured =
     Causal.with_tracing (fun () ->
-        Trace.capture (fun () -> ignore (CS.run_sweep ~jobs [ cs ])))
+        Trace.capture (fun () -> ignore (CS.run_sweep ~jobs nodes)))
   in
   match tail_of ~label ~pct captured with
   | Some t -> (t, (label, captured))
@@ -265,7 +277,12 @@ let abom_cmd =
         & info [ "style"; "s" ]
             ~doc:"Wrapper style: glibc-small, glibc-wide, go-stack, cancellable, exotic.")
   in
-  let sysno = Arg.(value & opt int 0 & info [ "sysno"; "n" ] ~doc:"Syscall number.") in
+  let sysno =
+    checked "sysno" ~aliases:[ "n" ] Arg.int
+      ~ok:(fun n -> n >= 0 && n <= 0x7fff_ffff)
+      ~expects:"a syscall number in [0, 2147483647]" 0 ~docv:"VAL"
+      ~doc:"Syscall number."
+  in
   let offline =
     Arg.(value & flag & info [ "offline" ] ~doc:"Also run the aggressive offline tool.")
   in
@@ -694,12 +711,9 @@ let run_app_cmd =
   let connections = connections 64 ~doc:"Concurrent clients." in
   let run (app : Workload.t) runtime connections =
     let config = Config.make runtime in
-    let platform = Xc_platforms.Platform.create config in
-    let server = Xcontainers.Figures.server_for_public config platform app.tag in
+    let spec = { Spec.default with platform = config; workload = app.name } in
     let result =
-      Xc_platforms.Closed_loop.run
-        { Xc_platforms.Closed_loop.default_config with connections }
-        server
+      Driver.closed_result { spec with load = { spec.load with connections } }
     in
     Printf.printf
       "%s on %s: %.0f req/s (p50 %.0fus, p99 %.0fus, %d served in 2s simulated)\n"
@@ -839,7 +853,7 @@ let trace_run_cmd =
     let workload =
       if exp = "httpd" then `Httpd
       else if exp = "cluster" then
-        `Cluster (CS.config_of_platform platform)
+        `Cluster (Driver.cluster { Spec.cluster with platform = config })
       else
         match List.assoc_opt exp unixbench_workloads with
         | Some test -> `Unixbench test
@@ -847,23 +861,19 @@ let trace_run_cmd =
             (* closed-loop is the nginx app under its own label. *)
             match Workload.find (if exp = "closed-loop" then "nginx" else exp) with
             | Some w ->
-                (* Both the driver config and the mechanism rows query
-                   platform costs, and those queries emit trace spans
-                   themselves — price everything before enabling the
-                   tracer.  A short window keeps every request's bundle
-                   inside the trace ring. *)
-                let server =
-                  Xcontainers.Figures.server_for_public config platform w.tag
-                in
+                (* Both the server and the mechanism rows query platform
+                   costs, and those queries emit trace spans themselves —
+                   price everything before enabling the tracer.  A short
+                   window keeps every request's bundle inside the trace
+                   ring. *)
+                let s = { Spec.default with platform = config; workload = w.name } in
                 `Closed_loop
-                  ( {
-                      Xc_platforms.Closed_loop.default_config with
-                      duration_ns = 3e7;
-                      warmup_ns = 3e6;
-                      trace_mechanisms =
-                        Xc_apps.Recipe.mechanisms platform w.recipe;
-                    },
-                    server )
+                  (Driver.closed
+                     {
+                       s with
+                       load = { s.load with duration_ms = 30.; warmup_ms = 3. };
+                       capture = { s.capture with tails = true };
+                     })
             | None ->
                 exit_err
                   (Printf.sprintf
@@ -885,8 +895,7 @@ let trace_run_cmd =
               | `Httpd -> run_traced_httpd config platform ~requests:iterations
               | `Closed_loop (cl_config, server) ->
                   ignore (Xc_platforms.Closed_loop.run cl_config server)
-              | `Cluster cs_config ->
-                  ignore (CS.run_sweep ~jobs [ cs_config ])))
+              | `Cluster nodes -> ignore (CS.run_sweep ~jobs nodes)))
     in
     Trace.disable ();
     Xc_sim.Metrics.disable ();
@@ -994,7 +1003,7 @@ let trace_tails_cmd =
                   an explicit spelling).")
   in
   let connections =
-    connections 5
+    connections Spec.cluster.load.connections
       ~doc:"Closed-loop connections per container.  At the default 5 a \
             hierarchical runtime's vCPU saturates and queueing (request \
             self-time) dominates its tail; at 1 the load is light and the \
@@ -1012,10 +1021,9 @@ let trace_tails_cmd =
     (* One traced fig-9-style cluster run per side. *)
     let side runtime =
       let config = Config.make ~cloud runtime in
-      let platform = Xc_platforms.Platform.create config in
       traced_tail ~jobs ~pct
         ~label:("cluster/" ^ Config.name config)
-        (CS.config_of_platform ~containers ~connections platform)
+        (Driver.cluster (cluster_spec ~containers ~connections config))
     in
     let ta, track_a = side a in
     let tails, tracks =
@@ -1123,24 +1131,23 @@ let top_cmd =
     | _ -> ());
     let exp = String.lowercase_ascii exp in
     let config = Config.make ~cloud runtime in
-    let platform = Xc_platforms.Platform.create config in
-    let closed_loop ~duration_ns ~warmup_ns app =
-      let server = Xcontainers.Figures.server_for_public config platform app in
-      fun () ->
-        ignore
-          (Xc_platforms.Closed_loop.run
-             { Xc_platforms.Closed_loop.default_config with duration_ns; warmup_ns }
-             server)
+    (* Every workload is priced here, before the registry is enabled. *)
+    let closed_loop ~duration_ms ~warmup_ms workload =
+      let s = { Spec.default with platform = config; workload } in
+      let cl_config, server =
+        Driver.closed { s with load = { s.load with duration_ms; warmup_ms } }
+      in
+      fun () -> ignore (Xc_platforms.Closed_loop.run cl_config server)
     in
     let workload =
       if exp = "cluster" then (
-        let cs_config = CS.config_of_platform platform in
-        fun () -> ignore (CS.run_sweep ~jobs [ cs_config ]))
+        let nodes = Driver.cluster { Spec.cluster with platform = config } in
+        fun () -> ignore (CS.run_sweep ~jobs nodes))
       else if exp = "closed-loop" then
-        closed_loop ~duration_ns:3e7 ~warmup_ns:3e6 `Nginx
+        closed_loop ~duration_ms:30. ~warmup_ms:3. "nginx"
       else
         match Workload.find exp with
-        | Some w -> closed_loop ~duration_ns:2e8 ~warmup_ns:2e7 w.tag
+        | Some w -> closed_loop ~duration_ms:200. ~warmup_ms:20. w.name
         | None ->
             exit_err
               (Printf.sprintf
@@ -1292,10 +1299,11 @@ let cluster_cmd =
                   plus a seeded exact slice for the tail).")
   in
   let sample_rate =
-    Arg.(value & opt (some int) None
-        & info [ "sample-rate" ] ~docv:"N"
-            ~doc:"Mixed tier only: 1 in N containers runs through the \
-                  exact slice (default 100).")
+    checked "sample-rate" Arg.(some int)
+      ~ok:(function Some n -> n >= 1 | None -> true)
+      ~expects:"a positive integer" None ~docv:"N"
+      ~doc:"Mixed tier only: 1 in N containers runs through the exact \
+            slice (default 100)."
   in
   let nodes =
     positive_int "nodes" 1
@@ -1303,7 +1311,8 @@ let cluster_cmd =
             the base seed + i."
   in
   let connections =
-    connections 5 ~doc:"Closed-loop client connections per container."
+    connections Spec.cluster.load.connections
+      ~doc:"Closed-loop client connections per container."
   in
   let tail =
     tail
@@ -1313,11 +1322,6 @@ let cluster_cmd =
   in
   let run fidelity sample_rate nodes containers connections runtime cloud
       tail_pct tails_out timeseries jobs =
-    (match sample_rate with
-    | Some n when n < 1 ->
-        exit_err
-          (Printf.sprintf "--sample-rate expects a positive integer, got %d" n)
-    | _ -> ());
     let fidelity =
       match (String.lowercase_ascii fidelity, sample_rate) with
       | "exact", None -> CS.Exact
@@ -1337,14 +1341,12 @@ let cluster_cmd =
           "--tail needs per-request machinery: use --fidelity exact or mixed"
     | _ -> ());
     let config = Config.make ~cloud runtime in
-    let platform = Xc_platforms.Platform.create config in
+    let spec = { (cluster_spec ~containers ~connections config) with fidelity } in
+    let spec = { spec with load = { spec.load with nodes } } in
     (* Price every node's config before enabling tracing/metrics: the
        platform cost queries emit spans themselves, and they must not
-       pollute the capture (same contract as config_of_platform's doc). *)
-    let base = CS.config_of_platform ~containers ~connections platform in
-    let configs =
-      List.init nodes (fun i -> { base with CS.seed = base.CS.seed + i })
-    in
+       pollute the capture. *)
+    let configs = Driver.cluster spec in
     if timeseries <> None then Xc_sim.Metrics.enable ();
     if tail_pct <> None then Trace.enable ();
     let results, telemetry =
@@ -1394,26 +1396,16 @@ let cluster_cmd =
         results;
       Xc_sim.Table.print t
     end;
-    let n = float_of_int (List.length results) in
-    let sum f = List.fold_left (fun a r -> a +. f r) 0. results in
-    let total_rps = sum (fun (r : CS.result) -> r.throughput_rps) in
-    let mean_lat = sum (fun (r : CS.result) -> r.mean_latency_ns) /. n in
-    let mean_busy = sum (fun (r : CS.result) -> r.busy_fraction) /. n in
-    (* Float.max propagates NaN, so seed the fold only from nodes that
-       actually measured a tail (fluid ones report NaN). *)
-    let worst_p99 =
-      List.fold_left
-        (fun a (r : CS.result) ->
-          if Float.is_nan r.p99_latency_ns then a
-          else if Float.is_nan a then r.p99_latency_ns
-          else Float.max a r.p99_latency_ns)
-        Float.nan results
+    let total = Driver.cluster_row spec results in
+    let mean_busy =
+      List.fold_left (fun a (r : CS.result) -> a +. r.busy_fraction) 0. results
+      /. float_of_int (List.length results)
     in
     Printf.printf
       "\ntotal: %s req/s   mean latency %.0fus   worst p99 %s   mean busy \
        %.0f%%\n"
-      (Xc_sim.Table.fmt_si total_rps)
-      (mean_lat /. 1e3) (fmt_p99 worst_p99) (100. *. mean_busy);
+      (Xc_sim.Table.fmt_si total.throughput_rps)
+      (total.mean_ns /. 1e3) (fmt_p99 total.p99_ns) (100. *. mean_busy);
     (match tail_pct with
     | None -> ()
     | Some pct -> (
@@ -1467,9 +1459,8 @@ let causal_target =
             Fig 9 queueing knee where it visibly under-shoots."
   in
   let duration_ms =
-    Arg.(value & opt float 100.
-        & info [ "duration-ms" ] ~docv:"MS"
-            ~doc:"Measured window in simulated milliseconds.")
+    positive_float "duration-ms" ~unit:" of sim-milliseconds" 100. ~docv:"MS"
+      ~doc:"Measured window in simulated milliseconds."
   in
   let warmup_ms =
     Arg.(value & opt float 20.
@@ -1480,29 +1471,23 @@ let causal_target =
         & info [ "seed" ] ~doc:"PRNG seed (default: the platform config's).")
   in
   let make cloud containers connections duration_ms warmup_ms seed =
-    if (not (Float.is_finite duration_ms)) || duration_ms <= 0. then
-      exit_err
-        (Printf.sprintf
-           "--duration-ms expects a positive number of sim-milliseconds, got %g"
-           duration_ms);
     if (not (Float.is_finite warmup_ms)) || warmup_ms < 0. || warmup_ms >= duration_ms
     then
       exit_err
         (Printf.sprintf "--warmup-ms expects 0 <= W < duration, got %g" warmup_ms);
     fun runtime ->
-      let platform = Xc_platforms.Platform.create (Config.make ~cloud runtime) in
-      let base =
+      let spec = cluster_spec ~containers ~connections (Config.make ~cloud runtime) in
+      let spec =
         {
-          (CS.config_of_platform ~containers ~connections platform) with
-          CS.duration_ns = duration_ms *. 1e6;
-          warmup_ns = warmup_ms *. 1e6;
+          spec with
+          seed = Option.value seed ~default:spec.seed;
+          load = { spec.load with duration_ms; warmup_ms };
         }
       in
       {
         Causal.label =
-          Printf.sprintf "%s/c%d" (Xc_suite.Spec.runtime_to_string runtime)
-            connections;
-        config = Option.fold seed ~none:base ~some:(fun s -> { base with CS.seed = s });
+          Printf.sprintf "%s/c%d" (Spec.runtime_to_string runtime) connections;
+        config = List.hd (Driver.cluster spec);
       }
   in
   Term.(const make $ cloud $ containers $ connections $ duration_ms $ warmup_ms
@@ -1792,7 +1777,7 @@ let lb_sweep_cmd =
 
 let lb_tail_cmd =
   let connections =
-    connections 5
+    connections Spec.cluster.load.connections
       ~doc:"Closed-loop connections per container; at the default 5 the \
             vCPU saturates and the queueing tail is what the policies \
             compete over."
@@ -1835,12 +1820,11 @@ let lb_tail_cmd =
             (Printf.sprintf
                "--clones expects 1 <= D <= containers (%d), got %d" containers d)
     in
-    (* Price the platform into the base config before any tracing — the
-       cost queries emit spans.  The lb field never touches pricing, so
-       every combo shares the base. *)
+    (* Price the base config before any tracing — the cost queries emit
+       spans.  The lb field never touches pricing, so every combo shares
+       the base. *)
     let config = Config.make ~cloud runtime in
-    let platform = Xc_platforms.Platform.create config in
-    let base = CS.config_of_platform ~containers ~connections platform in
+    let base = List.hd (Driver.cluster (cluster_spec ~containers ~connections config)) in
     let with_lb (kind, clones) =
       { base with CS.lb = Some { Xc_lb.Policy.kind; clones } }
     in
@@ -1905,7 +1889,7 @@ let lb_tail_cmd =
       (p99 wr /. 1e3)
       (p99 baseline /. 1e3)
       (vs_baseline wr);
-    let traced label cs = fst (traced_tail ~jobs ~pct ~label cs) in
+    let traced label cs = fst (traced_tail ~jobs ~pct ~label [ cs ]) in
     let name = Config.name config in
     let ta = traced ("cluster/" ^ name) base in
     let tb =
@@ -1936,7 +1920,6 @@ let lb_cmd =
 
 module Suite = Xc_suite.Suite
 module Suite_registry = Xc_suite.Registry
-module Suite_driver = Xc_suite.Driver
 
 (* A runnable suite: a [Registry.named] entry or a spec file on disk.
    A bench experiment is not a suite — its grid lives in
@@ -2011,13 +1994,13 @@ let suite_run_cmd =
                       reads no param.* field"
                      s.Xc_suite.Spec.name k))
           suite.Suite.specs;
-        let wants_trace = Suite_driver.wants_trace suite in
-        let wants_ts = Suite_driver.wants_timeseries suite in
+        let wants_trace = Driver.wants_trace suite in
+        let wants_ts = Driver.wants_timeseries suite in
         if wants_trace then
-          Trace.enable ~sample:(Suite_driver.sample_stride suite) ();
+          Trace.enable ~sample:(Driver.sample_stride suite) ();
         if wants_ts then
           Xc_sim.Metrics.enable
-            ~interval_ns:(float_of_int (Suite_driver.interval_us suite) *. 1e3)
+            ~interval_ns:(float_of_int (Driver.interval_us suite) *. 1e3)
             ();
         if tails_out <> None && not wants_trace then
           Printf.eprintf

@@ -43,7 +43,6 @@ type result = {
   cold_fraction : float;
   p50_latency_ns : float;
   p99_latency_ns : float;
-  max_warm_pool : int;
 }
 
 (* Warm instances as a multiset of expiry/free times: an instance is
@@ -58,7 +57,6 @@ let run path config =
   let pool : instance list ref = ref [] in
   let invocations = ref 0 in
   let cold = ref 0 in
-  let max_pool = ref 0 in
   let spawn = spawn_ns path in
   let mean_gap = 1e9 /. config.arrival_rate_rps in
   let find_warm now =
@@ -81,7 +79,6 @@ let run path config =
     let finish = now +. start_delay +. config.service_ns in
     instance.free_at <- finish;
     instance.expires_at <- finish +. config.keepalive_ns;
-    if List.length !pool > !max_pool then max_pool := List.length !pool;
     Histogram.add latencies (start_delay +. config.service_ns)
   in
   let rec arrivals engine =
@@ -103,5 +100,4 @@ let run path config =
        else float_of_int !cold /. float_of_int !invocations);
     p50_latency_ns = Histogram.percentile latencies 50.;
     p99_latency_ns = Histogram.percentile latencies 99.;
-    max_warm_pool = !max_pool;
   }

@@ -34,7 +34,6 @@ type result = {
   cold_fraction : float;
   p50_latency_ns : float;
   p99_latency_ns : float;
-  max_warm_pool : int;
 }
 
 val run : spawn_path -> config -> result

@@ -16,9 +16,10 @@ type result = {
 }
 
 let dom0_mb = 1024
+let host_mb = 96 * 1024
+let reservation_mb = 128
 
-let run ?(host_mb = 96 * 1024) ?(reservation_mb = 128) ?(active_fraction = 0.2)
-    policy =
+let run ?(active_fraction = 0.2) policy =
   let available = host_mb - dom0_mb in
   let floor_mb = Xc_hypervisor.Balloon.min_usable_mb in
   match policy with

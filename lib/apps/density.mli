@@ -26,11 +26,10 @@ type result = {
       (** fraction of storage reads served from the shared pool *)
 }
 
-val run :
-  ?host_mb:int -> ?reservation_mb:int -> ?active_fraction:float -> policy ->
-  result
-(** Defaults: 96 GB host, 128 MB reservations, 20% of containers active
-    (the intermittent serverless regime of the paper's motivation). *)
+val run : ?active_fraction:float -> policy -> result
+(** A 96 GB host of 128 MB reservations; by default 20% of containers
+    are active (the intermittent serverless regime of the paper's
+    motivation). *)
 
 val density_gain : result -> result -> float
 (** containers(b) / containers(a). *)

@@ -3,7 +3,6 @@ module Machine = Xc_isa.Machine
 
 type profile = {
   name : string;
-  description : string;
   implementation : string;
   benchmark : string;
   sites : (Builder.style * int * float) list;
@@ -37,7 +36,6 @@ let all =
   [
     {
       name = "memcached";
-      description = "Memory caching system";
       implementation = "C/C++";
       benchmark = "memtier_benchmark";
       sites = c_app 1.0;
@@ -46,7 +44,6 @@ let all =
     };
     {
       name = "Redis";
-      description = "In-memory database";
       implementation = "C/C++";
       benchmark = "redis-benchmark";
       sites = c_app 1.0;
@@ -55,7 +52,6 @@ let all =
     };
     {
       name = "etcd";
-      description = "Key-value store";
       implementation = "Go";
       benchmark = "etcd-benchmark";
       sites = go_app 1.0;
@@ -64,7 +60,6 @@ let all =
     };
     {
       name = "MongoDB";
-      description = "NoSQL Database";
       implementation = "C/C++";
       benchmark = "YCSB";
       sites = c_app 1.0;
@@ -73,7 +68,6 @@ let all =
     };
     {
       name = "InfluxDB";
-      description = "Time series database";
       implementation = "Go";
       benchmark = "influxdb-comparisons";
       sites = go_app 1.0;
@@ -82,7 +76,6 @@ let all =
     };
     {
       name = "Postgres";
-      description = "Database";
       implementation = "C/C++";
       benchmark = "pgbench";
       sites = c_app 0.998 @ unpatchable 0.002;
@@ -91,7 +84,6 @@ let all =
     };
     {
       name = "Fluentd";
-      description = "Data collector";
       implementation = "Ruby";
       benchmark = "fluentd-benchmark";
       sites = c_app 0.994 @ unpatchable 0.006;
@@ -100,7 +92,6 @@ let all =
     };
     {
       name = "Elasticsearch";
-      description = "Search engine";
       implementation = "JAVA";
       benchmark = "elasticsearch-stress-test";
       sites = c_app 0.988 @ unpatchable 0.012;
@@ -109,7 +100,6 @@ let all =
     };
     {
       name = "RabbitMQ";
-      description = "Message broker";
       implementation = "Erlang";
       benchmark = "rabbitmq-perf-test";
       sites = c_app 0.986 @ unpatchable 0.014;
@@ -118,7 +108,6 @@ let all =
     };
     {
       name = "Kernel Compilation";
-      description = "Code Compilation";
       implementation = "Various tools";
       benchmark = "Linux kernel with tiny config";
       sites = c_app 0.953 @ unpatchable 0.047;
@@ -127,7 +116,6 @@ let all =
     };
     {
       name = "Nginx";
-      description = "Webserver";
       implementation = "C/C++";
       benchmark = "Apache ab";
       sites = c_app 0.923 @ unpatchable 0.077;
@@ -136,7 +124,6 @@ let all =
     };
     {
       name = "MySQL";
-      description = "Database";
       implementation = "C/C++";
       benchmark = "sysbench";
       sites =

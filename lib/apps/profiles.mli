@@ -13,7 +13,6 @@
 
 type profile = {
   name : string;
-  description : string;
   implementation : string;  (** language/runtime, as in Table 1 *)
   benchmark : string;  (** the workload generator named in Table 1 *)
   sites : (Xc_isa.Builder.style * int * float) list;

@@ -59,16 +59,12 @@ let fig3 ?(seed = 42) cloud app =
     (fun config ->
       let platform = Platform.create config in
       let server = server_for config platform app in
-      let workload =
-        match app with
-        | Nginx_ab -> Xc_apps.Workloads.ab
-        | Memcached_app -> Xc_apps.Workloads.memtier
-        | Redis_app -> Xc_apps.Workloads.redis_bench
+      (* The client's concurrency: ab, memtier_benchmark, redis-benchmark. *)
+      let connections =
+        match app with Nginx_ab -> 100 | Memcached_app -> 200 | Redis_app -> 50
       in
       let result =
-        Closed_loop.run
-          (Xc_apps.Workloads.closed_loop_config ~seed workload)
-          server
+        Closed_loop.run { Closed_loop.default_config with connections; seed } server
       in
       {
         config;

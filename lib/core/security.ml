@@ -20,7 +20,6 @@ type profile = {
   tcb_kloc : int;
   attack_surface : int;
   needs_guest_meltdown_patch : bool;
-  per_container_kernel : bool;
 }
 
 let linux_kloc = Xc_hypervisor.Xkernel.linux_host_tcb_kloc
@@ -37,7 +36,6 @@ let profile_of runtime =
         tcb_kloc = linux_kloc;
         attack_surface = linux_syscalls;
         needs_guest_meltdown_patch = true;
-        per_container_kernel = false;
       }
   | Config.Gvisor ->
       (* The Sentry is ~200 kLoC of Go, but ~70 host syscalls remain
@@ -48,7 +46,6 @@ let profile_of runtime =
         tcb_kloc = 200 + linux_kloc;
         attack_surface = 70;
         needs_guest_meltdown_patch = true;
-        per_container_kernel = true;
       }
   | Config.Clear_container | Config.Xen_hvm ->
       {
@@ -57,7 +54,6 @@ let profile_of runtime =
         tcb_kloc = 1200 (* KVM+QEMU or Xen+emulation *);
         attack_surface = 40 (* virtio + emulated devices *);
         needs_guest_meltdown_patch = false;
-        per_container_kernel = true;
       }
   | Config.Xen_container | Config.Xen_pv ->
       {
@@ -66,7 +62,6 @@ let profile_of runtime =
         tcb_kloc = xen_kloc;
         attack_surface = hypercalls;
         needs_guest_meltdown_patch = true (* guest kernel still isolates *);
-        per_container_kernel = true;
       }
   | Config.X_container ->
       {
@@ -75,7 +70,6 @@ let profile_of runtime =
         tcb_kloc = xen_kloc;
         attack_surface = hypercalls;
         needs_guest_meltdown_patch = false (* no guest kernel isolation left *);
-        per_container_kernel = true;
       }
   | Config.Unikernel ->
       {
@@ -84,7 +78,6 @@ let profile_of runtime =
         tcb_kloc = 270;
         attack_surface = hypercalls;
         needs_guest_meltdown_patch = false;
-        per_container_kernel = true;
       }
   | Config.Graphene ->
       {
@@ -93,7 +86,6 @@ let profile_of runtime =
         tcb_kloc = linux_kloc;
         attack_surface = linux_syscalls;
         needs_guest_meltdown_patch = true;
-        per_container_kernel = false;
       }
 
 let all =

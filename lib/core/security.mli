@@ -19,7 +19,6 @@ type profile = {
   tcb_kloc : int;  (** code an attacker must not find a bug in *)
   attack_surface : int;  (** syscalls/hypercalls exposed across it *)
   needs_guest_meltdown_patch : bool;
-  per_container_kernel : bool;  (** can a compromise stay contained? *)
 }
 
 val profile_of : Xc_platforms.Config.runtime -> profile

@@ -5,7 +5,6 @@ type segment = { seg_label : string; seg_spans : int; seg_ns : float }
 type chain = {
   chain_id : int;
   chain_name : string;
-  chain_start : float;
   chain_total : float;
   segments : segment list;
 }
@@ -38,7 +37,6 @@ let chain_of (r : P.attributed_request) =
   {
     chain_id = r.P.req_id;
     chain_name = r.P.req_name;
-    chain_start = r.P.req_start;
     chain_total = r.P.req_total;
     segments = segments (P.tally_rows t);
   }

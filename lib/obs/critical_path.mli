@@ -32,7 +32,6 @@ type segment = {
 type chain = {
   chain_id : int;  (** from the request span's [value] field *)
   chain_name : string;
-  chain_start : float;
   chain_total : float;  (** request duration; the segments sum to it *)
   segments : segment list;  (** largest first (ties by label) *)
 }

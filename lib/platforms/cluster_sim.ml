@@ -822,7 +822,7 @@ let stage_profiles =
     ("logger", 12_000., rep 10 [ K.File_write 256 ]);
   |]
 
-let config_of_platform ?(containers = 4) ?(connections = 5) ?lb platform =
+let config_of_platform ~containers ~connections ?lb platform =
   (* All platform cost queries happen here, before any traced run —
      the queries themselves emit trace spans when tracing is enabled,
      which would pollute the capture and break request attribution. *)

@@ -136,8 +136,8 @@ val run_sweep : jobs:int -> ?fidelity:fidelity -> config list -> result list
     [fidelity] defaults to {!Exact}. *)
 
 val config_of_platform :
-  ?containers:int ->
-  ?connections:int ->
+  containers:int ->
+  connections:int ->
   ?lb:Xc_lb.Policy.hedge ->
   Platform.t ->
   config
@@ -149,7 +149,8 @@ val config_of_platform :
     platform's switch costs (pre-priced — [run] never calls back into
     the platform), and [request_mech] filled in so traced runs support
     per-request tail attribution.  Call while tracing is disabled: the
-    cost queries themselves emit spans.  Default 4 [containers] with 5
-    [connections] each; at 5 a hierarchical platform's vCPU saturates
-    and queueing delay dominates its tail, at 1 the load is light and
-    the cross-platform tail delta isolates the mechanism costs. *)
+    cost queries themselves emit spans.  [connections] is per
+    container: at 5 a hierarchical platform's vCPU saturates and
+    queueing delay dominates its tail, at 1 the load is light and the
+    cross-platform tail delta isolates the mechanism costs.  The window
+    is Figure 9's, 300 ms after 50 ms at seed 17. *)

@@ -1,12 +1,13 @@
-(* The generic interpreter: a {!Spec.t} into the existing engines.
+(* The generic interpreter: a {!Spec.t} into the existing engines, and
+   the one place a closed-loop or cluster point is priced.
 
    Closed specs are the bench macro-sweep cell —
    [Closed_loop.default_config] overridden by the spec's typed fields,
    a [Figures.server_for_public] server — and the bench's macro-extra
    experiment runs the named macro suite through this very function
-   (the differential golden tests pin its output).  Open specs drive [Open_loop] at [rate] x the server's
-   own capacity; cluster specs fan [nodes] seeded [Cluster_sim] nodes
-   at the requested fidelity tier. *)
+   (the differential golden tests pin its output).  Open specs drive
+   [Open_loop] at [rate] x the server's own capacity; cluster specs fan
+   [nodes] seeded [Cluster_sim] nodes at the requested fidelity tier. *)
 
 module Figures = Xcontainers.Figures
 module CL = Xc_platforms.Closed_loop
@@ -37,7 +38,9 @@ let whatif_rows (spec : Spec.t) platform recipe =
 let whatif_service spec platform recipe =
   List.fold_left (fun a (_, _, ns) -> a +. ns) 0. (whatif_rows spec platform recipe)
 
-let closed_result (spec : Spec.t) =
+(* The server is priced before the recipe's rows: inside a traced suite
+   cell both emit spans, in this order. *)
+let closed (spec : Spec.t) =
   let w = Workload.find_exn spec.workload in
   let platform = Xc_platforms.Platform.create spec.platform in
   let server =
@@ -47,7 +50,7 @@ let closed_result (spec : Spec.t) =
       let service = whatif_service spec platform w.Workload.recipe in
       { CL.units = 4; base_ns = service; stddev = 0.; floor = 0. }
   in
-  CL.run
+  let config =
     {
       CL.default_config with
       CL.connections = spec.load.connections;
@@ -58,7 +61,12 @@ let closed_result (spec : Spec.t) =
         (if spec.capture.tails then whatif_rows spec platform w.Workload.recipe
          else []);
     }
-    server
+  in
+  (config, server)
+
+let closed_result spec =
+  let config, server = closed spec in
+  CL.run config server
 
 let open_result (spec : Spec.t) =
   let w = Workload.find_exn spec.workload in
@@ -76,13 +84,7 @@ let open_result (spec : Spec.t) =
        ~warmup_ns:(Spec.warmup_ns spec) ~seed:spec.seed ~rate_rps ())
     server
 
-let cluster_fidelity (spec : Spec.t) =
-  match spec.fidelity with
-  | Spec.Exact -> CS.Exact
-  | Spec.Fluid -> CS.Fluid
-  | Spec.Mixed n -> CS.Mixed { sample_rate = n }
-
-let cluster_results (spec : Spec.t) =
+let cluster (spec : Spec.t) =
   let platform = Xc_platforms.Platform.create spec.platform in
   let base =
     CS.config_of_platform ~containers:spec.load.containers
@@ -102,9 +104,24 @@ let cluster_results (spec : Spec.t) =
     | Ok c -> c
     | Error m -> invalid_arg (Printf.sprintf "Driver: %s: %s" spec.Spec.name m)
   in
-  let fidelity = cluster_fidelity spec in
-  List.init spec.load.nodes (fun i ->
-      CS.run_fidelity fidelity { base with CS.seed = spec.seed + i })
+  List.init spec.load.nodes (fun i -> { base with CS.seed = spec.seed + i })
+
+let cluster_row spec (rs : CS.result list) =
+  let n = float_of_int (List.length rs) in
+  let tput = List.fold_left (fun a (r : CS.result) -> a +. r.CS.throughput_rps) 0. rs in
+  let mean =
+    List.fold_left (fun a (r : CS.result) -> a +. r.CS.mean_latency_ns) 0. rs /. n
+  in
+  (* Worst non-NaN p99 across nodes (the fluid tier predicts no tail);
+     NaN only if no node produced one. *)
+  let p99 =
+    List.fold_left
+      (fun a (r : CS.result) ->
+        let p = r.CS.p99_latency_ns in
+        if Float.is_nan p then a else if Float.is_nan a || p > a then p else a)
+      Float.nan rs
+  in
+  { spec; throughput_rps = tput; mean_ns = mean; p50_ns = Float.nan; p99_ns = p99 }
 
 let run (spec : Spec.t) =
   match spec.load.shape with
@@ -127,27 +144,7 @@ let run (spec : Spec.t) =
         p99_ns = r.OL.p99_ns;
       }
   | Spec.Cluster ->
-      let rs = cluster_results spec in
-      let n = float_of_int (List.length rs) in
-      let tput =
-        List.fold_left (fun a (r : CS.result) -> a +. r.CS.throughput_rps) 0. rs
-      in
-      let mean =
-        List.fold_left (fun a (r : CS.result) -> a +. r.CS.mean_latency_ns) 0. rs
-        /. n
-      in
-      (* Worst non-NaN p99 across nodes (the fluid tier predicts no
-         tail); NaN only if no node produced one. *)
-      let p99 =
-        List.fold_left
-          (fun a (r : CS.result) ->
-            let p = r.CS.p99_latency_ns in
-            if Float.is_nan p then a
-            else if Float.is_nan a || p > a then p
-            else a)
-          Float.nan rs
-      in
-      { spec; throughput_rps = tput; mean_ns = mean; p50_ns = Float.nan; p99_ns = p99 }
+      cluster_row spec (List.map (CS.run_fidelity spec.fidelity) (cluster spec))
 
 (* ------------------------------------------------------------------ *)
 (* Capture wants: what a suite's specs ask the runner to record.       *)

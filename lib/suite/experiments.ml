@@ -768,15 +768,14 @@ let hedging () =
     Array.of_list
       (List.concat_map (fun kind -> List.map (fun d -> (kind, d)) [ 1; 2 ]) P.all_kinds)
   in
-  (* The 4-container x 5-connection X-Container point, home-pinned
-     and then least-loaded alone and hedged. *)
+  (* The Fig 9 X-Container point ([Spec.cluster]), home-pinned and then
+     least-loaded alone and hedged.  The lb field never touches pricing,
+     so the three share one priced config. *)
   let cluster_cells =
+    let base = List.hd (Driver.cluster Spec.cluster) in
     Array.of_list
       (List.map
-         (fun (label, lb) ->
-           ( label,
-             CS.config_of_platform ~containers:4 ~connections:5 ?lb
-               (Xc_platforms.Platform.create (Config.make Config.X_container)) ))
+         (fun (label, lb) -> (label, { base with CS.lb }))
          [
            ("home-pinned (baseline)", None);
            ("least-loaded d=1", Some { P.kind = P.Least_loaded; clones = 1 });
@@ -947,13 +946,16 @@ type cluster_scale_cell =
 (* [diffs] are the [(mode, containers, connections)] differential
    points; the mixed cell samples 1 in 10 containers exactly. *)
 let cluster_scale ~fleet_nodes ~fleet_shards ~diffs ~mixed_containers =
-  let platform = Xc_platforms.Platform.create (Config.make Config.X_container) in
-  (* Heterogeneous fleet: node sizes cycle 800-1200 containers (mean
-     1000) at 5 connections, so the fleet totals fleet_nodes x 1000
+  (* Heterogeneous fleet of X-Container nodes at the Fig 9 point
+     ([Spec.cluster]): node sizes cycle 800-1200 containers (mean 1000)
+     at 5 connections, so the fleet totals fleet_nodes x 1000
      containers. *)
   let bases =
     Array.map
-      (fun n -> CS.config_of_platform ~containers:n ~connections:5 platform)
+      (fun containers ->
+        List.hd
+          (Driver.cluster
+             { Spec.cluster with load = { Spec.cluster.load with containers } }))
       [| 800; 900; 1000; 1100; 1200 |]
   in
   let node_config i =
@@ -1129,18 +1131,20 @@ let causal () =
      what-if point against it. *)
   let point ?(knee = false) runtime mech =
     let rt = Spec.runtime_to_string runtime in
-    let connections = if knee then 5 else 1 in
-    let platform = Xc_platforms.Platform.create (Config.make runtime) in
-    let config =
+    let connections = if knee then Spec.cluster.load.connections else 1 in
+    let spec =
       {
-        (CS.config_of_platform ~containers:4 ~connections platform) with
-        CS.duration_ns = 1e8;
-        warmup_ns = 2e7;
-        seed = 17;
+        Spec.cluster with
+        platform = Config.make runtime;
+        load =
+          { Spec.cluster.load with connections; duration_ms = 100.; warmup_ms = 20. };
       }
     in
     ( (rt ^ "/" ^ mech ^ if knee then "/knee" else ""),
-      { Causal.label = Printf.sprintf "%s/c%d" rt connections; config },
+      {
+        Causal.label = Printf.sprintf "%s/c%d" rt connections;
+        config = List.hd (Driver.cluster spec);
+      },
       mech,
       0.7 )
   in

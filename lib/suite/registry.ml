@@ -8,13 +8,14 @@ let ok what = function
   | Ok v -> v
   | Error m -> invalid_arg (Printf.sprintf "Registry.%s: %s" what m)
 
-let spec name fields =
+let spec ?(base = Spec.default) name fields =
   List.fold_left
     (fun s (k, v) -> ok name (Spec.set_field s k v))
-    { Spec.default with Spec.name = name }
+    { base with Spec.name = name }
     fields
 
-let cross name base axes = ok name (Suite.cross_axes ~base:(spec name base) axes)
+let cross ?base name fields axes =
+  ok name (Suite.cross_axes ~base:(spec ?base name fields) axes)
 let suite name specs = ok name (Suite.make ~name specs)
 
 let named =
@@ -37,14 +38,10 @@ let named =
                 ("duration_ms", "20");
                 ("warmup_ms", "2");
               ];
-            spec "cluster"
+            spec ~base:Spec.cluster "cluster"
               [
-                ("shape", "cluster");
-                ("containers", "4");
-                ("connections", "5");
                 ("duration_ms", "20");
                 ("warmup_ms", "2");
-                ("seed", "17");
                 ("trace", "true");
                 ("tails", "true");
               ];
@@ -57,18 +54,10 @@ let named =
              ("workload", Workload.names);
              ("runtime", [ "docker"; "xen-container"; "x-container"; "gvisor" ]);
            ]) );
-    (* The Figure 9 load-balancing matrix at the Cluster_sim.default_config
-       window (300 ms after 50 ms, seed 17). *)
+    (* The Figure 9 load-balancing matrix at the Spec.cluster window. *)
     ( "fig9-matrix",
       suite "fig9-matrix"
-        (cross "fig9"
-           [
-             ("shape", "cluster");
-             ("duration_ms", "300");
-             ("warmup_ms", "50");
-             ("seed", "17");
-             ("containers", "4");
-           ]
+        (cross ~base:Spec.cluster "fig9" []
            [
              ("runtime", [ "docker"; "gvisor"; "xen-container"; "x-container" ]);
              ("connections", [ "1"; "5" ]);

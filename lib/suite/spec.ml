@@ -1,8 +1,8 @@
 module Config = Xc_platforms.Config
+module CS = Xc_platforms.Cluster_sim
 module Table = Xc_sim.Table
 
 type shape = Closed | Open | Cluster
-type fidelity = Exact | Fluid | Mixed of int
 
 type load = {
   shape : shape;
@@ -28,7 +28,7 @@ type t = {
   workload : string;
   load : load;
   seed : int;
-  fidelity : fidelity;
+  fidelity : CS.fidelity;
   capture : capture;
   whatif : (string * float) list;
   params : (string * string) list;
@@ -52,7 +52,7 @@ let default =
         warmup_ms = 200.;
       };
     seed = 42;
-    fidelity = Exact;
+    fidelity = CS.Exact;
     capture =
       {
         trace = false;
@@ -63,6 +63,22 @@ let default =
       };
     whatif = [];
     params = [];
+  }
+
+(* The Figure 9 cluster point: [default]'s 4 containers x 5
+   connections, 300 ms after 50 ms, seed 17. *)
+let cluster =
+  {
+    default with
+    load =
+      {
+        default.load with
+        shape = Cluster;
+        connections = 5;
+        duration_ms = 300.;
+        warmup_ms = 50.;
+      };
+    seed = 17;
   }
 
 let duration_ns t = t.load.duration_ms *. 1e6
@@ -83,20 +99,20 @@ let shape_of_string = function
   | s -> Error (Printf.sprintf "unknown shape %S (closed, open, cluster)" s)
 
 let fidelity_to_string = function
-  | Exact -> "exact"
-  | Fluid -> "fluid"
-  | Mixed n -> Printf.sprintf "mixed:%d" n
+  | CS.Exact -> "exact"
+  | CS.Fluid -> "fluid"
+  | CS.Mixed { sample_rate } -> Printf.sprintf "mixed:%d" sample_rate
 
 let fidelity_of_string s =
   match s with
-  | "exact" -> Ok Exact
-  | "fluid" -> Ok Fluid
+  | "exact" -> Ok CS.Exact
+  | "fluid" -> Ok CS.Fluid
   | _ -> (
       match String.index_opt s ':' with
       | Some i when String.sub s 0 i = "mixed" -> (
           let rest = String.sub s (i + 1) (String.length s - i - 1) in
           match int_of_string_opt rest with
-          | Some n when n >= 1 -> Ok (Mixed n)
+          | Some n when n >= 1 -> Ok (CS.Mixed { sample_rate = n })
           | _ ->
               Error
                 (Printf.sprintf
@@ -382,8 +398,8 @@ let validate t =
   let* () = check (t.seed >= 0) "seed" "must be >= 0 (got %d)" t.seed in
   let* () =
     match t.fidelity with
-    | Exact | Fluid -> Ok ()
-    | Mixed n ->
+    | CS.Exact | CS.Fluid -> Ok ()
+    | CS.Mixed { sample_rate = n } ->
         check
           (n >= 1 && n <= 1_000_000)
           "fidelity" "mixed sample-rate must be in [1, 1000000] (got %d)" n
@@ -394,7 +410,7 @@ let validate t =
     match (t.capture.tails, t.load.shape, t.fidelity) with
     | true, Open, _ ->
         Error "field tails: shape = open emits no request spans to attribute"
-    | true, Cluster, Fluid ->
+    | true, Cluster, CS.Fluid ->
         Error
           "field tails: shape = cluster with fidelity = fluid emits no \
            request spans to attribute"

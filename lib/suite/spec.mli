@@ -12,10 +12,6 @@ module Config = Xc_platforms.Config
 
 type shape = Closed | Open | Cluster
 
-type fidelity = Exact | Fluid | Mixed of int
-    (** [Mixed n]: fluid bulk plus a seeded exact slice of 1 in [n]
-        containers — only meaningful for [Cluster] shapes. *)
-
 type load = {
   shape : shape;
   connections : int;
@@ -41,7 +37,8 @@ type t = {
   workload : string;  (** a {!Workload.names} member *)
   load : load;
   seed : int;
-  fidelity : fidelity;
+  fidelity : Xc_platforms.Cluster_sim.fidelity;
+      (** the cluster tier; only meaningful for [Cluster] shapes *)
   capture : capture;
   whatif : (string * float) list;
       (** [whatif.MECH = SCALE] virtual-speedup axes, in file order:
@@ -63,6 +60,11 @@ val default : t
     closed loop at 32 connections for 2000 ms (200 ms warmup), seed 42,
     exact fidelity, no capture — the [Closed_loop.default_config]
     numbers. *)
+
+val cluster : t
+(** {!default} as the Figure 9 cluster point: shape cluster, 4
+    containers x 5 connections, 300 ms after 50 ms of warmup, seed 17.
+    Every Figure 9-style cluster run starts from it. *)
 
 val duration_ns : t -> float
 val warmup_ns : t -> float

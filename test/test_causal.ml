@@ -162,8 +162,7 @@ let reference_chains events =
         |> List.sort compare
       in
       out :=
-        ( int_of_float a.(i).Trace.value, a.(i).Trace.ts, a.(i).Trace.dur, segs )
-        :: !out
+        (int_of_float a.(i).Trace.value, a.(i).Trace.dur, segs) :: !out
     end
   done;
   (List.sort compare !out, !unattributed)
@@ -225,7 +224,7 @@ let telescope_prop =
         List.sort compare
           (List.map
              (fun (c : CP.chain) ->
-               ( c.CP.chain_id, c.CP.chain_start, c.CP.chain_total,
+               ( c.CP.chain_id, c.CP.chain_total,
                  List.sort compare
                    (List.map
                       (fun (s : CP.segment) ->
@@ -235,8 +234,8 @@ let telescope_prop =
       in
       let want =
         List.map
-          (fun (id, ts, dur, segs) ->
-            (id, ts, dur, List.map (fun (l, c, ns) -> (l, c, r6 ns)) segs))
+          (fun (id, dur, segs) ->
+            (id, dur, List.map (fun (l, c, ns) -> (l, c, r6 ns)) segs))
           ref_chains
       in
       if got <> want then QCheck.Test.fail_report "chains differ from reference";
@@ -380,11 +379,14 @@ let test_sweep_deterministic () =
     (contains csv1 "pred_tput_rps")
 
 let test_grid_fails_fast () =
-  let platform =
-    Xc_platforms.Platform.create
-      (Xc_platforms.Config.make Xc_platforms.Config.Docker)
+  let config =
+    List.hd
+      (Xc_suite.Driver.cluster
+         {
+           Xc_suite.Spec.cluster with
+           platform = Xc_platforms.Config.make Xc_platforms.Config.Docker;
+         })
   in
-  let config = CS.config_of_platform platform in
   (* A config stripped of its pricing cannot host a cpu what-if; the
      sweep must refuse before running anything. *)
   let stripped = { config with CS.request_mech = [||] } in

@@ -1,6 +1,7 @@
-(* Tests for the experiment inventory and workload descriptions: the
-   inventory, the bench harness and the named suites must agree, and
-   every lib/ module must be reached from the bench or xc. *)
+(* Tests for the experiment inventory: the inventory, the bench harness
+   and the named suites must agree, every lib/ module and value must be
+   reached from the bench or xc, and only Xc_suite.Driver prices a
+   closed-loop or cluster point. *)
 
 let read file = In_channel.with_open_bin file In_channel.input_all
 
@@ -60,15 +61,6 @@ let test_inventory_structure () =
       Alcotest.(check bool) (e.id ^ " names modules") true (e.modules <> []);
       Alcotest.(check bool) (e.id ^ " has a paper ref") true (e.paper_ref <> ""))
     Xcontainers.Inventory.all
-
-let test_workloads () =
-  Alcotest.(check bool) "ab closes connections" false Xc_apps.Workloads.ab.keepalive;
-  (match Xc_apps.Workloads.memtier.set_get_ratio with
-  | Some (1, 10) -> ()
-  | _ -> Alcotest.fail "memtier must be 1:10 SET:GET (Section 5.3)");
-  let cfg = Xc_apps.Workloads.closed_loop_config Xc_apps.Workloads.ab in
-  Alcotest.(check int) "config carries connections" 100
-    cfg.Xc_platforms.Closed_loop.connections
 
 (* ---------------- Reachability ---------------- *)
 
@@ -772,6 +764,33 @@ let test_test_only_current () =
   Alcotest.(check (list string)) "test-only entries a caller now uses" [] (List.rev reached);
   Alcotest.(check (list string)) "test-only entries no test uses" [] (List.rev untested)
 
+(* ---------------- One pricing path ---------------- *)
+
+(* A closed-loop or cluster point is priced in Xc_suite.Driver alone:
+   no other lib/suite file, nor the bench or xc, names the pricing
+   entry points Driver wraps. *)
+let test_one_pricing_path () =
+  let suite_files =
+    Sys.readdir (Filename.concat root "lib/suite")
+    |> Array.to_list |> List.sort compare
+    |> List.filter (fun f -> Filename.check_suffix f ".ml" && f <> "driver.ml")
+    |> List.map (Filename.concat "lib/suite")
+  in
+  let named file =
+    let rec go = function
+      | Word (("config_of_platform" | "server_for_public") as v) :: rest -> v :: go rest
+      | Path (p, true) :: Sym '.' :: Word "default_config" :: rest
+        when List.mem (List.nth p (List.length p - 1)) [ "Closed_loop"; "CL" ] ->
+          (String.concat "." p ^ ".default_config") :: go rest
+      | _ :: rest -> go rest
+      | [] -> []
+    in
+    List.map (fun v -> file ^ ": " ^ v) (go (tokens (read (Filename.concat root file))))
+  in
+  Alcotest.(check (list string))
+    "pricing named outside Xc_suite.Driver" []
+    (List.concat_map named ([ "bench/main.ml"; "bin/xc.ml" ] @ suite_files))
+
 let test_scanner () =
   let libs = [ ("Xc_os", [ "Epoll"; "Kernel" ]); ("Xc_hypervisor", [ "Tmem" ]) ] in
   let case name ?own src expected =
@@ -834,12 +853,12 @@ let suites =
         Alcotest.test_case "registry agrees with bench" `Quick
           test_registry_agrees_with_bench;
         Alcotest.test_case "structure" `Quick test_inventory_structure;
-        Alcotest.test_case "workloads" `Quick test_workloads;
         Alcotest.test_case "every lib module reached" `Quick test_every_module_reached;
         Alcotest.test_case "inventory modules reached" `Quick
           test_inventory_modules_reached;
         Alcotest.test_case "reachability scanner" `Quick test_scanner;
         Alcotest.test_case "every lib value used" `Quick test_every_value_used;
         Alcotest.test_case "test-only list current" `Quick test_test_only_current;
+        Alcotest.test_case "one pricing path" `Quick test_one_pricing_path;
       ] );
   ]

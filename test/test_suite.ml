@@ -9,6 +9,7 @@ module Suite = Xc_suite.Suite
 module Workload = Xc_suite.Workload
 module Driver = Xc_suite.Driver
 module Registry = Xc_suite.Registry
+module CS = Xc_platforms.Cluster_sim
 
 let ok_exn what = function
   | Ok v -> v
@@ -274,6 +275,70 @@ let test_driver_matches_engines () =
   Alcotest.(check (float 0.))
     "p99 identical" direct.Xc_platforms.Closed_loop.p99_ns row.Driver.p99_ns
 
+let test_driver_prices_cluster () =
+  (* Three nodes: each is [config_of_platform] at the spec's load, in
+     the spec's window, node i seeded seed + i. *)
+  let spec =
+    {
+      Spec.cluster with
+      Spec.platform = Xc_platforms.Config.make Xc_platforms.Config.Docker;
+      load =
+        {
+          Spec.cluster.Spec.load with
+          Spec.nodes = 3;
+          containers = 6;
+          connections = 2;
+          duration_ms = 40.;
+          warmup_ms = 8.;
+        };
+      seed = 5;
+    }
+  in
+  let direct =
+    CS.config_of_platform ~containers:6 ~connections:2
+      (Xc_platforms.Platform.create spec.Spec.platform)
+  in
+  (* Every field but the window, the seed and the switch closure. *)
+  let priced (c : CS.config) =
+    ( (c.CS.mode, c.CS.pcpus, c.CS.containers, c.CS.connections_per_container),
+      (c.CS.stage_cpu_ns, c.CS.client_rtt_ns, c.CS.process_switch_ns),
+      (c.CS.request_mech, c.CS.lb) )
+  in
+  let nodes = Driver.cluster spec in
+  Alcotest.(check (list int)) "node seeds" [ 5; 6; 7 ]
+    (List.map (fun (c : CS.config) -> c.CS.seed) nodes);
+  List.iter
+    (fun (c : CS.config) ->
+      Alcotest.(check (float 0.)) "duration" 4e7 c.CS.duration_ns;
+      Alcotest.(check (float 0.)) "warmup" 8e6 c.CS.warmup_ns;
+      Alcotest.(check bool) "priced as config_of_platform" true (priced c = priced direct);
+      Alcotest.(check (float 0.))
+        "container switch" (direct.CS.container_switch_ns ~runnable:0)
+        (c.CS.container_switch_ns ~runnable:0))
+    nodes;
+  (* The node fold: a NaN p99 (a fluid node) never wins the worst. *)
+  let node throughput_rps mean_latency_ns p99_latency_ns =
+    {
+      CS.throughput_rps;
+      mean_latency_ns;
+      p99_latency_ns;
+      container_switches = 0;
+      process_switches = 0;
+      switch_overhead_ns = 0.;
+      busy_fraction = 0.5;
+    }
+  in
+  let row =
+    Driver.cluster_row spec
+      [ node 100. 2e6 Float.nan; node 200. 4e6 9e6; node 300. 3e6 7e6 ]
+  in
+  Alcotest.(check (float 0.)) "throughputs sum" 600. row.Driver.throughput_rps;
+  Alcotest.(check (float 0.)) "means average" 3e6 row.Driver.mean_ns;
+  Alcotest.(check (float 0.)) "worst non-NaN p99" 9e6 row.Driver.p99_ns;
+  Alcotest.(check bool) "no p50" true (Float.is_nan row.Driver.p50_ns);
+  Alcotest.(check bool) "NaN when no node has a tail" true
+    (Float.is_nan (Driver.cluster_row spec [ node 1. 1. Float.nan ]).Driver.p99_ns)
+
 let qsuite props = List.map QCheck_alcotest.to_alcotest props
 
 let suites =
@@ -288,6 +353,8 @@ let suites =
           test_registry_named_generic;
         Alcotest.test_case "driver matches hand-coded engines" `Quick
           test_driver_matches_engines;
+        Alcotest.test_case "driver prices cluster nodes" `Quick
+          test_driver_prices_cluster;
       ]
       @ qsuite
           [ prop_round_trip; prop_cross_cardinality; prop_artifact_spec_reproduces ]
