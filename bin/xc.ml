@@ -197,6 +197,11 @@ let tail_of ~label ~pct captured =
   | Ok t -> t
   | Error e -> exit_err e
 
+(* One experiment through the bench's runner: its cells run on the pool
+   and each captures its own trace and telemetry. *)
+let run_one ~jobs name cells =
+  match Run.run ~jobs [ (name, cells) ] with [ o ] -> o | _ -> assert false
+
 (* The Fig 9 cluster point ([Spec.cluster]) on [config] at a per-node
    load; [Driver.cluster] prices it. *)
 let cluster_spec ~containers ~connections config =
@@ -206,14 +211,13 @@ let cluster_spec ~containers ~connections config =
     load = { Spec.cluster.load with containers; connections };
   }
 
-(* One traced Fig 9-style cluster run and its [pct] tail.  The nodes
-   are priced before tracing turns on (the cost queries emit spans
+(* One traced Fig 9-style cluster node and its [pct] tail.  The node is
+   priced before tracing turns on (the cost queries emit spans
    themselves), so the capture holds only the run's own events and the
    tail partition is exact. *)
-let traced_tail ~jobs ~pct ~label nodes =
-  let (), captured =
-    Causal.with_tracing (fun () ->
-        Trace.capture (fun () -> ignore (CS.run_sweep ~jobs nodes)))
+let traced_tail ~pct ~label node =
+  let (_ : CS.result), captured =
+    Causal.with_tracing (fun () -> Trace.capture (fun () -> CS.run node))
   in
   match tail_of ~label ~pct captured with
   | Some t -> (t, (label, captured))
@@ -626,43 +630,46 @@ let sweep_cmd =
     let configs =
       List.concat_map (fun n -> [ point CS.Flat n; point CS.Hierarchical n ]) counts
     in
-    let t0 = Unix.gettimeofday () in
-    let results, captured =
-      match trace_out with
-      | None -> (CS.run_sweep ~jobs configs, Trace.empty_captured)
-      | Some _ ->
-          Trace.enable ~sample:stride ();
-          let r = Trace.capture (fun () -> CS.run_sweep ~jobs configs) in
-          Trace.disable ();
-          r
-    in
-    let wall = Unix.gettimeofday () -. t0 in
-    let t =
-      Xc_sim.Table.create
-        [
-          ("containers", Xc_sim.Table.Right);
-          ("scheduler", Xc_sim.Table.Left);
-          ("req/s", Xc_sim.Table.Right);
-          ("p99", Xc_sim.Table.Right);
-          ("container switches", Xc_sim.Table.Right);
-        ]
-    in
-    List.iter2
-      (fun (c : CS.config) (r : CS.result) ->
-        add_text_row t
+    (* One cell per point, reported as the sweep table. *)
+    let report rows =
+      let t =
+        Xc_sim.Table.create
           [
-            string_of_int c.containers;
-            (match c.mode with CS.Flat -> "flat" | CS.Hierarchical -> "hierarchical");
-            Xc_sim.Table.fmt_si r.throughput_rps;
-            Printf.sprintf "%.1fms" (r.p99_latency_ns /. 1e6);
-            string_of_int r.container_switches;
-          ])
-      configs results;
-    Xc_sim.Table.print t;
+            ("containers", Xc_sim.Table.Right);
+            ("scheduler", Xc_sim.Table.Left);
+            ("req/s", Xc_sim.Table.Right);
+            ("p99", Xc_sim.Table.Right);
+            ("container switches", Xc_sim.Table.Right);
+          ]
+      in
+      Array.iter
+        (fun ((c : CS.config), (r : CS.result)) ->
+          add_text_row t
+            [
+              string_of_int c.containers;
+              (match c.mode with CS.Flat -> "flat" | CS.Hierarchical -> "hierarchical");
+              Xc_sim.Table.fmt_si r.throughput_rps;
+              Printf.sprintf "%.1fms" (r.p99_latency_ns /. 1e6);
+              string_of_int r.container_switches;
+            ])
+        rows;
+      [ Run.Table t ]
+    in
+    let t0 = Unix.gettimeofday () in
+    if trace_out <> None then Trace.enable ~sample:stride ();
+    let o =
+      run_one ~jobs "sweep"
+        (Run.Cells
+           { shards = Array.of_list (List.map (fun c () -> (c, CS.run c)) configs); report })
+    in
+    Trace.disable ();
+    let wall = Unix.gettimeofday () -. t0 in
+    print_string o.Run.output;
     Printf.printf "%d points in %.2fs wall with %d domain(s)\n"
       (List.length configs) wall jobs;
     match trace_out with
     | Some path ->
+        let captured = o.Run.trace in
         Run.write_trace ~path [ ("sweep", captured) ];
         let events = List.length captured.Trace.events in
         let seen =
@@ -843,7 +850,7 @@ let trace_run_cmd =
       ()
   in
   let run exp runtime cloud iterations out top sample folded slowest tail_pct
-      tails_out jobs timeseries =
+      tails_out _jobs timeseries =
     let module Export = Xc_trace.Export in
     let exp = String.lowercase_ascii exp in
     let config = Config.make ~cloud runtime in
@@ -853,7 +860,7 @@ let trace_run_cmd =
     let workload =
       if exp = "httpd" then `Httpd
       else if exp = "cluster" then
-        `Cluster (Driver.cluster { Spec.cluster with platform = config })
+        `Cluster (List.hd (Driver.cluster { Spec.cluster with platform = config }))
       else
         match List.assoc_opt exp unixbench_workloads with
         | Some test -> `Unixbench test
@@ -895,7 +902,7 @@ let trace_run_cmd =
               | `Httpd -> run_traced_httpd config platform ~requests:iterations
               | `Closed_loop (cl_config, server) ->
                   ignore (Xc_platforms.Closed_loop.run cl_config server)
-              | `Cluster nodes -> ignore (CS.run_sweep ~jobs nodes)))
+              | `Cluster node -> ignore (CS.run node)))
     in
     Trace.disable ();
     Xc_sim.Metrics.disable ();
@@ -1016,14 +1023,14 @@ let trace_tails_cmd =
   let csv =
     file_flag "csv" ~doc:"Write the tail(s) as a tails CSV (one block per side)."
   in
-  let run a b _diff cloud containers connections pct slowest csv folded jobs =
+  let run a b _diff cloud containers connections pct slowest csv folded _jobs =
     let pct = Option.get pct in
     (* One traced fig-9-style cluster run per side. *)
     let side runtime =
       let config = Config.make ~cloud runtime in
-      traced_tail ~jobs ~pct
+      traced_tail ~pct
         ~label:("cluster/" ^ Config.name config)
-        (Driver.cluster (cluster_spec ~containers ~connections config))
+        (List.hd (Driver.cluster (cluster_spec ~containers ~connections config)))
     in
     let ta, track_a = side a in
     let tails, tracks =
@@ -1114,7 +1121,7 @@ let top_cmd =
                   every snapshot (repeatable).  Firing metrics are marked \
                   '!' next to their sparkline and listed after the table.")
   in
-  let run exp runtime cloud interval_us rows timeseries rate jobs alert =
+  let run exp runtime cloud interval_us rows timeseries rate _jobs alert =
     let module M = Xc_sim.Metrics in
     let alert_rules =
       List.map
@@ -1141,8 +1148,8 @@ let top_cmd =
     in
     let workload =
       if exp = "cluster" then (
-        let nodes = Driver.cluster { Spec.cluster with platform = config } in
-        fun () -> ignore (CS.run_sweep ~jobs nodes))
+        let node = List.hd (Driver.cluster { Spec.cluster with platform = config }) in
+        fun () -> ignore (CS.run node))
       else if exp = "closed-loop" then
         closed_loop ~duration_ms:30. ~warmup_ms:3. "nginx"
       else
@@ -1317,7 +1324,7 @@ let cluster_cmd =
   let tail =
     tail
       ~doc:"Attribute the PCT tail (e.g. p99) of the exact/mixed request \
-            population across mechanisms."
+            population across mechanisms, one tail per node."
       ()
   in
   let run fidelity sample_rate nodes containers connections runtime cloud
@@ -1347,87 +1354,125 @@ let cluster_cmd =
        platform cost queries emit spans themselves, and they must not
        pollute the capture. *)
     let configs = Driver.cluster spec in
-    if timeseries <> None then Xc_sim.Metrics.enable ();
-    if tail_pct <> None then Trace.enable ();
-    let results, telemetry =
-      Xc_sim.Metrics.capture (fun () ->
-          Trace.capture (fun () -> CS.run_sweep ~jobs ~fidelity configs))
-    in
-    let results, captured = results in
-    Trace.disable ();
-    Xc_sim.Metrics.disable ();
     let tier_name =
       match fidelity with
       | CS.Exact -> "exact"
       | CS.Fluid -> "fluid"
       | CS.Mixed { sample_rate } -> Printf.sprintf "mixed(1/%d)" sample_rate
     in
-    Printf.printf
-      "xc cluster: %s, %s tier — %d node(s) x %d container(s) x %d \
-       connection(s) (%d containers total)\n\n"
-      (Config.name config)
-      tier_name nodes containers connections (nodes * containers);
     let fmt_p99 v =
       if Float.is_nan v then "-" else Printf.sprintf "%.0fus" (v /. 1e3)
     in
-    if nodes <= 8 then begin
-      let t =
-        Xc_sim.Table.create
-          [
-            ("node", Xc_sim.Table.Right);
-            ("req/s", Xc_sim.Table.Right);
-            ("mean", Xc_sim.Table.Right);
-            ("p99", Xc_sim.Table.Right);
-            ("busy", Xc_sim.Table.Right);
-            ("cont-switches", Xc_sim.Table.Right);
-          ]
+    (* One cell per node, reported as the node table and the total. *)
+    let report results =
+      let results = Array.to_list results in
+      let table =
+        if nodes > 8 then []
+        else begin
+          let t =
+            Xc_sim.Table.create
+              [
+                ("node", Xc_sim.Table.Right);
+                ("req/s", Xc_sim.Table.Right);
+                ("mean", Xc_sim.Table.Right);
+                ("p99", Xc_sim.Table.Right);
+                ("busy", Xc_sim.Table.Right);
+                ("cont-switches", Xc_sim.Table.Right);
+              ]
+          in
+          List.iteri
+            (fun i (r : CS.result) ->
+              add_text_row t
+                [
+                  string_of_int i;
+                  Xc_sim.Table.fmt_si r.throughput_rps;
+                  Printf.sprintf "%.0fus" (r.mean_latency_ns /. 1e3);
+                  fmt_p99 r.p99_latency_ns;
+                  Printf.sprintf "%.0f%%" (100. *. r.busy_fraction);
+                  string_of_int r.container_switches;
+                ])
+            results;
+          [ Run.Table t ]
+        end
       in
-      List.iteri
-        (fun i (r : CS.result) ->
-          add_text_row t
-            [
-              string_of_int i;
-              Xc_sim.Table.fmt_si r.throughput_rps;
-              Printf.sprintf "%.0fus" (r.mean_latency_ns /. 1e3);
-              fmt_p99 r.p99_latency_ns;
-              Printf.sprintf "%.0f%%" (100. *. r.busy_fraction);
-              string_of_int r.container_switches;
-            ])
-        results;
-      Xc_sim.Table.print t
-    end;
-    let total = Driver.cluster_row spec results in
-    let mean_busy =
-      List.fold_left (fun a (r : CS.result) -> a +. r.busy_fraction) 0. results
-      /. float_of_int (List.length results)
+      let total = Driver.cluster_row spec results in
+      let mean_busy =
+        List.fold_left (fun a (r : CS.result) -> a +. r.busy_fraction) 0. results
+        /. float_of_int (List.length results)
+      in
+      let header =
+        Printf.sprintf
+          "xc cluster: %s, %s tier — %d node(s) x %d container(s) x %d \
+           connection(s) (%d containers total)"
+          (Config.name config) tier_name nodes containers connections
+          (nodes * containers)
+      in
+      let footer =
+        Printf.sprintf
+          "total: %s req/s   mean latency %.0fus   worst p99 %s   mean busy \
+           %.0f%%"
+          (Xc_sim.Table.fmt_si total.throughput_rps)
+          (total.mean_ns /. 1e3) (fmt_p99 total.p99_ns) (100. *. mean_busy)
+      in
+      [ Run.Line header; Run.Line "" ] @ table @ [ Run.Line ""; Run.Line footer ]
     in
-    Printf.printf
-      "\ntotal: %s req/s   mean latency %.0fus   worst p99 %s   mean busy \
-       %.0f%%\n"
-      (Xc_sim.Table.fmt_si total.throughput_rps)
-      (total.mean_ns /. 1e3) (fmt_p99 total.p99_ns) (100. *. mean_busy);
+    if timeseries <> None then Xc_sim.Metrics.enable ();
+    if tail_pct <> None then Trace.enable ();
+    let o =
+      run_one ~jobs "cluster"
+        (Run.Cells
+           {
+             shards =
+               Array.of_list
+                 (List.map (fun c () -> CS.run_fidelity fidelity c) configs);
+             report;
+           })
+    in
+    Trace.disable ();
+    Xc_sim.Metrics.disable ();
+    print_string o.Run.output;
+    (* One track per node, or the single node under the run's name. *)
+    let label = Printf.sprintf "cluster/%s" (Config.name config) in
+    let tracks ~single f =
+      if nodes = 1 then [ (single, f o.Run.pieces.(0)) ]
+      else
+        Array.to_list
+          (Array.mapi
+             (fun i p -> (Printf.sprintf "%s/node%d" label i, f p))
+             o.Run.pieces)
+    in
     (match tail_pct with
     | None -> ()
     | Some pct -> (
         print_newline ();
-        let label = Printf.sprintf "cluster/%s" (Config.name config) in
-        match tail_of ~label ~pct captured with
-        | None ->
+        match Run.tails ~pct (tracks ~single:label (fun p -> p.Run.trace)) with
+        | Error e -> exit_err e
+        | Ok [] ->
             print_string
               "(no request spans in trace; the exact slice produced no \
                measured requests)\n"
-        | Some t -> (
-            print_string (Profile.render_tail ~slowest:0 t);
+        | Ok tails -> (
+            List.iteri
+              (fun i t ->
+                if i > 0 then print_newline ();
+                print_string (Profile.render_tail ~slowest:0 t))
+              tails;
             match tails_out with
             | Some path ->
-                Run.write_tails ~path [ t ];
+                Run.write_tails ~path tails;
                 Printf.printf "wrote %s\n" path
             | None -> ())));
     match timeseries with
     | Some path ->
-        Run.write_timeseries ~path [ ("cluster/telemetry", telemetry) ];
+        let tracks =
+          tracks ~single:"cluster/telemetry" (fun p -> p.Run.telemetry)
+        in
+        Run.write_timeseries ~path tracks;
         Printf.printf "\nwrote %s (%d snapshots)\n" path
-          (List.length telemetry.Xc_sim.Metrics.snapshots)
+          (List.fold_left
+             (fun a (_, (t : Xc_sim.Metrics.telemetry)) ->
+               a + List.length t.snapshots)
+             0 tracks)
     | None -> ()
   in
   Cmd.v
@@ -1831,8 +1876,14 @@ let lb_tail_cmd =
     let combos =
       List.concat_map (fun k -> List.map (fun d -> (k, d)) clone_grid) kinds
     in
+    (* The race is never traced, so it runs on the plain pool. *)
     let baseline, combo_results =
-      match CS.run_sweep ~jobs (base :: List.map with_lb combos) with
+      match
+        Xc_sim.Parallel.run_sharded ~jobs
+          (List.map
+             (fun c -> Xc_sim.Parallel.Shard.thunk (fun () -> CS.run c))
+             (base :: List.map with_lb combos))
+      with
       | r :: rest -> (r, rest)
       | [] -> assert false
     in
@@ -1889,7 +1940,7 @@ let lb_tail_cmd =
       (p99 wr /. 1e3)
       (p99 baseline /. 1e3)
       (vs_baseline wr);
-    let traced label cs = fst (traced_tail ~jobs ~pct ~label [ cs ]) in
+    let traced label cs = fst (traced_tail ~pct ~label cs) in
     let name = Config.name config in
     let ta = traced ("cluster/" ^ name) base in
     let tb =
@@ -2012,11 +2063,7 @@ let suite_run_cmd =
              timeseries capture; the artifact will be empty\n%!";
         (* The bench's runner and suite report: one cell per spec, so
            the pieces are per-spec tracks. *)
-        let o =
-          match Run.run ~jobs [ (suite.Suite.name, Run.suite suite) ] with
-          | [ o ] -> o
-          | _ -> assert false
-        in
+        let o = run_one ~jobs suite.Suite.name (Run.suite suite) in
         print_string o.Run.output;
         let per_spec f =
           List.map2

@@ -104,8 +104,6 @@ let predict b ~mech ~scale =
   let pred_p99_ns = b.base.CS.p99_latency_ns +. dtail in
   { pred_tput; pred_mean_ns; pred_p99_ns }
 
-type cell_result = B of (baseline, string) result | R of CS.result
-
 let sweep_points ~jobs points =
   (* Re-price every point before anything runs, so a bad what-if fails
      fast instead of after the expensive baselines. *)
@@ -130,21 +128,14 @@ let sweep_points ~jobs points =
       [] points
     |> List.rev
   in
-  let shards =
-    List.map
-      (fun t ->
-        Xc_sim.Parallel.Shard.thunk (fun () -> B (measure_baseline t)))
-      targets
-    @ List.map
-        (fun c -> Xc_sim.Parallel.Shard.thunk (fun () -> R (CS.run c)))
-        reruns
+  let pool f xs =
+    Xc_sim.Parallel.run_sharded ~jobs
+      (List.map (fun x -> Xc_sim.Parallel.Shard.thunk (fun () -> f x)) xs)
   in
-  let results =
-    with_tracing (fun () -> Xc_sim.Parallel.run_sharded ~jobs shards)
-  in
-  let baselines, reruns =
-    List.partition_map (function B b -> Left b | R r -> Right r) results
-  in
+  (* Each baseline captures its own trace; the reruns run outside
+     [with_tracing], so they are traced only when the caller traces. *)
+  let baselines = with_tracing (fun () -> pool measure_baseline targets) in
+  let reruns = pool CS.run reruns in
   let* baselines =
     List.fold_right
       (fun b acc ->

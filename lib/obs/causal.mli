@@ -22,10 +22,13 @@
     ([--connections 5]) the rerun moves further than the share says —
     exactly the regime where the fig9 tail is queueing-dominated.
 
-    Baselines run traced ({!with_tracing}).  {!sweep_points} fans
-    baselines and reruns out over the
-    {!Xc_sim.Parallel} shard layer and reassembles in submission
-    order, so every artifact is byte-identical at any [--jobs]. *)
+    Baselines run traced ({!with_tracing}), each capturing its own
+    trace.  {!sweep_points} fans the baselines, then the reruns, out
+    over the {!Xc_sim.Parallel} pool and reassembles in submission
+    order, so every artifact is byte-identical at any [--jobs].  The
+    reruns run outside {!with_tracing}: they are traced only when the
+    caller traces, and then they record into the caller's capture, so
+    such a caller passes [~jobs:1]. *)
 
 module CS = Xc_platforms.Cluster_sim
 
@@ -86,7 +89,8 @@ val sweep_points :
     points: one traced baseline (run, attribution, critical path) per
     distinct target (by label), one re-priced rerun and linear-share
     prediction per point, every what-if validated before anything runs
-    and all of it fanned out as independent pool shards.  A config
+    and all of it fanned out as independent pool shards (baselines
+    first, then reruns).  A config
     without [request_mech] pricing attributes nothing, so its
     predictions are the baseline; so does a mechanism with no
     attributed time.

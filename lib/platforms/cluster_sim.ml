@@ -782,24 +782,6 @@ let run_fidelity fidelity config =
   | Fluid -> run_fluid config
   | Mixed { sample_rate } -> run_mixed ~sample_rate config
 
-(* One task, one shard per config: the sweep is the canonical sharded
-   workload — each config is an independent seeded simulation and the
-   merge is just the index-ordered collect, so the result (and any
-   enclosing trace) is identical at every job count. *)
-let run_sweep ~jobs ?(fidelity = Exact) configs =
-  match
-    Xc_sim.Parallel.run_sharded ~jobs
-      [
-        Xc_sim.Parallel.Shard.make
-          ~shards:
-            (Array.of_list
-               (List.map (fun c () -> run_fidelity fidelity c) configs))
-          ~merge:Array.to_list;
-      ]
-  with
-  | [ results ] -> results
-  | _ -> assert false
-
 (* ---------------- Platform-derived configs ---------------- *)
 
 module K = Xc_os.Kernel

@@ -127,14 +127,6 @@ val run_fidelity : fidelity -> config -> result
     slice.  Raises [Invalid_argument] if a {!Mixed} [sample_rate] is
     < 1. *)
 
-val run_sweep : jobs:int -> ?fidelity:fidelity -> config list -> result list
-(** Run many independent configurations (a Figure 8 sweep: per-count,
-    per-mode points), fanned out over [jobs] worker domains via
-    {!Xc_sim.Parallel}.  Results come back in input order and are
-    identical to [List.map (run_fidelity fidelity)] — each point has
-    its own engine and PRNG, so the fan-out cannot perturb them.
-    [fidelity] defaults to {!Exact}. *)
-
 val config_of_platform :
   containers:int ->
   connections:int ->

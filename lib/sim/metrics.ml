@@ -1,7 +1,7 @@
 (* Mirrors the Trace recorder design: process-wide atomic switches, all
-   mutable state domain-local (DLS), capture/inject for deterministic
-   cross-domain merging in Parallel.run_sharded.  Every emitter is one
-   atomic load + branch when disabled. *)
+   mutable state domain-local (DLS), capture and a pure merge for
+   deterministic cross-domain joins (Xc_suite.Run's cells).  Every
+   emitter is one atomic load + branch when disabled. *)
 
 type dist_view = { n : int; p50 : float; p99 : float; max_ : float }
 type sample = Count of float | Level of float | Dist of dist_view
@@ -178,7 +178,7 @@ let sample_boundaries ~from:t0 ~until:t1 =
     end
   end
 
-(* ---------------- Read / capture / inject ---------------- *)
+(* ---------------- Capture / merge ---------------- *)
 
 let telemetry_of_reg reg =
   let counters = ref [] and gauges = ref [] and hists = ref [] in
@@ -198,24 +198,6 @@ let telemetry_of_reg reg =
     gauges = sorted !gauges;
     hists = sorted !hists;
   }
-
-let read () =
-  if not (on ()) then empty_telemetry
-  else telemetry_of_reg (Domain.DLS.get reg_key)
-
-(* Flush-at-shard-boundary read: [read ()] then an in-place clear that
-   keeps the hashtable and queue allocated for the next shard on this
-   domain — the sharded runner's counterpart to [Trace.drain]. *)
-let drain () =
-  if not (on ()) then empty_telemetry
-  else begin
-    let reg = Domain.DLS.get reg_key in
-    let tel = telemetry_of_reg reg in
-    Hashtbl.reset reg.tbl;
-    Queue.clear reg.snaps;
-    reg.snap_dropped <- 0;
-    tel
-  end
 
 let capture f =
   if not (on ()) then (f (), empty_telemetry)
@@ -243,35 +225,12 @@ let capture f =
         Printexc.raise_with_backtrace e bt
   end
 
-let inject tel =
-  if on () then begin
-    let reg = Domain.DLS.get reg_key in
-    List.iter
-      (fun (k, v) ->
-        let r = counter_cell reg k in
-        r := !r +. v)
-      tel.counters;
-    (* Last-writer-wins in submission order — same at every --jobs. *)
-    List.iter (fun (k, v) -> gauge_cell reg k := v) tel.gauges;
-    List.iter
-      (fun (k, h) ->
-        match Hashtbl.find_opt reg.tbl k with
-        | Some (Dist_v existing) ->
-            Hashtbl.replace reg.tbl k (Dist_v (Histogram.merge existing h))
-        | Some _ -> kind_mismatch k
-        | None ->
-            Hashtbl.add reg.tbl k (Dist_v (Histogram.merge h (Histogram.create ()))))
-      tel.hists;
-    List.iter (fun s -> push_snapshot reg s) tel.snapshots;
-    reg.snap_dropped <- reg.snap_dropped + tel.snap_dropped
-  end
-
-(* Pure two-sided merge with [inject]'s semantics (counters add, gauges
-   last-writer-wins with [b] the later writer, histograms merge
-   bucket-wise, snapshots append) but no registry and no retention
-   eviction: both sides already enforced the bound when they recorded.
-   Associative, so shard telemetry folds in shard order to the same
-   value whatever the worker schedule was. *)
+(* Pure two-sided merge (counters add, gauges last-writer-wins with [b]
+   the later writer, histograms merge bucket-wise, snapshots append)
+   with no registry and no retention eviction: both sides already
+   enforced the bound when they recorded.  Associative, so cell
+   telemetry folds in cell order to the same value whatever the worker
+   schedule was. *)
 let merge_telemetry a b =
   let merge_assoc combine xs ys =
     let rec go acc xs ys =

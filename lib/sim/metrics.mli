@@ -4,8 +4,9 @@
     that every substrate emits into, sampled on the {e sim clock} into a
     bounded time-series of {!snapshot}s by the engine (see [Engine]).
     Disabled it costs one atomic load per emitter; the state is
-    domain-local and {!capture}/{!inject} give [Parallel.run_sharded]
-    the same deterministic cross-domain merge the tracer has, so
+    domain-local, and {!capture} with {!merge_telemetry} give the
+    runner's cells ([Xc_suite.Run]) the same deterministic cross-domain
+    join the tracer has ([Trace.capture] with [Trace.concat]), so
     telemetry artifacts are byte-identical at any [--jobs]. *)
 
 type dist_view = { n : int; p50 : float; p99 : float; max_ : float }
@@ -82,17 +83,7 @@ val sample_boundaries : from:Time_ns.t -> until:Time_ns.t -> unit
     values would all be identical anyway — no event ran between
     them). *)
 
-(** {2 Reading and composition} *)
-
-val read : unit -> telemetry
-(** The current domain's registry as a telemetry value (registry left
-    untouched).  {!empty_telemetry} when disabled. *)
-
-val drain : unit -> telemetry
-(** {!read} followed by an in-place clear that keeps the containers
-    allocated — the per-shard flush [Xc_sim.Parallel.run_sharded]
-    issues at shard boundaries, mirroring [Trace.drain].
-    {!empty_telemetry} when disabled. *)
+(** {2 Capture and composition} *)
 
 val capture : (unit -> 'a) -> 'a * telemetry
 (** [capture f] runs [f] with a fresh registry on this domain and
@@ -101,21 +92,13 @@ val capture : (unit -> 'a) -> 'a * telemetry
     telemetry is discarded and the exception re-raised).  When
     disabled: [(f (), empty_telemetry)]. *)
 
-val inject : telemetry -> unit
-(** Merge a capture into the current domain's registry: counters add,
-    gauges overwrite (last-writer-wins in submission order), histograms
-    merge bucket-wise, snapshots append in order under the retention
-    bound.  [Parallel.run_sharded] injects worker captures in submission
-    order, so the merged registry is identical at any job count.  No-op
-    when disabled. *)
-
 val merge_telemetry : telemetry -> telemetry -> telemetry
-(** Pure merge with {!inject}'s semantics — counters add, gauges
-    last-writer-wins (the second argument being the later writer),
-    histograms merge bucket-wise, snapshots and drop counts append —
-    but registry-free and without retention eviction (both sides
-    enforced the bound when recording).  Associative: folding shard
-    telemetry in shard order is deterministic at any worker count. *)
+(** Pure merge of two captures: counters add, gauges last-writer-wins
+    (the second argument being the later writer), histograms merge
+    bucket-wise, snapshots and drop counts append — registry-free and
+    without retention eviction (both sides enforced the bound when
+    recording).  Associative: folding cell telemetry in cell order
+    ([Xc_suite.Run]) is deterministic at any worker count. *)
 
 (** {2 Export} *)
 

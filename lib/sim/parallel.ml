@@ -38,7 +38,6 @@ type 'a outcome = Done of 'a | Raised of exn * Printexc.raw_backtrace
 
 let run_sharded (type a) ~jobs ?(oversubscribe = false)
     (tasks : a Shard.t list) : a list =
-  let instrumented = Xc_trace.Trace.enabled () || Metrics.on () in
   let total = List.fold_left (fun n t -> n + Shard.count t) 0 tasks in
   (* Spawning more domains than the host can run concurrently is a
      pessimization (every minor GC synchronises all domains), so the
@@ -48,68 +47,44 @@ let run_sharded (type a) ~jobs ?(oversubscribe = false)
     let requested = min jobs total in
     max 1 (if oversubscribe then requested else min requested (recommended_jobs ()))
   in
-  if workers = 1 && not instrumented then
-    (* The sequential untraced path is the benched hot path: run the
-       shards directly, exactly like nested List.map / Array.map —
-       exceptions propagate immediately, later shards never run. *)
+  if workers = 1 then
+    (* One worker is a nested List.map in the calling domain: shards run
+       in (task, shard) order, a raise propagates at once and later
+       shards never run. *)
     List.map
       (fun (Shard.Shard { shards; merge }) -> merge (Array.map (fun f -> f ()) shards))
       tasks
   else begin
-    (* One result slot per shard, one runner closure per shard.  Each
-       runner drains the domain recorders at its shard boundary, so
-       capture state accumulates per worker batch step, not per event
-       and not per save/restore pair. *)
+    (* One result slot per shard, one runner closure per shard. *)
     let module M = struct
       type packed =
-        | Task : {
-            slots :
-              ('b * Xc_trace.Trace.captured * Metrics.telemetry) outcome option
-              array;
-            merge : 'b array -> a;
-          }
-            -> packed
+        | Task : { slots : 'b outcome option array; merge : 'b array -> a } -> packed
     end in
-    let run_shard f store =
-      match f () with
-      | v ->
-          let tr =
-            if instrumented then Xc_trace.Trace.drain ()
-            else Xc_trace.Trace.empty_captured
-          in
-          let tel =
-            if instrumented then Metrics.drain () else Metrics.empty_telemetry
-          in
-          store (Done (v, tr, tel))
-      | exception e ->
-          let bt = Printexc.get_raw_backtrace () in
-          (* The raising shard's partial events die with it, exactly as
-             a per-thunk capture would have discarded them. *)
-          if instrumented then begin
-            ignore (Xc_trace.Trace.drain ());
-            ignore (Metrics.drain ())
-          end;
-          store (Raised (e, bt))
-    in
     let work = Array.make total (fun () -> ()) in
     let packed =
       let next = ref 0 in
       List.map
         (fun (Shard.Shard { shards; merge }) ->
-          let n = Array.length shards in
-          let slots = Array.make n None in
+          let slots = Array.make (Array.length shards) None in
           Array.iteri
             (fun i f ->
-              work.(!next) <- (fun () -> run_shard f (fun r -> slots.(i) <- Some r));
+              work.(!next) <-
+                (fun () ->
+                  slots.(i) <-
+                    Some
+                      (match f () with
+                      | v -> Done v
+                      | exception e -> Raised (e, Printexc.get_raw_backtrace ())));
               incr next)
             shards;
           M.Task { slots; merge })
         tasks
     in
-    (* One claim counter: every worker takes the next unclaimed shard in
-       global index order until none is left, so no worker idles while
-       shards remain.  Shards are whole sub-simulations, so one atomic
-       increment per shard is noise. *)
+    (* One claim counter: every worker, the calling domain included,
+       takes the next unclaimed shard in global index order until none
+       is left, so no worker idles while shards remain.  Shards are
+       whole sub-simulations, so one atomic increment per shard is
+       noise. *)
     let claim = Atomic.make 0 in
     let rec worker () =
       let i = Atomic.fetch_and_add claim 1 in
@@ -119,47 +94,27 @@ let run_sharded (type a) ~jobs ?(oversubscribe = false)
       end
     in
     let spawned = Array.init (workers - 1) (fun _ -> Domain.spawn worker) in
-    (if instrumented then begin
-       (* The calling domain works the pool too; its recorder may hold
-          live pre-pool state (e.g. an enclosing capture), so its
-          participation runs shielded — every shard drains, so the
-          shield comes back empty. *)
-       let ((), c), t = Metrics.capture (fun () -> Xc_trace.Trace.capture worker) in
-       ignore (c : Xc_trace.Trace.captured);
-       ignore (t : Metrics.telemetry)
-     end
-     else worker ());
+    worker ();
     Array.iter Domain.join spawned;
-    (* Merge phase, calling domain, deterministic: walk tasks in
-       submission order and shards in index order — inject every
-       completed shard's capture, then either merge the task or record
-       its lowest-indexed failure.  The first failed task's exception
-       re-raises only after all captures landed, so a failing sweep
-       still yields the partial trace that explains it. *)
+    (* Merge phase, calling domain, deterministic: tasks in submission
+       order, shards in index order.  A task with a failed shard yields
+       its lowest-indexed failure, which re-raises only after every
+       shard ran and every other task merged. *)
     let outcomes =
       List.map
         (fun (M.Task { slots; merge }) ->
-          let n = Array.length slots in
-          let values = Array.make n None in
-          let failure = ref None in
-          for i = 0 to n - 1 do
-            match slots.(i) with
-            | Some (Done (v, tr, tel)) ->
-                Xc_trace.Trace.inject tr;
-                Metrics.inject tel;
-                values.(i) <- Some v
-            | Some (Raised (e, bt)) ->
-                if !failure = None then failure := Some (e, bt)
-            | None -> assert false
-          done;
-          match !failure with
+          match
+            Array.find_map
+              (function Some (Raised (e, bt)) -> Some (e, bt) | _ -> None)
+              slots
+          with
           | Some (e, bt) -> Raised (e, bt)
           | None ->
               Done
                 (merge
                    (Array.map
-                      (function Some v -> v | None -> assert false)
-                      values)))
+                      (function Some (Done v) -> v | _ -> assert false)
+                      slots)))
         packed
     in
     List.map

@@ -1,19 +1,24 @@
 (** Deterministic fan-out of independent work over OCaml 5 domains.
 
     A task ({!Shard}) declares independent sub-units (each
-    [(platform × app)] cell of a sweep, each config of a cluster sweep)
-    plus a merge over the index-ordered shard results; a whole
-    experiment is the one-shard case ({!Shard.thunk}).  {!run_sharded}
-    runs every shard of every task on one pool: each worker claims the
-    next unclaimed shard from one shared counter, so one long
-    experiment never serializes the rest behind a single worker.
+    [(platform × app)] cell of a sweep, each point of a grid) plus a
+    merge over the index-ordered shard results; a whole experiment is
+    the one-shard case ({!Shard.thunk}).  {!run_sharded} runs every
+    shard of every task on one pool: each worker claims the next
+    unclaimed shard from one shared counter, so one long experiment
+    never serializes the rest behind a single worker.
 
     Determinism at every job count is structural, not scheduled: each
-    shard writes an indexed result slot, captures of trace/telemetry
-    drain at shard boundaries, and the merge phase walks tasks in
-    submission order and shards in index order on the calling domain.
-    The schedule can only change {e when} a shard runs, never what
-    anything computes or the order anything merges.
+    shard writes an indexed result slot, and the merge phase walks
+    tasks in submission order and shards in index order on the calling
+    domain.  The schedule can only change {e when} a shard runs, never
+    what anything computes or the order anything merges.
+
+    The pool returns results and captures nothing: a shard's trace
+    events and telemetry stay in the recorder of the domain that ran it.
+    A fan-out that must record runs its cells through
+    [Xc_suite.Run], whose cells capture themselves and whose merge joins
+    the captures in cell order.
 
     Shards must be independent: they may not share mutable state (each
     experiment builds its own engine, PRNG and platform, so the
@@ -62,31 +67,22 @@ val run_sharded : jobs:int -> ?oversubscribe:bool -> 'a Shard.t list -> 'a list
 
     [jobs] bounds the worker pool; the pool also never exceeds the
     shard count or — unless [oversubscribe] (default false) —
-    {!recommended_jobs}.  When the pool resolves to a single worker and
-    no recorder is live, shards run in the calling domain in (task,
-    shard) order with zero scheduling overhead and [List.map] exception
-    semantics (a raise propagates immediately).
+    {!recommended_jobs}.  One worker runs the shards in the calling
+    domain as a nested [List.map], in (task, shard) order, with
+    [List.map] exception semantics (a raise propagates immediately).
 
     Otherwise the calling domain and [workers - 1] spawned domains each
     claim shards in global (task, shard) index order from one atomic
     counter until none is left.  Each shard's outcome lands in its own
-    slot, so the merge phase is scheduling-independent.
+    slot, so the merge phase is scheduling-independent.  If a shard
+    raises, the pool keeps running (no cancellation); after every
+    shard ran, the exception of the lowest-indexed failed shard of the
+    {e first} failed task re-raises.
 
-    If a shard raises, the pool keeps running (no cancellation); at
-    merge time the exception of the lowest-indexed failed shard of the
-    {e first} failed task re-raises, after the captures of every
-    completed shard were injected.
-
-    When [Xc_trace.Trace.enabled] or [Metrics.on], every shard's
-    events/telemetry drain from the domain recorders at its shard
-    boundary ([Trace.drain] / [Metrics.drain] — no per-shard
-    save/restore; the ring and registry containers are reused across a
-    worker's batch) and the calling domain injects the drained
-    captures in (task, shard) order during the merge phase — at
-    {e every} job count, including 1 — so trace and telemetry
-    artifacts are byte-identical whatever [jobs] says.
-    Each shard's synthetic cursor therefore restarts at 0; a sharded
-    experiment that wants one monotone per-experiment timeline merges
-    its shard captures with [Trace.concat].  The instrumented path
-    runs every shard even at one worker, and the calling domain's own
-    share runs shielded, so a live enclosing capture is untouched. *)
+    Nothing is captured: with tracing or telemetry on, a shard records
+    into the recorder of whichever domain ran it.  Under one worker
+    that is the caller's own recorder, in shard order; under more, it
+    is scattered across domains.  A fan-out that can run while either
+    recorder is on therefore captures each shard itself
+    ([Xc_suite.Run] cells) or runs on one worker inside its caller's
+    capture. *)

@@ -1233,6 +1233,8 @@ let latency_smoke () =
     linef "p50 %.0fus  p99 %.0fus" (r.p50_ns /. 1e3) (r.p99_ns /. 1e3);
   ]
 
+(* One cell per scheduler point, so the pool fans the four runs out and
+   each captures its own trace and telemetry. *)
 let fig8sim_smoke () =
   let tiny mode n =
     {
@@ -1245,16 +1247,24 @@ let fig8sim_smoke () =
   let configs =
     List.concat_map (fun n -> [ tiny CS.Flat n; tiny CS.Hierarchical n ]) [ 4; 8 ]
   in
-  let results = CS.run_sweep ~jobs:2 configs in
-  Run.Section "Smoke: cluster scheduler sweep, 20ms simulated, inner fan-out"
-  :: List.map2
-       (fun (c : CS.config) (r : CS.result) ->
-         linef "%-12s n=%d  %s req/s  %d container switches"
-           (match c.mode with CS.Flat -> "flat" | CS.Hierarchical -> "hierarchical")
-           c.containers
-           (T.fmt_si r.throughput_rps)
-           r.container_switches)
-       configs results
+  Run.Cells
+    {
+      shards = Array.of_list (List.map (fun c () -> (c, CS.run c)) configs);
+      report =
+        (fun rows ->
+          Run.Section "Smoke: cluster scheduler sweep, 20ms simulated, inner fan-out"
+          :: Array.to_list
+               (Array.map
+                  (fun ((c : CS.config), (r : CS.result)) ->
+                    linef "%-12s n=%d  %s req/s  %d container switches"
+                      (match c.mode with
+                      | CS.Flat -> "flat"
+                      | CS.Hierarchical -> "hierarchical")
+                      c.containers
+                      (T.fmt_si r.throughput_rps)
+                      r.container_switches)
+                  rows));
+    }
 
 (* ------------------------------------------------------------------ *)
 (* The experiment table is Xcontainers.Inventory.all: every inventory id
@@ -1310,7 +1320,7 @@ let smoke () =
       ("table1-smoke", whole table1_smoke);
       ("macro-smoke", macro_smoke ());
       ("latency-smoke", whole latency_smoke);
-      ("fig8sim-smoke", whole fig8sim_smoke);
+      ("fig8sim-smoke", fig8sim_smoke ());
       ( "cluster-smoke",
         cluster_scale ~fleet_nodes:64 ~fleet_shards:8
           ~diffs:[ (CS.Hierarchical, 8, 5) ]

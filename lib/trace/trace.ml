@@ -210,25 +210,6 @@ type captured = {
 
 let empty_captured = { events = []; dropped = 0; streams = []; cursor = 0. }
 
-let inject c =
-  if enabled () then begin
-    let r = recorder () in
-    (* Captured events were already sampled on the recording domain;
-       replay them verbatim — no second pass through the gate. *)
-    List.iter (fun ev -> record r ev) c.events;
-    r.dropped <- r.dropped + c.dropped;
-    List.iter
-      (fun (s : Stream.t) ->
-        let k = (s.Stream.cat, s.Stream.name) in
-        match Hashtbl.find_opt r.streams k with
-        | Some st ->
-            st.seen <- st.seen + s.Stream.seen;
-            st.kept <- st.kept + s.Stream.kept
-        | None ->
-            Hashtbl.add r.streams k { seen = s.Stream.seen; kept = s.Stream.kept })
-      c.streams
-  end
-
 let capture f =
   if not (enabled ()) then (f (), empty_captured)
   else begin
@@ -268,29 +249,15 @@ let capture f =
         Printexc.raise_with_backtrace e bt
   end
 
-(* Flush-at-shard-boundary read: same value [capture] would return, but
-   against the recorder state as it stands — no save/restore, no fresh
-   hashtable, and the ring array survives [take] so a worker draining
-   one shard after another reuses its buffer.  This is the off-hot-path
-   half of the sharded runner: shards record straight into the domain
-   recorder and the only per-shard cost is materialising the drain. *)
-let drain () =
-  if not (enabled ()) then empty_captured
-  else begin
-    let r = recorder () in
-    let streams = streams_of_table r.streams in
-    let dropped = r.dropped in
-    let cursor = r.cursor in
-    let events = take () in
-    { events; dropped; streams; cursor }
-  end
-
-(* Deterministic shard-order merge: segment k's timestamps shift by the
-   sum of the synthetic cursors of segments 0..k-1, so analytic spans
-   (cursor-placed) form the same monotone timeline one recorder running
-   the shards back-to-back would have produced.  Engine-timestamped
-   events shift with their segment, which keeps shards from
-   interleaving; within a segment every relationship is preserved. *)
+(* Deterministic segment-order merge: segment k's timestamps shift by
+   the sum of the synthetic cursors of segments 0..k-1, so analytic
+   spans (cursor-placed) form the same monotone timeline one recorder
+   running the segments back-to-back would have produced.
+   Engine-timestamped events shift with their segment but are not
+   separated by it: a segment that never advanced its cursor (a kernel
+   run places every span at sim time) moves nothing, so two such
+   segments share one time axis and their spans can overlap.  Within a
+   segment every relationship is preserved. *)
 let concat segments =
   let shift dt c =
     if dt = 0. then c.events

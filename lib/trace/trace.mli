@@ -133,9 +133,9 @@ val streams : unit -> Stream.t list
 
 (** {1 Composition}
 
-    These two let captures nest (an experiment inside a parallel
-    sweep inside the bench harness) and let a parent domain absorb
-    events recorded on worker domains in a deterministic order. *)
+    These two let captures nest (a cell inside an experiment inside
+    the bench harness) and join captures recorded on any domains in a
+    deterministic order. *)
 
 type captured = {
   events : event list;  (** in record order *)
@@ -144,37 +144,23 @@ type captured = {
   cursor : float;  (** final synthetic cursor — the capture's span-sum *)
 }
 
-val empty_captured : captured
-
 val capture : (unit -> 'a) -> 'a * captured
 (** [capture f] runs [f] with a fresh recorder state on this domain
     and returns [(result, captured)]; the state that was live before
     the call is restored afterwards (also on exceptions, in which case
     the inner events are discarded with the exception re-raised).
-    When disabled: [(f (), empty_captured)]. *)
-
-val drain : unit -> captured
-(** Read-and-reset the current domain's recorder: the same value
-    {!capture} would have returned had it been running since the last
-    drain, but with no save/restore and with the ring buffer kept
-    allocated for the next shard.  This is the flush a sharded worker
-    issues at each shard boundary ([Xc_sim.Parallel.run_sharded]) —
-    capture cost off the hot path, one drain per shard batch step.
-    {!empty_captured} when disabled. *)
+    When disabled: [(f (), c)] with [c] empty. *)
 
 val concat : captured list -> captured
-(** Merge shard captures in list order into one capture: segment [k]'s
+(** Merge captures in list order into one capture: segment [k]'s
     timestamps are shifted by the cumulative [cursor] of segments
     [0..k-1] (so cursor-placed analytic spans form the monotone
     timeline a single recorder would have produced), dropped counts
     add, stream accounting merges, and the result's [cursor] is the
     cursor sum — so [concat] is associative and deterministic in the
-    segment order, never in worker scheduling. *)
+    segment order, never in worker scheduling.
 
-val inject : captured -> unit
-(** Append previously captured events verbatim to the current domain's
-    buffer (normal ring-overflow rules apply; the sampling gate is
-    {e not} re-applied — the events were already sampled when first
-    recorded); add the capture's dropped count to the loss count and
-    merge its stream accounting into this domain's.  No-op when
-    disabled. *)
+    Engine-timestamped spans of different segments can overlap: a
+    segment whose spans all carry [~at] sim times leaves its cursor at
+    0 and shifts the later segments by nothing, so their spans share
+    one time axis. *)

@@ -254,7 +254,12 @@ let test_sweep_fidelity_matches_map () =
       (fun n -> CS.default_config CS.Hierarchical ~containers:n)
       [ 4; 8; 16 ]
   in
-  let swept = CS.run_sweep ~jobs:2 ~fidelity:CS.Fluid configs in
+  let swept =
+    Xc_sim.Parallel.run_sharded ~jobs:2
+      (List.map
+         (fun c -> Xc_sim.Parallel.Shard.thunk (fun () -> CS.run_fidelity CS.Fluid c))
+         configs)
+  in
   let mapped = List.map CS.run_fluid configs in
   List.iter2
     (fun (a : CS.result) (b : CS.result) ->

@@ -652,7 +652,6 @@ let test_only =
             "metrics disabled emitters are no-ops";
             "metrics Parallel.run telemetry identical at jobs 1 and 2";
           ] );
-        ("read", Hook, [ "metrics"; "sim.metrics counters"; "isa.machine instructions counter" ]);
         ("rule_to_string", Hook, [ "causal-alerts rule algebra" ]);
       ] );
     ("Xc_sim.Parallel.Shard", [ ("count", Hook, [ "sim.parallel.sharding shard counts" ]) ]);

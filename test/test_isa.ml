@@ -372,16 +372,14 @@ let test_machine_instruction_counter () =
   let module M = Xc_sim.Metrics in
   let prog = Builder.build [ (Builder.Glibc_small, 0); (Builder.Go_stack, 39) ] in
   let m = Machine.create prog.image ~entry:prog.entry in
-  let counted () =
-    Option.value ~default:0. (List.assoc_opt "isa/instructions" (M.read ()).M.counters)
-  in
   M.enable ();
-  ignore (M.drain ());
   Fun.protect ~finally:M.disable (fun () ->
-      ignore (Machine.run m);
+      let (), tel = M.capture (fun () -> ignore (Machine.run m)) in
       Alcotest.(check bool) "ran" true (Machine.steps m > 0);
       Alcotest.(check (float 0.)) "counter gains the steps"
-        (float_of_int (Machine.steps m)) (counted ()))
+        (float_of_int (Machine.steps m))
+        (Option.value ~default:0.
+           (List.assoc_opt "isa/instructions" tel.M.counters)))
 
 (* A warm run of a looping program: every offset is decoded, so only
    the syscall log allocates (an event record and its cons cell per

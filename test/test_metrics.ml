@@ -1,42 +1,52 @@
 (* Tests for the global telemetry registry (Xc_sim.Metrics): typed
    emitters, sim-clock snapshotting by the engine, the retention bound,
-   and the determinism contract — capture/inject must merge
-   associatively enough that the worker pool produces the same telemetry
-   at any jobs count. *)
+   and the determinism contract — per-cell captures joined by
+   [merge_telemetry] must give the same telemetry at any jobs count and
+   however the samples are partitioned into cells. *)
 
 module M = Xc_sim.Metrics
 module H = Xc_sim.Histogram
 module E = Xc_sim.Engine
 
-(* Every test runs against a clean, enabled registry and leaves the
-   recorder off (other suites must not see stray metrics).  Settings
-   persist across enables by design, so pin both explicitly. *)
+(* Every test runs against an enabled registry and leaves the recorder
+   off (other suites must not see stray metrics).  Settings persist
+   across enables by design, so pin both explicitly.  A test reads what
+   it emitted through [recorded], a capture on a fresh registry. *)
 let with_metrics ?(interval_ns = M.default_interval_ns)
     ?(retention = M.default_retention) f () =
   M.enable ~interval_ns ~retention ();
-  ignore (M.drain ());
   Fun.protect ~finally:M.disable f
 
-let test_disabled_is_free () =
-  M.disable ();
-  ignore (M.drain ());
-  M.counter_incr ~cat:"cpu" ~name:"x";
-  M.gauge_set ~cat:"os" ~name:"y" 7.;
-  M.take_snapshot ~at:100.;
-  let tel = M.read () in
-  Alcotest.(check int) "no snapshots" 0 (List.length tel.M.snapshots);
-  Alcotest.(check int) "no counters" 0 (List.length tel.M.counters)
+let recorded f = snd (M.capture f)
+
+let test_disabled_is_free =
+  with_metrics (fun () ->
+      (* The capture opens enabled and reads the registry the disabled
+         emitters left behind. *)
+      let tel =
+        recorded (fun () ->
+            M.disable ();
+            M.counter_incr ~cat:"cpu" ~name:"x";
+            M.gauge_set ~cat:"os" ~name:"y" 7.;
+            M.take_snapshot ~at:100.;
+            M.enable ())
+      in
+      Alcotest.(check int) "no snapshots" 0 (List.length tel.M.snapshots);
+      Alcotest.(check int) "no counters" 0 (List.length tel.M.counters);
+      Alcotest.(check int) "no gauges" 0 (List.length tel.M.gauges))
 
 let test_emitters_and_snapshot =
   with_metrics (fun () ->
-      M.counter_add ~cat:"cpu" ~name:"busy-ns" 10.;
-      M.counter_incr ~cat:"cpu" ~name:"busy-ns";
-      M.gauge_set ~cat:"os" ~name:"runqueue" 3.;
-      M.gauge_add ~cat:"os" ~name:"runqueue" 2.;
-      M.hist_observe ~cat:"platform" ~name:"latency-ns" 500.;
-      M.hist_observe ~cat:"platform" ~name:"latency-ns" 700.;
-      M.take_snapshot ~at:50_000.;
-      let tel = M.read () in
+      let tel =
+        recorded (fun () ->
+            M.counter_add ~cat:"cpu" ~name:"busy-ns" 10.;
+            M.counter_incr ~cat:"cpu" ~name:"busy-ns";
+            M.gauge_set ~cat:"os" ~name:"runqueue" 3.;
+            M.gauge_add ~cat:"os" ~name:"runqueue" 2.;
+            M.hist_observe ~cat:"platform" ~name:"latency-ns" 500.;
+            M.hist_observe ~cat:"platform" ~name:"latency-ns" 700.;
+            M.take_snapshot ~at:50_000.)
+      in
       Alcotest.(check int) "one snapshot" 1 (List.length tel.M.snapshots);
       let s = List.hd tel.M.snapshots in
       Alcotest.(check (float 0.)) "at" 50_000. s.M.at;
@@ -65,10 +75,12 @@ let test_boundary_sampling =
   (* Boundaries k*dt in (from, until]: a jump from 0 to 10*dt crosses
      exactly 10; a second jump of less than dt crosses none. *)
   with_metrics ~interval_ns:1_000. (fun () ->
-      M.counter_incr ~cat:"cpu" ~name:"e";
-      M.sample_boundaries ~from:0. ~until:10_000.;
-      M.sample_boundaries ~from:10_000. ~until:10_999.;
-      let tel = M.read () in
+      let tel =
+        recorded (fun () ->
+            M.counter_incr ~cat:"cpu" ~name:"e";
+            M.sample_boundaries ~from:0. ~until:10_000.;
+            M.sample_boundaries ~from:10_000. ~until:10_999.)
+      in
       Alcotest.(check int) "10 boundary snapshots" 10
         (List.length tel.M.snapshots);
       Alcotest.(check (list (float 0.))) "at k*dt"
@@ -77,11 +89,14 @@ let test_boundary_sampling =
 
 let test_retention_bound =
   with_metrics ~interval_ns:1_000. ~retention:4 (fun () ->
-      M.counter_incr ~cat:"cpu" ~name:"e";
-      (* One huge jump: 100 boundaries, only the last 4 survive — and
-         the skip-ahead must account the other 96 as dropped. *)
-      M.sample_boundaries ~from:0. ~until:100_000.;
-      let tel = M.read () in
+      let tel =
+        recorded (fun () ->
+            M.counter_incr ~cat:"cpu" ~name:"e";
+            (* One huge jump: 100 boundaries, only the last 4 survive —
+               and the skip-ahead must account the other 96 as
+               dropped. *)
+            M.sample_boundaries ~from:0. ~until:100_000.)
+      in
       Alcotest.(check int) "4 kept" 4 (List.length tel.M.snapshots);
       Alcotest.(check int) "96 dropped" 96 tel.M.snap_dropped;
       Alcotest.(check (float 0.)) "last is at until" 100_000.
@@ -91,13 +106,15 @@ let test_engine_advance_snapshots =
   (* The engine samples boundaries as its clock advances through
      scheduled events — including the final run ~until jump. *)
   with_metrics ~interval_ns:1_000. (fun () ->
-      let e = E.create () in
-      for i = 1 to 5 do
-        E.schedule e (float_of_int i *. 700.) (fun _ ->
-            M.counter_incr ~cat:"cpu" ~name:"ev")
-      done;
-      E.run ~until:5_000. e;
-      let tel = M.read () in
+      let tel =
+        recorded (fun () ->
+            let e = E.create () in
+            for i = 1 to 5 do
+              E.schedule e (float_of_int i *. 700.) (fun _ ->
+                  M.counter_incr ~cat:"cpu" ~name:"ev")
+            done;
+            E.run ~until:5_000. e)
+      in
       Alcotest.(check int) "snapshot per 1000ns boundary" 5
         (List.length tel.M.snapshots);
       match List.assoc "cpu/ev" (List.hd tel.M.snapshots).M.values with
@@ -109,55 +126,56 @@ let test_engine_advance_snapshots =
 
 let test_capture_isolates =
   with_metrics (fun () ->
-      M.counter_add ~cat:"cpu" ~name:"outer" 5.;
-      let (), tel =
-        M.capture (fun () ->
-            M.counter_add ~cat:"cpu" ~name:"inner" 2.;
-            M.take_snapshot ~at:42.)
+      let outer =
+        recorded (fun () ->
+            M.counter_add ~cat:"cpu" ~name:"outer" 5.;
+            let tel =
+              recorded (fun () ->
+                  M.counter_add ~cat:"cpu" ~name:"inner" 2.;
+                  M.take_snapshot ~at:42.)
+            in
+            (* The capture saw only its own emissions... *)
+            Alcotest.(check (list string)) "captured counter"
+              [ "cpu/inner" ] (List.map fst tel.M.counters);
+            Alcotest.(check int) "captured snapshot" 1
+              (List.length tel.M.snapshots))
       in
-      (* The capture saw only its own emissions... *)
-      Alcotest.(check (list string)) "captured counter"
-        [ "cpu/inner" ] (List.map fst tel.M.counters);
-      Alcotest.(check int) "captured snapshot" 1 (List.length tel.M.snapshots);
       (* ...and the outer registry was untouched by the inner run. *)
-      let outer = M.read () in
-      Alcotest.(check (list string)) "outer intact"
-        [ "cpu/outer" ] (List.map fst outer.M.counters);
-      M.inject tel;
-      let merged = M.read () in
-      Alcotest.(check (list string)) "inject merges"
-        [ "cpu/inner"; "cpu/outer" ]
-        (List.map fst merged.M.counters);
-      Alcotest.(check int) "inject appends snapshots" 1
-        (List.length merged.M.snapshots))
+      Alcotest.(check (list (pair string (float 0.)))) "outer intact"
+        [ ("cpu/outer", 5.) ] outer.M.counters;
+      Alcotest.(check int) "outer took no snapshot" 0
+        (List.length outer.M.snapshots))
 
-(* The cross-domain contract: telemetry read after a pool run is the
-   same at jobs 1 and jobs 2 — counters summed, gauges last-writer-wins
-   in submission order, snapshots concatenated in submission order,
-   histograms merged bucket-wise. *)
+(* The cross-domain contract: telemetry joined after a pool run is the
+   same at jobs 1 and jobs 2 — each cell captures its own telemetry and
+   [merge_telemetry] folds them in cell order: counters summed, gauges
+   last-writer-wins, snapshots concatenated, histograms merged
+   bucket-wise. *)
 let thunks () =
   List.map
     (fun i () ->
-      M.counter_add ~cat:"cpu" ~name:"work" (float_of_int i);
-      M.gauge_set ~cat:"os" ~name:"level" (float_of_int i);
-      for k = 1 to 50 do
-        M.hist_observe ~cat:"platform" ~name:"lat"
-          (float_of_int (((i * 7919) + (k * 104729)) mod 10_000))
-      done;
-      M.take_snapshot ~at:(float_of_int i *. 1_000.);
-      i)
+      M.capture (fun () ->
+          M.counter_add ~cat:"cpu" ~name:"work" (float_of_int i);
+          M.gauge_set ~cat:"os" ~name:"level" (float_of_int i);
+          for k = 1 to 50 do
+            M.hist_observe ~cat:"platform" ~name:"lat"
+              (float_of_int (((i * 7919) + (k * 104729)) mod 10_000))
+          done;
+          M.take_snapshot ~at:(float_of_int i *. 1_000.);
+          i))
     [ 1; 2; 3; 4; 5; 6 ]
 
 let run_at ~jobs =
   M.enable ();
-  ignore (M.drain ());
-  let vs =
+  let cells =
     Xc_sim.Parallel.run_sharded ~jobs
       (List.map Xc_sim.Parallel.Shard.thunk (thunks ()))
   in
-  let tel = M.read () in
   M.disable ();
-  (vs, tel)
+  ( List.map fst cells,
+    List.fold_left
+      (fun a (_, t) -> M.merge_telemetry a t)
+      M.empty_telemetry cells )
 
 let test_parallel_jobs_deterministic () =
   let vs1, t1 = run_at ~jobs:1 in
@@ -212,44 +230,29 @@ let qcheck_merge_commutative =
       H.equal (H.merge ha hb) (H.merge hb ha))
 
 (* QCheck: however a stream of samples is partitioned across capture
-   groups, injecting the captures yields the same merged histogram —
-   the "snapshot merge is associative across domains" property. *)
+   groups, merging the captures yields the same histogram as recording
+   them in one — the "snapshot merge is associative across domains"
+   property. *)
 let qcheck_capture_partition =
   QCheck.Test.make ~count:100
     ~name:"Metrics capture/inject invariant under partitioning"
     QCheck.(pair (list (pair small_nat (int_bound 3))) (int_bound 3))
     (fun (samples, _) ->
       let groups = 4 in
-      let run_partitioned () =
-        M.enable ();
-        ignore (M.drain ());
-        let tels =
-          List.init groups (fun g ->
-              snd
-                (M.capture (fun () ->
-                     List.iter
-                       (fun (v, tag) ->
-                         if tag mod groups = g then
-                           M.hist_observe ~cat:"p" ~name:"h"
-                             (float_of_int (v + 1)))
-                       samples)))
-        in
-        List.iter M.inject tels;
-        let tel = M.read () in
-        M.disable ();
-        tel
-      in
-      let direct () =
-        M.enable ();
-        ignore (M.drain ());
+      let observe keep =
         List.iter
-          (fun (v, _) -> M.hist_observe ~cat:"p" ~name:"h" (float_of_int (v + 1)))
-          samples;
-        let tel = M.read () in
-        M.disable ();
-        tel
+          (fun (v, tag) ->
+            if keep tag then M.hist_observe ~cat:"p" ~name:"h" (float_of_int (v + 1)))
+          samples
       in
-      let a = run_partitioned () and b = direct () in
+      M.enable ();
+      let a =
+        List.fold_left M.merge_telemetry M.empty_telemetry
+          (List.init groups (fun g ->
+               recorded (fun () -> observe (fun tag -> tag mod groups = g))))
+      in
+      let b = recorded (fun () -> observe (fun _ -> true)) in
+      M.disable ();
       match (a.M.hists, b.M.hists) with
       | [ (_, ha) ], [ (_, hb) ] -> H.equal ha hb
       | [], [] -> samples = []

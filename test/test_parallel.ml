@@ -42,36 +42,6 @@ let test_exception_propagates () =
   | _ -> Alcotest.fail "expected Boom"
   | exception Boom 3 -> ()
 
-(* Regression: when a traced sweep fails part-way, the thunks that DID
-   complete must still land in the caller's trace (injected in
-   submission order) before the exception propagates — previously
-   their captures were silently discarded with the results list. *)
-let test_exception_keeps_partial_trace () =
-  Xc_trace.Trace.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Xc_trace.Trace.disable ();
-      ignore (Xc_trace.Trace.take ()))
-    (fun () ->
-      (try
-         ignore
-           (run ~jobs:2
-              (List.init 6 (fun i () ->
-                   if i = 4 then raise (Boom i)
-                   else
-                     Xc_trace.Trace.span ~cat:"work" ~name:(string_of_int i) 1.)));
-         Alcotest.fail "expected Boom"
-       with Boom 4 -> ());
-      let names =
-        List.map
-          (fun (e : Xc_trace.Trace.event) -> e.Xc_trace.Trace.name)
-          (Xc_trace.Trace.take ())
-      in
-      (* All non-raising thunks ran (the pool does not cancel), and
-         their spans arrive in submission order. *)
-      Alcotest.(check (list string))
-        "completed thunks' spans survive" [ "0"; "1"; "2"; "3"; "5" ] names)
-
 (* ---------------- jobs parsing ---------------- *)
 
 let test_jobs_of_string () =
@@ -129,7 +99,7 @@ let tiny_cluster mode =
 let test_cluster_sim_deterministic () =
   let configs = [ tiny_cluster CS.Flat; tiny_cluster CS.Hierarchical ] in
   let sequential = List.map CS.run configs in
-  let parallel = CS.run_sweep ~jobs:4 configs in
+  let parallel = run ~jobs:4 (List.map (fun c () -> CS.run c) configs) in
   Alcotest.(check bool) "identical results" true (sequential = parallel);
   Alcotest.(check bool)
     "throughput positive" true
@@ -152,8 +122,6 @@ let suites =
         Alcotest.test_case "more jobs than work" `Quick test_more_jobs_than_work;
         Alcotest.test_case "sequential default" `Quick test_sequential_default;
         Alcotest.test_case "exception propagates" `Quick test_exception_propagates;
-        Alcotest.test_case "exception keeps partial trace" `Quick
-          test_exception_keeps_partial_trace;
         Alcotest.test_case "jobs_of_string" `Quick test_jobs_of_string;
         Alcotest.test_case "jobs_from_env default" `Quick test_jobs_from_env;
         Alcotest.test_case "cluster_sim deterministic" `Quick

@@ -1,8 +1,8 @@
 (* Tests for the sharded pool of Xc_sim.Parallel: the Shard
    declarations, the claim counter handing out every shard exactly
-   once, and the structural-determinism contract — results, trace and
-   telemetry must be byte-identical at any job count and under any
-   schedule. *)
+   once, and the structural-determinism contract — results, and the
+   trace and telemetry that self-capturing shards join in shard order,
+   must be byte-identical at any job count and under any schedule. *)
 
 open Xc_sim
 module Trace = Xc_trace.Trace
@@ -59,8 +59,36 @@ let test_each_shard_once () =
 
 (* A small sharded workload that exercises everything at once: multiple
    tasks, uneven shard counts, trace spans and telemetry counters and
-   histograms per shard.  Runs are compared against the jobs-1
-   reference byte-for-byte (results, events, telemetry). *)
+   histograms per shard.  The pool captures nothing, so each shard
+   captures its own trace and telemetry and each task joins them in
+   shard order through [Trace.concat] and [Metrics.merge_telemetry], as
+   the runner's cells do ([Xc_suite.Run]).  Runs are compared against
+   the jobs-1 reference byte-for-byte (results, events, telemetry). *)
+
+(* Both recorders on for [f]; the stride goes back to 1 afterwards,
+   since settings persist across enables and later suites must not
+   inherit a sampled tracer. *)
+let with_recorders ?(sample = 1) f =
+  Trace.enable ~capacity:Trace.default_capacity ~sample ();
+  Metrics.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.disable ();
+      Trace.enable ~sample:1 ();
+      Trace.disable ();
+      ignore (Trace.take ()))
+    f
+
+let captured f () =
+  let (v, trace), telemetry = Metrics.capture (fun () -> Trace.capture f) in
+  (v, trace, telemetry)
+
+let join parts =
+  ( List.fold_left (fun a (v, _, _) -> a + v) 0 parts,
+    Trace.concat (List.map (fun (_, t, _) -> t) parts),
+    List.fold_left
+      (fun a (_, _, m) -> Metrics.merge_telemetry a m)
+      Metrics.empty_telemetry parts )
 
 let workload () =
   List.init 3 (fun t ->
@@ -68,32 +96,23 @@ let workload () =
         ~shards:
           (Array.init
              (3 + t)
-             (fun i () ->
-               Trace.span
-                 ~cat:"shardtest"
-                 ~name:(Printf.sprintf "%d.%d" t i)
-                 (float_of_int ((10 * t) + i + 1));
-               Metrics.counter_incr ~cat:"shardtest" ~name:"cells";
-               Metrics.hist_observe ~cat:"shardtest" ~name:"size"
-                 (float_of_int i);
-               (t * 100) + i))
-        ~merge:(fun arr -> Array.fold_left ( + ) 0 arr))
+             (fun i ->
+               captured (fun () ->
+                   Trace.span
+                     ~cat:"shardtest"
+                     ~name:(Printf.sprintf "%d.%d" t i)
+                     (float_of_int ((10 * t) + i + 1));
+                   Metrics.counter_incr ~cat:"shardtest" ~name:"cells";
+                   Metrics.hist_observe ~cat:"shardtest" ~name:"size"
+                     (float_of_int i);
+                   (t * 100) + i)))
+        ~merge:(fun parts -> join (Array.to_list parts)))
 
 let run_workload ~jobs =
-  Trace.enable ();
-  Metrics.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Metrics.disable ();
-      Trace.disable ();
-      ignore (Trace.take ()))
-    (fun () ->
-      let (results, captured), telemetry =
-        Metrics.capture (fun () ->
-            Trace.capture (fun () ->
-                Parallel.run_sharded ~jobs ~oversubscribe:true (workload ())))
-      in
-      (results, captured, telemetry))
+  with_recorders (fun () ->
+      let tasks = Parallel.run_sharded ~jobs ~oversubscribe:true (workload ()) in
+      let _, trace, telemetry = join tasks in
+      (List.map (fun (v, _, _) -> v) tasks, trace, telemetry))
 
 let test_deterministic_across_jobs () =
   let r0, c0, t0 = run_workload ~jobs:1 in
@@ -114,9 +133,9 @@ let prop_deterministic =
       let r, c, t = run_workload ~jobs in
       r0 = r && c0 = c && t0 = t)
 
-(* Exceptions on a real pool: every completed shard's capture still
-   lands, and the lowest-indexed failure of the first failed task
-   re-raises — at any schedule. *)
+(* Exceptions on a real pool: every shard still runs, and the
+   lowest-indexed failure of the first failed task re-raises — at any
+   schedule. *)
 exception Cell of int
 
 let test_exception_ordering_oversubscribed () =
@@ -144,20 +163,22 @@ let test_exception_ordering_oversubscribed () =
 (* ---------------- capture plumbing ---------------- *)
 
 let test_trace_concat_rebases () =
-  Trace.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Trace.disable ();
-      ignore (Trace.take ()))
-    (fun () ->
-      let seg name width =
+  with_recorders ~sample:2 (fun () ->
+      (* [n] spans of one stream, sampled at stride 2. *)
+      let seg n width =
         snd
           (Trace.capture (fun () ->
-               Trace.span ~cat:"c" ~name width))
+               for _ = 1 to n do
+                 Trace.span ~cat:"c" ~name:"x" width
+               done))
       in
-      let a = seg "a" 5. and b = seg "b" 7. and c = seg "c" 11. in
-      let all = Trace.concat [ a; b; c ] in
-      Alcotest.(check int) "all events survive" 3 (List.length all.Trace.events);
+      let a = seg 1 5. and b = seg 3 7. and c = seg 4 11. in
+      let segs = [ a; b; c ] in
+      let all = Trace.concat segs in
+      let sum f = List.fold_left (fun n x -> n + f x) 0 segs in
+      Alcotest.(check int) "all events survive"
+        (sum (fun (x : Trace.captured) -> List.length x.events))
+        (List.length all.Trace.events);
       (* Segment k's events shift by the cursor-sum of segments 0..k-1,
          so the concatenated timeline is monotone. *)
       let ts =
@@ -167,6 +188,20 @@ let test_trace_concat_rebases () =
         (List.sort compare ts = ts);
       Alcotest.(check (float 1e-9)) "cursor sums" (a.Trace.cursor +. b.Trace.cursor +. c.Trace.cursor)
         all.Trace.cursor;
+      (* The stream accounting adds: the merged stream saw and kept
+         exactly what the segments did. *)
+      let stream (x : Trace.captured) =
+        match x.streams with
+        | [ s ] -> s
+        | l -> Alcotest.failf "expected one stream, got %d" (List.length l)
+      in
+      Alcotest.(check int) "seen adds" 8 (stream all).Trace.Stream.seen;
+      Alcotest.(check int) "seen is the segments' sum"
+        (sum (fun x -> (stream x).Trace.Stream.seen))
+        (stream all).Trace.Stream.seen;
+      Alcotest.(check int) "kept is the segments' sum"
+        (sum (fun x -> (stream x).Trace.Stream.kept))
+        (stream all).Trace.Stream.kept;
       (* Associativity: one concat equals concat of concats. *)
       Alcotest.(check bool) "associative" true
         (Trace.concat [ a; b; c ] = Trace.concat [ Trace.concat [ a; b ]; c ]))
@@ -223,7 +258,7 @@ let prop_hedged_sweep_schedule_independent =
          { base with CS.lb = Some { Xc_lb.Policy.kind = Xc_lb.Policy.Least_loaded; clones = 3 } };
        ])
   in
-  let reference = lazy (CS.run_sweep ~jobs:1 (Lazy.force configs)) in
+  let reference = lazy (List.map CS.run (Lazy.force configs)) in
   QCheck.Test.make ~name:"hedged cluster sweeps are schedule-independent"
     ~count:8
     QCheck.(int_range 1 4)

@@ -320,30 +320,22 @@ let histogram_props =
 
 (* ---------------- Metrics ---------------- *)
 
-(* Counters of the telemetry registry: a key's increments sum, the
-   final totals come back sorted by key, [read] leaves the registry as
-   it was, and [drain] hands the totals over and restarts counting from
-   zero (the per-shard flush of the sharded runner). *)
+(* Counters of the telemetry registry: a key's increments sum, and the
+   final totals come back from the capture sorted by key. *)
 let test_metrics_counters () =
   Metrics.enable ~interval_ns:Metrics.default_interval_ns
     ~retention:Metrics.default_retention ();
-  ignore (Metrics.drain ());
-  Fun.protect
-    ~finally:(fun () ->
-      ignore (Metrics.drain ());
-      Metrics.disable ())
-    (fun () ->
-      let counters () = (Metrics.read ()).Metrics.counters in
-      let check = Alcotest.(check (list (pair string (float 0.)))) in
-      Metrics.counter_incr ~cat:"os" ~name:"syscalls";
-      Metrics.counter_incr ~cat:"os" ~name:"syscalls";
-      Metrics.counter_add ~cat:"net" ~name:"bytes" 2.5;
-      let totals = [ ("net/bytes", 2.5); ("os/syscalls", 2.) ] in
-      check "totals sorted by key" totals (counters ());
-      check "read leaves the registry" totals (counters ());
-      check "drain hands the totals over" totals (Metrics.drain ()).Metrics.counters;
-      Metrics.counter_incr ~cat:"os" ~name:"syscalls";
-      check "counting restarts after drain" [ ("os/syscalls", 1.) ] (counters ()))
+  Fun.protect ~finally:Metrics.disable (fun () ->
+      let (), tel =
+        Metrics.capture (fun () ->
+            Metrics.counter_incr ~cat:"os" ~name:"syscalls";
+            Metrics.counter_incr ~cat:"os" ~name:"syscalls";
+            Metrics.counter_add ~cat:"net" ~name:"bytes" 2.5)
+      in
+      Alcotest.(check (list (pair string (float 0.))))
+        "totals sorted by key"
+        [ ("net/bytes", 2.5); ("os/syscalls", 2.) ]
+        tel.Metrics.counters)
 
 (* ---------------- Table ---------------- *)
 

@@ -111,8 +111,8 @@ let test_render_tail () =
    the one tail function refuses such a track by name, while complete
    captures and request-free truncated ones still pass. *)
 let test_truncated_tail_refused () =
-  let captured dropped =
-    { Trace.empty_captured with Trace.events = unit_forest; dropped }
+  let captured ?(events = unit_forest) dropped =
+    { Trace.events; dropped; streams = []; cursor = 0. }
   in
   (match Xc_obs.Causal.tail_at ~label:"unit" ~pct:99. (captured 0) with
   | Ok (Some t) ->
@@ -124,8 +124,7 @@ let test_truncated_tail_refused () =
         (contains e "unit" && contains e "dropped 7")
   | Ok _ -> Alcotest.fail "truncated capture attributed");
   match
-    Xc_obs.Causal.tail_at ~label:"quiet" ~pct:99.
-      { Trace.empty_captured with Trace.dropped = 3 }
+    Xc_obs.Causal.tail_at ~label:"quiet" ~pct:99. (captured ~events:[] 3)
   with
   | Ok None -> ()
   | Ok (Some _) | Error _ -> Alcotest.fail "request-free track not skipped"

@@ -1,10 +1,10 @@
 (* Tests for the xc_trace substrate: recorder semantics (cursor
    timeline, ring bound, capture nesting), the fixed-stride sampler,
-   the deterministic parallel merge, both exporter round-trips, the
-   diff math, flamegraph folding and per-request attribution — and the
-   Figure 4 shape the tracer exists to explain: diffing a Docker
-   syscall loop against an X-Container one must blame the
-   syscall-entry path. *)
+   the deterministic join of per-cell captures, both exporter
+   round-trips, the diff math, flamegraph folding and per-request
+   attribution — and the Figure 4 shape the tracer exists to explain:
+   diffing a Docker syscall loop against an X-Container one must blame
+   the syscall-entry path. *)
 
 module Trace = Xc_trace.Trace
 module Export = Xc_trace.Export
@@ -141,17 +141,6 @@ let test_capture_exception () =
       let names = List.map (fun (e : Trace.event) -> e.Trace.name) (Trace.take ()) in
       Alcotest.(check (list string)) "outer intact, inner discarded" [ "kept" ] names)
 
-let test_inject () =
-  with_trace (fun () ->
-      let (), captured =
-        Trace.capture (fun () -> Trace.span ~cat:"c" ~name:"a" 1.)
-      in
-      Trace.span ~cat:"c" ~name:"first" 1.;
-      Trace.inject { captured with Trace.dropped = 3 };
-      Alcotest.(check int) "injected drop count" 3 (Trace.dropped ());
-      let names = List.map (fun (e : Trace.event) -> e.Trace.name) (Trace.take ()) in
-      Alcotest.(check (list string)) "appended in order" [ "first"; "a" ] names)
-
 (* ---------------- the sampler ---------------- *)
 
 (* Per-category span totals of a trace, rescaled by [streams], read off
@@ -223,52 +212,38 @@ let test_sampler_phase_fair () =
         (16. *. (100. +. 300.))
         (List.assoc "c" (cat_totals ~streams evs)))
 
-let test_sampler_capture_inject_merge () =
-  with_trace ~sample:2 (fun () ->
-      Trace.span ~cat:"c" ~name:"x" 1.;
-      (* seen 1, kept 1 *)
-      let (), inner =
-        Trace.capture (fun () ->
-            for _ = 1 to 4 do
-              Trace.span ~cat:"c" ~name:"x" 1.
-            done)
-      in
-      Alcotest.(check int) "inner stream isolated: seen" 4
-        (List.hd inner.Trace.streams).Trace.Stream.seen;
-      Trace.inject inner;
-      match Trace.streams () with
-      | [ s ] ->
-          Alcotest.(check int) "merged seen" 5 s.Trace.Stream.seen;
-          Alcotest.(check int) "merged kept" 3 s.Trace.Stream.kept
-      | ss -> Alcotest.failf "expected 1 merged stream, got %d" (List.length ss))
-
 (* ---------------- parallel merge determinism ---------------- *)
 
+(* Six cells on the pool, each capturing its own trace, joined in cell
+   order by [Trace.concat] — the runner's path ([Xc_suite.Run]). *)
 let traced_parallel_run ?sample jobs =
   with_trace ?sample (fun () ->
-      let values =
+      let cells =
         Xc_sim.Parallel.run_sharded ~jobs
           (List.init 6 (fun i ->
                Xc_sim.Parallel.Shard.thunk (fun () ->
-                   Trace.span ~cat:"work" ~name:(string_of_int i)
-                     (float_of_int (i + 1));
-                   Trace.instant ~cat:"tick" ~name:(string_of_int i) ();
-                   i * i)))
+                   Trace.capture (fun () ->
+                       Trace.span ~cat:"work" ~name:(string_of_int i)
+                         (float_of_int (i + 1));
+                       Trace.instant ~cat:"tick" ~name:(string_of_int i) ();
+                       i * i))))
       in
-      let streams = Trace.streams () in
-      (values, streams, Trace.take ()))
+      let all = Trace.concat (List.map snd cells) in
+      (List.map fst cells, all.Trace.streams, all.Trace.events))
 
 let test_parallel_merge_deterministic () =
   let v1, _, t1 = traced_parallel_run 1 in
   let v4, _, t4 = traced_parallel_run 4 in
   Alcotest.(check (list int)) "values agree" v1 v4;
   Alcotest.(check (list ev)) "traces byte-identical across jobs" t1 t4;
-  (* Each thunk records on a fresh cursor, so every span sits at 0. *)
-  List.iter
-    (fun (e : Trace.event) ->
-      if e.kind = Trace.Span then
-        Alcotest.(check (float 0.)) "per-thunk cursor" 0. e.Trace.ts)
-    t4
+  (* Each cell records on a fresh cursor and concat rebases cell k by
+     the spans of cells 0..k-1: span i starts at 1 + 2 + ... + i. *)
+  Alcotest.(check (list (float 0.)))
+    "rebased span starts" [ 0.; 1.; 3.; 6.; 10.; 15. ]
+    (List.filter_map
+       (fun (e : Trace.event) ->
+         if e.kind = Trace.Span then Some e.Trace.ts else None)
+       t4)
 
 let test_parallel_sampled_deterministic () =
   (* Sampler state is per-capture, so sampled runs keep the
@@ -278,7 +253,10 @@ let test_parallel_sampled_deterministic () =
   Alcotest.(check (list int)) "values agree" v1 v4;
   Alcotest.(check (list ev)) "sampled traces identical across jobs" t1 t4;
   Alcotest.(check bool) "stream accounting identical across jobs" true (s1 = s4);
-  Alcotest.(check bool) "sampling kept something" true (s1 <> [])
+  Alcotest.(check bool) "sampling kept something" true (s1 <> []);
+  (* Concat's rebasing keeps the joined timeline monotone. *)
+  let ts = List.map (fun (e : Trace.event) -> e.Trace.ts) t4 in
+  Alcotest.(check bool) "monotone timeline" true (List.sort compare ts = ts)
 
 (* ---------------- exporters ---------------- *)
 
@@ -796,7 +774,6 @@ let suites =
           test_capacity_change_drops;
         Alcotest.test_case "capture nesting" `Quick test_capture_nesting;
         Alcotest.test_case "capture on exception" `Quick test_capture_exception;
-        Alcotest.test_case "inject" `Quick test_inject;
         Alcotest.test_case "parallel merge deterministic" `Quick
           test_parallel_merge_deterministic;
         QCheck_alcotest.to_alcotest qcheck_ring_at_capacity;
@@ -810,8 +787,6 @@ let suites =
           test_sampler_per_stream;
         Alcotest.test_case "periodic streams sampled phase-fairly" `Quick
           test_sampler_phase_fair;
-        Alcotest.test_case "capture/inject merges streams" `Quick
-          test_sampler_capture_inject_merge;
         Alcotest.test_case "sampled parallel runs deterministic" `Quick
           test_parallel_sampled_deterministic;
         Alcotest.test_case "sampled fig9 rescales within 5%" `Quick
