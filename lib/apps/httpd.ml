@@ -122,7 +122,7 @@ let get ?id ?deliver t ~path =
   let finish result =
     if traced then begin
       let stop = Trace.cursor () in
-      Trace.span ~at:start ~value:(float_of_int rid) ~cat:"request"
+      Trace.span_at ~at:start ~value:(float_of_int rid) ~cat:"request"
         ~name:"httpd" (stop -. start)
     end;
     result

@@ -41,10 +41,10 @@ let chain_of (r : P.attributed_request) =
     segments = segments (P.tally_rows t);
   }
 
-let of_attribution (att : P.attribution) =
+let of_attribution att =
   {
-    chains = List.map chain_of att.P.areqs;
-    unattributed_ns = att.P.unattributed_ns;
+    chains = List.map chain_of (P.requests att);
+    unattributed_ns = P.unattributed_ns att;
   }
 
 let extract evs = of_attribution (P.attribute evs)

@@ -481,7 +481,7 @@ let run config =
            per-request [ctx-switch] row, and emitting both would
            double-count switching in summaries. *)
         if switch_cost > 0. && no_mech && Trace.enabled () then
-          Trace.span ~at:now ~cat:"ctx-switch"
+          Trace.span_at ~at:now ~cat:"ctx-switch"
             ~name:(if container_switch then "container" else "process")
             switch_cost;
         last_container.(i) <- c;
@@ -573,26 +573,21 @@ let run config =
   let emit_bundle b ~sent_at ~shift =
     let now = clock.(0) in
     if half > 0. then
-      Trace.span ~at:(sent_at +. shift) ~cat:"net.hop" ~name:"client->server" half;
-    let cursor = ref (sent_at +. shift +. half) in
-    let budget = now +. shift -. half in
-    let emit cat mname ns =
-      let d = Float.min ns (budget -. !cursor) in
-      if d > 0. then begin
-        Trace.span ~at:!cursor ~cat ~name:mname d;
-        cursor := !cursor +. d
-      end
-    in
-    Array.iter (List.iter (fun (cat, mname, ns) -> emit cat mname ns)) config.request_mech;
-    if !switched.(b) > 0. then emit "ctx-switch" "sched" !switched.(b);
+      Trace.span_at ~at:(sent_at +. shift) ~cat:"net.hop" ~name:"client->server" half;
+    let lane = [| sent_at +. shift +. half; now +. shift -. half |] in
+    for stage = 0 to Array.length config.request_mech - 1 do
+      Station.lay_rows lane config.request_mech.(stage)
+    done;
+    if !switched.(b) > 0. then Station.lay_row lane "ctx-switch" "sched" !switched.(b);
     (* Hedge overhead: core time the losing clones burnt before
        cancellation, clamped like every other row (it accrues on other
        backends in parallel, so it can exceed the response window).
        The row name carries the clone fan-out; a floor of 1ns keeps the
        fan-out visible even when the siblings never started. *)
-    if clones > 1 then emit "lb.hedge" hedge_row (Float.max !hedge.(b / clones) 1.);
+    if clones > 1 then
+      Station.lay_row lane "lb.hedge" hedge_row (Float.max !hedge.(b / clones) 1.);
     if half > 0. then
-      Trace.span ~at:(now +. shift -. half) ~cat:"net.hop" ~name:"server->client" half
+      Trace.span_at ~at:(now +. shift -. half) ~cat:"net.hop" ~name:"server->client" half
   in
 
   let respond b =
@@ -622,7 +617,7 @@ let run config =
             c -. sent_at
           end
         in
-        Trace.span ~at:(sent_at +. shift)
+        Trace.span_at ~at:(sent_at +. shift)
           ~value:(float_of_int !completed) ~cat:"request" ~name:"cluster"
           (now -. sent_at);
         if not no_mech then emit_bundle b ~sent_at ~shift

@@ -29,6 +29,22 @@ type population =
 
 type result = { completed : int; latencies : Histogram.t; max_in_system : int }
 
+(* The cursor lives in a float cell and the loop has no closure, so a
+   row boxes only its own time and duration. *)
+let lay_row lane cat name ns =
+  let at = lane.(0) in
+  let d = Float.min ns (lane.(1) -. at) in
+  if d > 0. then begin
+    Trace.span_at ~at ~cat ~name d;
+    lane.(0) <- at +. d
+  end
+
+let rec lay_rows lane = function
+  | [] -> ()
+  | (cat, name, ns) :: rest ->
+      lay_row lane cat name ns;
+      lay_rows lane rest
+
 (* The open loop's arrival process.  Every other open code is a
    request slot; a closed code [c >= 0] is connection [c]'s response
    and [-1 - c] its first send. *)
@@ -112,7 +128,7 @@ let run ~warmup_ns ~duration_ns ~seed population server =
             end
             else 0.
           in
-          Trace.span ~at:(sent_at +. shift)
+          Trace.span_at ~at:(sent_at +. shift)
             ~value:(float_of_int !completed) ~cat:"request" ~name:"closed-loop"
             (now -. sent_at);
           (* Synthetic mechanism children nested inside the request
@@ -126,22 +142,13 @@ let run ~warmup_ns ~duration_ns ~seed population server =
             let arrive_at = sent_at +. half in
             let start_at = !start.(c) and finish_at = !finish.(c) in
             if half > 0. then
-              Trace.span ~at:(sent_at +. shift) ~cat:"net.hop" ~name:"client->server" half;
+              Trace.span_at ~at:(sent_at +. shift) ~cat:"net.hop" ~name:"client->server" half;
             if start_at -. arrive_at > 0. then
-              Trace.span ~at:(arrive_at +. shift) ~cat:"sched" ~name:"queue-wait"
+              Trace.span_at ~at:(arrive_at +. shift) ~cat:"sched" ~name:"queue-wait"
                 (start_at -. arrive_at);
-            let cursor = ref (start_at +. shift) in
-            let budget = finish_at +. shift in
-            List.iter
-              (fun (cat, mname, ns) ->
-                let d = Float.min ns (budget -. !cursor) in
-                if d > 0. then begin
-                  Trace.span ~at:!cursor ~cat ~name:mname d;
-                  cursor := !cursor +. d
-                end)
-              mechanisms;
+            lay_rows [| start_at +. shift; finish_at +. shift |] mechanisms;
             if half > 0. then
-              Trace.span ~at:(finish_at +. shift) ~cat:"net.hop" ~name:"server->client" half
+              Trace.span_at ~at:(finish_at +. shift) ~cat:"net.hop" ~name:"server->client" half
           end
         in
         let send c =

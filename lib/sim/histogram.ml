@@ -25,7 +25,7 @@ let bucket_of_value v =
     1 + (exponent * sub_buckets) + sub
   end
 
-let value_of_bucket i =
+let[@inline] value_of_bucket i =
   if i = 0 then 0.5
   else begin
     let i = i - 1 in
@@ -57,13 +57,16 @@ let floor_of_bucket i =
     base *. (1.0 +. (float_of_int sub /. float_of_int sub_buckets))
   end
 
+(* The 1-based rank of percentile [p]: [max 1 (min count (round
+   (p/100 * count)))]. *)
+let[@inline] rank t p =
+  let r = int_of_float (Float.round (p /. 100. *. float_of_int t.count)) in
+  Stdlib.max 1 (Stdlib.min t.count r)
+
 let percentile_bucket t p =
   if t.count = 0 then n_buckets - 1
   else begin
-    let rank =
-      int_of_float (Float.round (p /. 100. *. float_of_int t.count))
-    in
-    let rank = Stdlib.max 1 (Stdlib.min t.count rank) in
+    let rank = rank t p in
     let rec scan i seen =
       if i >= n_buckets then n_buckets - 1
       else begin
@@ -76,6 +79,26 @@ let percentile_bucket t p =
 
 let percentile t p =
   if t.count = 0 then 0. else value_of_bucket (percentile_bucket t p)
+
+(* One scan for every rank: [ps] ascending makes the ranks
+   non-decreasing, so each resumes the scan where the previous one
+   stopped. *)
+let percentiles t ps =
+  let out = Array.make (Array.length ps) 0. in
+  if t.count > 0 then begin
+    let i = ref 0 and seen = ref t.buckets.(0) in
+    for j = 0 to Array.length ps - 1 do
+      if j > 0 && not (ps.(j) >= ps.(j - 1)) then
+        invalid_arg "Histogram.percentiles: percentiles not ascending";
+      let rank = rank t ps.(j) in
+      while !seen < rank && !i < n_buckets - 1 do
+        incr i;
+        seen := !seen + t.buckets.(!i)
+      done;
+      out.(j) <- value_of_bucket !i
+    done
+  end;
+  out
 
 let percentile_floor t p =
   if t.count = 0 then 0. else floor_of_bucket (percentile_bucket t p)

@@ -22,6 +22,11 @@ val percentile : t -> float -> float
 (** [percentile t p] with [p] in [\[0,100\]]; returns a representative value
     of the bucket containing that rank.  [0.] when empty. *)
 
+val percentiles : t -> float array -> float array
+(** [percentiles t ps] is [Array.map (percentile t) ps], found in one
+    scan of the buckets.  [ps] must be ascending.
+    @raise Invalid_argument if it is not. *)
+
 val percentile_floor : t -> float -> float
 (** Like {!percentile}, but returns the {e lower bound} of the bucket
     containing the rank instead of its midpoint.  Every sample at or

@@ -43,97 +43,105 @@ let enable ?interval_ns ?retention () =
 
 let disable () = Atomic.set on_flag false
 
-type mdata = Counter_v of float ref | Gauge_v of float ref | Dist_v of Histogram.t
+(* Counter and gauge cells are all-float records, stored flat: an
+   update writes the float in place instead of boxing a new one the way
+   a [float ref] would. *)
+type cell = { mutable v : float }
+type mdata = Counter_v of cell | Gauge_v of cell | Dist_v of Histogram.t
 
+(* [key] is ["cat/name"], built once when the metric is registered. *)
+type metric = { key : string; data : mdata }
+
+(* The table is a plain polymorphic [Hashtbl]: a [Hashtbl.Make]
+   instance would allocate at module initialisation, which moves the GC
+   schedule (and the heap peak) of every run, telemetry off or on. *)
 type reg = {
-  mutable tbl : (string, mdata) Hashtbl.t; (* key = "cat/name" *)
+  mutable tbl : (string, (string, metric) Hashtbl.t) Hashtbl.t;
+      (* cat -> name -> metric *)
+  mutable sorted : metric array; (* every metric, sorted by key *)
   mutable snaps : snapshot Queue.t; (* oldest at the front *)
   mutable snap_dropped : int;
 }
 
 let reg_key =
   Domain.DLS.new_key (fun () ->
-      { tbl = Hashtbl.create 32; snaps = Queue.create (); snap_dropped = 0 })
-
-let key ~cat ~name = cat ^ "/" ^ name
+      { tbl = Hashtbl.create 16; sorted = [||]; snaps = Queue.create (); snap_dropped = 0 })
 
 let split_key k =
   match String.index_opt k '/' with
   | Some i -> (String.sub k 0 i, String.sub k (i + 1) (String.length k - i - 1))
   | None -> ("", k)
 
-let kind_mismatch k =
-  invalid_arg (Printf.sprintf "Metrics: %s already registered with another kind" k)
+let kind_mismatch ~cat ~name =
+  invalid_arg
+    (Printf.sprintf "Metrics: %s/%s already registered with another kind" cat name)
 
-let counter_cell reg k =
-  match Hashtbl.find_opt reg.tbl k with
-  | Some (Counter_v r) -> r
-  | Some _ -> kind_mismatch k
-  | None ->
-      let r = ref 0. in
-      Hashtbl.add reg.tbl k (Counter_v r);
-      r
+(* The lookup builds no key and allocates nothing once the metric
+   exists.  A metric is registered on its first emit, which also
+   re-sorts [sorted]: sorted by key, so Hashtbl order never leaks into
+   an artifact (jobs-determinism is byte-level). *)
+let find reg ~cat ~name create =
+  let names =
+    match Hashtbl.find reg.tbl cat with
+    | names -> names
+    | exception Not_found ->
+        let names = Hashtbl.create 8 in
+        Hashtbl.add reg.tbl cat names;
+        names
+  in
+  match Hashtbl.find names name with
+  | m -> m.data
+  | exception Not_found ->
+      let m = { key = cat ^ "/" ^ name; data = create () } in
+      Hashtbl.add names name m;
+      let sorted = Array.append reg.sorted [| m |] in
+      Array.stable_sort (fun a b -> String.compare a.key b.key) sorted;
+      reg.sorted <- sorted;
+      m.data
 
-let gauge_cell reg k =
-  match Hashtbl.find_opt reg.tbl k with
-  | Some (Gauge_v r) -> r
-  | Some _ -> kind_mismatch k
-  | None ->
-      let r = ref 0. in
-      Hashtbl.add reg.tbl k (Gauge_v r);
-      r
-
-let hist_cell reg k =
-  match Hashtbl.find_opt reg.tbl k with
-  | Some (Dist_v h) -> h
-  | Some _ -> kind_mismatch k
-  | None ->
-      let h = Histogram.create () in
-      Hashtbl.add reg.tbl k (Dist_v h);
-      h
+let new_counter () = Counter_v { v = 0. }
+let new_gauge () = Gauge_v { v = 0. }
+let new_hist () = Dist_v (Histogram.create ())
 
 let counter_add ~cat ~name v =
-  if on () then begin
-    let r = counter_cell (Domain.DLS.get reg_key) (key ~cat ~name) in
-    r := !r +. v
-  end
+  if on () then
+    match find (Domain.DLS.get reg_key) ~cat ~name new_counter with
+    | Counter_v c -> c.v <- c.v +. v
+    | _ -> kind_mismatch ~cat ~name
 
 let counter_incr ~cat ~name = counter_add ~cat ~name 1.
 
 let gauge_set ~cat ~name v =
-  if on () then gauge_cell (Domain.DLS.get reg_key) (key ~cat ~name) := v
+  if on () then
+    match find (Domain.DLS.get reg_key) ~cat ~name new_gauge with
+    | Gauge_v c -> c.v <- v
+    | _ -> kind_mismatch ~cat ~name
 
 let gauge_add ~cat ~name v =
-  if on () then begin
-    let r = gauge_cell (Domain.DLS.get reg_key) (key ~cat ~name) in
-    r := !r +. v
-  end
+  if on () then
+    match find (Domain.DLS.get reg_key) ~cat ~name new_gauge with
+    | Gauge_v c -> c.v <- c.v +. v
+    | _ -> kind_mismatch ~cat ~name
 
 let hist_observe ~cat ~name v =
-  if on () then Histogram.add (hist_cell (Domain.DLS.get reg_key) (key ~cat ~name)) v
+  if on () then
+    match find (Domain.DLS.get reg_key) ~cat ~name new_hist with
+    | Dist_v h -> Histogram.add h v
+    | _ -> kind_mismatch ~cat ~name
 
 (* ---------------- Snapshots ---------------- *)
 
-let view = function
-  | Counter_v r -> Count !r
-  | Gauge_v r -> Level !r
-  | Dist_v h ->
-      Dist
-        {
-          n = Histogram.count h;
-          p50 = Histogram.percentile h 50.;
-          p99 = Histogram.percentile h 99.;
-          max_ = Histogram.percentile h 100.;
-        }
+let dist_percentiles = [| 50.; 99.; 100. |]
 
-let snapshot_of_reg reg ~at =
-  (* Sorted by key: Hashtbl iteration order must never leak into the
-     artifact (jobs-determinism is byte-level). *)
-  let values =
-    Hashtbl.fold (fun k m acc -> (k, view m) :: acc) reg.tbl []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  { at; values }
+let view = function
+  | Counter_v c -> Count c.v
+  | Gauge_v c -> Level c.v
+  | Dist_v h ->
+      let p = Histogram.percentiles h dist_percentiles in
+      Dist { n = Histogram.count h; p50 = p.(0); p99 = p.(1); max_ = p.(2) }
+
+let values_of_reg reg =
+  Array.fold_right (fun m acc -> (m.key, view m.data) :: acc) reg.sorted []
 
 let push_snapshot reg snap =
   let cap = retention () in
@@ -146,7 +154,7 @@ let push_snapshot reg snap =
 let take_snapshot ~at =
   if on () then begin
     let reg = Domain.DLS.get reg_key in
-    push_snapshot reg (snapshot_of_reg reg ~at)
+    push_snapshot reg { at; values = values_of_reg reg }
   end
 
 let sample_boundaries ~from:t0 ~until:t1 =
@@ -157,10 +165,11 @@ let sample_boundaries ~from:t0 ~until:t1 =
     let k0 = Float.floor (t0 /. dt) +. 1. in
     if k1 >= k0 then begin
       (* All boundaries inside one clock jump see identical registry
-         values (no event ran between them), so when the jump spans
-         more boundaries than the retention window keeps, materialise
-         only the survivors and count the rest as dropped — the end
-         state is exactly what the naive loop would leave. *)
+         values (no event ran between them), so they share one value
+         list, and when the jump spans more boundaries than the
+         retention window keeps, only the survivors are materialised
+         and the rest counted as dropped — the end state is exactly
+         what the naive loop would leave. *)
       let n = int_of_float (k1 -. k0) + 1 in
       let cap = retention () in
       let k0 =
@@ -170,9 +179,10 @@ let sample_boundaries ~from:t0 ~until:t1 =
         end
         else k0
       in
+      let values = values_of_reg reg in
       let k = ref k0 in
       while !k <= k1 do
-        push_snapshot reg (snapshot_of_reg reg ~at:(!k *. dt));
+        push_snapshot reg { at = !k *. dt; values };
         k := !k +. 1.
       done
     end
@@ -182,21 +192,20 @@ let sample_boundaries ~from:t0 ~until:t1 =
 
 let telemetry_of_reg reg =
   let counters = ref [] and gauges = ref [] and hists = ref [] in
-  Hashtbl.iter
-    (fun k m ->
-      match m with
-      | Counter_v r -> counters := (k, !r) :: !counters
-      | Gauge_v r -> gauges := (k, !r) :: !gauges
-      (* Copy: the telemetry value must not alias live registry state. *)
-      | Dist_v h -> hists := (k, Histogram.merge h (Histogram.create ())) :: !hists)
-    reg.tbl;
-  let sorted l = List.sort (fun (a, _) (b, _) -> String.compare a b) l in
+  for i = Array.length reg.sorted - 1 downto 0 do
+    let { key; data } = reg.sorted.(i) in
+    match data with
+    | Counter_v c -> counters := (key, c.v) :: !counters
+    | Gauge_v c -> gauges := (key, c.v) :: !gauges
+    (* Copy: the telemetry value must not alias live registry state. *)
+    | Dist_v h -> hists := (key, Histogram.merge h (Histogram.create ())) :: !hists
+  done;
   {
     snapshots = List.of_seq (Queue.to_seq reg.snaps);
     snap_dropped = reg.snap_dropped;
-    counters = sorted !counters;
-    gauges = sorted !gauges;
-    hists = sorted !hists;
+    counters = !counters;
+    gauges = !gauges;
+    hists = !hists;
   }
 
 let capture f =
@@ -204,13 +213,16 @@ let capture f =
   else begin
     let reg = Domain.DLS.get reg_key in
     let saved_tbl = reg.tbl
+    and saved_sorted = reg.sorted
     and saved_snaps = reg.snaps
     and saved_dropped = reg.snap_dropped in
-    reg.tbl <- Hashtbl.create 32;
+    reg.tbl <- Hashtbl.create 16;
+    reg.sorted <- [||];
     reg.snaps <- Queue.create ();
     reg.snap_dropped <- 0;
     let restore () =
       reg.tbl <- saved_tbl;
+      reg.sorted <- saved_sorted;
       reg.snaps <- saved_snaps;
       reg.snap_dropped <- saved_dropped
     in

@@ -2,12 +2,22 @@
 
     A process-wide typed registry of counters, gauges and histograms
     that every substrate emits into, sampled on the {e sim clock} into a
-    bounded time-series of {!snapshot}s by the engine (see [Engine]).
+    bounded time-series of {!snapshot}s by each simulation loop as its
+    clock advances (the station and cluster kernels, and [Engine] for
+    the cold-start model; see {!sample_boundaries}).
     Disabled it costs one atomic load per emitter; the state is
     domain-local, and {!capture} with {!merge_telemetry} give the
     runner's cells ([Xc_suite.Run]) the same deterministic cross-domain
     join the tracer has ([Trace.capture] with [Trace.concat]), so
-    telemetry artifacts are byte-identical at any [--jobs]. *)
+    telemetry artifacts are byte-identical at any [--jobs].
+
+    Enabled, an emit looks its metric up by [cat] and then by [name]
+    in a two-level table and updates a flat float cell in place, so
+    the registry builds no key string and boxes no float.  A metric is registered
+    on its first emit, which is the only time the registry's
+    key-sorted metric array is rebuilt; snapshots and {!capture} walk
+    that array, and a snapshot scans each histogram's buckets once for
+    its p50, p99 and max. *)
 
 type dist_view = { n : int; p50 : float; p99 : float; max_ : float }
 (** Scalar projection of a histogram metric at snapshot time.  No
@@ -76,12 +86,12 @@ val take_snapshot : at:Time_ns.t -> unit
 
 val sample_boundaries : from:Time_ns.t -> until:Time_ns.t -> unit
 (** Snapshot at every interval boundary [k*interval_ns] in
-    [(from, until]] — called by the engine each time the sim clock
-    advances, {e before} the event at [until] executes.  When one jump
-    spans more boundaries than the retention window, only the
-    survivors are materialised and the rest counted as dropped (their
-    values would all be identical anyway — no event ran between
-    them). *)
+    [(from, until]] — called by a simulation loop each time its sim
+    clock advances, {e before} the event at [until] executes.  No
+    event runs between the boundaries of one jump, so their snapshots
+    share one value list; when the jump spans more boundaries than the
+    retention window, only the survivors are materialised and the rest
+    counted as dropped. *)
 
 (** {2 Capture and composition} *)
 

@@ -22,25 +22,46 @@ type forest = {
   closing : int array;
 }
 
-let sweep evs =
-  let spans =
-    Array.of_list
-      (List.filter
-         (fun (ev : Trace.event) -> ev.kind = Trace.Span && ev.dur > 0.)
-         evs)
-  in
-  (* Sort by start time; at equal starts the longer span is the
-     parent, and (cat,name) breaks the remaining ties so the forest is
-     deterministic regardless of input order. *)
-  Array.stable_sort
-    (fun (a : Trace.event) (b : Trace.event) ->
-      match compare a.ts b.ts with
+(* Canonical order: by start time; at equal starts the longer span is
+   the parent, and (cat,name) breaks the remaining ties so the forest is
+   deterministic regardless of input order. *)
+let canonical (a : Trace.event) (b : Trace.event) =
+  match Float.compare a.ts b.ts with
+  | 0 -> (
+      match Float.compare b.dur a.dur with
       | 0 -> (
-          match compare b.dur a.dur with
-          | 0 -> compare (a.cat, a.name) (b.cat, b.name)
+          match String.compare a.cat b.cat with
+          | 0 -> String.compare a.name b.name
           | c -> c)
       | c -> c)
-    spans;
+  | c -> c
+
+let is_span (ev : Trace.event) = ev.kind = Trace.Span && ev.dur > 0.
+
+let placeholder =
+  { Trace.kind = Trace.Instant; cat = ""; name = ""; ts = 0.; dur = 0.; value = 0. }
+
+let sweep evs =
+  let count = List.fold_left (fun n ev -> if is_span ev then n + 1 else n) 0 evs in
+  let spans = Array.make count placeholder in
+  ignore
+    (List.fold_left
+       (fun i ev ->
+         if is_span ev then begin
+           spans.(i) <- ev;
+           i + 1
+         end
+         else i)
+       0 evs);
+  (* A bundle lane lays its spans out in canonical order already; a
+     stable sort of a sorted array is the identity, so one linear check
+     lets such a trace skip it. *)
+  let sorted = ref true and i = ref 1 in
+  while !sorted && !i < Array.length spans do
+    if canonical spans.(!i - 1) spans.(!i) > 0 then sorted := false;
+    incr i
+  done;
+  if not !sorted then Array.stable_sort canonical spans;
   let n = Array.length spans in
   let parent = Array.make n (-1) in
   let self = Array.map (fun (s : Trace.event) -> s.dur) spans in
@@ -179,87 +200,126 @@ type attributed_request = {
   req_nested_ns : float;
 }
 
+(* The forest, read once into compact arrays; [attributed_request]
+   records are built only for the requests a caller reads.  Requests
+   are numbered [0..m-1] in canonical (opening) order. *)
 type attribution = {
-  areqs : attributed_request list;
+  forest : forest;
+  owner : int array;
+      (* per span: the number of its innermost enclosing request — its
+         own for a request span — or -1 *)
+  req : int array;  (* request number -> forest index *)
+  nested : int array;  (* requests nested directly inside it *)
+  nested_ns : float array;  (* their summed durations *)
+  first : int array;
+      (* closing position of its first owned mechanism span, or -1 *)
+  last : int array;  (* its own closing position *)
+  order : int array;  (* request numbers, slowest first *)
   unattributed_ns : float;
   total_self_ns : float;
 }
 
-(* A request's accumulator while the forest is read. *)
-type acc = {
-  req : int;  (* forest index of the request span, -1 for none *)
-  mech : tally;
-  mutable nested : int;
-  mutable nested_ns : float;
-}
-
 let attribute evs =
   let f = sweep evs in
-  let new_acc req =
-    { req; mech = tally (); nested = 0; nested_ns = 0. }
-  in
-  (* [acc.(i)] is request [i]'s own accumulator, and for any other span
-     its innermost enclosing request's. *)
-  let none = new_acc (-1) in
-  let acc = Array.make (Array.length f.spans) none in
-  let accs = ref [] in
+  let n = Array.length f.spans in
+  let is_req i = f.spans.(i).cat = "request" in
+  let m = ref 0 in
+  for i = 0 to n - 1 do
+    if is_req i then incr m
+  done;
+  let m = !m in
+  let owner = Array.make n (-1) and req = Array.make m 0 in
+  let nested = Array.make m 0 and nested_ns = Array.make m 0. in
   (* Root durations and nested-request charges accrue as spans open,
      self-times as they close, children before parents.  Every
      descendant's self-time telescopes out of its root's duration, so
      the buckets sum exactly to the root durations — which is why
      negative self-time (overlapping siblings) is kept, not dropped the
      way [fold] drops it. *)
-  let total_self = ref 0. in
-  Array.iteri
-    (fun i (s : Trace.event) ->
-      let p = f.parent.(i) in
-      if p < 0 then total_self := !total_self +. s.dur;
-      let owner = if p < 0 then none else acc.(p) in
-      if s.cat <> "request" then acc.(i) <- owner
-      else begin
-        let a = new_acc i in
-        acc.(i) <- a;
-        accs := a :: !accs;
-        if owner.req >= 0 then begin
-          owner.nested <- owner.nested + 1;
-          owner.nested_ns <- owner.nested_ns +. s.dur
-        end
-      end)
-    f.spans;
+  let total_self = ref 0. and k = ref 0 in
+  for i = 0 to n - 1 do
+    let s = f.spans.(i) and p = f.parent.(i) in
+    if p < 0 then total_self := !total_self +. s.dur;
+    let o = if p < 0 then -1 else owner.(p) in
+    if not (is_req i) then owner.(i) <- o
+    else begin
+      owner.(i) <- !k;
+      req.(!k) <- i;
+      incr k;
+      if o >= 0 then begin
+        nested.(o) <- nested.(o) + 1;
+        nested_ns.(o) <- nested_ns.(o) +. s.dur
+      end
+    end
+  done;
+  (* A request's descendants close contiguously just before it, so
+     [first, last) covers every span it owns, in closing order. *)
+  let first = Array.make m (-1) and last = Array.make m 0 in
   let unattributed = ref 0. in
-  Array.iter
-    (fun i ->
-      let s = f.spans.(i) and a = acc.(i) in
-      if s.cat = "request" then ()
-      else if a.req < 0 then unattributed := !unattributed +. f.self.(i)
-      else tally_add a.mech s.cat 1 f.self.(i))
-    f.closing;
-  let areqs =
-    List.rev_map
-      (fun a ->
-        let s = f.spans.(a.req) in
-        {
-          req_id = int_of_float s.value;
-          req_name = s.name;
-          req_start = s.ts;
-          req_total = s.dur;
-          req_self = f.self.(a.req);
-          req_mech = tally_rows a.mech;
-          req_nested = a.nested;
-          req_nested_ns = a.nested_ns;
-        })
-      !accs
-    |> List.sort (fun a b ->
-           match compare b.req_total a.req_total with
-           | 0 -> (
-               match compare a.req_start b.req_start with
-               | 0 -> compare a.req_id b.req_id
-               | c -> c)
-           | c -> c)
-  in
-  { areqs; unattributed_ns = !unattributed; total_self_ns = !total_self }
+  for j = 0 to n - 1 do
+    let i = f.closing.(j) in
+    let o = owner.(i) in
+    if o < 0 then unattributed := !unattributed +. f.self.(i)
+    else if req.(o) = i then last.(o) <- j
+    else if first.(o) < 0 then first.(o) <- j
+  done;
+  let order = Array.init m Fun.id in
+  let total o = f.spans.(req.(o)).dur in
+  Array.stable_sort
+    (fun a b ->
+      match Float.compare (total b) (total a) with
+      | 0 -> (
+          let sa = f.spans.(req.(a)) and sb = f.spans.(req.(b)) in
+          match Float.compare sa.ts sb.ts with
+          | 0 -> Int.compare (int_of_float sa.value) (int_of_float sb.value)
+          | c -> c)
+      | c -> c)
+    order;
+  {
+    forest = f;
+    owner;
+    req;
+    nested;
+    nested_ns;
+    first;
+    last;
+    order;
+    unattributed_ns = !unattributed;
+    total_self_ns = !total_self;
+  }
 
-let request_totals att = List.map (fun r -> r.req_total) att.areqs
+let unattributed_ns att = att.unattributed_ns
+let total_self_ns att = att.total_self_ns
+
+(* Request [o]'s record.  Its rows tally the spans it owns over its
+   closing range in closing order — the order one pass over the whole
+   forest would add them in — so every sum is bit-identical. *)
+let request att o =
+  let f = att.forest in
+  let q = att.req.(o) in
+  let s = f.spans.(q) in
+  let mech = tally () in
+  if att.first.(o) >= 0 then
+    for j = att.first.(o) to att.last.(o) - 1 do
+      let i = f.closing.(j) in
+      if att.owner.(i) = o then tally_add mech f.spans.(i).cat 1 f.self.(i)
+    done;
+  {
+    req_id = int_of_float s.value;
+    req_name = s.name;
+    req_start = s.ts;
+    req_total = s.dur;
+    req_self = f.self.(q);
+    req_mech = tally_rows mech;
+    req_nested = att.nested.(o);
+    req_nested_ns = att.nested_ns.(o);
+  }
+
+let requests att = Array.fold_right (fun o acc -> request att o :: acc) att.order []
+
+let total att o = att.forest.spans.(att.req.(o)).dur
+
+let request_totals att = Array.fold_right (fun o acc -> total att o :: acc) att.order []
 
 (* ---------------- Tail cuts over an attribution ---------------- *)
 
@@ -279,7 +339,11 @@ let self_frame = "(request-self)"
 let nested_frame = "(nested-request)"
 
 let tail_of ?(label = "") ~pct ~cut_ns att =
-  let tail = List.filter (fun r -> r.req_total >= cut_ns) att.areqs in
+  let tail =
+    Array.fold_right
+      (fun o acc -> if total att o >= cut_ns then request att o :: acc else acc)
+      att.order []
+  in
   let mech = tally () in
   List.iter
     (fun r ->
@@ -289,7 +353,7 @@ let tail_of ?(label = "") ~pct ~cut_ns att =
     label;
     pct;
     cut_ns;
-    n_requests = List.length att.areqs;
+    n_requests = Array.length att.order;
     n_tail = List.length tail;
     tail;
     tail_mech = tally_rows mech;
@@ -348,11 +412,13 @@ let render_tail ?(slowest = 0) t =
   Buffer.contents buf
 
 let render_slowest ?(k = 3) evs =
-  match (attribute evs).areqs with
-  | [] -> "(no request spans in trace)\n"
-  | areqs ->
+  let att = attribute evs in
+  match Array.length att.order with
+  | 0 -> "(no request spans in trace)\n"
+  | n ->
       let buf = Buffer.create 1024 in
-      let n = List.length areqs in
       Printf.bprintf buf "slowest %d of %d requests:\n" (min k n) n;
-      List.iteri (fun i r -> if i < k then render_request buf r) areqs;
+      for i = 0 to min k n - 1 do
+        render_request buf (request att att.order.(i))
+      done;
       Buffer.contents buf

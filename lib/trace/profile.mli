@@ -32,8 +32,9 @@ type forest = {
 }
 
 val sweep : Trace.event list -> forest
-(** Sort the span timeline into canonical order and walk it once with
-    a stack.  A span nests in the innermost open span whose end it does
+(** Put the span timeline into canonical order and walk it once with
+    a stack.  One linear pass checks the order first, and only a
+    timeline out of order is sorted: a bundle lane's never is.  A span nests in the innermost open span whose end it does
     not pass by more than a relative epsilon.  Instants, counters and
     zero-duration spans do not appear. *)
 
@@ -106,19 +107,27 @@ type attributed_request = {
           is [req_total] *)
 }
 
-type attribution = {
-  areqs : attributed_request list;
-      (** slowest first (ties by start then id) *)
-  unattributed_ns : float;
-      (** self-time of spans with no enclosing request span *)
-  total_self_ns : float;
-      (** sum of root-span durations; equals the sum over [areqs] of
-          [req_self + sum req_mech] plus [unattributed_ns] *)
-}
+type attribution
+(** The forest with each span's owning request and, per request, its
+    nested-request charges and the range of the closing order its
+    mechanism spans close in.  {!attribute} builds no
+    {!attributed_request}: {!requests} builds all of them,
+    {!tail_of} only the tail's, {!render_slowest} only its [k], and
+    {!request_totals} none. *)
 
 val attribute : Trace.event list -> attribution
 (** Partition the forest's self-time between enclosing requests and
     the unattributed bucket. *)
+
+val requests : attribution -> attributed_request list
+(** Every request, slowest first (ties by start then id). *)
+
+val unattributed_ns : attribution -> float
+(** Self-time of spans with no enclosing request span. *)
+
+val total_self_ns : attribution -> float
+(** Sum of root-span durations; equals the sum over {!requests} of
+    [req_self + sum req_mech] plus {!unattributed_ns}. *)
 
 val request_totals : attribution -> float list
 (** End-to-end durations of all requests, slowest first — feed these
@@ -149,9 +158,10 @@ val nested_frame : string
     nested inside it. *)
 
 val tail_of : ?label:string -> pct:float -> cut_ns:float -> attribution -> tail
-(** Aggregate the requests at or above [cut_ns].  The cut itself is
-    the caller's business (this library has no histogram); [pct] is
-    carried along for rendering and export only. *)
+(** Aggregate the requests at or above [cut_ns], building their
+    records only.  The cut itself is the caller's business (this
+    library has no histogram); [pct] is carried along for rendering
+    and export only. *)
 
 val render_tail : ?slowest:int -> tail -> string
 (** Terminal rendering: the aggregate per-mechanism table (share of
@@ -163,4 +173,5 @@ val render_slowest : ?k:int -> Trace.event list -> string
 (** The [k] (default 3) slowest attributed requests of a trace, each
     as the per-request block {!render_tail} prints: mechanism rows, a
     [(nested-request)] row when requests nest, and a [(self)] row,
-    each with its share of the request's duration. *)
+    each with its share of the request's duration.  Builds the records
+    of those [k] only. *)

@@ -136,20 +136,20 @@ let keep r ~cat ~name =
     else false
   end
 
-let span ?at ?(value = 0.) ~cat ~name ns =
+let span ~cat ~name ns =
   if enabled () then begin
     let r = recorder () in
     (* The cursor advances whether or not the sampler keeps the event:
        skipping a record must not shift the timestamps of kept ones. *)
-    let ts =
-      match at with
-      | Some t -> t
-      | None ->
-          let t = r.cursor in
-          r.cursor <- t +. ns;
-          t
-    in
-    if keep r ~cat ~name then record r { kind = Span; cat; name; ts; dur = ns; value }
+    let ts = r.cursor in
+    r.cursor <- ts +. ns;
+    if keep r ~cat ~name then record r { kind = Span; cat; name; ts; dur = ns; value = 0. }
+  end
+
+let span_at ?(value = 0.) ~at ~cat ~name ns =
+  if enabled () then begin
+    let r = recorder () in
+    if keep r ~cat ~name then record r { kind = Span; cat; name; ts = at; dur = ns; value }
   end
 
 let instant ?at ~cat ~name () =

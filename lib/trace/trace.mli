@@ -13,10 +13,12 @@
       call sites additionally guard with {!enabled} so even argument
       construction is skipped.
     + {b Determinism.}  Events carry simulated or synthetic-cursor
-      timestamps, never wall-clock.  Per-domain buffers are merged in
-      submission order by [Xc_sim.Parallel], so a traced run is
-      byte-identical at any [--jobs] (enforced in tier-1) — sampled
-      runs included, because the sampler state is per-capture.
+      timestamps, never wall-clock.  Each cell of a fan-out
+      ([Xc_suite.Run]) records into its own {!capture} on whatever
+      domain runs it, and the runner joins the captures in cell order
+      with {!concat}, so a traced run is byte-identical at any
+      [--jobs] (enforced in tier-1) — sampled runs included, because
+      the sampler state is per-capture.
     + {b Bounded memory.}  Each domain records into a ring of
       {!enable}[ ~capacity] events; on overflow the oldest event is
       overwritten and {!dropped} counts the loss — tracing never grows
@@ -29,10 +31,12 @@
       {!Stream.scale} and [Profile.rescale]).
 
     Timestamps: analytic cost paths (straight-line formulas with no
-    engine) pass no [~at]; the event lands on the recorder's synthetic
+    engine) call {!span}; the event lands on the recorder's synthetic
     cursor, which then advances by the span's duration, producing a
-    well-formed timeline of the cost composition.  Engine-driven code
-    passes [~at:(Engine.now e)] and the cursor is untouched. *)
+    well-formed timeline of the cost composition.  Engine-timed code
+    (the simulation kernels' request bundles, a request span bracketing
+    cursor reads) calls {!span_at} with the time itself, and the
+    cursor is untouched. *)
 
 type kind = Span | Instant | Counter
 
@@ -97,11 +101,16 @@ val enabled : unit -> bool
     still advances the synthetic cursor so kept timestamps are
     identical to the unsampled timeline. *)
 
-val span : ?at:float -> ?value:float -> cat:string -> name:string -> float -> unit
-(** [span ~cat ~name ns] records a slice of [ns] nanoseconds.  Without
-    [~at] it is placed at the current domain's cursor, which advances
-    by [ns].  [value] (default [0.]) rides along in the event — used
-    by request spans to carry the request id. *)
+val span : cat:string -> name:string -> float -> unit
+(** [span ~cat ~name ns] records a slice of [ns] nanoseconds at the
+    current domain's cursor, which advances by [ns]. *)
+
+val span_at : ?value:float -> at:float -> cat:string -> name:string -> float -> unit
+(** [span_at ~at ~cat ~name ns] records a slice of [ns] nanoseconds
+    starting at [at] and leaves the cursor where it is.  [value]
+    (default [0.]) rides along in the event — request spans carry the
+    request id in it.  Two functions rather than an optional [?at], so
+    an engine-timed span does not allocate the option. *)
 
 val instant : ?at:float -> cat:string -> name:string -> unit -> unit
 (** A point event (e.g. one mode switch).  Does not move the cursor. *)
@@ -110,8 +119,8 @@ val counter : ?at:float -> cat:string -> name:string -> float -> unit
 (** A sampled value (e.g. cumulative cmpxchg count). *)
 
 val cursor : unit -> float
-(** The current domain's synthetic cursor — where the next [~at]-less
-    span will land.  Lets a caller bracket a composite operation
+(** The current domain's synthetic cursor — where the next {!span}
+    will land.  Lets a caller bracket a composite operation
     (cursor before/after = end-to-end duration) without charging any
     cost itself. *)
 
@@ -161,6 +170,6 @@ val concat : captured list -> captured
     segment order, never in worker scheduling.
 
     Engine-timestamped spans of different segments can overlap: a
-    segment whose spans all carry [~at] sim times leaves its cursor at
+    segment whose spans all come from {!span_at} leaves its cursor at
     0 and shifts the later segments by nothing, so their spans share
     one time axis. *)

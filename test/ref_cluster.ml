@@ -283,7 +283,7 @@ let run config =
               end
               else 0.
             in
-            Xc_trace.Trace.span ~at:(b.sent_at +. shift)
+            Xc_trace.Trace.span_at ~at:(b.sent_at +. shift)
               ~value:(float_of_int !completed) ~cat:"request" ~name:"cluster"
               (now' -. b.sent_at);
             (* Synthetic children nested inside the request window: the
@@ -296,14 +296,14 @@ let run config =
             if bundle then begin
               let half = config.client_rtt_ns /. 2. in
               if half > 0. then
-                Xc_trace.Trace.span ~at:(b.sent_at +. shift) ~cat:"net.hop"
+                Xc_trace.Trace.span_at ~at:(b.sent_at +. shift) ~cat:"net.hop"
                   ~name:"client->server" half;
               let cursor = ref (b.sent_at +. shift +. half) in
               let budget = now' +. shift -. half in
               let emit cat mname ns =
                 let d = Float.min ns (budget -. !cursor) in
                 if d > 0. then begin
-                  Xc_trace.Trace.span ~at:!cursor ~cat ~name:mname d;
+                  Xc_trace.Trace.span_at ~at:!cursor ~cat ~name:mname d;
                   cursor := !cursor +. d
                 end
               in
@@ -324,7 +324,7 @@ let run config =
                     (Float.max cs.hedge_ns 1.)
               | _ -> ());
               if half > 0. then
-                Xc_trace.Trace.span ~at:(now' +. shift -. half) ~cat:"net.hop"
+                Xc_trace.Trace.span_at ~at:(now' +. shift -. half) ~cat:"net.hop"
                   ~name:"server->client" half
             end
           end
@@ -486,7 +486,7 @@ let run config =
               && Array.length config.request_mech = 0
               && Xc_trace.Trace.enabled ()
             then
-              Xc_trace.Trace.span ~at:now ~cat:"ctx-switch" ~name:!switch_kind
+              Xc_trace.Trace.span_at ~at:now ~cat:"ctx-switch" ~name:!switch_kind
                 switch_cost;
             core.last_container <- b.container;
             core.last_process <- b.stage;

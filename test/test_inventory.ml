@@ -681,6 +681,13 @@ let test_only =
       [
         ("sweep", Hook, [ "trace.profile fold matches O(n^2) reference" ]);
         ("fold", Hook, [ "trace.profile"; "trace.profile fold matches O(n^2) reference" ]);
+        ( "total_self_ns",
+          Hook,
+          [
+            "tails.attribution hand-built forest partition";
+            "tails.attribution attribute matches O(n^2) reference + partition";
+            "tails.drivers closed-loop bundles recover the recipe";
+          ] );
       ] );
     ( "Xc_trace.Trace",
       [

@@ -261,6 +261,48 @@ let test_closed_loop_words () =
   in
   Test_sim.check_words_budget ~budget:6 (fun () -> Closed_loop.run config server)
 
+(* xcperf's closed-traced cell on one platform and a short window:
+   nginx's recipe bundles on the sequential lane, a telemetry snapshot
+   every 50 sim-us, then the exact attribution and a p99 tail cut. *)
+let test_traced_closed_loop_words () =
+  let module Trace = Xc_trace.Trace in
+  let module Profile = Xc_trace.Profile in
+  let module Metrics = Xc_sim.Metrics in
+  let pconfig = Config.make Config.X_container in
+  let platform = Platform.create pconfig in
+  (* Cost queries emit trace spans: price before tracing is on. *)
+  let server = Xcontainers.Figures.server_for_public pconfig platform `Nginx in
+  let nginx = Xc_suite.Workload.find_exn "nginx" in
+  let config =
+    {
+      Closed_loop.default_config with
+      connections = 32;
+      duration_ns = 2e7;
+      warmup_ns = 2e6;
+      trace_mechanisms = Xc_apps.Recipe.mechanisms platform nginx.Xc_suite.Workload.recipe;
+    }
+  in
+  Trace.enable ~capacity:Trace.default_capacity ~sample:1 ();
+  Metrics.enable ~interval_ns:50e3 ();
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.disable ();
+      Trace.disable ();
+      ignore (Trace.take ()))
+    (fun () ->
+      Test_sim.check_words_budget ~budget:145 (fun () ->
+          let (_, captured), _ =
+            Metrics.capture (fun () ->
+                Trace.capture (fun () -> Closed_loop.run config server))
+          in
+          let att = Profile.attribute captured.Trace.events in
+          let cut =
+            Xc_sim.Histogram.percentile_floor
+              (Xc_sim.Histogram.of_samples (Profile.request_totals att))
+              99.
+          in
+          Profile.tail_of ~pct:99. ~cut_ns:cut att))
+
 let suites =
   [
     ( "platforms.config",
@@ -293,6 +335,7 @@ let suites =
         Alcotest.test_case "latency floor" `Quick test_closed_loop_latency_floor;
         Alcotest.test_case "units scale" `Quick test_closed_loop_units_scale;
         Alcotest.test_case "words per event" `Quick test_closed_loop_words;
+        Alcotest.test_case "traced words per event" `Quick test_traced_closed_loop_words;
         Alcotest.test_case "bad event times refused" `Quick test_closed_loop_bad_times;
         QCheck_alcotest.to_alcotest closed_differential;
       ] );

@@ -54,8 +54,8 @@ let unit_forest =
 
 let test_unit_forest () =
   let att = Profile.attribute unit_forest in
-  Alcotest.(check int) "two requests" 2 (List.length att.Profile.areqs);
-  (match att.Profile.areqs with
+  Alcotest.(check int) "two requests" 2 (List.length (Profile.requests att));
+  (match Profile.requests att with
   | [ r1; r2 ] ->
       Alcotest.(check int) "slowest first" 1 r1.Profile.req_id;
       Alcotest.(check (float 1e-6)) "r1 total" 100. r1.Profile.req_total;
@@ -70,9 +70,9 @@ let test_unit_forest () =
       Alcotest.check mech_t "r2 has no mechanisms" [] r2.Profile.req_mech
   | _ -> Alcotest.fail "unreachable");
   Alcotest.(check (float 1e-6)) "stray span is unattributed" 5.
-    att.Profile.unattributed_ns;
+    (Profile.unattributed_ns att);
   Alcotest.(check (float 1e-6)) "total self = sum of root durations" 155.
-    att.Profile.total_self_ns;
+    (Profile.total_self_ns att);
   Alcotest.(check (list (float 1e-6))) "request totals, slowest first"
     [ 100.; 50. ]
     (Profile.request_totals att)
@@ -264,18 +264,18 @@ let partition_prop =
             List.fold_left
               (fun acc (_, _, ns) -> acc +. ns)
               (acc +. r.Profile.req_self) r.Profile.req_mech)
-          att.Profile.unattributed_ns att.Profile.areqs
+          (Profile.unattributed_ns att) (Profile.requests att)
       in
       let close a b = Float.abs (a -. b) <= 1e-6 +. (1e-9 *. Float.abs b) in
-      if not (close bucket_sum att.Profile.total_self_ns) then
+      if not (close bucket_sum (Profile.total_self_ns att)) then
         QCheck.Test.fail_reportf "partition: buckets %.9f <> total %.9f"
-          bucket_sum att.Profile.total_self_ns;
-      if not (close att.Profile.total_self_ns ref_total) then
+          bucket_sum (Profile.total_self_ns att);
+      if not (close (Profile.total_self_ns att) ref_total) then
         QCheck.Test.fail_reportf "total: %.9f <> reference %.9f"
-          att.Profile.total_self_ns ref_total;
-      if not (close att.Profile.unattributed_ns ref_unatt) then
+          (Profile.total_self_ns att) ref_total;
+      if not (close (Profile.unattributed_ns att) ref_unatt) then
         QCheck.Test.fail_reportf "unattributed: %.9f <> reference %.9f"
-          att.Profile.unattributed_ns ref_unatt;
+          (Profile.unattributed_ns att) ref_unatt;
       (* Same requests with the same buckets, as multisets. *)
       let got =
         List.sort compare
@@ -284,7 +284,7 @@ let partition_prop =
                canon_req ~id:r.Profile.req_id ~name:r.Profile.req_name
                  ~start:r.Profile.req_start ~total:r.Profile.req_total
                  ~self:r.Profile.req_self ~mech:r.Profile.req_mech)
-             att.Profile.areqs)
+             (Profile.requests att))
       in
       let want =
         List.sort compare
@@ -301,6 +301,90 @@ let partition_prop =
       if got <> want then
         QCheck.Test.fail_reportf "attribution differs on %d spans"
           (List.length events);
+      true)
+
+(* ---------------- QCheck: both sweep paths ---------------- *)
+
+(* [sweep] skips its sort when one pass finds the spans already in
+   canonical order, as a bundle lane lays them out.  A forest given in
+   canonical order takes that path; the same forest shuffled takes the
+   sort.  Each span's name is unique, so no two spans tie in the order
+   and both paths must build the same forest — and the same
+   attribution, bit for bit.  The forest mixes lane-style bundles
+   (requests with serial mechanism children) with random overlapping
+   and nested spans. *)
+let canonical_order (x : Trace.event) (y : Trace.event) =
+  match Float.compare x.ts y.ts with
+  | 0 -> (
+      match Float.compare y.dur x.dur with
+      | 0 -> compare (x.cat, x.name) (y.cat, y.name)
+      | c -> c)
+  | c -> c
+
+let lane_of bundles =
+  let cursor = ref 1000. in
+  List.concat
+    (List.mapi
+       (fun k (children, slack) ->
+         let start = !cursor in
+         let total =
+           List.fold_left (fun a d -> a +. float_of_int d) 0. children
+           +. float_of_int slack
+         in
+         cursor := start +. total;
+         let at = ref start in
+         mk ~v:(float_of_int (100 + k)) ~cat:"request" ~name:"lane" start total
+         :: List.map
+              (fun d ->
+                let ts = !at in
+                at := ts +. float_of_int d;
+                mk ~cat:"syscall-work" ~name:"m" ts (float_of_int d))
+              children)
+       bundles)
+
+let sweep_paths_prop =
+  QCheck.Test.make ~name:"shuffled input attributes like canonical order"
+    ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         triple
+           (list_size (int_range 0 30)
+              (quad (int_range 0 80) (int_range 0 40) (int_range 0 10)
+                 (int_range 0 15)))
+           (list_size (int_range 0 8)
+              (pair (list_size (int_range 0 4) (int_range 1 50)) (int_range 0 20)))
+           int))
+    (fun (quads, bundles, seed) ->
+      let events =
+        List.mapi
+          (fun i (ev : Trace.event) -> { ev with name = ev.name ^ string_of_int i })
+          (forest_of quads @ lane_of bundles)
+      in
+      let canonical = List.stable_sort canonical_order events in
+      let rng = Random.State.make [| seed |] in
+      let shuffled =
+        List.map snd
+          (List.sort compare
+             (List.map (fun ev -> (Random.State.bits rng, ev)) events))
+      in
+      let a = Profile.attribute canonical and b = Profile.attribute shuffled in
+      let tail att =
+        let cut =
+          Histogram.percentile_floor
+            (Histogram.of_samples (Profile.request_totals att))
+            99.
+        in
+        Profile.tail_of ~label:"t" ~pct:99. ~cut_ns:cut att
+      in
+      if Profile.requests a <> Profile.requests b then
+        QCheck.Test.fail_report "requests differ";
+      if Profile.unattributed_ns a <> Profile.unattributed_ns b then
+        QCheck.Test.fail_report "unattributed_ns differs";
+      if Profile.total_self_ns a <> Profile.total_self_ns b then
+        QCheck.Test.fail_report "total_self_ns differs";
+      if Profile.request_totals a <> Profile.request_totals b then
+        QCheck.Test.fail_report "request_totals differ";
+      if tail a <> tail b then QCheck.Test.fail_report "tail_of differs";
       true)
 
 (* ---------------- QCheck: percentile differential ---------------- *)
@@ -500,20 +584,20 @@ let test_closed_loop_mechanisms () =
       let att = Profile.attribute captured.Trace.events in
       Alcotest.(check int) "one request span per completion"
         result.Xc_platforms.Closed_loop.completed
-        (List.length att.Profile.areqs);
+        (List.length (Profile.requests att));
       Alcotest.(check bool) "bundles cover everything" true
-        (Float.abs att.Profile.unattributed_ns <= 1e-3);
+        (Float.abs (Profile.unattributed_ns att) <= 1e-3);
       let bucket_sum =
         List.fold_left
           (fun acc (r : Profile.attributed_request) ->
             List.fold_left
               (fun acc (_, _, ns) -> acc +. ns)
               (acc +. r.Profile.req_self) r.Profile.req_mech)
-          att.Profile.unattributed_ns att.Profile.areqs
+          (Profile.unattributed_ns att) (Profile.requests att)
       in
       Alcotest.(check bool) "partition identity on a real trace" true
-        (Float.abs (bucket_sum -. att.Profile.total_self_ns)
-        <= 1e-9 *. att.Profile.total_self_ns);
+        (Float.abs (bucket_sum -. Profile.total_self_ns att)
+        <= 1e-9 *. Profile.total_self_ns att);
       List.iter
         (fun (r : Profile.attributed_request) ->
           Alcotest.(check bool) "request has an entry bucket" true
@@ -524,7 +608,7 @@ let test_closed_loop_mechanisms () =
              over beyond FP residue from the serial layout. *)
           Alcotest.(check bool) "request self is only FP residue" true
             (Float.abs r.Profile.req_self <= 0.5))
-        att.Profile.areqs)
+        (Profile.requests att))
 
 (* A closed-shape suite spec with [tails = true] runs the recipe's
    bundles, so its p99 tail splits by mechanism — network hops and the
@@ -579,7 +663,7 @@ let cluster_tail runtime =
       Alcotest.(check int) "no drops" 0 captured.Trace.dropped;
       let att = Profile.attribute captured.Trace.events in
       Alcotest.(check bool) "bundles cover everything" true
-        (Float.abs att.Profile.unattributed_ns <= 1e-3);
+        (Float.abs (Profile.unattributed_ns att) <= 1e-3);
       match Profile.request_totals att with
       | [] -> Alcotest.fail "no request spans in the cluster trace"
       | totals ->
@@ -629,6 +713,7 @@ let suites =
         Alcotest.test_case "truncated capture refused" `Quick
           test_truncated_tail_refused;
         QCheck_alcotest.to_alcotest partition_prop;
+        QCheck_alcotest.to_alcotest sweep_paths_prop;
       ] );
     ( "tails.percentile",
       [

@@ -60,7 +60,7 @@ let test_cursor_timeline () =
       Trace.span ~cat:"c" ~name:"a" 10.;
       Trace.instant ~cat:"c" ~name:"tick" ();
       Trace.span ~cat:"c" ~name:"b" 5.;
-      Trace.span ~at:99. ~cat:"c" ~name:"pinned" 7.;
+      Trace.span_at ~at:99. ~cat:"c" ~name:"pinned" 7.;
       Trace.span ~cat:"c" ~name:"d" 1.;
       match Trace.take () with
       | [ a; tick; b; pinned; d ] ->
@@ -265,7 +265,7 @@ let sample_events () =
       Trace.span ~cat:"syscall-entry" ~name:"syscall-trap+kpti" 475.;
       Trace.instant ~cat:"mode-switch" ~name:"guest-user->guest-kernel" ();
       Trace.counter ~cat:"abom" ~name:"cmpxchg" 17.;
-      Trace.span ~at:1234.5 ~value:7. ~cat:"request" ~name:"closed-loop" 250_000.;
+      Trace.span_at ~at:1234.5 ~value:7. ~cat:"request" ~name:"closed-loop" 250_000.;
       Trace.take ())
 
 let check_round_trip fmt_name serialize =
@@ -592,7 +592,7 @@ let test_slowest_requests () =
     ]
   in
   let mech_t = Alcotest.(list (triple string int (float 1e-9))) in
-  (match (Profile.attribute evs).Profile.areqs with
+  (match Profile.requests (Profile.attribute evs) with
   | [ r2; r1; r3 ] ->
       Alcotest.(check (list int)) "slowest first" [ 2; 1; 3 ]
         [ r2.Profile.req_id; r1.Profile.req_id; r3.Profile.req_id ];
@@ -651,7 +651,7 @@ let traced_httpd_requests () =
 
 let test_httpd_slowest_shape () =
   let evs = traced_httpd_requests () in
-  let reqs = (Profile.attribute evs).Profile.areqs in
+  let reqs = Profile.requests (Profile.attribute evs) in
   Alcotest.(check int) "every request traced" 10 (List.length reqs);
   (* The slowest requests are the big-page ones, and each is explained
      by mechanism: syscall-work children account for (most of) it. *)
