@@ -1,11 +1,14 @@
 (* The closed and open loops as they ran before the station kernel: one
-   Engine callback per event and one closure per request, without
-   trace bundles or telemetry.  They are the reference the kernel is
-   checked against bit for bit (test_platforms, test_extensions). *)
+   Engine callback per event and one closure per request, the closed
+   loop with its trace bundles and telemetry.  They are the reference
+   the kernel is checked against bit for bit (test_platforms,
+   test_extensions). *)
 
 module Engine = Xc_sim.Engine
 module Prng = Xc_sim.Prng
 module Histogram = Xc_sim.Histogram
+module Metrics = Xc_sim.Metrics
+module Trace = Xc_trace.Trace
 module CL = Xc_platforms.Closed_loop
 module OL = Xc_platforms.Open_loop
 
@@ -30,6 +33,44 @@ let closed (config : CL.config) server : CL.result =
   let completed = ref 0 in
   let measure_start = config.CL.warmup_ns in
   let measure_end = config.CL.warmup_ns +. config.CL.duration_ns in
+  let half = config.CL.rtt_ns /. 2. in
+  let mechanisms = config.CL.trace_mechanisms in
+  (* The bundle lane: each measured request's spans re-based onto a
+     sequential region past the end of the simulated timeline. *)
+  let synth_cursor = ref (measure_end +. config.CL.rtt_ns +. 1e9) in
+  let emit ~sent_at ~start ~finish now =
+    let bundle = mechanisms <> [] in
+    let shift =
+      if bundle then begin
+        let cur = !synth_cursor in
+        synth_cursor := cur +. (now -. sent_at);
+        cur -. sent_at
+      end
+      else 0.
+    in
+    Trace.span_at ~at:(sent_at +. shift)
+      ~value:(float_of_int !completed) ~cat:"request" ~name:"closed-loop"
+      (now -. sent_at);
+    if bundle then begin
+      let arrive_at = sent_at +. half in
+      if half > 0. then
+        Trace.span_at ~at:(sent_at +. shift) ~cat:"net.hop" ~name:"client->server" half;
+      if start -. arrive_at > 0. then
+        Trace.span_at ~at:(arrive_at +. shift) ~cat:"sched" ~name:"queue-wait"
+          (start -. arrive_at);
+      let cursor = ref (start +. shift) and budget = finish +. shift in
+      List.iter
+        (fun (cat, name, ns) ->
+          let d = Float.min ns (budget -. !cursor) in
+          if d > 0. then begin
+            Trace.span_at ~at:!cursor ~cat ~name d;
+            cursor := !cursor +. d
+          end)
+        mechanisms;
+      if half > 0. then
+        Trace.span_at ~at:(finish +. shift) ~cat:"net.hop" ~name:"server->client" half
+    end
+  in
   let rec client_loop engine =
     let now = Engine.now engine in
     if now < measure_end then begin
@@ -39,12 +80,22 @@ let closed (config : CL.config) server : CL.result =
       let start = Float.max arrival unit_free.(u) in
       let finish = start +. service_ns rng in
       unit_free.(u) <- finish;
+      if Metrics.on () then begin
+        Metrics.gauge_add ~cat:"platform" ~name:"in-flight" 1.;
+        Metrics.counter_incr ~cat:"net" ~name:"messages"
+      end;
       let response_at = finish +. (config.CL.rtt_ns /. 2.) in
       Engine.schedule engine response_at (fun engine ->
           let now = Engine.now engine in
+          if Metrics.on () then Metrics.gauge_add ~cat:"platform" ~name:"in-flight" (-1.);
           if sent_at >= measure_start && now <= measure_end then begin
             incr completed;
-            Histogram.add latencies (now -. sent_at)
+            Histogram.add latencies (now -. sent_at);
+            if Metrics.on () then begin
+              Metrics.counter_incr ~cat:"platform" ~name:"requests";
+              Metrics.hist_observe ~cat:"platform" ~name:"latency-ns" (now -. sent_at)
+            end;
+            if Trace.enabled () then emit ~sent_at ~start ~finish now
           end;
           client_loop engine)
     end
@@ -126,6 +177,19 @@ let print_server (s : CL.server) =
   Printf.sprintf "{units=%d; base_ns=%h; stddev=%h; floor=%h}" s.CL.units s.CL.base_ns
     s.CL.stddev s.CL.floor
 
+(* A closed loop's trace bundle rows: up to four, each drawn up to
+   past a whole jittered service so that rows get clamped. *)
+let mechanisms_gen =
+  QCheck.Gen.(
+    list_size (int_range 0 4)
+      (triple
+         (oneofl [ "cpu"; "syscall-entry"; "syscall-work" ])
+         (oneofl [ "user"; "entry"; "kernel" ])
+         (float_range 0. 6e4)))
+
+let print_mechanisms rows =
+  String.concat "; " (List.map (fun (cat, name, ns) -> Printf.sprintf "%s/%s %h" cat name ns) rows)
+
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 (* Engine dispatches (or kernel credits) while [f] runs, with its result. *)
@@ -133,3 +197,25 @@ let counted f =
   let e0 = Engine.domain_events () in
   let r = f () in
   (r, Engine.domain_events () - e0)
+
+(* [counted f]; traced, also every event [f] recorded and its telemetry
+   (snapshots, counters, gauges and histograms), marshalled so floats
+   compare bit for bit. *)
+let observe ~traced f =
+  if not traced then
+    let r, n = counted f in
+    (r, n, "")
+  else begin
+    Trace.enable ~capacity:Trace.default_capacity ~sample:1 ();
+    Metrics.enable ();
+    Fun.protect
+      ~finally:(fun () ->
+        Metrics.disable ();
+        Trace.disable ();
+        ignore (Trace.take ()))
+      (fun () ->
+        let ((r, n), captured), telemetry =
+          Metrics.capture (fun () -> Trace.capture (fun () -> counted f))
+        in
+        (r, n, Marshal.to_string (captured, telemetry) [ Marshal.No_sharing ]))
+  end

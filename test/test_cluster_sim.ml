@@ -204,30 +204,11 @@ let result_bits (r : CS.result) =
     r.CS.p99_latency_ns r.CS.container_switches r.CS.process_switches
     r.CS.switch_overhead_ns r.CS.busy_fraction
 
-(* The run's result and dispatch count; traced, also every captured
-   event and telemetry snapshot, counter, gauge and histogram,
-   marshalled so floats compare bit for bit. *)
+(* The run's result bits and dispatch count; traced, also its
+   marshalled capture and telemetry. *)
 let observe ~traced run config =
-  let module Trace = Xc_trace.Trace in
-  let module Metrics = Xc_sim.Metrics in
-  let counted () = Ref_loops.counted (fun () -> run config) in
-  if not traced then
-    let r, n = counted () in
-    (result_bits r, n, "")
-  else begin
-    Trace.enable ~capacity:(1 lsl 16) ~sample:1 ();
-    Metrics.enable ();
-    Fun.protect
-      ~finally:(fun () ->
-        Metrics.disable ();
-        Trace.disable ();
-        ignore (Trace.take ()))
-      (fun () ->
-        let ((r, n), captured), telemetry =
-          Metrics.capture (fun () -> Trace.capture counted)
-        in
-        (result_bits r, n, Marshal.to_string (captured, telemetry) [ Marshal.No_sharing ]))
-  end
+  let r, n, t = Ref_loops.observe ~traced (fun () -> run config) in
+  (result_bits r, n, t)
 
 let kernel_differential =
   let gen = QCheck.Gen.(pair config_gen (frequency [ (1, return true); (3, return false) ])) in

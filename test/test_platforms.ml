@@ -196,33 +196,40 @@ let test_closed_loop_units_scale () =
     (four.throughput_rps > 3.2 *. one.throughput_rps)
 
 (* The kernel against the engine-driven loop it replaced: the same
-   result bit for bit, from the same number of dispatches. *)
+   result bit for bit, from the same number of dispatches; a quarter of
+   the cases traced with telemetry, with or without bundle rows, and
+   the same events and snapshots. *)
 let closed_differential =
   let gen =
     QCheck.Gen.(
       pair Ref_loops.server_gen
-        (quad (int_range 0 24)
-           (oneof [ return 0.; float_range 0. 2e5 ])
-           (pair (float_range 1e5 2e6) (float_range 0. 5e5))
-           small_nat))
+        (pair
+           (quad (int_range 0 24)
+              (oneof [ return 0.; float_range 0. 2e5 ])
+              (pair (float_range 1e5 2e6) (float_range 0. 5e5))
+              small_nat)
+           (pair (frequency [ (1, return true); (3, return false) ]) Ref_loops.mechanisms_gen)))
   in
-  let print (server, (connections, rtt_ns, (duration_ns, warmup_ns), seed)) =
-    Printf.sprintf "%s connections=%d rtt_ns=%h duration_ns=%h warmup_ns=%h seed=%d"
-      (Ref_loops.print_server server) connections rtt_ns duration_ns warmup_ns seed
+  let print (server, ((connections, rtt_ns, (duration_ns, warmup_ns), seed), (traced, rows))) =
+    Printf.sprintf
+      "%s connections=%d rtt_ns=%h duration_ns=%h warmup_ns=%h seed=%d traced=%b rows=[%s]"
+      (Ref_loops.print_server server) connections rtt_ns duration_ns warmup_ns seed traced
+      (Ref_loops.print_mechanisms rows)
   in
   QCheck.Test.make ~name:"matches the engine-driven loop" ~count:150
     (QCheck.make ~print gen)
-    (fun (server, (connections, rtt_ns, (duration_ns, warmup_ns), seed)) ->
+    (fun (server, ((connections, rtt_ns, (duration_ns, warmup_ns), seed), (traced, rows))) ->
       let config =
-        { Closed_loop.default_config with connections; rtt_ns; duration_ns; warmup_ns; seed }
+        { Closed_loop.connections; rtt_ns; duration_ns; warmup_ns; seed; trace_mechanisms = rows }
       in
-      let a, na = Ref_loops.counted (fun () -> Closed_loop.run config server) in
-      let b, nb = Ref_loops.counted (fun () -> Ref_loops.closed config server) in
+      let a, na, ta = Ref_loops.observe ~traced (fun () -> Closed_loop.run config server) in
+      let b, nb, tb = Ref_loops.observe ~traced (fun () -> Ref_loops.closed config server) in
       let same = Ref_loops.same_bits in
       na = nb && a.completed = b.completed
       && same a.throughput_rps b.throughput_rps
       && same a.mean_latency_ns b.mean_latency_ns
-      && same a.p50_ns b.p50_ns && same a.p99_ns b.p99_ns)
+      && same a.p50_ns b.p50_ns && same a.p99_ns b.p99_ns
+      && String.equal ta tb)
 
 (* A NaN or past event time is refused by name instead of corrupting
    the heap: a NaN RTT makes every response time NaN, and an RTT more
