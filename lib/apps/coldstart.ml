@@ -1,4 +1,3 @@
-module Engine = Xc_sim.Engine
 module Prng = Xc_sim.Prng
 module Histogram = Xc_sim.Histogram
 
@@ -50,22 +49,21 @@ type result = {
 type instance = { mutable free_at : float; mutable expires_at : float }
 
 let run path config =
-  if config.arrival_rate_rps <= 0. then invalid_arg "Coldstart.run: rate";
-  let engine = Engine.create () in
+  let rate = config.arrival_rate_rps in
+  if not (Float.is_finite rate && rate > 0.) then invalid_arg "Coldstart.run: rate";
   let rng = Prng.create config.seed in
   let latencies = Histogram.create () in
   let pool : instance list ref = ref [] in
   let invocations = ref 0 in
   let cold = ref 0 in
   let spawn = spawn_ns path in
-  let mean_gap = 1e9 /. config.arrival_rate_rps in
+  let mean_gap = 1e9 /. rate in
   let find_warm now =
     (* Drop expired instances, then pick an idle one. *)
     pool := List.filter (fun i -> i.expires_at > now) !pool;
     List.find_opt (fun i -> i.free_at <= now) !pool
   in
-  let handle_invocation engine =
-    let now = Engine.now engine in
+  let invoke now =
     incr invocations;
     let start_delay, instance =
       match find_warm now with
@@ -81,17 +79,16 @@ let run path config =
     instance.expires_at <- finish +. config.keepalive_ns;
     Histogram.add latencies (start_delay +. config.service_ns)
   in
-  let rec arrivals engine =
-    let now = Engine.now engine in
-    if now < config.duration_ns then begin
-      handle_invocation engine;
-      Engine.schedule engine
-        (now +. Prng.exponential rng ~mean:mean_gap)
-        arrivals
-    end
-  in
-  Engine.schedule engine 0. arrivals;
-  Engine.run engine;
+  (* The Poisson arrival stream: each arrival inside the window invokes
+     and draws the gap to the next. *)
+  let now = ref 0. in
+  while !now < config.duration_ns do
+    invoke !now;
+    now := !now +. Prng.exponential rng ~mean:mean_gap
+  done;
+  (* Every arrival is one event, the last one too: it found the window
+     closed. *)
+  Xc_sim.Engine.add_domain_events (!invocations + 1);
   {
     invocations = !invocations;
     cold_starts = !cold;

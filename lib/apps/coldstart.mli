@@ -37,3 +37,7 @@ type result = {
 }
 
 val run : spawn_path -> config -> result
+(** A Poisson stream of invocations over [duration_ns], each served by
+    an idle warm instance or a fresh spawn along [spawn_path].  Raises
+    [Invalid_argument "Coldstart.run: rate"] unless [arrival_rate_rps]
+    is finite and [> 0]. *)

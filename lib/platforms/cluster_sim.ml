@@ -141,11 +141,11 @@ let arrival = 1 (* index: the request *)
 let slice_end = 2 (* index: the core *)
 let response = 3 (* index: the winning burst *)
 
-(* The exact tier's kernel.  Events are int codes dispatched from one
-   [Heap] in (time, insertion) order — the Engine's order, its
-   same-instant lane included, since everything scheduled at the
-   current instant was inserted after every event already due then.
-   All state is struct-of-arrays:
+(* The exact tier's kernel.  Events are int codes that [Dispatch.run]
+   pops from one [Heap] in (time, insertion) order — the closure
+   engine's order, its same-instant lane included, since everything
+   scheduled at the current instant was inserted after every event
+   already due then.  All state is struct-of-arrays:
 
    - a request slot [r] holds its client ([origin]), send time and,
      under [lb], the hedge time its losing clones burnt.  Its [clones]
@@ -184,31 +184,22 @@ let run config =
   in
   let heap = Heap.create () in
   let clock = [| 0. |] in
-  let latencies = Histogram.create () in
-  let completed = ref 0 in
-  (* Throughput census: every response landing inside the measurement
-     window counts, whenever its request was sent.  Gating on the send
-     time too (as [completed], which keys the latency histogram and the
-     trace bundles, must) would silently drop the last ~latency of the
-     window and bias the rate low by latency/duration. *)
-  let finished = ref 0 in
+  (* Throughput comes from the window's completion census: gating on
+     the send time too, as the measured requests must, would drop the
+     last ~latency of the window and bias the rate low by
+     latency/duration. *)
+  let w = Dispatch.window ~warmup_ns:config.warmup_ns ~duration_ns:config.duration_ns in
   let container_switches = ref 0 in
   let process_switches = ref 0 in
-  let measure_start = config.warmup_ns in
-  let measure_end = config.warmup_ns +. config.duration_ns in
   let half = config.client_rtt_ns /. 2. in
   let n_stages = Array.length config.stage_cpu_ns in
-  let no_mech = Array.length config.request_mech = 0 in
-  (* Busy core time, switch overhead, and the bundle lane for tail
-     attribution: when [request_mech] is set, each measured request's
-     spans (request + synthetic children) are re-based onto a
-     sequential region past the end of the simulated timeline, packed
-     end to end.  Concurrent requests overlap in simulated time, and
-     overlapping windows cannot be partitioned exactly by a containment
-     sweep; the sequential lane makes [Profile.attribute] exact.
-     Durations are untouched. *)
-  let busy = 0 and overhead = 1 and lane = 2 in
-  let sums = [| 0.; 0.; measure_end +. config.client_rtt_ns +. 1e9 |] in
+  (* With [request_mech] set, each measured request's spans go onto
+     the bundle lane. *)
+  let bundle = Array.length config.request_mech > 0 in
+  let lane = Dispatch.lane w ~rtt_ns:config.client_rtt_ns in
+  (* Busy core time and switch overhead. *)
+  let busy = 0 and overhead = 1 in
+  let sums = [| 0.; 0. |] in
   let hedge_row = Printf.sprintf "clone-x%d" clones in
 
   let n_entities =
@@ -229,11 +220,6 @@ let run config =
   let switched = ref (Array.make bursts 0.) and cancelled = ref (Array.make bursts false) in
   let next = ref (Array.make bursts (-1)) in
   let free = ref (Array.make slots 0) and n_free = ref 0 and fresh = ref 0 in
-  let grow a fill =
-    let b = Array.make (2 * Array.length a) fill in
-    Array.blit a 0 b 0 (Array.length a);
-    b
-  in
   let take_request () =
     if !n_free > 0 then begin
       decr n_free;
@@ -243,18 +229,18 @@ let run config =
       let r = !fresh in
       incr fresh;
       if r = Array.length !origin then begin
-        origin := grow !origin 0;
-        sent := grow !sent 0.;
-        hedge := grow !hedge 0.;
-        live := grow !live 0;
-        target := grow !target 0;
-        stage := grow !stage 0;
-        remaining := grow !remaining 0.;
-        burnt := grow !burnt 0.;
-        switched := grow !switched 0.;
-        cancelled := grow !cancelled false;
-        next := grow !next (-1);
-        free := grow !free 0
+        origin := Dispatch.grow !origin 0;
+        sent := Dispatch.grow !sent 0.;
+        hedge := Dispatch.grow !hedge 0.;
+        live := Dispatch.grow !live 0;
+        target := Dispatch.grow !target 0;
+        stage := Dispatch.grow !stage 0;
+        remaining := Dispatch.grow !remaining 0.;
+        burnt := Dispatch.grow !burnt 0.;
+        switched := Dispatch.grow !switched 0.;
+        cancelled := Dispatch.grow !cancelled false;
+        next := Dispatch.grow !next (-1);
+        free := Dispatch.grow !free 0
       end;
       r
     end
@@ -480,7 +466,7 @@ let run config =
            configured: the bundle carries the same time as one exact
            per-request [ctx-switch] row, and emitting both would
            double-count switching in summaries. *)
-        if switch_cost > 0. && no_mech && Trace.enabled () then
+        if switch_cost > 0. && (not bundle) && Trace.enabled () then
           Trace.span_at ~at:now ~cat:"ctx-switch"
             ~name:(if container_switch then "container" else "process")
             switch_cost;
@@ -564,69 +550,51 @@ let run config =
         fan_out p (r * clones) targets
   in
 
-  (* Synthetic children nested inside the request window: the two
-     half-RTT hops, each stage's mechanism decomposition laid out
-     serially and clamped to the window, and one exact [ctx-switch] row
-     carrying the scheduler switch time this request was actually
-     charged (accumulated per burst in [dispatch]).  Scheduling and
-     queueing delay stay request self-time. *)
-  let emit_bundle b ~sent_at ~shift =
-    let now = clock.(0) in
-    if half > 0. then
-      Trace.span_at ~at:(sent_at +. shift) ~cat:"net.hop" ~name:"client->server" half;
-    let lane = [| sent_at +. shift +. half; now +. shift -. half |] in
+  (* The bundle's middle rows, nested inside the request window after
+     the client->server hop: each stage's mechanism decomposition laid
+     out serially and clamped to the window, and one exact
+     [ctx-switch] row carrying the scheduler switch time this request
+     was actually charged (accumulated per burst in [dispatch]).  Then
+     the return hop.  Scheduling and queueing delay stay request
+     self-time. *)
+  let emit_bundle b =
+    let now = clock.(0) and shift = lane.shift and sent_at = !sent.(b / clones) in
+    let rows = [| sent_at +. shift +. half; now +. shift -. half |] in
     for stage = 0 to Array.length config.request_mech - 1 do
-      Station.lay_rows lane config.request_mech.(stage)
+      Dispatch.lay_rows rows config.request_mech.(stage)
     done;
-    if !switched.(b) > 0. then Station.lay_row lane "ctx-switch" "sched" !switched.(b);
+    if !switched.(b) > 0. then Dispatch.lay_row rows "ctx-switch" "sched" !switched.(b);
     (* Hedge overhead: core time the losing clones burnt before
        cancellation, clamped like every other row (it accrues on other
        backends in parallel, so it can exceed the response window).
        The row name carries the clone fan-out; a floor of 1ns keeps the
        fan-out visible even when the siblings never started. *)
     if clones > 1 then
-      Station.lay_row lane "lb.hedge" hedge_row (Float.max !hedge.(b / clones) 1.);
+      Dispatch.lay_row rows "lb.hedge" hedge_row (Float.max !hedge.(b / clones) 1.);
     if half > 0. then
       Trace.span_at ~at:(now +. shift -. half) ~cat:"net.hop" ~name:"server->client" half
   in
 
   let respond b =
-    let now = clock.(0) and r = b / clones in
-    let sent_at = !sent.(r) in
+    let r = b / clones in
     if Metrics.on () then begin
       Metrics.gauge_add ~cat:"net" ~name:"in-flight" (-1.);
       Metrics.gauge_add ~cat:"platform" ~name:"in-flight" (-1.)
     end;
-    if now >= measure_start && now <= measure_end then incr finished;
-    if sent_at >= measure_start && now <= measure_end then begin
-      incr completed;
-      Histogram.add latencies (now -. sent_at);
+    if Dispatch.complete w !sent r clock then begin
       if Metrics.on () then begin
         Metrics.counter_incr ~cat:"platform" ~name:"requests";
-        Metrics.hist_observe ~cat:"platform" ~name:"latency-ns" (now -. sent_at)
+        Metrics.hist_observe ~cat:"platform" ~name:"latency-ns" (clock.(0) -. !sent.(r))
       end;
       if Trace.enabled () then begin
-        (* [shift] re-bases the whole bundle onto the sequential lane;
-           0 keeps the legacy real-time request span when no mechanism
-           decomposition was configured. *)
-        let shift =
-          if no_mech then 0.
-          else begin
-            let c = sums.(lane) in
-            sums.(lane) <- c +. (now -. sent_at);
-            c -. sent_at
-          end
-        in
-        Trace.span_at ~at:(sent_at +. shift)
-          ~value:(float_of_int !completed) ~cat:"request" ~name:"cluster"
-          (now -. sent_at);
-        if not no_mech then emit_bundle b ~sent_at ~shift
+        Dispatch.request lane ~bundle ~name:"cluster" ~index:w.completed ~half !sent r clock;
+        if bundle then emit_bundle b
       end
     end;
     let client = !origin.(r) in
     release b;
     (* Closed loop: the client immediately sends the next request. *)
-    if now < measure_end then send client
+    if clock.(0) < w.end_ns then send client
   in
 
   (* Start the closed-loop clients, staggered. *)
@@ -635,32 +603,18 @@ let run config =
       Heap.push heap (Prng.float rng 1e6) ((c lsl 2) lor first_send)
     done
   done;
-  (* [Engine.run ~until]: every event due by [stop] runs, then the
-     clock advances to [stop], snapshotting telemetry on the way. *)
-  let stop = measure_end +. config.client_rtt_ns in
-  let events = ref 0 in
-  while (not (Heap.is_empty heap)) && (Heap.keys heap).(0) <= stop do
-    let code = Heap.top heap and at = (Heap.keys heap).(0) in
-    Heap.drop heap;
-    (* Snapshot telemetry at every interval boundary the clock jump
-       crosses, before the event runs, as [Engine] does. *)
-    if Metrics.on () then Metrics.sample_boundaries ~from:clock.(0) ~until:at;
-    clock.(0) <- at;
-    incr events;
-    let i = code lsr 2 in
-    match code land 3 with
-    | 0 -> send i
-    | 1 -> arrive i
-    | 2 -> end_slice i
-    | _ -> respond i
-  done;
-  if Metrics.on () then
-    Metrics.sample_boundaries ~from:clock.(0) ~until:(Float.max clock.(0) stop);
-  Xc_sim.Engine.add_domain_events !events;
+  let stop = w.end_ns +. config.client_rtt_ns in
+  Dispatch.run ~until:stop heap clock (fun code ->
+      let i = code lsr 2 in
+      match code land 3 with
+      | 0 -> send i
+      | 1 -> arrive i
+      | 2 -> end_slice i
+      | _ -> respond i);
   {
-    throughput_rps = float_of_int !finished /. (config.duration_ns /. 1e9);
-    mean_latency_ns = Histogram.mean latencies;
-    p99_latency_ns = Histogram.percentile latencies 99.;
+    throughput_rps = float_of_int w.finished /. (config.duration_ns /. 1e9);
+    mean_latency_ns = Histogram.mean w.latencies;
+    p99_latency_ns = Histogram.percentile w.latencies 99.;
     container_switches = !container_switches;
     process_switches = !process_switches;
     switch_overhead_ns = sums.(overhead);

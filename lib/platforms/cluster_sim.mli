@@ -29,8 +29,8 @@ type mode = Flat | Hierarchical
 type fidelity =
   | Exact
       (** every request through the event-driven dispatcher: an
-          int-coded kernel over struct-of-arrays state, in the
-          [Xc_sim.Engine]'s (time, insertion) order *)
+          int-coded kernel over struct-of-arrays state, dispatched by
+          {!Dispatch.run} in (time, insertion) order *)
   | Fluid
       (** the whole closed loop solved analytically: one load-dependent
           PS station (the [pcpus] cores) under exact MVA

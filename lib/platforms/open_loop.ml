@@ -18,7 +18,8 @@ type result = {
 }
 
 let run config server =
-  if config.arrival_rate_rps <= 0. then invalid_arg "Open_loop.run: rate";
+  let rate = config.arrival_rate_rps in
+  if not (Float.is_finite rate && rate > 0.) then invalid_arg "Open_loop.run: rate";
   let r =
     Station.run ~warmup_ns:config.warmup_ns ~duration_ns:config.duration_ns
       ~seed:config.seed

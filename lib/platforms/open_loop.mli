@@ -30,4 +30,6 @@ type result = {
 
 val run : config -> Closed_loop.server -> result
 (** A {!Station} fed by Poisson arrivals: each request takes one
-    service sample on the unit that frees up first, FIFO. *)
+    service sample on the unit that frees up first, FIFO.  Raises
+    [Invalid_argument "Open_loop.run: rate"] unless [arrival_rate_rps]
+    is finite and [> 0]. *)

@@ -1,15 +1,15 @@
 (* One queueing station under both request drivers.
 
-   Events are int codes into struct-of-arrays request state, ordered
-   by one [Heap] on (time, insertion sequence) — exactly the Engine's
-   dispatch order, its same-timestamp fast lane included, since
-   everything scheduled at the current instant was inserted after
-   every event already due then.  Nothing on the per-event path takes
-   or returns a [float] across a call except [Heap.push]'s key,
-   [Prng.normal]/[Prng.exponential]'s draw and [Histogram.add]'s
-   sample: dev builds compile every library [-opaque], so each such
-   float is boxed.  Local helpers therefore read the clock from the
-   [clock] cell, never from an argument. *)
+   Events are int codes into struct-of-arrays request state, which
+   [Dispatch.run] pops from one [Heap] in (time, insertion sequence)
+   order — the closure engine's order, its same-timestamp fast lane
+   included, since everything scheduled at the current instant was
+   inserted after every event already due then.  Nothing on the
+   per-event path takes or returns a [float] across a call except
+   [Heap.push]'s key, [Prng.normal]/[Prng.exponential]'s draw and
+   [Histogram.add]'s sample: dev builds compile every library
+   [-opaque], so each such float is boxed.  Local helpers therefore
+   read the clock from the [clock] cell, never from an argument. *)
 
 module Heap = Xc_sim.Heap
 module Prng = Xc_sim.Prng
@@ -29,22 +29,6 @@ type population =
 
 type result = { completed : int; latencies : Histogram.t; max_in_system : int }
 
-(* The cursor lives in a float cell and the loop has no closure, so a
-   row boxes only its own time and duration. *)
-let lay_row lane cat name ns =
-  let at = lane.(0) in
-  let d = Float.min ns (lane.(1) -. at) in
-  if d > 0. then begin
-    Trace.span_at ~at ~cat ~name d;
-    lane.(0) <- at +. d
-  end
-
-let rec lay_rows lane = function
-  | [] -> ()
-  | (cat, name, ns) :: rest ->
-      lay_row lane cat name ns;
-      lay_rows lane rest
-
 (* The open loop's arrival process.  Every other open code is a
    request slot; a closed code [c >= 0] is connection [c]'s response
    and [-1 - c] its first send. *)
@@ -55,10 +39,7 @@ let run ~warmup_ns ~duration_ns ~seed population server =
   let heap = Heap.create () in
   let clock = [| 0. |] in
   let unit_free = Array.make (Stdlib.max 1 server.units) 0. in
-  let latencies = Histogram.create () in
-  let completed = ref 0 in
-  let measure_start = warmup_ns in
-  let measure_end = warmup_ns +. duration_ns in
+  let w = Dispatch.window ~warmup_ns ~duration_ns in
   (* Request state by slot: sent (or arrived), service start and
      finish.  The closed loop's slots are its connections; the open
      loop takes slots from a free stack and grows them by doubling. *)
@@ -103,57 +84,32 @@ let run ~warmup_ns ~duration_ns ~seed population server =
   let handle =
     match population with
     | Closed { rtt_ns; mechanisms; _ } ->
-        (* Bundle lane for tail attribution: each measured request's
-           spans (request + synthetic children) are re-based onto a
-           sequential region past the end of the simulated timeline.
-           Concurrent requests genuinely overlap in simulated time, and
-           overlapping windows cannot be partitioned exactly by a
-           containment sweep; packing the bundles end to end makes
-           [Profile.attribute] exact. *)
-        let synth_cursor = [| measure_end +. rtt_ns +. 1e9 |] in
+        let bundle = mechanisms <> [] in
+        let lane = Dispatch.lane w ~rtt_ns in
+        (* The bundle's middle rows nest inside the request window so
+           tail attribution can partition it exactly: queue wait, the
+           configured mechanism decomposition laid out serially over
+           the service window (clamped — jitter can make the sampled
+           service shorter than the deterministic decomposition; any
+           excess stays request self-time), and the return hop. *)
         let emit c =
-          let now = clock.(0) and sent_at = !sent.(c) in
-          (* value = completion index: a stable request id that
-             per-request tooling (Profile.attribute) reads back from
-             the span. *)
-          let bundle = mechanisms <> [] in
-          (* [shift] re-bases the whole bundle onto the sequential
-             lane; 0 keeps the legacy real-time request span when no
-             mechanism decomposition was configured. *)
-          let shift =
-            if bundle then begin
-              let cur = synth_cursor.(0) in
-              synth_cursor.(0) <- cur +. (now -. sent_at);
-              cur -. sent_at
-            end
-            else 0.
-          in
-          Trace.span_at ~at:(sent_at +. shift)
-            ~value:(float_of_int !completed) ~cat:"request" ~name:"closed-loop"
-            (now -. sent_at);
-          (* Synthetic mechanism children nested inside the request
-             window, so tail attribution can partition it exactly: the
-             client->server hop, queue wait, the configured mechanism
-             decomposition laid out serially over the service window
-             (clamped — jitter can make the sampled service shorter
-             than the deterministic decomposition; any excess stays
-             request self-time), and the return hop. *)
+          Dispatch.request lane ~bundle ~name:"closed-loop" ~index:w.completed ~half !sent c
+            clock;
           if bundle then begin
-            let arrive_at = sent_at +. half in
+            let shift = lane.shift in
+            let arrive_at = !sent.(c) +. half in
             let start_at = !start.(c) and finish_at = !finish.(c) in
-            if half > 0. then
-              Trace.span_at ~at:(sent_at +. shift) ~cat:"net.hop" ~name:"client->server" half;
             if start_at -. arrive_at > 0. then
               Trace.span_at ~at:(arrive_at +. shift) ~cat:"sched" ~name:"queue-wait"
                 (start_at -. arrive_at);
-            lay_rows [| start_at +. shift; finish_at +. shift |] mechanisms;
+            Dispatch.lay_rows [| start_at +. shift; finish_at +. shift |] mechanisms;
             if half > 0. then
               Trace.span_at ~at:(finish_at +. shift) ~cat:"net.hop" ~name:"server->client" half
           end
         in
         let send c =
           let now = clock.(0) in
-          if now < measure_end then begin
+          if now < w.end_ns then begin
             !sent.(c) <- now;
             book c;
             if Metrics.on () then begin
@@ -164,14 +120,11 @@ let run ~warmup_ns ~duration_ns ~seed population server =
           end
         in
         let respond c =
-          let now = clock.(0) and sent_at = !sent.(c) in
           if Metrics.on () then Metrics.gauge_add ~cat:"platform" ~name:"in-flight" (-1.);
-          if sent_at >= measure_start && now <= measure_end then begin
-            incr completed;
-            Histogram.add latencies (now -. sent_at);
+          if Dispatch.complete w !sent c clock then begin
             if Metrics.on () then begin
               Metrics.counter_incr ~cat:"platform" ~name:"requests";
-              Metrics.hist_observe ~cat:"platform" ~name:"latency-ns" (now -. sent_at)
+              Metrics.hist_observe ~cat:"platform" ~name:"latency-ns" (clock.(0) -. !sent.(c))
             end;
             if Trace.enabled () then emit c
           end;
@@ -182,11 +135,6 @@ let run ~warmup_ns ~duration_ns ~seed population server =
         let mean_gap = 1e9 /. rate_rps in
         let in_system = ref 0 in
         let free = ref (Array.make slots 0) and n_free = ref 0 and fresh = ref 0 in
-        let grow a fill =
-          let b = Array.make (2 * Array.length a) fill in
-          Array.blit a 0 b 0 (Array.length a);
-          b
-        in
         let take_slot () =
           if !n_free > 0 then begin
             decr n_free;
@@ -196,17 +144,17 @@ let run ~warmup_ns ~duration_ns ~seed population server =
             let i = !fresh in
             incr fresh;
             if i = Array.length !sent then begin
-              sent := grow !sent 0.;
-              start := grow !start 0.;
-              finish := grow !finish 0.;
-              free := grow !free 0
+              sent := Dispatch.grow !sent 0.;
+              start := Dispatch.grow !start 0.;
+              finish := Dispatch.grow !finish 0.;
+              free := Dispatch.grow !free 0
             end;
             i
           end
         in
         let arrive () =
           let now = clock.(0) in
-          if now < measure_end then begin
+          if now < w.end_ns then begin
             incr in_system;
             if !in_system > !max_in_system then max_in_system := !in_system;
             let i = take_slot () in
@@ -218,13 +166,9 @@ let run ~warmup_ns ~duration_ns ~seed population server =
         in
         let complete i =
           decr in_system;
-          let now = clock.(0) and arrived = !sent.(i) in
           !free.(!n_free) <- i;
           incr n_free;
-          if arrived >= measure_start && now <= measure_end then begin
-            incr completed;
-            Histogram.add latencies (now -. arrived)
-          end
+          ignore (Dispatch.complete w !sent i clock)
         in
         fun code -> if code = arrival then arrive () else complete code
   in
@@ -235,16 +179,5 @@ let run ~warmup_ns ~duration_ns ~seed population server =
         schedule (Prng.float rng 1e6) (-1 - c)
       done
   | Poisson _ -> schedule 0. arrival);
-  let events = ref 0 in
-  while not (Heap.is_empty heap) do
-    let code = Heap.top heap and at = (Heap.keys heap).(0) in
-    Heap.drop heap;
-    (* Snapshot telemetry at every interval boundary the clock jump
-       crosses, before the event runs, as [Engine] does. *)
-    if Metrics.on () then Metrics.sample_boundaries ~from:clock.(0) ~until:at;
-    clock.(0) <- at;
-    incr events;
-    handle code
-  done;
-  Xc_sim.Engine.add_domain_events !events;
-  { completed = !completed; latencies; max_in_system = !max_in_system }
+  Dispatch.run heap clock handle;
+  { completed = w.completed; latencies = w.latencies; max_in_system = !max_in_system }

@@ -4,14 +4,13 @@
     the unit that frees up first, fed either by a closed population
     (each connection keeps one request outstanding) or by Poisson
     arrivals.  Its events are int codes into struct-of-arrays request
-    state, dispatched in (time, insertion sequence) order from one
-    {!Xc_sim.Heap} — the same order {!Xc_sim.Engine} runs — so the
-    per-event path allocates no closure, option or tuple.
+    state, dispatched by {!Dispatch.run} in (time, insertion sequence)
+    order, so the per-event path allocates no closure, option or tuple.
+    Its measured requests are {!Dispatch.complete}'s, and a traced
+    closed loop lays its bundles on a {!Dispatch.lane}.
 
-    Every dispatch is credited to {!Xc_sim.Engine.domain_events}, and
-    telemetry boundaries are sampled before each clock advance, as the
-    engine does.  An event time in the past or NaN raises
-    [Invalid_argument] naming [Station.run]. *)
+    An event time in the past or NaN raises [Invalid_argument] naming
+    [Station.run]. *)
 
 type server = {
   units : int;  (** parallel service units *)
@@ -48,22 +47,3 @@ val run :
 (** Run until no event is left.  A closed connection stops sending,
     and Poisson arrivals stop, once the clock reaches
     [warmup_ns + duration_ns]; requests in flight then still drain. *)
-
-(** {1 The bundle lane}
-
-    A traced kernel re-bases each measured request onto a sequential
-    lane past the end of the simulated timeline and lays its mechanism
-    rows out serially inside the request's window, so
-    [Xc_trace.Profile.attribute] partitions it exactly.  [lane] is a
-    two-cell array: the next row's start, and the end no row may pass.
-    Both the station and the cluster kernel ({!Cluster_sim}) lay their
-    rows through these. *)
-
-val lay_row : float array -> string -> string -> float -> unit
-(** [lay_row lane cat name ns] records a [cat]/[name] span at
-    [lane.(0)], of [ns] clamped so that it ends by [lane.(1)], and
-    moves [lane.(0)] to its end.  A row clamped to nothing is
-    skipped. *)
-
-val lay_rows : float array -> (string * string * float) list -> unit
-(** {!lay_row} over [(cat, name, ns)] rows, in order. *)

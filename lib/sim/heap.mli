@@ -1,6 +1,6 @@
 (** Binary min-heap keyed by [float] priorities.
 
-    The event queue of the discrete-event engine is the hottest data
+    The event queue of the simulation kernels is the hottest data
     structure in the simulator, so this is an array-based binary heap
     specialised to float keys (no comparator closure on the hot path)
     stored as parallel arrays: an unboxed [float array] of keys, an

@@ -2,9 +2,9 @@
 
     A process-wide typed registry of counters, gauges and histograms
     that every substrate emits into, sampled on the {e sim clock} into a
-    bounded time-series of {!snapshot}s by each simulation loop as its
-    clock advances (the station and cluster kernels, and [Engine] for
-    the cold-start model; see {!sample_boundaries}).
+    bounded time-series of {!snapshot}s by the kernels' dispatch loop
+    as its clock advances ([Xc_platforms.Dispatch.run], under the
+    station and cluster kernels; see {!sample_boundaries}).
     Disabled it costs one atomic load per emitter; the state is
     domain-local, and {!capture} with {!merge_telemetry} give the
     runner's cells ([Xc_suite.Run]) the same deterministic cross-domain

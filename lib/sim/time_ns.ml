@@ -1,5 +1,1 @@
 type t = float
-
-let zero = 0.
-let compare = Float.compare
-let max = Float.max

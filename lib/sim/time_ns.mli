@@ -9,8 +9,3 @@
 
 type t = float
 (** Time, in nanoseconds. *)
-
-val zero : t
-
-val compare : t -> t -> int
-val max : t -> t -> t

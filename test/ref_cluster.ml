@@ -3,7 +3,7 @@
    its trace bundles and telemetry.  It is the reference
    [Cluster_sim.run] is checked against bit for bit (test_cluster_sim). *)
 
-module Engine = Xc_sim.Engine
+module Engine = Ref_engine
 module Prng = Xc_sim.Prng
 module Histogram = Xc_sim.Histogram
 open Xc_platforms.Cluster_sim

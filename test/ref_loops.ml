@@ -2,9 +2,10 @@
    Engine callback per event and one closure per request, the closed
    loop with its trace bundles and telemetry.  They are the reference
    the kernel is checked against bit for bit (test_platforms,
-   test_extensions). *)
+   test_extensions).  So is the engine-driven cold-start model for the
+   plain arrival loop that replaced it. *)
 
-module Engine = Xc_sim.Engine
+module Engine = Ref_engine
 module Prng = Xc_sim.Prng
 module Histogram = Xc_sim.Histogram
 module Metrics = Xc_sim.Metrics
@@ -159,6 +160,61 @@ let open_ (config : OL.config) server : OL.result =
     max_queue = !max_queue;
   }
 
+(* The cold-start model as it ran on the closure engine: one
+   self-rescheduling Poisson arrival callback (test_coldstart). *)
+module C = Xc_apps.Coldstart
+
+type instance = { mutable free_at : float; mutable expires_at : float }
+
+let coldstart path (config : C.config) : C.result =
+  let engine = Engine.create () in
+  let rng = Prng.create config.C.seed in
+  let latencies = Histogram.create () in
+  let pool : instance list ref = ref [] in
+  let invocations = ref 0 in
+  let cold = ref 0 in
+  let spawn = C.spawn_ns path in
+  let mean_gap = 1e9 /. config.C.arrival_rate_rps in
+  let find_warm now =
+    (* Drop expired instances, then pick an idle one. *)
+    pool := List.filter (fun i -> i.expires_at > now) !pool;
+    List.find_opt (fun i -> i.free_at <= now) !pool
+  in
+  let handle_invocation engine =
+    let now = Engine.now engine in
+    incr invocations;
+    let start_delay, instance =
+      match find_warm now with
+      | Some i -> (0., i)
+      | None ->
+          incr cold;
+          let i = { free_at = now; expires_at = now } in
+          pool := i :: !pool;
+          (spawn, i)
+    in
+    let finish = now +. start_delay +. config.C.service_ns in
+    instance.free_at <- finish;
+    instance.expires_at <- finish +. config.C.keepalive_ns;
+    Histogram.add latencies (start_delay +. config.C.service_ns)
+  in
+  let rec arrivals engine =
+    let now = Engine.now engine in
+    if now < config.C.duration_ns then begin
+      handle_invocation engine;
+      Engine.schedule engine (now +. Prng.exponential rng ~mean:mean_gap) arrivals
+    end
+  in
+  Engine.schedule engine 0. arrivals;
+  Engine.run engine;
+  {
+    C.invocations = !invocations;
+    cold_starts = !cold;
+    cold_fraction =
+      (if !invocations = 0 then 0. else float_of_int !cold /. float_of_int !invocations);
+    p50_latency_ns = Histogram.percentile latencies 50.;
+    p99_latency_ns = Histogram.percentile latencies 99.;
+  }
+
 (* ---------------- Differential inputs ---------------- *)
 
 (* Constant and jittered servers.  A zero floor with a wide jitter
@@ -194,9 +250,9 @@ let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 (* Engine dispatches (or kernel credits) while [f] runs, with its result. *)
 let counted f =
-  let e0 = Engine.domain_events () in
+  let e0 = Xc_sim.Engine.domain_events () in
   let r = f () in
-  (r, Engine.domain_events () - e0)
+  (r, Xc_sim.Engine.domain_events () - e0)
 
 (* [counted f]; traced, also every event [f] recorded and its telemetry
    (snapshots, counters, gauges and histograms), marshalled so floats

@@ -56,8 +56,36 @@ let test_tail_reflects_spawn_path () =
     (xl.p99_latency_ns /. clone.p99_latency_ns > 30.)
 
 let test_validation () =
-  Alcotest.check_raises "rate" (Invalid_argument "Coldstart.run: rate") (fun () ->
-      ignore (C.run C.Xc_clone (C.default_config ~rate_rps:0.)))
+  List.iter
+    (fun rate_rps ->
+      Alcotest.check_raises (Printf.sprintf "rate %g" rate_rps)
+        (Invalid_argument "Coldstart.run: rate") (fun () ->
+          ignore (C.run C.Xc_clone (C.default_config ~rate_rps))))
+    [ 0.; -1.; Float.nan; Float.infinity ]
+
+(* The arrival loop against the engine-driven run it replaced: every
+   result field bit for bit, and the same events credited. *)
+let differential =
+  let gen =
+    QCheck.Gen.(
+      quad (oneofl C.all_paths) (float_range 0.01 5.)
+        (frequency [ (1, return 0.); (3, float_range 0. 6e10) ])
+        (pair (frequency [ (1, return 0.); (9, float_range 0. 2e11) ]) (int_range 0 10_000)))
+  in
+  let print (path, rate, keepalive_ns, (duration_ns, seed)) =
+    Printf.sprintf "%s rate=%h keepalive_ns=%h duration_ns=%h seed=%d"
+      (C.spawn_path_name path) rate keepalive_ns duration_ns seed
+  in
+  QCheck.Test.make ~name:"matches the engine-driven run" ~count:200 (QCheck.make ~print gen)
+    (fun (path, rate_rps, keepalive_ns, (duration_ns, seed)) ->
+      let config = { (C.default_config ~rate_rps) with keepalive_ns; duration_ns; seed } in
+      let a, na = Ref_loops.counted (fun () -> C.run path config) in
+      let b, nb = Ref_loops.counted (fun () -> Ref_loops.coldstart path config) in
+      let same = Ref_loops.same_bits in
+      na = nb && a.invocations = b.invocations && a.cold_starts = b.cold_starts
+      && same a.cold_fraction b.cold_fraction
+      && same a.p50_latency_ns b.p50_latency_ns
+      && same a.p99_latency_ns b.p99_latency_ns)
 
 let suites =
   [
@@ -71,5 +99,6 @@ let suites =
         Alcotest.test_case "tail reflects spawn path" `Quick
           test_tail_reflects_spawn_path;
         Alcotest.test_case "validation" `Quick test_validation;
+        QCheck_alcotest.to_alcotest differential;
       ] );
   ]

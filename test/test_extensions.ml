@@ -262,6 +262,17 @@ let open_differential =
       && same a.mean_latency_ns b.mean_latency_ns
       && same a.p50_ns b.p50_ns && same a.p99_ns b.p99_ns)
 
+let test_open_loop_bad_rate () =
+  List.iter
+    (fun rate_rps ->
+      Alcotest.check_raises (Printf.sprintf "rate %g" rate_rps)
+        (Invalid_argument "Open_loop.run: rate") (fun () ->
+          ignore
+            (Xc_platforms.Open_loop.run
+               (Xc_platforms.Open_loop.config ~rate_rps ())
+               (ol_server 20_000. 2))))
+    [ 0.; -1.; Float.nan; Float.infinity ]
+
 let test_open_loop_words () =
   let server = Test_platforms.xc_nginx_server () in
   let config =
@@ -309,6 +320,7 @@ let suites =
         Alcotest.test_case "overload" `Quick test_open_loop_overload;
         Alcotest.test_case "deterministic" `Quick test_open_loop_deterministic;
         Alcotest.test_case "words per event" `Quick test_open_loop_words;
+        Alcotest.test_case "bad rate refused" `Quick test_open_loop_bad_rate;
         QCheck_alcotest.to_alcotest open_differential;
       ] );
   ]

@@ -623,12 +623,11 @@ let test_only =
           ] );
         ("unpatched_site_ns", Hook, [ "platforms.syscall_path coverage interpolation" ]);
       ] );
-    ( "Xc_sim.Engine",
+    ( "Xc_sim.Heap",
       [
-        ("pending", Hook, [ "sim.engine events executed" ]);
-        ("events_executed", Hook, [ "sim.engine events executed" ]);
+        ("length", Hook, [ "sim.heap basic"; "sim.heap grow"; "sim.heap capacity-1 grow/drain" ]);
+        ("to_sorted_list", Oracle, [ "sim.heap pop order is sorted" ]);
       ] );
-    ("Xc_sim.Heap", [ ("to_sorted_list", Oracle, [ "sim.heap pop order is sorted" ]) ]);
     ( "Xc_sim.Histogram",
       [
         ( "equal",
@@ -797,6 +796,41 @@ let test_one_pricing_path () =
     "pricing named outside Xc_suite.Driver" []
     (List.concat_map named ([ "bench/main.ml"; "bin/xc.ml" ] @ suite_files))
 
+(* ---------------- One dispatch loop ---------------- *)
+
+(* Every event loop in lib/ is [Xc_platforms.Dispatch.run]: no other
+   lib/ module pops a heap event, through [Heap] or an alias of it. *)
+let test_one_dispatch_loop () =
+  let last p = List.nth p (List.length p - 1) in
+  let pops file =
+    let toks = tokens (read file) in
+    let rec aliases = function
+      | Word "module" :: Path ([ m ], false) :: Sym '=' :: Path (p, false) :: rest
+        when last p = "Heap" ->
+          m :: aliases rest
+      | _ :: rest -> aliases rest
+      | [] -> []
+    in
+    let heaps = "Heap" :: aliases toks in
+    let rec go = function
+      | Path (p, true) :: Sym '.' :: Word "drop" :: rest when List.mem (last p) heaps ->
+          (file ^ ": " ^ String.concat "." p ^ ".drop") :: go rest
+      | _ :: rest -> go rest
+      | [] -> []
+    in
+    go toks
+  in
+  Alcotest.(check (list string))
+    "heap events popped outside Xc_platforms.Dispatch" []
+    (List.concat_map
+       (fun (dir, _, ms) ->
+         List.concat_map
+           (fun m ->
+             if m = "Dispatch" then []
+             else pops (Filename.concat dir (String.uncapitalize_ascii m ^ ".ml")))
+           ms)
+       (libraries ()))
+
 let test_scanner () =
   let libs = [ ("Xc_os", [ "Epoll"; "Kernel" ]); ("Xc_hypervisor", [ "Tmem" ]) ] in
   let case name ?own src expected =
@@ -866,5 +900,6 @@ let suites =
         Alcotest.test_case "every lib value used" `Quick test_every_value_used;
         Alcotest.test_case "test-only list current" `Quick test_test_only_current;
         Alcotest.test_case "one pricing path" `Quick test_one_pricing_path;
+        Alcotest.test_case "one dispatch loop" `Quick test_one_dispatch_loop;
       ] );
   ]

@@ -6,7 +6,7 @@
 
 module M = Xc_sim.Metrics
 module H = Xc_sim.Histogram
-module E = Xc_sim.Engine
+module E = Ref_engine
 
 (* Every test runs against an enabled registry and leaves the recorder
    off (other suites must not see stray metrics).  Settings persist

@@ -4,12 +4,6 @@ open Xc_sim
 
 let check_float = Alcotest.(check (float 1e-9))
 
-(* ---------------- Time ---------------- *)
-
-let test_time_arith () =
-  Alcotest.(check int) "compare" (-1) (Time_ns.compare 1. 2.);
-  check_float "max" 2. (Time_ns.max 1. 2.)
-
 (* ---------------- Prng ---------------- *)
 
 (* A draw over (nearly) the generator's whole output range. *)
@@ -434,92 +428,96 @@ let table_cell_views =
 
 (* ---------------- Engine ---------------- *)
 
+(* The closure engine is the differential tests' reference
+   (test/ref_engine.ml); these tests pin its order.  [Engine] is the
+   library's per-domain event counter. *)
+
 let test_engine_ordering () =
-  let e = Engine.create () in
+  let e = Ref_engine.create () in
   let log = ref [] in
-  Engine.schedule e 30. (fun _ -> log := 3 :: !log);
-  Engine.schedule e 10. (fun _ -> log := 1 :: !log);
-  Engine.schedule e 20. (fun _ -> log := 2 :: !log);
-  Engine.run e;
+  Ref_engine.schedule e 30. (fun _ -> log := 3 :: !log);
+  Ref_engine.schedule e 10. (fun _ -> log := 1 :: !log);
+  Ref_engine.schedule e 20. (fun _ -> log := 2 :: !log);
+  Ref_engine.run e;
   Alcotest.(check (list int)) "timestamp order" [ 1; 2; 3 ] (List.rev !log);
-  check_float "clock at last event" 30. (Engine.now e)
+  check_float "clock at last event" 30. (Ref_engine.now e)
 
 let test_engine_tie_order () =
-  let e = Engine.create () in
+  let e = Ref_engine.create () in
   let log = ref [] in
   for i = 1 to 5 do
-    Engine.schedule e 10. (fun _ -> log := i :: !log)
+    Ref_engine.schedule e 10. (fun _ -> log := i :: !log)
   done;
-  Engine.run e;
+  Ref_engine.run e;
   Alcotest.(check (list int)) "fifo ties" [ 1; 2; 3; 4; 5 ] (List.rev !log)
 
 let test_engine_until () =
-  let e = Engine.create () in
+  let e = Ref_engine.create () in
   let count = ref 0 in
   let rec tick eng =
     incr count;
-    Engine.schedule eng (Engine.now eng +. 10.) tick
+    Ref_engine.schedule eng (Ref_engine.now eng +. 10.) tick
   in
-  Engine.schedule e 0. tick;
-  Engine.run ~until:95. e;
+  Ref_engine.schedule e 0. tick;
+  Ref_engine.run ~until:95. e;
   Alcotest.(check int) "ten ticks by t=95" 10 !count;
-  check_float "clock parked at until" 95. (Engine.now e)
+  check_float "clock parked at until" 95. (Ref_engine.now e)
 
 let test_engine_past_raises () =
-  let e = Engine.create () in
-  Engine.schedule e 10. (fun eng ->
+  let e = Ref_engine.create () in
+  Ref_engine.schedule e 10. (fun eng ->
       Alcotest.check_raises "past" (Invalid_argument "Engine.schedule: event in the past")
-        (fun () -> Engine.schedule eng 5. (fun _ -> ())));
-  Engine.run e
+        (fun () -> Ref_engine.schedule eng 5. (fun _ -> ())));
+  Ref_engine.run e
 
 let test_engine_cascade () =
-  let e = Engine.create () in
+  let e = Ref_engine.create () in
   let log = ref [] in
-  Engine.schedule e 10. (fun eng ->
+  Ref_engine.schedule e 10. (fun eng ->
       log := "a" :: !log;
-      Engine.schedule eng (Engine.now eng +. 5.) (fun _ -> log := "b" :: !log));
-  Engine.run e;
+      Ref_engine.schedule eng (Ref_engine.now eng +. 5.) (fun _ -> log := "b" :: !log));
+  Ref_engine.run e;
   Alcotest.(check (list string)) "cascade" [ "a"; "b" ] (List.rev !log);
-  check_float "final clock" 15. (Engine.now e)
+  check_float "final clock" 15. (Ref_engine.now e)
 
 (* The same-timestamp fast lane: events scheduled at exactly [now] must
    still run after events already queued for that timestamp (they were
    scheduled earlier) and in FIFO order among themselves. *)
 let test_engine_now_fast_lane () =
-  let e = Engine.create () in
+  let e = Ref_engine.create () in
   let log = ref [] in
-  Engine.schedule e 10. (fun eng ->
+  Ref_engine.schedule e 10. (fun eng ->
       log := "first" :: !log;
-      Engine.schedule eng 10. (fun _ -> log := "lane1" :: !log);
-      Engine.schedule eng 10. (fun eng ->
+      Ref_engine.schedule eng 10. (fun _ -> log := "lane1" :: !log);
+      Ref_engine.schedule eng 10. (fun eng ->
           log := "lane2" :: !log;
-          Engine.schedule eng (Engine.now eng) (fun _ -> log := "lane3" :: !log)));
-  Engine.schedule e 10. (fun _ -> log := "second" :: !log);
-  Engine.run e;
+          Ref_engine.schedule eng (Ref_engine.now eng) (fun _ -> log := "lane3" :: !log)));
+  Ref_engine.schedule e 10. (fun _ -> log := "second" :: !log);
+  Ref_engine.run e;
   Alcotest.(check (list string))
     "heap-before-lane, lane FIFO"
     [ "first"; "second"; "lane1"; "lane2"; "lane3" ]
     (List.rev !log);
-  check_float "clock" 10. (Engine.now e)
+  check_float "clock" 10. (Ref_engine.now e)
 
 let test_engine_events_executed () =
-  let e = Engine.create () in
-  Alcotest.(check int) "fresh" 0 (Engine.events_executed e);
-  Engine.schedule e 5. (fun eng ->
-      Engine.schedule eng (Engine.now eng) (fun _ -> ());
-      Engine.schedule eng (Engine.now eng +. 1.) (fun _ -> ()));
-  Alcotest.(check int) "pending counts lane and heap" 1 (Engine.pending e);
-  Engine.run e;
-  Alcotest.(check int) "three executed" 3 (Engine.events_executed e);
-  Alcotest.(check int) "nothing pending" 0 (Engine.pending e)
+  let e = Ref_engine.create () in
+  Alcotest.(check int) "fresh" 0 (Ref_engine.events_executed e);
+  Ref_engine.schedule e 5. (fun eng ->
+      Ref_engine.schedule eng (Ref_engine.now eng) (fun _ -> ());
+      Ref_engine.schedule eng (Ref_engine.now eng +. 1.) (fun _ -> ()));
+  Alcotest.(check int) "pending counts lane and heap" 1 (Ref_engine.pending e);
+  Ref_engine.run e;
+  Alcotest.(check int) "three executed" 3 (Ref_engine.events_executed e);
+  Alcotest.(check int) "nothing pending" 0 (Ref_engine.pending e)
 
 let test_engine_domain_events () =
   let before = Engine.domain_events () in
-  let e = Engine.create () in
+  let e = Ref_engine.create () in
   for i = 1 to 7 do
-    Engine.schedule e (float_of_int i) (fun _ -> ())
+    Ref_engine.schedule e (float_of_int i) (fun _ -> ())
   done;
-  Engine.run e;
+  Ref_engine.run e;
   Alcotest.(check int) "domain counter advanced by 7" (before + 7)
     (Engine.domain_events ());
   (* Analytic models and the engine-less hedging simulator dispatch no
@@ -601,34 +599,36 @@ let check_words_budget ~budget f =
    option.  The first event goes through the heap before measuring,
    since the heap's first push allocates its payload array. *)
 let test_engine_words () =
-  let e = Engine.create () in
-  let rec tick eng = if Engine.now eng < 1e6 then Engine.schedule eng (Engine.now eng +. 10.) tick in
-  Engine.schedule e 10. tick;
-  check_words_budget ~budget:4 (fun () -> Engine.run e)
+  let e = Ref_engine.create () in
+  let rec tick eng =
+    if Ref_engine.now eng < 1e6 then Ref_engine.schedule eng (Ref_engine.now eng +. 10.) tick
+  in
+  Ref_engine.schedule e 10. tick;
+  check_words_budget ~budget:4 (fun () -> Ref_engine.run e)
 
 let test_engine_until_fast_lane () =
   (* A zero-delay event scheduled at the horizon must still run when
      the horizon is inclusive. *)
-  let e = Engine.create () in
+  let e = Ref_engine.create () in
   let log = ref [] in
-  Engine.schedule e 10. (fun eng ->
+  Ref_engine.schedule e 10. (fun eng ->
       log := 1 :: !log;
-      Engine.schedule eng (Engine.now eng) (fun _ -> log := 2 :: !log));
-  Engine.run ~until:10. e;
+      Ref_engine.schedule eng (Ref_engine.now eng) (fun _ -> log := 2 :: !log));
+  Ref_engine.run ~until:10. e;
   Alcotest.(check (list int)) "both ran" [ 1; 2 ] (List.rev !log);
-  check_float "clock at until" 10. (Engine.now e)
+  check_float "clock at until" 10. (Ref_engine.now e)
 
 let engine_props =
   [
     QCheck.Test.make ~name:"events execute in timestamp order" ~count:200
       QCheck.(list_of_size Gen.(int_range 0 50) (float_bound_inclusive 1e6))
       (fun times ->
-        let e = Engine.create () in
+        let e = Ref_engine.create () in
         let log = ref [] in
         List.iter
-          (fun at -> Engine.schedule e at (fun eng -> log := Engine.now eng :: !log))
+          (fun at -> Ref_engine.schedule e at (fun eng -> log := Ref_engine.now eng :: !log))
           times;
-        Engine.run e;
+        Ref_engine.run e;
         let executed = List.rev !log in
         executed = List.sort compare times);
   ]
@@ -637,10 +637,6 @@ let qsuite props = List.map QCheck_alcotest.to_alcotest props
 
 let suites =
   [
-    ( "sim.time",
-      [
-        Alcotest.test_case "arith" `Quick test_time_arith;
-      ] );
     ( "sim.prng",
       [
         Alcotest.test_case "deterministic" `Quick test_prng_deterministic;
