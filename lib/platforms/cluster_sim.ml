@@ -193,8 +193,6 @@ let run config =
   let process_switches = ref 0 in
   let half = config.client_rtt_ns /. 2. in
   let n_stages = Array.length config.stage_cpu_ns in
-  (* With [request_mech] set, each measured request's spans go onto
-     the bundle lane. *)
   let bundle = Array.length config.request_mech > 0 in
   let lane = Dispatch.lane w ~rtt_ns:config.client_rtt_ns in
   (* Busy core time and switch overhead. *)
