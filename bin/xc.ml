@@ -945,7 +945,7 @@ let trace_run_cmd =
            the mechanism lane, tying each request to its children. *)
         let requests, rest =
           List.partition
-            (fun (ev : Trace.event) -> ev.kind = Trace.Span && ev.cat = "request")
+            (fun ev -> Trace.kind ev = Trace.Span && Trace.cat ev = "request")
             events
         in
         let tracks =

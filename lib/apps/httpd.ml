@@ -122,8 +122,7 @@ let get ?id ?deliver t ~path =
   let finish result =
     if traced then begin
       let stop = Trace.cursor () in
-      Trace.span_at ~at:start ~value:(float_of_int rid) ~cat:"request"
-        ~name:"httpd" (stop -. start)
+      Trace.span_at ~id:rid ~cat:"request" ~name:"httpd" [| start; stop -. start |]
     end;
     result
   in

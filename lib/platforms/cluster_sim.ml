@@ -464,10 +464,14 @@ let run config =
            configured: the bundle carries the same time as one exact
            per-request [ctx-switch] row, and emitting both would
            double-count switching in summaries. *)
-        if switch_cost > 0. && (not bundle) && Trace.enabled () then
-          Trace.span_at ~at:now ~cat:"ctx-switch"
+        if switch_cost > 0. && (not bundle) && Trace.enabled () then begin
+          let rows = Dispatch.rows () in
+          rows.(0) <- now;
+          rows.(1) <- switch_cost;
+          Trace.span_at ~id:0 ~cat:"ctx-switch"
             ~name:(if container_switch then "container" else "process")
-            switch_cost;
+            rows
+        end;
         last_container.(i) <- c;
         last_process.(i) <- s;
         let slice = Float.min !remaining.(b) (timeslice_ns -. slice_used.(i)) in
@@ -556,21 +560,32 @@ let run config =
      the return hop.  Scheduling and queueing delay stay request
      self-time. *)
   let emit_bundle b =
+    let rows = Dispatch.rows () in
     let now = clock.(0) and shift = lane.shift and sent_at = !sent.(b / clones) in
-    let rows = [| sent_at +. shift +. half; now +. shift -. half |] in
+    rows.(0) <- sent_at +. shift +. half;
+    rows.(2) <- now +. shift -. half;
     for stage = 0 to Array.length config.request_mech - 1 do
       Dispatch.lay_rows rows config.request_mech.(stage)
     done;
-    if !switched.(b) > 0. then Dispatch.lay_row rows "ctx-switch" "sched" !switched.(b);
+    if !switched.(b) > 0. then begin
+      rows.(1) <- !switched.(b);
+      Dispatch.lay_row rows "ctx-switch" "sched"
+    end;
     (* Hedge overhead: core time the losing clones burnt before
        cancellation, clamped like every other row (it accrues on other
        backends in parallel, so it can exceed the response window).
        The row name carries the clone fan-out; a floor of 1ns keeps the
        fan-out visible even when the siblings never started. *)
-    if clones > 1 then
-      Dispatch.lay_row rows "lb.hedge" hedge_row (Float.max !hedge.(b / clones) 1.);
-    if half > 0. then
-      Trace.span_at ~at:(now +. shift -. half) ~cat:"net.hop" ~name:"server->client" half
+    if clones > 1 then begin
+      let h = !hedge.(b / clones) in
+      rows.(1) <- (if h < 1. then 1. else h);
+      Dispatch.lay_row rows "lb.hedge" hedge_row
+    end;
+    if half > 0. then begin
+      rows.(0) <- now +. shift -. half;
+      rows.(1) <- half;
+      Trace.span_at ~id:0 ~cat:"net.hop" ~name:"server->client" rows
+    end
   in
 
   let respond b =
@@ -585,7 +600,9 @@ let run config =
         Metrics.hist_observe ~cat:"platform" ~name:"latency-ns" (clock.(0) -. !sent.(r))
       end;
       if Trace.enabled () then begin
-        Dispatch.request lane ~bundle ~name:"cluster" ~index:w.completed ~half !sent r clock;
+        let rows = Dispatch.rows () in
+        Dispatch.request lane rows ~bundle ~name:"cluster" ~index:w.completed ~half !sent r
+          clock;
         if bundle then emit_bundle b
       end
     end;

@@ -48,21 +48,27 @@ type lane = {
 val lane : window -> rtt_ns:float -> lane
 (** A lane starting 1 s past [w.end_ns + rtt_ns]. *)
 
-val request :
-  lane -> bundle:bool -> name:string -> index:int -> half:float ->
-  float array -> int -> float array -> unit
-(** [request lane ~bundle ~name ~index ~half sent i clock] records the
-    request sent at [sent.(i)] and answered at [clock.(0)] as a
-    [request]/[name] span carrying [index], its completion index.
-    With [bundle] the span moves to the lane's cursor, the cursor moves
-    past it, and a [client->server] hop of [half] opens the bundle when
-    [half > 0.].  [lane.shift] is left at the offset applied, for the
-    kernel's own rows and return hop. *)
+val rows : unit -> float array
+(** This domain's row cell, [[| at; dur; end |]]: [at] and [dur] are
+    the span cell [Xc_trace.Trace.span_at] reads, [end] the bound
+    {!lay_row} clamps to.  A traced kernel writes every time of a
+    bundle through it. *)
 
-val lay_row : float array -> string -> string -> float -> unit
-(** [lay_row rows cat name ns] records a [cat]/[name] span at
-    [rows.(0)], of [ns] clamped to end by [rows.(1)], and moves
-    [rows.(0)] to its end.  A row clamped to nothing is skipped. *)
+val request :
+  lane -> float array -> bundle:bool -> name:string -> index:int -> half:float ->
+  float array -> int -> float array -> unit
+(** [request lane rows ~bundle ~name ~index ~half sent i clock] records
+    the request sent at [sent.(i)] and answered at [clock.(0)] as a
+    [request]/[name] span carrying [index], its completion index,
+    through [rows].  With [bundle] the span moves to the lane's cursor,
+    the cursor moves past it, and a [client->server] hop of [half]
+    opens the bundle when [half > 0.].  [lane.shift] is left at the
+    offset applied, for the kernel's own rows and return hop. *)
+
+val lay_row : float array -> string -> string -> unit
+(** [lay_row rows cat name] records a [cat]/[name] span at [rows.(0)]
+    of [rows.(1)] clamped to end by [rows.(2)], and moves [rows.(0)] to
+    its end.  A row clamped to nothing is skipped. *)
 
 val lay_rows : float array -> (string * string * float) list -> unit
 (** {!lay_row} over [(cat, name, ns)] rows, in order. *)

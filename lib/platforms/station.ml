@@ -93,18 +93,26 @@ let run ~warmup_ns ~duration_ns ~seed population server =
            service shorter than the deterministic decomposition; any
            excess stays request self-time), and the return hop. *)
         let emit c =
-          Dispatch.request lane ~bundle ~name:"closed-loop" ~index:w.completed ~half !sent c
-            clock;
+          let rows = Dispatch.rows () in
+          Dispatch.request lane rows ~bundle ~name:"closed-loop" ~index:w.completed ~half !sent
+            c clock;
           if bundle then begin
             let shift = lane.shift in
             let arrive_at = !sent.(c) +. half in
             let start_at = !start.(c) and finish_at = !finish.(c) in
-            if start_at -. arrive_at > 0. then
-              Trace.span_at ~at:(arrive_at +. shift) ~cat:"sched" ~name:"queue-wait"
-                (start_at -. arrive_at);
-            Dispatch.lay_rows [| start_at +. shift; finish_at +. shift |] mechanisms;
-            if half > 0. then
-              Trace.span_at ~at:(finish_at +. shift) ~cat:"net.hop" ~name:"server->client" half
+            if start_at -. arrive_at > 0. then begin
+              rows.(0) <- arrive_at +. shift;
+              rows.(1) <- start_at -. arrive_at;
+              Trace.span_at ~id:0 ~cat:"sched" ~name:"queue-wait" rows
+            end;
+            rows.(0) <- start_at +. shift;
+            rows.(2) <- finish_at +. shift;
+            Dispatch.lay_rows rows mechanisms;
+            if half > 0. then begin
+              rows.(0) <- finish_at +. shift;
+              rows.(1) <- half;
+              Trace.span_at ~id:0 ~cat:"net.hop" ~name:"server->client" rows
+            end
           end
         in
         let send c =

@@ -268,7 +268,7 @@ let merge_telemetry a b =
 
 let to_trace_events tel =
   let ev ~cat ~name ~ts value =
-    { Xc_trace.Trace.kind = Xc_trace.Trace.Counter; cat; name; ts; dur = 0.; value }
+    Xc_trace.Trace.make ~kind:Xc_trace.Trace.Counter ~cat ~name ~ts ~dur:0. ~value
   in
   List.concat_map
     (fun snap ->

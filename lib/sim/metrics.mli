@@ -66,6 +66,11 @@ val on : unit -> bool
 (** One atomic load; inlinable.  Emitters are already guarded, but hot
     call sites should test this before building arguments. *)
 
+val interval_ns : unit -> float
+(** The snapshot interval {!enable} set: {!sample_boundaries}
+    snapshots at its multiples.  A loop reads it once per run to test
+    for a boundary crossing itself. *)
+
 (** {2 Emitters}
 
     All are no-ops when disabled.  [cat] names the substrate

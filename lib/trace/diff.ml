@@ -15,8 +15,8 @@ let totals_by key evs =
   let tbl : (string, (int * float) ref) Hashtbl.t = Hashtbl.create 16 in
   let total = ref 0. in
   List.iter
-    (fun (ev : Trace.event) ->
-      let ns = match ev.kind with Trace.Span -> ev.dur | _ -> 0. in
+    (fun ev ->
+      let ns = match Trace.kind ev with Trace.Span -> Trace.dur ev | _ -> 0. in
       total := !total +. ns;
       match Hashtbl.find_opt tbl (key ev) with
       | Some r ->
@@ -61,14 +61,14 @@ let diff ?(a_streams = []) ?(b_streams = []) ~a ~b () =
      comparable to an unsampled (or differently-sampled) one. *)
   let a = Profile.rescale ~streams:a_streams a in
   let b = Profile.rescale ~streams:b_streams b in
-  let rows, a_total_ns, b_total_ns = rows_of ~key:(fun ev -> ev.Trace.cat) ~a ~b in
+  let rows, a_total_ns, b_total_ns = rows_of ~key:Trace.cat ~a ~b in
   { rows; a_total_ns; b_total_ns }
 
 let names_in ?(a_streams = []) ?(b_streams = []) ~cat ~a ~b () =
   let a = Profile.rescale ~streams:a_streams a in
   let b = Profile.rescale ~streams:b_streams b in
-  let only evs = List.filter (fun (ev : Trace.event) -> ev.cat = cat) evs in
-  let rows, _, _ = rows_of ~key:(fun ev -> ev.Trace.name) ~a:(only a) ~b:(only b) in
+  let only evs = List.filter (fun ev -> Trace.cat ev = cat) evs in
+  let rows, _, _ = rows_of ~key:Trace.name ~a:(only a) ~b:(only b) in
   rows
 
 let abs_delta_total report =

@@ -13,30 +13,31 @@ let sanitize s =
 
 (* ---------------- Chrome trace-event JSON ---------------- *)
 
-let chrome_event buf ~tid (ev : Trace.event) =
+let chrome_event buf ~tid ev =
   let us v = v /. 1e3 in
-  match ev.kind with
+  let cat = sanitize (Trace.cat ev) and name = sanitize (Trace.name ev) in
+  match Trace.kind ev with
   | Trace.Span ->
       (* Spans normally carry no value; request spans use it for the
          request id, which riders like [Profile.attribute] (and a human
          in the Perfetto UI) read back from args. *)
-      if ev.value <> 0. then
+      let value = Trace.value ev in
+      if value <> 0. then
         Printf.bprintf buf
           "{\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"cat\":\"%s\",\"name\":\"%s\",\"ts\":%.6f,\"dur\":%.6f,\"args\":{\"value\":%.6f}}"
-          tid (sanitize ev.cat) (sanitize ev.name) (us ev.ts) (us ev.dur)
-          ev.value
+          tid cat name (us (Trace.ts ev)) (us (Trace.dur ev)) value
       else
         Printf.bprintf buf
           "{\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"cat\":\"%s\",\"name\":\"%s\",\"ts\":%.6f,\"dur\":%.6f}"
-          tid (sanitize ev.cat) (sanitize ev.name) (us ev.ts) (us ev.dur)
+          tid cat name (us (Trace.ts ev)) (us (Trace.dur ev))
   | Trace.Instant ->
       Printf.bprintf buf
         "{\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":%d,\"cat\":\"%s\",\"name\":\"%s\",\"ts\":%.6f}"
-        tid (sanitize ev.cat) (sanitize ev.name) (us ev.ts)
+        tid cat name (us (Trace.ts ev))
   | Trace.Counter ->
       Printf.bprintf buf
         "{\"ph\":\"C\",\"pid\":1,\"tid\":%d,\"cat\":\"%s\",\"name\":\"%s\",\"ts\":%.6f,\"args\":{\"value\":%.6f}}"
-        tid (sanitize ev.cat) (sanitize ev.name) (us ev.ts) ev.value
+        tid cat name (us (Trace.ts ev)) (Trace.value ev)
 
 let to_chrome ?(dropped = 0) tracks =
   let buf = Buffer.create 4096 in
@@ -73,10 +74,11 @@ let to_csv tracks =
     (fun (track, evs) ->
       let track = sanitize track in
       List.iter
-        (fun (ev : Trace.event) ->
+        (fun ev ->
           Printf.bprintf buf "%s,%s,%s,%s,%.3f,%.3f,%.6f\n" track
-            (Trace.kind_to_string ev.kind)
-            (sanitize ev.cat) (sanitize ev.name) ev.ts ev.dur ev.value)
+            (Trace.kind_to_string (Trace.kind ev))
+            (sanitize (Trace.cat ev)) (sanitize (Trace.name ev)) (Trace.ts ev) (Trace.dur ev)
+            (Trace.value ev))
         evs)
     tracks;
   Buffer.contents buf
@@ -115,7 +117,7 @@ let events_of_csv s =
              float_of_string_opt value)
           with
           | Some kind, Some ts, Some dur, Some value ->
-              Ok ({ Trace.kind; cat; name; ts; dur; value } :: acc)
+              Ok (Trace.make ~kind ~cat ~name ~ts ~dur ~value :: acc)
           | _ -> Error (Printf.sprintf "csv line %d: bad field" lineno))
       | _ -> Error (Printf.sprintf "csv line %d: expected 7 fields" lineno)
   in
@@ -199,7 +201,7 @@ let events_of_chrome s =
                   Option.value ~default:0. (find_float_field line "value")
                 in
                 Ok
-                  ({ Trace.kind; cat; name; ts = ts_us *. 1e3; dur; value }
+                  (Trace.make ~kind ~cat ~name ~ts:(ts_us *. 1e3) ~dur ~value
                   :: acc)))
   in
   let rec go lineno acc = function
@@ -372,10 +374,10 @@ let render_summary ?(top = 5) evs =
     | None -> Hashtbl.add tbl k (ref (1, ns))
   in
   List.iter
-    (fun (ev : Trace.event) ->
-      let ns = match ev.kind with Trace.Span -> ev.dur | _ -> 0. in
-      bump cats ev.cat ns;
-      bump names (ev.cat, ev.name) ns)
+    (fun ev ->
+      let ns = match Trace.kind ev with Trace.Span -> Trace.dur ev | _ -> 0. in
+      bump cats (Trace.cat ev) ns;
+      bump names (Trace.cat ev, Trace.name ev) ns)
     evs;
   let cat_rows =
     Hashtbl.fold (fun cat r acc -> (cat, !r) :: acc) cats []

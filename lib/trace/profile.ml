@@ -10,61 +10,58 @@ let fmt_ns ns =
 let frame_escape s =
   String.map (fun c -> match c with ';' -> ':' | ' ' -> '_' | _ -> c) s
 
-let frame_of (ev : Trace.event) =
-  frame_escape ev.cat ^ ";" ^ frame_escape ev.name
+let frame_of ev = frame_escape (Trace.cat ev) ^ ";" ^ frame_escape (Trace.name ev)
 
 (* ---------------- The span forest ---------------- *)
 
 type forest = {
   spans : Trace.event array;
+  starts : float array;
+  durs : float array;
   parent : int array;
   self : float array;
   closing : int array;
 }
 
-(* Canonical order: by start time; at equal starts the longer span is
-   the parent, and (cat,name) breaks the remaining ties so the forest is
-   deterministic regardless of input order. *)
-let canonical (a : Trace.event) (b : Trace.event) =
-  match Float.compare a.ts b.ts with
+(* Canonical order of spans [a] and [b] of the columns: by start time;
+   at equal starts the longer span is the parent, and (cat,name) breaks
+   the remaining ties so the forest is deterministic regardless of
+   input order. *)
+let canonical spans starts durs a b =
+  match Float.compare starts.(a) starts.(b) with
   | 0 -> (
-      match Float.compare b.dur a.dur with
+      match Float.compare durs.(b) durs.(a) with
       | 0 -> (
-          match String.compare a.cat b.cat with
-          | 0 -> String.compare a.name b.name
+          let x = spans.(a) and y = spans.(b) in
+          match String.compare (Trace.cat x) (Trace.cat y) with
+          | 0 -> String.compare (Trace.name x) (Trace.name y)
           | c -> c)
       | c -> c)
   | c -> c
 
-let is_span (ev : Trace.event) = ev.kind = Trace.Span && ev.dur > 0.
-
-let placeholder =
-  { Trace.kind = Trace.Instant; cat = ""; name = ""; ts = 0.; dur = 0.; value = 0. }
-
 let sweep evs =
-  let count = List.fold_left (fun n ev -> if is_span ev then n + 1 else n) 0 evs in
-  let spans = Array.make count placeholder in
-  ignore
-    (List.fold_left
-       (fun i ev ->
-         if is_span ev then begin
-           spans.(i) <- ev;
-           i + 1
-         end
-         else i)
-       0 evs);
+  let spans, starts, durs = Trace.span_columns evs in
+  let n = Array.length spans in
   (* A bundle lane lays its spans out in canonical order already; a
      stable sort of a sorted array is the identity, so one linear check
      lets such a trace skip it. *)
   let sorted = ref true and i = ref 1 in
-  while !sorted && !i < Array.length spans do
-    if canonical spans.(!i - 1) spans.(!i) > 0 then sorted := false;
+  while !sorted && !i < n do
+    if canonical spans starts durs (!i - 1) !i > 0 then sorted := false;
     incr i
   done;
-  if not !sorted then Array.stable_sort canonical spans;
-  let n = Array.length spans in
+  let spans, starts, durs =
+    if !sorted then (spans, starts, durs)
+    else begin
+      let order = Array.init n Fun.id in
+      Array.stable_sort (canonical spans starts durs) order;
+      ( Array.map (fun k -> spans.(k)) order,
+        Array.init n (fun j -> starts.(order.(j))),
+        Array.init n (fun j -> durs.(order.(j))) )
+    end
+  in
   let parent = Array.make n (-1) in
-  let self = Array.map (fun (s : Trace.event) -> s.dur) spans in
+  let self = Array.copy durs in
   let closing = Array.make n 0 and closed = ref 0 in
   (* The open spans are [top] and its ancestors, innermost first. *)
   let top = ref (-1) in
@@ -73,30 +70,29 @@ let sweep evs =
     incr closed;
     top := parent.(!top)
   in
-  Array.iteri
-    (fun i (s : Trace.event) ->
-      (* Close every open span this one does not nest inside.  Spans
-         arrive by start time, so only the end boundary needs checking;
-         the relative epsilon absorbs float rounding in the cursor. *)
-      let s_end = s.ts +. s.dur in
-      while
-        !top >= 0
-        &&
-        let e = spans.(!top).ts +. spans.(!top).dur in
-        s_end > e +. ((1e-9 *. Float.abs e) +. 1e-6)
-      do
-        close ()
-      done;
-      if !top >= 0 then begin
-        parent.(i) <- !top;
-        self.(!top) <- self.(!top) -. s.dur
-      end;
-      top := i)
-    spans;
+  for i = 0 to n - 1 do
+    (* Close every open span this one does not nest inside.  Spans
+       arrive by start time, so only the end boundary needs checking;
+       the relative epsilon absorbs float rounding in the cursor. *)
+    let s_end = starts.(i) +. durs.(i) in
+    while
+      !top >= 0
+      &&
+      let e = starts.(!top) +. durs.(!top) in
+      s_end > e +. ((1e-9 *. Float.abs e) +. 1e-6)
+    do
+      close ()
+    done;
+    if !top >= 0 then begin
+      parent.(i) <- !top;
+      self.(!top) <- self.(!top) -. durs.(i)
+    end;
+    top := i
+  done;
   while !top >= 0 do
     close ()
   done;
-  { spans; parent; self; closing }
+  { spans; starts; durs; parent; self; closing }
 
 (* ---------------- Folding span timelines into stacks ---------------- *)
 
@@ -146,11 +142,14 @@ let rescale ~streams evs =
         Hashtbl.replace tbl (s.cat, s.name) (Trace.Stream.scale s))
       streams;
     List.map
-      (fun (ev : Trace.event) ->
-        match ev.kind with
+      (fun ev ->
+        match Trace.kind ev with
         | Trace.Span -> (
-            match Hashtbl.find_opt tbl (ev.cat, ev.name) with
-            | Some f when f <> 1. -> { ev with dur = ev.dur *. f }
+            let cat = Trace.cat ev and name = Trace.name ev in
+            match Hashtbl.find_opt tbl (cat, name) with
+            | Some f when f <> 1. ->
+                Trace.make ~kind:Trace.Span ~cat ~name ~ts:(Trace.ts ev)
+                  ~dur:(Trace.dur ev *. f) ~value:(Trace.value ev)
             | _ -> ev)
         | _ -> ev)
       evs
@@ -222,7 +221,7 @@ type attribution = {
 let attribute evs =
   let f = sweep evs in
   let n = Array.length f.spans in
-  let is_req i = f.spans.(i).cat = "request" in
+  let is_req i = String.equal (Trace.cat f.spans.(i)) "request" in
   let m = ref 0 in
   for i = 0 to n - 1 do
     if is_req i then incr m
@@ -238,8 +237,8 @@ let attribute evs =
      way [fold] drops it. *)
   let total_self = ref 0. and k = ref 0 in
   for i = 0 to n - 1 do
-    let s = f.spans.(i) and p = f.parent.(i) in
-    if p < 0 then total_self := !total_self +. s.dur;
+    let p = f.parent.(i) in
+    if p < 0 then total_self := !total_self +. f.durs.(i);
     let o = if p < 0 then -1 else owner.(p) in
     if not (is_req i) then owner.(i) <- o
     else begin
@@ -248,7 +247,7 @@ let attribute evs =
       incr k;
       if o >= 0 then begin
         nested.(o) <- nested.(o) + 1;
-        nested_ns.(o) <- nested_ns.(o) +. s.dur
+        nested_ns.(o) <- nested_ns.(o) +. f.durs.(i)
       end
     end
   done;
@@ -264,14 +263,16 @@ let attribute evs =
     else if first.(o) < 0 then first.(o) <- j
   done;
   let order = Array.init m Fun.id in
-  let total o = f.spans.(req.(o)).dur in
   Array.stable_sort
     (fun a b ->
-      match Float.compare (total b) (total a) with
+      let qa = req.(a) and qb = req.(b) in
+      match Float.compare f.durs.(qb) f.durs.(qa) with
       | 0 -> (
-          let sa = f.spans.(req.(a)) and sb = f.spans.(req.(b)) in
-          match Float.compare sa.ts sb.ts with
-          | 0 -> Int.compare (int_of_float sa.value) (int_of_float sb.value)
+          match Float.compare f.starts.(qa) f.starts.(qb) with
+          | 0 ->
+              Int.compare
+                (int_of_float (Trace.value f.spans.(qa)))
+                (int_of_float (Trace.value f.spans.(qb)))
           | c -> c)
       | c -> c)
     order;
@@ -291,35 +292,109 @@ let attribute evs =
 let unattributed_ns att = att.unattributed_ns
 let total_self_ns att = att.total_self_ns
 
-(* Request [o]'s record.  Its rows tally the spans it owns over its
-   closing range in closing order — the order one pass over the whole
-   forest would add them in — so every sum is bit-identical. *)
-let request att o =
+(* The few labelled rows of one request or one tail: labels in
+   first-seen order, found by a linear search, with unboxed sums, so a
+   record's rows cost their list and nothing else.  A new row's sum
+   starts at -0., the identity of float addition, so each sum is the
+   one a table tally adds up in the same order. *)
+type rows = {
+  mutable labels : string array;
+  mutable counts : int array;
+  mutable sums : float array;
+  mutable k : int;
+  mutable perm : int array;
+}
+
+let rows () =
+  { labels = Array.make 8 ""; counts = Array.make 8 0; sums = Array.make 8 0.; k = 0;
+    perm = Array.make 8 0 }
+
+(* The index of [label]'s row, added when new. *)
+let row r label =
+  let j = ref 0 in
+  while !j < r.k && not (String.equal r.labels.(!j) label) do
+    incr j
+  done;
+  let j = !j in
+  if j = r.k then begin
+    if j = Array.length r.labels then begin
+      let n = 2 * j in
+      r.labels <- Array.append r.labels (Array.make j "");
+      r.counts <- Array.append r.counts (Array.make j 0);
+      r.sums <- Array.append r.sums (Array.make j 0.);
+      r.perm <- Array.make n 0
+    end;
+    r.labels.(j) <- label;
+    r.counts.(j) <- 0;
+    r.sums.(j) <- -0.;
+    r.k <- j + 1
+  end;
+  j
+
+(* The rows largest sum first, ties by label, and the tally emptied. *)
+let take_rows r =
+  let perm = r.perm in
+  for j = 0 to r.k - 1 do
+    (* Insertion sort: a request has a handful of rows. *)
+    let p = ref j in
+    while
+      !p > 0
+      &&
+      let a = perm.(!p - 1) in
+      match Float.compare r.sums.(j) r.sums.(a) with
+      | 0 -> String.compare r.labels.(j) r.labels.(a) < 0
+      | c -> c > 0
+    do
+      perm.(!p) <- perm.(!p - 1);
+      decr p
+    done;
+    perm.(!p) <- j
+  done;
+  let out = ref [] in
+  for p = r.k - 1 downto 0 do
+    let j = perm.(p) in
+    out := (r.labels.(j), r.counts.(j), r.sums.(j)) :: !out
+  done;
+  r.k <- 0;
+  !out
+
+(* Request [o]'s record, its rows tallied in [r].  The rows add the
+   spans it owns over its closing range in closing order — the order
+   one pass over the whole forest would add them in — so every sum is
+   bit-identical. *)
+let request att r o =
   let f = att.forest in
   let q = att.req.(o) in
-  let s = f.spans.(q) in
-  let mech = tally () in
   if att.first.(o) >= 0 then
     for j = att.first.(o) to att.last.(o) - 1 do
       let i = f.closing.(j) in
-      if att.owner.(i) = o then tally_add mech f.spans.(i).cat 1 f.self.(i)
+      if att.owner.(i) = o then begin
+        let x = row r (Trace.cat f.spans.(i)) in
+        r.counts.(x) <- r.counts.(x) + 1;
+        r.sums.(x) <- r.sums.(x) +. f.self.(i)
+      end
     done;
   {
-    req_id = int_of_float s.value;
-    req_name = s.name;
-    req_start = s.ts;
-    req_total = s.dur;
+    req_id = int_of_float (Trace.value f.spans.(q));
+    req_name = Trace.name f.spans.(q);
+    req_start = f.starts.(q);
+    req_total = f.durs.(q);
     req_self = f.self.(q);
-    req_mech = tally_rows mech;
+    req_mech = take_rows r;
     req_nested = att.nested.(o);
     req_nested_ns = att.nested_ns.(o);
   }
 
-let requests att = Array.fold_right (fun o acc -> request att o :: acc) att.order []
+let requests att =
+  let r = rows () in
+  Array.fold_right (fun o acc -> request att r o :: acc) att.order []
 
-let total att o = att.forest.spans.(att.req.(o)).dur
-
-let request_totals att = Array.fold_right (fun o acc -> total att o :: acc) att.order []
+let request_totals att =
+  let out = ref [] in
+  for p = Array.length att.order - 1 downto 0 do
+    out := att.forest.durs.(att.req.(att.order.(p))) :: !out
+  done;
+  !out
 
 (* ---------------- Tail cuts over an attribution ---------------- *)
 
@@ -339,16 +414,28 @@ let self_frame = "(request-self)"
 let nested_frame = "(nested-request)"
 
 let tail_of ?(label = "") ~pct ~cut_ns att =
-  let tail =
-    Array.fold_right
-      (fun o acc -> if total att o >= cut_ns then request att o :: acc else acc)
-      att.order []
+  let r = rows () in
+  let tail = ref [] in
+  for p = Array.length att.order - 1 downto 0 do
+    let o = att.order.(p) in
+    if att.forest.durs.(att.req.(o)) >= cut_ns then tail := request att r o :: !tail
+  done;
+  let tail = !tail in
+  let add (cat, n, ns) =
+    let x = row r cat in
+    r.counts.(x) <- r.counts.(x) + n;
+    r.sums.(x) <- r.sums.(x) +. ns
   in
-  let mech = tally () in
-  List.iter
-    (fun r ->
-      List.iter (fun (cat, n, ns) -> tally_add mech cat n ns) r.req_mech)
-    tail;
+  let self_ns = ref 0. and total_ns = ref 0. and rest = ref tail in
+  while !rest <> [] do
+    match !rest with
+    | [] -> ()
+    | t :: more ->
+        List.iter add t.req_mech;
+        self_ns := !self_ns +. t.req_self;
+        total_ns := !total_ns +. t.req_total;
+        rest := more
+  done;
   {
     label;
     pct;
@@ -356,9 +443,9 @@ let tail_of ?(label = "") ~pct ~cut_ns att =
     n_requests = Array.length att.order;
     n_tail = List.length tail;
     tail;
-    tail_mech = tally_rows mech;
-    tail_self_ns = List.fold_left (fun a r -> a +. r.req_self) 0. tail;
-    tail_total_ns = List.fold_left (fun a r -> a +. r.req_total) 0. tail;
+    tail_mech = take_rows r;
+    tail_self_ns = !self_ns;
+    tail_total_ns = !total_ns;
   }
 
 (* One request's rows — mechanisms, nested requests, own window time —
@@ -416,9 +503,9 @@ let render_slowest ?(k = 3) evs =
   match Array.length att.order with
   | 0 -> "(no request spans in trace)\n"
   | n ->
-      let buf = Buffer.create 1024 in
+      let buf = Buffer.create 1024 and r = rows () in
       Printf.bprintf buf "slowest %d of %d requests:\n" (min k n) n;
       for i = 0 to min k n - 1 do
-        render_request buf (request att att.order.(i))
+        render_request buf (request att r att.order.(i))
       done;
       Buffer.contents buf

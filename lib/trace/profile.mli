@@ -20,6 +20,8 @@ type forest = {
   spans : Trace.event array;
       (** the spans with positive duration, in canonical order: by
           start time, then longer first, then by (cat, name) *)
+  starts : float array;  (** each span's start, unboxed *)
+  durs : float array;  (** each span's duration, unboxed *)
   parent : int array;
       (** index of each span's innermost enclosing span, [-1] for a
           root *)

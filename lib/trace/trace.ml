@@ -1,13 +1,76 @@
 type kind = Span | Instant | Counter
 
-type event = {
-  kind : kind;
-  cat : string;
-  name : string;
-  ts : float;
-  dur : float;
-  value : float;
+(* One recorder's columns, handed to its capture as they are.  A row's
+   kind is a byte: 0 span, 1 instant, 2 counter. *)
+type segment = {
+  kinds : Bytes.t;
+  cats : string array;
+  names : string array;
+  starts : Float.Array.t;
+  durs : Float.Array.t;
+  values : Float.Array.t;
 }
+
+(* Three words: a captured event costs its view and its cons cell. *)
+type event = { seg : segment; i : int }
+
+let columns n =
+  {
+    kinds = Bytes.create n;
+    cats = Array.make n "";
+    names = Array.make n "";
+    starts = Float.Array.create n;
+    durs = Float.Array.create n;
+    values = Float.Array.create n;
+  }
+
+let no_rows = columns 0
+
+let kind_code = function Span -> '\000' | Instant -> '\001' | Counter -> '\002'
+
+let kind ev =
+  match Bytes.unsafe_get ev.seg.kinds ev.i with
+  | '\000' -> Span
+  | '\001' -> Instant
+  | _ -> Counter
+
+let cat ev = Array.unsafe_get ev.seg.cats ev.i
+let name ev = Array.unsafe_get ev.seg.names ev.i
+let ts ev = Float.Array.unsafe_get ev.seg.starts ev.i
+let dur ev = Float.Array.unsafe_get ev.seg.durs ev.i
+let value ev = Float.Array.unsafe_get ev.seg.values ev.i
+
+let make ~kind ~cat ~name ~ts ~dur ~value =
+  let seg = columns 1 in
+  Bytes.unsafe_set seg.kinds 0 (kind_code kind);
+  seg.cats.(0) <- cat;
+  seg.names.(0) <- name;
+  Float.Array.set seg.starts 0 ts;
+  Float.Array.set seg.durs 0 dur;
+  Float.Array.set seg.values 0 value;
+  { seg; i = 0 }
+
+let is_span ev =
+  Bytes.unsafe_get ev.seg.kinds ev.i = '\000'
+  && Float.Array.unsafe_get ev.seg.durs ev.i > 0.
+
+let span_columns evs =
+  let n = List.fold_left (fun n ev -> if is_span ev then n + 1 else n) 0 evs in
+  let spans = Array.make n { seg = no_rows; i = 0 } in
+  let starts = Array.make n 0. and durs = Array.make n 0. in
+  let rec fill k = function
+    | [] -> ()
+    | ev :: rest ->
+        if is_span ev then begin
+          spans.(k) <- ev;
+          starts.(k) <- Float.Array.unsafe_get ev.seg.starts ev.i;
+          durs.(k) <- Float.Array.unsafe_get ev.seg.durs ev.i;
+          fill (k + 1) rest
+        end
+        else fill k rest
+  in
+  fill 0 evs;
+  (spans, starts, durs)
 
 let kind_to_string = function
   | Span -> "span"
@@ -51,56 +114,76 @@ let disable () = Atomic.set enabled_flag false
    place without reinserting into the table. *)
 type stat = { mutable seen : int; mutable kept : int }
 
-type recorder = {
-  (* Ring buffer: [len] live events starting at [start].  [buf] is
-     allocated lazily on the first event so an enabled-but-quiet
-     domain costs nothing. *)
-  mutable buf : event array;
+(* A domain's recorder: [len] live rows of [cols] starting at [start].
+   The columns start empty, are first made on the first event, and
+   double while they are smaller than [cap]; at [cap] they are a ring,
+   and [start] moves only then. *)
+type state = {
+  mutable cols : segment;
+  mutable cap : int;  (* the capacity [cols] grow to; 0 before the first event *)
   mutable start : int;
   mutable len : int;
   mutable dropped : int;
   mutable cursor : float;
-  mutable streams : (string * string, stat) Hashtbl.t;
+  streams : (string * string, stat) Hashtbl.t;
 }
 
-let null_event =
-  { kind = Instant; cat = ""; name = ""; ts = 0.; dur = 0.; value = 0. }
+let fresh () =
+  { cols = no_rows; cap = 0; start = 0; len = 0; dropped = 0; cursor = 0.;
+    streams = Hashtbl.create 16 }
 
-let key =
-  Domain.DLS.new_key (fun () ->
-      {
-        buf = [||];
-        start = 0;
-        len = 0;
-        dropped = 0;
-        cursor = 0.;
-        streams = Hashtbl.create 16;
-      })
+(* [capture] swaps the whole state and puts it back afterwards. *)
+let key = Domain.DLS.new_key (fun () -> ref (fresh ()))
 
-let recorder () = Domain.DLS.get key
+let state () = !(Domain.DLS.get key)
 
-let record r ev =
+let first_rows = 16
+
+let grow st n =
+  let c = st.cols and d = columns n and len = st.len in
+  Bytes.blit c.kinds 0 d.kinds 0 len;
+  Array.blit c.cats 0 d.cats 0 len;
+  Array.blit c.names 0 d.names 0 len;
+  Float.Array.blit c.starts 0 d.starts 0 len;
+  Float.Array.blit c.durs 0 d.durs 0 len;
+  Float.Array.blit c.values 0 d.values 0 len;
+  st.cols <- d
+
+(* The row the next event goes to, with its kind, cat and name written.
+   The caller writes the three floats itself, so none is passed boxed. *)
+let row st k ~cat ~name =
   let cap = Atomic.get capacity_cell in
-  if Array.length r.buf <> cap then begin
-    (* First event on this domain, or capacity changed under us (only
-       possible between experiments): start a fresh ring.  Whatever
-       was live in the old ring is lost — account for it, don't hide
-       it (on the first event [len] is 0, so this charges nothing). *)
-    r.dropped <- r.dropped + r.len;
-    r.buf <- Array.make cap null_event;
-    r.start <- 0;
-    r.len <- 0
+  if st.cap <> cap then begin
+    (* First event in this state, or the capacity changed under us
+       (only possible between experiments): start fresh columns.
+       Whatever was live is lost — account for it, don't hide it (on
+       the first event [len] is 0, so this charges nothing). *)
+    st.dropped <- st.dropped + st.len;
+    st.cols <- columns (min cap first_rows);
+    st.cap <- cap;
+    st.start <- 0;
+    st.len <- 0
   end;
-  if r.len < cap then begin
-    let i = r.start + r.len in
-    r.buf.(if i >= cap then i - cap else i) <- ev;
-    r.len <- r.len + 1
-  end
-  else begin
-    r.buf.(r.start) <- ev;
-    r.start <- (if r.start + 1 >= cap then 0 else r.start + 1);
-    r.dropped <- r.dropped + 1
-  end
+  let size = Bytes.length st.cols.kinds in
+  if st.len = size && size < cap then grow st (min cap (2 * size));
+  let i =
+    if st.len < cap then begin
+      let i = st.len in
+      st.len <- i + 1;
+      i
+    end
+    else begin
+      let i = st.start in
+      st.start <- (if i + 1 >= cap then 0 else i + 1);
+      st.dropped <- st.dropped + 1;
+      i
+    end
+  in
+  let c = st.cols in
+  Bytes.unsafe_set c.kinds i k;
+  Array.unsafe_set c.cats i cat;
+  Array.unsafe_set c.names i name;
+  i
 
 (* Rotating-phase stride gate: each (cat,name) stream keeps at most one
    event per window of [stride] events, at slot [w mod stride] of
@@ -113,24 +196,24 @@ let record r ev =
    event.  With stride 1 (the default) the gate is a single atomic
    load and no counter is touched, so unsampled tracing costs exactly
    what it did before the sampler existed. *)
-let keep r ~cat ~name =
+let keep st ~cat ~name =
   let stride = Atomic.get sample_cell in
   if stride <= 1 then true
   else begin
     let k = (cat, name) in
-    let st =
-      match Hashtbl.find_opt r.streams k with
-      | Some st -> st
+    let s =
+      match Hashtbl.find_opt st.streams k with
+      | Some s -> s
       | None ->
-          let st = { seen = 0; kept = 0 } in
-          Hashtbl.add r.streams k st;
-          st
+          let s = { seen = 0; kept = 0 } in
+          Hashtbl.add st.streams k s;
+          s
     in
-    st.seen <- st.seen + 1;
-    let idx = st.seen - 1 in
+    s.seen <- s.seen + 1;
+    let idx = s.seen - 1 in
     let window = idx / stride in
     if idx mod stride = window mod stride then begin
-      st.kept <- st.kept + 1;
+      s.kept <- s.kept + 1;
       true
     end
     else false
@@ -138,68 +221,57 @@ let keep r ~cat ~name =
 
 let span ~cat ~name ns =
   if enabled () then begin
-    let r = recorder () in
+    let st = state () in
     (* The cursor advances whether or not the sampler keeps the event:
        skipping a record must not shift the timestamps of kept ones. *)
-    let ts = r.cursor in
-    r.cursor <- ts +. ns;
-    if keep r ~cat ~name then record r { kind = Span; cat; name; ts; dur = ns; value = 0. }
+    let at = st.cursor in
+    st.cursor <- at +. ns;
+    if keep st ~cat ~name then begin
+      let i = row st '\000' ~cat ~name in
+      let c = st.cols in
+      Float.Array.unsafe_set c.starts i at;
+      Float.Array.unsafe_set c.durs i ns;
+      Float.Array.unsafe_set c.values i 0.
+    end
   end
 
-let span_at ?(value = 0.) ~at ~cat ~name ns =
+let span_at ~id ~cat ~name t =
   if enabled () then begin
-    let r = recorder () in
-    if keep r ~cat ~name then record r { kind = Span; cat; name; ts = at; dur = ns; value }
+    let st = state () in
+    if keep st ~cat ~name then begin
+      let i = row st '\000' ~cat ~name in
+      let c = st.cols in
+      Float.Array.unsafe_set c.starts i t.(0);
+      Float.Array.unsafe_set c.durs i t.(1);
+      Float.Array.unsafe_set c.values i (float_of_int id)
+    end
   end
 
-let instant ?at ~cat ~name () =
+let point k ?at ~cat ~name v =
   if enabled () then begin
-    let r = recorder () in
-    let ts = match at with Some t -> t | None -> r.cursor in
-    if keep r ~cat ~name then
-      record r { kind = Instant; cat; name; ts; dur = 0.; value = 0. }
+    let st = state () in
+    let at = match at with Some t -> t | None -> st.cursor in
+    if keep st ~cat ~name then begin
+      let i = row st k ~cat ~name in
+      let c = st.cols in
+      Float.Array.unsafe_set c.starts i at;
+      Float.Array.unsafe_set c.durs i 0.;
+      Float.Array.unsafe_set c.values i v
+    end
   end
 
-let counter ?at ~cat ~name v =
-  if enabled () then begin
-    let r = recorder () in
-    let ts = match at with Some t -> t | None -> r.cursor in
-    if keep r ~cat ~name then
-      record r { kind = Counter; cat; name; ts; dur = 0.; value = v }
-  end
+let instant ?at ~cat ~name () = point '\001' ?at ~cat ~name 0.
+let counter ?at ~cat ~name v = point '\002' ?at ~cat ~name v
 
-let cursor () = (recorder ()).cursor
-
-let dropped () = (recorder ()).dropped
+let cursor () = (state ()).cursor
 
 let streams_of_table tbl =
   Hashtbl.fold
-    (fun (cat, name) st acc ->
-      { Stream.cat; name; seen = st.seen; kept = st.kept } :: acc)
+    (fun (cat, name) (s : stat) acc ->
+      { Stream.cat; name; seen = s.seen; kept = s.kept } :: acc)
     tbl []
   |> List.sort (fun (a : Stream.t) (b : Stream.t) ->
          compare (a.cat, a.name) (b.cat, b.name))
-
-let streams () = streams_of_table (recorder ()).streams
-
-let take () =
-  let r = recorder () in
-  let n = r.len in
-  let out =
-    if n = 0 then []
-    else begin
-      let cap = Array.length r.buf in
-      List.init n (fun i ->
-          let j = r.start + i in
-          r.buf.(if j >= cap then j - cap else j))
-    end
-  in
-  r.start <- 0;
-  r.len <- 0;
-  r.dropped <- 0;
-  r.cursor <- 0.;
-  Hashtbl.reset r.streams;
-  out
 
 type captured = {
   events : event list;
@@ -210,43 +282,69 @@ type captured = {
 
 let empty_captured = { events = []; dropped = 0; streams = []; cursor = 0. }
 
+(* The state's columns become the capture's segment as they are; the
+   views run over the ring in record order. *)
+let captured_of st =
+  let seg = st.cols in
+  let size = Bytes.length seg.kinds in
+  let rec views k acc =
+    if k < 0 then acc
+    else begin
+      let j = st.start + k in
+      views (k - 1) ({ seg; i = (if j >= size then j - size else j) } :: acc)
+    end
+  in
+  {
+    events = views (st.len - 1) [];
+    dropped = st.dropped;
+    streams = streams_of_table st.streams;
+    cursor = st.cursor;
+  }
+
 let capture f =
   if not (enabled ()) then (f (), empty_captured)
   else begin
-    let r = recorder () in
-    let saved_buf = r.buf
-    and saved_start = r.start
-    and saved_len = r.len
-    and saved_dropped = r.dropped
-    and saved_cursor = r.cursor
-    and saved_streams = r.streams in
-    r.buf <- [||];
-    r.start <- 0;
-    r.len <- 0;
-    r.dropped <- 0;
-    r.cursor <- 0.;
-    r.streams <- Hashtbl.create 16;
-    let restore () =
-      r.buf <- saved_buf;
-      r.start <- saved_start;
-      r.len <- saved_len;
-      r.dropped <- saved_dropped;
-      r.cursor <- saved_cursor;
-      r.streams <- saved_streams
-    in
+    let cell = Domain.DLS.get key in
+    let saved = !cell in
+    cell := fresh ();
     match f () with
     | v ->
-        let r = recorder () in
-        let streams = streams_of_table r.streams in
-        let dropped = r.dropped in
-        let cursor = r.cursor in
-        let events = take () in
-        restore ();
-        (v, { events; dropped; streams; cursor })
+        let st = !cell in
+        cell := saved;
+        (v, captured_of st)
     | exception e ->
         let bt = Printexc.get_raw_backtrace () in
-        restore ();
+        cell := saved;
         Printexc.raise_with_backtrace e bt
+  end
+
+(* A copy of [seg] with every start moved by [dt]. *)
+let shifted dt seg =
+  let n = Float.Array.length seg.starts in
+  let starts = Float.Array.create n in
+  for k = 0 to n - 1 do
+    Float.Array.unsafe_set starts k (Float.Array.unsafe_get seg.starts k +. dt)
+  done;
+  { seg with starts }
+
+(* The views of one segment come in runs, so each segment is copied
+   once, looked up by identity. *)
+let shift dt events =
+  if dt = 0. then events
+  else begin
+    let copies = ref [] in
+    let copy seg =
+      match !copies with
+      | (s, c) :: _ when s == seg -> c
+      | l -> (
+          match List.assq_opt seg l with
+          | Some c -> c
+          | None ->
+              let c = shifted dt seg in
+              copies := (seg, c) :: l;
+              c)
+    in
+    List.map (fun ev -> { seg = copy ev.seg; i = ev.i }) events
   end
 
 (* Deterministic segment-order merge: segment k's timestamps shift by
@@ -259,11 +357,6 @@ let capture f =
    segments share one time axis and their spans can overlap.  Within a
    segment every relationship is preserved. *)
 let concat segments =
-  let shift dt c =
-    if dt = 0. then c.events
-    else
-      List.map (fun ev -> { ev with ts = ev.ts +. dt }) c.events
-  in
   let merge_streams acc (c : captured) =
     List.fold_left
       (fun acc (s : Stream.t) ->
@@ -288,7 +381,7 @@ let concat segments =
         }
     | c :: rest ->
         go (offset +. c.cursor)
-          (shift offset c :: ev_acc)
+          (shift offset c.events :: ev_acc)
           (dropped + c.dropped)
           (merge_streams streams c) rest
   in

@@ -19,35 +19,68 @@
       with {!concat}, so a traced run is byte-identical at any
       [--jobs] (enforced in tier-1) — sampled runs included, because
       the sampler state is per-capture.
-    + {b Bounded memory.}  Each domain records into a ring of
-      {!enable}[ ~capacity] events; on overflow the oldest event is
-      overwritten and {!dropped} counts the loss — tracing never grows
-      without bound under heavy simulated traffic.  For runs whose
-      full event stream would overflow any reasonable ring,
-      {!enable}[ ~sample:n] keeps one event per window of n per
-      (cat,name) stream (rotating the slot within the window so
-      streams with periodic durations are sampled phase-fairly) and
-      counts the rest exactly, so aggregates can be rescaled (see
-      {!Stream.scale} and [Profile.rescale]).
+    + {b Bounded memory.}  Each domain records into columns that grow
+      by doubling up to {!enable}[ ~capacity] events; past that they
+      are a ring, the oldest event is overwritten and the capture's
+      [dropped] counts the loss — tracing never grows without bound
+      under heavy simulated traffic.  For runs whose full event stream
+      would overflow any reasonable ring, {!enable}[ ~sample:n] keeps
+      one event per window of n per (cat,name) stream (rotating the
+      slot within the window so streams with periodic durations are
+      sampled phase-fairly) and counts the rest exactly, so aggregates
+      can be rescaled (see {!Stream.scale} and [Profile.rescale]).
+
+    {b Layout.}  The recorder keeps one column per field: a byte of
+    kind, the [cat] and [name] strings, and unboxed float columns of
+    start, duration and value.  {!capture} hands the columns to the
+    capture as they are — one {e segment} — and nothing writes them
+    again.  An {!event} is a view of one row of a segment, read
+    through {!kind}, {!cat}, {!name}, {!ts}, {!dur} and {!value}; a
+    captured span costs its view and its cons cell, six words.  Views
+    share their segment, so they are never compared, hashed or
+    marshalled polymorphically: compare or store a projection of the
+    accessors instead.
 
     Timestamps: analytic cost paths (straight-line formulas with no
     engine) call {!span}; the event lands on the recorder's synthetic
     cursor, which then advances by the span's duration, producing a
     well-formed timeline of the cost composition.  Engine-timed code
     (the simulation kernels' request bundles, a request span bracketing
-    cursor reads) calls {!span_at} with the time itself, and the
-    cursor is untouched. *)
+    cursor reads) calls {!span_at} with the time itself in a float
+    cell, and the cursor is untouched. *)
 
 type kind = Span | Instant | Counter
 
-type event = {
-  kind : kind;
-  cat : string;  (** category, e.g. ["syscall-entry"], ["hypercall"] *)
-  name : string;  (** low-cardinality name within the category *)
-  ts : float;  (** nanoseconds — sim clock or synthetic cursor *)
-  dur : float;  (** span duration in ns; [0.] for instants/counters *)
-  value : float;  (** counter value; request id for request spans; [0.] otherwise *)
-}
+type event
+(** A view of one recorded or hand-built event. *)
+
+val kind : event -> kind
+
+val cat : event -> string
+(** Category, e.g. ["syscall-entry"], ["hypercall"]. *)
+
+val name : event -> string
+(** Low-cardinality name within the category. *)
+
+val ts : event -> float
+(** Nanoseconds — sim clock or synthetic cursor. *)
+
+val dur : event -> float
+(** Span duration in ns; [0.] for instants/counters. *)
+
+val value : event -> float
+(** Counter value; request id for request spans; [0.] otherwise. *)
+
+val make :
+  kind:kind -> cat:string -> name:string -> ts:float -> dur:float -> value:float -> event
+(** A hand-built event (a parsed artifact, a rescaled span, a
+    telemetry counter), as its own one-row segment. *)
+
+val span_columns : event list -> event array * float array * float array
+(** The events of kind [Span] with positive duration, in list order,
+    with their starts and durations as unboxed columns.  A reader that
+    loops over times reads these: {!ts} and {!dur} return a boxed
+    float. *)
 
 val kind_to_string : kind -> string
 
@@ -79,14 +112,15 @@ val default_capacity : int
 
 val enable : ?capacity:int -> ?sample:int -> unit -> unit
 (** Turn tracing on process-wide.  [capacity] (default
-    {!default_capacity}, must be >= 1) sets the per-domain ring size
-    for buffers allocated from now on.  [sample] (default 1 = keep
-    everything, must be >= 1) sets the sampling stride: each
-    (cat,name) stream keeps one event per window of [sample] — the
-    first event always, then the slot rotates by one each window so
-    periodic streams are sampled phase-fairly — and counts the rest in
-    {!streams}.  Both settings persist until changed by a later
-    [enable]. *)
+    {!default_capacity}, must be >= 1) bounds the per-domain columns
+    filled from now on.  [sample] (default 1 = keep everything, must
+    be >= 1) sets the sampling stride: each (cat,name) stream keeps
+    one event per window of [sample] — the first event always, then
+    the slot rotates by one each window so periodic streams are
+    sampled phase-fairly — and counts the rest in the capture's
+    [streams].  Both settings persist until changed by a later
+    [enable]; a capacity change discards the live columns of a
+    recorder that records again, counting them as dropped. *)
 
 val disable : unit -> unit
 
@@ -105,12 +139,12 @@ val span : cat:string -> name:string -> float -> unit
 (** [span ~cat ~name ns] records a slice of [ns] nanoseconds at the
     current domain's cursor, which advances by [ns]. *)
 
-val span_at : ?value:float -> at:float -> cat:string -> name:string -> float -> unit
-(** [span_at ~at ~cat ~name ns] records a slice of [ns] nanoseconds
-    starting at [at] and leaves the cursor where it is.  [value]
-    (default [0.]) rides along in the event — request spans carry the
-    request id in it.  Two functions rather than an optional [?at], so
-    an engine-timed span does not allocate the option. *)
+val span_at : id:int -> cat:string -> name:string -> float array -> unit
+(** [span_at ~id ~cat ~name t] records a slice of [t.(1)] nanoseconds
+    starting at [t.(0)] and leaves the cursor where it is.  [id] rides
+    along as the event's {!value}: a request span's id, [0] on any
+    other span.  The times come in a float cell and the id as an int,
+    so an engine-timed span boxes nothing. *)
 
 val instant : ?at:float -> cat:string -> name:string -> unit -> unit
 (** A point event (e.g. one mode switch).  Does not move the cursor. *)
@@ -124,27 +158,11 @@ val cursor : unit -> float
     (cursor before/after = end-to-end duration) without charging any
     cost itself. *)
 
-(** {1 Draining} *)
+(** {1 Capture and composition}
 
-val take : unit -> event list
-(** Drain the current domain's buffer in record order and reset it
-    (cursor back to 0, dropped count and sampler streams cleared).
-    Read {!dropped} and {!streams} {e before} calling this if you need
-    the loss count or the sampler accounting. *)
-
-val dropped : unit -> int
-(** Events overwritten in the current domain's ring since the last
-    {!take}. *)
-
-val streams : unit -> Stream.t list
-(** Per-stream sampler accounting since the last {!take},
-    sorted by (cat, name).  Empty when no stride > 1 was active. *)
-
-(** {1 Composition}
-
-    These two let captures nest (a cell inside an experiment inside
-    the bench harness) and join captures recorded on any domains in a
-    deterministic order. *)
+    A capture is the only way out of the recorder.  Captures nest (a
+    cell inside an experiment inside the bench harness) and join
+    captures recorded on any domains in a deterministic order. *)
 
 type captured = {
   events : event list;  (** in record order *)

@@ -13,6 +13,11 @@ module Trace = Xc_trace.Trace
 module CL = Xc_platforms.Closed_loop
 module OL = Xc_platforms.Open_loop
 
+(* The emitter shape the references were written against: a time, a
+   duration and an optional value, handed to [Trace] in a cell. *)
+let span_at ?(value = 0.) ~at ~cat ~name d =
+  Trace.span_at ~id:(int_of_float value) ~cat ~name [| at; d |]
+
 let service_ns (s : CL.server) =
   if s.CL.stddev = 0. then fun _ -> s.CL.base_ns
   else fun rng ->
@@ -49,27 +54,27 @@ let closed (config : CL.config) server : CL.result =
       end
       else 0.
     in
-    Trace.span_at ~at:(sent_at +. shift)
+    span_at ~at:(sent_at +. shift)
       ~value:(float_of_int !completed) ~cat:"request" ~name:"closed-loop"
       (now -. sent_at);
     if bundle then begin
       let arrive_at = sent_at +. half in
       if half > 0. then
-        Trace.span_at ~at:(sent_at +. shift) ~cat:"net.hop" ~name:"client->server" half;
+        span_at ~at:(sent_at +. shift) ~cat:"net.hop" ~name:"client->server" half;
       if start -. arrive_at > 0. then
-        Trace.span_at ~at:(arrive_at +. shift) ~cat:"sched" ~name:"queue-wait"
+        span_at ~at:(arrive_at +. shift) ~cat:"sched" ~name:"queue-wait"
           (start -. arrive_at);
       let cursor = ref (start +. shift) and budget = finish +. shift in
       List.iter
         (fun (cat, name, ns) ->
           let d = Float.min ns (budget -. !cursor) in
           if d > 0. then begin
-            Trace.span_at ~at:!cursor ~cat ~name d;
+            span_at ~at:!cursor ~cat ~name d;
             cursor := !cursor +. d
           end)
         mechanisms;
       if half > 0. then
-        Trace.span_at ~at:(finish +. shift) ~cat:"net.hop" ~name:"server->client" half
+        span_at ~at:(finish +. shift) ~cat:"net.hop" ~name:"server->client" half
     end
   in
   let rec client_loop engine =
@@ -267,11 +272,12 @@ let observe ~traced f =
     Fun.protect
       ~finally:(fun () ->
         Metrics.disable ();
-        Trace.disable ();
-        ignore (Trace.take ()))
+        Trace.disable ())
       (fun () ->
         let ((r, n), captured), telemetry =
           Metrics.capture (fun () -> Trace.capture (fun () -> counted f))
         in
-        (r, n, Marshal.to_string (captured, telemetry) [ Marshal.No_sharing ]))
+        (* Events are views into their capture's columns: marshal their
+           rows, not the views, which would copy a whole segment each. *)
+        (r, n, Marshal.to_string (Trace_rows.captured captured, telemetry) [ Marshal.No_sharing ]))
   end

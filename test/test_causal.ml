@@ -17,7 +17,7 @@ module CS = Xc_platforms.Cluster_sim
 module M = Xc_sim.Metrics
 
 let mk ?(kind = Trace.Span) ?(v = 0.) ~cat ~name ts dur =
-  { Trace.kind; cat; name; ts; dur; value = v }
+  Trace.make ~kind ~cat ~name ~ts ~dur ~value:v
 
 let contains s needle =
   let n = String.length needle and l = String.length s in
@@ -92,38 +92,38 @@ let eps_for x = (1e-9 *. Float.abs x) +. 1e-6
 let reference_chains events =
   let spans =
     List.filter
-      (fun (e : Trace.event) -> e.Trace.kind = Trace.Span && e.Trace.dur > 0.)
+      (fun e -> (Trace.kind e) = Trace.Span && (Trace.dur e) > 0.)
       events
   in
   let a =
     Array.of_list
       (List.stable_sort
-         (fun (x : Trace.event) (y : Trace.event) ->
-           match Float.compare x.ts y.ts with
+         (fun x y ->
+           match Float.compare (Trace.ts x) (Trace.ts y) with
            | 0 -> (
-               match Float.compare y.dur x.dur with
-               | 0 -> compare (x.cat, x.name) (y.cat, y.name)
+               match Float.compare (Trace.dur y) (Trace.dur x) with
+               | 0 -> compare (Trace.cat x, Trace.name x) (Trace.cat y, Trace.name y)
                | c -> c)
            | c -> c)
          spans)
   in
   let n = Array.length a in
-  let ends = Array.map (fun (e : Trace.event) -> e.Trace.ts +. e.Trace.dur) a in
+  let ends = Array.map (fun e -> (Trace.ts e) +. (Trace.dur e)) a in
   let parent = Array.make n (-1) in
   for i = 0 to n - 1 do
     for j = 0 to i - 1 do
       if ends.(j) +. eps_for ends.(j) >= ends.(i) then parent.(i) <- j
     done
   done;
-  let self = Array.map (fun (e : Trace.event) -> e.Trace.dur) a in
+  let self = Array.map (fun e -> (Trace.dur e)) a in
   for i = 0 to n - 1 do
     if parent.(i) >= 0 then
-      self.(parent.(i)) <- self.(parent.(i)) -. a.(i).Trace.dur
+      self.(parent.(i)) <- self.(parent.(i)) -. (Trace.dur a.(i))
   done;
   let rec owner i =
     match parent.(i) with
     | -1 -> -1
-    | j -> if a.(j).Trace.cat = "request" then j else owner j
+    | j -> if (Trace.cat a.(j)) = "request" then j else owner j
   in
   (* chain table per request span index: label -> (spans, ns) *)
   let chains = Hashtbl.create 16 in
@@ -142,27 +142,27 @@ let reference_chains events =
   in
   let unattributed = ref 0. in
   for i = 0 to n - 1 do
-    if a.(i).Trace.cat = "request" then begin
+    if (Trace.cat a.(i)) = "request" then begin
       bump i CP.self_label self.(i);
       match owner i with
       | -1 -> ()
-      | j -> bump j CP.nested_label a.(i).Trace.dur
+      | j -> bump j CP.nested_label (Trace.dur a.(i))
     end
     else
       match owner i with
       | -1 -> unattributed := !unattributed +. self.(i)
-      | j -> bump j a.(i).Trace.cat self.(i)
+      | j -> bump j (Trace.cat a.(i)) self.(i)
   done;
   let out = ref [] in
   for i = 0 to n - 1 do
-    if a.(i).Trace.cat = "request" then begin
+    if (Trace.cat a.(i)) = "request" then begin
       let t = table i in
       let segs =
         Hashtbl.fold (fun label (c, ns) l -> (label, c, ns) :: l) t []
         |> List.sort compare
       in
       out :=
-        (int_of_float a.(i).Trace.value, a.(i).Trace.dur, segs) :: !out
+        (int_of_float (Trace.value a.(i)), (Trace.dur a.(i)), segs) :: !out
     end
   done;
   (List.sort compare !out, !unattributed)

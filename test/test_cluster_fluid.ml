@@ -272,10 +272,7 @@ let test_sweep_fidelity_matches_map () =
 let with_trace f =
   Trace.enable ~capacity:(1 lsl 18) ~sample:1 ();
   Fun.protect
-    ~finally:(fun () ->
-      Trace.disable ();
-      ignore (Trace.take ()))
-    f
+    ~finally:Trace.disable f
 
 let test_mixed_slice_emits_tails () =
   (* The whole point of the mixed tier: at fleet scale the p99 must

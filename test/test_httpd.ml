@@ -105,26 +105,24 @@ let test_split_driver_completion_order () =
   Trace.enable ~capacity:Trace.default_capacity ~sample:1 ();
   let cost, captured =
     Fun.protect
-      ~finally:(fun () ->
-        Trace.disable ();
-        ignore (Trace.take ()))
+      ~finally:Trace.disable
       (fun () ->
         Trace.capture (fun () -> Netpath.message_cost_ns hops ~bytes_len:6000 ~mss:1448))
   in
   let spans = captured.Trace.events in
   Alcotest.(check (list string)) "completion order"
     [ "native-stack"; "split-driver"; "iptables" ]
-    (List.map (fun (e : Trace.event) -> e.name) spans);
+    (List.map Trace.name spans);
   Alcotest.(check (float 1e-6)) "split driver: five ring crossings"
     (5. *. Netpath.hop_cost_ns Netpath.Split_driver ~bytes_len:1448)
-    (List.find (fun (e : Trace.event) -> e.name = "split-driver") spans).dur;
+    (Trace.dur (List.find (fun e -> Trace.name e = "split-driver") spans));
   ignore
     (List.fold_left
-       (fun at (e : Trace.event) ->
+       (fun at e ->
          Alcotest.(check (float 1e-6))
-           (e.name ^ " starts as the previous hop ends")
-           at e.ts;
-         e.ts +. e.dur)
+           (Trace.name e ^ " starts as the previous hop ends")
+           at (Trace.ts e);
+         Trace.ts e +. Trace.dur e)
        0. spans);
   Alcotest.(check (float 1e-6)) "spans sum to the charge" cost captured.Trace.cursor
 

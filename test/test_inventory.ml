@@ -688,12 +688,6 @@ let test_only =
             "tails.drivers closed-loop bundles recover the recipe";
           ] );
       ] );
-    ( "Xc_trace.Trace",
-      [
-        ("take", Hook, [ "trace.recorder"; "trace.sampler"; "sim.parallel"; "sim.parallel.sharding" ]);
-        ("dropped", Hook, [ "trace.recorder" ]);
-        ("streams", Hook, [ "trace.sampler" ]);
-      ] );
     ( "Xcontainers.Boot",
       [ ("xl_toolstack_estimate_ns", Oracle, [ "core.boot_bottom_up xenstore estimate matches" ]) ]
     );

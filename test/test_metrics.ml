@@ -197,8 +197,9 @@ let test_parallel_jobs_deterministic () =
      the --timeseries artifact contract really says. *)
   let render t =
     List.map
-      (fun (ev : Xc_trace.Trace.event) ->
-        Printf.sprintf "%s/%s@%.3f=%.6f" ev.cat ev.name ev.ts ev.value)
+      (fun ev ->
+        let module T = Xc_trace.Trace in
+        Printf.sprintf "%s/%s@%.3f=%.6f" (T.cat ev) (T.name ev) (T.ts ev) (T.value ev))
       (M.to_trace_events t)
   in
   Alcotest.(check (list string)) "trace events" (render t1) (render t2)

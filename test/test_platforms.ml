@@ -294,10 +294,9 @@ let test_traced_closed_loop_words () =
   Fun.protect
     ~finally:(fun () ->
       Metrics.disable ();
-      Trace.disable ();
-      ignore (Trace.take ()))
+      Trace.disable ())
     (fun () ->
-      Test_sim.check_words_budget ~budget:145 (fun () ->
+      Test_sim.check_words_budget ~budget:77 (fun () ->
           let (_, captured), _ =
             Metrics.capture (fun () ->
                 Trace.capture (fun () -> Closed_loop.run config server))

@@ -75,8 +75,7 @@ let with_recorders ?(sample = 1) f =
     ~finally:(fun () ->
       Metrics.disable ();
       Trace.enable ~sample:1 ();
-      Trace.disable ();
-      ignore (Trace.take ()))
+      Trace.disable ())
     f
 
 let captured f () =
@@ -112,7 +111,7 @@ let run_workload ~jobs =
   with_recorders (fun () ->
       let tasks = Parallel.run_sharded ~jobs ~oversubscribe:true (workload ()) in
       let _, trace, telemetry = join tasks in
-      (List.map (fun (v, _, _) -> v) tasks, trace, telemetry))
+      (List.map (fun (v, _, _) -> v) tasks, Trace_rows.captured trace, telemetry))
 
 let test_deterministic_across_jobs () =
   let r0, c0, t0 = run_workload ~jobs:1 in
@@ -181,9 +180,7 @@ let test_trace_concat_rebases () =
         (List.length all.Trace.events);
       (* Segment k's events shift by the cursor-sum of segments 0..k-1,
          so the concatenated timeline is monotone. *)
-      let ts =
-        List.map (fun (e : Trace.event) -> e.Trace.ts) all.Trace.events
-      in
+      let ts = List.map Trace.ts all.Trace.events in
       Alcotest.(check bool) "timeline is monotone" true
         (List.sort compare ts = ts);
       Alcotest.(check (float 1e-9)) "cursor sums" (a.Trace.cursor +. b.Trace.cursor +. c.Trace.cursor)
@@ -204,7 +201,8 @@ let test_trace_concat_rebases () =
         (stream all).Trace.Stream.kept;
       (* Associativity: one concat equals concat of concats. *)
       Alcotest.(check bool) "associative" true
-        (Trace.concat [ a; b; c ] = Trace.concat [ Trace.concat [ a; b ]; c ]))
+        (Trace_rows.captured (Trace.concat [ a; b; c ])
+        = Trace_rows.captured (Trace.concat [ Trace.concat [ a; b ]; c ])))
 
 let test_merge_telemetry () =
   Metrics.enable ();

@@ -18,10 +18,7 @@ module Histogram = Xc_sim.Histogram
 let with_trace ?(capacity = Trace.default_capacity) ?(sample = 1) f =
   Trace.enable ~capacity ~sample ();
   Fun.protect
-    ~finally:(fun () ->
-      Trace.disable ();
-      ignore (Trace.take ()))
-    f
+    ~finally:Trace.disable f
 
 let contains s needle =
   let n = String.length needle and l = String.length s in
@@ -29,7 +26,7 @@ let contains s needle =
   scan 0
 
 let mk ?(kind = Trace.Span) ?(v = 0.) ~cat ~name ts dur =
-  { Trace.kind; cat; name; ts; dur; value = v }
+  Trace.make ~kind ~cat ~name ~ts ~dur ~value:v
 
 let mech_t = Alcotest.(list (triple string int (float 1e-6)))
 
@@ -151,71 +148,71 @@ type ref_req = {
 let reference_attribute events =
   let spans =
     List.filter
-      (fun (e : Trace.event) -> e.Trace.kind = Trace.Span && e.Trace.dur > 0.)
+      (fun e -> (Trace.kind e) = Trace.Span && (Trace.dur e) > 0.)
       events
   in
   let a =
     Array.of_list
       (List.stable_sort
-         (fun (x : Trace.event) (y : Trace.event) ->
-           match Float.compare x.ts y.ts with
+         (fun x y ->
+           match Float.compare (Trace.ts x) (Trace.ts y) with
            | 0 -> (
-               match Float.compare y.dur x.dur with
-               | 0 -> compare (x.cat, x.name) (y.cat, y.name)
+               match Float.compare (Trace.dur y) (Trace.dur x) with
+               | 0 -> compare (Trace.cat x, Trace.name x) (Trace.cat y, Trace.name y)
                | c -> c)
            | c -> c)
          spans)
   in
   let n = Array.length a in
-  let ends = Array.map (fun (e : Trace.event) -> e.Trace.ts +. e.Trace.dur) a in
+  let ends = Array.map (fun e -> (Trace.ts e) +. (Trace.dur e)) a in
   let parent = Array.make n (-1) in
   for i = 0 to n - 1 do
     for j = 0 to i - 1 do
       if ends.(j) +. eps_for ends.(j) >= ends.(i) then parent.(i) <- j
     done
   done;
-  let self = Array.map (fun (e : Trace.event) -> e.Trace.dur) a in
+  let self = Array.map (fun e -> (Trace.dur e)) a in
   for i = 0 to n - 1 do
     if parent.(i) >= 0 then
-      self.(parent.(i)) <- self.(parent.(i)) -. a.(i).Trace.dur
+      self.(parent.(i)) <- self.(parent.(i)) -. (Trace.dur a.(i))
   done;
   let rec owner i =
     match parent.(i) with
     | -1 -> -1
-    | j -> if a.(j).Trace.cat = "request" then j else owner j
+    | j -> if (Trace.cat a.(j)) = "request" then j else owner j
   in
   let reqs = Hashtbl.create 16 (* span index -> ref_req *) in
   for i = 0 to n - 1 do
-    if a.(i).Trace.cat = "request" then
+    if (Trace.cat a.(i)) = "request" then
       Hashtbl.replace reqs i
         {
-          r_id = int_of_float a.(i).Trace.value;
-          r_name = a.(i).Trace.name;
-          r_start = a.(i).Trace.ts;
-          r_total = a.(i).Trace.dur;
+          r_id = int_of_float (Trace.value a.(i));
+          r_name = (Trace.name a.(i));
+          r_start = (Trace.ts a.(i));
+          r_total = (Trace.dur a.(i));
           r_self = self.(i);
           r_mech = Hashtbl.create 8;
         }
   done;
   let unattributed = ref 0. in
   for i = 0 to n - 1 do
-    if a.(i).Trace.cat <> "request" then begin
+    if (Trace.cat a.(i)) <> "request" then begin
       match owner i with
       | -1 -> unattributed := !unattributed +. self.(i)
       | j ->
           let r = Hashtbl.find reqs j in
           let cnt, ns =
             Option.value ~default:(0, 0.)
-              (Hashtbl.find_opt r.r_mech a.(i).Trace.cat)
+              (Hashtbl.find_opt r.r_mech (Trace.cat a.(i)))
           in
-          Hashtbl.replace r.r_mech a.(i).Trace.cat (cnt + 1, ns +. self.(i))
+          Hashtbl.replace r.r_mech (Trace.cat a.(i)) (cnt + 1, ns +. self.(i))
     end
   done;
   let total =
     Array.to_seq a |> Seq.zip (Array.to_seq parent)
     |> Seq.fold_left
-         (fun acc (p, (e : Trace.event)) ->
-           if p = -1 then acc +. e.Trace.dur else acc)
+         (fun acc (p, e) ->
+           if p = -1 then acc +. (Trace.dur e) else acc)
          0.
   in
   let rl = Hashtbl.fold (fun _ r acc -> r :: acc) reqs [] in
@@ -313,11 +310,11 @@ let partition_prop =
    attribution, bit for bit.  The forest mixes lane-style bundles
    (requests with serial mechanism children) with random overlapping
    and nested spans. *)
-let canonical_order (x : Trace.event) (y : Trace.event) =
-  match Float.compare x.ts y.ts with
+let canonical_order x y =
+  match Float.compare (Trace.ts x) (Trace.ts y) with
   | 0 -> (
-      match Float.compare y.dur x.dur with
-      | 0 -> compare (x.cat, x.name) (y.cat, y.name)
+      match Float.compare (Trace.dur y) (Trace.dur x) with
+      | 0 -> compare (Trace.cat x, Trace.name x) (Trace.cat y, Trace.name y)
       | c -> c)
   | c -> c
 
@@ -357,14 +354,18 @@ let sweep_paths_prop =
     (fun (quads, bundles, seed) ->
       let events =
         List.mapi
-          (fun i (ev : Trace.event) -> { ev with name = ev.name ^ string_of_int i })
+          (fun i ev ->
+            Trace.make ~kind:(Trace.kind ev) ~cat:(Trace.cat ev)
+              ~name:(Trace.name ev ^ string_of_int i) ~ts:(Trace.ts ev) ~dur:(Trace.dur ev)
+              ~value:(Trace.value ev))
           (forest_of quads @ lane_of bundles)
       in
       let canonical = List.stable_sort canonical_order events in
       let rng = Random.State.make [| seed |] in
       let shuffled =
         List.map snd
-          (List.sort compare
+          (List.stable_sort
+             (fun (a, _) (b, _) -> Int.compare a b)
              (List.map (fun ev -> (Random.State.bits rng, ev)) events))
       in
       let a = Profile.attribute canonical and b = Profile.attribute shuffled in

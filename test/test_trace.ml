@@ -13,33 +13,27 @@ module Profile = Xc_trace.Profile
 module Config = Xc_platforms.Config
 
 (* Enable tracing for the duration of [f], then restore the disabled
-   state and discard anything left in this domain's buffer, so suites
-   that run after us see a quiet tracer.  Capacity and sampling stride
-   always default explicitly: a previous test's tiny ring or stride
-   must not leak forward. *)
+   state, so suites that run after us see a quiet tracer.  Capacity
+   and sampling stride always default explicitly: a previous test's
+   tiny ring or stride must not leak forward. *)
 let with_trace ?(capacity = Trace.default_capacity) ?(sample = 1) f =
   Trace.enable ~capacity ~sample ();
-  Fun.protect
-    ~finally:(fun () ->
-      Trace.disable ();
-      ignore (Trace.take ()))
-    f
+  Fun.protect ~finally:Trace.disable f
 
-let ev =
-  let pp fmt (e : Trace.event) =
-    Format.fprintf fmt "%s %s/%s ts=%g dur=%g v=%g"
-      (Trace.kind_to_string e.kind)
-      e.cat e.name e.ts e.dur e.value
-  in
-  Alcotest.testable pp ( = )
+(* [f]'s events, captured. *)
+let recorded f = snd (Trace.capture f)
+
+let ev = Trace_rows.testable
 
 (* Events after a serialise/parse round trip: same fields, timestamps
    equal to within the fixed-precision float formatting. *)
-let roughly_equal (a : Trace.event) (b : Trace.event) =
-  a.kind = b.kind && a.cat = b.cat && a.name = b.name
-  && Float.abs (a.ts -. b.ts) < 1e-3
-  && Float.abs (a.dur -. b.dur) < 1e-3
-  && Float.abs (a.value -. b.value) < 1e-3
+let roughly_equal a b =
+  Trace.kind a = Trace.kind b
+  && Trace.cat a = Trace.cat b
+  && Trace.name a = Trace.name b
+  && Float.abs (Trace.ts a -. Trace.ts b) < 1e-3
+  && Float.abs (Trace.dur a -. Trace.dur b) < 1e-3
+  && Float.abs (Trace.value a -. Trace.value b) < 1e-3
 
 let contains s needle =
   let n = String.length needle and l = String.length s in
@@ -50,96 +44,118 @@ let contains s needle =
 
 let test_disabled_noop () =
   Alcotest.(check bool) "disabled by default" false (Trace.enabled ());
-  Trace.span ~cat:"c" ~name:"n" 5.;
-  Trace.instant ~cat:"c" ~name:"n" ();
-  Trace.counter ~cat:"c" ~name:"n" 1.;
-  Alcotest.(check (list ev)) "nothing recorded" [] (Trace.take ())
+  (* A live capture sees nothing the emitters are offered while the
+     switch is off. *)
+  let c =
+    with_trace (fun () ->
+        recorded (fun () ->
+            Trace.disable ();
+            Trace.span ~cat:"c" ~name:"n" 5.;
+            Trace.span_at ~id:1 ~cat:"c" ~name:"n" [| 1.; 2. |];
+            Trace.instant ~cat:"c" ~name:"n" ();
+            Trace.counter ~cat:"c" ~name:"n" 1.;
+            Trace.enable ()))
+  in
+  Alcotest.(check (list ev)) "nothing recorded" [] (Trace_rows.rows c.Trace.events);
+  Alcotest.(check (float 0.)) "cursor untouched" 0. c.Trace.cursor
 
 let test_cursor_timeline () =
   with_trace (fun () ->
-      Trace.span ~cat:"c" ~name:"a" 10.;
-      Trace.instant ~cat:"c" ~name:"tick" ();
-      Trace.span ~cat:"c" ~name:"b" 5.;
-      Trace.span_at ~at:99. ~cat:"c" ~name:"pinned" 7.;
-      Trace.span ~cat:"c" ~name:"d" 1.;
-      match Trace.take () with
+      let c =
+        recorded (fun () ->
+            Trace.span ~cat:"c" ~name:"a" 10.;
+            Trace.instant ~cat:"c" ~name:"tick" ();
+            Trace.span ~cat:"c" ~name:"b" 5.;
+            Trace.span_at ~id:0 ~cat:"c" ~name:"pinned" [| 99.; 7. |];
+            Trace.span ~cat:"c" ~name:"d" 1.)
+      in
+      match c.Trace.events with
       | [ a; tick; b; pinned; d ] ->
-          Alcotest.(check (float 0.)) "a at origin" 0. a.Trace.ts;
-          Alcotest.(check (float 0.)) "instant at cursor" 10. tick.Trace.ts;
-          Alcotest.(check (float 0.)) "b after a" 10. b.Trace.ts;
-          Alcotest.(check (float 0.)) "explicit ~at honoured" 99. pinned.Trace.ts;
-          (* ~at must not move the cursor: d continues after b. *)
-          Alcotest.(check (float 0.)) "cursor unaffected by ~at" 15. d.Trace.ts;
-          (* take resets the cursor. *)
-          Trace.span ~cat:"c" ~name:"fresh" 1.;
-          let fresh = List.hd (Trace.take ()) in
-          Alcotest.(check (float 0.)) "cursor reset by take" 0. fresh.Trace.ts
+          Alcotest.(check (float 0.)) "a at origin" 0. (Trace.ts a);
+          Alcotest.(check (float 0.)) "instant at cursor" 10. (Trace.ts tick);
+          Alcotest.(check (float 0.)) "b after a" 10. (Trace.ts b);
+          Alcotest.(check (float 0.)) "explicit ~at honoured" 99. (Trace.ts pinned);
+          (* span_at must not move the cursor: d continues after b. *)
+          Alcotest.(check (float 0.)) "cursor unaffected by ~at" 15. (Trace.ts d);
+          (* A new capture starts a fresh cursor. *)
+          let fresh = recorded (fun () -> Trace.span ~cat:"c" ~name:"fresh" 1.) in
+          Alcotest.(check (float 0.)) "cursor reset by a new capture" 0.
+            (Trace.ts (List.hd fresh.Trace.events))
       | evs -> Alcotest.failf "expected 5 events, got %d" (List.length evs))
+
+let names (c : Trace.captured) = List.map Trace.name c.events
 
 let test_ring_bound () =
   with_trace ~capacity:4 (fun () ->
-      for i = 1 to 10 do
-        Trace.span ~cat:"c" ~name:(string_of_int i) 1.
-      done;
-      Alcotest.(check int) "dropped counts overwrites" 6 (Trace.dropped ());
-      let names = List.map (fun (e : Trace.event) -> e.name) (Trace.take ()) in
+      let c =
+        recorded (fun () ->
+            for i = 1 to 10 do
+              Trace.span ~cat:"c" ~name:(string_of_int i) 1.
+            done)
+      in
+      Alcotest.(check int) "dropped counts overwrites" 6 c.Trace.dropped;
       Alcotest.(check (list string))
-        "oldest overwritten, order kept" [ "7"; "8"; "9"; "10" ] names;
-      Alcotest.(check int) "take clears dropped" 0 (Trace.dropped ()))
+        "oldest overwritten, order kept" [ "7"; "8"; "9"; "10" ] (names c);
+      let again = recorded (fun () -> Trace.span ~cat:"c" ~name:"x" 1.) in
+      Alcotest.(check int) "a new capture starts with no drops" 0 again.Trace.dropped)
 
 (* Regression: shrinking (or growing) the ring under a live recorder
    used to discard its contents without bumping [dropped]. *)
 let test_capacity_change_drops () =
   with_trace ~capacity:8 (fun () ->
-      for i = 1 to 5 do
-        Trace.span ~cat:"c" ~name:(string_of_int i) 1.
-      done;
-      Trace.enable ~capacity:4 ();
-      Trace.span ~cat:"c" ~name:"after" 1.;
-      Alcotest.(check int) "discarded live ring counted as dropped" 5
-        (Trace.dropped ());
-      let names = List.map (fun (e : Trace.event) -> e.name) (Trace.take ()) in
+      let c =
+        recorded (fun () ->
+            for i = 1 to 5 do
+              Trace.span ~cat:"c" ~name:(string_of_int i) 1.
+            done;
+            Trace.enable ~capacity:4 ();
+            Trace.span ~cat:"c" ~name:"after" 1.)
+      in
+      Alcotest.(check int) "discarded live ring counted as dropped" 5 c.Trace.dropped;
       Alcotest.(check (list string)) "fresh ring has only the new event"
-        [ "after" ] names)
+        [ "after" ] (names c))
 
 let test_capture_nesting () =
   with_trace (fun () ->
-      Trace.span ~cat:"outer" ~name:"before" 3.;
-      let v, inner =
-        Trace.capture (fun () ->
-            Trace.span ~cat:"inner" ~name:"x" 1.;
-            Trace.span ~cat:"inner" ~name:"y" 2.;
-            42)
+      let outer =
+        recorded (fun () ->
+            Trace.span ~cat:"outer" ~name:"before" 3.;
+            let v, inner =
+              Trace.capture (fun () ->
+                  Trace.span ~cat:"inner" ~name:"x" 1.;
+                  Trace.span ~cat:"inner" ~name:"y" 2.;
+                  42)
+            in
+            Alcotest.(check int) "result threaded" 42 v;
+            Alcotest.(check int) "no drops" 0 inner.Trace.dropped;
+            Alcotest.(check (list string)) "inner events isolated" [ "x"; "y" ] (names inner);
+            (* Inner spans start on their own cursor. *)
+            Alcotest.(check (float 0.)) "inner cursor fresh" 0.
+              (Trace.ts (List.hd inner.Trace.events));
+            (* The outer recorder state survives: cursor continues at 3. *)
+            Trace.span ~cat:"outer" ~name:"after" 1.)
       in
-      Alcotest.(check int) "result threaded" 42 v;
-      Alcotest.(check int) "no drops" 0 inner.Trace.dropped;
-      Alcotest.(check (list string))
-        "inner events isolated" [ "x"; "y" ]
-        (List.map (fun (e : Trace.event) -> e.Trace.name) inner.Trace.events);
-      (* Inner spans start on their own cursor. *)
-      Alcotest.(check (float 0.)) "inner cursor fresh" 0.
-        (List.hd inner.Trace.events).Trace.ts;
-      (* The outer recorder state survives: cursor continues at 3. *)
-      Trace.span ~cat:"outer" ~name:"after" 1.;
-      match Trace.take () with
+      match outer.Trace.events with
       | [ before; after ] ->
-          Alcotest.(check string) "outer kept" "before" before.Trace.name;
-          Alcotest.(check (float 0.)) "outer cursor restored" 3. after.Trace.ts
+          Alcotest.(check string) "outer kept" "before" (Trace.name before);
+          Alcotest.(check (float 0.)) "outer cursor restored" 3. (Trace.ts after)
       | evs -> Alcotest.failf "expected 2 outer events, got %d" (List.length evs))
 
 exception Boom
 
 let test_capture_exception () =
   with_trace (fun () ->
-      Trace.span ~cat:"outer" ~name:"kept" 2.;
-      (try
-         ignore
-           (Trace.capture (fun () ->
-                Trace.span ~cat:"inner" ~name:"lost" 1.;
-                raise Boom))
-       with Boom -> ());
-      let names = List.map (fun (e : Trace.event) -> e.Trace.name) (Trace.take ()) in
-      Alcotest.(check (list string)) "outer intact, inner discarded" [ "kept" ] names)
+      let outer =
+        recorded (fun () ->
+            Trace.span ~cat:"outer" ~name:"kept" 2.;
+            try
+              ignore
+                (Trace.capture (fun () ->
+                     Trace.span ~cat:"inner" ~name:"lost" 1.;
+                     raise Boom))
+            with Boom -> ())
+      in
+      Alcotest.(check (list string)) "outer intact, inner discarded" [ "kept" ] (names outer))
 
 (* ---------------- the sampler ---------------- *)
 
@@ -152,11 +168,12 @@ let cat_totals ?(streams = []) evs =
 
 let test_sampler_stride () =
   with_trace ~sample:4 (fun () ->
-      for _ = 1 to 10 do
-        Trace.span ~cat:"c" ~name:"x" 10.
-      done;
-      let streams = Trace.streams () in
-      let evs = Trace.take () in
+      let { Trace.streams; events = evs; _ } =
+        recorded (fun () ->
+            for _ = 1 to 10 do
+              Trace.span ~cat:"c" ~name:"x" 10.
+            done)
+      in
       (* Rotating slot: window 0 keeps index 0, window 1 keeps index 5;
          window 2's slot (index 10) is past the end of the stream. *)
       Alcotest.(check int) "one event per full window" 2 (List.length evs);
@@ -164,7 +181,7 @@ let test_sampler_stride () =
          the unsampled timeline. *)
       Alcotest.(check (list (float 0.)))
         "timestamps as if unsampled" [ 0.; 50. ]
-        (List.map (fun (e : Trace.event) -> e.Trace.ts) evs);
+        (List.map Trace.ts evs);
       match streams with
       | [ s ] ->
           Alcotest.(check string) "stream cat" "c" s.Trace.Stream.cat;
@@ -179,11 +196,13 @@ let test_sampler_stride () =
 
 let test_sampler_per_stream () =
   with_trace ~sample:2 (fun () ->
-      for _ = 1 to 3 do
-        Trace.span ~cat:"a" ~name:"x" 1.;
-        Trace.span ~cat:"b" ~name:"y" 1.
-      done;
-      let streams = Trace.streams () in
+      let { Trace.streams; _ } =
+        recorded (fun () ->
+            for _ = 1 to 3 do
+              Trace.span ~cat:"a" ~name:"x" 1.;
+              Trace.span ~cat:"b" ~name:"y" 1.
+            done)
+      in
       Alcotest.(check int) "two independent streams" 2 (List.length streams);
       List.iter
         (fun (s : Trace.Stream.t) ->
@@ -199,13 +218,14 @@ let test_sampler_phase_fair () =
      slot visits both phases, so the rescaled total is exact even
      though the stream is heterogeneous. *)
   with_trace ~sample:4 (fun () ->
-      for _ = 1 to 16 do
-        Trace.span ~cat:"c" ~name:"x" 100.;
-        Trace.span ~cat:"c" ~name:"x" 300.
-      done;
-      let streams = Trace.streams () in
-      let evs = Trace.take () in
-      let durs = List.map (fun (e : Trace.event) -> e.Trace.dur) evs in
+      let { Trace.streams; events = evs; _ } =
+        recorded (fun () ->
+            for _ = 1 to 16 do
+              Trace.span ~cat:"c" ~name:"x" 100.;
+              Trace.span ~cat:"c" ~name:"x" 300.
+            done)
+      in
+      let durs = List.map Trace.dur evs in
       Alcotest.(check bool) "both phases kept" true
         (List.mem 100. durs && List.mem 300. durs);
       Alcotest.(check (float 1e-6)) "periodic stream rescales exactly"
@@ -229,7 +249,7 @@ let traced_parallel_run ?sample jobs =
                        i * i))))
       in
       let all = Trace.concat (List.map snd cells) in
-      (List.map fst cells, all.Trace.streams, all.Trace.events))
+      (List.map fst cells, all.Trace.streams, Trace_rows.rows all.Trace.events))
 
 let test_parallel_merge_deterministic () =
   let v1, _, t1 = traced_parallel_run 1 in
@@ -241,8 +261,7 @@ let test_parallel_merge_deterministic () =
   Alcotest.(check (list (float 0.)))
     "rebased span starts" [ 0.; 1.; 3.; 6.; 10.; 15. ]
     (List.filter_map
-       (fun (e : Trace.event) ->
-         if e.kind = Trace.Span then Some e.Trace.ts else None)
+       (fun (kind, _, _, ts, _, _) -> if kind = Trace.Span then Some ts else None)
        t4)
 
 let test_parallel_sampled_deterministic () =
@@ -255,18 +274,19 @@ let test_parallel_sampled_deterministic () =
   Alcotest.(check bool) "stream accounting identical across jobs" true (s1 = s4);
   Alcotest.(check bool) "sampling kept something" true (s1 <> []);
   (* Concat's rebasing keeps the joined timeline monotone. *)
-  let ts = List.map (fun (e : Trace.event) -> e.Trace.ts) t4 in
+  let ts = List.map (fun (_, _, _, ts, _, _) -> ts) t4 in
   Alcotest.(check bool) "monotone timeline" true (List.sort compare ts = ts)
 
 (* ---------------- exporters ---------------- *)
 
 let sample_events () =
   with_trace (fun () ->
-      Trace.span ~cat:"syscall-entry" ~name:"syscall-trap+kpti" 475.;
-      Trace.instant ~cat:"mode-switch" ~name:"guest-user->guest-kernel" ();
-      Trace.counter ~cat:"abom" ~name:"cmpxchg" 17.;
-      Trace.span_at ~at:1234.5 ~value:7. ~cat:"request" ~name:"closed-loop" 250_000.;
-      Trace.take ())
+      (recorded (fun () ->
+           Trace.span ~cat:"syscall-entry" ~name:"syscall-trap+kpti" 475.;
+           Trace.instant ~cat:"mode-switch" ~name:"guest-user->guest-kernel" ();
+           Trace.counter ~cat:"abom" ~name:"cmpxchg" 17.;
+           Trace.span_at ~id:7 ~cat:"request" ~name:"closed-loop" [| 1234.5; 250_000. |]))
+        .Trace.events)
 
 let check_round_trip fmt_name serialize =
   let evs = sample_events () in
@@ -280,8 +300,8 @@ let check_round_trip fmt_name serialize =
       List.iter2
         (fun a b ->
           if not (roughly_equal a b) then
-            Alcotest.failf "%s round trip: %s/%s mismatch" fmt_name a.Trace.cat
-              a.Trace.name)
+            Alcotest.failf "%s round trip: %s/%s mismatch" fmt_name (Trace.cat a)
+              (Trace.name a))
         evs parsed
 
 let test_chrome_round_trip () = check_round_trip "chrome" (Export.to_chrome ?dropped:None)
@@ -292,15 +312,15 @@ let test_span_value_round_trip () =
      preserve it (the Chrome exporter writes it as an args field). *)
   let evs = sample_events () in
   let req =
-    List.find (fun (e : Trace.event) -> e.Trace.cat = "request") evs
+    List.find (fun e -> (Trace.cat e) = "request") evs
   in
-  Alcotest.(check (float 0.)) "id recorded" 7. req.Trace.value;
+  Alcotest.(check (float 0.)) "id recorded" 7. (Trace.value req);
   List.iter
     (fun serialize ->
       match Export.events_of_string (serialize [ ("t", [ req ]) ]) with
       | Ok [ parsed ] ->
           Alcotest.(check (float 1e-3)) "id survives round trip" 7.
-            parsed.Trace.value
+            (Trace.value parsed)
       | Ok l -> Alcotest.failf "expected 1 event, got %d" (List.length l)
       | Error e -> Alcotest.fail e)
     [ Export.to_chrome ?dropped:None; Export.to_csv ]
@@ -356,15 +376,16 @@ let test_of_file_round_trip () =
    and capacity+1) plus arbitrary overshoots. *)
 let ring_roundtrip_holds capacity n =
   with_trace ~capacity (fun () ->
-      for i = 1 to n do
-        Trace.span ~cat:"c" ~name:(string_of_int i) (float_of_int i)
-      done;
-      let dropped = Trace.dropped () in
-      let evs = Trace.take () in
+      let { Trace.dropped; events = evs; _ } =
+        recorded (fun () ->
+            for i = 1 to n do
+              Trace.span ~cat:"c" ~name:(string_of_int i) (float_of_int i)
+            done)
+      in
       let expect_len = min n capacity in
       let expect_dropped = max 0 (n - capacity) in
       let names_ok =
-        List.mapi (fun i (e : Trace.event) -> (i, e.Trace.name)) evs
+        List.mapi (fun i e -> (i, (Trace.name e))) evs
         |> List.for_all (fun (i, name) ->
                name = string_of_int (n - expect_len + i + 1))
       in
@@ -391,10 +412,195 @@ let qcheck_ring_over_capacity =
       ring_roundtrip_holds capacity (capacity + 1)
       && ring_roundtrip_holds capacity (capacity + extra))
 
+(* ---------------- QCheck: the columns against a row-list model ---------------- *)
+
+(* Random emit sequences, recorded and read back through the accessors,
+   against a plain row list: a cursor, a per-stream stride gate and the
+   last [capacity] rows.  All four emitters, strides 1 to 3, rings that
+   end exactly full or one past full, columns that grow past their
+   first size, captures nested in captures, and [concat] over captured
+   segments. *)
+
+type op =
+  | Span of int * int  (* stream, ns *)
+  | Span_at of int * int * int * int  (* stream, id, at, dur *)
+  | Instant of int * int option
+  | Counter of int * int option * int
+  | Nested of op list
+
+let stream_names = [| ("a", "x"); ("a", "y"); ("b", "x") |]
+
+(* A capture's rows, drop count, streams and cursor, and its nested
+   captures' in order. *)
+type outcome = Outcome of (Trace_rows.t list * int * Trace.Stream.t list * float) * outcome list
+
+let rec model ~stride ~capacity ops =
+  let rows = ref [] and cursor = ref 0. and inner = ref [] in
+  let seen = Hashtbl.create 4 in
+  let keep k =
+    stride <= 1
+    ||
+    let n, kept = Option.value ~default:(0, 0) (Hashtbl.find_opt seen k) in
+    let ok = n mod stride = n / stride mod stride in
+    Hashtbl.replace seen k (n + 1, if ok then kept + 1 else kept);
+    ok
+  in
+  let at_or_cursor = function Some t -> float_of_int t | None -> !cursor in
+  List.iter
+    (function
+      | Span (s, ns) ->
+          let ((cat, name) as k) = stream_names.(s) and ts = !cursor in
+          cursor := ts +. float_of_int ns;
+          if keep k then rows := (Trace.Span, cat, name, ts, float_of_int ns, 0.) :: !rows
+      | Span_at (s, id, at, d) ->
+          let ((cat, name) as k) = stream_names.(s) in
+          if keep k then
+            rows :=
+              (Trace.Span, cat, name, float_of_int at, float_of_int d, float_of_int id) :: !rows
+      | Instant (s, at) ->
+          let ((cat, name) as k) = stream_names.(s) and ts = at_or_cursor at in
+          if keep k then rows := (Trace.Instant, cat, name, ts, 0., 0.) :: !rows
+      | Counter (s, at, v) ->
+          let ((cat, name) as k) = stream_names.(s) and ts = at_or_cursor at in
+          if keep k then rows := (Trace.Counter, cat, name, ts, 0., float_of_int v) :: !rows
+      | Nested ops -> inner := model ~stride ~capacity ops :: !inner)
+    ops;
+  let all = List.rev !rows in
+  let n = List.length all in
+  let streams =
+    Hashtbl.fold
+      (fun (cat, name) (seen, kept) acc -> { Trace.Stream.cat; name; seen; kept } :: acc)
+      seen []
+    |> List.sort (fun (a : Trace.Stream.t) b -> compare (a.cat, a.name) (b.cat, b.name))
+  in
+  Outcome
+    ( (List.filteri (fun i _ -> i >= n - capacity) all, max 0 (n - capacity), streams, !cursor),
+      List.rev !inner )
+
+let rec recorded_ops ops =
+  let inner = ref [] in
+  let c =
+    recorded (fun () ->
+        List.iter
+          (function
+            | Span (s, ns) ->
+                let cat, name = stream_names.(s) in
+                Trace.span ~cat ~name (float_of_int ns)
+            | Span_at (s, id, at, d) ->
+                let cat, name = stream_names.(s) in
+                Trace.span_at ~id ~cat ~name [| float_of_int at; float_of_int d |]
+            | Instant (s, at) ->
+                let cat, name = stream_names.(s) in
+                Trace.instant ?at:(Option.map float_of_int at) ~cat ~name ()
+            | Counter (s, at, v) ->
+                let cat, name = stream_names.(s) in
+                Trace.counter ?at:(Option.map float_of_int at) ~cat ~name (float_of_int v)
+            | Nested ops -> inner := snd (recorded_ops ops) :: !inner)
+          ops)
+  in
+  (c, Outcome (Trace_rows.captured c, List.rev !inner))
+
+(* [concat] over the model's segments: each shifted by the cursors of
+   the ones before it, accounting added. *)
+let model_concat segments =
+  let shift dt (kind, cat, name, ts, dur, value) =
+    (kind, cat, name, (if dt = 0. then ts else ts +. dt), dur, value)
+  in
+  let rows, dropped, streams, cursor =
+    List.fold_left
+      (fun (rows, dropped, streams, offset) (Outcome ((r, d, s, c), _)) ->
+        (rows @ List.map (shift offset) r, dropped + d, streams @ s, offset +. c))
+      ([], 0, [], 0.) segments
+  in
+  let merged = Hashtbl.create 4 in
+  List.iter
+    (fun (s : Trace.Stream.t) ->
+      let seen, kept = Option.value ~default:(0, 0) (Hashtbl.find_opt merged (s.cat, s.name)) in
+      Hashtbl.replace merged (s.cat, s.name) (seen + s.seen, kept + s.kept))
+    streams;
+  let streams =
+    Hashtbl.fold
+      (fun (cat, name) (seen, kept) acc -> { Trace.Stream.cat; name; seen; kept } :: acc)
+      merged []
+    |> List.sort (fun (a : Trace.Stream.t) b -> compare (a.cat, a.name) (b.cat, b.name))
+  in
+  (rows, dropped, streams, cursor)
+
+let gen_ops =
+  let open QCheck.Gen in
+  let stream = int_range 0 2 and t = int_range 0 1000 and d = int_range 0 100 in
+  let flat =
+    frequency
+      [
+        (4, map2 (fun s ns -> Span (s, ns)) stream d);
+        (3, map4 (fun s id at dur -> Span_at (s, id, at, dur)) stream (int_range 0 9) t d);
+        (1, map2 (fun s at -> Instant (s, at)) stream (opt t));
+        (1, map3 (fun s at v -> Counter (s, at, v)) stream (opt t) d);
+      ]
+  in
+  list_size (int_range 0 90)
+    (frequency [ (12, flat); (1, map (fun l -> Nested l) (list_size (int_range 0 12) flat)) ])
+
+let recorder_model_prop =
+  QCheck.Test.make ~name:"columns read back as the row-list model" ~count:300
+    (QCheck.make
+       ~print:(fun (ops, stride, fit) ->
+         Printf.sprintf "%d ops, stride %d, capacity choice %d" (List.length ops) stride fit)
+       QCheck.Gen.(triple gen_ops (int_range 1 3) (int_range 0 2)))
+    (fun (ops, stride, fit) ->
+      (* Size the ring off the top capture's row count: exactly full,
+         one past full, or anything from 1 to 80. *)
+      let (Outcome ((all, _, _, _), _)) = model ~stride ~capacity:max_int ops in
+      let n = List.length all in
+      let capacity =
+        match fit with 0 -> max 1 n | 1 -> max 1 (n - 1) | _ -> 1 + (List.length ops * 7 mod 80)
+      in
+      with_trace ~capacity ~sample:stride (fun () ->
+          let _, got = recorded_ops ops in
+          if got <> model ~stride ~capacity ops then
+            QCheck.Test.fail_report "capture differs from the model";
+          (* The same ops as three captured segments, joined. *)
+          let k = List.length ops in
+          let parts =
+            [
+              List.filteri (fun i _ -> i < k / 3) ops;
+              List.filteri (fun i _ -> i >= k / 3 && i < 2 * k / 3) ops;
+              List.filteri (fun i _ -> i >= 2 * k / 3) ops;
+            ]
+          in
+          let segments = List.map (fun p -> fst (recorded_ops p)) parts in
+          if
+            Trace_rows.captured (Trace.concat segments)
+            <> model_concat (List.map (model ~stride ~capacity) parts)
+          then QCheck.Test.fail_report "concat differs from the model";
+          true))
+
+(* A short capture costs its rows, not its capacity: the columns start
+   small and grow on demand, so ten events under a 2^20-event capacity
+   allocate tens of words per event, major heap included. *)
+let test_small_capture_words () =
+  with_trace ~capacity:(1 lsl 20) (fun () ->
+      (* [Gc.counters]'s minor count lags until a minor collection;
+         [Gc.minor_words] does not. *)
+      let words () =
+        let _, promoted, major = Gc.counters () in
+        Gc.minor_words () +. major -. promoted
+      in
+      let w0 = words () in
+      let c =
+        recorded (fun () ->
+            for _ = 1 to 10 do
+              Trace.span ~cat:"c" ~name:"n" 1.
+            done)
+      in
+      let w = words () -. w0 in
+      Alcotest.(check int) "all ten recorded" 10 (List.length c.Trace.events);
+      Alcotest.(check bool) (Printf.sprintf "%.0f words for 10 events within 400" w) true (w <= 400.))
+
 (* ---------------- diff ---------------- *)
 
 let span ?(ts = 0.) cat name dur =
-  { Trace.kind = Trace.Span; cat; name; ts; dur; value = 0. }
+  Trace.make ~kind:Trace.Span ~cat ~name ~ts ~dur ~value:0.
 
 let test_diff_math () =
   let a = [ span "entry" "trap" 400.; span "entry" "trap" 400.; span "work" "read" 50. ] in
@@ -493,19 +699,17 @@ let reference_fold events =
   let a =
     Array.of_list
       (List.stable_sort
-         (fun (x : Trace.event) (y : Trace.event) ->
-           match Float.compare x.ts y.ts with
+         (fun x y ->
+           match Float.compare (Trace.ts x) (Trace.ts y) with
            | 0 -> (
-               match Float.compare y.dur x.dur with
-               | 0 -> compare (x.cat, x.name) (y.cat, y.name)
+               match Float.compare (Trace.dur y) (Trace.dur x) with
+               | 0 -> compare (Trace.cat x, Trace.name x) (Trace.cat y, Trace.name y)
                | c -> c)
            | c -> c)
-         (List.filter
-            (fun (e : Trace.event) -> e.kind = Trace.Span && e.dur > 0.)
-            events))
+         (List.filter (fun e -> Trace.kind e = Trace.Span && Trace.dur e > 0.) events))
   in
   let n = Array.length a in
-  let ends = Array.map (fun (e : Trace.event) -> e.ts +. e.dur) a in
+  let ends = Array.map (fun e -> Trace.ts e +. Trace.dur e) a in
   let eps x = (1e-9 *. Float.abs x) +. 1e-6 in
   let parent = Array.make n (-1) in
   for i = 0 to n - 1 do
@@ -513,12 +717,12 @@ let reference_fold events =
       if ends.(j) +. eps ends.(j) >= ends.(i) then parent.(i) <- j
     done
   done;
-  let self = Array.map (fun (e : Trace.event) -> e.dur) a in
+  let self = Array.map Trace.dur a in
   Array.iteri
-    (fun i p -> if p >= 0 then self.(p) <- self.(p) -. a.(i).Trace.dur)
+    (fun i p -> if p >= 0 then self.(p) <- self.(p) -. Trace.dur a.(i))
     parent;
   let rec stack i =
-    let frame = a.(i).Trace.cat ^ ";" ^ a.(i).Trace.name in
+    let frame = Trace.cat a.(i) ^ ";" ^ Trace.name a.(i) in
     if parent.(i) < 0 then frame else stack parent.(i) ^ ";" ^ frame
   in
   let rows = Hashtbl.create 16 in
@@ -543,8 +747,8 @@ let fold_prop =
         List.map
           (fun (ts, dur, roll) ->
             if roll = 8 then
-              { Trace.kind = Trace.Instant; cat = "noise"; name = "tick";
-                ts = float_of_int ts; dur = 0.; value = 0. }
+              Trace.make ~kind:Trace.Instant ~cat:"noise" ~name:"tick"
+                ~ts:(float_of_int ts) ~dur:0. ~value:0.
             else
               span ~ts:(float_of_int ts) cats.(roll mod 4)
                 (if roll < 4 then "a" else "b")
@@ -576,8 +780,8 @@ let fold_prop =
 (* ---------------- per-request attribution ---------------- *)
 
 let req id ts dur =
-  { Trace.kind = Trace.Span; cat = "request"; name = "httpd"; ts; dur;
-    value = float_of_int id }
+  Trace.make ~kind:Trace.Span ~cat:"request" ~name:"httpd" ~ts ~dur
+    ~value:(float_of_int id)
 
 let test_slowest_requests () =
   (* Request 3 nests inside request 1 and is charged to it whole. *)
@@ -737,7 +941,7 @@ let syscall_loop_trace runtime iters =
       captured.Trace.events)
 
 let count_cat cat evs =
-  List.length (List.filter (fun (e : Trace.event) -> e.Trace.cat = cat) evs)
+  List.length (List.filter (fun e -> (Trace.cat e) = cat) evs)
 
 let test_fig4_shape () =
   let iters = 20 in
@@ -778,6 +982,9 @@ let suites =
           test_parallel_merge_deterministic;
         QCheck_alcotest.to_alcotest qcheck_ring_at_capacity;
         QCheck_alcotest.to_alcotest qcheck_ring_over_capacity;
+        QCheck_alcotest.to_alcotest recorder_model_prop;
+        Alcotest.test_case "a short capture allocates its rows" `Quick
+          test_small_capture_words;
       ] );
     ( "trace.sampler",
       [
