@@ -33,8 +33,9 @@ type config = {
           timeline (concurrent requests overlap in real time, which
           would defeat exact attribution); durations and the internal
           geometry are preserved exactly.  Build the rows with
-          [Xc_apps.Recipe.mechanisms] {e before} enabling tracing; the
-          default [[]] changes nothing. *)
+          [Xc_apps.Recipe.mechanisms] {e before} enabling tracing.  With
+          the default [[]] a request span goes on the same lane alone,
+          all request self-time. *)
 }
 
 val default_config : config

@@ -73,7 +73,9 @@ type config = {
           (concurrent requests overlap in real time, which would defeat
           exact attribution); durations are untouched.
           Scheduling/queueing delay stays request self-time.  One entry
-          per stage.  The default [[||]] changes nothing. *)
+          per stage.  With the default [[||]] a request span goes on the
+          same lane alone, all request self-time, and the per-dispatch
+          switch spans stay at simulated time. *)
   lb : Xc_lb.Policy.hedge option;
       (** When set, requests are no longer pinned to their home
           container: on arrival a {!Xc_lb.Policy} (fed the per-backend

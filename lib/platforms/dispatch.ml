@@ -71,12 +71,9 @@ let rows () = Domain.DLS.get rows_key
 let request lane rows ~bundle ~name ~index ~half sent i clock =
   let now = clock.(0) and sent_at = sent.(i) in
   let shift =
-    if bundle then begin
-      let cur = lane.cursor in
-      lane.cursor <- cur +. (now -. sent_at);
-      cur -. sent_at
-    end
-    else 0.
+    let cur = lane.cursor in
+    lane.cursor <- cur +. (now -. sent_at);
+    cur -. sent_at
   in
   lane.shift <- shift;
   rows.(0) <- sent_at +. shift;

@@ -34,11 +34,12 @@ val complete : window -> float array -> int -> float array -> bool
 (** {1 The bundle lane}
 
     A traced kernel re-bases each measured request onto a sequential
-    lane past the end of the simulated timeline and lays its mechanism
-    rows out serially inside the request's window, so
-    [Xc_trace.Profile.attribute] partitions it exactly; concurrent
-    requests overlap in simulated time, which no containment sweep can
-    partition. *)
+    lane past the end of the simulated timeline and, when it has a
+    bundle, lays its mechanism rows out serially inside the request's
+    window, so [Xc_trace.Profile.attribute] partitions it exactly;
+    concurrent requests overlap in simulated time, which no containment
+    sweep can partition.  A request without a bundle is all request
+    self-time. *)
 
 type lane = {
   mutable cursor : float;  (** where the next bundle starts *)
@@ -60,10 +61,10 @@ val request :
 (** [request lane rows ~bundle ~name ~index ~half sent i clock] records
     the request sent at [sent.(i)] and answered at [clock.(0)] as a
     [request]/[name] span carrying [index], its completion index,
-    through [rows].  With [bundle] the span moves to the lane's cursor,
-    the cursor moves past it, and a [client->server] hop of [half]
-    opens the bundle when [half > 0.].  [lane.shift] is left at the
-    offset applied, for the kernel's own rows and return hop. *)
+    through [rows].  The span moves to the lane's cursor and the
+    cursor moves past it; with [bundle] a [client->server] hop of
+    [half] opens the bundle when [half > 0.].  [lane.shift] is left at
+    the offset applied, for the kernel's own rows and return hop. *)
 
 val lay_row : float array -> string -> string -> unit
 (** [lay_row rows cat name] records a [cat]/[name] span at [rows.(0)]

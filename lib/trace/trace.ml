@@ -347,15 +347,27 @@ let shift dt events =
     List.map (fun ev -> { seg = copy ev.seg; i = ev.i }) events
   end
 
-(* Deterministic segment-order merge: segment k's timestamps shift by
-   the sum of the synthetic cursors of segments 0..k-1, so analytic
-   spans (cursor-placed) form the same monotone timeline one recorder
-   running the segments back-to-back would have produced.
-   Engine-timestamped events shift with their segment but are not
-   separated by it: a segment that never advanced its cursor (a kernel
-   run places every span at sim time) moves nothing, so two such
-   segments share one time axis and their spans can overlap.  Within a
-   segment every relationship is preserved. *)
+(* The latest end of [events], in their own frame; [0.] for none. *)
+let latest_end events =
+  let last = ref 0. in
+  List.iter
+    (fun ev ->
+      let e = Float.Array.unsafe_get ev.seg.starts ev.i +. Float.Array.unsafe_get ev.seg.durs ev.i in
+      if e > !last then last := e)
+    events;
+  !last
+
+(* Deterministic segment-order merge on one time axis: segment k starts
+   where segment k-1's cursor ends, or past its latest event if that
+   ends later.  A cursor-placed span ends at most at its segment's
+   cursor, so a track of analytic spans forms the same monotone
+   timeline one recorder running the segments back-to-back would have
+   produced, bit for bit.  A kernel run places its spans at sim time
+   and past it, on its bundle lane, and never moves its cursor: the
+   next run then starts past its last span, so no run's spans fall
+   inside another run's requests.  Within a segment every relationship
+   is preserved.  The result's cursor is where a next segment would
+   start, which makes [concat] associative. *)
 let concat segments =
   let merge_streams acc (c : captured) =
     List.fold_left
@@ -380,7 +392,8 @@ let concat segments =
           cursor = offset;
         }
     | c :: rest ->
-        go (offset +. c.cursor)
+        go
+          (offset +. Float.max c.cursor (latest_end c.events))
           (shift offset c.events :: ev_acc)
           (dropped + c.dropped)
           (merge_streams streams c) rest

@@ -179,15 +179,16 @@ val capture : (unit -> 'a) -> 'a * captured
     When disabled: [(f (), c)] with [c] empty. *)
 
 val concat : captured list -> captured
-(** Merge captures in list order into one capture: segment [k]'s
-    timestamps are shifted by the cumulative [cursor] of segments
-    [0..k-1] (so cursor-placed analytic spans form the monotone
-    timeline a single recorder would have produced), dropped counts
-    add, stream accounting merges, and the result's [cursor] is the
-    cursor sum — so [concat] is associative and deterministic in the
-    segment order, never in worker scheduling.
+(** Merge captures in list order into one capture on one time axis:
+    segment [k]'s timestamps are shifted to where segment [k-1] ends —
+    past its [cursor] and past its latest event, whichever is later —
+    dropped counts add, stream accounting merges, and the result's
+    [cursor] is where a next segment would start.  So [concat] is
+    associative and deterministic in the segment order, never in
+    worker scheduling.
 
-    Engine-timestamped spans of different segments can overlap: a
-    segment whose spans all come from {!span_at} leaves its cursor at
-    0 and shifts the later segments by nothing, so their spans share
-    one time axis. *)
+    Cursor-placed analytic spans end at most at their segment's
+    cursor, so they form the monotone timeline a single recorder
+    would have produced.  A segment of engine-timed spans ({!span_at})
+    leaves its cursor at 0, and the next segment starts past its last
+    span, so no segment's spans fall inside another's. *)

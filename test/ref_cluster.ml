@@ -272,16 +272,13 @@ let run config =
           end;
           if Xc_trace.Trace.enabled () then begin
             let bundle = Array.length config.request_mech > 0 in
-            (* [shift] re-bases the whole bundle onto the sequential
-               lane; 0 keeps the legacy real-time request span when no
-               mechanism decomposition was configured. *)
+            (* [shift] re-bases the request, and its bundle if one is
+               configured, onto the sequential lane: concurrent
+               requests never overlap there. *)
             let shift =
-              if bundle then begin
-                let c = !synth_cursor in
-                synth_cursor := c +. (now' -. b.sent_at);
-                c -. b.sent_at
-              end
-              else 0.
+              let c = !synth_cursor in
+              synth_cursor := c +. (now' -. b.sent_at);
+              c -. b.sent_at
             in
             Ref_loops.span_at ~at:(b.sent_at +. shift)
               ~value:(float_of_int !completed) ~cat:"request" ~name:"cluster"

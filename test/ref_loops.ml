@@ -41,18 +41,16 @@ let closed (config : CL.config) server : CL.result =
   let measure_end = config.CL.warmup_ns +. config.CL.duration_ns in
   let half = config.CL.rtt_ns /. 2. in
   let mechanisms = config.CL.trace_mechanisms in
-  (* The bundle lane: each measured request's spans re-based onto a
-     sequential region past the end of the simulated timeline. *)
+  (* The bundle lane: each measured request, and its bundle if one is
+     configured, re-based onto a sequential region past the end of the
+     simulated timeline. *)
   let synth_cursor = ref (measure_end +. config.CL.rtt_ns +. 1e9) in
   let emit ~sent_at ~start ~finish now =
     let bundle = mechanisms <> [] in
     let shift =
-      if bundle then begin
-        let cur = !synth_cursor in
-        synth_cursor := cur +. (now -. sent_at);
-        cur -. sent_at
-      end
-      else 0.
+      let cur = !synth_cursor in
+      synth_cursor := cur +. (now -. sent_at);
+      cur -. sent_at
     in
     span_at ~at:(sent_at +. shift)
       ~value:(float_of_int !completed) ~cat:"request" ~name:"closed-loop"

@@ -500,8 +500,9 @@ let rec recorded_ops ops =
   in
   (c, Outcome (Trace_rows.captured c, List.rev !inner))
 
-(* [concat] over the model's segments: each shifted by the cursors of
-   the ones before it, accounting added. *)
+(* [concat] over the model's segments: each starts where the one before
+   it ends — past its cursor and past its latest row — accounting
+   added. *)
 let model_concat segments =
   let shift dt (kind, cat, name, ts, dur, value) =
     (kind, cat, name, (if dt = 0. then ts else ts +. dt), dur, value)
@@ -509,7 +510,12 @@ let model_concat segments =
   let rows, dropped, streams, cursor =
     List.fold_left
       (fun (rows, dropped, streams, offset) (Outcome ((r, d, s, c), _)) ->
-        (rows @ List.map (shift offset) r, dropped + d, streams @ s, offset +. c))
+        let last =
+          List.fold_left
+            (fun m (_, _, _, ts, dur, _) -> if ts +. dur > m then ts +. dur else m)
+            0. r
+        in
+        (rows @ List.map (shift offset) r, dropped + d, streams @ s, offset +. Float.max c last))
       ([], 0, [], 0.) segments
   in
   let merged = Hashtbl.create 4 in
