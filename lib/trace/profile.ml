@@ -169,22 +169,74 @@ let render_streams streams =
 
 (* ---------------- Largest-first tallies ---------------- *)
 
-type cell = { mutable n : int; mutable ns : float }
-type tally = (string, cell) Hashtbl.t
+(* The labelled rows of a request, a tail or a chain, which have a
+   handful of labels: labels in first-seen order, found by a linear
+   search, with unboxed sums, so a request record's rows cost their
+   list and nothing else.  A new row's sum starts at -0., the identity
+   of float addition, so each sum is its rows' first value plus the
+   rest in the order they were added. *)
+type tally = {
+  mutable labels : string array;
+  mutable counts : int array;
+  mutable sums : float array;
+  mutable k : int;
+  mutable perm : int array;
+}
 
-let tally () : tally = Hashtbl.create 8
+let tally () =
+  { labels = Array.make 8 ""; counts = Array.make 8 0; sums = Array.make 8 0.; k = 0;
+    perm = Array.make 8 0 }
 
-let tally_add (t : tally) label n ns =
-  match Hashtbl.find_opt t label with
-  | Some c ->
-      c.n <- c.n + n;
-      c.ns <- c.ns +. ns
-  | None -> Hashtbl.add t label { n; ns }
+(* The index of [label]'s row, added when new. *)
+let slot t label =
+  let j = ref 0 in
+  while !j < t.k && not (String.equal t.labels.(!j) label) do
+    incr j
+  done;
+  let j = !j in
+  if j = t.k then begin
+    if j = Array.length t.labels then begin
+      t.labels <- Array.append t.labels (Array.make j "");
+      t.counts <- Array.append t.counts (Array.make j 0);
+      t.sums <- Array.append t.sums (Array.make j 0.);
+      t.perm <- Array.make (2 * j) 0
+    end;
+    t.labels.(j) <- label;
+    t.counts.(j) <- 0;
+    t.sums.(j) <- -0.;
+    t.k <- j + 1
+  end;
+  j
 
-let tally_rows (t : tally) =
-  Hashtbl.fold (fun label c l -> (label, c.n, c.ns) :: l) t []
-  |> List.sort (fun (la, _, a) (lb, _, b) ->
-         match compare b a with 0 -> compare la lb | c -> c)
+let tally_add t label n ns =
+  let j = slot t label in
+  t.counts.(j) <- t.counts.(j) + n;
+  t.sums.(j) <- t.sums.(j) +. ns
+
+let tally_rows t =
+  let perm = t.perm in
+  for j = 0 to t.k - 1 do
+    (* Insertion sort, largest sum first, ties by label. *)
+    let p = ref j in
+    while
+      !p > 0
+      &&
+      let a = perm.(!p - 1) in
+      match Float.compare t.sums.(j) t.sums.(a) with
+      | 0 -> String.compare t.labels.(j) t.labels.(a) < 0
+      | c -> c > 0
+    do
+      perm.(!p) <- perm.(!p - 1);
+      decr p
+    done;
+    perm.(!p) <- j
+  done;
+  let out = ref [] in
+  for p = t.k - 1 downto 0 do
+    let j = perm.(p) in
+    out := (t.labels.(j), t.counts.(j), t.sums.(j)) :: !out
+  done;
+  !out
 
 (* ---------------- Exact self-time attribution ---------------- *)
 
@@ -292,72 +344,6 @@ let attribute evs =
 let unattributed_ns att = att.unattributed_ns
 let total_self_ns att = att.total_self_ns
 
-(* The few labelled rows of one request or one tail: labels in
-   first-seen order, found by a linear search, with unboxed sums, so a
-   record's rows cost their list and nothing else.  A new row's sum
-   starts at -0., the identity of float addition, so each sum is the
-   one a table tally adds up in the same order. *)
-type rows = {
-  mutable labels : string array;
-  mutable counts : int array;
-  mutable sums : float array;
-  mutable k : int;
-  mutable perm : int array;
-}
-
-let rows () =
-  { labels = Array.make 8 ""; counts = Array.make 8 0; sums = Array.make 8 0.; k = 0;
-    perm = Array.make 8 0 }
-
-(* The index of [label]'s row, added when new. *)
-let row r label =
-  let j = ref 0 in
-  while !j < r.k && not (String.equal r.labels.(!j) label) do
-    incr j
-  done;
-  let j = !j in
-  if j = r.k then begin
-    if j = Array.length r.labels then begin
-      let n = 2 * j in
-      r.labels <- Array.append r.labels (Array.make j "");
-      r.counts <- Array.append r.counts (Array.make j 0);
-      r.sums <- Array.append r.sums (Array.make j 0.);
-      r.perm <- Array.make n 0
-    end;
-    r.labels.(j) <- label;
-    r.counts.(j) <- 0;
-    r.sums.(j) <- -0.;
-    r.k <- j + 1
-  end;
-  j
-
-(* The rows largest sum first, ties by label, and the tally emptied. *)
-let take_rows r =
-  let perm = r.perm in
-  for j = 0 to r.k - 1 do
-    (* Insertion sort: a request has a handful of rows. *)
-    let p = ref j in
-    while
-      !p > 0
-      &&
-      let a = perm.(!p - 1) in
-      match Float.compare r.sums.(j) r.sums.(a) with
-      | 0 -> String.compare r.labels.(j) r.labels.(a) < 0
-      | c -> c > 0
-    do
-      perm.(!p) <- perm.(!p - 1);
-      decr p
-    done;
-    perm.(!p) <- j
-  done;
-  let out = ref [] in
-  for p = r.k - 1 downto 0 do
-    let j = perm.(p) in
-    out := (r.labels.(j), r.counts.(j), r.sums.(j)) :: !out
-  done;
-  r.k <- 0;
-  !out
-
 (* Request [o]'s record, its rows tallied in [r].  The rows add the
    spans it owns over its closing range in closing order — the order
    one pass over the whole forest would add them in — so every sum is
@@ -365,11 +351,13 @@ let take_rows r =
 let request att r o =
   let f = att.forest in
   let q = att.req.(o) in
+  r.k <- 0;
   if att.first.(o) >= 0 then
     for j = att.first.(o) to att.last.(o) - 1 do
       let i = f.closing.(j) in
       if att.owner.(i) = o then begin
-        let x = row r (Trace.cat f.spans.(i)) in
+        (* [tally_add], written out so the self-time stays unboxed. *)
+        let x = slot r (Trace.cat f.spans.(i)) in
         r.counts.(x) <- r.counts.(x) + 1;
         r.sums.(x) <- r.sums.(x) +. f.self.(i)
       end
@@ -380,13 +368,13 @@ let request att r o =
     req_start = f.starts.(q);
     req_total = f.durs.(q);
     req_self = f.self.(q);
-    req_mech = take_rows r;
+    req_mech = tally_rows r;
     req_nested = att.nested.(o);
     req_nested_ns = att.nested_ns.(o);
   }
 
 let requests att =
-  let r = rows () in
+  let r = tally () in
   Array.fold_right (fun o acc -> request att r o :: acc) att.order []
 
 let request_totals att =
@@ -414,18 +402,15 @@ let self_frame = "(request-self)"
 let nested_frame = "(nested-request)"
 
 let tail_of ?(label = "") ~pct ~cut_ns att =
-  let r = rows () in
+  let r = tally () in
   let tail = ref [] in
   for p = Array.length att.order - 1 downto 0 do
     let o = att.order.(p) in
     if att.forest.durs.(att.req.(o)) >= cut_ns then tail := request att r o :: !tail
   done;
   let tail = !tail in
-  let add (cat, n, ns) =
-    let x = row r cat in
-    r.counts.(x) <- r.counts.(x) + n;
-    r.sums.(x) <- r.sums.(x) +. ns
-  in
+  let mech = tally () in
+  let add (cat, n, ns) = tally_add mech cat n ns in
   let self_ns = ref 0. and total_ns = ref 0. and rest = ref tail in
   while !rest <> [] do
     match !rest with
@@ -443,7 +428,7 @@ let tail_of ?(label = "") ~pct ~cut_ns att =
     n_requests = Array.length att.order;
     n_tail = List.length tail;
     tail;
-    tail_mech = take_rows r;
+    tail_mech = tally_rows mech;
     tail_self_ns = !self_ns;
     tail_total_ns = !total_ns;
   }
@@ -503,7 +488,7 @@ let render_slowest ?(k = 3) evs =
   match Array.length att.order with
   | 0 -> "(no request spans in trace)\n"
   | n ->
-      let buf = Buffer.create 1024 and r = rows () in
+      let buf = Buffer.create 1024 and r = tally () in
       Printf.bprintf buf "slowest %d of %d requests:\n" (min k n) n;
       for i = 0 to min k n - 1 do
         render_request buf (request att r att.order.(i))

@@ -71,7 +71,9 @@ val render_streams : Trace.Stream.t list -> string
 (** {1 Largest-first tallies} *)
 
 type tally
-(** A mutable [(label -> spans, ns)] table. *)
+(** A mutable [(label -> spans, ns)] table for a handful of labels
+    (mechanism categories): a linear search finds each, and its sums
+    stay unboxed. *)
 
 val tally : unit -> tally
 

@@ -352,7 +352,7 @@ let latest_end events =
   let last = ref 0. in
   List.iter
     (fun ev ->
-      let e = Float.Array.unsafe_get ev.seg.starts ev.i +. Float.Array.unsafe_get ev.seg.durs ev.i in
+      let e = ts ev +. dur ev in
       if e > !last then last := e)
     events;
   !last

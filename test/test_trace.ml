@@ -601,7 +601,9 @@ let test_small_capture_words () =
       in
       let w = words () -. w0 in
       Alcotest.(check int) "all ten recorded" 10 (List.length c.Trace.events);
-      Alcotest.(check bool) (Printf.sprintf "%.0f words for 10 events within 400" w) true (w <= 400.))
+      Alcotest.(check bool)
+        (Printf.sprintf "%.0f words for 10 events within 400" w)
+        true (w <= 400.))
 
 (* ---------------- diff ---------------- *)
 
