@@ -11,36 +11,29 @@
 
    Experiments are independent deterministic simulations, so with
    --jobs N (or XC_JOBS=N) their cells fan out over N domains through
-   the runner `xc` shares (Xc_suite.Run); output is byte-identical to
-   the sequential run.  Every experiment and its report live in
-   Xc_suite.Experiments; this file holds the flags, the runner call
-   and the artifact writers.
+   the runner `xc` shares (Xc_suite.Run); stdout and every artifact
+   are byte-identical to the sequential run.  Every experiment and its
+   report live in Xc_suite.Experiments; this file holds the flags and
+   the runner call.
 
    `csv` runs the plotted experiments (Table 1, Figures 3-5, 8 and 9)
    and writes each table of their reports to results/ID[_TITLE].csv at
    full precision instead of printing it.
 
-   --trace[=FILE] additionally records an Xc_trace event trace of
-   every experiment (one track per experiment, Chrome trace-event JSON
-   or CSV by extension, default BENCH_trace.json) plus a collapsed
-   stack flamegraph sidecar (same basename, .folded).  --sample N
-   keeps one event per window of N per (cat,name) stream so long runs
-   fit one ring.  Trace, folded sidecar and stdout are all
-   deterministic and byte-identical at any --jobs.
-
-   --timeseries[=FILE] samples the metric registry every --interval N
-   simulated microseconds (default 50) and writes the per-experiment
-   time-series (default BENCH_timeseries.csv, Chrome counter events
-   when FILE doesn't end in .csv) — also byte-identical at any
-   --jobs.
-
-   --perfetto[=FILE] enables both captures and writes one combined
-   container (span tracks + counter tracks per experiment, default
-   BENCH_perfetto.json) for a single Perfetto/chrome://tracing load.
-
-   --alerts CAT/NAME>V[,CAT/NAME<V...] enables telemetry snapshots and
-   checks the rules against every experiment's series after the run;
-   any firing is reported to stderr and exits 1 (for CI gates). *)
+   The runner records and writes the artifacts, one track per
+   experiment (docs/TRACING.md, docs/METRICS.md):
+     --trace[=FILE]       spans (default BENCH_trace.json, CSV by
+                          extension) with two sidecars of the same
+                          basename: .folded (flamegraph) and .tails
+                          (p99 tails); --sample N keeps one event per
+                          window of N per (cat,name) stream
+     --timeseries[=FILE]  metric snapshots every --interval N sim-us
+                          (default 50; default BENCH_timeseries.csv,
+                          Chrome counter events unless FILE is .csv)
+     --perfetto[=FILE]    both in one Chrome JSON (BENCH_perfetto.json)
+     --alerts CAT/NAME>V[,CAT/NAME<V...]  checks every experiment's
+                          snapshots; a firing rule is reported on
+                          stderr and exits 1 (for CI gates). *)
 
 module Registry = Xc_suite.Registry
 module Run = Xc_suite.Run
@@ -49,7 +42,7 @@ module Run = Xc_suite.Run
 let csv_ids = [ "table1"; "fig3"; "fig4"; "fig5"; "fig8"; "fig9" ]
 
 (* Built at start-up: this prices the hedging, cluster-scale and causal
-   configs before --trace can turn the ring on, so traced runs capture
+   configs before the runner turns the ring on, so traced runs capture
    only the simulations' own spans. *)
 let bench_experiments = Xc_suite.Experiments.bench ()
 let smoke_experiments = Xc_suite.Experiments.smoke ()
@@ -60,12 +53,15 @@ let run_experiments ~jobs ~trace_out ~sample ~timeseries_out ~interval_us
     ~perfetto_out ~alert_rules experiments =
   (* --perfetto wants both halves (spans and counter tracks); --alerts
      needs the snapshot series the rules are checked against. *)
-  if trace_out <> None || perfetto_out <> None then
-    Xc_trace.Trace.enable ~sample ();
-  if timeseries_out <> None || perfetto_out <> None || alert_rules <> [] then
-    Xc_sim.Metrics.enable ~interval_ns:(float_of_int interval_us *. 1e3) ();
   let t0 = Unix.gettimeofday () in
-  let outcomes = Run.run ~jobs experiments in
+  let outcomes =
+    Run.run ~jobs experiments
+      ?trace:(if trace_out <> None || perfetto_out <> None then Some sample else None)
+      ?telemetry:
+        (if timeseries_out <> None || perfetto_out <> None || alert_rules <> [] then
+           Some (float_of_int interval_us *. 1e3)
+         else None)
+  in
   let wall_s = Unix.gettimeofday () -. t0 in
   List.iter
     (fun (o : Run.outcome) ->
@@ -75,91 +71,32 @@ let run_experiments ~jobs ~trace_out ~sample ~timeseries_out ~interval_us
             (Run.write_csvs ~dir:"results" ~id o.report)
       | _ -> print_string o.output)
     outcomes;
-  let dropped =
-    List.fold_left
-      (fun acc (o : Run.outcome) -> acc + o.trace.Xc_trace.Trace.dropped)
-      0 outcomes
+  (* One track per experiment.  --trace writes two sidecars next to the
+     trace: the collapsed-stack flamegraph, and the p99 tail of every
+     track that emitted request spans. *)
+  let spans = List.map (fun (o : Run.outcome) -> (o.name, o.trace)) outcomes in
+  let tails =
+    if trace_out = None then []
+    else
+      match Run.tails ~pct:99. spans with
+      | Ok tails -> tails
+      | Error m ->
+          Printf.eprintf "bench: %s\n" m;
+          exit 1
   in
-  (match timeseries_out with
-  | None -> ()
-  | Some path ->
-      (* One track per experiment, counter events on the sim clock; CSV
-         or Chrome JSON by extension.  Each experiment's telemetry was
-         captured against a fresh registry, so the file is byte-identical
-         at any --jobs (tier-1 cmps it). *)
-      Run.write_timeseries ~path
-        (List.map (fun (o : Run.outcome) -> (o.name, o.telemetry)) outcomes);
-      let snaps =
-        List.fold_left
-          (fun a (o : Run.outcome) ->
-            a + List.length o.telemetry.Xc_sim.Metrics.snapshots)
-          0 outcomes
-      in
-      Printf.eprintf
-        "[bench] wrote %s (%d snapshot(s) at %dus across %d experiment(s))\n%!"
-        path snaps interval_us (List.length outcomes));
-  (match trace_out with
-  | None -> ()
-  | Some path ->
-      (* The trace plus two sidecars, all byte-identical at any --jobs
-         (tier-1 cmps each): the collapsed-stack flamegraph, and for
-         every track that emitted request spans, the p99 tail's
-         per-mechanism breakdown as a tails CSV. *)
-      let tracks =
-        List.map (fun (o : Run.outcome) -> (o.name, o.trace)) outcomes
-      in
-      let tails =
-        match Run.tails ~pct:99. tracks with
-        | Ok tails -> tails
-        | Error m ->
-            Printf.eprintf "bench: %s\n" m;
-            exit 1
-      in
-      let sidecar ext = Filename.remove_extension path ^ ext in
-      Run.write_trace ~path tracks;
-      Run.write_folded ~path:(sidecar ".folded") tracks;
-      Run.write_tails ~path:(sidecar ".tails") tails;
-      Printf.eprintf "[bench] wrote %s (%d request-emitting track(s))\n%!"
-        (sidecar ".tails") (List.length tails);
-      let total =
-        List.fold_left
-          (fun a (_, (c : Xc_trace.Trace.captured)) -> a + List.length c.events)
-          0 tracks
-      in
-      if sample > 1 then begin
-        let seen, kept =
-          List.fold_left
-            (fun acc (_, (c : Xc_trace.Trace.captured)) ->
-              List.fold_left
-                (fun (s, k) (st : Xc_trace.Trace.Stream.t) ->
-                  (s + st.seen, k + st.kept))
-                acc c.streams)
-            (0, 0) tracks
-        in
-        Printf.eprintf
-          "[bench] sampling stride %d: kept %d of %d offered events\n%!" sample
-          kept seen
-      end;
-      Printf.eprintf "[bench] wrote %s and %s (%d trace events, %d dropped)\n%!"
-        path (sidecar ".folded") total dropped);
-  (match perfetto_out with
-  | None -> ()
-  | Some path ->
-      (* One combined container: each experiment's span track followed
-         by its telemetry counter track, so Perfetto shows flame and
-         time-series lanes side by side.  Same byte-identical-at-any
-         --jobs contract as the separate artifacts. *)
-      let tracks =
-        List.concat_map
-          (fun (o : Run.outcome) ->
-            let counters = Xc_sim.Metrics.to_trace_events o.telemetry in
-            ((o.name, o.trace.Xc_trace.Trace.events)
-            :: (if counters = [] then [] else [ (o.name ^ "/metrics", counters) ])))
-          outcomes
-      in
-      Xc_trace.Export.to_file ~dropped ~path tracks;
-      Printf.eprintf "[bench] wrote %s (%d combined track(s))\n%!" path
-        (List.length tracks));
+  let sidecar ext = Option.map (fun p -> Filename.remove_extension p ^ ext) trace_out in
+  List.iter
+    (Printf.eprintf "[bench] wrote %s\n%!")
+    (Run.write ~spans ~tails
+       ~series:(List.map (fun (o : Run.outcome) -> (o.name, o.telemetry)) outcomes)
+       {
+         Run.no_files with
+         trace_out;
+         folded_out = sidecar ".folded";
+         tails_out = sidecar ".tails";
+         timeseries_out;
+         perfetto_out;
+       });
   let alarm =
     alert_rules <> []
     && List.fold_left

@@ -190,17 +190,53 @@ let app_conv =
   in
   Arg.conv (parse, fun fmt (w : Workload.t) -> Format.pp_print_string fmt w.name)
 
-(* The tail of one captured track ([None] without request spans); a
-   capture that dropped events exits naming the track. *)
-let tail_of ~label ~pct captured =
-  match Causal.tail_at ~label ~pct captured with
-  | Ok t -> t
-  | Error e -> exit_err e
-
 (* One experiment through the bench's runner: its cells run on the pool
    and each captures its own trace and telemetry. *)
-let run_one ~jobs name cells =
-  match Run.run ~jobs [ (name, cells) ] with [ o ] -> o | _ -> assert false
+let run_one ?trace ?telemetry ~jobs name cells =
+  match Run.run ?trace ?telemetry ~jobs [ (name, cells) ] with
+  | [ o ] -> o
+  | _ -> assert false
+
+(* One cell through the runner: its result and what it recorded. *)
+let run_cell ?trace ?telemetry ~jobs f =
+  match Run.map ?trace ?telemetry ~jobs [ f ] with [ r ] -> r | _ -> assert false
+
+(* The runner's artifact writer, one "wrote" line per file. *)
+let write_files ?spans ?tails ?series files =
+  List.iter (Printf.printf "wrote %s\n") (Run.write ?spans ?tails ?series files)
+
+(* The [pct] tail of every track, printed after a blank line, or
+   [none] when no track holds requests; a track that dropped events
+   exits naming it. *)
+let print_tails ~pct ~slowest ~none tracks =
+  print_newline ();
+  match Run.tails ~pct tracks with
+  | Error e -> exit_err e
+  | Ok [] ->
+      print_string none;
+      []
+  | Ok tails ->
+      List.iteri
+        (fun i t ->
+          if i > 0 then print_newline ();
+          print_string (Profile.render_tail ~slowest t))
+        tails;
+      tails
+
+(* Traced cluster nodes, one runner cell each: every node's label with
+   its trace. *)
+let traced_nodes ~jobs nodes =
+  List.map2
+    (fun (label, _) (_, (p : Run.piece)) -> (label, p.trace))
+    nodes
+    (Run.map ~trace:1 ~jobs (List.map (fun (_, node) () -> CS.run node) nodes))
+
+(* The [pct] tail of every track, each of which must hold requests. *)
+let every_tail ~pct tracks =
+  match Run.tails ~pct tracks with
+  | Ok tails when List.length tails = List.length tracks -> tails
+  | Ok _ -> exit_err "a traced cluster run emitted no request spans"
+  | Error e -> exit_err e
 
 (* The Fig 9 cluster point ([Spec.cluster]) on [config] at a per-node
    load; [Driver.cluster] prices it. *)
@@ -211,17 +247,32 @@ let cluster_spec ~containers ~connections config =
     load = { Spec.cluster.load with containers; connections };
   }
 
-(* One traced Fig 9-style cluster node and its [pct] tail.  The node is
-   priced before tracing turns on (the cost queries emit spans
-   themselves), so the capture holds only the run's own events and the
-   tail partition is exact. *)
-let traced_tail ~pct ~label node =
-  let (_ : CS.result), captured =
-    Causal.with_tracing (fun () -> Trace.capture (fun () -> CS.run node))
-  in
-  match tail_of ~label ~pct captured with
-  | Some t -> (t, (label, captured))
-  | None -> exit_err (label ^ ": trace has no request spans")
+(* The engine-driven workloads `trace run` and `top` share, priced into
+   a thunk that runs one: cluster (a Fig 9 node), closed-loop (nginx
+   over 30 ms after 3) or an application in the closed-loop driver over
+   [app_ms] (window, warm-up).  [tails] adds the recipe's mechanism
+   rows to every request. *)
+let priced_workload config ~tails ~app_ms exp =
+  if exp = "cluster" then
+    let node = List.hd (Driver.cluster { Spec.cluster with platform = config }) in
+    Some (fun () -> ignore (CS.run node))
+  else
+    let name, (duration_ms, warmup_ms) =
+      if exp = "closed-loop" then ("nginx", (30., 3.)) else (exp, app_ms)
+    in
+    Option.map
+      (fun (w : Workload.t) ->
+        let s = { Spec.default with platform = config; workload = w.name } in
+        let cl_config, server =
+          Driver.closed
+            {
+              s with
+              load = { s.load with duration_ms; warmup_ms };
+              capture = { s.capture with tails };
+            }
+        in
+        fun () -> ignore (Xc_platforms.Closed_loop.run cl_config server))
+      (Workload.find name)
 
 (* ---------------- xc boot ---------------- *)
 
@@ -656,32 +707,16 @@ let sweep_cmd =
       [ Run.Table t ]
     in
     let t0 = Unix.gettimeofday () in
-    if trace_out <> None then Trace.enable ~sample:stride ();
     let o =
-      run_one ~jobs "sweep"
+      run_one ?trace:(Option.map (fun _ -> stride) trace_out) ~jobs "sweep"
         (Run.Cells
            { shards = Array.of_list (List.map (fun c () -> (c, CS.run c)) configs); report })
     in
-    Trace.disable ();
     let wall = Unix.gettimeofday () -. t0 in
     print_string o.Run.output;
     Printf.printf "%d points in %.2fs wall with %d domain(s)\n"
       (List.length configs) wall jobs;
-    match trace_out with
-    | Some path ->
-        let captured = o.Run.trace in
-        Run.write_trace ~path [ ("sweep", captured) ];
-        let events = List.length captured.Trace.events in
-        let seen =
-          List.fold_left
-            (fun a (s : Trace.Stream.t) -> a + s.seen)
-            0 captured.Trace.streams
-        in
-        if stride > 1 then
-          Printf.printf "wrote %s (%d events kept of %d offered, stride %d)\n"
-            path events seen stride
-        else Printf.printf "wrote %s (%d events)\n" path events
-    | None -> ()
+    write_files ~spans:[ ("sweep", o.Run.trace) ] { Run.no_files with trace_out }
   in
   Cmd.v
     (Cmd.info "sweep"
@@ -850,37 +885,25 @@ let trace_run_cmd =
       ()
   in
   let run exp runtime cloud iterations out top sample folded slowest tail_pct
-      tails_out _jobs timeseries =
-    let module Export = Xc_trace.Export in
+      tails_out jobs timeseries =
     let exp = String.lowercase_ascii exp in
     let config = Config.make ~cloud runtime in
     let platform = Xc_platforms.Platform.create config in
     if tails_out <> None && tail_pct = None then
       exit_err "--tails needs --tail";
     let workload =
-      if exp = "httpd" then `Httpd
-      else if exp = "cluster" then
-        `Cluster (List.hd (Driver.cluster { Spec.cluster with platform = config }))
+      if exp = "httpd" then fun () -> run_traced_httpd config platform ~requests:iterations
       else
         match List.assoc_opt exp unixbench_workloads with
-        | Some test -> `Unixbench test
+        | Some test ->
+            fun () ->
+              for _ = 1 to iterations do
+                ignore (Xc_apps.Unixbench.per_iteration_ns platform test)
+              done
         | None -> (
-            (* closed-loop is the nginx app under its own label. *)
-            match Workload.find (if exp = "closed-loop" then "nginx" else exp) with
-            | Some w ->
-                (* Both the server and the mechanism rows query platform
-                   costs, and those queries emit trace spans themselves —
-                   price everything before enabling the tracer.  A short
-                   window keeps every request's bundle inside the trace
-                   ring. *)
-                let s = { Spec.default with platform = config; workload = w.name } in
-                `Closed_loop
-                  (Driver.closed
-                     {
-                       s with
-                       load = { s.load with duration_ms = 30.; warmup_ms = 3. };
-                       capture = { s.capture with tails = true };
-                     })
+            (* A short window keeps every request's bundle in the ring. *)
+            match priced_workload config ~tails:true ~app_ms:(30., 3.) exp with
+            | Some w -> w
             | None ->
                 exit_err
                   (Printf.sprintf
@@ -889,83 +912,50 @@ let trace_run_cmd =
                      (String.concat ", "
                         (List.map fst unixbench_workloads @ Workload.names))))
     in
-    if timeseries <> None then Xc_sim.Metrics.enable ();
-    Trace.enable ~sample ();
-    let ((), captured), telemetry =
-      Xc_sim.Metrics.capture (fun () ->
-          Trace.capture (fun () ->
-              match workload with
-              | `Unixbench test ->
-                  for _ = 1 to iterations do
-                    ignore (Xc_apps.Unixbench.per_iteration_ns platform test)
-                  done
-              | `Httpd -> run_traced_httpd config platform ~requests:iterations
-              | `Closed_loop (cl_config, server) ->
-                  ignore (Xc_platforms.Closed_loop.run cl_config server)
-              | `Cluster node -> ignore (CS.run node)))
+    let (), ({ trace = captured; telemetry; _ } : Run.piece) =
+      run_cell ~trace:sample
+        ?telemetry:(Option.map (fun _ -> Xc_sim.Metrics.default_interval_ns) timeseries)
+        ~jobs workload
     in
-    Trace.disable ();
-    Xc_sim.Metrics.disable ();
     let { Trace.events; dropped; streams; _ } = captured in
     let label = exp ^ "/" ^ Config.name config in
     (* With a sampling stride, rescale spans by the exact per-stream
        kept/seen counters so the summary estimates the full run. *)
     let scaled = Profile.rescale ~streams events in
-    print_string (Export.render_summary ~top scaled);
+    print_string (Xc_trace.Export.render_summary ~top scaled);
     if sample > 1 then begin
       Printf.printf "\nsampling stride %d (summary rescaled by kept/seen):\n"
         sample;
       print_string (Profile.render_streams streams)
     end;
-    (match tail_pct with
-    | None ->
-        if slowest > 0 then begin
-          print_newline ();
-          print_string (Profile.render_slowest ~k:slowest events)
-        end
-    | Some pct -> (
-        print_newline ();
-        match tail_of ~label ~pct captured with
-        | None ->
-            print_string
+    let tails =
+      match tail_pct with
+      | None ->
+          if slowest > 0 then begin
+            print_newline ();
+            print_string (Profile.render_slowest ~k:slowest events)
+          end;
+          []
+      | Some pct ->
+          print_tails ~pct ~slowest [ (label, captured) ]
+            ~none:
               "(no request spans in trace; --tail needs a request-emitting \
                workload)\n"
-        | Some t -> (
-            print_string (Profile.render_tail ~slowest t);
-            match tails_out with
-            | Some path ->
-                Run.write_tails ~path [ t ];
-                Printf.printf "wrote %s\n" path
-            | None -> ())));
+    in
     if dropped > 0 then
       Printf.printf "(ring full: %d oldest events dropped)\n" dropped;
-    (match out with
-    | Some path ->
-        (* Request spans go to their own track: a request-id lane above
-           the mechanism lane, tying each request to its children. *)
-        let requests, rest =
-          List.partition
-            (fun ev -> Trace.kind ev = Trace.Span && Trace.cat ev = "request")
-            events
-        in
-        let tracks =
-          if requests = [] then [ (label, events) ]
-          else [ (label, rest); (label ^ "/request-id", requests) ]
-        in
-        Export.to_file ~dropped ~path tracks;
-        Printf.printf "wrote %s (%d events)\n" path (List.length events)
-    | None -> ());
-    (match folded with
-    | Some path ->
-        Run.write_folded ~path [ (label, captured) ];
-        Printf.printf "wrote %s\n" path
-    | None -> ());
-    match timeseries with
-    | Some path ->
-        Run.write_timeseries ~path [ (label ^ "/telemetry", telemetry) ];
-        Printf.printf "wrote %s (%d snapshots)\n" path
-          (List.length telemetry.Xc_sim.Metrics.snapshots)
-    | None -> ()
+    (* Request spans go to their own lane in the trace, tying each
+       request to its children. *)
+    write_files ~spans:[ (label, captured) ] ~tails
+      ~series:[ (label ^ "/telemetry", telemetry) ]
+      {
+        Run.no_files with
+        trace_out = out;
+        request_lanes = true;
+        folded_out = folded;
+        tails_out = (if tails = [] then None else tails_out);
+        timeseries_out = timeseries;
+      }
   in
   Cmd.v
     (Cmd.info "run"
@@ -1023,36 +1013,23 @@ let trace_tails_cmd =
   let csv =
     file_flag "csv" ~doc:"Write the tail(s) as a tails CSV (one block per side)."
   in
-  let run a b _diff cloud containers connections pct slowest csv folded _jobs =
+  let run a b _diff cloud containers connections pct slowest csv folded jobs =
     let pct = Option.get pct in
-    (* One traced fig-9-style cluster run per side. *)
-    let side runtime =
-      let config = Config.make ~cloud runtime in
-      traced_tail ~pct
-        ~label:("cluster/" ^ Config.name config)
-        (List.hd (Driver.cluster (cluster_spec ~containers ~connections config)))
+    (* One traced fig-9-style cluster node per side, priced here. *)
+    let sides =
+      List.map
+        (fun runtime ->
+          let config = Config.make ~cloud runtime in
+          ( "cluster/" ^ Config.name config,
+            List.hd (Driver.cluster (cluster_spec ~containers ~connections config)) ))
+        (a :: Option.to_list b)
     in
-    let ta, track_a = side a in
-    let tails, tracks =
-      match b with
-      | Some b ->
-          let tb, track_b = side b in
-          print_string (Xc_trace.Diff.render_tails ~a:ta ~b:tb);
-          ([ ta; tb ], [ track_a; track_b ])
-      | None ->
-          print_string (Profile.render_tail ~slowest ta);
-          ([ ta ], [ track_a ])
-    in
-    (match csv with
-    | Some path ->
-        Run.write_tails ~path tails;
-        Printf.printf "wrote %s\n" path
-    | None -> ());
-    match folded with
-    | Some path ->
-        Run.write_folded ~path tracks;
-        Printf.printf "wrote %s\n" path
-    | None -> ()
+    let spans = traced_nodes ~jobs sides in
+    let tails = every_tail ~pct spans in
+    (match tails with
+    | [ ta; tb ] -> print_string (Xc_trace.Diff.render_tails ~a:ta ~b:tb)
+    | _ -> List.iter (fun t -> print_string (Profile.render_tail ~slowest t)) tails);
+    write_files ~spans ~tails { Run.no_files with tails_out = csv; folded_out = folded }
   in
   Cmd.v
     (Cmd.info "tails"
@@ -1121,7 +1098,7 @@ let top_cmd =
                   every snapshot (repeatable).  Firing metrics are marked \
                   '!' next to their sparkline and listed after the table.")
   in
-  let run exp runtime cloud interval_us rows timeseries rate _jobs alert =
+  let run exp runtime cloud interval_us rows timeseries rate jobs alert =
     let module M = Xc_sim.Metrics in
     let alert_rules =
       List.map
@@ -1138,32 +1115,17 @@ let top_cmd =
     | _ -> ());
     let exp = String.lowercase_ascii exp in
     let config = Config.make ~cloud runtime in
-    (* Every workload is priced here, before the registry is enabled. *)
-    let closed_loop ~duration_ms ~warmup_ms workload =
-      let s = { Spec.default with platform = config; workload } in
-      let cl_config, server =
-        Driver.closed { s with load = { s.load with duration_ms; warmup_ms } }
-      in
-      fun () -> ignore (Xc_platforms.Closed_loop.run cl_config server)
-    in
     let workload =
-      if exp = "cluster" then (
-        let node = List.hd (Driver.cluster { Spec.cluster with platform = config }) in
-        fun () -> ignore (CS.run node))
-      else if exp = "closed-loop" then
-        closed_loop ~duration_ms:30. ~warmup_ms:3. "nginx"
-      else
-        match Workload.find exp with
-        | Some w -> closed_loop ~duration_ms:200. ~warmup_ms:20. w.name
-        | None ->
-            exit_err
-              (Printf.sprintf
-                 "unknown workload %S; one of: cluster closed-loop %s" exp
-                 (String.concat ", " Workload.names))
+      match priced_workload config ~tails:false ~app_ms:(200., 20.) exp with
+      | Some w -> w
+      | None ->
+          exit_err
+            (Printf.sprintf "unknown workload %S; one of: cluster closed-loop %s" exp
+               (String.concat ", " Workload.names))
     in
-    M.enable ~interval_ns:(interval_us *. 1e3) ();
-    let (), telemetry = M.capture workload in
-    M.disable ();
+    let (), ({ telemetry; _ } : Run.piece) =
+      run_cell ~telemetry:(interval_us *. 1e3) ~jobs workload
+    in
     let firings =
       if alert_rules = [] then [] else M.firings ~rules:alert_rules telemetry
     in
@@ -1280,11 +1242,8 @@ let top_cmd =
       if firings = [] then print_string "(no alerts fired)\n"
       else print_string (M.render_firings firings)
     end;
-    match timeseries with
-    | Some path ->
-        Run.write_timeseries ~path [ (exp ^ "/telemetry", telemetry) ];
-        Printf.printf "\nwrote %s (%d snapshots)\n" path n
-    | None -> ()
+    write_files ~series:[ (exp ^ "/telemetry", telemetry) ]
+      { Run.no_files with timeseries_out = timeseries }
   in
   Cmd.v
     (Cmd.info "top"
@@ -1350,9 +1309,6 @@ let cluster_cmd =
     let config = Config.make ~cloud runtime in
     let spec = { (cluster_spec ~containers ~connections config) with fidelity } in
     let spec = { spec with load = { spec.load with nodes } } in
-    (* Price every node's config before enabling tracing/metrics: the
-       platform cost queries emit spans themselves, and they must not
-       pollute the capture. *)
     let configs = Driver.cluster spec in
     let tier_name =
       match fidelity with
@@ -1416,10 +1372,10 @@ let cluster_cmd =
       in
       [ Run.Line header; Run.Line "" ] @ table @ [ Run.Line ""; Run.Line footer ]
     in
-    if timeseries <> None then Xc_sim.Metrics.enable ();
-    if tail_pct <> None then Trace.enable ();
     let o =
       run_one ~jobs "cluster"
+        ?trace:(Option.map (fun _ -> 1) tail_pct)
+        ?telemetry:(Option.map (fun _ -> Xc_sim.Metrics.default_interval_ns) timeseries)
         (Run.Cells
            {
              shards =
@@ -1428,8 +1384,6 @@ let cluster_cmd =
              report;
            })
     in
-    Trace.disable ();
-    Xc_sim.Metrics.disable ();
     print_string o.Run.output;
     (* One track per node, or the single node under the run's name. *)
     let label = Printf.sprintf "cluster/%s" (Config.name config) in
@@ -1441,39 +1395,23 @@ let cluster_cmd =
              (fun i p -> (Printf.sprintf "%s/node%d" label i, f p))
              o.Run.pieces)
     in
-    (match tail_pct with
-    | None -> ()
-    | Some pct -> (
-        print_newline ();
-        match Run.tails ~pct (tracks ~single:label (fun p -> p.Run.trace)) with
-        | Error e -> exit_err e
-        | Ok [] ->
-            print_string
+    let tails =
+      match tail_pct with
+      | None -> []
+      | Some pct ->
+          print_tails ~pct ~slowest:0
+            (tracks ~single:label (fun p -> p.Run.trace))
+            ~none:
               "(no request spans in trace; the exact slice produced no \
                measured requests)\n"
-        | Ok tails -> (
-            List.iteri
-              (fun i t ->
-                if i > 0 then print_newline ();
-                print_string (Profile.render_tail ~slowest:0 t))
-              tails;
-            match tails_out with
-            | Some path ->
-                Run.write_tails ~path tails;
-                Printf.printf "wrote %s\n" path
-            | None -> ())));
-    match timeseries with
-    | Some path ->
-        let tracks =
-          tracks ~single:"cluster/telemetry" (fun p -> p.Run.telemetry)
-        in
-        Run.write_timeseries ~path tracks;
-        Printf.printf "\nwrote %s (%d snapshots)\n" path
-          (List.fold_left
-             (fun a (_, (t : Xc_sim.Metrics.telemetry)) ->
-               a + List.length t.snapshots)
-             0 tracks)
-    | None -> ()
+    in
+    write_files ~tails
+      ~series:(tracks ~single:"cluster/telemetry" (fun p -> p.Run.telemetry))
+      {
+        Run.no_files with
+        tails_out = (if tails = [] then None else tails_out);
+        timeseries_out = timeseries;
+      }
   in
   Cmd.v
     (Cmd.info "cluster"
@@ -1632,9 +1570,8 @@ let causal_explain_cmd =
   let run runtime target slowest =
     let module CP = Xc_obs.Critical_path in
     let target = target runtime in
-    let result, captured =
-      Causal.with_tracing (fun () ->
-          Trace.capture (fun () -> CS.run target.Causal.config))
+    let result, ({ trace = captured; _ } : Run.piece) =
+      run_cell ~trace:1 ~jobs:1 (fun () -> CS.run target.Causal.config)
     in
     let cp = CP.extract captured.Trace.events in
     let summary = CP.summarize cp in
@@ -1865,9 +1802,8 @@ let lb_tail_cmd =
             (Printf.sprintf
                "--clones expects 1 <= D <= containers (%d), got %d" containers d)
     in
-    (* Price the base config before any tracing — the cost queries emit
-       spans.  The lb field never touches pricing, so every combo shares
-       the base. *)
+    (* The lb field never touches pricing, so every combo shares the
+       priced base. *)
     let config = Config.make ~cloud runtime in
     let base = List.hd (Driver.cluster (cluster_spec ~containers ~connections config)) in
     let with_lb (kind, clones) =
@@ -1876,15 +1812,11 @@ let lb_tail_cmd =
     let combos =
       List.concat_map (fun k -> List.map (fun d -> (k, d)) clone_grid) kinds
     in
-    (* The race is never traced, so it runs on the plain pool. *)
     let baseline, combo_results =
       match
-        Xc_sim.Parallel.run_sharded ~jobs
-          (List.map
-             (fun c -> Xc_sim.Parallel.Shard.thunk (fun () -> CS.run c))
-             (base :: List.map with_lb combos))
+        Run.map ~jobs (List.map (fun c () -> CS.run c) (base :: List.map with_lb combos))
       with
-      | r :: rest -> (r, rest)
+      | (r, _) :: rest -> (r, List.map fst rest)
       | [] -> assert false
     in
     let p99 (r : CS.result) = r.p99_latency_ns in
@@ -1940,16 +1872,18 @@ let lb_tail_cmd =
       (p99 wr /. 1e3)
       (p99 baseline /. 1e3)
       (vs_baseline wr);
-    let traced label cs = fst (traced_tail ~pct ~label cs) in
     let name = Config.name config in
-    let ta = traced ("cluster/" ^ name) base in
-    let tb =
-      traced
-        (Printf.sprintf "cluster/%s+%s-x%d" name
-           (Xc_lb.Policy.kind_to_string wk) wd)
-        (with_lb winner)
-    in
-    print_string (Xc_trace.Diff.render_tails ~a:ta ~b:tb)
+    match
+      every_tail ~pct
+        (traced_nodes ~jobs
+           [
+             ("cluster/" ^ name, base);
+             ( Printf.sprintf "cluster/%s+%s-x%d" name (Xc_lb.Policy.kind_to_string wk) wd,
+               with_lb winner );
+           ])
+    with
+    | [ ta; tb ] -> print_string (Xc_trace.Diff.render_tails ~a:ta ~b:tb)
+    | _ -> assert false
   in
   Cmd.v
     (Cmd.info "tail"
@@ -2047,12 +1981,6 @@ let suite_run_cmd =
           suite.Suite.specs;
         let wants_trace = Driver.wants_trace suite in
         let wants_ts = Driver.wants_timeseries suite in
-        if wants_trace then
-          Trace.enable ~sample:(Driver.sample_stride suite) ();
-        if wants_ts then
-          Xc_sim.Metrics.enable
-            ~interval_ns:(float_of_int (Driver.interval_us suite) *. 1e3)
-            ();
         if tails_out <> None && not wants_trace then
           Printf.eprintf
             "[xc suite] warning: --tails given but no spec enables \
@@ -2063,7 +1991,13 @@ let suite_run_cmd =
              timeseries capture; the artifact will be empty\n%!";
         (* The bench's runner and suite report: one cell per spec, so
            the pieces are per-spec tracks. *)
-        let o = run_one ~jobs suite.Suite.name (Run.suite suite) in
+        let o =
+          run_one ~jobs suite.Suite.name (Run.suite suite)
+            ?trace:(if wants_trace then Some (Driver.sample_stride suite) else None)
+            ?telemetry:
+              (if wants_ts then Some (float_of_int (Driver.interval_us suite) *. 1e3)
+               else None)
+        in
         print_string o.Run.output;
         let per_spec f =
           List.map2
@@ -2078,21 +2012,18 @@ let suite_run_cmd =
                   (fun t -> output_string oc (Xc_sim.Table.to_csv t))
                   (Run.tables o.Run.report));
             Printf.eprintf "[xc suite] wrote %s\n%!" path);
-        (match tails_out with
-        | None -> ()
-        | Some path -> (
+        let tails =
+          if tails_out = None then []
+          else
             match Run.tails ~pct:99. (per_spec (fun p -> p.Run.trace)) with
             | Error e -> exit_err e
-            | Ok tails ->
-                Run.write_tails ~path tails;
-                Printf.eprintf
-                  "[xc suite] wrote %s (%d request-emitting track(s))\n%!" path
-                  (List.length tails)));
-        (match ts_out with
-        | None -> ()
-        | Some path ->
-            Run.write_timeseries ~path (per_spec (fun p -> p.Run.telemetry));
-            Printf.eprintf "[xc suite] wrote %s\n%!" path);
+            | Ok tails -> tails
+        in
+        List.iter
+          (Printf.eprintf "[xc suite] wrote %s\n%!")
+          (Run.write ~tails
+             ~series:(per_spec (fun p -> p.Run.telemetry))
+             { Run.no_files with tails_out; timeseries_out = ts_out });
         Printf.eprintf "[xc suite] %d experiment(s), %d domain(s), %d events\n%!"
           (List.length suite.Suite.specs)
           jobs

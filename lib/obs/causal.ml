@@ -28,6 +28,9 @@ type point = {
   pt_rerun : CS.result;
 }
 
+(* Tracing on for [f]: a no-op when it already is (sampling and
+   capacity inherited), otherwise a default-capacity ring, switched off
+   again afterwards (also on exceptions). *)
 let with_tracing f =
   if Xc_trace.Trace.enabled () then f ()
   else begin

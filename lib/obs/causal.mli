@@ -22,13 +22,14 @@
     ([--connections 5]) the rerun moves further than the share says —
     exactly the regime where the fig9 tail is queueing-dominated.
 
-    Baselines run traced ({!with_tracing}), each capturing its own
-    trace.  {!sweep_points} fans the baselines, then the reruns, out
-    over the {!Xc_sim.Parallel} pool and reassembles in submission
-    order, so every artifact is byte-identical at any [--jobs].  The
-    reruns run outside {!with_tracing}: they are traced only when the
-    caller traces, and then they record into the caller's capture, so
-    such a caller passes [~jobs:1]. *)
+    Baselines run traced, each capturing its own trace: {!sweep_points}
+    turns a {!Xc_trace.Trace.default_capacity} ring on around them when
+    tracing is off, and inherits the caller's sampling and capacity
+    when it is on.  It fans the baselines, then the reruns, out over
+    the {!Xc_sim.Parallel} pool and reassembles in submission order, so
+    every artifact is byte-identical at any [--jobs].  The reruns are
+    traced only when the caller traces, and then they record into the
+    caller's capture, so such a caller passes [~jobs:1]. *)
 
 module CS = Xc_platforms.Cluster_sim
 
@@ -61,12 +62,6 @@ type point = {
   pt_pred : prediction;
   pt_rerun : CS.result;
 }
-
-val with_tracing : (unit -> 'a) -> 'a
-(** Run [f] with tracing enabled: a no-op wrapper when tracing is
-    already on (sampling and capacity inherited), otherwise enables a
-    {!Xc_trace.Trace.default_capacity} ring and disables again
-    afterwards (also on exceptions). *)
 
 val tail_at :
   label:string -> pct:float -> Xc_trace.Trace.captured ->

@@ -1118,7 +1118,7 @@ let cluster_scale ~fleet_nodes ~fleet_shards ~diffs ~mixed_containers =
    connection) are the regime where the linear prediction holds; the
    knee points (5 connections, the fig9 queueing regime) are kept on
    purpose to show where it breaks.  One cell on purpose: the
-   baselines flip the process-wide trace flag ([Causal.with_tracing]),
+   baselines flip the process-wide trace flag ([Causal.sweep_points]),
    so they must not run concurrently with cells that assume the flag is
    stable — and the whole grid is cheap (100 ms windows at 1-5
    connections). *)

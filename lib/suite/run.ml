@@ -1,7 +1,7 @@
-(* The experiment runner behind the bench and `xc`: cells on the
-   worker pool, captures merged in submission order, reports rendered
-   in the merge phase, and the artifact writers every front-end
-   shares. *)
+(* The experiment runner behind the bench and `xc`: the tracing and
+   telemetry switch, cells on the worker pool, captures merged in
+   submission order, reports rendered in the merge phase, and the one
+   artifact writer. *)
 
 module Trace = Xc_trace.Trace
 module Export = Xc_trace.Export
@@ -79,8 +79,27 @@ let shard (name, Cells { shards; report }) =
             Metrics.empty_telemetry pieces;
       })
 
-let run ~jobs experiments =
-  Xc_sim.Parallel.run_sharded ~jobs (List.map shard experiments)
+(* Tracing and telemetry on, as asked, for [f] alone. *)
+let capturing ?trace ?telemetry f =
+  Option.iter (fun sample -> Trace.enable ~sample ()) trace;
+  Option.iter (fun interval_ns -> Metrics.enable ~interval_ns ()) telemetry;
+  Fun.protect f ~finally:(fun () ->
+      if trace <> None then Trace.disable ();
+      if telemetry <> None then Metrics.disable ())
+
+let run ?trace ?telemetry ~jobs experiments =
+  capturing ?trace ?telemetry (fun () ->
+      Xc_sim.Parallel.run_sharded ~jobs (List.map shard experiments))
+
+let map ?trace ?telemetry ~jobs cells =
+  let all =
+    Xc_sim.Parallel.Shard.make
+      ~shards:(Array.of_list (List.map instrument cells))
+      ~merge:Array.to_list
+  in
+  match capturing ?trace ?telemetry (fun () -> Xc_sim.Parallel.run_sharded ~jobs [ all ]) with
+  | [ results ] -> results
+  | _ -> assert false
 
 let suite (s : Suite.t) =
   Cells
@@ -101,17 +120,6 @@ let suite (s : Suite.t) =
 let write_file path data =
   Out_channel.with_open_text path (fun oc -> output_string oc data)
 
-let events tracks =
-  List.map (fun (label, (c : Trace.captured)) -> (label, c.events)) tracks
-
-let write_trace ~path tracks =
-  let dropped =
-    List.fold_left (fun a (_, (c : Trace.captured)) -> a + c.dropped) 0 tracks
-  in
-  Export.to_file ~dropped ~path (events tracks)
-
-let write_folded ~path tracks = write_file path (Export.to_folded (events tracks))
-
 let ( let* ) = Result.bind
 
 let rec tails ~pct = function
@@ -121,7 +129,87 @@ let rec tails ~pct = function
       let* tails = tails ~pct rest in
       Ok (Option.to_list tail @ tails)
 
-let write_tails = Export.tails_to_file
+type files = {
+  trace_out : string option;
+  request_lanes : bool;
+  folded_out : string option;
+  tails_out : string option;
+  timeseries_out : string option;
+  perfetto_out : string option;
+}
+
+let no_files =
+  {
+    trace_out = None;
+    request_lanes = false;
+    folded_out = None;
+    tails_out = None;
+    timeseries_out = None;
+    perfetto_out = None;
+  }
+
+let events spans = List.map (fun (label, (c : Trace.captured)) -> (label, c.events)) spans
+let sum f l = List.fold_left (fun a x -> a + f x) 0 l
+
+(* A track's request spans apart from its mechanism spans. *)
+let lanes (label, (c : Trace.captured)) =
+  match
+    List.partition
+      (fun ev -> Trace.kind ev = Trace.Span && Trace.cat ev = "request")
+      c.events
+  with
+  | [], rest -> [ (label, rest) ]
+  | requests, rest -> [ (label, rest); (label ^ "/request-id", requests) ]
+
+let write ?(spans = []) ?(tails = []) ?(series = []) files =
+  let dropped = sum (fun (_, (c : Trace.captured)) -> c.dropped) spans in
+  let counters =
+    lazy (List.map (fun (label, tel) -> (label, Metrics.to_trace_events tel)) series)
+  in
+  (* [write path] writes the file and says what it holds. *)
+  let file path write = Option.map (fun path -> path ^ " (" ^ write path ^ ")") path in
+  List.filter_map Fun.id
+    [
+      file files.tails_out (fun path ->
+          Export.tails_to_file ~path tails;
+          Printf.sprintf "%d request-emitting track(s)" (List.length tails));
+      file files.trace_out (fun path ->
+          Export.to_file ~dropped ~path
+            (if files.request_lanes then List.concat_map lanes spans else events spans);
+          let offered =
+            sum
+              (fun (_, (c : Trace.captured)) ->
+                sum (fun (s : Trace.Stream.t) -> s.seen) c.streams)
+              spans
+          in
+          Printf.sprintf "%d events%s%s"
+            (sum (fun (_, (c : Trace.captured)) -> List.length c.events) spans)
+            (if offered > 0 then Printf.sprintf " kept of %d offered" offered else "")
+            (if dropped > 0 then Printf.sprintf ", %d dropped" dropped else ""));
+      file files.folded_out (fun path ->
+          let folded = Export.to_folded (events spans) in
+          write_file path folded;
+          Printf.sprintf "%d stacks"
+            (String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 folded));
+      file files.timeseries_out (fun path ->
+          Export.to_file ~path (Lazy.force counters);
+          Printf.sprintf "%d snapshots"
+            (sum (fun (_, (t : Metrics.telemetry)) -> List.length t.snapshots) series));
+      file files.perfetto_out (fun path ->
+          let tracks =
+            List.concat
+              (List.mapi
+                 (fun i (label, (c : Trace.captured)) ->
+                   (label, c.events)
+                   ::
+                   (match List.nth_opt (Lazy.force counters) i with
+                   | Some (_, (_ :: _ as evs)) -> [ (label ^ "/metrics", evs) ]
+                   | _ -> []))
+                 spans)
+          in
+          Export.to_file ~dropped ~path tracks;
+          Printf.sprintf "%d tracks" (List.length tracks));
+    ]
 
 (* "(a) Amazon EC2 Single" -> "a_amazon_ec2_single". *)
 let slug title =
@@ -143,7 +231,3 @@ let write_csvs ~dir ~id report =
       write_file path (Xc_sim.Table.to_csv table);
       path)
     (tables report)
-
-let write_timeseries ~path tracks =
-  Export.to_file ~path
-    (List.map (fun (label, tel) -> (label, Metrics.to_trace_events tel)) tracks)

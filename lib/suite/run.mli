@@ -5,7 +5,11 @@
     ({!Xc_sim.Parallel}) schedules; each runs instrumented (its trace
     and telemetry captured on its own domain) and the report is built
     and rendered in the deterministic merge phase, so stdout and every
-    artifact are byte-identical at any [--jobs]. *)
+    artifact are byte-identical at any [--jobs].  The runner is the only
+    code that switches tracing and telemetry on ({!run}, {!map}) and the
+    only code that writes their artifacts ({!write}); the
+    [core.inventory] test "one capture path" holds the bench and [xc]
+    to it. *)
 
 (** {1 Reports}
 
@@ -24,7 +28,15 @@ val render : report -> string
 val tables : report -> Xc_sim.Table.t list
 (** The report's tables, in order. *)
 
-(** {1 Running} *)
+(** {1 Running}
+
+    The runner is the one place that turns tracing and telemetry on.
+    [?trace] (a sampling stride: [1] keeps every event) and
+    [?telemetry] (a snapshot interval in sim-ns) switch each on around
+    the pool and off again when it returns, also on an exception; every
+    cell captures its own trace and telemetry.  Price what a cell runs
+    before the call: the platform cost queries emit spans themselves,
+    so pricing inside a traced cell would record into its track. *)
 
 type cells =
   | Cells : { shards : (unit -> 'b) array; report : 'b array -> report } -> cells
@@ -50,9 +62,16 @@ type outcome = {
   telemetry : Xc_sim.Metrics.telemetry;  (** the pieces' telemetry, merged *)
 }
 
-val run : jobs:int -> (string * cells) list -> outcome list
+val run :
+  ?trace:int -> ?telemetry:float -> jobs:int -> (string * cells) list -> outcome list
 (** Every cell of every named experiment on one pool; one outcome per
     experiment, in submission order. *)
+
+val map :
+  ?trace:int -> ?telemetry:float -> jobs:int -> (unit -> 'a) list -> ('a * piece) list
+(** Independent cells on one pool, captured as {!run} captures them:
+    each cell's result and what it recorded, in order.  For a command
+    that lays out typed results itself. *)
 
 val suite : Suite.t -> cells
 (** A generic suite: one {!Driver.run} cell per spec, reported as a
@@ -64,13 +83,6 @@ val suite : Suite.t -> cells
     Tracks are [(label, capture)] pairs, one per experiment, cell or
     run, in the order they should appear. *)
 
-val write_trace : path:string -> (string * Xc_trace.Trace.captured) list -> unit
-(** Chrome trace-event JSON, or CSV / collapsed stacks when [path] ends
-    in [.csv] / [.folded]; the JSON records the summed drop count. *)
-
-val write_folded : path:string -> (string * Xc_trace.Trace.captured) list -> unit
-(** Collapsed-stack flamegraph lines, whatever [path]'s extension. *)
-
 val tails :
   pct:float ->
   (string * Xc_trace.Trace.captured) list ->
@@ -78,16 +90,41 @@ val tails :
 (** {!Xc_obs.Causal.tail_at} over every track, keeping the
     request-emitting ones; the first truncated one is the [Error]. *)
 
-val write_tails : path:string -> Xc_trace.Profile.tail list -> unit
-(** The tails CSV ({!Xc_trace.Export.to_tails_csv}). *)
+(** The artifact files to write, each optional. *)
+type files = {
+  trace_out : string option;
+      (** the span tracks: Chrome trace-event JSON recording the summed
+          drop count, or CSV / collapsed stacks when the path ends in
+          [.csv] / [.folded] *)
+  request_lanes : bool;
+      (** in [trace_out], each track's request spans on a lane of their
+          own, [LABEL/request-id], above its mechanism lane *)
+  folded_out : string option;  (** collapsed-stack flamegraph lines *)
+  tails_out : string option;  (** the tails CSV ({!Xc_trace.Export.to_tails_csv}) *)
+  timeseries_out : string option;
+      (** the snapshot series as counter tracks: CSV when the path ends
+          in [.csv], Chrome counter events otherwise *)
+  perfetto_out : string option;
+      (** one Chrome JSON: each span track followed by the counter
+          track [LABEL/metrics] of the series at the same position *)
+}
+
+val no_files : files
+
+val write :
+  ?spans:(string * Xc_trace.Trace.captured) list ->
+  ?tails:Xc_trace.Profile.tail list ->
+  ?series:(string * Xc_sim.Metrics.telemetry) list ->
+  files ->
+  string list
+(** The one artifact writer: every requested file, from the span
+    tracks, tails and snapshot series given (none by default).
+    Returns one note per file written, in the order tails, trace,
+    folded, timeseries, perfetto: its path and what it holds, e.g.
+    ["t.json (1200 events)"]. *)
 
 val write_csvs : dir:string -> id:string -> report -> string list
 (** Each table of the report as {!Xc_sim.Table.to_csv}, one file per
     table in [dir] (made if missing): [ID.csv] for an untitled table,
     [ID_TITLE.csv] for a titled one, the title's letters and digits
     lowercased and joined by [_].  Returns the paths, in order. *)
-
-val write_timeseries :
-  path:string -> (string * Xc_sim.Metrics.telemetry) list -> unit
-(** Snapshot series as counter tracks: CSV when [path] ends in [.csv],
-    Chrome counter events otherwise. *)

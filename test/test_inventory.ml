@@ -641,7 +641,6 @@ let test_only =
       ] );
     ( "Xc_sim.Metrics",
       [
-        ("default_interval_ns", Hook, [ "sim.metrics counters"; "metrics" ]);
         ("default_retention", Hook, [ "sim.metrics counters"; "metrics" ]);
         ( "take_snapshot",
           Hook,
@@ -825,6 +824,64 @@ let test_one_dispatch_loop () =
            ms)
        (libraries ()))
 
+(* ---------------- One capture path ---------------- *)
+
+(* Tracing and telemetry are switched on, captured and written by
+   Xc_suite.Run alone: no file of the bench or xc names a switch or a
+   capture, directly or through a module alias. *)
+let capture_sites ~file src =
+  let last p = List.nth p (List.length p - 1) in
+  let banned =
+    [
+      ("Trace", [ "enable"; "disable"; "capture" ]);
+      ("Metrics", [ "enable"; "disable"; "capture" ]);
+      ("Causal", [ "with_tracing" ]);
+    ]
+  in
+  let toks = tokens src in
+  (* [module M = Xc_sim.Metrics], [let module T = Trace], an alias of
+     an alias: each name maps to the module it stands for. *)
+  let rec aliases acc = function
+    | Word "module" :: Path ([ m ], false) :: Sym '=' :: Path (p, false) :: rest ->
+        let target = Option.value (List.assoc_opt (last p) acc) ~default:(last p) in
+        aliases ((m, target) :: acc) rest
+    | _ :: rest -> aliases acc rest
+    | [] -> acc
+  in
+  let modules = aliases [] toks in
+  let rec go = function
+    | Path (p, true) :: Sym '.' :: Word v :: rest -> (
+        let m = Option.value (List.assoc_opt (last p) modules) ~default:(last p) in
+        match List.assoc_opt m banned with
+        | Some vs when List.mem v vs ->
+            (file ^ ": " ^ String.concat "." p ^ "." ^ v) :: go rest
+        | _ -> go rest)
+    | _ :: rest -> go rest
+    | [] -> []
+  in
+  go toks
+
+let test_one_capture_path () =
+  Alcotest.(check (list string))
+    "switches seen through aliases"
+    [ "f: M.enable"; "f: T.capture"; "f: Xc_obs.Causal.with_tracing" ]
+    (capture_sites ~file:"f"
+       "let module M = Xc_sim.Metrics in M.enable ();\n\
+        module T = Xc_trace.Trace\nlet x = T.capture f\n\
+        let y = Xc_obs.Causal.with_tracing g (* Trace.enable *)\n\
+        let z = T.enabled () && M.on ()");
+  let files dir =
+    Sys.readdir (Filename.concat root dir)
+    |> Array.to_list |> List.sort compare
+    |> List.filter (fun f -> Filename.check_suffix f ".ml")
+    |> List.map (Filename.concat dir)
+  in
+  Alcotest.(check (list string))
+    "tracing or telemetry switched or captured outside Xc_suite.Run" []
+    (List.concat_map
+       (fun file -> capture_sites ~file (read (Filename.concat root file)))
+       (files "bench" @ files "bin"))
+
 let test_scanner () =
   let libs = [ ("Xc_os", [ "Epoll"; "Kernel" ]); ("Xc_hypervisor", [ "Tmem" ]) ] in
   let case name ?own src expected =
@@ -895,5 +952,6 @@ let suites =
         Alcotest.test_case "test-only list current" `Quick test_test_only_current;
         Alcotest.test_case "one pricing path" `Quick test_one_pricing_path;
         Alcotest.test_case "one dispatch loop" `Quick test_one_dispatch_loop;
+        Alcotest.test_case "one capture path" `Quick test_one_capture_path;
       ] );
   ]
