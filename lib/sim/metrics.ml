@@ -238,11 +238,13 @@ let capture f =
   end
 
 (* Pure two-sided merge (counters add, gauges last-writer-wins with [b]
-   the later writer, histograms merge bucket-wise, snapshots append)
-   with no registry and no retention eviction: both sides already
-   enforced the bound when they recorded.  Associative, so cell
-   telemetry folds in cell order to the same value whatever the worker
-   schedule was. *)
+   the later writer, histograms merge bucket-wise, snapshots append on
+   one time axis) with no registry and no retention eviction: both
+   sides already enforced the bound when they recorded.  [b]'s clock
+   started at 0, so its snapshots move past [a]'s last one, as
+   [Trace.concat] moves a segment past the one before.  Associative, so
+   cell telemetry folds in cell order to the same value whatever the
+   worker schedule was. *)
 let merge_telemetry a b =
   let merge_assoc combine xs ys =
     let rec go acc xs ys =
@@ -257,7 +259,11 @@ let merge_telemetry a b =
     go [] xs ys
   in
   {
-    snapshots = a.snapshots @ b.snapshots;
+    snapshots =
+      (match List.rev a.snapshots with
+      | [] -> b.snapshots
+      | last :: _ ->
+          a.snapshots @ List.map (fun s -> { s with at = s.at +. last.at }) b.snapshots);
     snap_dropped = a.snap_dropped + b.snap_dropped;
     counters = merge_assoc (fun x y -> x +. y) a.counters b.counters;
     gauges = merge_assoc (fun _ y -> y) a.gauges b.gauges;

@@ -110,10 +110,14 @@ val capture : (unit -> 'a) -> 'a * telemetry
 val merge_telemetry : telemetry -> telemetry -> telemetry
 (** Pure merge of two captures: counters add, gauges last-writer-wins
     (the second argument being the later writer), histograms merge
-    bucket-wise, snapshots and drop counts append — registry-free and
-    without retention eviction (both sides enforced the bound when
-    recording).  Associative: folding cell telemetry in cell order
-    ([Xc_suite.Run]) is deterministic at any worker count. *)
+    bucket-wise, drop counts add, and snapshots append on one time
+    axis: each of the second capture's snapshot times moves past the
+    first capture's last snapshot (by its [at]), as
+    [Xc_trace.Trace.concat] moves a segment past the one before, so a
+    merged series never steps back in time.  Registry-free and without
+    retention eviction (both sides enforced the bound when recording).
+    Associative: folding cell telemetry in cell order ([Xc_suite.Run])
+    is deterministic at any worker count. *)
 
 (** {2 Export} *)
 
