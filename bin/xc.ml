@@ -714,7 +714,8 @@ let sweep_cmd =
     in
     let wall = Unix.gettimeofday () -. t0 in
     print_string o.Run.output;
-    Printf.printf "%d points in %.2fs wall with %d domain(s)\n"
+    (* Wall time varies run to run, so it stays off stdout. *)
+    Printf.eprintf "%d points in %.2fs wall with %d domain(s)\n%!"
       (List.length configs) wall jobs;
     write_files ~spans:[ ("sweep", o.Run.trace) ] { Run.no_files with trace_out }
   in
@@ -1627,25 +1628,6 @@ let lb_dispatch_name = function
   | Xc_lb.Hedge.Subcluster -> "subcluster"
   | Xc_lb.Hedge.Policy k -> Xc_lb.Policy.kind_to_string k
 
-let lb_parse_utilizations s =
-  let parts =
-    String.split_on_char ',' s |> List.map String.trim
-    |> List.filter (fun p -> p <> "")
-  in
-  if parts = [] then
-    exit_err
-      (Printf.sprintf "--utilizations expects a comma list like 0.3,0.5,0.7, got %S" s);
-  List.map
-    (fun p ->
-      match float_of_string_opt p with
-      | Some u when u > 0. && u < 1. ->
-          u
-      | _ ->
-          exit_err
-            (Printf.sprintf
-               "--utilizations expects per-backend loads in (0, 1), got %S" p))
-    parts
-
 let lb_sweep_cmd =
   let policy =
     Arg.(value & opt string "subcluster"
@@ -1665,16 +1647,17 @@ let lb_sweep_cmd =
     positive_int "backends" ~aliases:[ "n" ] 6 ~doc:"PS backends in the cluster."
   in
   let utilizations =
-    Arg.(value & opt string "0.3,0.5,0.7"
-        & info [ "utilizations"; "u" ] ~docv:"LIST"
-            ~doc:"Comma list of per-backend utilizations (clones included) \
-                  to sweep.")
+    checked "utilizations" ~aliases:[ "u" ] (Arg.list float_arg)
+      ~ok:(fun us -> us <> [] && List.for_all (fun u -> u > 0. && u < 1.) us)
+      ~expects:"per-backend loads in (0, 1)" [ 0.3; 0.5; 0.7 ] ~docv:"LIST"
+      ~doc:"Comma list of per-backend utilizations (clones included) to \
+            sweep."
   in
   let duration_ms =
     duration_ms 3000. ~doc:"Measured arrival window in simulated milliseconds."
   in
   let seed = Arg.(value & opt int 17 & info [ "seed" ] ~doc:"PRNG seed.") in
-  let run policy clones backends utilizations duration_ms seed =
+  let run policy clones backends utils duration_ms seed =
     let dispatch = lb_dispatch_of_string policy in
     if clones < 1 || clones > backends then
       exit_err
@@ -1688,7 +1671,6 @@ let lb_sweep_cmd =
               and %d"
              clones backends)
     | _ -> ());
-    let utils = lb_parse_utilizations utilizations in
     let module T = Xc_sim.Table in
     let t =
       T.create
