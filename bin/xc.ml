@@ -223,18 +223,17 @@ let print_tails ~pct ~slowest ~none tracks =
         tails;
       tails
 
-(* Traced cluster nodes, one runner cell each: every node's label with
-   its trace. *)
-let traced_nodes ~jobs nodes =
-  List.map2
-    (fun (label, _) (_, (p : Run.piece)) -> (label, p.trace))
-    nodes
-    (Run.map ~trace:1 ~jobs (List.map (fun (_, node) () -> CS.run node) nodes))
-
-(* The [pct] tail of every track, each of which must hold requests. *)
-let every_tail ~pct tracks =
-  match Run.tails ~pct tracks with
-  | Ok tails when List.length tails = List.length tracks -> tails
+(* Labelled cluster nodes traced as one runner cell each: every node's
+   track and its [pct] tail, which each node must have. *)
+let traced_tails ~pct ~jobs nodes =
+  let spans =
+    List.map2
+      (fun (label, _) (_, (p : Run.piece)) -> (label, p.trace))
+      nodes
+      (Run.map ~trace:1 ~jobs (List.map (fun (_, node) () -> CS.run node) nodes))
+  in
+  match Run.tails ~pct spans with
+  | Ok tails when List.length tails = List.length spans -> (spans, tails)
   | Ok _ -> exit_err "a traced cluster run emitted no request spans"
   | Error e -> exit_err e
 
@@ -1025,8 +1024,7 @@ let trace_tails_cmd =
             List.hd (Driver.cluster (cluster_spec ~containers ~connections config)) ))
         (a :: Option.to_list b)
     in
-    let spans = traced_nodes ~jobs sides in
-    let tails = every_tail ~pct spans in
+    let spans, tails = traced_tails ~pct ~jobs sides in
     (match tails with
     | [ ta; tb ] -> print_string (Xc_trace.Diff.render_tails ~a:ta ~b:tb)
     | _ -> List.iter (fun t -> print_string (Profile.render_tail ~slowest t)) tails);
@@ -1856,15 +1854,14 @@ let lb_tail_cmd =
       (vs_baseline wr);
     let name = Config.name config in
     match
-      every_tail ~pct
-        (traced_nodes ~jobs
-           [
-             ("cluster/" ^ name, base);
-             ( Printf.sprintf "cluster/%s+%s-x%d" name (Xc_lb.Policy.kind_to_string wk) wd,
-               with_lb winner );
-           ])
+      traced_tails ~pct ~jobs
+        [
+          ("cluster/" ^ name, base);
+          ( Printf.sprintf "cluster/%s+%s-x%d" name (Xc_lb.Policy.kind_to_string wk) wd,
+            with_lb winner );
+        ]
     with
-    | [ ta; tb ] -> print_string (Xc_trace.Diff.render_tails ~a:ta ~b:tb)
+    | _, [ ta; tb ] -> print_string (Xc_trace.Diff.render_tails ~a:ta ~b:tb)
     | _ -> assert false
   in
   Cmd.v
