@@ -51,9 +51,9 @@ let smoke_experiments = Xc_suite.Experiments.smoke ()
 
 let run_experiments ~jobs ~trace_out ~sample ~timeseries_out ~interval_us
     ~perfetto_out ~alert_rules experiments =
+  let t0 = Unix.gettimeofday () in
   (* --perfetto wants both halves (spans and counter tracks); --alerts
      needs the snapshot series the rules are checked against. *)
-  let t0 = Unix.gettimeofday () in
   let outcomes =
     Run.run ~jobs experiments
       ?trace:(if trace_out <> None || perfetto_out <> None then Some sample else None)

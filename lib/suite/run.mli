@@ -30,7 +30,6 @@ val tables : report -> Xc_sim.Table.t list
 
 (** {1 Running}
 
-    The runner is the one place that turns tracing and telemetry on.
     [?trace] (a sampling stride: [1] keeps every event) and
     [?telemetry] (a snapshot interval in sim-ns) switch each on around
     the pool and off again when it returns, also on an exception; every
