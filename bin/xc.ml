@@ -21,14 +21,11 @@ module Workload = Xc_suite.Workload
 module Spec = Xc_suite.Spec
 module Driver = Xc_suite.Driver
 module Run = Xc_suite.Run
+module Experiments = Xc_suite.Experiments
 
 let exit_err msg =
   prerr_endline ("xc: " ^ msg);
   exit 1
-
-(* xc's own tables are laid out here, as rows of text cells. *)
-let add_text_row t cells =
-  Xc_sim.Table.add_row t (List.map (fun s -> Xc_sim.Table.Text s) cells)
 
 (* ---------------- shared flags ---------------- *)
 
@@ -201,6 +198,12 @@ let run_one ?trace ?telemetry ~jobs name cells =
 let run_cell ?trace ?telemetry ~jobs f =
   match Run.map ?trace ?telemetry ~jobs [ f ] with [ r ] -> r | _ -> assert false
 
+let print_report report = print_string (Run.render report)
+
+(* A command that prints one of Experiments' reports as it is. *)
+let report_cmd name ~doc report =
+  Cmd.v (Cmd.info name ~doc) Term.(const (fun () -> print_report (report ())) $ const ())
+
 (* The runner's artifact writer, one "wrote" line per file. *)
 let write_files ?spans ?tails ?series files =
   List.iter (Printf.printf "wrote %s\n") (Run.write ?spans ?tails ?series files)
@@ -366,33 +369,8 @@ let abom_cmd =
 
 (* ---------------- xc platforms ---------------- *)
 
-let every_runtime =
-  Config.
-    [ Docker; Gvisor; Clear_container; Xen_container; X_container; Unikernel; Graphene ]
-
 let platforms_cmd =
-  let run () =
-    let open Xc_platforms.Config in
-    let t =
-      Xc_sim.Table.create
-        (("platform", Xc_sim.Table.Left)
-        :: List.map
-             (fun f -> (feature_name f, Xc_sim.Table.Left))
-             [ Binary_compat; Multiprocess; Multicore; Kernel_modules; No_hw_virt ])
-    in
-    List.iter
-      (fun r ->
-        add_text_row t
-          (runtime_name r
-          :: List.map
-               (fun f -> if supports r f then "yes" else "-")
-               [ Binary_compat; Multiprocess; Multicore; Kernel_modules; No_hw_virt ]))
-      every_runtime;
-    Xc_sim.Table.print t
-  in
-  Cmd.v
-    (Cmd.info "platforms" ~doc:"The capability matrix of Section 2.3.")
-    Term.(const run $ const ())
+  report_cmd "platforms" ~doc:"The capability matrix of Section 2.3." Experiments.platforms
 
 (* ---------------- xc syscall-costs ---------------- *)
 
@@ -401,31 +379,7 @@ let syscall_costs_cmd =
     Arg.(value & flag & info [ "unpatched" ] ~doc:"Without the Meltdown patches.")
   in
   let run cloud unpatched =
-    let t =
-      Xc_sim.Table.create
-        [
-          ("platform", Xc_sim.Table.Left);
-          ("syscall entry", Xc_sim.Table.Right);
-          ("interrupt", Xc_sim.Table.Right);
-          ("process switch", Xc_sim.Table.Right);
-          ("fork", Xc_sim.Table.Right);
-        ]
-    in
-    List.iter
-      (fun runtime ->
-        let config = Config.make ~cloud ~meltdown_patched:(not unpatched) runtime in
-        let p = Xc_platforms.Platform.create config in
-        let ns v = Printf.sprintf "%.0fns" v in
-        add_text_row t
-          [
-            Config.name config;
-            ns (Xc_platforms.Platform.syscall_entry_ns p);
-            ns (Xc_platforms.Platform.irq_ns p);
-            ns (Xc_platforms.Platform.process_switch_ns p);
-            Printf.sprintf "%.1fus" (Xc_platforms.Platform.fork_ns p /. 1e3);
-          ])
-      every_runtime;
-    Xc_sim.Table.print t
+    print_report (Experiments.syscall_costs ~cloud ~meltdown_patched:(not unpatched))
   in
   Cmd.v
     (Cmd.info "syscall-costs" ~doc:"The calibrated per-platform cost table.")
@@ -471,10 +425,8 @@ let profiles_cmd =
 (* ---------------- xc boot-times ---------------- *)
 
 let boot_times_cmd =
-  let run () = print_string (Run.render (Xc_suite.Experiments.boot ())) in
-  Cmd.v
-    (Cmd.info "boot-times" ~doc:"Instantiation-time comparison (Section 4.5).")
-    Term.(const run $ const ())
+  report_cmd "boot-times" ~doc:"Instantiation-time comparison (Section 4.5)."
+    Experiments.boot
 
 (* ---------------- xc migrate ---------------- *)
 
@@ -522,9 +474,7 @@ let clone_cmd =
         (Printf.sprintf
            "--resident expects 0 to %d pages (the %d MB guest), got %d"
            (memory * 256) memory resident);
-    print_string
-      (Run.render
-         (Xc_suite.Experiments.clone ~memory_mb:memory ~resident_pages:resident))
+    print_report (Experiments.clone ~memory_mb:memory ~resident_pages:resident)
   in
   Cmd.v
     (Cmd.info "clone" ~doc:"SnowFlock-style clone of a warm X-Container.")
@@ -533,10 +483,8 @@ let clone_cmd =
 (* ---------------- xc security ---------------- *)
 
 let security_cmd =
-  let run () = print_string (Run.render (Xc_suite.Experiments.security ())) in
-  Cmd.v
-    (Cmd.info "security" ~doc:"TCB / attack-surface comparison (Section 3.4).")
-    Term.(const run $ const ())
+  report_cmd "security" ~doc:"TCB / attack-surface comparison (Section 3.4)."
+    Experiments.security
 
 (* ---------------- xc coldstart ---------------- *)
 
@@ -544,9 +492,7 @@ let coldstart_cmd =
   let rate =
     positive_float "rate" 0.05 ~docv:"RPS" ~doc:"Invocations per second."
   in
-  let run rate =
-    print_string (Run.render (Xc_suite.Experiments.coldstart ~rates:[ rate ]))
-  in
+  let run rate = print_report (Experiments.coldstart ~rates:[ rate ]) in
   Cmd.v
     (Cmd.info "coldstart" ~doc:"Serverless cold-start tails by spawn path.")
     Term.(const run $ rate)
@@ -674,48 +620,16 @@ let sweep_cmd =
   in
   let run counts jobs duration_ms trace_out sample no_sample =
     let stride = if no_sample then 1 else sample in
-    let point mode n =
-      { (CS.default_config mode ~containers:n) with duration_ns = duration_ms *. 1e6 }
-    in
-    let configs =
-      List.concat_map (fun n -> [ point CS.Flat n; point CS.Hierarchical n ]) counts
-    in
-    (* One cell per point, reported as the sweep table. *)
-    let report rows =
-      let t =
-        Xc_sim.Table.create
-          [
-            ("containers", Xc_sim.Table.Right);
-            ("scheduler", Xc_sim.Table.Left);
-            ("req/s", Xc_sim.Table.Right);
-            ("p99", Xc_sim.Table.Right);
-            ("container switches", Xc_sim.Table.Right);
-          ]
-      in
-      Array.iter
-        (fun ((c : CS.config), (r : CS.result)) ->
-          add_text_row t
-            [
-              string_of_int c.containers;
-              (match c.mode with CS.Flat -> "flat" | CS.Hierarchical -> "hierarchical");
-              Xc_sim.Table.fmt_si r.throughput_rps;
-              Printf.sprintf "%.1fms" (r.p99_latency_ns /. 1e6);
-              string_of_int r.container_switches;
-            ])
-        rows;
-      [ Run.Table t ]
-    in
     let t0 = Unix.gettimeofday () in
     let o =
       run_one ?trace:(Option.map (fun _ -> stride) trace_out) ~jobs "sweep"
-        (Run.Cells
-           { shards = Array.of_list (List.map (fun c () -> (c, CS.run c)) configs); report })
+        (Experiments.sweep ~counts ~duration_ms)
     in
     let wall = Unix.gettimeofday () -. t0 in
     print_string o.Run.output;
     (* Wall time varies run to run, so it stays off stdout. *)
     Printf.eprintf "%d points in %.2fs wall with %d domain(s)\n%!"
-      (List.length configs) wall jobs;
+      (2 * List.length counts) wall jobs;
     write_files ~spans:[ ("sweep", o.Run.trace) ] { Run.no_files with trace_out }
   in
   Cmd.v
@@ -953,7 +867,7 @@ let trace_run_cmd =
         trace_out = out;
         request_lanes = true;
         folded_out = folded;
-        tails_out = (if tails = [] then None else tails_out);
+        tails_out;
         timeseries_out = timeseries;
       }
   in
@@ -1307,81 +1221,11 @@ let cluster_cmd =
     | _ -> ());
     let config = Config.make ~cloud runtime in
     let spec = { (cluster_spec ~containers ~connections config) with fidelity } in
-    let spec = { spec with load = { spec.load with nodes } } in
-    let configs = Driver.cluster spec in
-    let tier_name =
-      match fidelity with
-      | CS.Exact -> "exact"
-      | CS.Fluid -> "fluid"
-      | CS.Mixed { sample_rate } -> Printf.sprintf "mixed(1/%d)" sample_rate
-    in
-    let fmt_p99 v =
-      if Float.is_nan v then "-" else Printf.sprintf "%.0fus" (v /. 1e3)
-    in
-    (* One cell per node, reported as the node table and the total. *)
-    let report results =
-      let results = Array.to_list results in
-      let table =
-        if nodes > 8 then []
-        else begin
-          let t =
-            Xc_sim.Table.create
-              [
-                ("node", Xc_sim.Table.Right);
-                ("req/s", Xc_sim.Table.Right);
-                ("mean", Xc_sim.Table.Right);
-                ("p99", Xc_sim.Table.Right);
-                ("busy", Xc_sim.Table.Right);
-                ("cont-switches", Xc_sim.Table.Right);
-              ]
-          in
-          List.iteri
-            (fun i (r : CS.result) ->
-              add_text_row t
-                [
-                  string_of_int i;
-                  Xc_sim.Table.fmt_si r.throughput_rps;
-                  Printf.sprintf "%.0fus" (r.mean_latency_ns /. 1e3);
-                  fmt_p99 r.p99_latency_ns;
-                  Printf.sprintf "%.0f%%" (100. *. r.busy_fraction);
-                  string_of_int r.container_switches;
-                ])
-            results;
-          [ Run.Table t ]
-        end
-      in
-      let total = Driver.cluster_row spec results in
-      let mean_busy =
-        List.fold_left (fun a (r : CS.result) -> a +. r.busy_fraction) 0. results
-        /. float_of_int (List.length results)
-      in
-      let header =
-        Printf.sprintf
-          "xc cluster: %s, %s tier — %d node(s) x %d container(s) x %d \
-           connection(s) (%d containers total)"
-          (Config.name config) tier_name nodes containers connections
-          (nodes * containers)
-      in
-      let footer =
-        Printf.sprintf
-          "total: %s req/s   mean latency %.0fus   worst p99 %s   mean busy \
-           %.0f%%"
-          (Xc_sim.Table.fmt_si total.throughput_rps)
-          (total.mean_ns /. 1e3) (fmt_p99 total.p99_ns) (100. *. mean_busy)
-      in
-      [ Run.Line header; Run.Line "" ] @ table @ [ Run.Line ""; Run.Line footer ]
-    in
     let o =
       run_one ~jobs "cluster"
         ?trace:(Option.map (fun _ -> 1) tail_pct)
         ?telemetry:(Option.map (fun _ -> Xc_sim.Metrics.default_interval_ns) timeseries)
-        (Run.Cells
-           {
-             shards =
-               Array.of_list
-                 (List.map (fun c () -> CS.run_fidelity fidelity c) configs);
-             report;
-           })
+        (Experiments.cluster { spec with load = { spec.load with nodes } })
     in
     print_string o.Run.output;
     (* One track per node, or the single node under the run's name. *)
@@ -1406,11 +1250,7 @@ let cluster_cmd =
     in
     write_files ~tails
       ~series:(tracks ~single:"cluster/telemetry" (fun p -> p.Run.telemetry))
-      {
-        Run.no_files with
-        tails_out = (if tails = [] then None else tails_out);
-        timeseries_out = timeseries;
-      }
+      { Run.no_files with tails_out; timeseries_out = timeseries }
   in
   Cmd.v
     (Cmd.info "cluster"
@@ -1622,10 +1462,6 @@ let lb_dispatch_of_string s =
             (Printf.sprintf "--policy expects one of %s, got %S" lb_policy_names
                s))
 
-let lb_dispatch_name = function
-  | Xc_lb.Hedge.Subcluster -> "subcluster"
-  | Xc_lb.Hedge.Policy k -> Xc_lb.Policy.kind_to_string k
-
 let lb_sweep_cmd =
   let policy =
     Arg.(value & opt string "subcluster"
@@ -1655,7 +1491,8 @@ let lb_sweep_cmd =
     duration_ms 3000. ~doc:"Measured arrival window in simulated milliseconds."
   in
   let seed = Arg.(value & opt int 17 & info [ "seed" ] ~doc:"PRNG seed.") in
-  let run policy clones backends utils duration_ms seed =
+  let run policy clones backends utilizations duration_ms seed =
+    let jobs = env_jobs () in
     let dispatch = lb_dispatch_of_string policy in
     if clones < 1 || clones > backends then
       exit_err
@@ -1669,66 +1506,11 @@ let lb_sweep_cmd =
               and %d"
              clones backends)
     | _ -> ());
-    let module T = Xc_sim.Table in
-    let t =
-      T.create
-        ~title:
-          (Printf.sprintf
-             "M/PS cloning sweep: %d backends, policy %s, d=%d (%gms window)"
-             backends (lb_dispatch_name dispatch) clones duration_ms)
-        [
-          ("util", T.Right);
-          ("completed", T.Right);
-          ("sim mean", T.Right);
-          ("oracle mean", T.Right);
-          ("delta", T.Right);
-          ("p99", T.Right);
-          ("hedge share", T.Right);
-        ]
-    in
-    List.iter
-      (fun u ->
-        let cfg =
-          Xc_lb.Hedge.config_for_utilization ~backends ~clones ~dispatch ~seed
-            ~duration_ns:(duration_ms *. 1e6) ~utilization:u ()
-        in
-        let r = Xc_lb.Hedge.run cfg in
-        (* The closed form needs the sub-cluster tiling; it is exact for
-           subcluster dispatch and a reference line for the policies. *)
-        let oracle =
-          if backends mod clones = 0 then
-            Some
-              (Xc_lb.Oracle.cloned_mean_ns ~backends ~clones
-                 ~arrival_rate_per_ns:cfg.Xc_lb.Hedge.arrival_rate_per_ns
-                 ~service_mean_ns:cfg.Xc_lb.Hedge.service_mean_ns)
-          else None
-        in
-        let hedge_share =
-          if r.Xc_lb.Hedge.busy_ns > 0. then
-            r.Xc_lb.Hedge.cancelled_work_ns /. r.Xc_lb.Hedge.busy_ns
-          else 0.
-        in
-        add_text_row t
-          [
-            Printf.sprintf "%.2f" u;
-            string_of_int r.Xc_lb.Hedge.completed;
-            Printf.sprintf "%.1fus" (r.Xc_lb.Hedge.mean_ns /. 1e3);
-            (match oracle with
-            | Some o -> Printf.sprintf "%.1fus" (o /. 1e3)
-            | None -> "-");
-            (match oracle with
-            | Some o ->
-                Printf.sprintf "%+.1f%%" ((r.Xc_lb.Hedge.mean_ns -. o) /. o *. 100.)
-            | None -> "-");
-            Printf.sprintf "%.1fus" (r.Xc_lb.Hedge.p99_ns /. 1e3);
-            Printf.sprintf "%.1f%%" (hedge_share *. 100.);
-          ])
-      utils;
-    T.print t;
-    if dispatch <> Xc_lb.Hedge.Subcluster then
-      print_string
-        "(oracle column is the random-subcluster closed form — exact only \
-         for --policy subcluster; the delta shows what the policy buys.)\n"
+    print_string
+      (run_one ~jobs "lb sweep"
+         (Experiments.lb_sweep ~backends ~clones ~dispatch ~seed ~duration_ms
+            ~utilizations))
+        .Run.output
   in
   Cmd.v
     (Cmd.info "sweep"
@@ -1782,83 +1564,25 @@ let lb_tail_cmd =
             (Printf.sprintf
                "--clones expects 1 <= D <= containers (%d), got %d" containers d)
     in
-    (* The lb field never touches pricing, so every combo shares the
-       priced base. *)
     let config = Config.make ~cloud runtime in
-    let base = List.hd (Driver.cluster (cluster_spec ~containers ~connections config)) in
-    let with_lb (kind, clones) =
-      { base with CS.lb = Some { Xc_lb.Policy.kind; clones } }
+    let spec = cluster_spec ~containers ~connections config in
+    let rows =
+      List.map fst
+        (Run.map ~jobs
+           (Experiments.race spec
+              (List.concat_map (fun k -> List.map (fun d -> (k, d)) clone_grid) kinds)))
     in
-    let combos =
-      List.concat_map (fun k -> List.map (fun d -> (k, d)) clone_grid) kinds
-    in
-    let baseline, combo_results =
-      match
-        Run.map ~jobs (List.map (fun c () -> CS.run c) (base :: List.map with_lb combos))
-      with
-      | (r, _) :: rest -> (r, List.map fst rest)
-      | [] -> assert false
-    in
-    let p99 (r : CS.result) = r.p99_latency_ns in
-    let vs_baseline r =
-      Printf.sprintf "%+.1f%%" ((p99 r -. p99 baseline) /. p99 baseline *. 100.)
-    in
-    let module T = Xc_sim.Table in
-    let t =
-      T.create
-        ~title:
-          (Printf.sprintf
-             "Fig 9 queueing tail vs policy/clones: %s, %d containers x %d \
-              connections"
-             (Config.name config) containers connections)
-        [
-          ("policy", T.Left);
-          ("clones", T.Right);
-          ("p99", T.Right);
-          ("vs baseline", T.Right);
-          ("mean", T.Right);
-          ("req/s", T.Right);
-        ]
-    in
-    let row name d (r : CS.result) =
-      add_text_row t
-        [
-          name;
-          (if d = 0 then "-" else string_of_int d);
-          Printf.sprintf "%.0fus" (p99 r /. 1e3);
-          (if d = 0 then "-" else vs_baseline r);
-          Printf.sprintf "%.0fus" (r.mean_latency_ns /. 1e3);
-          Printf.sprintf "%.0f" r.throughput_rps;
-        ]
-    in
-    row "home-pinned (baseline)" 0 baseline;
-    List.iter2 (fun (k, d) r -> row (Xc_lb.Policy.kind_to_string k) d r)
-      combos combo_results;
-    T.print t;
-    (* Winner = lowest p99; trace baseline vs winner and attribute the
-       gap to mechanisms, the same machinery as `xc trace tails`. *)
-    let ((wk, wd) as winner), wr =
-      match List.combine combos combo_results with
-      | [] -> assert false
-      | first :: rest ->
-          List.fold_left
-            (fun ((_, br) as best) ((_, r) as cand) ->
-              if p99 r < p99 br then cand else best)
-            first rest
-    in
-    Printf.printf "\nwinner: %s d=%d — p99 %.0fus vs baseline %.0fus (%s)\n\n"
-      (Xc_lb.Policy.kind_to_string wk)
-      wd
-      (p99 wr /. 1e3)
-      (p99 baseline /. 1e3)
-      (vs_baseline wr);
-    let name = Config.name config in
+    let report, winner = Experiments.race_report spec rows in
+    print_report report;
+    (* Trace the baseline and the winner and attribute the gap to
+       mechanisms, the same machinery as `xc trace tails`. *)
+    let k, d = Option.get winner.combo and name = Config.name config in
     match
       traced_tails ~pct ~jobs
         [
-          ("cluster/" ^ name, base);
-          ( Printf.sprintf "cluster/%s+%s-x%d" name (Xc_lb.Policy.kind_to_string wk) wd,
-            with_lb winner );
+          ("cluster/" ^ name, (List.hd rows).config);
+          ( Printf.sprintf "cluster/%s+%s-x%d" name (Xc_lb.Policy.kind_to_string k) d,
+            winner.config );
         ]
     with
     | _, [ ta; tb ] -> print_string (Xc_trace.Diff.render_tails ~a:ta ~b:tb)

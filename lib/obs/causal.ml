@@ -28,9 +28,9 @@ type point = {
   pt_rerun : CS.result;
 }
 
-(* Tracing on for [f]: a no-op when it already is (sampling and
-   capacity inherited), otherwise a default-capacity ring, switched off
-   again afterwards (also on exceptions). *)
+(* Tracing on for [f]: a no-op when it already is (capacity
+   inherited), otherwise a default-capacity ring, switched off again
+   afterwards (also on exceptions). *)
 let with_tracing f =
   if Xc_trace.Trace.enabled () then f ()
   else begin
@@ -68,6 +68,8 @@ let tail_at ~label ~pct (captured : Xc_trace.Trace.captured) =
 
 let ( let* ) = Result.bind
 
+(* The baseline's own capture records every event, whatever stride
+   the caller's capture samples at. *)
 let measure_baseline target =
   let result, captured =
     Xc_trace.Trace.capture (fun () -> CS.run target.config)

@@ -22,10 +22,11 @@
     ([--connections 5]) the rerun moves further than the share says —
     exactly the regime where the fig9 tail is queueing-dominated.
 
-    Baselines run traced, each capturing its own trace: {!sweep_points}
-    turns a {!Xc_trace.Trace.default_capacity} ring on around them when
-    tracing is off, and inherits the caller's sampling and capacity
-    when it is on.  It fans the baselines, then the reruns, out over
+    Baselines run traced, each capturing its own trace of every event:
+    {!sweep_points} turns a {!Xc_trace.Trace.default_capacity} ring on
+    around them when tracing is off, and inherits the caller's capacity
+    when it is on.  A caller's sampling stride belongs to the caller's
+    capture, so it never thins a baseline.  It fans the baselines, then the reruns, out over
     the {!Xc_sim.Parallel} pool and reassembles in submission order, so
     every artifact is byte-identical at any [--jobs].  The reruns are
     traced only when the caller traces, and then they record into the

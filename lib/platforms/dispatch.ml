@@ -13,6 +13,7 @@ let run ?until heap clock handle =
   let stop = match until with Some stop -> stop | None -> Float.infinity in
   let events = ref 0 in
   let dt = Metrics.interval_ns () in
+  if Metrics.on () then Metrics.start_run ();
   while (not (Heap.is_empty heap)) && (Heap.keys heap).(0) <= stop do
     let code = Heap.top heap and at = (Heap.keys heap).(0) in
     Heap.drop heap;

@@ -7,7 +7,8 @@
 val run : ?until:float -> int Xc_sim.Heap.t -> float array -> (int -> unit) -> unit
 (** [run ?until heap clock handle] pops each event code in (time,
     insertion sequence) order, snapshots telemetry at every interval
-    boundary the clock jump crosses, sets [clock.(0)] to the event's
+    boundary the clock jump crosses (the run's snapshot clock starting
+    past the capture's last snapshot, {!Xc_sim.Metrics.start_run}), sets [clock.(0)] to the event's
     time and calls [handle code].  It runs until the heap is empty, or
     with [until] every event due by then, and then snapshots up to
     [until].  It credits its dispatches to

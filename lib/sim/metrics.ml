@@ -61,11 +61,13 @@ type reg = {
   mutable sorted : metric array; (* every metric, sorted by key *)
   mutable snaps : snapshot Queue.t; (* oldest at the front *)
   mutable snap_dropped : int;
+  mutable base : Time_ns.t; (* where the current run's snapshot clock starts *)
 }
 
 let reg_key =
   Domain.DLS.new_key (fun () ->
-      { tbl = Hashtbl.create 16; sorted = [||]; snaps = Queue.create (); snap_dropped = 0 })
+      { tbl = Hashtbl.create 16; sorted = [||]; snaps = Queue.create (); snap_dropped = 0;
+        base = 0. })
 
 let split_key k =
   match String.index_opt k '/' with
@@ -154,7 +156,15 @@ let push_snapshot reg snap =
 let take_snapshot ~at =
   if on () then begin
     let reg = Domain.DLS.get reg_key in
-    push_snapshot reg { at; values = values_of_reg reg }
+    push_snapshot reg { at = reg.base +. at; values = values_of_reg reg }
+  end
+
+(* The next run's clock starts where the capture's last snapshot is,
+   as [merge_telemetry] starts a later capture's. *)
+let start_run () =
+  if on () then begin
+    let reg = Domain.DLS.get reg_key in
+    reg.base <- Queue.fold (fun _ s -> s.at) reg.base reg.snaps
   end
 
 let sample_boundaries ~from:t0 ~until:t1 =
@@ -182,7 +192,7 @@ let sample_boundaries ~from:t0 ~until:t1 =
       let values = values_of_reg reg in
       let k = ref k0 in
       while !k <= k1 do
-        push_snapshot reg { at = !k *. dt; values };
+        push_snapshot reg { at = reg.base +. (!k *. dt); values };
         k := !k +. 1.
       done
     end
@@ -215,16 +225,19 @@ let capture f =
     let saved_tbl = reg.tbl
     and saved_sorted = reg.sorted
     and saved_snaps = reg.snaps
-    and saved_dropped = reg.snap_dropped in
+    and saved_dropped = reg.snap_dropped
+    and saved_base = reg.base in
     reg.tbl <- Hashtbl.create 16;
     reg.sorted <- [||];
     reg.snaps <- Queue.create ();
     reg.snap_dropped <- 0;
+    reg.base <- 0.;
     let restore () =
       reg.tbl <- saved_tbl;
       reg.sorted <- saved_sorted;
       reg.snaps <- saved_snaps;
-      reg.snap_dropped <- saved_dropped
+      reg.snap_dropped <- saved_dropped;
+      reg.base <- saved_base
     in
     match f () with
     | v ->

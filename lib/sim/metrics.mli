@@ -87,11 +87,21 @@ val hist_observe : cat:string -> name:string -> float -> unit
 
 val take_snapshot : at:Time_ns.t -> unit
 (** Append one snapshot of the current domain's registry at sim time
-    [at], evicting the oldest beyond the retention bound. *)
+    [at] of the current run, evicting the oldest beyond the retention
+    bound. *)
+
+val start_run : unit -> unit
+(** Start a run's snapshot clock past the capture's last snapshot: from
+    now on a snapshot at run time [t] is recorded at [base + t], [base]
+    being the last snapshot's time (0 in a capture that has none).  So
+    the runs of one capture share one time axis, as {!merge_telemetry}
+    puts captures on one; the kernels' dispatch loop calls it as each
+    run starts.  {!capture} saves and restores the base. *)
 
 val sample_boundaries : from:Time_ns.t -> until:Time_ns.t -> unit
-(** Snapshot at every interval boundary [k*interval_ns] in
-    [(from, until]] — called by a simulation loop each time its sim
+(** Snapshot at every interval boundary [k*interval_ns] of the current
+    run's clock in [(from, until]] (recorded past the run's base, see
+    {!start_run}) — called by a simulation loop each time its sim
     clock advances, {e before} the event at [until] executes.  No
     event runs between the boundaries of one jump, so their snapshots
     share one value list; when the jump spans more boundaries than the

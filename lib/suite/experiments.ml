@@ -19,11 +19,16 @@ let text s = T.Text s
 let line s = Run.Line s
 let linef fmt = Printf.ksprintf line fmt
 
+(* Columns headed [names], right-aligned. *)
+let right names = List.map (fun n -> (n, T.Right)) names
+
 (* A text block rendered elsewhere, one [Line] per line. *)
 let lines s =
   match List.rev (String.split_on_char '\n' s) with
   | "" :: rest -> List.rev_map line rest
   | all -> List.rev_map line all
+
+let assoc_or_nan k l = Option.value (List.assoc_opt k l) ~default:nan
 
 let distinct xs =
   List.rev
@@ -93,13 +98,9 @@ let fig3 () =
                     let t =
                       T.create
                         ~title:(Figures.macro_app_name app)
-                        [
-                          ("configuration", T.Left);
-                          ("Amazon tput", T.Right);
-                          ("Amazon lat", T.Right);
-                          ("Google tput", T.Right);
-                          ("Google lat", T.Right);
-                        ]
+                        (("configuration", T.Left)
+                        :: right [ "Amazon tput"; "Amazon lat"; "Google tput";
+                                   "Google lat" ])
                     in
                     let amazon = results.((2 * a) + 0) in
                     let google = results.((2 * a) + 1) in
@@ -108,9 +109,7 @@ let fig3 () =
                     and rel_lg = Figures.relative_latency google in
                     List.iter
                       (fun (name, ta) ->
-                        let get l =
-                          match List.assoc_opt name l with Some v -> v | None -> nan
-                        in
+                        let get = assoc_or_nan name in
                         T.add_row t
                           (text name
                           :: List.map (T.num T.Ratio)
@@ -134,19 +133,15 @@ let fig4 () =
   in
   let t =
     T.create
-      [
-        ("configuration", T.Left);
-        ("Amazon single", T.Right);
-        ("Amazon concurrent", T.Right);
-        ("Google single", T.Right);
-        ("Google concurrent", T.Right);
-      ]
+      (("configuration", T.Left)
+      :: right [ "Amazon single"; "Amazon concurrent"; "Google single";
+                 "Google concurrent" ])
   in
   List.iter
     (fun (name, first) ->
       let rest =
         List.map
-          (fun col -> match List.assoc_opt name col with Some v -> v | None -> nan)
+          (assoc_or_nan name)
           (List.tl cols)
       in
       T.add_row t (text name :: List.map (T.num T.Ratio) (first :: rest)))
@@ -272,13 +267,8 @@ let fig9 () =
 let boot () =
   let t =
     T.create
-      [
-        ("platform", T.Left);
-        ("toolstack", T.Right);
-        ("kernel", T.Right);
-        ("bootstrap", T.Right);
-        ("total", T.Right);
-      ]
+      (("platform", T.Left)
+      :: right [ "toolstack"; "kernel"; "bootstrap"; "total" ])
   in
   List.iter
     (fun (r : Figures.boot_row) ->
@@ -294,6 +284,50 @@ let boot () =
              ]))
     (Figures.boot_times ());
   [ Run.Section "Section 4.5: instantiation time"; Run.Table t ]
+
+(* ------------------------------------------------------------------ *)
+(* The platforms: capabilities (Section 2.3) and calibrated costs      *)
+
+let every_runtime =
+  Config.[ Docker; Gvisor; Clear_container; Xen_container; X_container; Unikernel; Graphene ]
+
+let platforms () =
+  let features =
+    Config.[ Binary_compat; Multiprocess; Multicore; Kernel_modules; No_hw_virt ]
+  in
+  let t =
+    T.create
+      (("platform", T.Left) :: List.map (fun f -> (Config.feature_name f, T.Left)) features)
+  in
+  List.iter
+    (fun r ->
+      T.add_row t
+        (text (Config.runtime_name r)
+        :: List.map (fun f -> text (if Config.supports r f then "yes" else "-")) features))
+    every_runtime;
+  [ Run.Table t ]
+
+let syscall_costs ~cloud ~meltdown_patched =
+  let ns = T.Scaled { per = 1.; digits = 0; unit = "ns" } in
+  let t =
+    T.create
+      (("platform", T.Left)
+      :: right [ "syscall entry"; "interrupt"; "process switch"; "fork" ])
+  in
+  List.iter
+    (fun runtime ->
+      let config = Config.make ~cloud ~meltdown_patched runtime in
+      let p = Xc_platforms.Platform.create config in
+      T.add_row t
+        [
+          text (Config.name config);
+          T.num ns (Xc_platforms.Platform.syscall_entry_ns p);
+          T.num ns (Xc_platforms.Platform.irq_ns p);
+          T.num ns (Xc_platforms.Platform.process_switch_ns p);
+          T.num (us 1) (Xc_platforms.Platform.fork_ns p);
+        ])
+    every_runtime;
+  [ Run.Table t ]
 
 (* ------------------------------------------------------------------ *)
 (* Extension: ablation of the X-Container design choices               *)
@@ -359,43 +393,81 @@ let ablation () =
 (* ------------------------------------------------------------------ *)
 (* Extension: event-driven scheduler simulation (Figure 8 mechanism)   *)
 
-let fig8sim () =
-  let t =
-    T.create
-      [
-        ("containers", T.Right);
-        ("flat rps", T.Right);
-        ("hier rps", T.Right);
-        ("flat cont-switches", T.Right);
-        ("hier cont-switches", T.Right);
-        ("flat switch ovh", T.Right);
-        ("hier switch ovh", T.Right);
-      ]
+let mode_name = function CS.Flat -> "flat" | CS.Hierarchical -> "hierarchical"
+
+(* One cell per (count, mode) scheduler point, flat then hierarchical
+   at each count, so the pool fans the runs out and each captures its
+   own trace and telemetry.  [point mode n] is the point's config. *)
+let scheduler point counts report =
+  let configs =
+    List.concat_map (fun n -> [ point CS.Flat n; point CS.Hierarchical n ]) counts
   in
-  List.iter
-    (fun n ->
-      let flat = CS.run (CS.default_config CS.Flat ~containers:n) in
-      let hier = CS.run (CS.default_config CS.Hierarchical ~containers:n) in
-      T.add_row t
-        [
-          T.int n;
-          T.num T.Si flat.throughput_rps;
-          T.num T.Si hier.throughput_rps;
-          T.int flat.container_switches;
-          T.int hier.container_switches;
-          T.num (ms 0) flat.switch_overhead_ns;
-          T.num (ms 0) hier.switch_overhead_ns;
-        ])
-    [ 16; 64; 150; 400 ];
-  [
-    Run.Section
-      "Figure 8 cross-validation: event-driven flat vs hierarchical scheduling";
-    Run.Table t;
-    line "";
-    line "(the two-level scheduler batches each container's processes, doing ~3x";
-    line " fewer cross-container switches; with 4N processes the flat scheduler's";
-    line " per-switch bookkeeping grows until the hierarchy wins, as in Figure 8)";
-  ]
+  Run.Cells
+    { shards = Array.of_list (List.map (fun c () -> (c, CS.run c)) configs); report }
+
+let fig8sim () =
+  scheduler
+    (fun mode n -> CS.default_config mode ~containers:n)
+    [ 16; 64; 150; 400 ]
+    (fun rows ->
+      let t =
+        T.create
+          (right [ "containers"; "flat rps"; "hier rps"; "flat cont-switches";
+                   "hier cont-switches"; "flat switch ovh"; "hier switch ovh" ])
+      in
+      for i = 0 to (Array.length rows / 2) - 1 do
+        let (c : CS.config), (flat : CS.result) = rows.(2 * i)
+        and _, (hier : CS.result) = rows.((2 * i) + 1) in
+        T.add_row t
+          [
+            T.int c.containers;
+            T.num T.Si flat.throughput_rps;
+            T.num T.Si hier.throughput_rps;
+            T.int flat.container_switches;
+            T.int hier.container_switches;
+            T.num (ms 0) flat.switch_overhead_ns;
+            T.num (ms 0) hier.switch_overhead_ns;
+          ]
+      done;
+      [
+        Run.Section
+          "Figure 8 cross-validation: event-driven flat vs hierarchical scheduling";
+        Run.Table t;
+        line "";
+        line "(the two-level scheduler batches each container's processes, doing ~3x";
+        line " fewer cross-container switches; with 4N processes the flat scheduler's";
+        line " per-switch bookkeeping grows until the hierarchy wins, as in Figure 8)";
+      ])
+
+(* [xc sweep]: the scheduler points over [duration_ms]-long windows. *)
+let sweep ~counts ~duration_ms =
+  scheduler
+    (fun mode n ->
+      { (CS.default_config mode ~containers:n) with duration_ns = duration_ms *. 1e6 })
+    counts
+    (fun rows ->
+      let t =
+        T.create
+          [
+            ("containers", T.Right);
+            ("scheduler", T.Left);
+            ("req/s", T.Right);
+            ("p99", T.Right);
+            ("container switches", T.Right);
+          ]
+      in
+      Array.iter
+        (fun ((c : CS.config), (r : CS.result)) ->
+          T.add_row t
+            [
+              T.int c.containers;
+              text (mode_name c.mode);
+              T.num T.Si r.throughput_rps;
+              T.num (ms 1) r.p99_latency_ns;
+              T.int r.container_switches;
+            ])
+        rows;
+      [ Run.Table t ])
 
 (* ------------------------------------------------------------------ *)
 (* Extension: security/TCB comparison (Sections 2.2, 3.4)              *)
@@ -403,14 +475,9 @@ let fig8sim () =
 let security () =
   let t =
     T.create
-      [
-        ("platform", T.Left);
-        ("boundary", T.Left);
-        ("TCB kLoC", T.Right);
-        ("surface", T.Right);
-        ("rel. exposure", T.Right);
-        ("guest KPTI needed", T.Left);
-      ]
+      ([ ("platform", T.Left); ("boundary", T.Left) ]
+      @ right [ "TCB kLoC"; "surface"; "rel. exposure" ]
+      @ [ ("guest KPTI needed", T.Left) ])
   in
   List.iter
     (fun (p : Xcontainers.Security.profile) ->
@@ -432,14 +499,8 @@ let security () =
 let migration () =
   let t =
     T.create
-      [
-        ("dirty rate (pages/s)", T.Right);
-        ("rounds", T.Right);
-        ("pages sent", T.Right);
-        ("total time", T.Right);
-        ("downtime", T.Right);
-        ("converged", T.Left);
-      ]
+      (right [ "dirty rate (pages/s)"; "rounds"; "pages sent"; "total time"; "downtime" ]
+      @ [ ("converged", T.Left) ])
   in
   List.iter
     (fun dirty_rate ->
@@ -557,12 +618,7 @@ let coldstart ~rates =
        (fun rate ->
          let t =
            T.create
-             [
-               ("spawn path", T.Left);
-               ("cold starts", T.Right);
-               ("p50", T.Right);
-               ("p99", T.Right);
-             ]
+             (("spawn path", T.Left) :: right [ "cold starts"; "p50"; "p99" ])
          in
          List.iter
            (fun path ->
@@ -627,13 +683,7 @@ let latency () =
         (fun results ->
           let t =
             T.create
-              [
-                ("load", T.Right);
-                ("Docker p50", T.Right);
-                ("Docker p99", T.Right);
-                ("XC p50", T.Right);
-                ("XC p99", T.Right);
-              ]
+              (right [ "load"; "Docker p50"; "Docker p99"; "XC p50"; "XC p99" ])
           in
           List.iteri
             (fun i fraction ->
@@ -705,13 +755,8 @@ let build_bench () =
 let density () =
   let t =
     T.create
-      [
-        ("policy", T.Left);
-        ("containers", T.Right);
-        ("tmem pool", T.Right);
-        ("shared-cache hits", T.Right);
-        ("vs static", T.Right);
-      ]
+      (("policy", T.Left)
+      :: right [ "containers"; "tmem pool"; "shared-cache hits"; "vs static" ])
   in
   let static = Xc_apps.Density.run Xc_apps.Density.Static in
   List.iter
@@ -744,74 +789,194 @@ let density () =
 (* ------------------------------------------------------------------ *)
 (* Extension: request hedging and pluggable LB policies                *)
 
-(* One cell per point across three grids: the PS cloning simulator vs
-   the analytic oracle (the differential), the policy comparison at
-   fixed load, and the Fig 9 cluster race (baseline vs hedged routing).
-   The cluster configs are priced when the experiment list is built —
-   before the harness can enable tracing — so traced runs capture only
-   the simulation's own spans and tail attribution stays exact. *)
-type hedging_cell =
-  | H_oracle of { u : float; d : int; r : Xc_lb.Hedge.result; oracle : float }
-  | H_policy of { kind : Xc_lb.Policy.kind; d : int; r : Xc_lb.Hedge.result }
-  | H_cluster of { label : string; r : CS.result }
+module H = Xc_lb.Hedge
+module P = Xc_lb.Policy
 
-let hedging () =
-  let module H = Xc_lb.Hedge in
-  let module P = Xc_lb.Policy in
-  let oracle_points =
-    Array.of_list
-      (List.concat_map
-         (fun u -> List.map (fun d -> (u, d)) [ 1; 2; 3 ])
-         [ 0.3; 0.6 ])
+(* [v] against [base], signed. *)
+let delta ~base v = T.num (T.Delta 1) ((v -. base) /. base)
+
+(* One PS cloning point: the simulated run at [utilization] with [d]
+   clones and, when the clones tile the backends, the closed form of
+   random sub-cluster dispatch, exact for it and a reference line for
+   the policies. *)
+type ps_point = { u : float; d : int; r : H.result; oracle : float option }
+
+let ps_point ?backends ~clones ?dispatch ?seed ~duration_ns u () =
+  let cfg =
+    H.config_for_utilization ?backends ~clones ?dispatch ?seed ~duration_ns
+      ~utilization:u ()
   in
-  let policy_points =
-    Array.of_list
-      (List.concat_map (fun kind -> List.map (fun d -> (kind, d)) [ 1; 2 ]) P.all_kinds)
+  let r = H.run cfg in
+  let oracle =
+    if cfg.backends mod clones = 0 then
+      Some
+        (Xc_lb.Oracle.cloned_mean_ns ~backends:cfg.backends ~clones
+           ~arrival_rate_per_ns:cfg.arrival_rate_per_ns
+           ~service_mean_ns:cfg.service_mean_ns)
+    else None
   in
-  (* The Fig 9 X-Container point ([Spec.cluster]), home-pinned and then
-     least-loaded alone and hedged.  The lb field never touches pricing,
-     so the three share one priced config. *)
-  let cluster_cells =
-    let base = List.hd (Driver.cluster Spec.cluster) in
-    Array.of_list
-      (List.map
-         (fun (label, lb) -> (label, { base with CS.lb }))
-         [
-           ("home-pinned (baseline)", None);
-           ("least-loaded d=1", Some { P.kind = P.Least_loaded; clones = 1 });
-           ("least-loaded d=2", Some { P.kind = P.Least_loaded; clones = 2 });
-         ])
-  in
+  { u; d = clones; r; oracle }
+
+(* Clone work cancelled per busy backend-ns. *)
+let hedge_share (r : H.result) =
+  if r.busy_ns > 0. then r.cancelled_work_ns /. r.busy_ns else 0.
+
+let dispatch_name = function
+  | H.Subcluster -> "subcluster"
+  | H.Policy k -> P.kind_to_string k
+
+(* [xc lb sweep]: one cell per utilization. *)
+let lb_sweep ~backends ~clones ~dispatch ~seed ~duration_ms ~utilizations =
   Run.Cells
     {
       shards =
-        Array.concat
-          [
-            Array.map
-              (fun (u, d) () ->
-                let cfg =
-                  H.config_for_utilization ~clones:d ~duration_ns:4e9
-                    ~utilization:u ()
-                in
-                let oracle =
-                  Xc_lb.Oracle.cloned_mean_ns ~backends:cfg.H.backends ~clones:d
-                    ~arrival_rate_per_ns:cfg.H.arrival_rate_per_ns
-                    ~service_mean_ns:cfg.H.service_mean_ns
-                in
-                H_oracle { u; d; r = H.run cfg; oracle })
-              oracle_points;
-            Array.map
-              (fun (kind, d) () ->
-                let cfg =
-                  H.config_for_utilization ~clones:d ~dispatch:(H.Policy kind)
-                    ~duration_ns:1e9 ~utilization:0.65 ()
-                in
-                H_policy { kind; d; r = H.run cfg })
-              policy_points;
-            Array.map
-              (fun (label, cfg) () -> H_cluster { label; r = CS.run cfg })
-              cluster_cells;
-          ];
+        Array.of_list
+          (List.map
+             (ps_point ~backends ~clones ~dispatch ~seed
+                ~duration_ns:(duration_ms *. 1e6))
+             utilizations);
+      report =
+        (fun points ->
+          let t =
+            T.create
+              ~title:
+                (Printf.sprintf
+                   "M/PS cloning sweep: %d backends, policy %s, d=%d (%gms window)"
+                   backends (dispatch_name dispatch) clones duration_ms)
+              (right [ "util"; "completed"; "sim mean"; "oracle mean"; "delta";
+                       "p99"; "hedge share" ])
+          in
+          Array.iter
+            (fun { u; r; oracle; _ } ->
+              T.add_row t
+                [
+                  T.num (fixed 2) u;
+                  T.int r.completed;
+                  T.num (us 1) r.mean_ns;
+                  (match oracle with Some o -> T.num (us 1) o | None -> text "-");
+                  (match oracle with Some o -> delta ~base:o r.mean_ns | None -> text "-");
+                  T.num (us 1) r.p99_ns;
+                  T.num (T.Percent 1) (hedge_share r);
+                ])
+            points;
+          Run.Table t
+          ::
+          (if dispatch = H.Subcluster then []
+           else
+             [
+               line
+                 "(oracle column is the random-subcluster closed form — exact \
+                  only for --policy subcluster; the delta shows what the \
+                  policy buys.)";
+             ]));
+    }
+
+(* The Fig 9 policy race on [spec]'s priced cluster node: the
+   home-pinned baseline ([combo = None]), then each (kind, clones)
+   combo routing it.  The lb field never touches pricing, so every
+   combo shares the priced base, which is priced here, before any
+   runner switches tracing on. *)
+type race_row = { combo : (P.kind * int) option; config : CS.config; r : CS.result }
+
+let race spec combos =
+  let base = List.hd (Driver.cluster spec) in
+  List.map
+    (fun combo () ->
+      let config =
+        match combo with
+        | None -> base
+        | Some (kind, clones) -> { base with CS.lb = Some { P.kind; clones } }
+      in
+      { combo; config; r = CS.run config })
+    (None :: List.map Option.some combos)
+
+let race_winner rows =
+  match List.filter (fun row -> row.combo <> None) rows with
+  | [] -> invalid_arg "Experiments.race_winner: no combo"
+  | first :: rest ->
+      List.fold_left
+        (fun best row ->
+          if row.r.p99_latency_ns < best.r.p99_latency_ns then row else best)
+        first rest
+
+(* [xc lb tail]'s race table and its winner, the lowest p99. *)
+let race_report (spec : Spec.t) rows =
+  let base_p99 = (List.hd rows).r.p99_latency_ns in
+  let t =
+    T.create
+      ~title:
+        (Printf.sprintf
+           "Fig 9 queueing tail vs policy/clones: %s, %d containers x %d \
+            connections"
+           (Config.name spec.platform) spec.load.containers spec.load.connections)
+      (("policy", T.Left)
+      :: right [ "clones"; "p99"; "vs baseline"; "mean"; "req/s" ])
+  in
+  List.iter
+    (fun { combo; r; _ } ->
+      let policy, clones, vs =
+        match combo with
+        | None -> (text "home-pinned (baseline)", text "-", text "-")
+        | Some (k, d) ->
+            (text (P.kind_to_string k), T.int d, delta ~base:base_p99 r.p99_latency_ns)
+      in
+      T.add_row t
+        [
+          policy;
+          clones;
+          T.num (us 0) r.p99_latency_ns;
+          vs;
+          T.num (us 0) r.mean_latency_ns;
+          T.num (fixed 0) r.throughput_rps;
+        ])
+    rows;
+  let w = race_winner rows in
+  let k, d = Option.get w.combo in
+  ( [
+      Run.Table t;
+      line "";
+      linef "winner: %s d=%d — p99 %.0fus vs baseline %.0fus (%+.1f%%)"
+        (P.kind_to_string k) d
+        (w.r.p99_latency_ns /. 1e3)
+        (base_p99 /. 1e3)
+        (100. *. ((w.r.p99_latency_ns -. base_p99) /. base_p99));
+      line "";
+    ],
+    w )
+
+(* One cell per point across three grids: the PS cloning simulator vs
+   the analytic oracle (the differential), the policy comparison at
+   fixed load, and the Fig 9 cluster race (baseline vs hedged routing,
+   priced when the experiment list is built, so traced runs capture
+   only the simulation's own spans and tail attribution stays
+   exact). *)
+type hedging_cell = H_oracle of ps_point | H_policy of P.kind * ps_point | H_race of race_row
+
+let hedging () =
+  let oracle_cells =
+    List.concat_map
+      (fun u ->
+        List.map
+          (fun d () -> H_oracle (ps_point ~clones:d ~duration_ns:4e9 u ()))
+          [ 1; 2; 3 ])
+      [ 0.3; 0.6 ]
+  and policy_cells =
+    List.concat_map
+      (fun kind ->
+        List.map
+          (fun d () ->
+            let p = ps_point ~clones:d ~dispatch:(H.Policy kind) ~duration_ns:1e9 0.65 () in
+            H_policy (kind, p))
+          [ 1; 2 ])
+      P.all_kinds
+  and race_cells =
+    List.map
+      (fun row () -> H_race (row ()))
+      (race Spec.cluster [ (P.Least_loaded, 1); (P.Least_loaded, 2) ])
+  in
+  Run.Cells
+    {
+      shards = Array.of_list (oracle_cells @ policy_cells @ race_cells);
       report =
         (fun cells ->
           let oracle =
@@ -819,82 +984,63 @@ let hedging () =
               ~title:
                 "Differential: cloned M/PS simulation vs closed form (6 \
                  backends, subcluster dispatch)"
-              [
-                ("util", T.Right);
-                ("clones", T.Right);
-                ("sim mean", T.Right);
-                ("oracle", T.Right);
-                ("delta", T.Right);
-                ("p99", T.Right);
-              ]
+              (right [ "util"; "clones"; "sim mean"; "oracle"; "delta"; "p99" ])
           and policy =
             T.create
               ~title:
                 "Policy race at 65% per-backend load (hedge share = clone \
                  work cancelled / busy time)"
-              [
-                ("policy", T.Left);
-                ("clones", T.Right);
-                ("mean", T.Right);
-                ("p99", T.Right);
-                ("hedge share", T.Right);
-              ]
+              (("policy", T.Left)
+              :: right [ "clones"; "mean"; "p99"; "hedge share" ])
           and cluster =
             T.create
               ~title:
                 "Fig 9 cluster tail: X-Container, 4 containers x 5 \
                  connections (the saturated point)"
-              [
-                ("routing", T.Left);
-                ("p99", T.Right);
-                ("vs baseline", T.Right);
-                ("req/s", T.Right);
-              ]
+              (("routing", T.Left) :: right [ "p99"; "vs baseline"; "req/s" ])
           in
+          (* The first race row is the home-pinned baseline. *)
+          let base_p99 = ref nan in
           Array.iter
             (function
               | H_oracle { u; d; r; oracle = o } ->
+                  let o = Option.get o in
                   T.add_row oracle
                     [
                       T.num (fixed 2) u;
                       T.int d;
-                      T.num (us 1) r.H.mean_ns;
+                      T.num (us 1) r.mean_ns;
                       T.num (us 1) o;
-                      T.num (T.Delta 1) ((r.H.mean_ns -. o) /. o);
-                      T.num (us 1) r.H.p99_ns;
+                      delta ~base:o r.mean_ns;
+                      T.num (us 1) r.p99_ns;
                     ]
-              | H_policy { kind; d; r } ->
+              | H_policy (kind, { d; r; _ }) ->
                   T.add_row policy
                     [
                       text (P.kind_to_string kind);
                       T.int d;
-                      T.num (us 1) r.H.mean_ns;
-                      T.num (us 1) r.H.p99_ns;
-                      T.num (T.Percent 1)
-                        (if r.H.busy_ns > 0. then r.H.cancelled_work_ns /. r.H.busy_ns
-                         else 0.);
+                      T.num (us 1) r.mean_ns;
+                      T.num (us 1) r.p99_ns;
+                      T.num (T.Percent 1) (hedge_share r);
                     ]
-              | H_cluster _ -> ())
+              | H_race { combo; r; _ } ->
+                  let label, vs =
+                    match combo with
+                    | None ->
+                        base_p99 := r.p99_latency_ns;
+                        ("home-pinned (baseline)", text "-")
+                    | Some (k, d) ->
+                        ( Printf.sprintf "%s d=%d" (P.kind_to_string k) d,
+                          delta ~base:!base_p99 r.p99_latency_ns )
+                  in
+                  T.add_row cluster
+                    [
+                      text label;
+                      T.num (us 0) r.p99_latency_ns;
+                      vs;
+                      T.num (fixed 0) r.throughput_rps;
+                    ])
             cells;
-          (* The first cluster row is the home-pinned baseline. *)
-          let clusters =
-            Array.to_list cells
-            |> List.filter_map (function
-                 | H_cluster { label; r } -> Some (label, r.CS.p99_latency_ns, r)
-                 | _ -> None)
-          in
-          let base_p99 = match clusters with (_, p, _) :: _ -> p | [] -> nan in
-          List.iteri
-            (fun i (label, p99, r) ->
-              T.add_row cluster
-                [
-                  text label;
-                  T.num (us 0) p99;
-                  (if i = 0 then text "-"
-                   else T.num (T.Delta 1) ((p99 -. base_p99) /. base_p99));
-                  T.num (fixed 0) r.CS.throughput_rps;
-                ])
-            clusters;
           [
             Run.Section
               "Request hedging: cloning, LB policies and the PS oracle \
@@ -1038,14 +1184,9 @@ let cluster_scale ~fleet_nodes ~fleet_shards ~diffs ~mixed_containers =
               ~title:
                 "Differential: fluid (analytic) vs exact (event-driven) on \
                  overlapping scales"
-              [
-                ("point", T.Left);
-                ("exact mean", T.Right);
-                ("fluid mean", T.Right);
-                ("delta", T.Right);
-                ("exact busy", T.Right);
-                ("fluid busy", T.Right);
-              ]
+              (("point", T.Left)
+              :: right [ "exact mean"; "fluid mean"; "delta"; "exact busy";
+                         "fluid busy" ])
           in
           let mixed = ref [] in
           Array.iter
@@ -1108,6 +1249,66 @@ let cluster_scale ~fleet_nodes ~fleet_shards ~diffs ~mixed_containers =
               line
                 " exact slice so p99/tail attribution survives at fleet \
                  scale)";
+            ]);
+    }
+
+(* [xc cluster]: one cell per node of [spec] at its fidelity tier,
+   reported as the node table (up to 8 nodes) and the nodes folded by
+   [Driver.cluster_row]; the fluid tier's p99 reads "-". *)
+let cluster (spec : Spec.t) =
+  Run.Cells
+    {
+      shards =
+        Array.of_list
+          (List.map (fun c () -> CS.run_fidelity spec.fidelity c) (Driver.cluster spec));
+      report =
+        (fun results ->
+          let results = Array.to_list results and l = spec.load in
+          let t =
+            T.create
+              (right [ "node"; "req/s"; "mean"; "p99"; "busy"; "cont-switches" ])
+          in
+          List.iteri
+            (fun i (r : CS.result) ->
+              T.add_row t
+                [
+                  T.int i;
+                  T.num T.Si r.throughput_rps;
+                  T.num (us 0) r.mean_latency_ns;
+                  (if Float.is_nan r.p99_latency_ns then text "-"
+                   else T.num (us 0) r.p99_latency_ns);
+                  T.num (T.Percent 0) r.busy_fraction;
+                  T.int r.container_switches;
+                ])
+            results;
+          let total = Driver.cluster_row spec results in
+          let mean_busy =
+            List.fold_left (fun a (r : CS.result) -> a +. r.busy_fraction) 0. results
+            /. float_of_int (List.length results)
+          in
+          [
+            linef
+              "xc cluster: %s, %s tier — %d node(s) x %d container(s) x %d \
+               connection(s) (%d containers total)"
+              (Config.name spec.platform)
+              (match spec.fidelity with
+              | CS.Exact -> "exact"
+              | CS.Fluid -> "fluid"
+              | CS.Mixed { sample_rate } -> Printf.sprintf "mixed(1/%d)" sample_rate)
+              l.nodes l.containers l.connections (l.nodes * l.containers);
+            line "";
+          ]
+          @ (if l.nodes > 8 then [] else [ Run.Table t ])
+          @ [
+              line "";
+              linef
+                "total: %s req/s   mean latency %.0fus   worst p99 %s   mean \
+                 busy %.0f%%"
+                (T.fmt_si total.throughput_rps)
+                (total.mean_ns /. 1e3)
+                (if Float.is_nan total.p99_ns then "-"
+                 else Printf.sprintf "%.0fus" (total.p99_ns /. 1e3))
+                (100. *. mean_busy);
             ]);
     }
 
@@ -1233,38 +1434,26 @@ let latency_smoke () =
     linef "p50 %.0fus  p99 %.0fus" (r.p50_ns /. 1e3) (r.p99_ns /. 1e3);
   ]
 
-(* One cell per scheduler point, so the pool fans the four runs out and
-   each captures its own trace and telemetry. *)
 let fig8sim_smoke () =
-  let tiny mode n =
-    {
-      (CS.default_config mode ~containers:n) with
-      duration_ns = 2e7;
-      warmup_ns = 2e6;
-      client_rtt_ns = 1e6;
-    }
-  in
-  let configs =
-    List.concat_map (fun n -> [ tiny CS.Flat n; tiny CS.Hierarchical n ]) [ 4; 8 ]
-  in
-  Run.Cells
-    {
-      shards = Array.of_list (List.map (fun c () -> (c, CS.run c)) configs);
-      report =
-        (fun rows ->
-          Run.Section "Smoke: cluster scheduler sweep, 20ms simulated, inner fan-out"
-          :: Array.to_list
-               (Array.map
-                  (fun ((c : CS.config), (r : CS.result)) ->
-                    linef "%-12s n=%d  %s req/s  %d container switches"
-                      (match c.mode with
-                      | CS.Flat -> "flat"
-                      | CS.Hierarchical -> "hierarchical")
-                      c.containers
-                      (T.fmt_si r.throughput_rps)
-                      r.container_switches)
-                  rows));
-    }
+  scheduler
+    (fun mode n ->
+      {
+        (CS.default_config mode ~containers:n) with
+        duration_ns = 2e7;
+        warmup_ns = 2e6;
+        client_rtt_ns = 1e6;
+      })
+    [ 4; 8 ]
+    (fun rows ->
+      Run.Section "Smoke: cluster scheduler sweep, 20ms simulated, inner fan-out"
+      :: Array.to_list
+           (Array.map
+              (fun ((c : CS.config), (r : CS.result)) ->
+                linef "%-12s n=%d  %s req/s  %d container switches" (mode_name c.mode)
+                  c.containers
+                  (T.fmt_si r.throughput_rps)
+                  r.container_switches)
+              rows))
 
 (* ------------------------------------------------------------------ *)
 (* The experiment table is Xcontainers.Inventory.all: every inventory id
@@ -1281,7 +1470,7 @@ let printer = function
   | "fig9" -> whole fig9
   | "boot" -> whole boot
   | "ablation" -> whole ablation
-  | "fig8sim" -> whole fig8sim
+  | "fig8sim" -> fig8sim ()
   | "security" -> whole security
   | "migration" -> whole migration
   | "clone" -> whole (fun () -> clone ~memory_mb:128 ~resident_pages:2048)

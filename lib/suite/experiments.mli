@@ -31,3 +31,45 @@ val clone : memory_mb:int -> resident_pages:int -> Run.report
 val coldstart : rates:float list -> Run.report
 (** Serverless cold starts by spawn path, one table per arrival rate;
     the bench runs 0.02, 0.05 and 0.5 invocations/s. *)
+
+val platforms : unit -> Run.report
+(** The capability matrix of Section 2.3, one row per runtime. *)
+
+val syscall_costs : cloud:Xc_platforms.Config.cloud -> meltdown_patched:bool -> Run.report
+(** The calibrated per-platform costs on [cloud]. *)
+
+(** {1 Cells the [xc] commands run}
+
+    Each shares its cell builder with a bench experiment that runs the
+    same simulations. *)
+
+val sweep : counts:int list -> duration_ms:float -> Run.cells
+(** [fig8sim]'s scheduler points: one cell per (count, flat or
+    hierarchical) over a [duration_ms] window. *)
+
+val lb_sweep :
+  backends:int -> clones:int -> dispatch:Xc_lb.Hedge.dispatch -> seed:int ->
+  duration_ms:float -> utilizations:float list -> Run.cells
+(** [hedging]'s PS cloning points, one cell per utilization: the
+    simulation against the random sub-cluster closed form, ["-"] where
+    the clones do not tile the backends. *)
+
+val cluster : Spec.t -> Run.cells
+(** One cell per node of a cluster spec at its fidelity tier, reported
+    as the node table (up to 8 nodes) and the {!Driver.cluster_row}
+    total. *)
+
+type race_row = {
+  combo : (Xc_lb.Policy.kind * int) option;  (** [None] for the home-pinned baseline *)
+  config : Xc_platforms.Cluster_sim.config;
+  r : Xc_platforms.Cluster_sim.result;
+}
+
+val race : Spec.t -> (Xc_lb.Policy.kind * int) list -> (unit -> race_row) list
+(** [hedging]'s Fig 9 policy race: the spec's cluster node, priced now,
+    run home-pinned and then routed by each (kind, clones) combo, one
+    cell each, baseline first. *)
+
+val race_report : Spec.t -> race_row list -> Run.report * race_row
+(** The race table and the winner line; the winner is the combo with
+    the lowest p99, the first of equals. *)

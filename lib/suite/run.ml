@@ -47,11 +47,14 @@ type outcome = {
 }
 
 (* Runs one cell instrumented.  The trace capture gives each cell its
-   own buffer and cursor starting at 0, so the experiment's track is
-   independent of which domain — and after what history — ran it. *)
-let instrument f () =
+   own buffer, cursor starting at 0 and sampling stride, so the
+   experiment's track is independent of which domain — and after what
+   history — ran it. *)
+let instrument ?sample f () =
   let events0 = Xc_sim.Engine.domain_events () in
-  let (data, trace), telemetry = Metrics.capture (fun () -> Trace.capture f) in
+  let (data, trace), telemetry =
+    Metrics.capture (fun () -> Trace.capture ?sample f)
+  in
   let events = Xc_sim.Engine.domain_events () - events0 in
   (data, { trace; telemetry; events })
 
@@ -59,9 +62,9 @@ let instrument f () =
    (deterministic, index-ordered) merge phase: the report is built over
    the cell results and rendered, traces concatenate with rebased
    cursors, telemetry merges. *)
-let shard (name, Cells { shards; report }) =
+let shard ?sample (name, Cells { shards; report }) =
   Xc_sim.Parallel.Shard.make
-    ~shards:(Array.map instrument shards)
+    ~shards:(Array.map (instrument ?sample) shards)
     ~merge:(fun cells ->
       let report = report (Array.map fst cells) in
       let pieces = Array.map snd cells in
@@ -79,9 +82,10 @@ let shard (name, Cells { shards; report }) =
             Metrics.empty_telemetry pieces;
       })
 
-(* Tracing and telemetry on, as asked, for [f] alone. *)
+(* Tracing and telemetry on, as asked, for [f] alone; the stride goes
+   to each cell's capture. *)
 let capturing ?trace ?telemetry f =
-  Option.iter (fun sample -> Trace.enable ~sample ()) trace;
+  if trace <> None then Trace.enable ();
   Option.iter (fun interval_ns -> Metrics.enable ~interval_ns ()) telemetry;
   Fun.protect f ~finally:(fun () ->
       if trace <> None then Trace.disable ();
@@ -89,12 +93,12 @@ let capturing ?trace ?telemetry f =
 
 let run ?trace ?telemetry ~jobs experiments =
   capturing ?trace ?telemetry (fun () ->
-      Xc_sim.Parallel.run_sharded ~jobs (List.map shard experiments))
+      Xc_sim.Parallel.run_sharded ~jobs (List.map (shard ?sample:trace) experiments))
 
 let map ?trace ?telemetry ~jobs cells =
   let all =
     Xc_sim.Parallel.Shard.make
-      ~shards:(Array.of_list (List.map instrument cells))
+      ~shards:(Array.of_list (List.map (instrument ?sample:trace) cells))
       ~merge:Array.to_list
   in
   match capturing ?trace ?telemetry (fun () -> Xc_sim.Parallel.run_sharded ~jobs [ all ]) with

@@ -33,7 +33,9 @@ val tables : report -> Xc_sim.Table.t list
     [?trace] (a sampling stride: [1] keeps every event) and
     [?telemetry] (a snapshot interval in sim-ns) switch each on around
     the pool and off again when it returns, also on an exception; every
-    cell captures its own trace and telemetry.  Price what a cell runs
+    cell captures its own trace, at that stride, and its own telemetry.
+    A capture a cell makes inside itself records at its own stride
+    (every event unless it asks otherwise).  Price what a cell runs
     before the call: the platform cost queries emit spans themselves,
     so pricing inside a traced cell would record into its track. *)
 

@@ -93,19 +93,14 @@ let default_capacity = 1 lsl 18
    [enable] must observe the flag without extra synchronisation. *)
 let enabled_flag = Atomic.make false
 let capacity_cell = Atomic.make default_capacity
-let sample_cell = Atomic.make 1
 
 let[@inline] enabled () = Atomic.get enabled_flag
 
-let enable ?capacity ?sample () =
+let enable ?capacity () =
   (match capacity with
   | None -> ()
   | Some c when c >= 1 -> Atomic.set capacity_cell c
   | Some c -> invalid_arg (Printf.sprintf "Trace.enable: capacity %d" c));
-  (match sample with
-  | None -> ()
-  | Some n when n >= 1 -> Atomic.set sample_cell n
-  | Some n -> invalid_arg (Printf.sprintf "Trace.enable: sample %d" n));
   Atomic.set enabled_flag true
 
 let disable () = Atomic.set enabled_flag false
@@ -117,8 +112,9 @@ type stat = { mutable seen : int; mutable kept : int }
 (* A domain's recorder: [len] live rows of [cols] starting at [start].
    The columns start empty, are first made on the first event, and
    double while they are smaller than [cap]; at [cap] they are a ring,
-   and [start] moves only then. *)
+   and [start] moves only then.  [sample] is the capture's stride. *)
 type state = {
+  sample : int;
   mutable cols : segment;
   mutable cap : int;  (* the capacity [cols] grow to; 0 before the first event *)
   mutable start : int;
@@ -128,12 +124,12 @@ type state = {
   streams : (string * string, stat) Hashtbl.t;
 }
 
-let fresh () =
-  { cols = no_rows; cap = 0; start = 0; len = 0; dropped = 0; cursor = 0.;
+let fresh sample =
+  { sample; cols = no_rows; cap = 0; start = 0; len = 0; dropped = 0; cursor = 0.;
     streams = Hashtbl.create 16 }
 
 (* [capture] swaps the whole state and puts it back afterwards. *)
-let key = Domain.DLS.new_key (fun () -> ref (fresh ()))
+let key = Domain.DLS.new_key (fun () -> ref (fresh 1))
 
 let state () = !(Domain.DLS.get key)
 
@@ -193,11 +189,11 @@ let row st k ~cat ~name =
    stream, which alternates Docker and X-Container costs) still gets
    every phase sampled evenly; a fixed phase would see only one.
    Window 0 keeps slot 0, so every nonempty stream keeps its first
-   event.  With stride 1 (the default) the gate is a single atomic
+   event.  With stride 1 (the default) the gate is a single field
    load and no counter is touched, so unsampled tracing costs exactly
    what it did before the sampler existed. *)
 let keep st ~cat ~name =
-  let stride = Atomic.get sample_cell in
+  let stride = st.sample in
   if stride <= 1 then true
   else begin
     let k = (cat, name) in
@@ -301,12 +297,13 @@ let captured_of st =
     cursor = st.cursor;
   }
 
-let capture f =
+let capture ?(sample = 1) f =
+  if sample < 1 then invalid_arg (Printf.sprintf "Trace.capture: sample %d" sample);
   if not (enabled ()) then (f (), empty_captured)
   else begin
     let cell = Domain.DLS.get key in
     let saved = !cell in
-    cell := fresh ();
+    cell := fresh sample;
     match f () with
     | v ->
         let st = !cell in

@@ -18,13 +18,13 @@
       domain runs it, and the runner joins the captures in cell order
       with {!concat}, so a traced run is byte-identical at any
       [--jobs] (enforced in tier-1) — sampled runs included, because
-      the sampler state is per-capture.
+      the sampling stride and the sampler state belong to the capture.
     + {b Bounded memory.}  Each domain records into columns that grow
       by doubling up to {!enable}[ ~capacity] events; past that they
       are a ring, the oldest event is overwritten and the capture's
       [dropped] counts the loss — tracing never grows without bound
       under heavy simulated traffic.  For runs whose full event stream
-      would overflow any reasonable ring, {!enable}[ ~sample:n] keeps
+      would overflow any reasonable ring, {!capture}[ ~sample:n] keeps
       one event per window of n per (cat,name) stream (rotating the
       slot within the window so streams with periodic durations are
       sampled phase-fairly) and counts the rest exactly, so aggregates
@@ -110,15 +110,10 @@ val default_capacity : int
 
 (** {1 Switches} *)
 
-val enable : ?capacity:int -> ?sample:int -> unit -> unit
+val enable : ?capacity:int -> unit -> unit
 (** Turn tracing on process-wide.  [capacity] (default
     {!default_capacity}, must be >= 1) bounds the per-domain columns
-    filled from now on.  [sample] (default 1 = keep everything, must
-    be >= 1) sets the sampling stride: each (cat,name) stream keeps
-    one event per window of [sample] — the first event always, then
-    the slot rotates by one each window so periodic streams are
-    sampled phase-fairly — and counts the rest in the capture's
-    [streams].  Both settings persist until changed by a later
+    filled from now on.  It persists until changed by a later
     [enable]; a capacity change discards the live columns of a
     recorder that records again, counting them as dropped. *)
 
@@ -130,8 +125,8 @@ val enabled : unit -> bool
 
 (** {1 Emitters}
 
-    All are no-ops when disabled.  With a sampling stride > 1, each
-    emitter offers the event to the per-stream gate; a skipped span
+    All are no-ops when disabled.  Under a capture with a sampling
+    stride > 1, each emitter offers the event to the per-stream gate; a skipped span
     still advances the synthetic cursor so kept timestamps are
     identical to the unsampled timeline. *)
 
@@ -171,12 +166,20 @@ type captured = {
   cursor : float;  (** final synthetic cursor — the capture's span-sum *)
 }
 
-val capture : (unit -> 'a) -> 'a * captured
+val capture : ?sample:int -> (unit -> 'a) -> 'a * captured
 (** [capture f] runs [f] with a fresh recorder state on this domain
     and returns [(result, captured)]; the state that was live before
     the call is restored afterwards (also on exceptions, in which case
     the inner events are discarded with the exception re-raised).
-    When disabled: [(f (), c)] with [c] empty. *)
+    When disabled: [(f (), c)] with [c] empty.
+
+    [sample] (default 1 = keep everything, must be >= 1) is the
+    capture's sampling stride: each (cat,name) stream keeps one event
+    per window of [sample] — the first event always, then the slot
+    rotates by one each window so periodic streams are sampled
+    phase-fairly — and counts the rest in [streams].  The stride
+    belongs to this capture alone: a nested capture records at its
+    own stride, and the enclosing one resumes at its stride after. *)
 
 val concat : captured list -> captured
 (** Merge captures in list order into one capture on one time axis:

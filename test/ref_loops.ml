@@ -265,7 +265,7 @@ let observe ~traced f =
     let r, n = counted f in
     (r, n, "")
   else begin
-    Trace.enable ~capacity:Trace.default_capacity ~sample:1 ();
+    Trace.enable ~capacity:Trace.default_capacity ();
     Metrics.enable ();
     Fun.protect
       ~finally:(fun () ->

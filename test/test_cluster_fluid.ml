@@ -270,7 +270,7 @@ let test_sweep_fidelity_matches_map () =
 (* ---------------- mixed tier feeds the tails pipeline ---------------- *)
 
 let with_trace f =
-  Trace.enable ~capacity:(1 lsl 18) ~sample:1 ();
+  Trace.enable ~capacity:(1 lsl 18) ();
   Fun.protect
     ~finally:Trace.disable f
 

@@ -102,7 +102,7 @@ let test_split_driver_completion_order () =
   let hops =
     P.Platform.net_hops (P.Platform.create (P.Config.make P.Config.X_container))
   in
-  Trace.enable ~capacity:Trace.default_capacity ~sample:1 ();
+  Trace.enable ~capacity:Trace.default_capacity ();
   let cost, captured =
     Fun.protect
       ~finally:Trace.disable

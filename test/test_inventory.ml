@@ -824,20 +824,12 @@ let test_one_dispatch_loop () =
            ms)
        (libraries ()))
 
-(* ---------------- One capture path ---------------- *)
+(* ---------------- One capture path, one table builder ---------------- *)
 
-(* Tracing and telemetry are switched on, captured and written by
-   Xc_suite.Run alone: no file of the bench or xc names a switch or a
-   capture, directly or through a module alias. *)
-let capture_sites ~file src =
+(* Every use in [src] of a [banned] value of a module, named directly or
+   through a module alias, as "FILE: PATH.VALUE". *)
+let banned_sites ~banned ~file src =
   let last p = List.nth p (List.length p - 1) in
-  let banned =
-    [
-      ("Trace", [ "enable"; "disable"; "capture" ]);
-      ("Metrics", [ "enable"; "disable"; "capture" ]);
-      ("Causal", [ "with_tracing" ]);
-    ]
-  in
   let toks = tokens src in
   (* [module M = Xc_sim.Metrics], [let module T = Trace], an alias of
      an alias: each name maps to the module it stands for. *)
@@ -861,6 +853,27 @@ let capture_sites ~file src =
   in
   go toks
 
+let front_end_files () =
+  let files dir =
+    Sys.readdir (Filename.concat root dir)
+    |> Array.to_list |> List.sort compare
+    |> List.filter (fun f -> Filename.check_suffix f ".ml")
+    |> List.map (Filename.concat dir)
+  in
+  files "bench" @ files "bin"
+
+(* Tracing and telemetry are switched on, captured and written by
+   Xc_suite.Run alone: no file of the bench or xc names a switch or a
+   capture, directly or through a module alias. *)
+let capture_sites =
+  banned_sites
+    ~banned:
+      [
+        ("Trace", [ "enable"; "disable"; "capture" ]);
+        ("Metrics", [ "enable"; "disable"; "capture" ]);
+        ("Causal", [ "with_tracing" ]);
+      ]
+
 let test_one_capture_path () =
   Alcotest.(check (list string))
     "switches seen through aliases"
@@ -870,17 +883,30 @@ let test_one_capture_path () =
         module T = Xc_trace.Trace\nlet x = T.capture f\n\
         let y = Xc_obs.Causal.with_tracing g (* Trace.enable *)\n\
         let z = T.enabled () && M.on ()");
-  let files dir =
-    Sys.readdir (Filename.concat root dir)
-    |> Array.to_list |> List.sort compare
-    |> List.filter (fun f -> Filename.check_suffix f ".ml")
-    |> List.map (Filename.concat dir)
-  in
   Alcotest.(check (list string))
     "tracing or telemetry switched or captured outside Xc_suite.Run" []
     (List.concat_map
        (fun file -> capture_sites ~file (read (Filename.concat root file)))
-       (files "bench" @ files "bin"))
+       (front_end_files ()))
+
+(* Every table is built by a report builder in Xc_suite.Experiments (or
+   the library views it calls): no file of the bench or xc creates,
+   fills or prints one, directly or through a module alias. *)
+let table_sites = banned_sites ~banned:[ ("Table", [ "create"; "add_row"; "print" ]) ]
+
+let test_one_table_builder () =
+  Alcotest.(check (list string))
+    "builders seen through aliases"
+    [ "f: T.create"; "f: Xc_sim.Table.add_row"; "f: U.print" ]
+    (table_sites ~file:"f"
+       "module T = Xc_sim.Table\nlet t = T.create cols\n\
+        let () = Xc_sim.Table.add_row t [] (* T.print t *)\n\
+        let module U = T in U.print t; print_string (T.render t)");
+  Alcotest.(check (list string))
+    "tables built outside Xc_suite.Experiments" []
+    (List.concat_map
+       (fun file -> table_sites ~file (read (Filename.concat root file)))
+       (front_end_files ()))
 
 let test_scanner () =
   let libs = [ ("Xc_os", [ "Epoll"; "Kernel" ]); ("Xc_hypervisor", [ "Tmem" ]) ] in
@@ -953,5 +979,6 @@ let suites =
         Alcotest.test_case "one pricing path" `Quick test_one_pricing_path;
         Alcotest.test_case "one dispatch loop" `Quick test_one_dispatch_loop;
         Alcotest.test_case "one capture path" `Quick test_one_capture_path;
+        Alcotest.test_case "one table builder" `Quick test_one_table_builder;
       ] );
   ]

@@ -289,7 +289,7 @@ let test_traced_closed_loop_words () =
       trace_mechanisms = Xc_apps.Recipe.mechanisms platform nginx.Xc_suite.Workload.recipe;
     }
   in
-  Trace.enable ~capacity:Trace.default_capacity ~sample:1 ();
+  Trace.enable ~capacity:Trace.default_capacity ();
   Metrics.enable ~interval_ns:50e3 ();
   Fun.protect
     ~finally:(fun () ->

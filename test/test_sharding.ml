@@ -65,16 +65,13 @@ let test_each_shard_once () =
    the runner's cells do ([Xc_suite.Run]).  Runs are compared against
    the jobs-1 reference byte-for-byte (results, events, telemetry). *)
 
-(* Both recorders on for [f]; the stride goes back to 1 afterwards,
-   since settings persist across enables and later suites must not
-   inherit a sampled tracer. *)
-let with_recorders ?(sample = 1) f =
-  Trace.enable ~capacity:Trace.default_capacity ~sample ();
+(* Both recorders on for [f], off again afterwards. *)
+let with_recorders f =
+  Trace.enable ~capacity:Trace.default_capacity ();
   Metrics.enable ();
   Fun.protect
     ~finally:(fun () ->
       Metrics.disable ();
-      Trace.enable ~sample:1 ();
       Trace.disable ())
     f
 
@@ -162,11 +159,11 @@ let test_exception_ordering_oversubscribed () =
 (* ---------------- capture plumbing ---------------- *)
 
 let test_trace_concat_rebases () =
-  with_recorders ~sample:2 (fun () ->
+  with_recorders (fun () ->
       (* [n] spans of one stream, sampled at stride 2. *)
       let seg n width =
         snd
-          (Trace.capture (fun () ->
+          (Trace.capture ~sample:2 (fun () ->
                for _ = 1 to n do
                  Trace.span ~cat:"c" ~name:"x" width
                done))

@@ -15,8 +15,8 @@ module Profile = Xc_trace.Profile
 module Config = Xc_platforms.Config
 module Histogram = Xc_sim.Histogram
 
-let with_trace ?(capacity = Trace.default_capacity) ?(sample = 1) f =
-  Trace.enable ~capacity ~sample ();
+let with_trace ?(capacity = Trace.default_capacity) f =
+  Trace.enable ~capacity ();
   Fun.protect
     ~finally:Trace.disable f
 

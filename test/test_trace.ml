@@ -14,14 +14,14 @@ module Config = Xc_platforms.Config
 
 (* Enable tracing for the duration of [f], then restore the disabled
    state, so suites that run after us see a quiet tracer.  Capacity
-   and sampling stride always default explicitly: a previous test's
-   tiny ring or stride must not leak forward. *)
-let with_trace ?(capacity = Trace.default_capacity) ?(sample = 1) f =
-  Trace.enable ~capacity ~sample ();
+   always defaults explicitly: a previous test's tiny ring must not
+   leak forward. *)
+let with_trace ?(capacity = Trace.default_capacity) f =
+  Trace.enable ~capacity ();
   Fun.protect ~finally:Trace.disable f
 
-(* [f]'s events, captured. *)
-let recorded f = snd (Trace.capture f)
+(* [f]'s events, captured at stride [sample]. *)
+let recorded ?sample f = snd (Trace.capture ?sample f)
 
 let ev = Trace_rows.testable
 
@@ -167,9 +167,9 @@ let cat_totals ?(streams = []) evs =
     (Diff.diff ~a_streams:streams ~a:evs ~b:[] ()).Diff.rows
 
 let test_sampler_stride () =
-  with_trace ~sample:4 (fun () ->
+  with_trace (fun () ->
       let { Trace.streams; events = evs; _ } =
-        recorded (fun () ->
+        recorded ~sample:4 (fun () ->
             for _ = 1 to 10 do
               Trace.span ~cat:"c" ~name:"x" 10.
             done)
@@ -195,9 +195,9 @@ let test_sampler_stride () =
       | ss -> Alcotest.failf "expected 1 stream, got %d" (List.length ss))
 
 let test_sampler_per_stream () =
-  with_trace ~sample:2 (fun () ->
+  with_trace (fun () ->
       let { Trace.streams; _ } =
-        recorded (fun () ->
+        recorded ~sample:2 (fun () ->
             for _ = 1 to 3 do
               Trace.span ~cat:"a" ~name:"x" 1.;
               Trace.span ~cat:"b" ~name:"y" 1.
@@ -217,9 +217,9 @@ let test_sampler_phase_fair () =
      (here 2 | 4) must not be sampled at a single phase: the rotating
      slot visits both phases, so the rescaled total is exact even
      though the stream is heterogeneous. *)
-  with_trace ~sample:4 (fun () ->
+  with_trace (fun () ->
       let { Trace.streams; events = evs; _ } =
-        recorded (fun () ->
+        recorded ~sample:4 (fun () ->
             for _ = 1 to 16 do
               Trace.span ~cat:"c" ~name:"x" 100.;
               Trace.span ~cat:"c" ~name:"x" 300.
@@ -237,12 +237,12 @@ let test_sampler_phase_fair () =
 (* Six cells on the pool, each capturing its own trace, joined in cell
    order by [Trace.concat] — the runner's path ([Xc_suite.Run]). *)
 let traced_parallel_run ?sample jobs =
-  with_trace ?sample (fun () ->
+  with_trace (fun () ->
       let cells =
         Xc_sim.Parallel.run_sharded ~jobs
           (List.init 6 (fun i ->
                Xc_sim.Parallel.Shard.thunk (fun () ->
-                   Trace.capture (fun () ->
+                   Trace.capture ?sample (fun () ->
                        Trace.span ~cat:"work" ~name:(string_of_int i)
                          (float_of_int (i + 1));
                        Trace.instant ~cat:"tick" ~name:(string_of_int i) ();
@@ -477,10 +477,10 @@ let rec model ~stride ~capacity ops =
     ( (List.filteri (fun i _ -> i >= n - capacity) all, max 0 (n - capacity), streams, !cursor),
       List.rev !inner )
 
-let rec recorded_ops ops =
+let rec recorded_ops ~stride ops =
   let inner = ref [] in
   let c =
-    recorded (fun () ->
+    recorded ~sample:stride (fun () ->
         List.iter
           (function
             | Span (s, ns) ->
@@ -495,7 +495,7 @@ let rec recorded_ops ops =
             | Counter (s, at, v) ->
                 let cat, name = stream_names.(s) in
                 Trace.counter ?at:(Option.map float_of_int at) ~cat ~name (float_of_int v)
-            | Nested ops -> inner := snd (recorded_ops ops) :: !inner)
+            | Nested ops -> inner := snd (recorded_ops ~stride ops) :: !inner)
           ops)
   in
   (c, Outcome (Trace_rows.captured c, List.rev !inner))
@@ -561,8 +561,8 @@ let recorder_model_prop =
       let capacity =
         match fit with 0 -> max 1 n | 1 -> max 1 (n - 1) | _ -> 1 + (List.length ops * 7 mod 80)
       in
-      with_trace ~capacity ~sample:stride (fun () ->
-          let _, got = recorded_ops ops in
+      with_trace ~capacity (fun () ->
+          let _, got = recorded_ops ~stride ops in
           if got <> model ~stride ~capacity ops then
             QCheck.Test.fail_report "capture differs from the model";
           (* The same ops as three captured segments, joined. *)
@@ -574,7 +574,7 @@ let recorder_model_prop =
               List.filteri (fun i _ -> i >= 2 * k / 3) ops;
             ]
           in
-          let segments = List.map (fun p -> fst (recorded_ops p)) parts in
+          let segments = List.map (fun p -> fst (recorded_ops ~stride p)) parts in
           if
             Trace_rows.captured (Trace.concat segments)
             <> model_concat (List.map (model ~stride ~capacity) parts)
@@ -893,9 +893,9 @@ let test_httpd_slowest_shape () =
 (* ---------------- sampled fig9: rescale accuracy ---------------- *)
 
 let fig9_trace ~sample () =
-  with_trace ~sample (fun () ->
+  with_trace (fun () ->
       let (), captured =
-        Trace.capture (fun () ->
+        Trace.capture ~sample (fun () ->
             for _ = 1 to 32 do
               List.iter
                 (fun s -> ignore (Xc_apps.Lb_experiment.run s))
